@@ -19,10 +19,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import features as feat
-from . import perturb as pt
-from . import tensors
+from . import perturb, tensors
 from .dns import DnsProfile, interpolate
-from .tensors import ReynoldsStress
 
 # SST closure constants (standard published set)
 BETA_STAR = 0.09
@@ -62,9 +60,7 @@ class ChannelConfig:
     stretch: float = 0.5  # target first off-wall node position y1+
     max_iters: int = 40000
     residual_tol: float = 1e-8
-    under_relaxation: float | None = None  # None: 0.8 baseline, 0.5 injected
     laminar: bool = False
-    freeze_features: bool = False
 
     def __post_init__(self):
         if self.re_tau <= 0:
@@ -75,8 +71,6 @@ class ChannelConfig:
             raise ValueError("stretch (first node y+) must be in (0, 1)")
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
-        if self.under_relaxation is not None and not 0 < self.under_relaxation <= 1:
-            raise ValueError("under_relaxation must be in (0, 1]")
 
 
 @dataclass
@@ -89,7 +83,7 @@ class ChannelState:
     nu_t_plus: np.ndarray
     dUdy_plus: np.ndarray
     minus_uv_plus: np.ndarray  # shear stress actually used in momentum
-    tau: list[ReynoldsStress]
+    tau: np.ndarray  # (n, 3, 3) Reynolds stress per node
     residual_history: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
@@ -174,108 +168,6 @@ def _mid(a):
 
 
 # ---------------------------------------------------------------------------
-# vectorized anisotropy machinery (stacked 3x3 path used inside the loop)
-
-
-def boussinesq_stack(k, nu_t, dudy):
-    """Stacked Boussinesq stress tensors tau = (2/3) k I - 2 nu_t S."""
-    n = len(k)
-    tau = np.zeros((n, 3, 3))
-    tau[:, 0, 0] = tau[:, 1, 1] = tau[:, 2, 2] = (2.0 / 3.0) * k
-    tau[:, 0, 1] = tau[:, 1, 0] = -nu_t * dudy
-    return tau
-
-
-def decompose_stack(tau, k_floor=tensors.DEFAULT_K_FLOOR):
-    """Vectorized anisotropy eigendecomposition with the same ordering
-    and sign conventions as :func:`eigenuq.tensors.decompose`."""
-    k = 0.5 * np.trace(tau, axis1=1, axis2=2)
-    degenerate = k < k_floor
-    k_safe = np.where(degenerate, 1.0, k)
-    a = tau / k_safe[:, None, None] - (2.0 / 3.0) * np.eye(3)
-    a[degenerate] = 0.0
-    lam, vec = np.linalg.eigh(a)
-    lam = lam[:, ::-1]
-    vec = vec[:, :, ::-1]
-    # sign normalization: largest-magnitude component of each column positive
-    imax = np.argmax(np.abs(vec), axis=1)
-    signs = np.sign(np.take_along_axis(vec, imax[:, None, :], axis=1))[:, 0, :]
-    signs[signs == 0] = 1.0
-    vec = vec * signs[:, None, :]
-    det = np.linalg.det(vec)
-    vec[det < 0, :, 2] *= -1.0
-    lam[degenerate] = 0.0
-    vec[degenerate] = np.eye(3)
-    return k, lam, vec, degenerate
-
-
-def reconstruct_stack(k, lam, vec):
-    a = np.einsum("nij,nj,nkj->nik", vec, lam, vec)
-    return k[:, None, None] * (a + (2.0 / 3.0) * np.eye(3))
-
-
-def weights_from_lam(lam):
-    c1 = 0.5 * (lam[:, 0] - lam[:, 1])
-    c2 = lam[:, 1] - lam[:, 2]
-    c3 = 0.5 * (3.0 * lam[:, 2] + 2.0)
-    return np.column_stack([c1, c2, c3])
-
-
-def points_from_weights(w):
-    corners = np.vstack([tensors.CORNER_1C, tensors.CORNER_2C, tensors.CORNER_3C])
-    return w @ corners
-
-
-def weights_from_points(xy):
-    d = xy - tensors.CORNER_3C
-    c12 = d @ tensors._A_INV.T
-    return np.column_stack([c12, 1.0 - c12.sum(axis=1)])
-
-
-def lam_from_weights(w):
-    l3 = (2.0 * w[:, 2] - 2.0) / 3.0
-    l2 = w[:, 1] + l3
-    l1 = 2.0 * w[:, 0] + l2
-    return np.column_stack([l1, l2, l3])
-
-
-def clip_weights(w):
-    """Project barely-outside points back into the triangle by clipping
-    negative weights and renormalizing (roundoff guard)."""
-    w = np.clip(w, 0.0, None)
-    return w / w.sum(axis=1)[:, None]
-
-
-def project_points(xy):
-    out = xy.copy()
-    w = weights_from_points(xy)
-    outside = w.min(axis=1) < 0.0
-    for i in np.nonzero(outside)[0]:
-        p = tensors.project_into_triangle(
-            tensors.BarycentricPoint(x=xy[i, 0], y=xy[i, 1])
-        )
-        out[i] = p.coords()
-    return out
-
-
-def rotation_stack(alpha, beta, gamma):
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    r = np.empty((len(alpha), 3, 3))
-    r[:, 0, 0] = ca * cb
-    r[:, 0, 1] = ca * sb * sg - sa * cg
-    r[:, 0, 2] = ca * sb * cg + sa * sg
-    r[:, 1, 0] = sa * cb
-    r[:, 1, 1] = sa * sb * sg + ca * cg
-    r[:, 1, 2] = sa * sb * cg - ca * sg
-    r[:, 2, 0] = -sb
-    r[:, 2, 1] = cb * sg
-    r[:, 2, 2] = cb * cg
-    return r
-
-
-# ---------------------------------------------------------------------------
 # stress injection modes
 
 
@@ -307,7 +199,7 @@ class StressInjection:
     # perturbations; prescribed external stresses pass through as-is)
     cap_shear = False
 
-    def prepare(self, cfg: ChannelConfig, y: np.ndarray, baseline=None) -> None:
+    def prepare(self, cfg: ChannelConfig, y: np.ndarray) -> None:
         pass
 
     def compute(self, arrays) -> np.ndarray:
@@ -320,7 +212,7 @@ class FrozenStressInjection(StressInjection):
     noise_amplitude: float = 0.0
     noise_seed: int = 0
 
-    def prepare(self, cfg, y, baseline=None):
+    def prepare(self, cfg, y):
         if self.profile.y_plus[-1] < cfg.re_tau * (1 - 1e-9):
             raise ValueError(
                 f"profile covers y+ up to {self.profile.y_plus[-1]:.4g}, "
@@ -330,13 +222,12 @@ class FrozenStressInjection(StressInjection):
         uv = prof.uv_plus.copy()
         if self.noise_amplitude > 0.0:
             uv = uv * (1.0 + self.noise_amplitude * _roughness_noise(y, self.noise_seed))
-        n = len(y)
-        tau = np.zeros((n, 3, 3))
-        tau[:, 0, 0] = np.maximum(prof.uu_plus, 0.0)
-        tau[:, 1, 1] = np.maximum(prof.vv_plus, 0.0)
-        tau[:, 2, 2] = np.maximum(prof.ww_plus, 0.0)
-        tau[:, 0, 1] = tau[:, 1, 0] = uv
-        self._tau = tau
+        self._tau = tensors.stress_stack(
+            np.maximum(prof.uu_plus, 0.0),
+            np.maximum(prof.vv_plus, 0.0),
+            np.maximum(prof.ww_plus, 0.0),
+            uv,
+        )
 
     def compute(self, arrays):
         return self._tau
@@ -352,28 +243,34 @@ class PerturbationInjection(StressInjection):
 
     cap_shear = True
 
-    def __init__(self, mode, corner=None, delta_b=None, forest=None,
-                 freeze_features=False):
-        if mode not in ("datafree", "p", "pcorr", "pcorr_angles"):
+    # the arguments each mode takes; all of them are required
+    TAKES = {
+        "datafree": ("corner", "delta_b"),
+        "p": ("corner", "forest"),
+        "pcorr": ("forest",),
+        "pcorr_angles": ("forest",),
+    }
+
+    def __init__(self, mode, corner=None, delta_b=None, forest=None):
+        if mode not in self.TAKES:
             raise ValueError(f"unknown injection mode {mode!r}")
-        if mode == "datafree":
-            if corner is None or delta_b is None:
-                raise ValueError("datafree mode needs corner and delta_b")
-            if not 0.0 <= delta_b <= 1.0:
-                raise ValueError("delta_b must be in [0, 1]")
-        if mode == "p" and corner is None:
-            raise ValueError("magnitude mode needs a target corner")
-        if mode in ("p", "pcorr", "pcorr_angles"):
-            if forest is None:
-                raise ValueError(f"mode {mode!r} needs a trained forest")
+        takes = self.TAKES[mode]
+        given = {"corner": corner, "delta_b": delta_b, "forest": forest}
+        if any(given[name] is None for name in takes):
+            raise ValueError(f"mode {mode!r} needs {' and '.join(takes)}")
+        extra = [name for name, val in given.items() if val is not None and name not in takes]
+        if extra:
+            raise ValueError(f"mode {mode!r} does not take {', '.join(extra)}")
+        if delta_b is not None and not 0.0 <= delta_b <= 1.0:
+            raise ValueError("delta_b must be in [0, 1]")
+        if corner is not None:
+            tensors.corner_coords(corner)  # validates the identifier
         self.mode = mode
         self.corner = corner
         self.delta_b = delta_b
         self.forest = forest
-        self.freeze_features = freeze_features
-        self._frozen_X = None
 
-    def prepare(self, cfg, y, baseline=None):
+    def prepare(self, cfg, y):
         if self.forest is not None:
             if self.forest.n_features != len(feat.DEFAULT_FEATURES):
                 raise ValueError(
@@ -386,42 +283,17 @@ class PerturbationInjection(StressInjection):
                     f"mode {self.mode!r} needs {expected} forest targets, "
                     f"got {self.forest.n_targets}"
                 )
-            if self.freeze_features:
-                if baseline is None:
-                    raise ValueError("freeze_features needs a baseline state")
-                self._frozen_X = feat.feature_matrix(baseline)
 
     def compute(self, arrays):
-        tau = boussinesq_stack(arrays.k_plus, arrays.nu_t_plus, arrays.dUdy_plus)
-        k, lam, vec, degen = decompose_stack(tau)
-        w = clip_weights(weights_from_lam(lam))
-        xy = points_from_weights(w)
+        tau = tensors.boussinesq(arrays.k_plus, arrays.nu_t_plus, arrays.dUdy_plus)
         if self.mode == "datafree":
-            xt = tensors.corner_coords(self.corner)
-            xy_new = xy + self.delta_b * (xt - xy)
-            alpha = None
-        else:
-            X = self._frozen_X if self._frozen_X is not None else feat.feature_matrix(arrays)
-            pred = self.forest.predict(X)
-            if self.mode == "p":
-                xt = tensors.corner_coords(self.corner)
-                d = xt - xy
-                dist = np.linalg.norm(d, axis=1)
-                p = np.maximum(pred[:, 0], 0.0)
-                step = np.minimum(np.where(dist > 1e-14, p / np.maximum(dist, 1e-14), 0.0), 1.0)
-                xy_new = xy + step[:, None] * d
-                alpha = None
-            else:
-                xy_new = project_points(xy + pred[:, :2])
-                alpha = pred[:, 2:] if self.mode == "pcorr_angles" else None
-        w_new = clip_weights(weights_from_points(xy_new))
-        lam_new = lam_from_weights(w_new)
-        if alpha is not None:
-            r = rotation_stack(alpha[:, 0], alpha[:, 1], alpha[:, 2])
-            vec = np.einsum("nij,njk->nik", r, vec)
-        tau_star = reconstruct_stack(k, lam_new, vec)
-        tau_star[degen] = tau[degen]
-        return tau_star
+            return perturb.data_free_corner(tau, self.corner, self.delta_b)
+        pred = self.forest.predict(feat.feature_matrix(arrays))
+        if self.mode == "p":
+            return perturb.data_driven_magnitude(tau, self.corner, pred[:, 0])
+        if self.mode == "pcorr":
+            return perturb.componentwise_correction(tau, pred[:, :2])
+        return perturb.full_anisotropy_correction(tau, pred[:, :2], pred[:, 2:])
 
 
 # ---------------------------------------------------------------------------
@@ -462,27 +334,24 @@ def solve_baseline(cfg: ChannelConfig) -> ChannelState:
     return _solve(cfg, injection=None)
 
 
-def solve_with_injection(cfg: ChannelConfig, injection: StressInjection,
-                         baseline: ChannelState | None = None) -> ChannelState:
+def solve_with_injection(cfg: ChannelConfig, injection: StressInjection) -> ChannelState:
     """Converge with perturbed/prescribed Reynolds stresses in the
     momentum and production terms."""
-    return _solve(cfg, injection=injection, baseline=baseline)
+    return _solve(cfg, injection=injection)
 
 
-def _solve(cfg, injection, baseline=None):
+def _solve(cfg, injection):
     y = make_grid(cfg.re_tau, cfg.n_cells, cfg.stretch)
     h = np.diff(y)
     n = len(y)
-    ur = cfg.under_relaxation
-    if ur is None:
-        ur = 0.8 if injection is None else 0.5
+    ur = 0.8 if injection is None else 0.5
 
     U, k, om, nu_t = _init_state(y, cfg.re_tau)
     if cfg.laminar:
         nu_t = np.zeros(n)
         k = np.zeros(n)
     if injection is not None:
-        injection.prepare(cfg, y, baseline=baseline)
+        injection.prepare(cfg, y)
 
     minus_uv_star = None
     tau_star = None
@@ -630,14 +499,10 @@ def _solve(cfg, injection, baseline=None):
     else:
         minus_uv = minus_uv_star
 
-    if tau_star is not None:
-        # report the injected stresses themselves (realizable by
-        # construction); minus_uv_plus carries the relaxed/capped shear
-        # the momentum equation actually used
-        tau_list = [ReynoldsStress.from_matrix(tau_star[i]) for i in range(n)]
-    else:
-        stack = boussinesq_stack(k, nu_t, dudy)
-        tau_list = [ReynoldsStress.from_matrix(stack[i]) for i in range(n)]
+    # report the injected stresses themselves (realizable by
+    # construction); minus_uv_plus carries the relaxed/capped shear the
+    # momentum equation actually used
+    tau = tau_star if tau_star is not None else tensors.boussinesq(k, nu_t, dudy)
 
     return ChannelState(
         re_tau=cfg.re_tau,
@@ -648,7 +513,7 @@ def _solve(cfg, injection, baseline=None):
         nu_t_plus=nu_t,
         dUdy_plus=dudy,
         minus_uv_plus=minus_uv,
-        tau=tau_list,
+        tau=tau,
         residual_history=residuals,
         iterations=len(residuals),
         converged=True,
@@ -667,13 +532,12 @@ def total_shear_error(state: ChannelState) -> float:
 
 
 def barycentric_trace(state: ChannelState):
-    """Per-node barycentric point of the state's stress; degenerate
-    near-laminar nodes yield None."""
-    out = []
-    for t in state.tau:
-        eig = tensors.decompose(t)
-        out.append(None if eig.degenerate else tensors.to_barycentric(eig))
-    return out
+    """Barycentric points (n, 2) and corner weights (n, 3) of the
+    state's stress; NaN at degenerate near-laminar nodes."""
+    _, lam, _, degenerate = tensors.decompose(state.tau)
+    w = tensors.eigenvalues_to_weights(lam)
+    w[degenerate] = np.nan
+    return tensors.weights_to_points(w), w
 
 
 @dataclass
@@ -702,9 +566,7 @@ def uq_envelope(cfg: ChannelConfig, make_injection) -> Envelope:
     states = {}
     for corner in ("1C", "2C", "3C"):
         try:
-            states[corner] = solve_with_injection(
-                cfg, make_injection(corner), baseline=baseline
-            )
+            states[corner] = solve_with_injection(cfg, make_injection(corner))
         except SolverError as e:
             raise SolverError(f"corner {corner} failed: {e}", e.residual_history) from e
     profiles = np.vstack([baseline.U_plus] + [s.U_plus for s in states.values()])
@@ -717,15 +579,11 @@ def uq_envelope(cfg: ChannelConfig, make_injection) -> Envelope:
 
 
 def write_solution_csv(state: ChannelState, path) -> None:
-    trace = barycentric_trace(state)
-    with open(path, "w") as f:
-        f.write("y_plus,U_plus,k_plus,omega_plus,nu_t_plus,uu,vv,ww,uv,C1,C2,C3\n")
-        for i in range(len(state.y_plus)):
-            t = state.tau[i]
-            w = trace[i].weights if trace[i] is not None else (np.nan, np.nan, np.nan)
-            vals = [
-                state.y_plus[i], state.U_plus[i], state.k_plus[i],
-                state.omega_plus[i], state.nu_t_plus[i],
-                t.uu, t.vv, t.ww, t.uv, w[0], w[1], w[2],
-            ]
-            f.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+    _, w = barycentric_trace(state)
+    tau = state.tau
+    cols = np.column_stack([
+        state.y_plus, state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus,
+        tau[:, 0, 0], tau[:, 1, 1], tau[:, 2, 2], tau[:, 0, 1], w,
+    ])
+    np.savetxt(path, cols, fmt="%.17g", delimiter=",", comments="",
+               header="y_plus,U_plus,k_plus,omega_plus,nu_t_plus,uu,vv,ww,uv,C1,C2,C3")

@@ -18,7 +18,6 @@ from scipy.interpolate import PchipInterpolator
 
 from . import rotation as rot
 from . import tensors
-from .tensors import ReynoldsStress
 
 
 class ProfileParseError(ValueError):
@@ -43,14 +42,6 @@ class DnsProfile:
     @property
     def k_plus(self) -> np.ndarray:
         return 0.5 * (self.uu_plus + self.vv_plus + self.ww_plus)
-
-    def stress_at(self, i: int) -> ReynoldsStress:
-        return ReynoldsStress(
-            uu=float(self.uu_plus[i]),
-            vv=float(self.vv_plus[i]),
-            ww=float(self.ww_plus[i]),
-            uv=float(self.uv_plus[i]),
-        )
 
     def validate(self, slack: float = 1e-8) -> None:
         y = self.y_plus
@@ -131,21 +122,6 @@ def parse_profile(stream, column_map: dict[str, int], re_tau: float) -> DnsProfi
     )
     prof.validate()
     return prof
-
-
-def merge_profiles(mean: DnsProfile, fluct: DnsProfile) -> DnsProfile:
-    """Combine a mean-velocity profile with a separate fluctuation
-    profile by interpolating the stresses onto the mean grid."""
-    f = interpolate(fluct, np.clip(mean.y_plus, fluct.y_plus[0], fluct.y_plus[-1]))
-    return DnsProfile(
-        re_tau=mean.re_tau,
-        y_plus=mean.y_plus,
-        U_plus=mean.U_plus,
-        uu_plus=f.uu_plus,
-        vv_plus=f.vv_plus,
-        ww_plus=f.ww_plus,
-        uv_plus=f.uv_plus,
-    )
 
 
 def load_profile(
@@ -315,37 +291,30 @@ def build_targets(rans_state, dns: DnsProfile, target_kind: str) -> TrainingSet:
     ):
         raise ValueError("DNS profile is not on the RANS grid; interpolate first")
 
-    Xm = feat.feature_matrix(rans_state)
-    rows_x, rows_y, prov = [], [], []
-    excluded = 0
-    for i in range(len(y)):
-        eig_r = tensors.decompose(rans_state.tau[i])
-        eig_d = tensors.decompose(dns.stress_at(i))
-        if eig_r.degenerate or eig_d.degenerate:
-            excluded += 1
-            continue
-        x_r = tensors.to_barycentric(eig_r).coords()
-        x_d = tensors.to_barycentric(eig_d).coords()
-        p_corr = x_d - x_r
-        if target_kind == "p":
-            target = [float(np.linalg.norm(p_corr))]
-        elif target_kind == "pcorr":
-            target = list(p_corr)
-        else:
-            ang = rot.extract_angles(eig_r.frame, eig_d.frame)
-            target = list(p_corr) + [ang.alpha, ang.beta, ang.gamma]
-        rows_x.append(Xm[i])
-        rows_y.append(target)
-        prov.append((float(dns.re_tau), i))
-    if not rows_x:
+    X = feat.feature_matrix(rans_state)
+    _, lam_r, frame_r, degen_r = tensors.decompose(rans_state.tau)
+    tau_d = tensors.stress_stack(dns.uu_plus, dns.vv_plus, dns.ww_plus, dns.uv_plus)
+    _, lam_d, frame_d, degen_d = tensors.decompose(tau_d)
+    keep = ~(degen_r | degen_d)
+    if not keep.any():
         raise ValueError("all nodes degenerate; no training rows")
+    x_r = tensors.weights_to_points(tensors.eigenvalues_to_weights(lam_r[keep]))
+    x_d = tensors.weights_to_points(tensors.eigenvalues_to_weights(lam_d[keep]))
+    p_corr = x_d - x_r
+    if target_kind == "p":
+        Y = np.linalg.norm(p_corr, axis=1)[:, None]
+    elif target_kind == "pcorr":
+        Y = p_corr
+    else:
+        Y = np.hstack([p_corr, rot.extract_angles(frame_r[keep], frame_d[keep])])
+    nodes = np.flatnonzero(keep)
     return TrainingSet(
-        X=np.vstack(rows_x),
-        Y=np.array(rows_y),
-        provenance=prov,
+        X=X[keep],
+        Y=Y,
+        provenance=list(zip([float(dns.re_tau)] * len(nodes), nodes.tolist())),
         feature_names=list(feat.DEFAULT_FEATURES),
         target_names=list(TARGET_NAMES[target_kind]),
-        n_excluded=excluded,
+        n_excluded=int(len(keep) - len(nodes)),
     )
 
 

@@ -9,8 +9,6 @@ with a cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 BETA_STAR = 0.09
@@ -28,62 +26,38 @@ DEFAULT_FEATURES = [
 RAW_FEATURES = {"re_wall_dist", "y_plus"}
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    q: np.ndarray
-    names: list[str]
+def _ratio(n, d):
+    """n / (|n| + |d|), and 0 where both vanish."""
+    denom = np.abs(n) + np.abs(d)
+    return np.divide(n, denom, out=np.zeros_like(denom), where=denom != 0.0)
 
 
-def _ratio(n: float, d: float) -> float:
-    denom = abs(n) + abs(d)
-    return 0.0 if denom == 0.0 else n / denom
-
-
-def _raw_values(state, i: int) -> dict[str, float]:
-    y = float(state.y_plus[i])
-    u = float(state.U_plus[i])
-    k = float(state.k_plus[i])
-    om = float(state.omega_plus[i])
-    nut = float(state.nu_t_plus[i])
-    s = abs(float(state.dUdy_plus[i]))
+def feature_matrix(state) -> np.ndarray:
+    """Pointwise features of a channel state as an (n_points,
+    n_features) matrix, columns in DEFAULT_FEATURES order."""
+    y = np.asarray(state.y_plus, dtype=float)
+    u = np.asarray(state.U_plus, dtype=float)
+    k = np.asarray(state.k_plus, dtype=float)
+    om = np.asarray(state.omega_plus, dtype=float)
+    nut = np.asarray(state.nu_t_plus, dtype=float)
+    s = np.abs(np.asarray(state.dUdy_plus, dtype=float))
     eps = BETA_STAR * k * om
-    return {
-        "re_wall_dist": min(np.sqrt(max(k, 0.0)) * y / 50.0, 2.0),
-        "turb_intensity": _ratio(k, 0.5 * u * u),
-        "strain_ratio": _ratio(s * k, eps),
-        "prod_dissip_ratio": _ratio(nut * s * s, eps),
-        "eddy_visc_ratio": _ratio(nut, 100.0),
-        "y_plus": min(y, float(state.re_tau)),
-    }
-
-
-def extract_features(state, i: int, names: list[str] | None = None) -> FeatureVector:
-    """Feature vector at grid point ``i`` of a channel state."""
-    names = list(names) if names is not None else list(DEFAULT_FEATURES)
-    raw = _raw_values(state, i)
-    q = np.empty(len(names))
-    for j, name in enumerate(names):
-        if name not in raw:
-            raise ValueError(f"unknown feature {name!r}")
-        val = raw[name]
-        if not np.isfinite(val):
-            raise ValueError(f"feature {name!r} is not finite at grid point {i}")
-        q[j] = val
-    return FeatureVector(q=q, names=names)
-
-
-def feature_matrix(state, names: list[str] | None = None) -> np.ndarray:
-    """Stack pointwise feature vectors into an (n_points, n_features) matrix."""
-    n = len(state.y_plus)
-    names = list(names) if names is not None else list(DEFAULT_FEATURES)
-    out = np.empty((n, len(names)))
-    for i in range(n):
-        out[i] = extract_features(state, i, names).q
+    out = np.column_stack([
+        np.minimum(np.sqrt(np.maximum(k, 0.0)) * y / 50.0, 2.0),
+        _ratio(k, 0.5 * u * u),
+        _ratio(s * k, eps),
+        _ratio(nut * s * s, eps),
+        _ratio(nut, 100.0),
+        np.minimum(y, float(state.re_tau)),
+    ])
+    bad = np.argwhere(~np.isfinite(out))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(
+            f"feature {DEFAULT_FEATURES[j]!r} is not finite at grid point {i}"
+        )
     return out
 
 
 def write_feature_csv(path, matrix: np.ndarray, names: list[str]) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(names) + "\n")
-        for row in matrix:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", comments="", header=",".join(names))

@@ -1,133 +1,60 @@
-"""Construction of perturbed Reynolds stresses.
+"""Construction of perturbed Reynolds stresses, one function per mode.
 
-All modes operate on barycentric coordinates: map the eigensystem onto
-the triangle, move the point, invert to eigenvalues and reassemble with
-the (possibly rotated) eigenvector frame. Turbulent kinetic energy is
-never changed by a perturbation.
+Every mode works on an ``(n, 3, 3)`` stack: map each anisotropy onto
+the barycentric triangle, move the point, invert to eigenvalues and
+reassemble with the (possibly rotated) eigenvector frame. Corner weights
+are clipped into the triangle on both sides of the move (roundoff
+guard), turbulent kinetic energy is never changed, and degenerate
+near-laminar nodes pass through unchanged.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import rotation as rot
 from . import tensors
-from .tensors import AnisotropyEigenSystem, BarycentricPoint, ReynoldsStress
 
 
-class Mode(Enum):
-    DATA_FREE_CORNER = "data_free_corner"
-    DATA_DRIVEN_MAGNITUDE = "data_driven_magnitude"
-    COMPONENTWISE_CORRECTION = "componentwise_correction"
-    FULL_ANISOTROPY_CORRECTION = "full_anisotropy_correction"
+def _perturb(tau, move, angles=None):
+    k, lam, frame, degenerate = tensors.decompose(tau)
+    xy = tensors.weights_to_points(tensors.clip_weights(tensors.eigenvalues_to_weights(lam)))
+    w_new = tensors.clip_weights(tensors.points_to_weights(move(xy)))
+    if angles is not None:
+        frame = rot.apply_rotation(frame, angles)
+    out = tensors.reconstruct(k, tensors.weights_to_eigenvalues(w_new), frame)
+    out[degenerate] = tau[degenerate]
+    return out
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Parameters of one stress perturbation; validated per mode."""
-
-    mode: Mode
-    corner: str | None = None
-    delta_b: float | None = None
-    p: float | None = None
-    p_corr: np.ndarray | None = None
-    angles: rot.TaitBryanAngles | None = None
-
-    def __post_init__(self):
-        required = {
-            Mode.DATA_FREE_CORNER: ("corner", "delta_b"),
-            Mode.DATA_DRIVEN_MAGNITUDE: ("corner", "p"),
-            Mode.COMPONENTWISE_CORRECTION: ("p_corr",),
-            Mode.FULL_ANISOTROPY_CORRECTION: ("p_corr", "angles"),
-        }[self.mode]
-        all_fields = ("corner", "delta_b", "p", "p_corr", "angles")
-        for name in all_fields:
-            val = getattr(self, name)
-            if name in required and val is None:
-                raise ValueError(f"mode {self.mode.value} requires field {name!r}")
-            if name not in required and val is not None:
-                raise ValueError(f"mode {self.mode.value} does not take field {name!r}")
-        if self.corner is not None:
-            tensors.corner_coords(self.corner)  # validates the identifier
-        if self.delta_b is not None and not 0.0 <= self.delta_b <= 1.0:
-            raise ValueError(f"delta_b must be in [0, 1], got {self.delta_b}")
-        if self.p is not None and self.p < 0.0:
-            raise ValueError(f"p must be nonnegative, got {self.p}")
-        if self.p_corr is not None:
-            object.__setattr__(self, "p_corr", np.asarray(self.p_corr, dtype=float))
-
-    @staticmethod
-    def data_free_corner(corner: str, delta_b: float) -> "PerturbationSpec":
-        return PerturbationSpec(Mode.DATA_FREE_CORNER, corner=corner, delta_b=delta_b)
-
-    @staticmethod
-    def data_driven_magnitude(corner: str, p: float) -> "PerturbationSpec":
-        return PerturbationSpec(Mode.DATA_DRIVEN_MAGNITUDE, corner=corner, p=p)
-
-    @staticmethod
-    def componentwise(p_corr) -> "PerturbationSpec":
-        return PerturbationSpec(Mode.COMPONENTWISE_CORRECTION, p_corr=p_corr)
-
-    @staticmethod
-    def full_correction(p_corr, angles: rot.TaitBryanAngles) -> "PerturbationSpec":
-        return PerturbationSpec(
-            Mode.FULL_ANISOTROPY_CORRECTION, p_corr=p_corr, angles=angles
-        )
-
-
-def perturb_point_corner(
-    x: BarycentricPoint, corner: str, delta_b: float
-) -> BarycentricPoint:
+def data_free_corner(tau, corner: str, delta_b: float):
     """Relative shift toward a corner: x* = x + delta_b (x_t - x)."""
-    if not 0.0 <= delta_b <= 1.0:
-        raise ValueError(f"delta_b must be in [0, 1], got {delta_b}")
     xt = tensors.corner_coords(corner)
-    new = x.coords() + delta_b * (xt - x.coords())
-    return BarycentricPoint(x=new[0], y=new[1])
+    return _perturb(tau, lambda xy: xy + delta_b * (xt - xy))
 
 
-def perturb_point_magnitude(
-    x: BarycentricPoint, corner: str, p: float
-) -> BarycentricPoint:
-    """Move a Euclidean distance p toward a corner, clamped at the corner."""
-    if p < 0.0:
-        raise ValueError(f"p must be nonnegative, got {p}")
+def data_driven_magnitude(tau, corner: str, p):
+    """Move each node's point a distance p (negative counts as 0) toward
+    a corner, stopping at the corner."""
     xt = tensors.corner_coords(corner)
-    d = xt - x.coords()
-    dist = float(np.linalg.norm(d))
-    if dist < 1e-14 or p >= dist:
-        return BarycentricPoint(x=xt[0], y=xt[1]) if dist >= 1e-14 else x
-    new = x.coords() + (p / dist) * d
-    return BarycentricPoint(x=new[0], y=new[1])
+
+    def move(xy):
+        d = xt - xy
+        dist = np.linalg.norm(d, axis=1)
+        p_pos = np.maximum(p, 0.0)
+        step = np.minimum(np.where(dist > 1e-14, p_pos / np.maximum(dist, 1e-14), 0.0), 1.0)
+        return xy + step[:, None] * d
+
+    return _perturb(tau, move)
 
 
-def perturb_point_componentwise(x: BarycentricPoint, p_corr) -> BarycentricPoint:
-    """Add a plane correction vector; project back onto the triangle if
-    the result falls outside."""
-    new = x.coords() + np.asarray(p_corr, dtype=float)
-    return tensors.project_into_triangle(BarycentricPoint(x=new[0], y=new[1]))
+def componentwise_correction(tau, p_corr):
+    """Add a plane correction vector (n, 2) per node; points pushed out of
+    the triangle are projected back onto it."""
+    return _perturb(tau, lambda xy: tensors.project_into_triangle(xy + p_corr))
 
 
-def build_perturbed_stress(
-    eig: AnisotropyEigenSystem, spec: PerturbationSpec
-) -> ReynoldsStress:
-    """Apply a perturbation spec to an eigensystem and reassemble the stress."""
-    if eig.degenerate:
-        return tensors.reconstruct(eig)
-    x = tensors.project_into_triangle(tensors.to_barycentric(eig))
-    if spec.mode is Mode.DATA_FREE_CORNER:
-        x_new = perturb_point_corner(x, spec.corner, spec.delta_b)
-    elif spec.mode is Mode.DATA_DRIVEN_MAGNITUDE:
-        x_new = perturb_point_magnitude(x, spec.corner, spec.p)
-    else:
-        x_new = perturb_point_componentwise(x, spec.p_corr)
-    lam = tensors.from_barycentric(x_new)
-    frame = eig.frame
-    if spec.mode is Mode.FULL_ANISOTROPY_CORRECTION:
-        frame = rot.apply_rotation(frame, spec.angles)
-    return tensors.reconstruct(
-        AnisotropyEigenSystem(k=eig.k, lam=lam, frame=frame)
-    )
+def full_anisotropy_correction(tau, p_corr, angles):
+    """Componentwise correction plus a Tait-Bryan rotation (n, 3) of
+    each eigenvector frame."""
+    return _perturb(tau, lambda xy: tensors.project_into_triangle(xy + p_corr), angles)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import __version__, channel, dns, forest
+from . import __version__, channel, dns, forest, tensors
 from .forest import ForestFormatError
 
 EXIT_OK = 0
@@ -98,6 +97,14 @@ def load_settings(config_path=None, overrides=None) -> Settings:
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, str(value))
+    for section in parser.sections():
+        if section == "data":
+            continue  # keys are Re_tau values
+        if section not in DEFAULTS:
+            raise ConfigError(f"unknown config section [{section}]")
+        unknown = sorted(set(parser[section]) - set(DEFAULTS[section]))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
     data = dict(parser.items("data")) if parser.has_section("data") else {}
     return Settings(
         channel=dict(parser.items("channel")),
@@ -199,20 +206,13 @@ def _fmt(v):
 
 
 def write_trace_csv(state: channel.ChannelState, path) -> None:
-    trace = channel.barycentric_trace(state)
-    rows = []
-    for yp, pt in zip(state.y_plus, trace):
-        if pt is None:
-            rows.append([yp] + [np.nan] * 5)
-        else:
-            rows.append([yp, pt.x, pt.y, *pt.weights])
-    _write_rows(path, ["y_plus", "x", "y", "C1", "C2", "C3"], rows)
+    xy, w = channel.barycentric_trace(state)
+    np.savetxt(path, np.column_stack([state.y_plus, xy, w]), fmt="%.17g",
+               delimiter=",", comments="", header="y_plus,x,y,C1,C2,C3")
 
 
 def count_realizability_violations(state: channel.ChannelState, tol=1e-8) -> int:
-    from . import tensors
-
-    return sum(0 if tensors.is_realizable(t, tol=tol) else 1 for t in state.tau)
+    return int(np.count_nonzero(~tensors.is_realizable(state.tau, tol=tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +268,7 @@ def train_forest(settings: Settings, target_kind: str):
         "pcorr": forest.HYPERPARAMS_PCORR,
         "pcorr_angles": forest.HYPERPARAMS_PCORR_ANGLES,
     }[target_kind]
-    hp = forest.ForestHyperparams(
-        max_depth=hp_defaults.max_depth,
-        min_samples_split=hp_defaults.min_samples_split,
-        max_features=hp_defaults.max_features,
-        n_trees=hp_defaults.n_trees,
-        seed=seed,
-    )
+    hp = replace(hp_defaults, seed=seed)
     fitted = forest.fit(
         training.X,
         training.Y,
@@ -299,13 +293,7 @@ def train_forest(settings: Settings, target_kind: str):
         "holdout_mean_predictor_mse": float(
             np.mean((training.Y.mean(axis=0) - held.Y) ** 2)
         ),
-        "hyperparams": {
-            "max_depth": hp.max_depth,
-            "min_samples_split": hp.min_samples_split,
-            "max_features": hp.max_features,
-            "n_trees": hp.n_trees,
-            "seed": hp.seed,
-        },
+        "hyperparams": asdict(hp),
     }
     return fitted, metrics
 
@@ -469,16 +457,18 @@ def cmd_report(run_dirs, out_dir) -> int:
     """Aggregate one or more completed run directories into summary.csv."""
     _ensure_out(out_dir)
     rows = []
-    widths = {}
+    uq_runs = {"datafree": [], "data-driven": []}  # kind -> [(run, width)]
     for run_dir in run_dirs:
         man = read_manifest(run_dir)
+        name = os.path.basename(os.path.normpath(run_dir))
         cmdname = man.get("command", "")
         width = man.get("integrated_width", np.nan)
         if cmdname == "uq":
-            widths[man.get("mode", "")] = width
+            kind = "datafree" if man.get("mode") == "datafree" else "data-driven"
+            uq_runs[kind].append((name, width))
         rows.append(
             [
-                os.path.basename(os.path.normpath(run_dir)),
+                name,
                 cmdname,
                 man.get("mode", ""),
                 man.get("settings", {}).get("channel", {}).get("re_tau", ""),
@@ -488,6 +478,12 @@ def cmd_report(run_dirs, out_dir) -> int:
                 json.dumps(man.get("iterations", ""), sort_keys=True).replace(",", ";"),
             ]
         )
+    for kind, runs in uq_runs.items():
+        if len(runs) > 1:
+            raise DataError(
+                f"ambiguous report input: {len(runs)} {kind} uq runs "
+                f"({', '.join(name for name, _ in runs)}); pass at most one"
+            )
     header = [
         "run",
         "command",
@@ -498,11 +494,11 @@ def cmd_report(run_dirs, out_dir) -> int:
         "realizability_violations",
         "iterations",
     ]
-    datafree = widths.get("datafree")
-    datadriven = [w for m, w in widths.items() if m != "datafree"]
-    if datafree is not None and datadriven:
+    if uq_runs["datafree"] and uq_runs["data-driven"]:
+        datafree = uq_runs["datafree"][0][1]
+        datadriven = uq_runs["data-driven"][0][1]
         header.append("width_ratio_datafree_over_datadriven")
-        ratio = datafree / datadriven[0] if datadriven[0] > 0 else np.nan
+        ratio = datafree / datadriven if datadriven > 0 else np.nan
         rows = [row + [ratio] for row in rows]
     _write_rows(os.path.join(out_dir, "summary.csv"), header, rows)
     write_manifest(

@@ -1,14 +1,15 @@
-"""Symmetric Reynolds-stress algebra: anisotropy eigendecomposition,
-barycentric realizability map and its inverse, realizability checks.
+"""Symmetric Reynolds-stress algebra on stacks of tensors: anisotropy
+eigendecomposition, barycentric realizability map and its inverse,
+projection into the triangle, realizability checks.
 
-All tensors are 3x3 symmetric; only the six independent components are
-stored. The barycentric triangle uses the standard equilateral layout
-with corners 1C = (1, 0), 2C = (0, 0), 3C = (1/2, sqrt(3)/2).
+Every function takes an ``(n, 3, 3)`` stack of stresses or the matching
+``(n, 3)`` eigenvalue / corner-weight and ``(n, 2)`` plane-point arrays;
+a single tensor is the case n = 1. The barycentric triangle uses the
+standard equilateral layout with corners 1C = (1, 0), 2C = (0, 0),
+3C = (1/2, sqrt(3)/2).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +17,7 @@ import numpy as np
 CORNER_1C = np.array([1.0, 0.0])
 CORNER_2C = np.array([0.0, 0.0])
 CORNER_3C = np.array([0.5, np.sqrt(3.0) / 2.0])
+CORNERS = np.vstack([CORNER_1C, CORNER_2C, CORNER_3C])
 
 _CORNERS = {"1C": CORNER_1C, "2C": CORNER_2C, "3C": CORNER_3C}
 
@@ -35,163 +37,117 @@ def corner_coords(corner: str) -> np.ndarray:
         raise ValueError(f"unknown corner {corner!r}, expected 1C/2C/3C") from None
 
 
-@dataclass(frozen=True)
-class ReynoldsStress:
-    """Symmetric second-moment tensor in velocity-squared units."""
-
-    uu: float
-    vv: float
-    ww: float
-    uv: float = 0.0
-    uw: float = 0.0
-    vw: float = 0.0
-
-    @property
-    def k(self) -> float:
-        return 0.5 * (self.uu + self.vv + self.ww)
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.uu, self.uv, self.uw],
-                [self.uv, self.vv, self.vw],
-                [self.uw, self.vw, self.ww],
-            ]
-        )
-
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "ReynoldsStress":
-        m = np.asarray(m, dtype=float)
-        return ReynoldsStress(
-            uu=m[0, 0], vv=m[1, 1], ww=m[2, 2], uv=m[0, 1], uw=m[0, 2], vw=m[1, 2]
-        )
+def stress_stack(uu, vv, ww, uv):
+    """Stacked stress tensors with normal components uu, vv, ww and the
+    single off-diagonal uv of a 1D channel flow."""
+    tau = np.zeros((len(uu), 3, 3))
+    tau[:, 0, 0] = uu
+    tau[:, 1, 1] = vv
+    tau[:, 2, 2] = ww
+    tau[:, 0, 1] = tau[:, 1, 0] = uv
+    return tau
 
 
-@dataclass(frozen=True)
-class AnisotropyEigenSystem:
-    """Eigenvalues/eigenvectors of a_ij = tau_ij/k - (2/3) delta_ij.
-
-    ``lam`` is sorted descending; ``frame`` column i is the unit
-    eigenvector of lam[i], sign-normalized and right-handed.
-    ``degenerate`` marks near-laminar points (k below the floor) where
-    anisotropy is undefined; such systems carry lam = 0 and frame = I.
-    """
-
-    k: float
-    lam: np.ndarray
-    frame: np.ndarray
-    degenerate: bool = False
+def boussinesq(k, nu_t, dudy):
+    """Stacked Boussinesq stress tensors tau = (2/3) k I - 2 nu_t S."""
+    iso = (2.0 / 3.0) * k
+    return stress_stack(iso, iso, iso, -nu_t * dudy)
 
 
-@dataclass(frozen=True)
-class BarycentricPoint:
-    """Point of the realizability triangle with its corner weights."""
+def decompose(tau, k_floor=DEFAULT_K_FLOOR):
+    """Eigendecomposition of a_ij = tau_ij/k - (2/3) delta_ij.
 
-    x: float
-    y: float
-    weights: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.weights is None:
-            object.__setattr__(self, "weights", point_weights(self.x, self.y))
-
-    def coords(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    def inside(self, tol: float = 1e-10) -> bool:
-        return float(np.min(self.weights)) >= -tol
-
-
-def point_weights(x: float, y: float) -> np.ndarray:
-    """Corner weights (C1, C2, C3) of a plane point; always sum to 1."""
-    c12 = _A_INV @ (np.array([x, y]) - CORNER_3C)
-    return np.array([c12[0], c12[1], 1.0 - c12[0] - c12[1]])
-
-
-def _normalize_frame(frame: np.ndarray) -> np.ndarray:
-    """Fix eigenvector signs (largest-magnitude component positive) and
-    enforce right-handedness by flipping the third column if needed."""
-    frame = frame.copy()
-    for j in range(3):
-        i = int(np.argmax(np.abs(frame[:, j])))
-        if frame[i, j] < 0.0:
-            frame[:, j] = -frame[:, j]
-    if np.linalg.det(frame) < 0.0:
-        frame[:, 2] = -frame[:, 2]
-    return frame
-
-
-def decompose(tau: ReynoldsStress, k_floor: float = DEFAULT_K_FLOOR) -> AnisotropyEigenSystem:
-    """Eigendecomposition of the anisotropy tensor of ``tau``.
-
-    Points with k < k_floor are returned as isotropic-degenerate
-    (lam = 0, frame = I) instead of propagating NaNs.
+    Returns ``(k, lam, frame, degenerate)``. ``lam`` is sorted descending;
+    ``frame[:, :, j]`` is the unit eigenvector of ``lam[:, j]``. The first
+    two columns have their largest-magnitude component positive; the
+    third is then signed so that each frame is right-handed.
+    Near-laminar nodes (k below the floor) are marked ``degenerate`` and
+    carry lam = 0, frame = I instead of NaNs.
     """
     if k_floor <= 0.0:
         raise ValueError("k_floor must be positive")
-    k = tau.k
-    if k < k_floor:
-        return AnisotropyEigenSystem(
-            k=k, lam=np.zeros(3), frame=np.eye(3), degenerate=True
-        )
-    a = tau.matrix() / k - (2.0 / 3.0) * np.eye(3)
+    k = 0.5 * np.trace(tau, axis1=1, axis2=2)
+    degenerate = k < k_floor
+    k_safe = np.where(degenerate, 1.0, k)
+    a = tau / k_safe[:, None, None] - (2.0 / 3.0) * np.eye(3)
+    a[degenerate] = 0.0
     lam, vec = np.linalg.eigh(a)
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    vec = _normalize_frame(vec[:, order])
-    return AnisotropyEigenSystem(k=k, lam=lam, frame=vec)
+    lam = lam[:, ::-1]
+    vec = vec[:, :, ::-1]
+    # sign normalization: largest-magnitude component of each column positive
+    imax = np.argmax(np.abs(vec), axis=1)
+    signs = np.sign(np.take_along_axis(vec, imax[:, None, :], axis=1))[:, 0, :]
+    signs[signs == 0] = 1.0
+    vec = vec * signs[:, None, :]
+    det = np.linalg.det(vec)
+    vec[det < 0, :, 2] *= -1.0
+    lam[degenerate] = 0.0
+    vec[degenerate] = np.eye(3)
+    return k, lam, vec, degenerate
 
 
-def reconstruct(eig: AnisotropyEigenSystem) -> ReynoldsStress:
-    """Assemble tau = k (v diag(lam) v^T + (2/3) I) from an eigensystem."""
-    v = eig.frame
-    a = v @ np.diag(eig.lam) @ v.T
-    return ReynoldsStress.from_matrix(eig.k * (a + (2.0 / 3.0) * np.eye(3)))
+def reconstruct(k, lam, frame):
+    """Assemble tau = k (v diag(lam) v^T + (2/3) I) for every node."""
+    a = np.einsum("nij,nj,nkj->nik", frame, lam, frame)
+    return k[:, None, None] * (a + (2.0 / 3.0) * np.eye(3))
 
 
-def to_barycentric(eig: AnisotropyEigenSystem) -> BarycentricPoint:
-    """Map sorted anisotropy eigenvalues onto the barycentric triangle."""
-    return eigenvalues_to_point(eig.lam)
+def eigenvalues_to_weights(lam):
+    """Corner weights (C1, C2, C3) of sorted anisotropy eigenvalues; C3
+    uses (3 l3 + 2)/2 so the weights sum to 1 for any traceless triple."""
+    c1 = 0.5 * (lam[:, 0] - lam[:, 1])
+    c2 = lam[:, 1] - lam[:, 2]
+    c3 = 0.5 * (3.0 * lam[:, 2] + 2.0)
+    return np.column_stack([c1, c2, c3])
 
 
-def eigenvalues_to_point(lam: np.ndarray) -> BarycentricPoint:
-    l1, l2, l3 = lam
-    # Trace-consistent corner weights; C3 uses (3*l3 + 2)/2 so that the
-    # three weights sum to 1 for any traceless triple.
-    w = np.array([0.5 * (l1 - l2), l2 - l3, 0.5 * (3.0 * l3 + 2.0)])
-    xy = w[0] * CORNER_1C + w[1] * CORNER_2C + w[2] * CORNER_3C
-    return BarycentricPoint(x=xy[0], y=xy[1], weights=w)
+def weights_to_points(w):
+    """Plane coordinates of corner weights."""
+    return w @ CORNERS
 
 
-def from_barycentric(pt: BarycentricPoint) -> np.ndarray:
-    """Invert the barycentric map: corner weights -> eigenvalue triple."""
-    c1, c2, c3 = pt.weights
-    l3 = (2.0 * c3 - 2.0) / 3.0
-    l2 = c2 + l3
-    l1 = 2.0 * c1 + l2
-    return np.array([l1, l2, l3])
+def points_to_weights(xy):
+    """Corner weights (C1, C2, C3) of plane points; always sum to 1."""
+    d = xy - CORNER_3C
+    c12 = d @ _A_INV.T
+    return np.column_stack([c12, 1.0 - c12.sum(axis=1)])
 
 
-def is_realizable(tau: ReynoldsStress, tol: float = 1e-10) -> bool:
-    """True iff tau is positive semidefinite within a k-scaled slack."""
-    w = np.linalg.eigvalsh(tau.matrix())
-    return bool(w[0] >= -tol * max(1.0, 2.0 * tau.k))
+def weights_to_eigenvalues(w):
+    """Invert the barycentric map: corner weights -> eigenvalue triples."""
+    l3 = (2.0 * w[:, 2] - 2.0) / 3.0
+    l2 = w[:, 1] + l3
+    l1 = 2.0 * w[:, 0] + l2
+    return np.column_stack([l1, l2, l3])
 
 
-def project_into_triangle(pt: BarycentricPoint) -> BarycentricPoint:
-    """Euclidean projection onto the closed realizability triangle."""
-    if pt.inside(tol=0.0):
-        return pt
-    p = pt.coords()
-    corners = [CORNER_1C, CORNER_2C, CORNER_3C]
-    best = None
-    best_d = np.inf
-    for i in range(3):
-        a, b = corners[i], corners[(i + 1) % 3]
-        ab = b - a
-        t = float(np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0))
-        q = a + t * ab
-        d = float(np.dot(p - q, p - q))
-        if d < best_d:
-            best_d, best = d, q
-    return BarycentricPoint(x=best[0], y=best[1])
+def clip_weights(w):
+    """Project barely-outside points back into the triangle by clipping
+    negative weights and renormalizing (roundoff guard)."""
+    w = np.clip(w, 0.0, None)
+    return w / w.sum(axis=1)[:, None]
+
+
+def _rowdot(u, v):
+    """Row-wise dot products over the last axis (summed by matmul)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def project_into_triangle(xy):
+    """Euclidean projection of plane points onto the closed triangle;
+    points inside it are returned unchanged."""
+    a = CORNERS
+    ab = np.roll(CORNERS, -1, axis=0) - a  # edges 1C-2C, 2C-3C, 3C-1C
+    t = np.clip(_rowdot(xy[:, None, :] - a, ab) / _rowdot(ab, ab), 0.0, 1.0)
+    q = a + t[..., None] * ab
+    dist = _rowdot(xy[:, None, :] - q, xy[:, None, :] - q)
+    nearest = q[np.arange(len(xy)), np.argmin(dist, axis=1)]
+    inside = points_to_weights(xy).min(axis=1) >= 0.0
+    return np.where(inside[:, None], xy, nearest)
+
+
+def is_realizable(tau, tol: float = 1e-10):
+    """Per node: True iff tau is positive semidefinite within a k-scaled
+    slack."""
+    w = np.linalg.eigvalsh(tau)
+    return w[:, 0] >= -tol * np.maximum(1.0, np.trace(tau, axis1=1, axis2=2))

@@ -14,13 +14,16 @@ from scipy.stats import special_ortho_group
 
 from eigenuq import channel, dns, perturb, pipeline, rotation, tensors
 from eigenuq.channel import ChannelConfig
-from eigenuq.perturb import PerturbationSpec
-from eigenuq.tensors import BarycentricPoint, ReynoldsStress
 
 
-def random_realizable(rng, scale=1.0):
-    a = rng.normal(size=(3, 3))
-    return ReynoldsStress.from_matrix(scale * (a @ a.T))
+def random_realizable(rng, n, scale=1.0):
+    a = rng.normal(size=(n, 3, 3))
+    return np.asarray(scale)[..., None, None] * np.einsum("nij,nkj->nik", a, a)
+
+
+def barycentric_points(tau):
+    _, lam, _, _ = tensors.decompose(tau)
+    return tensors.weights_to_points(tensors.eigenvalues_to_weights(lam))
 
 
 class TestCornerExactness:
@@ -30,46 +33,32 @@ class TestCornerExactness:
 
     @pytest.mark.parametrize("corner", CORNERS)
     def test_eigenvalue_map_round_trip(self, corner):
-        target = tensors.corner_coords(corner)
-        lam = tensors.from_barycentric(BarycentricPoint(x=target[0], y=target[1]))
-        back = tensors.eigenvalues_to_point(lam)
-        assert np.max(np.abs(back.coords() - target)) <= 1e-12
+        target = tensors.corner_coords(corner)[None, :]
+        lam = tensors.weights_to_eigenvalues(tensors.points_to_weights(target))
+        back = tensors.weights_to_points(tensors.eigenvalues_to_weights(lam))
+        assert np.max(np.abs(back - target)) <= 1e-12
 
     @pytest.mark.parametrize("corner", CORNERS)
     def test_tensor_level_round_trip(self, corner):
-        target = tensors.corner_coords(corner)
-        lam = tensors.from_barycentric(BarycentricPoint(x=target[0], y=target[1]))
-        tau = tensors.reconstruct(
-            tensors.AnisotropyEigenSystem(k=1.0, lam=lam, frame=np.eye(3))
-        )
-        pt = tensors.to_barycentric(tensors.decompose(tau))
-        assert np.max(np.abs(pt.coords() - target)) <= 1e-12
+        target = tensors.corner_coords(corner)[None, :]
+        lam = tensors.weights_to_eigenvalues(tensors.points_to_weights(target))
+        tau = tensors.reconstruct(np.ones(1), lam, np.eye(3)[None])
+        assert np.max(np.abs(barycentric_points(tau) - target)) <= 1e-12
 
     @pytest.mark.parametrize("corner", CORNERS)
     def test_unit_delta_b_lands_on_corner(self, corner, rng):
         target = tensors.corner_coords(corner)
-        for _ in range(100):
-            w = rng.dirichlet(np.ones(3))
-            xy = (
-                w[0] * tensors.CORNER_1C
-                + w[1] * tensors.CORNER_2C
-                + w[2] * tensors.CORNER_3C
-            )
-            out = perturb.perturb_point_corner(
-                BarycentricPoint(x=xy[0], y=xy[1]), corner, 1.0
-            )
-            assert np.max(np.abs(out.coords() - target)) <= 1e-12
+        x = tensors.weights_to_points(rng.dirichlet(np.ones(3), size=100))
+        lam = tensors.weights_to_eigenvalues(tensors.points_to_weights(x))
+        tau = tensors.reconstruct(np.ones(100), lam, np.tile(np.eye(3), (100, 1, 1)))
+        out = perturb.data_free_corner(tau, corner, 1.0)
+        assert np.max(np.abs(barycentric_points(out) - target)) <= 1e-12
 
     @pytest.mark.parametrize("corner", CORNERS)
     def test_unit_delta_b_on_stress_tensor(self, corner, rng):
         target = tensors.corner_coords(corner)
-        for _ in range(20):
-            eig = tensors.decompose(random_realizable(rng))
-            out = perturb.build_perturbed_stress(
-                eig, PerturbationSpec.data_free_corner(corner, 1.0)
-            )
-            pt = tensors.to_barycentric(tensors.decompose(out))
-            assert np.max(np.abs(pt.coords() - target)) <= 1e-9
+        out = perturb.data_free_corner(random_realizable(rng, 20), corner, 1.0)
+        assert np.max(np.abs(barycentric_points(out) - target)) <= 1e-9
 
 
 class TestRoundTrips:
@@ -78,31 +67,25 @@ class TestRoundTrips:
     N = 1000
 
     def test_decompose_reconstruct(self, rng):
-        for _ in range(self.N):
-            tau = random_realizable(rng, scale=float(rng.uniform(1e-4, 1e3)))
-            back = tensors.reconstruct(tensors.decompose(tau))
-            err = np.max(np.abs(back.matrix() - tau.matrix()))
-            assert err <= 1e-9 * max(1.0, 2.0 * tau.k)
+        scale = rng.uniform(1e-4, 1e3, size=self.N)
+        tau = random_realizable(rng, self.N, scale)
+        k, lam, frame, _ = tensors.decompose(tau)
+        err = np.max(np.abs(tensors.reconstruct(k, lam, frame) - tau), axis=(1, 2))
+        assert np.all(err <= 1e-9 * np.maximum(1.0, 2.0 * k))
 
     def test_triangle_point_maps(self, rng):
-        for _ in range(self.N):
-            w = rng.dirichlet(np.ones(3))
-            xy = (
-                w[0] * tensors.CORNER_1C
-                + w[1] * tensors.CORNER_2C
-                + w[2] * tensors.CORNER_3C
-            )
-            pt = BarycentricPoint(x=xy[0], y=xy[1])
-            back = tensors.eigenvalues_to_point(tensors.from_barycentric(pt))
-            assert np.max(np.abs(back.coords() - pt.coords())) <= 1e-9
-            assert np.max(np.abs(back.weights - w)) <= 1e-9
+        w = rng.dirichlet(np.ones(3), size=self.N)
+        xy = tensors.weights_to_points(w)
+        lam = tensors.weights_to_eigenvalues(tensors.points_to_weights(xy))
+        back = tensors.eigenvalues_to_weights(lam)
+        assert np.max(np.abs(tensors.weights_to_points(back) - xy)) <= 1e-9
+        assert np.max(np.abs(back - w)) <= 1e-9
 
     def test_frame_rotation_extraction(self, rng):
-        for _ in range(self.N):
-            a = special_ortho_group.rvs(3, random_state=rng)
-            b = special_ortho_group.rvs(3, random_state=rng)
-            ang = rotation.extract_angles(a, b)
-            assert np.max(np.abs(rotation.apply_rotation(a, ang) - b)) <= 1e-9
+        a = special_ortho_group.rvs(3, size=self.N, random_state=rng)
+        b = special_ortho_group.rvs(3, size=self.N, random_state=rng)
+        ang = rotation.extract_angles(a, b)
+        assert np.max(np.abs(rotation.apply_rotation(a, ang) - b)) <= 1e-9
 
 
 class TestPlaneStrainBaseline:
@@ -112,14 +95,9 @@ class TestPlaneStrainBaseline:
     @pytest.mark.parametrize("label", ["baseline_180", "baseline_1000"])
     def test_middle_eigenvalue_vanishes(self, label, request):
         state = request.getfixturevalue(label)
-        checked = 0
-        for tau in state.tau:
-            eig = tensors.decompose(tau)
-            if eig.degenerate:
-                continue
-            assert abs(eig.lam[1]) < 1e-10
-            checked += 1
-        assert checked > 100
+        _, lam, _, degenerate = tensors.decompose(state.tau)
+        assert np.all(np.abs(lam[~degenerate, 1]) < 1e-10)
+        assert np.count_nonzero(~degenerate) > 100
 
 
 class TestLaminarLimit:
@@ -209,38 +187,24 @@ class TestFullCorrectionRoundTrip:
     stresses through the full-anisotropy mode to 1e-8 per node."""
 
     def test_recover_reference_stresses(self, baseline_180, rng):
-        checked = 0
-        for tau in baseline_180.tau:
-            eig_r = tensors.decompose(tau)
-            if eig_r.degenerate:
-                continue
-            # synthetic reference: shift toward a random interior point
-            # and rotate the frame
-            w = rng.dirichlet(np.ones(3))
-            x_t = (
-                w[0] * tensors.CORNER_1C
-                + w[1] * tensors.CORNER_2C
-                + w[2] * tensors.CORNER_3C
-            )
-            x_r = tensors.to_barycentric(eig_r).coords()
-            make_spec = PerturbationSpec.full_correction(
-                x_t - x_r,
-                rotation.TaitBryanAngles(*rng.uniform(-0.5, 0.5, size=3)),
-            )
-            tau_ref = perturb.build_perturbed_stress(eig_r, make_spec)
+        _, _, frame_r, degenerate = tensors.decompose(baseline_180.tau)
+        tau = baseline_180.tau[~degenerate]
+        frame_r = frame_r[~degenerate]
+        n = len(tau)
+        # synthetic reference: shift toward a random interior point and
+        # rotate the frame
+        x_t = tensors.weights_to_points(rng.dirichlet(np.ones(3), size=n))
+        x_r = barycentric_points(tau)
+        tau_ref = perturb.full_anisotropy_correction(
+            tau, x_t - x_r, rng.uniform(-0.5, 0.5, size=(n, 3))
+        )
 
-            # targets exactly as a training-set builder would compute them
-            eig_d = tensors.decompose(tau_ref)
-            p_corr = (
-                tensors.to_barycentric(eig_d).coords()
-                - tensors.to_barycentric(eig_r).coords()
-            )
-            angles = rotation.extract_angles(eig_r.frame, eig_d.frame)
+        # targets exactly as a training-set builder would compute them
+        _, _, frame_d, _ = tensors.decompose(tau_ref)
+        p_corr = barycentric_points(tau_ref) - x_r
+        angles = rotation.extract_angles(frame_r, frame_d)
 
-            recovered = perturb.build_perturbed_stress(
-                eig_r, PerturbationSpec.full_correction(p_corr, angles)
-            )
-            err = np.max(np.abs(recovered.matrix() - tau_ref.matrix()))
-            assert err <= 1e-8, f"node error {err:.3e}"
-            checked += 1
-        assert checked > 100
+        recovered = perturb.full_anisotropy_correction(tau, p_corr, angles)
+        err = np.max(np.abs(recovered - tau_ref), axis=(1, 2))
+        assert np.all(err <= 1e-8), f"max node error {err.max():.3e}"
+        assert n > 100

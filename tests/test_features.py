@@ -18,63 +18,83 @@ class FakeState:
         self.dUdy_plus = r.uniform(-1.0, 1.0, n)
 
 
+def reference_row(st, i):
+    """One node's features from Python scalars, with the same IEEE
+    operations in the same order as the vectorized matrix."""
+    y, u, k, om, nut = (
+        float(a[i]) for a in (st.y_plus, st.U_plus, st.k_plus, st.omega_plus, st.nu_t_plus)
+    )
+    s = abs(float(st.dUdy_plus[i]))
+    eps = features.BETA_STAR * k * om
+
+    def ratio(n, d):
+        denom = abs(n) + abs(d)
+        return 0.0 if denom == 0.0 else n / denom
+
+    return [
+        min(np.sqrt(max(k, 0.0)) * y / 50.0, 2.0),
+        ratio(k, 0.5 * u * u),
+        ratio(s * k, eps),
+        ratio(nut * s * s, eps),
+        ratio(nut, 100.0),
+        min(y, float(st.re_tau)),
+    ]
+
+
 class TestExtractFeatures:
+    """feature_matrix column by column."""
+
     def test_default_names_and_shape(self):
-        st = FakeState()
-        fv = features.extract_features(st, 3)
-        assert fv.names == features.DEFAULT_FEATURES
-        assert fv.q.shape == (len(features.DEFAULT_FEATURES),)
+        X = features.feature_matrix(FakeState(n=16))
+        assert X.shape == (16, len(features.DEFAULT_FEATURES))
 
     def test_ratio_features_bounded(self):
-        st = FakeState(n=64)
-        for i in range(64):
-            fv = features.extract_features(st, i)
-            for name, val in zip(fv.names, fv.q):
-                if name not in features.RAW_FEATURES:
-                    assert -1.0 <= val <= 1.0, name
+        X = features.feature_matrix(FakeState(n=64))
+        for j, name in enumerate(features.DEFAULT_FEATURES):
+            if name not in features.RAW_FEATURES:
+                assert np.all((-1.0 <= X[:, j]) & (X[:, j] <= 1.0)), name
 
     def test_raw_features_capped(self):
         st = FakeState()
-        for i in range(len(st.y_plus)):
-            fv = features.extract_features(st, i)
-            vals = dict(zip(fv.names, fv.q))
-            assert vals["y_plus"] <= st.re_tau
-            assert vals["re_wall_dist"] <= 2.0
+        cols = dict(zip(features.DEFAULT_FEATURES, features.feature_matrix(st).T))
+        assert np.all(cols["y_plus"] <= st.re_tau)
+        assert np.all(cols["re_wall_dist"] <= 2.0)
 
-    def test_feature_subset_and_order(self):
-        st = FakeState()
-        fv = features.extract_features(st, 5, names=["y_plus", "turb_intensity"])
-        full = features.extract_features(st, 5)
-        lookup = dict(zip(full.names, full.q))
-        assert fv.q[0] == lookup["y_plus"]
-        assert fv.q[1] == lookup["turb_intensity"]
-
-    def test_unknown_feature_raises(self):
-        with pytest.raises(ValueError, match="unknown feature"):
-            features.extract_features(FakeState(), 0, names=["vorticity"])
+    def test_columns_match_closed_forms(self):
+        st = FakeState(n=64)
+        st.k_plus[:8] = 0.0  # zero denominators
+        st.omega_plus[4:12] = 0.0
+        X = features.feature_matrix(st)
+        for i in range(64):
+            assert np.array_equal(X[i], reference_row(st, i)), i
 
     def test_non_finite_raises(self):
         st = FakeState()
         st.k_plus[2] = np.nan
-        with pytest.raises(ValueError, match="not finite"):
-            features.extract_features(st, 2)
+        with pytest.raises(ValueError, match="'re_wall_dist' is not finite at grid point 2"):
+            features.feature_matrix(st)
 
     def test_zero_state_is_well_defined(self):
         st = FakeState()
         st.k_plus[:] = 0.0
         st.nu_t_plus[:] = 0.0
         st.omega_plus[:] = 0.0
-        fv = features.extract_features(st, 0)
-        assert np.all(np.isfinite(fv.q))
+        X = features.feature_matrix(st)
+        assert np.all(np.isfinite(X))
+        assert np.all(X[:, 1:5] == 0.0)  # every ratio has a zero numerator
 
 
 class TestFeatureMatrix:
     def test_shape_and_row_consistency(self):
+        # features are pointwise: each row depends only on its own node
         st = FakeState(n=20)
         X = features.feature_matrix(st)
         assert X.shape == (20, len(features.DEFAULT_FEATURES))
         for i in (0, 7, 19):
-            assert np.array_equal(X[i], features.extract_features(st, i).q)
+            node = FakeState(n=1)
+            for name in ("y_plus", "U_plus", "k_plus", "omega_plus", "nu_t_plus", "dUdy_plus"):
+                setattr(node, name, getattr(st, name)[i : i + 1])
+            assert np.array_equal(features.feature_matrix(node)[0], X[i])
 
     def test_write_csv(self, tmp_path):
         st = FakeState(n=5)

@@ -48,6 +48,27 @@ class TestSettings:
         with pytest.raises(ConfigError, match="malformed"):
             pipeline.load_settings(cfg)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[channel]\nn_cell = 16\n", r"unknown key\(s\) in \[channel\]: n_cell"),
+            ("[uqq]\nmode = p\n", r"unknown config section \[uqq\]"),
+        ],
+    )
+    def test_unknown_config_entries_rejected(self, tmp_path, text, message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            cli.run(["baseline", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert not (tmp_path / "d").exists()
+
+    def test_data_section_keys_are_free(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\n1000 = synthetic\n395 = profiles/retau395.dat\n")
+        assert pipeline.load_settings(cfg).data == {
+            "1000": "synthetic", "395": "profiles/retau395.dat"
+        }
+
     def test_invalid_channel_value(self):
         s = pipeline.load_settings(overrides=[("channel", "n_cells", "many")])
         with pytest.raises(ConfigError, match="channel.n_cells"):
@@ -165,6 +186,24 @@ class TestReportCommand:
         assert header[-1] == "width_ratio_datafree_over_datadriven"
         ratio = float(lines[1].split(",")[-1])
         assert ratio == pytest.approx(6.0)
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["free_a", "free_b", "drv_p"], r"2 datafree uq runs \(free_a, free_b\)"),
+            (["free_a", "drv_p", "drv_pcorr"], r"2 data-driven uq runs \(drv_p, drv_pcorr\)"),
+        ],
+    )
+    def test_ambiguous_uq_runs_rejected(self, tmp_path, names, message):
+        modes = {"free_a": "datafree", "free_b": "datafree", "drv_p": "p", "drv_pcorr": "pcorr"}
+        for name in names:
+            (tmp_path / name).mkdir()
+            pipeline.write_manifest(
+                tmp_path / name, "uq", fast_settings(),
+                {"mode": modes[name], "integrated_width": 1.0},
+            )
+        with pytest.raises(DataError, match=message):
+            pipeline.cmd_report([str(tmp_path / n) for n in names], tmp_path / "out")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):

@@ -1,29 +1,59 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from eigenuq import tensors
-from eigenuq.tensors import AnisotropyEigenSystem, BarycentricPoint, ReynoldsStress
+from eigenuq import rotation, tensors
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+# random (n, 3, 3) factors a; a a^T is a realizable (PSD) stress stack
+factors = arrays(np.float64, st.tuples(st.integers(1, 8), st.just(3), st.just(3)), elements=unit)
+scales = st.floats(1e-6, 1e3)
+# random corner weights: positive triples normalized to sum 1
+weight_stacks = arrays(
+    np.float64, st.tuples(st.integers(1, 8), st.just(3)), elements=st.floats(1e-3, 1.0)
+).map(lambda w: w / w.sum(axis=1, keepdims=True))
+angle_rows = arrays(np.float64, (8, 3), elements=st.floats(-np.pi, np.pi))
+planes = arrays(np.float64, st.tuples(st.integers(1, 8), st.just(2)), elements=st.floats(-3.0, 3.0))
 
 
-def random_stress(rng, scale=1.0):
-    """Random realizable (PSD) stress tensor."""
-    a = rng.normal(size=(3, 3))
-    return ReynoldsStress.from_matrix(scale * (a @ a.T))
+def psd(a, scale=1.0):
+    return scale * np.einsum("nij,nkj->nik", a, a)
+
+
+def turbulent(tau):
+    """Decomposition of a stack, keeping only its non-degenerate nodes."""
+    k, lam, frame, degenerate = tensors.decompose(tau)
+    assume(not degenerate.all())
+    keep = ~degenerate
+    return tau[keep], k[keep], lam[keep], frame[keep]
+
+
+def anisotropy(tau, k):
+    return tau / k[:, None, None] - (2.0 / 3.0) * np.eye(3)
 
 
 class TestReynoldsStress:
     def test_k_is_half_trace(self):
-        t = ReynoldsStress(uu=2.0, vv=1.0, ww=0.5, uv=-0.3)
-        assert t.k == pytest.approx(0.5 * (2.0 + 1.0 + 0.5))
+        tau = tensors.stress_stack([2.0], [1.0], [0.5], [-0.3])
+        k, *_ = tensors.decompose(tau)
+        assert k[0] == pytest.approx(0.5 * (2.0 + 1.0 + 0.5))
 
     def test_matrix_round_trip(self, rng):
-        t = random_stress(rng)
-        t2 = ReynoldsStress.from_matrix(t.matrix())
-        assert t2 == t
+        uu, vv, ww, uv = rng.normal(size=(4, 20))
+        tau = tensors.stress_stack(uu, vv, ww, uv)
+        assert np.array_equal(tau[:, 0, 0], uu)
+        assert np.array_equal(tau[:, 1, 1], vv)
+        assert np.array_equal(tau[:, 2, 2], ww)
+        assert np.array_equal(tau[:, 0, 1], uv)
+        assert np.all(tau[:, 0, 2] == 0.0) and np.all(tau[:, 1, 2] == 0.0)
 
     def test_matrix_is_symmetric(self, rng):
-        m = random_stress(rng).matrix()
-        assert np.array_equal(m, m.T)
+        tau = tensors.stress_stack(*rng.normal(size=(4, 20)))
+        assert np.array_equal(tau, np.swapaxes(tau, 1, 2))
 
 
 class TestCorners:
@@ -43,130 +73,140 @@ class TestCorners:
 
 
 class TestDecompose:
-    def test_eigenvalues_sorted_descending(self, rng):
-        for _ in range(50):
-            eig = tensors.decompose(random_stress(rng))
-            assert eig.lam[0] >= eig.lam[1] >= eig.lam[2]
+    @PROPERTY
+    @given(factors)
+    def test_eigenvalues_sorted_descending(self, a):
+        _, _, lam, _ = turbulent(psd(a))
+        assert np.all(lam[:, 0] >= lam[:, 1]) and np.all(lam[:, 1] >= lam[:, 2])
 
-    def test_anisotropy_traceless(self, rng):
-        for _ in range(50):
-            eig = tensors.decompose(random_stress(rng))
-            assert abs(np.sum(eig.lam)) < 1e-12
+    @PROPERTY
+    @given(factors)
+    def test_eigenpairs_satisfy_eigen_equation(self, a):
+        tau, k, lam, frame = turbulent(psd(a))
+        av = anisotropy(tau, k) @ frame
+        assert np.max(np.abs(av - frame * lam[:, None, :])) <= 1e-12
 
-    def test_frame_orthonormal_right_handed(self, rng):
-        for _ in range(50):
-            eig = tensors.decompose(random_stress(rng))
-            assert np.allclose(eig.frame.T @ eig.frame, np.eye(3), atol=1e-12)
-            assert np.linalg.det(eig.frame) == pytest.approx(1.0, abs=1e-12)
+    @PROPERTY
+    @given(factors)
+    def test_anisotropy_traceless(self, a):
+        _, _, lam, _ = turbulent(psd(a))
+        assert np.max(np.abs(lam.sum(axis=1))) < 1e-12
 
-    def test_reconstruct_inverts_decompose(self, rng):
-        for _ in range(200):
-            t = random_stress(rng, scale=rng.uniform(1e-6, 1e3))
-            eig = tensors.decompose(t)
-            t2 = tensors.reconstruct(eig)
-            err = np.max(np.abs(t2.matrix() - t.matrix()))
-            assert err <= 1e-9 * max(1.0, 2.0 * t.k)
+    @PROPERTY
+    @given(factors)
+    def test_frame_orthonormal_right_handed(self, a):
+        _, _, _, frame = turbulent(psd(a))
+        gram = np.swapaxes(frame, 1, 2) @ frame
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
+        assert np.allclose(np.linalg.det(frame), 1.0, atol=1e-12)
+
+    @PROPERTY
+    @given(factors)
+    def test_largest_component_positive(self, a):
+        # the third column is signed by right-handedness instead
+        _, _, _, frame = turbulent(psd(a))
+        imax = np.argmax(np.abs(frame), axis=1)
+        lead = np.take_along_axis(frame, imax[:, None, :], axis=1)[:, 0, :]
+        assert np.all(lead[:, :2] > 0.0)
+
+    @PROPERTY
+    @given(factors, scales)
+    def test_reconstruct_inverts_decompose(self, a, scale):
+        tau = psd(a, scale)
+        k, lam, frame, degenerate = tensors.decompose(tau)
+        back = tensors.reconstruct(k, lam, frame)
+        err = np.max(np.abs(back - tau)[~degenerate], axis=(1, 2), initial=0.0)
+        assert np.all(err <= 1e-9 * np.maximum(1.0, 2.0 * k[~degenerate]))
 
     def test_degenerate_below_k_floor(self):
-        eig = tensors.decompose(ReynoldsStress(uu=1e-14, vv=1e-14, ww=1e-14))
-        assert eig.degenerate
-        assert np.array_equal(eig.lam, np.zeros(3))
-        assert np.array_equal(eig.frame, np.eye(3))
+        tau = tensors.stress_stack([1e-14, 1.0], [1e-14, 0.5], [1e-14, 0.5], [0.0, -0.2])
+        k, lam, frame, degenerate = tensors.decompose(tau)
+        assert degenerate.tolist() == [True, False]
+        assert np.array_equal(lam[0], np.zeros(3))
+        assert np.array_equal(frame[0], np.eye(3))
 
     def test_invalid_k_floor_raises(self):
         with pytest.raises(ValueError):
-            tensors.decompose(ReynoldsStress(1.0, 1.0, 1.0), k_floor=0.0)
+            tensors.decompose(tensors.stress_stack([1.0], [1.0], [1.0], [0.0]), k_floor=0.0)
 
 
 class TestBarycentricMap:
-    def test_weights_sum_to_one(self, rng):
-        for _ in range(100):
-            x, y = rng.uniform(-2, 2, size=2)
-            w = tensors.point_weights(x, y)
-            assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
+    @PROPERTY
+    @given(planes, factors)
+    def test_weights_sum_to_one(self, xy, a):
+        assert np.allclose(tensors.points_to_weights(xy).sum(axis=1), 1.0, atol=1e-12)
+        _, _, lam, _ = turbulent(psd(a))
+        assert np.allclose(tensors.eigenvalues_to_weights(lam).sum(axis=1), 1.0, atol=1e-12)
 
     def test_corner_weights_are_unit_vectors(self):
-        for i, name in enumerate(("1C", "2C", "3C")):
-            c = tensors.corner_coords(name)
-            w = tensors.point_weights(c[0], c[1])
-            expect = np.zeros(3)
-            expect[i] = 1.0
-            assert np.allclose(w, expect, atol=1e-12)
+        assert np.max(np.abs(tensors.points_to_weights(tensors.CORNERS) - np.eye(3))) <= 1e-12
+        assert np.array_equal(tensors.weights_to_points(np.eye(3)), tensors.CORNERS)
 
     def test_limiting_state_eigenvalues(self):
         # one-component: lam = (4/3, -2/3, -2/3); isotropic: lam = 0
-        one_c = tensors.from_barycentric(
-            BarycentricPoint(*tensors.corner_coords("1C"))
-        )
-        assert np.allclose(one_c, [4.0 / 3.0, -2.0 / 3.0, -2.0 / 3.0], atol=1e-12)
-        iso = tensors.from_barycentric(
-            BarycentricPoint(*tensors.corner_coords("3C"))
-        )
-        assert np.allclose(iso, np.zeros(3), atol=1e-12)
-        two_c = tensors.from_barycentric(
-            BarycentricPoint(*tensors.corner_coords("2C"))
-        )
-        assert np.allclose(two_c, [1.0 / 3.0, 1.0 / 3.0, -2.0 / 3.0], atol=1e-12)
+        lam = tensors.weights_to_eigenvalues(tensors.points_to_weights(tensors.CORNERS))
+        assert np.allclose(lam[0], [4.0 / 3.0, -2.0 / 3.0, -2.0 / 3.0], atol=1e-12)
+        assert np.allclose(lam[1], [1.0 / 3.0, 1.0 / 3.0, -2.0 / 3.0], atol=1e-12)
+        assert np.allclose(lam[2], np.zeros(3), atol=1e-12)
 
-    def test_point_eigenvalue_round_trip(self, rng):
-        for _ in range(300):
-            # random point inside the triangle via convex combination
-            w = rng.dirichlet(np.ones(3))
-            xy = (
-                w[0] * tensors.CORNER_1C
-                + w[1] * tensors.CORNER_2C
-                + w[2] * tensors.CORNER_3C
-            )
-            pt = BarycentricPoint(x=xy[0], y=xy[1])
-            lam = tensors.from_barycentric(pt)
-            assert np.sum(lam) == pytest.approx(0.0, abs=1e-12)
-            back = tensors.eigenvalues_to_point(lam)
-            assert np.allclose(back.coords(), pt.coords(), atol=1e-12)
+    @PROPERTY
+    @given(weight_stacks)
+    def test_point_eigenvalue_round_trip(self, w):
+        xy = tensors.weights_to_points(w)
+        lam = tensors.weights_to_eigenvalues(tensors.points_to_weights(xy))
+        assert np.max(np.abs(lam.sum(axis=1))) <= 1e-12
+        back = tensors.eigenvalues_to_weights(lam)
+        assert np.max(np.abs(back - w)) <= 1e-12
+        assert np.max(np.abs(tensors.weights_to_points(back) - xy)) <= 1e-12
 
     def test_inside(self):
-        assert BarycentricPoint(x=0.5, y=0.2).inside()
-        assert not BarycentricPoint(x=1.5, y=0.0).inside()
+        w = tensors.points_to_weights(np.array([[0.5, 0.2], [1.5, 0.0]]))
+        assert w[0].min() >= 0.0
+        assert w[1].min() < 0.0
 
 
 class TestProjection:
     def test_inside_points_unchanged(self):
-        pt = BarycentricPoint(x=0.4, y=0.3)
-        out = tensors.project_into_triangle(pt)
-        assert out is pt
+        xy = np.array([[0.4, 0.3], [0.5, 0.1]])
+        assert np.array_equal(tensors.project_into_triangle(xy), xy)
 
-    def test_outside_points_land_inside(self, rng):
-        for _ in range(200):
-            pt = BarycentricPoint(*rng.uniform(-3, 3, size=2))
-            out = tensors.project_into_triangle(pt)
-            assert out.inside(tol=1e-12)
+    @PROPERTY
+    @given(planes)
+    def test_outside_points_land_inside(self, xy):
+        out = tensors.project_into_triangle(xy)
+        assert np.all(tensors.points_to_weights(out) >= -1e-12)
 
-    def test_projection_is_idempotent(self, rng):
-        for _ in range(50):
-            pt = BarycentricPoint(*rng.uniform(-3, 3, size=2))
-            once = tensors.project_into_triangle(pt)
-            twice = tensors.project_into_triangle(once)
-            assert np.allclose(once.coords(), twice.coords(), atol=1e-12)
+    @PROPERTY
+    @given(planes)
+    def test_projection_is_idempotent(self, xy):
+        once = tensors.project_into_triangle(xy)
+        twice = tensors.project_into_triangle(once)
+        assert np.allclose(once, twice, atol=1e-12)
+
+    @PROPERTY
+    @given(planes)
+    def test_projection_is_nearest_point(self, xy):
+        # p is the nearest point of the convex triangle to x iff
+        # (x - p) . (c - p) <= 0 for every corner c
+        p = tensors.project_into_triangle(xy)
+        cone = np.einsum("nj,cnj->nc", xy - p, tensors.CORNERS[:, None, :] - p)
+        assert np.all(cone <= 1e-12)
 
 
 class TestRealizability:
-    def test_psd_tensor_is_realizable(self, rng):
-        for _ in range(50):
-            assert tensors.is_realizable(random_stress(rng))
+    @PROPERTY
+    @given(factors, scales)
+    def test_psd_tensor_is_realizable(self, a, scale):
+        assert np.all(tensors.is_realizable(psd(a, scale)))
 
     def test_indefinite_tensor_is_not(self):
-        t = ReynoldsStress(uu=1.0, vv=1.0, ww=1.0, uv=2.0)
-        assert not tensors.is_realizable(t)
+        tau = tensors.stress_stack([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [2.0, 0.5])
+        assert tensors.is_realizable(tau).tolist() == [False, True]
 
-    def test_reconstruction_from_triangle_is_realizable(self, rng):
-        for _ in range(200):
-            w = rng.dirichlet(np.ones(3))
-            xy = (
-                w[0] * tensors.CORNER_1C
-                + w[1] * tensors.CORNER_2C
-                + w[2] * tensors.CORNER_3C
-            )
-            lam = tensors.from_barycentric(BarycentricPoint(x=xy[0], y=xy[1]))
-            t = tensors.reconstruct(
-                AnisotropyEigenSystem(k=1.0, lam=lam, frame=np.eye(3))
-            )
-            assert tensors.is_realizable(t, tol=1e-10)
+    @PROPERTY
+    @given(weight_stacks, angle_rows, scales)
+    def test_reconstruction_from_triangle_is_realizable(self, w, angles, k):
+        frame = rotation.rotation_matrix(angles[: len(w)])
+        lam = tensors.weights_to_eigenvalues(w)
+        tau = tensors.reconstruct(np.full(len(w), k), lam, frame)
+        assert np.all(tensors.is_realizable(tau, tol=1e-10))
