@@ -20,7 +20,7 @@ from scipy.linalg import solve_banded
 
 from . import features as feat
 from . import perturb, tensors
-from .dns import DnsProfile, interpolate
+from .dns import TARGET_NAMES, DnsProfile, interpolate
 
 # SST closure constants (standard published set)
 BETA_STAR = 0.09
@@ -31,7 +31,6 @@ SIGMA_K2, SIGMA_W2, BETA_2 = 1.0, 0.856, 0.0828
 GAMMA_1 = BETA_1 / BETA_STAR - SIGMA_W1 * KAPPA**2 / np.sqrt(BETA_STAR)
 GAMMA_2 = BETA_2 / BETA_STAR - SIGMA_W2 * KAPPA**2 / np.sqrt(BETA_STAR)
 
-K_FLOOR = 1e-14
 OMEGA_FLOOR = 1e-8
 
 # Injected-stress iteration controls. Strongly amplified perturbed
@@ -86,7 +85,6 @@ class ChannelState:
     tau: np.ndarray  # (n, 3, 3) Reynolds stress per node
     residual_history: list[float] = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
 
     @property
     def centerline_U(self) -> float:
@@ -212,6 +210,12 @@ class FrozenStressInjection(StressInjection):
     noise_amplitude: float = 0.0
     noise_seed: int = 0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
+            raise ValueError(
+                f"noise amplitude must be finite and >= 0, got {self.noise_amplitude}"
+            )
+
     def prepare(self, cfg, y):
         if self.profile.y_plus[-1] < cfg.re_tau * (1 - 1e-9):
             raise ValueError(
@@ -243,7 +247,8 @@ class PerturbationInjection(StressInjection):
 
     cap_shear = True
 
-    # the arguments each mode takes; all of them are required
+    # the uq modes and the arguments each takes, all of them required;
+    # the CLI, the pipeline and corner_injections read the modes from here
     TAKES = {
         "datafree": ("corner", "delta_b"),
         "p": ("corner", "forest"),
@@ -265,24 +270,21 @@ class PerturbationInjection(StressInjection):
             raise ValueError("delta_b must be in [0, 1]")
         if corner is not None:
             tensors.corner_coords(corner)  # validates the identifier
+        if forest is not None:
+            if forest.n_features != len(feat.DEFAULT_FEATURES):
+                raise ValueError(
+                    f"forest expects {forest.n_features} features, "
+                    f"solver provides {len(feat.DEFAULT_FEATURES)}"
+                )
+            if forest.n_targets != len(TARGET_NAMES[mode]):
+                raise ValueError(
+                    f"mode {mode!r} needs {len(TARGET_NAMES[mode])} forest targets, "
+                    f"got {forest.n_targets}"
+                )
         self.mode = mode
         self.corner = corner
         self.delta_b = delta_b
         self.forest = forest
-
-    def prepare(self, cfg, y):
-        if self.forest is not None:
-            if self.forest.n_features != len(feat.DEFAULT_FEATURES):
-                raise ValueError(
-                    f"forest expects {self.forest.n_features} features, "
-                    f"solver provides {len(feat.DEFAULT_FEATURES)}"
-                )
-            expected = {"p": 1, "pcorr": 2, "pcorr_angles": 5}[self.mode]
-            if self.forest.n_targets != expected:
-                raise ValueError(
-                    f"mode {self.mode!r} needs {expected} forest targets, "
-                    f"got {self.forest.n_targets}"
-                )
 
     def compute(self, arrays):
         tau = tensors.boussinesq(arrays.k_plus, arrays.nu_t_plus, arrays.dUdy_plus)
@@ -516,7 +518,6 @@ def _solve(cfg, injection):
         tau=tau,
         residual_history=residuals,
         iterations=len(residuals),
-        converged=True,
     )
 
 
@@ -540,6 +541,9 @@ def barycentric_trace(state: ChannelState):
     return tensors.weights_to_points(w), w
 
 
+CORNER_SLOTS = ("1C", "2C", "3C")
+
+
 @dataclass
 class Envelope:
     baseline: ChannelState
@@ -555,20 +559,38 @@ class Envelope:
         return float(np.trapezoid(self.width, self.baseline.y_plus))
 
 
-def uq_envelope(cfg: ChannelConfig, make_injection) -> Envelope:
-    """Run the three corner perturbations plus the baseline and collect
-    the per-node min/max velocity envelope.
+def corner_injections(mode, delta_b=None, forest=None) -> dict[str, PerturbationInjection]:
+    """The injection of each corner slot 1C/2C/3C for one uq mode.
 
-    ``make_injection(corner)`` must return the StressInjection for one
-    corner (data-free delta_b or data-driven magnitude forest).
+    Modes that take no corner get one shared instance in all three
+    slots. Every argument is checked here, before any solve.
+    """
+    if "corner" in PerturbationInjection.TAKES.get(mode, ()):
+        return {
+            c: PerturbationInjection(mode, corner=c, delta_b=delta_b, forest=forest)
+            for c in CORNER_SLOTS
+        }
+    shared = PerturbationInjection(mode, delta_b=delta_b, forest=forest)
+    return dict.fromkeys(CORNER_SLOTS, shared)
+
+
+def uq_envelope(cfg: ChannelConfig, injections: dict[str, StressInjection]) -> Envelope:
+    """Solve the baseline and each distinct corner injection once and
+    collect the per-node min/max velocity envelope.
+
+    ``injections`` maps each corner slot to its StressInjection (see
+    ``corner_injections``); slots sharing one instance share its state.
     """
     baseline = solve_baseline(cfg)
+    solved = {}  # id(injection) -> state
     states = {}
-    for corner in ("1C", "2C", "3C"):
-        try:
-            states[corner] = solve_with_injection(cfg, make_injection(corner))
-        except SolverError as e:
-            raise SolverError(f"corner {corner} failed: {e}", e.residual_history) from e
+    for corner, injection in injections.items():
+        if id(injection) not in solved:
+            try:
+                solved[id(injection)] = solve_with_injection(cfg, injection)
+            except SolverError as e:
+                raise SolverError(f"corner {corner} failed: {e}", e.residual_history) from e
+        states[corner] = solved[id(injection)]
     profiles = np.vstack([baseline.U_plus] + [s.U_plus for s in states.values()])
     return Envelope(
         baseline=baseline,

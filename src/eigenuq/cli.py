@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from . import pipeline
-from .channel import SolverError
+from .channel import PerturbationInjection, SolverError
+from .dns import TARGET_NAMES
 from .pipeline import ConfigError, DataError
 
 
@@ -38,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--target",
         default="p",
-        choices=["p", "pcorr", "pcorr_angles"],
+        choices=list(TARGET_NAMES),
         help="target kind (default: p)",
     )
 
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--mode",
-        choices=["datafree", "p", "pcorr", "pcorr_angles"],
+        choices=list(PerturbationInjection.TAKES),
         help="perturbation mode (default from config)",
     )
     p.add_argument("--delta-b", type=float, help="data-free perturbation magnitude")

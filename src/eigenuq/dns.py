@@ -249,8 +249,7 @@ def synthetic_profile(re_tau: float, n_points: int = 256) -> DnsProfile:
     )
 
 
-TARGET_KINDS = ("p", "pcorr", "pcorr_angles")
-
+# the target kinds and the names of their columns
 TARGET_NAMES = {
     "p": ["p"],
     "pcorr": ["p_corr_x", "p_corr_y"],
@@ -283,7 +282,7 @@ def build_targets(rans_state, dns: DnsProfile, target_kind: str) -> TrainingSet:
     """
     from . import features as feat
 
-    if target_kind not in TARGET_KINDS:
+    if target_kind not in TARGET_NAMES:
         raise ValueError(f"unknown target kind {target_kind!r}")
     y = np.asarray(rans_state.y_plus)
     if len(dns.y_plus) != len(y) or np.max(np.abs(dns.y_plus - y)) > 1e-8 * max(

@@ -176,13 +176,9 @@ def fit(
     hp: ForestHyperparams,
     feature_names: list[str] | None = None,
     target_names: list[str] | None = None,
-    bootstrap: bool = True,
 ) -> RegressionForest:
-    """Train a forest; deterministic given (X, Y, hp).
-
-    ``bootstrap=False`` trains every tree on the full sample (used by
-    deterministic unit tests).
-    """
+    """Train a forest of bootstrap-sampled trees; deterministic given
+    (X, Y, hp)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
@@ -202,9 +198,9 @@ def fit(
     trees = []
     for t in range(hp.n_trees):
         rng = np.random.default_rng([hp.seed, t])
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        idx = rng.integers(0, n, size=n)
         builder = _TreeBuilder(X, Y, hp, rng)
-        builder.build(np.asarray(idx), depth=0)
+        builder.build(idx, depth=0)
         trees.append(builder.finish())
     return RegressionForest(
         trees=trees,

@@ -71,15 +71,6 @@ class Settings:
     propagate: dict
     data: dict  # re_tau (as str) -> profile path or "synthetic"
 
-    def as_dict(self):
-        return {
-            "channel": self.channel,
-            "train": self.train,
-            "uq": self.uq,
-            "propagate": self.propagate,
-            "data": self.data,
-        }
-
 
 def load_settings(config_path=None, overrides=None) -> Settings:
     parser = configparser.ConfigParser()
@@ -170,7 +161,7 @@ def write_manifest(out_dir, command, settings: Settings, extra=None) -> None:
     doc = {
         "tool_version": __version__,
         "command": command,
-        "settings": settings.as_dict(),
+        "settings": asdict(settings),
     }
     doc.update(extra or {})
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
@@ -242,9 +233,9 @@ def cmd_baseline(settings: Settings, out_dir) -> int:
 def train_forest(settings: Settings, target_kind: str):
     """Train one forest per the dataset config; returns
     (forest, metrics dict)."""
-    if target_kind not in dns.TARGET_KINDS:
+    if target_kind not in dns.TARGET_NAMES:
         raise ConfigError(
-            f"unknown target {target_kind!r}; choose from {dns.TARGET_KINDS}"
+            f"unknown target {target_kind!r}; choose from {tuple(dns.TARGET_NAMES)}"
         )
     train_re = _re_tau_list(settings.train["train_re_tau"])
     holdout_re = _get(settings.train, "holdout_re_tau", float, "train")
@@ -252,23 +243,17 @@ def train_forest(settings: Settings, target_kind: str):
     if not train_re:
         raise ConfigError("train.train_re_tau is empty")
 
-    training = None
-    for re_tau in train_re:
-        cfg = build_channel_config(settings, re_tau=re_tau)
-        state = channel.solve_baseline(cfg)
+    def targets_at(re_tau):
+        state = channel.solve_baseline(build_channel_config(settings, re_tau=re_tau))
         profile = dns.interpolate(load_reference_profile(settings, re_tau), state.y_plus)
-        part = dns.build_targets(state, profile, target_kind)
-        if training is None:
-            training = part
-        else:
-            training.extend(part)
+        return dns.build_targets(state, profile, target_kind)
 
-    hp_defaults = {
-        "p": forest.HYPERPARAMS_P,
-        "pcorr": forest.HYPERPARAMS_PCORR,
-        "pcorr_angles": forest.HYPERPARAMS_PCORR_ANGLES,
-    }[target_kind]
-    hp = replace(hp_defaults, seed=seed)
+    training = targets_at(train_re[0])
+    for re_tau in train_re[1:]:
+        training.extend(targets_at(re_tau))
+
+    # forest.HYPERPARAMS_<KIND>: the table defaults of each target kind
+    hp = replace(getattr(forest, f"HYPERPARAMS_{target_kind.upper()}"), seed=seed)
     fitted = forest.fit(
         training.X,
         training.Y,
@@ -277,12 +262,7 @@ def train_forest(settings: Settings, target_kind: str):
         target_names=training.target_names,
     )
 
-    cfg = build_channel_config(settings, re_tau=holdout_re)
-    held_state = channel.solve_baseline(cfg)
-    held_profile = dns.interpolate(
-        load_reference_profile(settings, holdout_re), held_state.y_plus
-    )
-    held = dns.build_targets(held_state, held_profile, target_kind)
+    held = targets_at(holdout_re)
     metrics = {
         "target_kind": target_kind,
         "n_train_rows": int(training.X.shape[0]),
@@ -302,28 +282,18 @@ def cmd_train(settings: Settings, out_dir, target_kind: str) -> int:
     _ensure_out(out_dir)
     fitted, metrics = train_forest(settings, target_kind)
     forest.save(fitted, os.path.join(out_dir, f"forest_{target_kind}.json"))
+    # every metric but the hyperparameters, which only the manifest records
+    columns = [
+        "target_kind",
+        "n_train_rows",
+        "n_excluded",
+        "train_mse",
+        "holdout_re_tau",
+        "holdout_mse",
+        "holdout_mean_predictor_mse",
+    ]
     _write_rows(
-        os.path.join(out_dir, "metrics.csv"),
-        [
-            "target_kind",
-            "n_train_rows",
-            "n_excluded",
-            "train_mse",
-            "holdout_re_tau",
-            "holdout_mse",
-            "holdout_mean_predictor_mse",
-        ],
-        [
-            [
-                metrics["target_kind"],
-                metrics["n_train_rows"],
-                metrics["n_excluded"],
-                metrics["train_mse"],
-                metrics["holdout_re_tau"],
-                metrics["holdout_mse"],
-                metrics["holdout_mean_predictor_mse"],
-            ]
-        ],
+        os.path.join(out_dir, "metrics.csv"), columns, [[metrics[key] for key in columns]]
     )
     write_manifest(out_dir, "train", settings, {"metrics": metrics})
     return EXIT_OK
@@ -341,32 +311,20 @@ def _load_forest(path):
 
 
 def run_uq(settings: Settings, mode: str, forest_path=None):
+    """Check the mode's arguments, then solve its envelope."""
     cfg = build_channel_config(settings)
-    if mode == "datafree":
-        delta_b = _get(settings.uq, "delta_b", float, "uq")
-
-        def make_injection(corner):
-            return channel.PerturbationInjection(
-                mode="datafree", corner=corner, delta_b=delta_b
-            )
-
-    elif mode == "p":
-        fitted = _load_forest(forest_path)
-
-        def make_injection(corner):
-            return channel.PerturbationInjection(mode="p", corner=corner, forest=fitted)
-
-    elif mode in ("pcorr", "pcorr_angles"):
-        fitted = _load_forest(forest_path)
-
-        def make_injection(corner):
-            # componentwise modes carry no corner: a single forward run;
-            # uq_envelope still calls once per corner slot
-            return channel.PerturbationInjection(mode=mode, forest=fitted)
-
-    else:
+    takes = channel.PerturbationInjection.TAKES.get(mode)
+    if takes is None:
         raise ConfigError(f"unknown uq mode {mode!r}")
-    return channel.uq_envelope(cfg, make_injection)
+    if forest_path is not None and "forest" not in takes:
+        raise ConfigError(f"uq mode {mode!r} does not take --forest")
+    delta_b = _get(settings.uq, "delta_b", float, "uq") if "delta_b" in takes else None
+    fitted = _load_forest(forest_path) if "forest" in takes else None
+    try:
+        injections = channel.corner_injections(mode, delta_b=delta_b, forest=fitted)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    return channel.uq_envelope(cfg, injections)
 
 
 def cmd_uq(settings: Settings, out_dir, mode=None, forest_path=None) -> int:
@@ -425,6 +383,9 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None, noise=None) ->
         injection = channel.FrozenStressInjection(
             profile=profile, noise_amplitude=float(noise), noise_seed=seed
         )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    try:
         state = channel.solve_with_injection(cfg, injection)
     except ValueError as e:
         raise DataError(str(e)) from e

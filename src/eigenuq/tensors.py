@@ -28,6 +28,8 @@ _A_INV = np.linalg.inv(_A)
 
 DEFAULT_K_FLOOR = 1e-12
 
+_LOWER = np.tril_indices(3, -1)  # (row, col) below the diagonal
+
 
 def corner_coords(corner: str) -> np.ndarray:
     """Plane coordinates of a triangle corner ('1C', '2C' or '3C')."""
@@ -87,9 +89,16 @@ def decompose(tau, k_floor=DEFAULT_K_FLOOR):
 
 
 def reconstruct(k, lam, frame):
-    """Assemble tau = k (v diag(lam) v^T + (2/3) I) for every node."""
+    """Assemble tau = k (v diag(lam) v^T + (2/3) I) for every node.
+
+    The einsum rounds tau_ij and tau_ji differently, so the upper
+    triangle (which the solver's uv reads) is mirrored into the lower one
+    (which eigh reads): every returned tensor is exactly symmetric.
+    """
     a = np.einsum("nij,nj,nkj->nik", frame, lam, frame)
-    return k[:, None, None] * (a + (2.0 / 3.0) * np.eye(3))
+    tau = k[:, None, None] * (a + (2.0 / 3.0) * np.eye(3))
+    tau[:, _LOWER[0], _LOWER[1]] = tau[:, _LOWER[1], _LOWER[0]]
+    return tau
 
 
 def eigenvalues_to_weights(lam):

@@ -20,23 +20,13 @@ def settings():
 @pytest.fixture(scope="session")
 def envelope_datafree_180():
     cfg = channel.ChannelConfig(re_tau=180.0)
-    return channel.uq_envelope(
-        cfg,
-        lambda corner: channel.PerturbationInjection(
-            mode="datafree", corner=corner, delta_b=1.0
-        ),
-    )
+    return channel.uq_envelope(cfg, channel.corner_injections("datafree", delta_b=1.0))
 
 
 @pytest.fixture(scope="session")
 def envelope_datafree_1000():
     cfg = channel.ChannelConfig(re_tau=1000.0)
-    return channel.uq_envelope(
-        cfg,
-        lambda corner: channel.PerturbationInjection(
-            mode="datafree", corner=corner, delta_b=1.0
-        ),
-    )
+    return channel.uq_envelope(cfg, channel.corner_injections("datafree", delta_b=1.0))
 
 
 @pytest.fixture(scope="session")
@@ -59,12 +49,7 @@ def forest_p(settings):
 def envelope_datadriven_1000(forest_p):
     fitted, _ = forest_p
     cfg = channel.ChannelConfig(re_tau=1000.0)
-    return channel.uq_envelope(
-        cfg,
-        lambda corner: channel.PerturbationInjection(
-            mode="p", corner=corner, forest=fitted
-        ),
-    )
+    return channel.uq_envelope(cfg, channel.corner_injections("p", forest=fitted))
 
 
 @pytest.fixture(scope="session")

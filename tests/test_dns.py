@@ -143,7 +143,7 @@ class TestBuildTargets:
         with pytest.raises(ValueError, match="unknown target kind"):
             dns.build_targets(st, prof, "q")
 
-    @pytest.mark.parametrize("kind", dns.TARGET_KINDS)
+    @pytest.mark.parametrize("kind", list(dns.TARGET_NAMES))
     def test_shapes_and_names(self, state_and_profile, kind):
         st, prof = state_and_profile
         ts = dns.build_targets(st, prof, kind)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,11 @@ def interior_points(rng, n=20):
     return tensors.weights_to_points(rng.dirichlet(np.ones(3), size=n))
 
 
+def forest_stub(n_targets, n_features=6):
+    """Stands in for a trained forest where only its shape is checked."""
+    return SimpleNamespace(n_features=n_features, n_targets=n_targets)
+
+
 def all_modes(tau, rng):
     n = len(tau)
     p_corr = rng.uniform(-0.3, 0.3, size=(n, 2))
@@ -59,25 +66,38 @@ class TestSpecValidation:
     """Mode arguments are validated where the injection is built."""
 
     def test_constructors(self):
-        forest = object()
         channel.PerturbationInjection("datafree", corner="1C", delta_b=0.5)
-        channel.PerturbationInjection("p", corner="2C", forest=forest)
-        channel.PerturbationInjection("pcorr", forest=forest)
-        channel.PerturbationInjection("pcorr_angles", forest=forest)
+        channel.PerturbationInjection("p", corner="2C", forest=forest_stub(1))
+        channel.PerturbationInjection("pcorr", forest=forest_stub(2))
+        channel.PerturbationInjection("pcorr_angles", forest=forest_stub(5))
 
     def test_missing_required_field(self):
         with pytest.raises(ValueError, match="needs corner and delta_b"):
             channel.PerturbationInjection("datafree", corner="1C")
         with pytest.raises(ValueError, match="needs corner and forest"):
-            channel.PerturbationInjection("p", forest=object())
+            channel.PerturbationInjection("p", forest=forest_stub(1))
         with pytest.raises(ValueError, match="needs forest"):
             channel.PerturbationInjection("pcorr_angles")
 
     def test_forbidden_field(self):
         with pytest.raises(ValueError, match="does not take delta_b"):
-            channel.PerturbationInjection("pcorr", forest=object(), delta_b=0.5)
+            channel.PerturbationInjection("pcorr", forest=forest_stub(2), delta_b=0.5)
         with pytest.raises(ValueError, match="does not take forest"):
-            channel.PerturbationInjection("datafree", corner="1C", delta_b=0.5, forest=object())
+            channel.PerturbationInjection(
+                "datafree", corner="1C", delta_b=0.5, forest=forest_stub(1)
+            )
+
+    def test_forest_feature_count(self):
+        with pytest.raises(ValueError, match="forest expects 4 features, solver provides 6"):
+            channel.PerturbationInjection("pcorr", forest=forest_stub(2, n_features=4))
+
+    @pytest.mark.parametrize(
+        "mode, corner, needed, given",
+        [("p", "1C", 1, 2), ("pcorr", None, 2, 1), ("pcorr_angles", None, 5, 2)],
+    )
+    def test_forest_target_count(self, mode, corner, needed, given):
+        with pytest.raises(ValueError, match=f"needs {needed} forest targets, got {given}"):
+            channel.PerturbationInjection(mode, corner=corner, forest=forest_stub(given))
 
     def test_delta_b_range(self):
         for bad in (1.5, -0.1):
@@ -152,6 +172,15 @@ class TestBuildPerturbedStress:
     def test_result_realizable(self, node, seed):
         for mode, out in all_modes(stress_from(node), np.random.default_rng(seed)).items():
             assert np.all(tensors.is_realizable(out, tol=1e-10)), mode
+
+    @PROPERTY
+    @given(nodes, st.integers(0, 2**32 - 1))
+    def test_exactly_symmetric(self, node, seed):
+        # the solver reads uv from the upper triangle, eigh the lower one
+        tau = stress_from(node)  # built by tensors.reconstruct
+        assert np.array_equal(tau, tau.swapaxes(1, 2))
+        for mode, out in all_modes(tau, np.random.default_rng(seed)).items():
+            assert np.array_equal(out, out.swapaxes(1, 2)), mode
 
     @PROPERTY
     @given(nodes, corners)

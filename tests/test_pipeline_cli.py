@@ -1,12 +1,15 @@
-import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigenuq import cli, dns, pipeline
+from eigenuq import channel, cli, dns, forest, pipeline
 from eigenuq.pipeline import ConfigError, DataError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FAST = [
     ("channel", "re_tau", "180"),
@@ -122,6 +125,32 @@ class TestUqCommand:
         header = (out / "envelope.csv").read_text().split("\n")[0]
         assert header == "y_plus,U_baseline,U_min,U_max,width"
 
+    def test_corner_free_mode_solves_once(self, settings, tmp_path, monkeypatch):
+        # the forest of a default-settings training, on a 32-cell grid
+        fitted, _ = pipeline.train_forest(settings, "pcorr_angles")
+        forest_path = tmp_path / "forest_pcorr_angles.json"
+        forest.save(fitted, forest_path)
+        solves = []
+        solve = channel.solve_with_injection
+
+        def counting_solve(cfg, injection):
+            solves.append(injection)
+            return solve(cfg, injection)
+
+        monkeypatch.setattr(channel, "solve_with_injection", counting_solve)
+        out = tmp_path / "uq"
+        s = pipeline.load_settings(
+            overrides=[("channel", "re_tau", "180"), ("channel", "n_cells", "32")]
+        )
+        code = pipeline.cmd_uq(s, out, mode="pcorr_angles", forest_path=str(forest_path))
+        assert code == pipeline.EXIT_OK
+        assert len(solves) == 1
+        first = (out / "corner_1C.csv").read_bytes()
+        assert (out / "corner_2C.csv").read_bytes() == first
+        assert (out / "corner_3C.csv").read_bytes() == first
+        iterations = pipeline.read_manifest(out)["iterations"]
+        assert iterations["1C"] == iterations["2C"] == iterations["3C"]
+
     def test_data_driven_mode_requires_forest(self):
         with pytest.raises(ConfigError, match="forest"):
             pipeline.run_uq(fast_settings(), "p", forest_path=None)
@@ -212,10 +241,12 @@ class TestReportCommand:
 
 class TestCli:
     def run_cli(self, *args):
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "eigenuq.cli", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
 
     def test_baseline_success_exit_zero(self, tmp_path):
@@ -250,6 +281,32 @@ class TestCli:
         )
         assert proc.returncode == 4
         assert "data error" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["uq", "--mode", "datafree", "--delta-b", "2.0"], "delta_b must be in [0, 1]"),
+            (["uq", "--mode", "pcorr", "--forest", "{p_forest}"], "needs 2 forest targets, got 1"),
+            (["uq", "--mode", "datafree", "--forest", "{p_forest}"], "does not take --forest"),
+            (["propagate-dns", "--noise", "-5"], "must be finite and >= 0, got -5"),
+            (["propagate-dns", "--noise", "inf"], "must be finite and >= 0, got inf"),
+        ],
+        ids=["delta_b", "forest_kind", "forest_datafree", "noise_negative", "noise_inf"],
+    )
+    def test_bad_arguments_rejected_before_solving(self, tmp_path, args, message):
+        # every solve fails (exit 3) within 10 iterations, so exit 2 shows
+        # that the arguments were rejected before the first solve
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\nre_tau = 180\nn_cells = 64\nmax_iters = 10\n")
+        rng = np.random.default_rng(0)
+        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
+        p_forest = tmp_path / "forest_p.json"
+        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), p_forest)
+        args = [arg.format(p_forest=p_forest) for arg in args]
+        proc = self.run_cli(*args, "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error" in proc.stderr
+        assert message in proc.stderr
 
     def test_seed_flag_reaches_both_sections(self):
         parser = cli.build_parser()
