@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from . import features as feat
 from . import perturb, tensors
@@ -32,6 +32,10 @@ GAMMA_1 = BETA_1 / BETA_STAR - SIGMA_W1 * KAPPA**2 / np.sqrt(BETA_STAR)
 GAMMA_2 = BETA_2 / BETA_STAR - SIGMA_W2 * KAPPA**2 / np.sqrt(BETA_STAR)
 
 OMEGA_FLOOR = 1e-8
+
+# LAPACK tridiagonal solver, called directly: scipy's banded solver
+# calls the same routine but validates its inputs on every call
+_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 # Injected-stress iteration controls. Strongly amplified perturbed
 # stresses scale with the local k, which makes the coupled fixed point
@@ -117,47 +121,63 @@ def make_grid(re_tau: float, n_nodes: int, y1: float) -> np.ndarray:
     return y
 
 
-def _tridiag_solve(sub, diag, sup, rhs):
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return solve_banded((1, 1), ab, rhs)
+class _Grid:
+    """The nodes of one solve, their spacings and the stencil of numpy's
+    gradient, built once with numpy's formulas: ``grad(f)`` equals
+    numpy's ``gradient(f, y)`` bit for bit, uniform-spacing branch too."""
+
+    def __init__(self, y):
+        self.y = y
+        self.h = h = np.diff(y)
+        self.delta = delta = 0.5 * (h[:-1] + h[1:])
+        # denominators of the transport and divergence stencils
+        self.h_delta = (h[:-1] * delta, h[1:] * delta)
+        self.h_center = h[-1] * 0.5 * h[-1]
+        self.half_h_end = 0.5 * h[-1]
+        if (h == h[0]).all():
+            self.two_h, self.abc = 2.0 * h[0], None
+        else:
+            dx1, dx2 = h[:-1], h[1:]
+            self.abc = (-(dx2) / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+                        dx1 / (dx2 * (dx1 + dx2)))
+
+    def grad(self, f):
+        out = np.empty_like(f)
+        if self.abc is None:
+            out[1:-1] = (f[2:] - f[:-2]) / self.two_h
+        else:
+            a, b, c = self.abc
+            out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
+        out[0] = (f[1] - f[0]) / self.h[0]
+        out[-1] = (f[-1] - f[-2]) / self.h[-1]
+        return out
 
 
-def _transport_solve(y, h, gamma_mid, sink, source, wall_value):
+def _transport_solve(grid, gamma_mid, sink, source, wall_value):
     """Solve d/dy(Gamma dphi/dy) + sink*phi + source = 0 with Dirichlet
     wall value and zero flux at the centerline."""
-    n = len(y)
-    sub = np.zeros(n)
-    diag = np.zeros(n)
-    sup = np.zeros(n)
-    rhs = np.zeros(n)
-    delta = 0.5 * (h[:-1] + h[1:])
-    wm = gamma_mid[:-1] / (h[:-1] * delta)
-    wp = gamma_mid[1:] / (h[1:] * delta)
-    sub[1:-1] = wm
-    sup[1:-1] = wp
-    diag[1:-1] = -(wm + wp) + sink[1:-1]
-    rhs[1:-1] = -source[1:-1]
-    diag[0] = 1.0
-    rhs[0] = wall_value
-    wc = gamma_mid[-1] / (h[-1] * 0.5 * h[-1])
-    sub[-1] = wc
-    diag[-1] = -wc + sink[-1]
-    rhs[-1] = -source[-1]
-    return _tridiag_solve(sub, diag, sup, rhs)
+    n = len(sink)
+    h_delta_m, h_delta_p = grid.h_delta
+    wm = gamma_mid[:-1] / h_delta_m
+    wp = gamma_mid[1:] / h_delta_p
+    wc = gamma_mid[-1] / grid.h_center
+    sub, sup, diag, rhs = np.empty(n - 1), np.empty(n - 1), np.empty(n), np.empty(n)
+    sub[:-1], sub[-1] = wm, wc
+    sup[0], sup[1:] = 0.0, wp
+    diag[0], diag[1:-1], diag[-1] = 1.0, -(wm + wp) + sink[1:-1], -wc + sink[-1]
+    rhs[0], rhs[1:] = wall_value, -source[1:]
+    *_, x, info = _GTSV(sub, diag, sup, rhs, 1, 1, 1, 1)  # may overwrite all four
+    if info != 0:
+        raise SolverError(f"singular transport system (LAPACK gtsv info={info})")
+    return x
 
 
-def _face_divergence(h, g_mid):
+def _face_divergence(grid, g_mid):
     """Nodal divergence of a face flux with zero flux at the centerline
     face; entry 0 is unused (Dirichlet wall node)."""
-    n = len(h) + 1
-    out = np.zeros(n)
-    delta = 0.5 * (h[:-1] + h[1:])
-    out[1:-1] = (g_mid[1:] - g_mid[:-1]) / delta
-    out[-1] = (0.0 - g_mid[-1]) / (0.5 * h[-1])
+    out = np.zeros(len(grid.y))
+    out[1:-1] = (g_mid[1:] - g_mid[:-1]) / grid.delta
+    out[-1] = (0.0 - g_mid[-1]) / grid.half_h_end
     return out
 
 
@@ -316,19 +336,19 @@ def _init_state(y, re_tau):
     return U, k, om, nu_t
 
 
-def _blending(y, k, om, dkdy, domdy):
-    yp = np.maximum(y, 1e-30)
-    om_s = np.maximum(om, OMEGA_FLOOR)
+def _blending(yp, yp2, k, om_s, dkdy, domdy):
+    """SST blending F1, F2; yp = max(y, 1e-30), yp2 = yp**2, om_s = floored omega."""
+    k_pos = np.maximum(k, 0.0)
+    sqrt_k = np.sqrt(k_pos)
+    om_yp = BETA_STAR * om_s * yp
+    viscous = 500.0 / (yp2 * om_s)
     cd = np.maximum(2.0 * SIGMA_W2 / om_s * dkdy * domdy, 1e-10)
-    arg1 = np.minimum(
-        np.maximum(np.sqrt(np.maximum(k, 0.0)) / (BETA_STAR * om_s * yp), 500.0 / (yp**2 * om_s)),
-        4.0 * SIGMA_W2 * np.maximum(k, 0.0) / (cd * yp**2),
-    )
+    arg1 = np.minimum(np.maximum(sqrt_k / om_yp, viscous), 4.0 * SIGMA_W2 * k_pos / (cd * yp2))
     f1 = np.tanh(arg1**4)
-    arg2 = np.maximum(2.0 * np.sqrt(np.maximum(k, 0.0)) / (BETA_STAR * om_s * yp), 500.0 / (yp**2 * om_s))
+    arg2 = np.maximum(2.0 * sqrt_k / om_yp, viscous)
     f2 = np.tanh(arg2**2)
     f1[0], f2[0] = 1.0, 1.0
-    return f1, f2, cd
+    return f1, f2
 
 
 def solve_baseline(cfg: ChannelConfig) -> ChannelState:
@@ -343,8 +363,8 @@ def solve_with_injection(cfg: ChannelConfig, injection: StressInjection) -> Chan
 
 
 def _solve(cfg, injection):
-    y = make_grid(cfg.re_tau, cfg.n_cells, cfg.stretch)
-    h = np.diff(y)
+    grid = _Grid(make_grid(cfg.re_tau, cfg.n_cells, cfg.stretch))
+    y, h = grid.y, grid.h
     n = len(y)
     ur = 0.8 if injection is None else 0.5
 
@@ -366,10 +386,15 @@ def _solve(cfg, injection):
     best_res = np.inf
     best_it = 0
     best_snap = None
+    no_sink = np.zeros(n)
+    src_const = np.full(n, 1.0 / cfg.re_tau)
+    yp = np.maximum(y, 1e-30)
+    yp2 = yp**2
 
-    dudy = np.gradient(U, y)
+    dudy = grid.grad(U)
     for it in range(cfg.max_iters):
-        U_old, k_old, om_old = U.copy(), k.copy(), om.copy()
+        # every update below binds new arrays, so the old ones stay intact
+        U_old, k_old, om_old = U, k, om
 
         if injection is not None and not frozen:
             arrays = SimpleNamespace(
@@ -401,14 +426,14 @@ def _solve(cfg, injection):
             # ratio is regularized and capped for stability
             ratio = minus_uv_star * dudy / (dudy**2 + 1e-8)
             nu_eff = np.clip(ratio, 0.0, 1e5)
-        gamma_u = 1.0 + _mid(nu_eff)
-        src_u = np.full(n, 1.0 / cfg.re_tau)
+        nu_mid = _mid(nu_eff)
+        src_u = src_const
         if injection is not None:
-            g_mid = _mid(nu_eff) * np.diff(U) / h - _mid(minus_uv_star)
-            src_u = src_u - _face_divergence(h, g_mid)
-        U_new = _transport_solve(y, h, gamma_u, np.zeros(n), src_u, 0.0)
+            g_mid = nu_mid * np.diff(U) / h - _mid(minus_uv_star)
+            src_u = src_u - _face_divergence(grid, g_mid)
+        U_new = _transport_solve(grid, 1.0 + nu_mid, no_sink, src_u, 0.0)
         U = U_old + ur * (U_new - U_old)
-        dudy = np.gradient(U, y)
+        dudy = grid.grad(U)
 
         if cfg.laminar:
             res = np.max(np.abs(U - U_old)) / max(1.0, np.max(np.abs(U)))
@@ -417,9 +442,10 @@ def _solve(cfg, injection):
                 break
             continue
 
-        dkdy = np.gradient(k, y)
-        domdy = np.gradient(om, y)
-        f1, f2, _ = _blending(y, k, om, dkdy, domdy)
+        dkdy = grid.grad(k)
+        domdy = grid.grad(om)
+        om_s = np.maximum(om, OMEGA_FLOOR)
+        f1, f2 = _blending(yp, yp2, k, om_s, dkdy, domdy)
         sigma_k = f1 * SIGMA_K1 + (1.0 - f1) * SIGMA_K2
         sigma_w = f1 * SIGMA_W1 + (1.0 - f1) * SIGMA_W2
         beta = f1 * BETA_1 + (1.0 - f1) * BETA_2
@@ -433,18 +459,16 @@ def _solve(cfg, injection):
 
         # k transport
         gamma_k = 1.0 + _mid(sigma_k * nu_t)
-        sink_k = -BETA_STAR * np.maximum(om, OMEGA_FLOOR)
-        k_new = _transport_solve(y, h, gamma_k, sink_k, pk, 0.0)
+        k_new = _transport_solve(grid, gamma_k, -BETA_STAR * om_s, pk, 0.0)
         k = k_old + ur * (k_new - k_old)
         k = np.maximum(k, 0.0)
         k[0] = 0.0
 
         # omega transport
         gamma_w = 1.0 + _mid(sigma_w * nu_t)
-        sink_w = -beta * np.maximum(om_old, OMEGA_FLOOR)
         prod_w = gamma_c * dudy**2
-        cross = 2.0 * (1.0 - f1) * SIGMA_W2 / np.maximum(om_old, OMEGA_FLOOR) * dkdy * domdy
-        om_new = _transport_solve(y, h, gamma_w, sink_w, prod_w + cross, om_wall)
+        cross = 2.0 * (1.0 - f1) * SIGMA_W2 / om_s * dkdy * domdy
+        om_new = _transport_solve(grid, gamma_w, -beta * om_s, prod_w + cross, om_wall)
         om = om_old + ur * (om_new - om_old)
         om = np.maximum(om, OMEGA_FLOOR)
 
@@ -456,11 +480,12 @@ def _solve(cfg, injection):
         scale_u = max(1.0, np.max(np.abs(U)))
         scale_k = max(1.0, np.max(k))
         scale_om = max(1.0, np.max(om))
-        res = max(
+        # np.max, unlike max(), keeps a NaN in any place
+        res = np.max([
             np.max(np.abs(U - U_old)) / scale_u,
             np.max(np.abs(k - k_old)) / scale_k,
             np.max(np.abs(om - om_old)) / scale_om,
-        )
+        ])
         residuals.append(res)
         if not np.isfinite(res):
             raise SolverError(f"NaN/Inf detected at iteration {it}", residuals)
@@ -481,7 +506,7 @@ def _solve(cfg, injection):
                 minus_uv_star, tau_star, U, k, om, nu_t = (
                     a.copy() for a in best_snap
                 )
-                dudy = np.gradient(U, y)
+                dudy = grid.grad(U)
                 frozen = True
                 best_res = np.inf
                 best_it = it

@@ -86,7 +86,9 @@ def run(argv=None) -> int:
     if args.command == "train":
         return pipeline.cmd_train(settings, args.out, args.target)
     if args.command == "uq":
-        return pipeline.cmd_uq(settings, args.out, mode=args.mode, forest_path=args.forest)
+        return pipeline.cmd_uq(
+            settings, args.out, mode=args.mode, forest_path=args.forest, delta_b=args.delta_b
+        )
     if args.command == "propagate-dns":
         return pipeline.cmd_propagate_dns(
             settings, args.out, dns_path=args.dns, noise=args.noise

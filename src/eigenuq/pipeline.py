@@ -178,6 +178,7 @@ def read_manifest(run_dir) -> dict:
 
 
 def _ensure_out(out_dir):
+    # commands call this after their checks and solves: a rejected run leaves nothing
     os.makedirs(out_dir, exist_ok=True)
 
 
@@ -211,9 +212,9 @@ def count_realizability_violations(state: channel.ChannelState, tol=1e-8) -> int
 
 
 def cmd_baseline(settings: Settings, out_dir) -> int:
-    _ensure_out(out_dir)
     cfg = build_channel_config(settings)
     state = channel.solve_baseline(cfg)
+    _ensure_out(out_dir)
     channel.write_solution_csv(state, os.path.join(out_dir, "baseline.csv"))
     write_trace_csv(state, os.path.join(out_dir, "baseline_trace.csv"))
     write_manifest(
@@ -279,8 +280,8 @@ def train_forest(settings: Settings, target_kind: str):
 
 
 def cmd_train(settings: Settings, out_dir, target_kind: str) -> int:
-    _ensure_out(out_dir)
     fitted, metrics = train_forest(settings, target_kind)
+    _ensure_out(out_dir)
     forest.save(fitted, os.path.join(out_dir, f"forest_{target_kind}.json"))
     # every metric but the hyperparameters, which only the manifest records
     columns = [
@@ -310,15 +311,20 @@ def _load_forest(path):
         raise DataError(str(e)) from e
 
 
-def run_uq(settings: Settings, mode: str, forest_path=None):
-    """Check the mode's arguments, then solve its envelope."""
+def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
+    """Check the mode's arguments, then solve its envelope. A mode
+    rejects a ``forest_path`` or ``delta_b`` (command-line values) it
+    does not take; without ``delta_b`` it reads ``uq.delta_b``."""
     cfg = build_channel_config(settings)
     takes = channel.PerturbationInjection.TAKES.get(mode)
     if takes is None:
         raise ConfigError(f"unknown uq mode {mode!r}")
     if forest_path is not None and "forest" not in takes:
         raise ConfigError(f"uq mode {mode!r} does not take --forest")
-    delta_b = _get(settings.uq, "delta_b", float, "uq") if "delta_b" in takes else None
+    if delta_b is not None and "delta_b" not in takes:
+        raise ConfigError(f"uq mode {mode!r} does not take --delta-b")
+    if delta_b is None and "delta_b" in takes:
+        delta_b = _get(settings.uq, "delta_b", float, "uq")
     fitted = _load_forest(forest_path) if "forest" in takes else None
     try:
         injections = channel.corner_injections(mode, delta_b=delta_b, forest=fitted)
@@ -327,10 +333,10 @@ def run_uq(settings: Settings, mode: str, forest_path=None):
     return channel.uq_envelope(cfg, injections)
 
 
-def cmd_uq(settings: Settings, out_dir, mode=None, forest_path=None) -> int:
-    _ensure_out(out_dir)
+def cmd_uq(settings: Settings, out_dir, mode=None, forest_path=None, delta_b=None) -> int:
     mode = mode or settings.uq.get("mode", "datafree")
-    env = run_uq(settings, mode, forest_path)
+    env = run_uq(settings, mode, forest_path, delta_b)
+    _ensure_out(out_dir)
     channel.write_solution_csv(env.baseline, os.path.join(out_dir, "baseline.csv"))
     for corner, st in env.corner_states.items():
         channel.write_solution_csv(
@@ -365,7 +371,6 @@ def cmd_uq(settings: Settings, out_dir, mode=None, forest_path=None) -> int:
 
 
 def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None, noise=None) -> int:
-    _ensure_out(out_dir)
     cfg = build_channel_config(settings)
     if noise is None:
         noise = _get(settings.propagate, "noise", float, "propagate")
@@ -393,6 +398,7 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None, noise=None) ->
     num = np.linalg.norm(state.U_plus - ref.U_plus)
     den = np.linalg.norm(ref.U_plus)
     rel_l2 = float(num / den) if den > 0 else float("nan")
+    _ensure_out(out_dir)
     channel.write_solution_csv(state, os.path.join(out_dir, "propagated.csv"))
     _write_rows(
         os.path.join(out_dir, "metrics.csv"),
@@ -416,7 +422,6 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None, noise=None) ->
 
 def cmd_report(run_dirs, out_dir) -> int:
     """Aggregate one or more completed run directories into summary.csv."""
-    _ensure_out(out_dir)
     rows = []
     uq_runs = {"datafree": [], "data-driven": []}  # kind -> [(run, width)]
     for run_dir in run_dirs:
@@ -461,6 +466,7 @@ def cmd_report(run_dirs, out_dir) -> int:
         header.append("width_ratio_datafree_over_datadriven")
         ratio = datafree / datadriven if datadriven > 0 else np.nan
         rows = [row + [ratio] for row in rows]
+    _ensure_out(out_dir)
     _write_rows(os.path.join(out_dir, "summary.csv"), header, rows)
     write_manifest(
         out_dir,

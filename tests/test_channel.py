@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from eigenuq import channel, tensors
 from eigenuq.channel import ChannelConfig
+
+PROPERTY = settings(max_examples=200, deadline=None)
 
 
 class TestConfig:
@@ -31,6 +36,74 @@ class TestGrid:
     def test_uniform_fallback_when_unstretched(self):
         y = channel.make_grid(10.0, 101, 0.5)
         assert np.allclose(np.diff(y), np.diff(y)[0])
+
+
+def reference_transport_solve(y, gamma_mid, sink, source, wall_value):
+    """The transport system assembled into banded storage and solved by
+    scipy's validating banded solver, as the solver once did."""
+    n = len(y)
+    h = np.diff(y)
+    sub, diag, sup, rhs = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    delta = 0.5 * (h[:-1] + h[1:])
+    wm = gamma_mid[:-1] / (h[:-1] * delta)
+    wp = gamma_mid[1:] / (h[1:] * delta)
+    sub[1:-1] = wm
+    sup[1:-1] = wp
+    diag[1:-1] = -(wm + wp) + sink[1:-1]
+    rhs[1:-1] = -source[1:-1]
+    diag[0] = 1.0
+    rhs[0] = wall_value
+    wc = gamma_mid[-1] / (h[-1] * 0.5 * h[-1])
+    sub[-1] = wc
+    diag[-1] = -wc + sink[-1]
+    rhs[-1] = -source[-1]
+    ab = np.zeros((3, n))
+    ab[0, 1:] = sup[:-1]
+    ab[1, :] = diag
+    ab[2, :-1] = sub[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
+grids = st.tuples(
+    st.floats(10.0, 6000.0), st.integers(9, 400), st.floats(0.01, 0.99)
+).map(lambda a: channel.make_grid(*a))
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestKernels:
+    """The solver's gradient and tridiagonal kernels against the library
+    calls they stand for, compared exactly."""
+
+    @PROPERTY
+    @given(y=grids, seed=seeds)
+    @example(y=channel.make_grid(100.0, 201, 0.5), seed=0)  # exactly uniform spacing
+    @example(y=channel.make_grid(10.0, 101, 0.5), seed=0)  # linspace, not exactly uniform
+    def test_grid_gradient_is_numpy_gradient(self, y, seed):
+        f = np.random.default_rng(seed).normal(size=(3, len(y))) * [[1.0], [1e3], [1e-6]]
+        grid = channel._Grid(y)
+        for row in f:
+            assert np.array_equal(grid.grad(row), np.gradient(row, y))
+
+    @PROPERTY
+    @given(y=grids, seed=seeds)
+    def test_transport_solve_matches_banded_solver(self, y, seed):
+        rng = np.random.default_rng(seed)
+        n = len(y)
+        # positive diffusivity and nonpositive sink: diagonally dominant
+        gamma_mid = rng.uniform(1.0, 1e3, n - 1)
+        sink = -rng.uniform(0.0, 10.0, n)
+        source = rng.normal(size=n)
+        wall = rng.normal()
+        x = channel._transport_solve(channel._Grid(y), gamma_mid, sink, source, wall)
+        assert np.array_equal(x, reference_transport_solve(y, gamma_mid, sink, source, wall))
+
+    def test_singular_system_raises_solver_error(self):
+        y = channel.make_grid(180.0, 33, 0.5)
+        n = len(y)
+        with pytest.raises(channel.SolverError, match="singular"):
+            channel._transport_solve(
+                channel._Grid(y), np.zeros(n - 1), np.zeros(n), np.ones(n), 0.0
+            )
 
 
 class TestStackHelpers:
@@ -166,6 +239,34 @@ class TestBaselineSolve:
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("y_plus,U_plus,k_plus,omega_plus")
         assert len(lines) == len(state.y_plus) + 1
+
+    def test_non_finite_stress_raises_solver_error(self):
+        class NanShear(channel.StressInjection):
+            def compute(self, arrays):
+                tau = tensors.boussinesq(arrays.k_plus, arrays.nu_t_plus, arrays.dUdy_plus)
+                tau[:, 0, 1] = tau[:, 1, 0] = np.nan
+                return tau
+
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+        with pytest.raises(channel.SolverError, match="NaN/Inf detected at iteration 0") as err:
+            channel.solve_with_injection(cfg, NanShear())
+        assert len(err.value.residual_history) == 1
+        assert np.isnan(err.value.residual_history[0])
+
+    def test_non_finite_turbulence_fails_at_once(self, monkeypatch):
+        # a NaN that reaches k and omega but not U in its iteration
+        blending = channel._blending
+
+        def nan_blending(*args):
+            f1, f2 = blending(*args)
+            f1[5] = np.nan
+            return f1, f2
+
+        monkeypatch.setattr(channel, "_blending", nan_blending)
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+        with pytest.raises(channel.SolverError, match="NaN/Inf detected at iteration 0") as err:
+            channel.solve_baseline(cfg)
+        assert np.isnan(err.value.residual_history[-1])
 
     def test_nonconvergence_raises(self):
         cfg = ChannelConfig(re_tau=180.0, n_cells=96, max_iters=10)

@@ -262,6 +262,7 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
+        assert not (tmp_path / "d").exists()
 
     def test_numerical_error_exit_three(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -269,6 +270,7 @@ class TestCli:
         proc = self.run_cli("baseline", "--config", str(cfg), "--out", str(tmp_path / "d"))
         assert proc.returncode == 3
         assert "numerical failure" in proc.stderr
+        assert not (tmp_path / "d").exists()
 
     def test_data_error_exit_four(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -281,6 +283,7 @@ class TestCli:
         )
         assert proc.returncode == 4
         assert "data error" in proc.stderr
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
         "args, message",
@@ -288,10 +291,12 @@ class TestCli:
             (["uq", "--mode", "datafree", "--delta-b", "2.0"], "delta_b must be in [0, 1]"),
             (["uq", "--mode", "pcorr", "--forest", "{p_forest}"], "needs 2 forest targets, got 1"),
             (["uq", "--mode", "datafree", "--forest", "{p_forest}"], "does not take --forest"),
+            (["uq", "--mode", "pcorr", "--delta-b", "0.3"], "does not take --delta-b"),
             (["propagate-dns", "--noise", "-5"], "must be finite and >= 0, got -5"),
             (["propagate-dns", "--noise", "inf"], "must be finite and >= 0, got inf"),
         ],
-        ids=["delta_b", "forest_kind", "forest_datafree", "noise_negative", "noise_inf"],
+        ids=["delta_b", "forest_kind", "forest_datafree", "delta_b_pcorr", "noise_negative",
+             "noise_inf"],
     )
     def test_bad_arguments_rejected_before_solving(self, tmp_path, args, message):
         # every solve fails (exit 3) within 10 iterations, so exit 2 shows
@@ -307,6 +312,7 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "configuration error" in proc.stderr
         assert message in proc.stderr
+        assert not (tmp_path / "d").exists()
 
     def test_seed_flag_reaches_both_sections(self):
         parser = cli.build_parser()
