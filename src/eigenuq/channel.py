@@ -63,7 +63,6 @@ class ChannelConfig:
     stretch: float = 0.5  # target first off-wall node position y1+
     max_iters: int = 40000
     residual_tol: float = 1e-8
-    laminar: bool = False
 
     def __post_init__(self):
         if self.re_tau <= 0:
@@ -352,7 +351,7 @@ def _blending(yp, yp2, k, om_s, dkdy, domdy):
 
 
 def solve_baseline(cfg: ChannelConfig) -> ChannelState:
-    """Converge the baseline (or forced-laminar) channel flow."""
+    """Converge the baseline channel flow."""
     return _solve(cfg, injection=None)
 
 
@@ -369,9 +368,6 @@ def _solve(cfg, injection):
     ur = 0.8 if injection is None else 0.5
 
     U, k, om, nu_t = _init_state(y, cfg.re_tau)
-    if cfg.laminar:
-        nu_t = np.zeros(n)
-        k = np.zeros(n)
     if injection is not None:
         injection.prepare(cfg, y)
 
@@ -434,13 +430,6 @@ def _solve(cfg, injection):
         U_new = _transport_solve(grid, 1.0 + nu_mid, no_sink, src_u, 0.0)
         U = U_old + ur * (U_new - U_old)
         dudy = grid.grad(U)
-
-        if cfg.laminar:
-            res = np.max(np.abs(U - U_old)) / max(1.0, np.max(np.abs(U)))
-            residuals.append(res)
-            if res < cfg.residual_tol and it > 2:
-                break
-            continue
 
         dkdy = grid.grad(k)
         domdy = grid.grad(om)

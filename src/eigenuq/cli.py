@@ -77,8 +77,10 @@ def run(argv=None) -> int:
     if args.seed is not None:
         overrides.append(("train", "seed", args.seed))
         overrides.append(("propagate", "noise_seed", args.seed))
-    if args.command == "uq" and args.delta_b is not None:
-        overrides.append(("uq", "delta_b", args.delta_b))
+    if args.command == "uq":
+        overrides += [("uq", "mode", args.mode), ("uq", "delta_b", args.delta_b)]
+    if args.command == "propagate-dns":
+        overrides.append(("propagate", "noise", args.noise))
     settings = pipeline.load_settings(args.config, overrides)
 
     if args.command == "baseline":
@@ -86,13 +88,9 @@ def run(argv=None) -> int:
     if args.command == "train":
         return pipeline.cmd_train(settings, args.out, args.target)
     if args.command == "uq":
-        return pipeline.cmd_uq(
-            settings, args.out, mode=args.mode, forest_path=args.forest, delta_b=args.delta_b
-        )
+        return pipeline.cmd_uq(settings, args.out, forest_path=args.forest, delta_b=args.delta_b)
     if args.command == "propagate-dns":
-        return pipeline.cmd_propagate_dns(
-            settings, args.out, dns_path=args.dns, noise=args.noise
-        )
+        return pipeline.cmd_propagate_dns(settings, args.out, dns_path=args.dns)
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -261,7 +261,6 @@ TARGET_NAMES = {
 class TrainingSet:
     X: np.ndarray
     Y: np.ndarray
-    provenance: list[tuple[float, int]]  # (re_tau, node index) per row
     feature_names: list[str]
     target_names: list[str]
     n_excluded: int = 0
@@ -269,7 +268,6 @@ class TrainingSet:
     def extend(self, other: "TrainingSet") -> None:
         self.X = np.vstack([self.X, other.X])
         self.Y = np.vstack([self.Y, other.Y])
-        self.provenance += other.provenance
         self.n_excluded += other.n_excluded
 
 
@@ -306,22 +304,10 @@ def build_targets(rans_state, dns: DnsProfile, target_kind: str) -> TrainingSet:
         Y = p_corr
     else:
         Y = np.hstack([p_corr, rot.extract_angles(frame_r[keep], frame_d[keep])])
-    nodes = np.flatnonzero(keep)
     return TrainingSet(
         X=X[keep],
         Y=Y,
-        provenance=list(zip([float(dns.re_tau)] * len(nodes), nodes.tolist())),
         feature_names=list(feat.DEFAULT_FEATURES),
         target_names=list(TARGET_NAMES[target_kind]),
-        n_excluded=int(len(keep) - len(nodes)),
+        n_excluded=int(np.count_nonzero(~keep)),
     )
-
-
-def write_training_csv(ts: TrainingSet, path) -> None:
-    with open(path, "w") as f:
-        header = ts.feature_names + ts.target_names + ["re_tau", "node"]
-        f.write(",".join(header) + "\n")
-        for i in range(ts.X.shape[0]):
-            vals = [f"{v:.17g}" for v in ts.X[i]] + [f"{v:.17g}" for v in ts.Y[i]]
-            vals += [f"{ts.provenance[i][0]:g}", str(ts.provenance[i][1])]
-            f.write(",".join(vals) + "\n")

@@ -22,9 +22,6 @@ DEFAULT_FEATURES = [
     "y_plus",
 ]
 
-# Features that are raw passthrough (capped) rather than ratio-normalized.
-RAW_FEATURES = {"re_wall_dist", "y_plus"}
-
 
 def _ratio(n, d):
     """n / (|n| + |d|), and 0 where both vanish."""
@@ -57,7 +54,3 @@ def feature_matrix(state) -> np.ndarray:
             f"feature {DEFAULT_FEATURES[j]!r} is not finite at grid point {i}"
         )
     return out
-
-
-def write_feature_csv(path, matrix: np.ndarray, names: list[str]) -> None:
-    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", comments="", header=",".join(names))

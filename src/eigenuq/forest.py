@@ -10,7 +10,7 @@ deterministic given (X, Y, hyperparameters).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,79 +38,73 @@ HYPERPARAMS_PCORR_ANGLES = ForestHyperparams(max_depth=9, min_samples_split=4, m
 
 
 @dataclass
-class RegressionTree:
-    """Flat-array CART tree; leaf nodes have split_feature = -1."""
-
-    split_feature: np.ndarray  # int, -1 for leaves
-    threshold: np.ndarray
-    left: np.ndarray  # int child indices, -1 for leaves
-    right: np.ndarray
-    leaf_value: np.ndarray  # (n_nodes, n_targets), rows valid only at leaves
-
-    def predict_one(self, x: np.ndarray) -> np.ndarray:
-        i = 0
-        while self.split_feature[i] >= 0:
-            if x[self.split_feature[i]] <= self.threshold[i]:
-                i = self.left[i]
-            else:
-                i = self.right[i]
-        return self.leaf_value[i]
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Route all rows of X through the tree simultaneously."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.split_feature[node] >= 0
-        while np.any(active):
-            idx = node[active]
-            feat = self.split_feature[idx]
-            go_left = X[active, feat] <= self.threshold[idx]
-            node[active] = np.where(go_left, self.left[idx], self.right[idx])
-            active = self.split_feature[node] >= 0
-        return self.leaf_value[node]
-
-
-@dataclass
 class RegressionForest:
-    trees: list[RegressionTree]
+    """All trees in one node table; tree t starts at node ``roots[t]``
+    and its children come after their parents. Leaves have feature -1
+    and children -1; ``value`` holds every node's mean target, read only
+    at leaves."""
+
+    feature: np.ndarray  # (n_nodes,) int
+    threshold: np.ndarray  # (n_nodes,)
+    left: np.ndarray  # (n_nodes,) int, table-wide node indices
+    right: np.ndarray
+    value: np.ndarray  # (n_nodes, n_targets)
+    roots: np.ndarray  # (n_trees,) int
     hyperparams: ForestHyperparams
     feature_names: list[str] = field(default_factory=list)
     target_names: list[str] = field(default_factory=list)
     n_features: int = 0
-    n_targets: int = 0
+
+    @property
+    def n_targets(self) -> int:
+        return self.value.shape[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Route every row through every tree at once, one level per step."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} features, got {X.shape[1]}"
-            )
+            raise ValueError(f"expected {self.n_features} features, got {X.shape[1]}")
+        rows = np.arange(X.shape[0])
+        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)  # (n_trees, n_rows)
+        feat = self.feature[node]
+        while np.any(feat >= 0):
+            go_left = X[rows, feat] <= self.threshold[node]  # feature -1 is masked below
+            node = np.where(feat < 0, node, np.where(go_left, self.left[node], self.right[node]))
+            feat = self.feature[node]
+        # tree by tree, so every row sums in one fixed order
         out = np.zeros((X.shape[0], self.n_targets))
-        for tree in self.trees:
-            out += tree.predict_batch(X)
-        return out / len(self.trees)
+        for leaf_values in self.value[node]:
+            out += leaf_values
+        return out / len(self.roots)
+
+    def predict_one(self, x: np.ndarray) -> np.ndarray:
+        """One row, tree by tree: the reference ``predict`` must match."""
+        out = np.zeros(self.n_targets)
+        for i in self.roots:
+            while self.feature[i] >= 0:
+                i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
+            out += self.value[i]
+        return out / len(self.roots)
 
 
 class _TreeBuilder:
-    def __init__(self, X, Y, hp: ForestHyperparams, rng: np.random.Generator):
-        self.X, self.Y, self.hp, self.rng = X, Y, hp, rng
-        self.split_feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.leaf_value: list[np.ndarray] = []
+    """Grows trees into one shared node list, each child after its parent."""
 
-    def _new_node(self) -> int:
-        self.split_feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf_value.append(np.zeros(self.Y.shape[1]))
-        return len(self.split_feature) - 1
+    def __init__(self, X, Y, hp: ForestHyperparams):
+        self.X, self.Y, self.hp = X, Y, hp
+        self.nodes: list[list] = []  # [feature, threshold, left, right, value]
+
+    def grow(self, rng: np.random.Generator) -> int:
+        """Grow one tree on a bootstrap sample; returns its root."""
+        self.rng = rng
+        n = self.X.shape[0]
+        return self.build(rng.integers(0, n, size=n), depth=0)
 
     def build(self, idx: np.ndarray, depth: int) -> int:
-        node = self._new_node()
         y = self.Y[idx]
-        self.leaf_value[node] = y.mean(axis=0)
+        row = [-1, 0.0, -1, -1, y.mean(axis=0)]
+        self.nodes.append(row)
+        node = len(self.nodes) - 1
         if (
             depth >= self.hp.max_depth
             or len(idx) < self.hp.min_samples_split
@@ -122,11 +116,8 @@ class _TreeBuilder:
             return node
         feat, thr = split
         mask = self.X[idx, feat] <= thr
-        self.split_feature[node] = feat
-        self.threshold[node] = thr
         # children appended after the parent; order fixed for determinism
-        self.left[node] = self.build(idx[mask], depth + 1)
-        self.right[node] = self.build(idx[~mask], depth + 1)
+        row[:4] = feat, thr, self.build(idx[mask], depth + 1), self.build(idx[~mask], depth + 1)
         return node
 
     def _best_split(self, idx: np.ndarray):
@@ -160,15 +151,6 @@ class _TreeBuilder:
                 best = (int(feat), float(0.5 * (xs[b] + xs[b + 1])))
         return best
 
-    def finish(self) -> RegressionTree:
-        return RegressionTree(
-            split_feature=np.array(self.split_feature, dtype=np.int64),
-            threshold=np.array(self.threshold),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            leaf_value=np.vstack(self.leaf_value),
-        )
-
 
 def fit(
     X: np.ndarray,
@@ -194,21 +176,16 @@ def fit(
     if hp.max_features > X.shape[1]:
         raise ValueError("max_features exceeds the feature count")
 
-    n = X.shape[0]
-    trees = []
-    for t in range(hp.n_trees):
-        rng = np.random.default_rng([hp.seed, t])
-        idx = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(X, Y, hp, rng)
-        builder.build(idx, depth=0)
-        trees.append(builder.finish())
+    builder = _TreeBuilder(X, Y, hp)
+    roots = [builder.grow(np.random.default_rng([hp.seed, t])) for t in range(hp.n_trees)]
+    # columns feature, threshold, left, right, value: int, float, int, int, float
     return RegressionForest(
-        trees=trees,
+        *(np.array(column) for column in zip(*builder.nodes)),
+        roots=np.array(roots),
         hyperparams=hp,
         feature_names=list(feature_names or []),
         target_names=list(target_names or []),
         n_features=X.shape[1],
-        n_targets=Y.shape[1],
     )
 
 
@@ -223,28 +200,24 @@ def mse(forest: RegressionForest, X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def save(forest: RegressionForest, path) -> None:
+    """Schema 1: one node list per tree, child indices local to the tree."""
+    bounds = zip(forest.roots, [*forest.roots[1:], len(forest.feature)])
     doc = {
         "version": SCHEMA_VERSION,
-        "hyperparams": {
-            "max_depth": forest.hyperparams.max_depth,
-            "min_samples_split": forest.hyperparams.min_samples_split,
-            "max_features": forest.hyperparams.max_features,
-            "n_trees": forest.hyperparams.n_trees,
-            "seed": forest.hyperparams.seed,
-        },
+        "hyperparams": asdict(forest.hyperparams),
         "feature_names": forest.feature_names,
         "target_names": forest.target_names,
         "n_features": forest.n_features,
         "n_targets": forest.n_targets,
         "trees": [
             {
-                "split_feature": t.split_feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "leaf_value": t.leaf_value.tolist(),
+                "split_feature": forest.feature[s:e].tolist(),
+                "threshold": forest.threshold[s:e].tolist(),
+                "left": np.where(forest.left[s:e] >= 0, forest.left[s:e] - s, -1).tolist(),
+                "right": np.where(forest.right[s:e] >= 0, forest.right[s:e] - s, -1).tolist(),
+                "leaf_value": forest.value[s:e].tolist(),
             }
-            for t in forest.trees
+            for s, e in bounds
         ],
     }
     with open(path, "w") as f:
@@ -266,24 +239,45 @@ def load(path) -> RegressionForest:
             f"{path}: unsupported or missing version tag (expected {SCHEMA_VERSION})"
         )
     try:
-        hp = ForestHyperparams(**doc["hyperparams"])
-        trees = [
-            RegressionTree(
-                split_feature=np.array(t["split_feature"], dtype=np.int64),
-                threshold=np.array(t["threshold"], dtype=float),
-                left=np.array(t["left"], dtype=np.int64),
-                right=np.array(t["right"], dtype=np.int64),
-                leaf_value=np.array(t["leaf_value"], dtype=float),
-            )
-            for t in doc["trees"]
-        ]
-        return RegressionForest(
-            trees=trees,
-            hyperparams=hp,
-            feature_names=list(doc["feature_names"]),
-            target_names=list(doc["target_names"]),
-            n_features=int(doc["n_features"]),
-            n_targets=int(doc["n_targets"]),
-        )
-    except (KeyError, TypeError) as e:
+        return _pack(doc)
+    except (KeyError, TypeError, ValueError) as e:
         raise ForestFormatError(f"{path}: malformed forest file ({e})") from e
+
+
+def _pack(doc: dict) -> RegressionForest:
+    """The node table of a schema-1 document; raises ValueError naming
+    the first defect that would make ``predict`` fail, hang or misshape."""
+    n_features, n_targets = int(doc["n_features"]), int(doc["n_targets"])
+    if not doc["trees"]:
+        raise ValueError("no trees")
+    roots, tables, offset = [], [], 0
+    for t, tree in enumerate(doc["trees"]):
+        feature, left, right = (
+            np.array(tree[key], dtype=np.int64) for key in ("split_feature", "left", "right")
+        )
+        threshold = np.array(tree["threshold"], dtype=float)
+        value = np.array(tree["leaf_value"], dtype=float)
+        m = len(feature)
+        if m == 0 or any(a.shape != (m,) for a in (feature, threshold, left, right)):
+            raise ValueError(f"tree {t}: node lists are empty or differ in length")
+        if value.shape != (m, n_targets):
+            raise ValueError(f"tree {t}: leaf_value is {value.shape}, expected ({m}, {n_targets})")
+        if np.any((feature < -1) | (feature >= n_features)):
+            raise ValueError(f"tree {t}: split feature outside [-1, {n_features})")
+        i = np.arange(m)
+        split = feature >= 0
+        inside = (i < left) & (left < m) & (i < right) & (right < m)
+        if not np.all(np.where(split, inside, (left == -1) & (right == -1))):
+            raise ValueError(f"tree {t}: a child is not after its parent inside the tree")
+        left, right = np.where(split, left + offset, -1), np.where(split, right + offset, -1)
+        tables.append((feature, threshold, left, right, value))
+        roots.append(offset)
+        offset += m
+    return RegressionForest(
+        *(np.concatenate(column) for column in zip(*tables)),
+        roots=np.array(roots),
+        hyperparams=ForestHyperparams(**doc["hyperparams"]),
+        feature_names=list(doc["feature_names"]),
+        target_names=list(doc["target_names"]),
+        n_features=n_features,
+    )

@@ -333,9 +333,12 @@ def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
     return channel.uq_envelope(cfg, injections)
 
 
-def cmd_uq(settings: Settings, out_dir, mode=None, forest_path=None, delta_b=None) -> int:
-    mode = mode or settings.uq.get("mode", "datafree")
+def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
+    mode = _get(settings.uq, "mode", str, "uq")
     env = run_uq(settings, mode, forest_path, delta_b)
+    # the manifest records only the [uq] settings this mode ran with
+    takes = channel.PerturbationInjection.TAKES[mode]
+    ran = replace(settings, uq={k: v for k, v in settings.uq.items() if k == "mode" or k in takes})
     _ensure_out(out_dir)
     channel.write_solution_csv(env.baseline, os.path.join(out_dir, "baseline.csv"))
     for corner, st in env.corner_states.items():
@@ -359,7 +362,7 @@ def cmd_uq(settings: Settings, out_dir, mode=None, forest_path=None, delta_b=Non
     write_manifest(
         out_dir,
         "uq",
-        settings,
+        ran,
         {
             "mode": mode,
             "integrated_width": env.integrated_width(),
@@ -370,10 +373,9 @@ def cmd_uq(settings: Settings, out_dir, mode=None, forest_path=None, delta_b=Non
     return EXIT_OK
 
 
-def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None, noise=None) -> int:
+def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
     cfg = build_channel_config(settings)
-    if noise is None:
-        noise = _get(settings.propagate, "noise", float, "propagate")
+    noise = _get(settings.propagate, "noise", float, "propagate")
     seed = _get(settings.propagate, "noise_seed", int, "propagate")
     if dns_path is not None:
         if not os.path.exists(dns_path):
@@ -386,7 +388,7 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None, noise=None) ->
         profile = load_reference_profile(settings, cfg.re_tau)
     try:
         injection = channel.FrozenStressInjection(
-            profile=profile, noise_amplitude=float(noise), noise_seed=seed
+            profile=profile, noise_amplitude=noise, noise_seed=seed
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -410,7 +412,7 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None, noise=None) ->
         "propagate-dns",
         settings,
         {
-            "noise": float(noise),
+            "noise": noise,
             "noise_seed": seed,
             "rel_l2_error_U": rel_l2,
             "iterations": state.iterations,

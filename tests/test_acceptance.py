@@ -102,8 +102,12 @@ class TestPlaneStrainBaseline:
 
 class TestLaminarLimit:
     def test_analytic_parabola(self):
-        cfg = ChannelConfig(re_tau=180.0, n_cells=384, laminar=True)
-        state = channel.solve_baseline(cfg)
+        # a prescribed zero Reynolds stress leaves only viscous shear
+        cfg = ChannelConfig(re_tau=180.0, n_cells=384)
+        y = np.linspace(0.0, cfg.re_tau, 8)
+        zero = np.zeros_like(y)
+        still = dns.DnsProfile(cfg.re_tau, y, zero, zero, zero, zero, zero)
+        state = channel.solve_with_injection(cfg, channel.FrozenStressInjection(profile=still))
         y = state.y_plus
         exact = y - y**2 / (2.0 * cfg.re_tau)
         assert np.max(np.abs(state.U_plus - exact)) <= 1e-3

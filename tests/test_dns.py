@@ -150,7 +150,6 @@ class TestBuildTargets:
         assert ts.target_names == dns.TARGET_NAMES[kind]
         assert ts.Y.shape == (ts.X.shape[0], len(dns.TARGET_NAMES[kind]))
         assert ts.X.shape[0] + ts.n_excluded == len(st.y_plus)
-        assert len(ts.provenance) == ts.X.shape[0]
 
     def test_magnitude_is_norm_of_vector_targets(self, state_and_profile):
         st, prof = state_and_profile
@@ -168,13 +167,3 @@ class TestBuildTargets:
         a.extend(b)
         assert a.X.shape[0] == 2 * n
         assert a.Y.shape[0] == 2 * n
-        assert len(a.provenance) == 2 * n
-
-    def test_training_csv(self, state_and_profile, tmp_path):
-        st, prof = state_and_profile
-        ts = dns.build_targets(st, prof, "pcorr")
-        path = tmp_path / "train.csv"
-        dns.write_training_csv(ts, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].split(",")[: len(ts.feature_names)] == ts.feature_names
-        assert len(lines) == ts.X.shape[0] + 1

@@ -51,7 +51,7 @@ class TestExtractFeatures:
     def test_ratio_features_bounded(self):
         X = features.feature_matrix(FakeState(n=64))
         for j, name in enumerate(features.DEFAULT_FEATURES):
-            if name not in features.RAW_FEATURES:
+            if name not in ("re_wall_dist", "y_plus"):  # capped, not ratios
                 assert np.all((-1.0 <= X[:, j]) & (X[:, j] <= 1.0)), name
 
     def test_raw_features_capped(self):
@@ -95,16 +95,3 @@ class TestFeatureMatrix:
             for name in ("y_plus", "U_plus", "k_plus", "omega_plus", "nu_t_plus", "dUdy_plus"):
                 setattr(node, name, getattr(st, name)[i : i + 1])
             assert np.array_equal(features.feature_matrix(node)[0], X[i])
-
-    def test_write_csv(self, tmp_path):
-        st = FakeState(n=5)
-        X = features.feature_matrix(st)
-        path = tmp_path / "features.csv"
-        features.write_feature_csv(path, X, features.DEFAULT_FEATURES)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == ",".join(features.DEFAULT_FEATURES)
-        assert len(lines) == 6
-        reread = np.array(
-            [[float(v) for v in line.split(",")] for line in lines[1:]]
-        )
-        assert np.allclose(reread, X, rtol=1e-15)

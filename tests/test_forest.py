@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenuq import forest
 from eigenuq.forest import ForestFormatError, ForestHyperparams
@@ -81,13 +83,47 @@ class TestFit:
         with pytest.raises(ValueError, match="expected 4 features"):
             fitted.predict(np.zeros((3, 7)))
 
-    def test_batch_matches_scalar_prediction(self):
-        X, Y = toy_data()
-        fitted = forest.fit(X, Y, HP)
-        tree = fitted.trees[0]
-        batch = tree.predict_batch(X[:50])
-        for i in range(50):
-            assert np.array_equal(batch[i], tree.predict_one(X[i]))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 60),
+        n_features=st.integers(1, 5),
+        n_targets=st.integers(1, 3),
+        levels=st.integers(2, 8),
+        max_depth=st.integers(1, 7),
+        min_samples_split=st.integers(1, 6),
+        n_trees=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_predict_matches_predict_one(
+        self, seed, n_rows, n_features, n_targets, levels, max_depth, min_samples_split,
+        n_trees, data,
+    ):
+        # integer features split at half-integers; half-integer queries hit thresholds
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, size=(n_rows, n_features)).astype(float)
+        Y = rng.normal(size=(n_rows, n_targets))
+        hp = ForestHyperparams(
+            max_depth=max_depth,
+            min_samples_split=min_samples_split,
+            max_features=data.draw(st.integers(1, n_features), label="max_features"),
+            n_trees=n_trees,
+            seed=seed,
+        )
+        fitted = forest.fit(X, Y, hp)
+        Q = np.vstack([X, rng.integers(-1, 2 * levels, size=(20, n_features)) / 2])
+        batch = fitted.predict(Q)
+        assert batch.shape == (len(Q), n_targets)
+        for i, q in enumerate(Q):
+            assert np.array_equal(batch[i], fitted.predict_one(q)), i
+
+
+def saved_doc(tmp_path):
+    """A saved 4-feature, 2-target forest as (path, parsed JSON)."""
+    X, Y = toy_data(n=80)
+    path = tmp_path / "forest.json"
+    forest.save(forest.fit(X, Y, HP), path)
+    return path, json.loads(path.read_text())
 
 
 class TestSerialization:
@@ -102,6 +138,8 @@ class TestSerialization:
         assert loaded.hyperparams == fitted.hyperparams
         Q = np.random.default_rng(2).uniform(-1, 1, size=(200, 4))
         assert np.array_equal(loaded.predict(Q), fitted.predict(Q))
+        forest.save(loaded, tmp_path / "again.json")  # save -> load -> save keeps the bytes
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_schema_version_stamped(self, tmp_path):
         X, Y = toy_data(n=60)
@@ -129,4 +167,41 @@ class TestSerialization:
         doc["version"] = 999
         path.write_text(json.dumps(doc))
         with pytest.raises(ForestFormatError):
+            forest.load(path)
+
+    def test_load_packs_trees_into_one_node_table(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        loaded = forest.load(path)
+        sizes = [len(tree["split_feature"]) for tree in doc["trees"]]
+        assert loaded.roots.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
+        assert loaded.value.shape == (sum(sizes), doc["n_targets"])
+        assert loaded.n_targets == doc["n_targets"] == 2
+
+    @pytest.mark.parametrize(
+        "key, edit, message",
+        [
+            ("left", lambda v: [0, *v[1:]], "a child is not after its parent"),
+            ("right", lambda v: [len(v), *v[1:]], "a child is not after its parent"),
+            ("split_feature", lambda v: [4, *v[1:]], r"split feature outside \[-1, 4\)"),
+            ("split_feature", lambda v: [-2, *v[1:]], r"split feature outside \[-1, 4\)"),
+            ("leaf_value", lambda v: v[:-1], r"leaf_value is \(\d+, 2\), expected"),
+            ("leaf_value", lambda v: [[*row, 0.0] for row in v], r"leaf_value is \(\d+, 3\)"),
+        ],
+        ids=["cycle", "child_outside_tree", "feature_too_large", "feature_below_leaf",
+             "leaf_value_rows", "leaf_value_width"],
+    )
+    def test_load_rejects_malformed_tree(self, tmp_path, key, edit, message):
+        path, doc = saved_doc(tmp_path)
+        tree = doc["trees"][1]
+        assert tree["split_feature"][0] >= 0  # the root splits
+        tree[key] = edit(tree[key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ForestFormatError, match=f"tree 1: {message}"):
+            forest.load(path)
+
+    def test_load_rejects_file_without_trees(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        doc["trees"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ForestFormatError, match="no trees"):
             forest.load(path)

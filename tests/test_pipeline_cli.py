@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -120,6 +121,7 @@ class TestUqCommand:
         man = pipeline.read_manifest(out)
         assert man["command"] == "uq"
         assert man["mode"] == "datafree"
+        assert man["settings"]["uq"] == {"delta_b": "0.0", "mode": "datafree"}
         assert man["realizability_violations"] == 0
         assert set(man["iterations"]) == {"1C", "2C", "3C"}
         header = (out / "envelope.csv").read_text().split("\n")[0]
@@ -140,9 +142,10 @@ class TestUqCommand:
         monkeypatch.setattr(channel, "solve_with_injection", counting_solve)
         out = tmp_path / "uq"
         s = pipeline.load_settings(
-            overrides=[("channel", "re_tau", "180"), ("channel", "n_cells", "32")]
+            overrides=[("channel", "re_tau", "180"), ("channel", "n_cells", "32"),
+                       ("uq", "mode", "pcorr_angles")]
         )
-        code = pipeline.cmd_uq(s, out, mode="pcorr_angles", forest_path=str(forest_path))
+        code = pipeline.cmd_uq(s, out, forest_path=str(forest_path))
         assert code == pipeline.EXIT_OK
         assert len(solves) == 1
         first = (out / "corner_1C.csv").read_bytes()
@@ -314,6 +317,23 @@ class TestCli:
         assert message in proc.stderr
         assert not (tmp_path / "d").exists()
 
+    def test_malformed_forest_exit_four(self, tmp_path):
+        rng = np.random.default_rng(0)
+        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
+        path = tmp_path / "forest_p.json"
+        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), path)
+        doc = json.loads(path.read_text())
+        doc["trees"][0]["split_feature"][0] = 6  # the forest has features 0-5
+        path.write_text(json.dumps(doc))
+        proc = self.run_cli(
+            "uq", "--mode", "p", "--forest", str(path), "--re-tau", "180",
+            "--out", str(tmp_path / "d"),
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "data error" in proc.stderr
+        assert r"split feature outside [-1, 6)" in proc.stderr
+        assert not (tmp_path / "d").exists()
+
     def test_seed_flag_reaches_both_sections(self):
         parser = cli.build_parser()
         args = parser.parse_args(["train", "--out", "x", "--seed", "7"])
@@ -326,6 +346,29 @@ class TestCli:
 
 
 class TestManifest:
+    @pytest.mark.parametrize(
+        "args, section, recorded",
+        [
+            (["uq", "--mode", "pcorr_angles", "--forest", "{forest}"], "uq",
+             {"mode": "pcorr_angles"}),
+            (["propagate-dns", "--noise", "0.02"], "propagate",
+             {"noise": "0.02", "noise_seed": "0"}),
+        ],
+        ids=["uq_mode", "propagate_noise"],
+    )
+    def test_records_the_settings_that_ran(self, tmp_path, args, section, recorded):
+        # a forest fitted to zero targets: the pcorr_angles uq solves the baseline
+        rng = np.random.default_rng(0)
+        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
+        path = tmp_path / "forest.json"
+        forest.save(forest.fit(rng.uniform(size=(20, 6)), np.zeros((20, 5)), hp), path)
+        args = [arg.format(forest=path) for arg in args]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\nre_tau = 180\nn_cells = 32\n")
+        out = tmp_path / "run"
+        assert cli.run([*args, "--config", str(cfg), "--out", str(out)]) == pipeline.EXIT_OK
+        assert pipeline.read_manifest(out)["settings"][section] == recorded
+
     def test_round_trip(self, tmp_path):
         s = fast_settings()
         pipeline.write_manifest(tmp_path, "baseline", s, {"extra_key": 1})
