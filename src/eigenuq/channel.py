@@ -20,7 +20,7 @@ from scipy.linalg import get_lapack_funcs
 
 from . import features as feat
 from . import perturb, tensors
-from .dns import TARGET_NAMES, DnsProfile, interpolate
+from .dns import TARGET_NAMES, DnsProfile, check_coverage, interpolate
 
 # SST closure constants (standard published set)
 BETA_STAR = 0.09
@@ -236,11 +236,7 @@ class FrozenStressInjection(StressInjection):
             )
 
     def prepare(self, cfg, y):
-        if self.profile.y_plus[-1] < cfg.re_tau * (1 - 1e-9):
-            raise ValueError(
-                f"profile covers y+ up to {self.profile.y_plus[-1]:.4g}, "
-                f"needs [0, {cfg.re_tau:g}]"
-            )
+        check_coverage(self.profile, cfg.re_tau)
         prof = interpolate(self.profile, y)
         uv = prof.uv_plus.copy()
         if self.noise_amplitude > 0.0:

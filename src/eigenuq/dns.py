@@ -45,6 +45,9 @@ class DnsProfile:
 
     def validate(self, slack: float = 1e-8) -> None:
         y = self.y_plus
+        for name in ("y_plus", "U_plus", "uu_plus", "vv_plus", "ww_plus", "uv_plus"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ProfileParseError(f"non-finite value in {name}")
         if np.any(np.diff(y) <= 0) or y[0] < 0:
             raise ProfileParseError("y+ must be strictly increasing from >= 0")
         for name in ("uu_plus", "vv_plus", "ww_plus"):
@@ -163,6 +166,15 @@ PROFILE_COLUMN_MAP = {
     "ww_plus": 5,
     "uv_plus": 6,
 }
+
+
+def check_coverage(profile: DnsProfile, re_tau: float) -> None:
+    """Reject a profile that stops short of the centreline y+ = Re_tau:
+    ``interpolate`` would clamp the rest of the channel to its last row."""
+    if profile.y_plus[-1] < re_tau * (1 - 1e-9):
+        raise ProfileParseError(
+            f"profile covers y+ up to {profile.y_plus[-1]:.4g}, needs [0, {re_tau:g}]"
+        )
 
 
 def interpolate(profile: DnsProfile, y_plus_targets) -> DnsProfile:

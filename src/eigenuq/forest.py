@@ -5,6 +5,11 @@ target dimensions; candidate thresholds are midpoints between
 consecutive sorted unique feature values. Ties break to the lowest
 feature index, then the smallest threshold, so training is fully
 deterministic given (X, Y, hyperparameters).
+
+All trees grow together, one level at a time. Each tree's generator
+draws its bootstrap sample, then one candidate-feature set per node that
+searches for a split, in breadth-first order: level by level, and left
+child before right within a level.
 """
 
 from __future__ import annotations
@@ -87,69 +92,141 @@ class RegressionForest:
         return out / len(self.roots)
 
 
-class _TreeBuilder:
-    """Grows trees into one shared node list, each child after its parent."""
+# Cap on the elements of one block (nodes x rows x candidates x targets):
+# it bounds the transient memory of a level of growth.
+_BLOCK_ELEMENTS = 1 << 14
 
-    def __init__(self, X, Y, hp: ForestHyperparams):
-        self.X, self.Y, self.hp = X, Y, hp
-        self.nodes: list[list] = []  # [feature, threshold, left, right, value]
 
-    def grow(self, rng: np.random.Generator) -> int:
-        """Grow one tree on a bootstrap sample; returns its root."""
-        self.rng = rng
-        n = self.X.shape[0]
-        return self.build(rng.integers(0, n, size=n), depth=0)
+def _blocks(count: np.ndarray, width: int, equal: bool = False):
+    """Yield (nodes, n), largest nodes first: blocks of nodes of at most n
+    rows, each padded to n rows of ``width`` elements, at most
+    ``_BLOCK_ELEMENTS`` elements in all. With ``equal`` every node of a
+    block has n rows: nothing is padded, so numpy sums each node's rows as
+    it sums them for that node alone."""
+    order = np.argsort(-count, kind="stable")
+    desc = count[order]
+    s = 0
+    while s < len(order):
+        n = int(desc[s])
+        e = s + max(1, _BLOCK_ELEMENTS // (n * width))
+        if equal:
+            e = min(e, int(np.searchsorted(-desc, -n, side="right")))
+        yield order[s:e], n
+        s = e
 
-    def build(self, idx: np.ndarray, depth: int) -> int:
-        y = self.Y[idx]
-        row = [-1, 0.0, -1, -1, y.mean(axis=0)]
-        self.nodes.append(row)
-        node = len(self.nodes) - 1
-        if (
-            depth >= self.hp.max_depth
-            or len(idx) < self.hp.min_samples_split
-            or np.all(y.var(axis=0) <= 0.0)
-        ):
-            return node
-        split = self._best_split(idx)
-        if split is None:
-            return node
-        feat, thr = split
-        mask = self.X[idx, feat] <= thr
-        # children appended after the parent; order fixed for determinism
-        row[:4] = feat, thr, self.build(idx[mask], depth + 1), self.build(idx[~mask], depth + 1)
-        return node
 
-    def _best_split(self, idx: np.ndarray):
-        n_feat = self.X.shape[1]
-        cand = np.sort(self.rng.permutation(n_feat)[: self.hp.max_features])
-        best = None
-        best_sse = np.inf
-        for feat in cand:
-            x = self.X[idx, feat]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            ys = self.Y[idx][order]
-            # prefix sums for O(n) SSE of every left/right partition
-            c1 = np.cumsum(ys, axis=0)
-            c2 = np.cumsum(ys * ys, axis=0)
-            tot1, tot2 = c1[-1], c2[-1]
-            n = len(xs)
-            boundaries = np.nonzero(xs[1:] > xs[:-1])[0]  # split after position b
-            if len(boundaries) == 0:
-                continue
-            nl = (boundaries + 1)[:, None]
-            nr = n - nl
-            sse = np.sum(c2[boundaries] - c1[boundaries] ** 2 / nl, axis=1) + np.sum(
-                (tot2 - c2[boundaries]) - (tot1 - c1[boundaries]) ** 2 / nr, axis=1
+def _best_splits(X, Y, rows, count, cand):
+    """The best split of each node of a block: its ``count`` rows, padded to
+    ``rows`` (nodes, n) with copies of its last row, and its ascending
+    candidate features ``cand`` (nodes, m). Returns (feature, threshold),
+    feature -1 where no candidate takes two distinct values."""
+    B, n = rows.shape
+    node = np.arange(B)
+    feat = cand[:, :, None]
+    # padding sorts last, and stably: each node's rows sort as they would alone
+    pad = np.arange(n) >= count[:, None, None]
+    order = np.argsort(np.where(pad, np.inf, X[rows[:, None, :], feat]), axis=2, kind="stable")
+    rows = rows[node[:, None, None], order]  # (nodes, m, n)
+    xs, ys = X[rows, feat], Y[rows]
+    # prefix sums for O(n) SSE of every left/right partition
+    c1 = np.cumsum(ys, axis=2)
+    c2 = np.cumsum(ys * ys, axis=2)
+    tot1, tot2 = c1[node, :, count - 1][:, :, None], c2[node, :, count - 1][:, :, None]
+    c1, c2 = c1[:, :, :-1], c2[:, :, :-1]  # split after position b
+    nl = np.arange(1, n)[:, None]
+    nr = np.maximum(count[:, None, None, None] - nl, 1)  # 1 in the padding
+    sse = np.sum(c2 - c1**2 / nl, axis=3) + np.sum((tot2 - c2) - (tot1 - c1) ** 2 / nr, axis=3)
+    # no boundary lies in the padding: it repeats a value, none above the max
+    boundary = xs[:, :, 1:] > xs[:, :, :-1]
+    sse[~boundary] = np.inf
+    # first minimum = smallest threshold among equal-SSE splits
+    j = np.argmin(sse, axis=2)
+    found = np.any(boundary, axis=2)
+    feature_sse = np.take_along_axis(sse, j[:, :, None], axis=2)[:, :, 0]
+    # a later candidate must beat the best so far by the relative tolerance
+    pick, best = np.full(B, -1), np.full(B, np.inf)
+    for f in range(cand.shape[1]):
+        with np.errstate(invalid="ignore"):  # inf - inf before the first find
+            better = found[:, f] & (
+                (pick < 0) | (feature_sse[:, f] < best - 1e-15 * np.maximum(1.0, best))
             )
-            # first minimum = smallest threshold among equal-SSE splits
-            j = int(np.argmin(sse))
-            if best is None or sse[j] < best_sse - 1e-15 * max(1.0, best_sse):
-                best_sse = float(sse[j])
-                b = boundaries[j]
-                best = (int(feat), float(0.5 * (xs[b] + xs[b + 1])))
-        return best
+        pick = np.where(better, f, pick)
+        best = np.where(better, feature_sse[:, f], best)
+    b = j[node, pick]
+    threshold = 0.5 * (xs[node, pick, b] + xs[node, pick, b + 1])
+    split = pick >= 0
+    return np.where(split, cand[node, pick], -1), np.where(split, threshold, 0.0)
+
+
+def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
+    """Grow all trees together, one level per pass; each tree draws its
+    bootstrap, then one candidate set per searching node in breadth-first
+    order. Returns the node columns feature, threshold, left, right, value
+    and the roots: tree by tree, breadth first within a tree."""
+    n, n_features = X.shape
+    rngs = [np.random.default_rng([hp.seed, t]) for t in range(hp.n_trees)]
+    # the open nodes of a level, ordered by tree, then breadth first;
+    # their rows are concatenated in ``rows``
+    tree = np.arange(hp.n_trees)
+    count = np.full(hp.n_trees, n)
+    rows = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    levels = []  # per level: tree, feature, threshold, value, left child
+    first = 0  # level-order index of the level's first node
+    for depth in range(hp.max_depth + 1):
+        start = np.cumsum(count) - count
+        value = np.empty((len(count), Y.shape[1]))
+        # the stop checks: depth, min_samples_split, constant targets
+        search = (count >= hp.min_samples_split) & (depth < hp.max_depth)
+        for nodes, c in _blocks(count, Y.shape[1], equal=True):
+            y = Y[rows[start[nodes, None] + np.arange(c)]]  # (nodes, c, targets)
+            value[nodes] = y.mean(axis=1)
+            search[nodes] &= ~np.all(y.var(axis=1) <= 0.0, axis=1)
+        feature = np.full(len(count), -1)
+        threshold = np.zeros(len(count))
+        searching = np.flatnonzero(search)
+        if len(searching):
+            # per tree, one row per searching node: bit for bit the draws of
+            # c calls of rng.permutation(n_features)
+            cand = np.concatenate([
+                rngs[t].permuted(np.tile(np.arange(n_features), (c, 1)), axis=1)
+                for t, c in enumerate(np.bincount(tree[searching], minlength=hp.n_trees))
+                if c
+            ])
+            cand = np.sort(cand[:, : hp.max_features], axis=1)
+            for block, c in _blocks(count[searching], hp.max_features * Y.shape[1]):
+                nodes = searching[block]
+                padded = start[nodes, None] + np.minimum(np.arange(c), count[nodes, None] - 1)
+                feature[nodes], threshold[nodes] = _best_splits(
+                    X, Y, rows[padded], count[nodes], cand[block]
+                )
+        # a split node's children are nodes 2r and 2r + 1 of the next level,
+        # r its rank among the level's split nodes; left before right, each
+        # child keeps its parent's row order
+        split = feature >= 0
+        rank = np.cumsum(split) - 1
+        left = np.where(split, first + len(count) + 2 * rank, -1)
+        levels.append((tree, feature, threshold, value, left))
+        first += len(count)
+        if not split.any():
+            break
+        owner = np.repeat(np.arange(len(count)), count)
+        go_left = X[rows, feature[owner]] <= threshold[owner]
+        keep = split[owner]
+        child = 2 * rank[owner[keep]] + ~go_left[keep]
+        rows = rows[keep][np.argsort(child, kind="stable")]
+        count = np.bincount(child, minlength=2 * np.count_nonzero(split))
+        tree = np.repeat(tree[split], 2)
+
+    # level order -> table order: a stable sort by tree keeps each tree
+    # breadth first
+    tree, feature, threshold, value, left = (np.concatenate(c) for c in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    split = feature >= 0
+    left, right = (np.where(split, position[left + side], -1)[order] for side in (0, 1))
+    roots = np.searchsorted(tree[order], np.arange(hp.n_trees))
+    return feature[order], threshold[order], left, right, value[order], roots
 
 
 def fit(
@@ -176,12 +253,10 @@ def fit(
     if hp.max_features > X.shape[1]:
         raise ValueError("max_features exceeds the feature count")
 
-    builder = _TreeBuilder(X, Y, hp)
-    roots = [builder.grow(np.random.default_rng([hp.seed, t])) for t in range(hp.n_trees)]
-    # columns feature, threshold, left, right, value: int, float, int, int, float
+    *columns, roots = _grow(X, Y, hp)
     return RegressionForest(
-        *(np.array(column) for column in zip(*builder.nodes)),
-        roots=np.array(roots),
+        *columns,
+        roots=roots,
         hyperparams=hp,
         feature_names=list(feature_names or []),
         target_names=list(target_names or []),

@@ -10,6 +10,7 @@ file values.
 from __future__ import annotations
 
 import configparser
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, replace
@@ -141,28 +142,33 @@ def load_reference_profile(settings: Settings, re_tau: float) -> dns.DnsProfile:
     """Reference profile for one Re_tau from the [data] section; the
     keyword ``synthetic`` (also the default) builds the bundled
     self-consistent synthetic profile."""
-    key = f"{re_tau:g}"
-    source = settings.data.get(key, "synthetic")
+    source = settings.data.get(f"{re_tau:g}", "synthetic")
     if source == "synthetic":
         return dns.synthetic_profile(re_tau)
-    if not os.path.exists(source):
-        raise DataError(f"reference profile for Re_tau={key} not found: {source}")
+    return read_reference_profile(source, re_tau)
+
+
+def read_reference_profile(path, re_tau: float) -> dns.DnsProfile:
+    """A profile file that is well formed and covers the half channel at
+    ``re_tau``; DataError (exit 4) otherwise."""
+    if not os.path.exists(path):
+        raise DataError(f"reference profile for Re_tau={re_tau:g} not found: {path}")
     try:
-        return dns.load_profile(source, re_tau=re_tau)
+        profile = dns.load_profile(path, re_tau=re_tau)
+        dns.check_coverage(profile, re_tau)
     except dns.ProfileParseError as e:
         raise DataError(str(e)) from e
+    return profile
 
 
 # ---------------------------------------------------------------------------
 # manifest plumbing
 
 
-def write_manifest(out_dir, command, settings: Settings, extra=None) -> None:
-    doc = {
-        "tool_version": __version__,
-        "command": command,
-        "settings": asdict(settings),
-    }
+def write_manifest(out_dir, command, settings: Settings, extra=None, sections=None) -> None:
+    """``sections``: the settings sections to record, all by default."""
+    recorded = {k: v for k, v in asdict(settings).items() if sections is None or k in sections}
+    doc = {"tool_version": __version__, "command": command, "settings": recorded}
     doc.update(extra or {})
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
@@ -336,7 +342,8 @@ def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
 def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
     mode = _get(settings.uq, "mode", str, "uq")
     env = run_uq(settings, mode, forest_path, delta_b)
-    # the manifest records only the [uq] settings this mode ran with
+    # the manifest records only the settings this mode ran with: [channel]
+    # and the [uq] keys it takes
     takes = channel.PerturbationInjection.TAKES[mode]
     ran = replace(settings, uq={k: v for k, v in settings.uq.items() if k == "mode" or k in takes})
     _ensure_out(out_dir)
@@ -359,17 +366,19 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
     violations = count_realizability_violations(env.baseline) + sum(
         count_realizability_violations(s) for s in env.corner_states.values()
     )
-    write_manifest(
-        out_dir,
-        "uq",
-        ran,
-        {
-            "mode": mode,
-            "integrated_width": env.integrated_width(),
-            "realizability_violations": violations,
-            "iterations": {c: s.iterations for c, s in env.corner_states.items()},
-        },
-    )
+    extra = {
+        "mode": mode,
+        "integrated_width": env.integrated_width(),
+        "realizability_violations": violations,
+        "iterations": {c: s.iterations for c, s in env.corner_states.items()},
+    }
+    if forest_path is not None:
+        # the base name: the same forest read from another directory
+        # gives the same manifest
+        with open(forest_path, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        extra["forest"] = {"file": os.path.basename(forest_path), "sha256": digest}
+    write_manifest(out_dir, "uq", ran, extra, sections=("channel", "uq"))
     return EXIT_OK
 
 
@@ -378,12 +387,7 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
     noise = _get(settings.propagate, "noise", float, "propagate")
     seed = _get(settings.propagate, "noise_seed", int, "propagate")
     if dns_path is not None:
-        if not os.path.exists(dns_path):
-            raise DataError(f"reference profile not found: {dns_path}")
-        try:
-            profile = dns.load_profile(dns_path, re_tau=cfg.re_tau)
-        except dns.ProfileParseError as e:
-            raise DataError(str(e)) from e
+        profile = read_reference_profile(dns_path, cfg.re_tau)
     else:
         profile = load_reference_profile(settings, cfg.re_tau)
     try:
@@ -392,10 +396,7 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    try:
-        state = channel.solve_with_injection(cfg, injection)
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    state = channel.solve_with_injection(cfg, injection)
     ref = dns.interpolate(profile, state.y_plus)
     num = np.linalg.norm(state.U_plus - ref.U_plus)
     den = np.linalg.norm(ref.U_plus)

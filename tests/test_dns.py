@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenuq import channel, dns
 from eigenuq.dns import ProfileParseError
@@ -73,6 +75,89 @@ class TestWriteLoadRoundTrip:
         )
         assert np.allclose(back.U_plus, prof.U_plus, atol=1e-9)
         assert np.allclose(back.uu_plus, 0.0)
+
+
+PROFILE_FIELDS = ("y_plus", "U_plus", "uu_plus", "vv_plus", "ww_plus", "uv_plus")
+
+
+def assert_valid(prof):
+    prof.validate()
+    for name in PROFILE_FIELDS:
+        assert np.all(np.isfinite(getattr(prof, name))), name
+
+
+class TestProfileProperties:
+    """A profile file either fails with ProfileParseError (exit 4 through
+    the CLI) or parses to a profile that ``validate`` accepts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_points=st.integers(2, 10),
+        corruption=st.sampled_from(
+            ["none", "unsorted", "nan", "inf", "word", "ragged", "repeated_y",
+             "unrealizable", "negative_normal"]
+        ),
+        data=st.data(),
+    )
+    def test_written_profile_with_one_defect(self, tmp_path_factory, n_points, corruption, data):
+        path = tmp_path_factory.mktemp("profile") / "ref.dat"
+        prof = dns.synthetic_profile(180.0, n_points=n_points)
+        dns.write_profile(prof, path)
+        lines = path.read_text().splitlines()
+        header, rows = lines[:2], [line.split() for line in lines[2:]]
+        i = data.draw(st.integers(0, n_points - 1), label="row")
+        # columns 1-6 are read into the profile; column 0 (y/delta) is not
+        j = data.draw(st.integers(1, 6), label="column")
+        if corruption == "unsorted":
+            rows = data.draw(st.permutations(rows), label="order")
+        elif corruption in ("nan", "inf", "word"):
+            rows[i][j] = data.draw(
+                st.sampled_from(
+                    {"nan": ["nan", "NaN", "-nan"], "inf": ["inf", "-inf", "Infinity", "1e999"],
+                     "word": ["abc", "1,5", "--1"]}[corruption]
+                ),
+                label="token",
+            )
+        elif corruption == "ragged":
+            del rows[i][j]
+        elif corruption == "repeated_y":
+            rows.insert(i, list(rows[i]))
+        elif corruption == "unrealizable":
+            rows[i][6] = repr(2.0 * np.sqrt(float(rows[i][3]) * float(rows[i][4])) + 1.0)
+        elif corruption == "negative_normal":
+            rows[i][3 + j % 3] = "-1.0"
+        path.write_text("\n".join(header + [" ".join(row) for row in rows]) + "\n")
+        try:
+            back = dns.load_profile(path, re_tau=180.0)
+        except ProfileParseError:
+            assert corruption not in ("none", "unsorted")
+            return
+        assert corruption in ("none", "unsorted"), corruption
+        assert_valid(back)
+        assert np.allclose(back.y_plus, prof.y_plus, rtol=1e-11)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(-2.0, 200.0).map(repr),
+                    st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "0"]),
+                ),
+                min_size=1,
+                max_size=5,
+            ),
+            max_size=6,
+        ),
+    )
+    def test_arbitrary_tokens(self, rows):
+        text = "\n".join(" ".join(row) for row in rows)
+        column_map = {"y_plus": 0, "uu_plus": 1, "vv_plus": 2, "uv_plus": 3}
+        try:
+            prof = dns.parse_profile(text, column_map, re_tau=180.0)
+        except ProfileParseError:
+            return
+        assert_valid(prof)
 
 
 class TestInterpolate:

@@ -1,4 +1,6 @@
 import json
+from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,65 @@ def toy_data(n=400, seed=7):
 
 
 HP = ForestHyperparams(max_depth=6, min_samples_split=4, max_features=3, n_trees=20)
+
+
+def assert_saves_the_same(fitted, expected, out):
+    forest.save(fitted, out / "fit.json")
+    forest.save(expected, out / "expected.json")
+    assert (out / "fit.json").read_bytes() == (out / "expected.json").read_bytes()
+
+
+def reference_split(X, Y, idx, cand):
+    """One node's split search, one candidate feature at a time."""
+    best, best_sse = None, np.inf
+    for feat in np.sort(cand):
+        order = np.argsort(X[idx, feat], kind="stable")
+        xs, ys = X[idx, feat][order], Y[idx][order]
+        c1, c2 = np.cumsum(ys, axis=0), np.cumsum(ys * ys, axis=0)
+        b = np.nonzero(xs[1:] > xs[:-1])[0]
+        if len(b) == 0:
+            continue
+        nl = (b + 1)[:, None]
+        nr = len(xs) - nl
+        sse = np.sum(c2[b] - c1[b] ** 2 / nl, axis=1) + np.sum(
+            (c2[-1] - c2[b]) - (c1[-1] - c1[b]) ** 2 / nr, axis=1
+        )
+        j = int(np.argmin(sse))
+        if best is None or sse[j] < best_sse - 1e-15 * max(1.0, best_sse):
+            best_sse, best = float(sse[j]), (int(feat), float(0.5 * (xs[b[j]] + xs[b[j] + 1])))
+    return best
+
+
+def reference_fit(X, Y, hp):
+    """``forest.fit`` one node at a time, each tree breadth first from a queue."""
+    nodes, roots = [], []  # node: [feature, threshold, left, right, value]
+    for t in range(hp.n_trees):
+        rng = np.random.default_rng([hp.seed, t])
+        roots.append(len(nodes))
+        queue = deque([(rng.integers(0, len(X), size=len(X)), 0)])
+        while queue:
+            idx, depth = queue.popleft()
+            y = Y[idx]
+            nodes.append([-1, 0.0, -1, -1, y.mean(axis=0)])
+            if (
+                depth >= hp.max_depth
+                or len(idx) < hp.min_samples_split
+                or np.all(y.var(axis=0) <= 0.0)
+            ):
+                continue
+            split = reference_split(X, Y, idx, rng.permutation(X.shape[1])[: hp.max_features])
+            if split is None:
+                continue
+            mask = X[idx, split[0]] <= split[1]
+            given = len(nodes) + len(queue)  # the children's indices, first in first out
+            nodes[-1][:4] = *split, given, given + 1
+            queue += [(idx[mask], depth + 1), (idx[~mask], depth + 1)]
+    return forest.RegressionForest(
+        *(np.array(column) for column in zip(*nodes)),
+        roots=np.array(roots),
+        hyperparams=hp,
+        n_features=X.shape[1],
+    )
 
 
 class TestHyperparams:
@@ -116,6 +177,54 @@ class TestFit:
         assert batch.shape == (len(Q), n_targets)
         for i, q in enumerate(Q):
             assert np.array_equal(batch[i], fitted.predict_one(q)), i
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 300),
+        n_features=st.integers(1, 5),
+        n_targets=st.integers(1, 5),
+        feature_levels=st.sampled_from([1, 2, 5, 40, 10**6]),
+        target_levels=st.sampled_from([1, 2, 4, None]),
+        max_depth=st.integers(1, 10),
+        min_samples_split=st.integers(1, 6),
+        n_trees=st.integers(1, 4),
+        block_elements=st.sampled_from([1, 50, 1000, forest._BLOCK_ELEMENTS]),
+        data=st.data(),
+    )
+    def test_fit_matches_breadth_first_reference(
+        self, tmp_path_factory, seed, n_rows, n_features, n_targets, feature_levels,
+        target_levels, max_depth, min_samples_split, n_trees, block_elements, data,
+    ):
+        # few feature levels give duplicate values, few target levels constant
+        # or quantized targets; small blocks split every size across blocks
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, feature_levels, size=(n_rows, n_features)) / feature_levels
+        if target_levels is None:
+            Y = rng.normal(size=(n_rows, n_targets))
+        else:
+            Y = rng.integers(0, target_levels, size=(n_rows, n_targets)) * 0.3
+        hp = ForestHyperparams(
+            max_depth=max_depth,
+            min_samples_split=min_samples_split,
+            max_features=data.draw(st.integers(1, n_features), label="max_features"),
+            n_trees=n_trees,
+            seed=seed,
+        )
+        with mock.patch.object(forest, "_BLOCK_ELEMENTS", block_elements):
+            fitted = forest.fit(X, Y, hp)
+        assert_saves_the_same(fitted, reference_fit(X, Y, hp), tmp_path_factory.mktemp("fit"))
+
+    def test_default_training_size_matches_reference(self, tmp_path):
+        # 764 rows, as the default training sets have: several blocks per level
+        rng = np.random.default_rng(5)
+        X = rng.uniform(size=(764, 6))
+        X[:, 0] = np.round(X[:, 0], 1)
+        Y = np.column_stack([np.sin(4 * X[:, 1]), X[:, 0] * X[:, 2], np.round(X[:, 3], 1)])
+        hp = ForestHyperparams(max_depth=9, min_samples_split=4, max_features=3, n_trees=3)
+        for targets in (Y[:, :1], Y):
+            assert_saves_the_same(forest.fit(X, targets, hp), reference_fit(X, targets, hp), tmp_path)
 
 
 def saved_doc(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -334,6 +335,31 @@ class TestCli:
         assert r"split feature outside [-1, 6)" in proc.stderr
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("defect", ["truncated", "nan"])
+    def test_bad_training_profile_exit_four(self, tmp_path, defect):
+        prof = dns.synthetic_profile(180.0)
+        path = tmp_path / "ref.dat"
+        dns.write_profile(prof, path)
+        lines = path.read_text().splitlines()
+        if defect == "truncated":  # rows up to y+ = 60 of 180
+            lines = lines[:2] + lines[2:][: int(np.searchsorted(prof.y_plus, 60.0, "right"))]
+        else:
+            lines[10] = lines[10].replace(lines[10].split()[6], "nan")
+        path.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            "[channel]\nn_cells = 32\n"
+            "[train]\ntrain_re_tau = 180\nholdout_re_tau = 180\n"
+            f"[data]\n180 = {path}\n"
+        )
+        proc = self.run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert proc.returncode == 4, proc.stderr
+        assert "data error" in proc.stderr
+        assert {"truncated": "covers y+ up to", "nan": "non-finite value in uv_plus"}[defect] in (
+            proc.stderr
+        )
+        assert not (tmp_path / "d").exists()
+
     def test_seed_flag_reaches_both_sections(self):
         parser = cli.build_parser()
         args = parser.parse_args(["train", "--out", "x", "--seed", "7"])
@@ -368,6 +394,29 @@ class TestManifest:
         out = tmp_path / "run"
         assert cli.run([*args, "--config", str(cfg), "--out", str(out)]) == pipeline.EXIT_OK
         assert pipeline.read_manifest(out)["settings"][section] == recorded
+
+    def test_uq_records_the_forest_it_ran_with(self, tmp_path):
+        rng = np.random.default_rng(0)
+        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
+        path = tmp_path / "a" / "forest.json"
+        path.parent.mkdir()
+        forest.save(forest.fit(rng.uniform(size=(20, 6)), np.zeros((20, 5)), hp), path)
+        copy = tmp_path / "b" / "forest.json"
+        copy.parent.mkdir()
+        copy.write_bytes(path.read_bytes())
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\nre_tau = 180\nn_cells = 32\n")
+        for forest_path, out in ((path, tmp_path / "run_a"), (copy, tmp_path / "run_b")):
+            args = ["uq", "--mode", "pcorr_angles", "--forest", str(forest_path)]
+            assert cli.run([*args, "--config", str(cfg), "--out", str(out)]) == pipeline.EXIT_OK
+        man = pipeline.read_manifest(tmp_path / "run_a")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert man["forest"] == {"file": "forest.json", "sha256": digest}
+        assert sorted(man["settings"]) == ["channel", "uq"]
+        # the same forest in another directory: the same manifest
+        assert (tmp_path / "run_a" / "manifest.json").read_bytes() == (
+            tmp_path / "run_b" / "manifest.json"
+        ).read_bytes()
 
     def test_round_trip(self, tmp_path):
         s = fast_settings()
