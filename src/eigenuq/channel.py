@@ -12,8 +12,7 @@ production term P_k = -tau*_xy dU/dy back into the turbulence model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import SimpleNamespace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -84,10 +83,14 @@ class ChannelState:
     omega_plus: np.ndarray
     nu_t_plus: np.ndarray
     dUdy_plus: np.ndarray
-    minus_uv_plus: np.ndarray  # shear stress actually used in momentum
-    tau: np.ndarray  # (n, 3, 3) Reynolds stress per node
+    # set once the solve ends; None on the iterates handed to an injection
+    minus_uv_plus: np.ndarray | None = None  # shear stress actually used in momentum
+    tau: np.ndarray | None = None  # (n, 3, 3) Reynolds stress per node
     residual_history: list[float] = field(default_factory=list)
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
     @property
     def centerline_U(self) -> float:
@@ -121,12 +124,16 @@ def make_grid(re_tau: float, n_nodes: int, y1: float) -> np.ndarray:
 
 
 class _Grid:
-    """The nodes of one solve, their spacings and the stencil of numpy's
-    gradient, built once with numpy's formulas: ``grad(f)`` equals
-    numpy's ``gradient(f, y)`` bit for bit, uniform-spacing branch too."""
+    """The nodes of one solve, their spacings, the stencil of numpy's
+    gradient and the wall-distance terms of the closure, built once with
+    numpy's formulas: ``grad(f)`` equals numpy's ``gradient(f, y)`` bit
+    for bit, uniform-spacing branch too."""
 
     def __init__(self, y):
         self.y = y
+        self.yp = np.maximum(y, 1e-30)
+        self.yp2 = self.yp**2
+        self.om_wall = 60.0 / (BETA_1 * y[1] ** 2)
         self.h = h = np.diff(y)
         self.delta = delta = 0.5 * (h[:-1] + h[1:])
         # denominators of the transport and divergence stencils
@@ -238,7 +245,7 @@ class FrozenStressInjection(StressInjection):
     def prepare(self, cfg, y):
         check_coverage(self.profile, cfg.re_tau)
         prof = interpolate(self.profile, y)
-        uv = prof.uv_plus.copy()
+        uv = prof.uv_plus
         if self.noise_amplitude > 0.0:
             uv = uv * (1.0 + self.noise_amplitude * _roughness_noise(y, self.noise_seed))
         self._tau = tensors.stress_stack(
@@ -317,14 +324,14 @@ class PerturbationInjection(StressInjection):
 # solver
 
 
-def _init_state(y, re_tau):
-    yp = np.maximum(y, 1e-30)
+def _init_state(grid):
+    y, yp = grid.y, grid.yp
     U = (1.0 / KAPPA) * np.log1p(KAPPA * y) + 7.8 * (
         1.0 - np.exp(-y / 11.0) - (y / 11.0) * np.exp(-y / 3.0)
     )
     k = 0.01 + 3.2 * (1.0 - np.exp(-y / 25.0)) ** 2
     k[0] = 0.0
-    om_vis = 6.0 / (BETA_1 * yp**2)
+    om_vis = 6.0 / (BETA_1 * grid.yp2)
     om_log = 1.0 / (np.sqrt(BETA_STAR) * KAPPA * yp)
     om = np.sqrt(om_vis**2 + om_log**2)
     nu_t = k / np.maximum(om, OMEGA_FLOOR)
@@ -357,148 +364,127 @@ def solve_with_injection(cfg: ChannelConfig, injection: StressInjection) -> Chan
     return _solve(cfg, injection=injection)
 
 
+def _sweep(grid, state, minus_uv, ur):
+    """One outer iteration: the relaxed U -> k -> omega -> nu_t update
+    of ``state`` under the shear stress ``minus_uv`` (-u'v'*; None for
+    the eddy-viscosity closure), with under-relaxation factor ``ur``.
+
+    Returns a new ChannelState; every array of ``state`` stays intact.
+    """
+    U, k, om, nu_t = state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus
+    dudy = state.dUdy_plus
+    n = len(grid.y)
+
+    # momentum: implicit eddy diffusion plus, for injected modes, a
+    # deferred correction so the converged shear is
+    # dU/dy + (-u'v'*). The shear-aligned part of the injected
+    # stress is folded into an effective viscosity and treated
+    # implicitly, which keeps strongly amplified stresses stable.
+    src_u = np.full(n, 1.0 / state.re_tau)
+    if minus_uv is None:
+        nu_mid = _mid(nu_t)
+    else:
+        # any nonnegative nu_eff yields the same fixed point (the
+        # deferred correction cancels it at convergence), so the
+        # ratio is regularized and capped for stability
+        ratio = minus_uv * dudy / (dudy**2 + 1e-8)
+        nu_mid = _mid(np.clip(ratio, 0.0, 1e5))
+        src_u -= _face_divergence(grid, nu_mid * np.diff(U) / grid.h - _mid(minus_uv))
+    U_new = _transport_solve(grid, 1.0 + nu_mid, np.zeros(n), src_u, 0.0)
+    U_next = U + ur * (U_new - U)
+    dudy = grid.grad(U_next)
+
+    dkdy = grid.grad(k)
+    domdy = grid.grad(om)
+    om_s = np.maximum(om, OMEGA_FLOOR)
+    f1, f2 = _blending(grid.yp, grid.yp2, k, om_s, dkdy, domdy)
+    sigma_k = f1 * SIGMA_K1 + (1.0 - f1) * SIGMA_K2
+    sigma_w = f1 * SIGMA_W1 + (1.0 - f1) * SIGMA_W2
+    beta = f1 * BETA_1 + (1.0 - f1) * BETA_2
+    gamma_c = f1 * GAMMA_1 + (1.0 - f1) * GAMMA_2
+
+    pk = nu_t * dudy**2 if minus_uv is None else minus_uv * dudy
+    pk = np.minimum(pk, 10.0 * BETA_STAR * k * om)
+
+    # k transport
+    gamma_k = 1.0 + _mid(sigma_k * nu_t)
+    k_new = _transport_solve(grid, gamma_k, -BETA_STAR * om_s, pk, 0.0)
+    k_next = np.maximum(k + ur * (k_new - k), 0.0)
+    k_next[0] = 0.0
+
+    # omega transport
+    gamma_w = 1.0 + _mid(sigma_w * nu_t)
+    prod_w = gamma_c * dudy**2
+    cross = 2.0 * (1.0 - f1) * SIGMA_W2 / om_s * dkdy * domdy
+    om_new = _transport_solve(grid, gamma_w, -beta * om_s, prod_w + cross, grid.om_wall)
+    om_next = np.maximum(om + ur * (om_new - om), OMEGA_FLOOR)
+
+    nu_t_new = A1 * k_next / np.maximum(A1 * om_next, np.abs(dudy) * f2)
+    nu_t_next = np.maximum(nu_t + ur * (nu_t_new - nu_t), 0.0)
+    return ChannelState(state.re_tau, state.y_plus, U_next, k_next, om_next, nu_t_next, dudy)
+
+
+def _relative_change(old, new):
+    """Largest change of U, k and omega from ``old`` to ``new``, each
+    relative to the larger of 1 and its new maximum."""
+    # np.max, unlike max(), keeps a NaN in any place
+    return np.max([
+        np.max(np.abs(new.U_plus - old.U_plus)) / max(1.0, np.max(np.abs(new.U_plus))),
+        np.max(np.abs(new.k_plus - old.k_plus)) / max(1.0, np.max(new.k_plus)),
+        np.max(np.abs(new.omega_plus - old.omega_plus)) / max(1.0, np.max(new.omega_plus)),
+    ])
+
+
 def _solve(cfg, injection):
     grid = _Grid(make_grid(cfg.re_tau, cfg.n_cells, cfg.stretch))
-    y, h = grid.y, grid.h
-    n = len(y)
+    U, k, om, nu_t = _init_state(grid)
+    state = ChannelState(cfg.re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
     ur = 0.8 if injection is None else 0.5
-
-    U, k, om, nu_t = _init_state(y, cfg.re_tau)
     if injection is not None:
-        injection.prepare(cfg, y)
+        injection.prepare(cfg, grid.y)
 
-    minus_uv_star = None
-    tau_star = None
-    residuals = []
-    om_wall = 60.0 / (BETA_1 * y[1] ** 2)
     # steady fully developed momentum bounds the turbulent shear stress
     # by the total-stress line
-    shear_cap = 1.0 - y / cfg.re_tau
+    shear_cap = 1.0 - grid.y / cfg.re_tau
+    minus_uv = tau = best_snap = None
+    residuals = []
     frozen = False
-    best_res = np.inf
-    best_it = 0
-    best_snap = None
-    no_sink = np.zeros(n)
-    src_const = np.full(n, 1.0 / cfg.re_tau)
-    yp = np.maximum(y, 1e-30)
-    yp2 = yp**2
-
-    dudy = grid.grad(U)
+    best_res, best_it = np.inf, 0
     for it in range(cfg.max_iters):
-        # every update below binds new arrays, so the old ones stay intact
-        U_old, k_old, om_old = U, k, om
-
         if injection is not None and not frozen:
-            arrays = SimpleNamespace(
-                re_tau=cfg.re_tau, y_plus=y, U_plus=U, k_plus=k,
-                omega_plus=om, nu_t_plus=nu_t, dUdy_plus=dudy,
-            )
-            ts = injection.compute(arrays)
-            m_new = -ts[:, 0, 1]
+            tau = injection.compute(state)
+            m_new = -tau[:, 0, 1]
             if injection.cap_shear:
                 m_new = np.minimum(m_new, shear_cap)
-            if minus_uv_star is None:
-                minus_uv_star = m_new
+            if minus_uv is None:
+                minus_uv = m_new
             else:
-                minus_uv_star = (
-                    (1.0 - STRESS_RELAX) * minus_uv_star + STRESS_RELAX * m_new
-                )
-            tau_star = ts
+                minus_uv = (1.0 - STRESS_RELAX) * minus_uv + STRESS_RELAX * m_new
 
-        # momentum: implicit eddy diffusion plus, for injected modes, a
-        # deferred correction so the converged shear is
-        # dU/dy + (-u'v'*). The shear-aligned part of the injected
-        # stress is folded into an effective viscosity and treated
-        # implicitly, which keeps strongly amplified stresses stable.
-        if injection is None:
-            nu_eff = nu_t
-        else:
-            # any nonnegative nu_eff yields the same fixed point (the
-            # deferred correction cancels it at convergence), so the
-            # ratio is regularized and capped for stability
-            ratio = minus_uv_star * dudy / (dudy**2 + 1e-8)
-            nu_eff = np.clip(ratio, 0.0, 1e5)
-        nu_mid = _mid(nu_eff)
-        src_u = src_const
-        if injection is not None:
-            g_mid = nu_mid * np.diff(U) / h - _mid(minus_uv_star)
-            src_u = src_u - _face_divergence(grid, g_mid)
-        U_new = _transport_solve(grid, 1.0 + nu_mid, no_sink, src_u, 0.0)
-        U = U_old + ur * (U_new - U_old)
-        dudy = grid.grad(U)
-
-        dkdy = grid.grad(k)
-        domdy = grid.grad(om)
-        om_s = np.maximum(om, OMEGA_FLOOR)
-        f1, f2 = _blending(yp, yp2, k, om_s, dkdy, domdy)
-        sigma_k = f1 * SIGMA_K1 + (1.0 - f1) * SIGMA_K2
-        sigma_w = f1 * SIGMA_W1 + (1.0 - f1) * SIGMA_W2
-        beta = f1 * BETA_1 + (1.0 - f1) * BETA_2
-        gamma_c = f1 * GAMMA_1 + (1.0 - f1) * GAMMA_2
-
-        if injection is None:
-            pk = np.minimum(nu_t * dudy**2, 10.0 * BETA_STAR * k * om)
-        else:
-            pk = minus_uv_star * dudy
-            pk = np.minimum(pk, 10.0 * BETA_STAR * k * om)
-
-        # k transport
-        gamma_k = 1.0 + _mid(sigma_k * nu_t)
-        k_new = _transport_solve(grid, gamma_k, -BETA_STAR * om_s, pk, 0.0)
-        k = k_old + ur * (k_new - k_old)
-        k = np.maximum(k, 0.0)
-        k[0] = 0.0
-
-        # omega transport
-        gamma_w = 1.0 + _mid(sigma_w * nu_t)
-        prod_w = gamma_c * dudy**2
-        cross = 2.0 * (1.0 - f1) * SIGMA_W2 / om_s * dkdy * domdy
-        om_new = _transport_solve(grid, gamma_w, -beta * om_s, prod_w + cross, om_wall)
-        om = om_old + ur * (om_new - om_old)
-        om = np.maximum(om, OMEGA_FLOOR)
-
-        sbar = np.abs(dudy)
-        nu_t_new = A1 * k / np.maximum(A1 * om, sbar * f2)
-        nu_t = nu_t + ur * (nu_t_new - nu_t)
-        nu_t = np.maximum(nu_t, 0.0)
-
-        scale_u = max(1.0, np.max(np.abs(U)))
-        scale_k = max(1.0, np.max(k))
-        scale_om = max(1.0, np.max(om))
-        # np.max, unlike max(), keeps a NaN in any place
-        res = np.max([
-            np.max(np.abs(U - U_old)) / scale_u,
-            np.max(np.abs(k - k_old)) / scale_k,
-            np.max(np.abs(om - om_old)) / scale_om,
-        ])
+        new = _sweep(grid, state, minus_uv, ur)
+        res = _relative_change(state, new)
+        state = new
         residuals.append(res)
         if not np.isfinite(res):
             raise SolverError(f"NaN/Inf detected at iteration {it}", residuals)
         if res < cfg.residual_tol and it > 5:
             break
-        if injection is not None:
-            if res < FREEZE_IMPROVE * best_res:
-                best_res = res
-                best_it = it
-                if not frozen:
-                    best_snap = (
-                        minus_uv_star.copy(), tau_star.copy(), U.copy(),
-                        k.copy(), om.copy(), nu_t.copy(),
-                    )
-            elif not frozen and it - best_it > FREEZE_STALL:
-                # marginally stable stress coupling: freeze the stress at
-                # the closest-approach iterate and converge against it
-                minus_uv_star, tau_star, U, k, om, nu_t = (
-                    a.copy() for a in best_snap
-                )
-                dudy = grid.grad(U)
-                frozen = True
-                best_res = np.inf
-                best_it = it
-            elif frozen and it - best_it > POST_FREEZE_STALL and ur > 0.15:
-                ur *= 0.5
-                best_res = np.inf
-                best_it = it
+        if injection is None:
+            continue
+        # sweeps never write into a state, so a snapshot is a reference
+        if res < FREEZE_IMPROVE * best_res:
+            best_res, best_it = res, it
+            if not frozen:
+                best_snap = (minus_uv, tau, state)
+        elif not frozen and it - best_it > FREEZE_STALL:
+            # marginally stable stress coupling: freeze the stress at
+            # the closest-approach iterate and converge against it
+            minus_uv, tau, state = best_snap
+            frozen = True
+            best_res, best_it = np.inf, it
+        elif frozen and it - best_it > POST_FREEZE_STALL and ur > 0.15:
+            ur *= 0.5
+            best_res, best_it = np.inf, it
     else:
         raise SolverError(
             f"no convergence after {cfg.max_iters} iterations "
@@ -506,29 +492,13 @@ def _solve(cfg, injection):
             residuals,
         )
 
-    if minus_uv_star is None:
-        minus_uv = nu_t * dudy
-    else:
-        minus_uv = minus_uv_star
-
     # report the injected stresses themselves (realizable by
     # construction); minus_uv_plus carries the relaxed/capped shear the
     # momentum equation actually used
-    tau = tau_star if tau_star is not None else tensors.boussinesq(k, nu_t, dudy)
-
-    return ChannelState(
-        re_tau=cfg.re_tau,
-        y_plus=y,
-        U_plus=U,
-        k_plus=k,
-        omega_plus=om,
-        nu_t_plus=nu_t,
-        dUdy_plus=dudy,
-        minus_uv_plus=minus_uv,
-        tau=tau,
-        residual_history=residuals,
-        iterations=len(residuals),
-    )
+    if minus_uv is None:
+        minus_uv = state.nu_t_plus * state.dUdy_plus
+        tau = tensors.boussinesq(state.k_plus, state.nu_t_plus, state.dUdy_plus)
+    return replace(state, minus_uv_plus=minus_uv, tau=tau, residual_history=residuals)
 
 
 def total_shear_error(state: ChannelState) -> float:

@@ -24,6 +24,10 @@ class ProfileParseError(ValueError):
     pass
 
 
+# tolerance of the profile checks on stresses in wall units
+_STRESS_SLACK = 1e-8
+
+
 @dataclass
 class DnsProfile:
     re_tau: float
@@ -36,6 +40,8 @@ class DnsProfile:
     y_delta: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        if not (np.isfinite(self.re_tau) and self.re_tau > 0):
+            raise ProfileParseError(f"Re_tau must be finite and positive, got {self.re_tau}")
         if self.y_delta is None:
             self.y_delta = self.y_plus / self.re_tau
 
@@ -43,7 +49,7 @@ class DnsProfile:
     def k_plus(self) -> np.ndarray:
         return 0.5 * (self.uu_plus + self.vv_plus + self.ww_plus)
 
-    def validate(self, slack: float = 1e-8) -> None:
+    def validate(self) -> None:
         y = self.y_plus
         for name in ("y_plus", "U_plus", "uu_plus", "vv_plus", "ww_plus", "uv_plus"):
             if not np.all(np.isfinite(getattr(self, name))):
@@ -51,9 +57,9 @@ class DnsProfile:
         if np.any(np.diff(y) <= 0) or y[0] < 0:
             raise ProfileParseError("y+ must be strictly increasing from >= 0")
         for name in ("uu_plus", "vv_plus", "ww_plus"):
-            if np.any(getattr(self, name) < -slack):
+            if np.any(getattr(self, name) < -_STRESS_SLACK):
                 raise ProfileParseError(f"negative normal stress in {name}")
-        bad = self.uv_plus**2 > self.uu_plus * self.vv_plus + slack
+        bad = self.uv_plus**2 > self.uu_plus * self.vv_plus + _STRESS_SLACK
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ProfileParseError(
@@ -127,9 +133,7 @@ def parse_profile(stream, column_map: dict[str, int], re_tau: float) -> DnsProfi
     return prof
 
 
-def load_profile(
-    path, column_map: dict[str, int] | None = None, re_tau: float = 0.0
-) -> DnsProfile:
+def load_profile(path, re_tau: float, column_map: dict[str, int] | None = None) -> DnsProfile:
     """Read a profile file; ``column_map`` defaults to the layout
     produced by :func:`write_profile`."""
     if column_map is None:
@@ -142,35 +146,22 @@ def write_profile(profile: DnsProfile, path) -> None:
     with open(path, "w") as f:
         f.write(f"% channel profile, Re_tau = {profile.re_tau:g}\n")
         f.write("% y/delta  y+  U+  uu+  vv+  ww+  uv+\n")
-        cols = np.column_stack(
-            [
-                profile.y_delta,
-                profile.y_plus,
-                profile.U_plus,
-                profile.uu_plus,
-                profile.vv_plus,
-                profile.ww_plus,
-                profile.uv_plus,
-            ]
-        )
-        for row in cols:
+        for row in np.column_stack([getattr(profile, name) for name in _COLUMNS]):
             f.write(" ".join(f"{v:.12e}" for v in row) + "\n")
 
 
-PROFILE_COLUMN_MAP = {
-    "y_delta": 0,
-    "y_plus": 1,
-    "U_plus": 2,
-    "uu_plus": 3,
-    "vv_plus": 4,
-    "ww_plus": 5,
-    "uv_plus": 6,
-}
+# the layout write_profile writes
+PROFILE_COLUMN_MAP = {name: col for col, name in enumerate(_COLUMNS)}
 
 
 def check_coverage(profile: DnsProfile, re_tau: float) -> None:
-    """Reject a profile that stops short of the centreline y+ = Re_tau:
-    ``interpolate`` would clamp the rest of the channel to its last row."""
+    """Reject a profile that starts above the wall or stops short of the
+    centreline y+ = Re_tau: ``interpolate`` would clamp the uncovered
+    part of the channel to the nearest row."""
+    if profile.y_plus[0] > re_tau * 1e-9:
+        raise ProfileParseError(
+            f"profile starts at y+ = {profile.y_plus[0]:.4g}, needs [0, {re_tau:g}]"
+        )
     if profile.y_plus[-1] < re_tau * (1 - 1e-9):
         raise ProfileParseError(
             f"profile covers y+ up to {profile.y_plus[-1]:.4g}, needs [0, {re_tau:g}]"
@@ -179,9 +170,10 @@ def check_coverage(profile: DnsProfile, re_tau: float) -> None:
 
 def interpolate(profile: DnsProfile, y_plus_targets) -> DnsProfile:
     """Monotone piecewise-cubic (no overshoot) interpolation onto a new
-    grid. Targets slightly outside the data range but within
-    [0, Re_tau] are clamped to the boundary values; anything beyond is
-    an extrapolation error."""
+    grid. Targets within [0, Re_tau] but outside the data range are
+    clamped to the boundary values; on a profile that passed
+    ``check_coverage`` that is only roundoff at the wall and the
+    centreline. Targets outside [0, Re_tau] are an extrapolation error."""
     t = np.asarray(y_plus_targets, dtype=float)
     if np.any(t < -1e-12) or np.any(t > profile.re_tau * (1 + 1e-12)):
         raise ValueError("interpolation targets outside [0, Re_tau]")

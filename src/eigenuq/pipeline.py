@@ -25,6 +25,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_DATA = 4
 
+# eigenvalue slack, relative to the trace, of a realizable written stress
+_REALIZABILITY_TOL = 1e-8
+
 
 class ConfigError(ValueError):
     """Invalid configuration value or missing required setting."""
@@ -209,8 +212,8 @@ def write_trace_csv(state: channel.ChannelState, path) -> None:
                delimiter=",", comments="", header="y_plus,x,y,C1,C2,C3")
 
 
-def count_realizability_violations(state: channel.ChannelState, tol=1e-8) -> int:
-    return int(np.count_nonzero(~tensors.is_realizable(state.tau, tol=tol)))
+def count_realizability_violations(state: channel.ChannelState) -> int:
+    return int(np.count_nonzero(~tensors.is_realizable(state.tau, tol=_REALIZABILITY_TOL)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ _CORNERS = {"1C": CORNER_1C, "2C": CORNER_2C, "3C": CORNER_3C}
 _A = np.column_stack([CORNER_1C - CORNER_3C, CORNER_2C - CORNER_3C])
 _A_INV = np.linalg.inv(_A)
 
-DEFAULT_K_FLOOR = 1e-12
+# nodes with k below this are near-laminar (degenerate)
+K_FLOOR = 1e-12
 
 _LOWER = np.tril_indices(3, -1)  # (row, col) below the diagonal
 
@@ -56,20 +57,18 @@ def boussinesq(k, nu_t, dudy):
     return stress_stack(iso, iso, iso, -nu_t * dudy)
 
 
-def decompose(tau, k_floor=DEFAULT_K_FLOOR):
+def decompose(tau):
     """Eigendecomposition of a_ij = tau_ij/k - (2/3) delta_ij.
 
     Returns ``(k, lam, frame, degenerate)``. ``lam`` is sorted descending;
     ``frame[:, :, j]`` is the unit eigenvector of ``lam[:, j]``. The first
     two columns have their largest-magnitude component positive; the
     third is then signed so that each frame is right-handed.
-    Near-laminar nodes (k below the floor) are marked ``degenerate`` and
+    Near-laminar nodes (k below K_FLOOR) are marked ``degenerate`` and
     carry lam = 0, frame = I instead of NaNs.
     """
-    if k_floor <= 0.0:
-        raise ValueError("k_floor must be positive")
     k = 0.5 * np.trace(tau, axis1=1, axis2=2)
-    degenerate = k < k_floor
+    degenerate = k < K_FLOOR
     k_safe = np.where(degenerate, 1.0, k)
     a = tau / k_safe[:, None, None] - (2.0 / 3.0) * np.eye(3)
     a[degenerate] = 0.0

@@ -105,6 +105,24 @@ class TestKernels:
                 channel._Grid(y), np.zeros(n - 1), np.zeros(n), np.ones(n), 0.0
             )
 
+    @pytest.mark.parametrize("injected", [False, True], ids=["eddy_viscosity", "injected_shear"])
+    def test_sweep_leaves_its_input_intact(self, injected):
+        # the solver keeps earlier iterates by reference (the stress
+        # freeze restores one), so a sweep must not write into its input
+        grid = channel._Grid(channel.make_grid(180.0, 33, 0.5))
+        U, k, om, nu_t = channel._init_state(grid)
+        state = channel.ChannelState(180.0, grid.y, U, k, om, nu_t, grid.grad(U))
+        shear = 0.8 * (1.0 - grid.y / 180.0) if injected else None
+        names = ("y_plus", "U_plus", "k_plus", "omega_plus", "nu_t_plus", "dUdy_plus")
+        before = {name: getattr(state, name).copy() for name in names}
+        shear_before = None if shear is None else shear.copy()
+        after = channel._sweep(grid, state, shear, 0.5)
+        for name in names:
+            assert np.array_equal(getattr(state, name), before[name]), name
+        if injected:
+            assert np.array_equal(shear, shear_before)
+        assert not np.array_equal(after.U_plus, state.U_plus)
+
 
 class TestStackHelpers:
     """The stacked tensor helpers as the solver's injection chains them."""

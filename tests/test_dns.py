@@ -55,6 +55,12 @@ class TestParseProfile:
         with pytest.raises(ProfileParseError, match="y_plus or y_delta"):
             dns.parse_profile(self.TEXT, {"U_plus": 2}, re_tau=180.0)
 
+    @pytest.mark.parametrize("re_tau", [0.0, -180.0, np.nan, np.inf])
+    def test_invalid_re_tau_rejected(self, re_tau):
+        # y_delta = y+ / Re_tau would be inf or NaN
+        with pytest.raises(ProfileParseError, match="Re_tau must be finite and positive"):
+            dns.parse_profile(self.TEXT, {"y_plus": 1}, re_tau=re_tau)
+
 
 class TestWriteLoadRoundTrip:
     def test_round_trip(self, tmp_path):

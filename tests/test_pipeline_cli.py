@@ -335,17 +335,31 @@ class TestCli:
         assert r"split feature outside [-1, 6)" in proc.stderr
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("defect", ["truncated", "nan"])
-    def test_bad_training_profile_exit_four(self, tmp_path, defect):
+    DEFECT_MESSAGES = {
+        "truncated": "covers y+ up to",
+        "starts_above_wall": "profile starts at y+",
+        "nan": "non-finite value in uv_plus",
+    }
+
+    @staticmethod
+    def write_bad_profile(tmp_path, defect):
+        """The synthetic Re_tau = 180 profile with one defect, as a file."""
         prof = dns.synthetic_profile(180.0)
         path = tmp_path / "ref.dat"
         dns.write_profile(prof, path)
         lines = path.read_text().splitlines()
         if defect == "truncated":  # rows up to y+ = 60 of 180
             lines = lines[:2] + lines[2:][: int(np.searchsorted(prof.y_plus, 60.0, "right"))]
+        elif defect == "starts_above_wall":  # rows from y+ = 30 on
+            lines = lines[:2] + lines[2:][int(np.searchsorted(prof.y_plus, 30.0)):]
         else:
             lines[10] = lines[10].replace(lines[10].split()[6], "nan")
         path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("defect", ["truncated", "starts_above_wall", "nan"])
+    def test_bad_training_profile_exit_four(self, tmp_path, defect):
+        path = self.write_bad_profile(tmp_path, defect)
         cfg = tmp_path / "run.ini"
         cfg.write_text(
             "[channel]\nn_cells = 32\n"
@@ -355,9 +369,17 @@ class TestCli:
         proc = self.run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "d"))
         assert proc.returncode == 4, proc.stderr
         assert "data error" in proc.stderr
-        assert {"truncated": "covers y+ up to", "nan": "non-finite value in uv_plus"}[defect] in (
-            proc.stderr
+        assert self.DEFECT_MESSAGES[defect] in proc.stderr
+        assert not (tmp_path / "d").exists()
+
+    def test_propagated_profile_above_wall_exit_four(self, tmp_path):
+        # interpolation would clamp the uncovered wall region to y+ = 30
+        path = self.write_bad_profile(tmp_path, "starts_above_wall")
+        proc = self.run_cli(
+            "propagate-dns", "--re-tau", "180", "--dns", str(path), "--out", str(tmp_path / "d")
         )
+        assert proc.returncode == 4, proc.stderr
+        assert self.DEFECT_MESSAGES["starts_above_wall"] in proc.stderr
         assert not (tmp_path / "d").exists()
 
     def test_seed_flag_reaches_both_sections(self):

@@ -125,10 +125,6 @@ class TestDecompose:
         assert np.array_equal(lam[0], np.zeros(3))
         assert np.array_equal(frame[0], np.eye(3))
 
-    def test_invalid_k_floor_raises(self):
-        with pytest.raises(ValueError):
-            tensors.decompose(tensors.stress_stack([1.0], [1.0], [1.0], [0.0]), k_floor=0.0)
-
 
 class TestBarycentricMap:
     @PROPERTY
