@@ -36,17 +36,16 @@ OMEGA_FLOOR = 1e-8
 # calls the same routine but validates its inputs on every call
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
-# Injected-stress iteration controls. Strongly amplified perturbed
+# Coupled-stress iteration controls. Strongly amplified perturbed
 # stresses scale with the local k, which makes the coupled fixed point
 # only marginally stable: the stress is under-relaxed (STRESS_RELAX),
 # and when the self-consistent iteration stalls (no residual improvement
 # by FREEZE_IMPROVE within FREEZE_STALL iterations) the stress field is
-# frozen at the closest-approach iterate so the flow equations can
-# converge tightly against it.
+# frozen at the closest-approach iterate and from then on treated as
+# prescribed, so the flow equations can converge tightly against it.
 STRESS_RELAX = 0.2
 FREEZE_IMPROVE = 0.7
 FREEZE_STALL = 3000
-POST_FREEZE_STALL = 4000
 
 
 class SolverError(RuntimeError):
@@ -64,14 +63,14 @@ class ChannelConfig:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.re_tau <= 0:
-            raise ValueError("re_tau must be positive")
+        if not (np.isfinite(self.re_tau) and self.re_tau > 0):
+            raise ValueError("re_tau must be finite and positive")
         if self.n_cells < 8:
             raise ValueError("n_cells too small")
         if not 0 < self.stretch < 1.0:
             raise ValueError("stretch (first node y+) must be in (0, 1)")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        if not (np.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise ValueError("residual_tol must be finite and positive")
 
 
 @dataclass
@@ -216,17 +215,18 @@ def _roughness_noise(y, seed, window=20.0):
 
 
 class StressInjection:
-    """Supplies per-node perturbed stress tensors during outer iterations."""
+    """Supplies the per-node Reynolds stress tensors of a solve.
 
-    # whether the solver may bound the injected shear stress by the
-    # total-stress line (needed for strongly amplified state-coupled
-    # perturbations; prescribed external stresses pass through as-is)
-    cap_shear = False
+    A prescribed stress (``coupled`` False) is computed once, on the
+    initial iterate, and used as given. A coupled stress depends on the
+    flow: it is recomputed every outer iteration, bounded by the
+    total-stress line and under-relaxed until the solve converges or the
+    stress is frozen.
+    """
 
-    def prepare(self, cfg: ChannelConfig, y: np.ndarray) -> None:
-        pass
+    coupled = False
 
-    def compute(self, arrays) -> np.ndarray:
+    def compute(self, state) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -242,21 +242,19 @@ class FrozenStressInjection(StressInjection):
                 f"noise amplitude must be finite and >= 0, got {self.noise_amplitude}"
             )
 
-    def prepare(self, cfg, y):
-        check_coverage(self.profile, cfg.re_tau)
+    def compute(self, state):
+        check_coverage(self.profile, state.re_tau)
+        y = state.y_plus
         prof = interpolate(self.profile, y)
         uv = prof.uv_plus
         if self.noise_amplitude > 0.0:
             uv = uv * (1.0 + self.noise_amplitude * _roughness_noise(y, self.noise_seed))
-        self._tau = tensors.stress_stack(
+        return tensors.stress_stack(
             np.maximum(prof.uu_plus, 0.0),
             np.maximum(prof.vv_plus, 0.0),
             np.maximum(prof.ww_plus, 0.0),
             uv,
         )
-
-    def compute(self, arrays):
-        return self._tau
 
 
 class PerturbationInjection(StressInjection):
@@ -267,7 +265,7 @@ class PerturbationInjection(StressInjection):
     (componentwise + eigenvector rotation forest).
     """
 
-    cap_shear = True
+    coupled = True
 
     # the uq modes and the arguments each takes, all of them required;
     # the CLI, the pipeline and corner_injections read the modes from here
@@ -308,11 +306,11 @@ class PerturbationInjection(StressInjection):
         self.delta_b = delta_b
         self.forest = forest
 
-    def compute(self, arrays):
-        tau = tensors.boussinesq(arrays.k_plus, arrays.nu_t_plus, arrays.dUdy_plus)
+    def compute(self, state):
+        tau = tensors.boussinesq(state.k_plus, state.nu_t_plus, state.dUdy_plus)
         if self.mode == "datafree":
             return perturb.data_free_corner(tau, self.corner, self.delta_b)
-        pred = self.forest.predict(feat.feature_matrix(arrays))
+        pred = self.forest.predict(feat.feature_matrix(state))
         if self.mode == "p":
             return perturb.data_driven_magnitude(tau, self.corner, pred[:, 0])
         if self.mode == "pcorr":
@@ -440,22 +438,22 @@ def _solve(cfg, injection):
     U, k, om, nu_t = _init_state(grid)
     state = ChannelState(cfg.re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
     ur = 0.8 if injection is None else 0.5
-    if injection is not None:
-        injection.prepare(cfg, grid.y)
+    coupled = injection is not None and injection.coupled
+    minus_uv = tau = None
+    if injection is not None and not coupled:
+        tau = injection.compute(state)
+        minus_uv = -tau[:, 0, 1]
 
     # steady fully developed momentum bounds the turbulent shear stress
     # by the total-stress line
     shear_cap = 1.0 - grid.y / cfg.re_tau
-    minus_uv = tau = best_snap = None
     residuals = []
-    frozen = False
-    best_res, best_it = np.inf, 0
+    frozen_at = None
+    best_res, best_it, best_snap = np.inf, 0, None
     for it in range(cfg.max_iters):
-        if injection is not None and not frozen:
+        if coupled:
             tau = injection.compute(state)
-            m_new = -tau[:, 0, 1]
-            if injection.cap_shear:
-                m_new = np.minimum(m_new, shear_cap)
+            m_new = np.minimum(-tau[:, 0, 1], shear_cap)
             if minus_uv is None:
                 minus_uv = m_new
             else:
@@ -469,32 +467,27 @@ def _solve(cfg, injection):
             raise SolverError(f"NaN/Inf detected at iteration {it}", residuals)
         if res < cfg.residual_tol and it > 5:
             break
-        if injection is None:
+        if not coupled:
             continue
         # sweeps never write into a state, so a snapshot is a reference
         if res < FREEZE_IMPROVE * best_res:
-            best_res, best_it = res, it
-            if not frozen:
-                best_snap = (minus_uv, tau, state)
-        elif not frozen and it - best_it > FREEZE_STALL:
+            best_res, best_it, best_snap = res, it, (minus_uv, tau, state)
+        elif it - best_it > FREEZE_STALL:
             # marginally stable stress coupling: freeze the stress at
             # the closest-approach iterate and converge against it
             minus_uv, tau, state = best_snap
-            frozen = True
-            best_res, best_it = np.inf, it
-        elif frozen and it - best_it > POST_FREEZE_STALL and ur > 0.15:
-            ur *= 0.5
-            best_res, best_it = np.inf, it
+            coupled, frozen_at = False, it
     else:
+        frozen = "" if frozen_at is None else f", stress frozen at iteration {frozen_at}"
         raise SolverError(
             f"no convergence after {cfg.max_iters} iterations "
-            f"(last residual {residuals[-1]:.3e})",
+            f"(last residual {residuals[-1]:.3e}{frozen})",
             residuals,
         )
 
     # report the injected stresses themselves (realizable by
-    # construction); minus_uv_plus carries the relaxed/capped shear the
-    # momentum equation actually used
+    # construction); minus_uv_plus carries the shear the momentum
+    # equation actually used, relaxed and capped if it was coupled
     if minus_uv is None:
         minus_uv = state.nu_t_plus * state.dUdy_plus
         tau = tensors.boussinesq(state.k_plus, state.nu_t_plus, state.dUdy_plus)

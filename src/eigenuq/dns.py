@@ -3,14 +3,13 @@ DNS profile files, wall-unit interpolation onto solver grids, synthetic
 self-consistent fixtures, and training-target construction.
 
 Profiles live on the half channel y+ in [0, Re_tau]. Only the uv
-off-diagonal is nonzero in 1D channel data unless extra columns are
-mapped.
+off-diagonal is nonzero in 1D channel data.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -37,13 +36,10 @@ class DnsProfile:
     vv_plus: np.ndarray
     ww_plus: np.ndarray
     uv_plus: np.ndarray
-    y_delta: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if not (np.isfinite(self.re_tau) and self.re_tau > 0):
             raise ProfileParseError(f"Re_tau must be finite and positive, got {self.re_tau}")
-        if self.y_delta is None:
-            self.y_delta = self.y_plus / self.re_tau
 
     @property
     def k_plus(self) -> np.ndarray:
@@ -67,12 +63,18 @@ class DnsProfile:
             )
 
 
-_COLUMNS = ("y_delta", "y_plus", "U_plus", "uu_plus", "vv_plus", "ww_plus", "uv_plus")
+# the columns of a profile file after y/delta, in order
+_COLUMNS = ("y_plus", "U_plus", "uu_plus", "vv_plus", "ww_plus", "uv_plus")
 
 
-def _read_table(stream) -> tuple[np.ndarray, int]:
+def parse_profile(stream, re_tau: float) -> DnsProfile:
+    """Parse a profile in the layout :func:`write_profile` writes: seven
+    whitespace-delimited columns y/delta, y+, U+, uu+, vv+, ww+, uv+ per
+    row, in any row order; lines starting with % or # are comments. The
+    y/delta column is not read: y+ is the wall distance."""
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
     rows = []
-    width = None
     for lineno, line in enumerate(stream, start=1):
         s = line.strip()
         if not s or s.startswith(("%", "#")):
@@ -81,77 +83,32 @@ def _read_table(stream) -> tuple[np.ndarray, int]:
             vals = [float(tok) for tok in s.split()]
         except ValueError as e:
             raise ProfileParseError(f"line {lineno}: non-numeric token ({e})") from None
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise ProfileParseError(f"line {lineno}: expected {width} columns")
-        rows.append(vals)
+        if len(vals) != 1 + len(_COLUMNS):
+            raise ProfileParseError(
+                f"line {lineno}: expected {1 + len(_COLUMNS)} columns, got {len(vals)}"
+            )
+        rows.append(vals[1:])
     if not rows:
         raise ProfileParseError("no data rows")
-    return np.array(rows), width
-
-
-def parse_profile(stream, column_map: dict[str, int], re_tau: float) -> DnsProfile:
-    """Parse a whitespace-delimited profile.
-
-    ``column_map`` names zero-based column indices for any of y_delta,
-    y_plus, U_plus, uu_plus, vv_plus, ww_plus, uv_plus. At least y_plus
-    (or y_delta) plus the mapped quantities are required; unmapped
-    stress columns default to zero, unmapped U to zero.
-    """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    data, width = _read_table(stream)
-    for name, col in column_map.items():
-        if name not in _COLUMNS:
-            raise ProfileParseError(f"unknown column name {name!r}")
-        if not 0 <= col < width:
-            raise ProfileParseError(f"column {name!r} index {col} out of range")
-    if "y_plus" in column_map:
-        y = data[:, column_map["y_plus"]]
-    elif "y_delta" in column_map:
-        y = data[:, column_map["y_delta"]] * re_tau
-    else:
-        raise ProfileParseError("column map must name y_plus or y_delta")
-    order = np.argsort(y, kind="stable")
-
-    def col(name):
-        if name in column_map:
-            return data[order, column_map[name]]
-        return np.zeros(len(y))
-
-    prof = DnsProfile(
-        re_tau=re_tau,
-        y_plus=y[order],
-        U_plus=col("U_plus"),
-        uu_plus=col("uu_plus"),
-        vv_plus=col("vv_plus"),
-        ww_plus=col("ww_plus"),
-        uv_plus=col("uv_plus"),
-    )
+    data = np.array(rows)
+    data = data[np.argsort(data[:, 0], kind="stable")]
+    prof = DnsProfile(re_tau, **dict(zip(_COLUMNS, data.T)))
     prof.validate()
     return prof
 
 
-def load_profile(path, re_tau: float, column_map: dict[str, int] | None = None) -> DnsProfile:
-    """Read a profile file; ``column_map`` defaults to the layout
-    produced by :func:`write_profile`."""
-    if column_map is None:
-        column_map = PROFILE_COLUMN_MAP
+def load_profile(path, re_tau: float) -> DnsProfile:
     with open(path) as f:
-        return parse_profile(f, column_map, re_tau)
+        return parse_profile(f, re_tau)
 
 
 def write_profile(profile: DnsProfile, path) -> None:
     with open(path, "w") as f:
         f.write(f"% channel profile, Re_tau = {profile.re_tau:g}\n")
         f.write("% y/delta  y+  U+  uu+  vv+  ww+  uv+\n")
-        for row in np.column_stack([getattr(profile, name) for name in _COLUMNS]):
+        cols = [profile.y_plus / profile.re_tau] + [getattr(profile, name) for name in _COLUMNS]
+        for row in np.column_stack(cols):
             f.write(" ".join(f"{v:.12e}" for v in row) + "\n")
-
-
-# the layout write_profile writes
-PROFILE_COLUMN_MAP = {name: col for col, name in enumerate(_COLUMNS)}
 
 
 def check_coverage(profile: DnsProfile, re_tau: float) -> None:

@@ -36,10 +36,12 @@ class ForestHyperparams:
                 raise ValueError(f"{name} must be a positive integer")
 
 
-# Table-style defaults per target kind.
-HYPERPARAMS_P = ForestHyperparams(max_depth=6, min_samples_split=6, max_features=3, n_trees=30)
-HYPERPARAMS_PCORR = ForestHyperparams(max_depth=9, min_samples_split=4, max_features=3, n_trees=15)
-HYPERPARAMS_PCORR_ANGLES = ForestHyperparams(max_depth=9, min_samples_split=4, max_features=3, n_trees=30)
+# Table-style defaults per target kind (the keys of dns.TARGET_NAMES).
+HYPERPARAMS = {
+    "p": ForestHyperparams(max_depth=6, min_samples_split=6, max_features=3, n_trees=30),
+    "pcorr": ForestHyperparams(max_depth=9, min_samples_split=4, max_features=3, n_trees=15),
+    "pcorr_angles": ForestHyperparams(max_depth=9, min_samples_split=4, max_features=3, n_trees=30),
+}
 
 
 @dataclass

@@ -262,8 +262,7 @@ def train_forest(settings: Settings, target_kind: str):
     for re_tau in train_re[1:]:
         training.extend(targets_at(re_tau))
 
-    # forest.HYPERPARAMS_<KIND>: the table defaults of each target kind
-    hp = replace(getattr(forest, f"HYPERPARAMS_{target_kind.upper()}"), seed=seed)
+    hp = replace(forest.HYPERPARAMS[target_kind], seed=seed)
     fitted = forest.fit(
         training.X,
         training.Y,
@@ -293,15 +292,7 @@ def cmd_train(settings: Settings, out_dir, target_kind: str) -> int:
     _ensure_out(out_dir)
     forest.save(fitted, os.path.join(out_dir, f"forest_{target_kind}.json"))
     # every metric but the hyperparameters, which only the manifest records
-    columns = [
-        "target_kind",
-        "n_train_rows",
-        "n_excluded",
-        "train_mse",
-        "holdout_re_tau",
-        "holdout_mse",
-        "holdout_mean_predictor_mse",
-    ]
+    columns = [key for key in metrics if key != "hyperparams"]
     _write_rows(
         os.path.join(out_dir, "metrics.csv"), columns, [[metrics[key] for key in columns]]
     )
@@ -360,9 +351,9 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
         os.path.join(out_dir, "envelope.csv"),
         ["y_plus", "U_baseline", "U_min", "U_max", "width"],
         [
-            [y, ub, lo, hi, hi - lo]
-            for y, ub, lo, hi in zip(
-                env.baseline.y_plus, env.baseline.U_plus, env.U_min, env.U_max
+            [y, ub, lo, hi, w]
+            for y, ub, lo, hi, w in zip(
+                env.baseline.y_plus, env.baseline.U_plus, env.U_min, env.U_max, env.width
             )
         ],
     )

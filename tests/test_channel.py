@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,8 @@ class TestConfig:
             ChannelConfig(re_tau=180.0, stretch=1.5)
         with pytest.raises(ValueError, match="residual_tol"):
             ChannelConfig(re_tau=180.0, residual_tol=0.0)
+        with pytest.raises(ValueError, match="residual_tol must be finite"):
+            ChannelConfig(re_tau=180.0, residual_tol=np.nan)
 
 
 class TestGrid:
@@ -205,17 +209,37 @@ class TestInjectionValidation:
         inj = channel.FrozenStressInjection(profile=prof)
         cfg = ChannelConfig(re_tau=1000.0, n_cells=64)
         with pytest.raises(ValueError, match="covers y\\+"):
-            inj.prepare(cfg, channel.make_grid(1000.0, 65, 0.5))
+            channel.solve_with_injection(cfg, inj)
 
     def test_shear_cap_only_for_state_coupled_modes(self):
         from eigenuq import dns
 
         assert channel.PerturbationInjection(
             mode="datafree", corner="1C", delta_b=1.0
-        ).cap_shear
+        ).coupled
         assert not channel.FrozenStressInjection(
             profile=dns.synthetic_profile(180.0)
-        ).cap_shear
+        ).coupled
+        assert not channel.StressInjection.coupled
+
+
+class TestInjectedSolve:
+    def test_prescribed_stress_used_as_given(self):
+        from eigenuq import dns
+
+        inj = channel.FrozenStressInjection(profile=dns.synthetic_profile(180.0))
+        state = channel.solve_with_injection(ChannelConfig(re_tau=180.0, n_cells=32), inj)
+        assert np.array_equal(state.minus_uv_plus, -state.tau[:, 0, 1])
+
+    def test_stall_after_freeze_names_freeze_iteration(self, monkeypatch):
+        monkeypatch.setattr(channel, "FREEZE_STALL", 20)
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32, max_iters=300)
+        inj = channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=1.0)
+        with pytest.raises(channel.SolverError, match="no convergence after 300") as err:
+            channel.solve_with_injection(cfg, inj)
+        frozen_at = int(re.search(r"stress frozen at iteration (\d+)\)", str(err.value))[1])
+        assert 20 < frozen_at < 300
+        assert len(err.value.residual_history) == 300
 
 
 @pytest.fixture(scope="module")

@@ -8,58 +8,47 @@ from eigenuq.dns import ProfileParseError
 
 
 class TestParseProfile:
+    # the write_profile layout: y/delta y+ U+ uu+ vv+ ww+ uv+
     TEXT = "\n".join(
         [
             "% header comment",
             "# another comment style",
-            "0.0   0.0  0.0 0.0  0.0",
-            "0.25 45.0  1.2 0.9 -0.4",
-            "0.5  90.0  2.0 1.0 -0.6",
-            "1.0 180.0  3.5 1.1  0.0",
+            "0.0   0.0  0.0 0.0 0.0 0.0  0.0",
+            "0.25 45.0 12.0 1.2 0.9 0.8 -0.4",
+            "0.5  90.0 16.0 2.0 1.0 0.9 -0.6",
+            "1.0 180.0 18.0 3.5 1.1 1.0  0.0",
         ]
     )
 
     def test_basic_parse(self):
-        prof = dns.parse_profile(
-            self.TEXT,
-            {"y_delta": 0, "y_plus": 1, "uu_plus": 2, "vv_plus": 3, "uv_plus": 4},
-            re_tau=180.0,
-        )
+        prof = dns.parse_profile(self.TEXT, re_tau=180.0)
         assert np.allclose(prof.y_plus, [0.0, 45.0, 90.0, 180.0])
+        assert np.allclose(prof.U_plus, [0.0, 12.0, 16.0, 18.0])
         assert np.allclose(prof.uu_plus, [0.0, 1.2, 2.0, 3.5])
+        assert np.allclose(prof.vv_plus, [0.0, 0.9, 1.0, 1.1])
+        assert np.allclose(prof.ww_plus, [0.0, 0.8, 0.9, 1.0])
         assert np.allclose(prof.uv_plus, [0.0, -0.4, -0.6, 0.0])
-        # unmapped columns default to zero
-        assert np.allclose(prof.U_plus, 0.0)
-
-    def test_y_delta_scaling(self):
-        prof = dns.parse_profile(self.TEXT, {"y_delta": 0}, re_tau=180.0)
-        assert np.allclose(prof.y_plus, [0.0, 45.0, 90.0, 180.0])
 
     def test_rows_sorted_by_wall_distance(self):
         scrambled = "\n".join(
-            ["1.0 3.0", "0.0 1.0", "0.5 2.0"]
+            ["9 1.0 3.0 0 0 0 0", "9 0.0 1.0 0 0 0 0", "9 0.5 2.0 0 0 0 0"]
         )
-        prof = dns.parse_profile(scrambled, {"y_plus": 0, "U_plus": 1}, re_tau=1.0)
+        prof = dns.parse_profile(scrambled, re_tau=1.0)
         assert np.allclose(prof.y_plus, [0.0, 0.5, 1.0])
         assert np.allclose(prof.U_plus, [1.0, 2.0, 3.0])
 
-    def test_unknown_column_name(self):
-        with pytest.raises(ProfileParseError, match="unknown column"):
-            dns.parse_profile(self.TEXT, {"pressure": 0, "y_plus": 1}, re_tau=180.0)
-
-    def test_column_out_of_range(self):
-        with pytest.raises(ProfileParseError, match="out of range"):
-            dns.parse_profile(self.TEXT, {"y_plus": 9}, re_tau=180.0)
-
-    def test_missing_wall_distance_column(self):
-        with pytest.raises(ProfileParseError, match="y_plus or y_delta"):
-            dns.parse_profile(self.TEXT, {"U_plus": 2}, re_tau=180.0)
+    @pytest.mark.parametrize("n_columns", [6, 8])
+    def test_wrong_column_count_rejected(self, n_columns):
+        lines = self.TEXT.splitlines()
+        row = lines[3].split()
+        lines[3] = " ".join(row[:n_columns] + ["0.0"] * (n_columns - len(row)))
+        with pytest.raises(ProfileParseError, match=f"line 4: expected 7 columns, got {n_columns}"):
+            dns.parse_profile("\n".join(lines), re_tau=180.0)
 
     @pytest.mark.parametrize("re_tau", [0.0, -180.0, np.nan, np.inf])
     def test_invalid_re_tau_rejected(self, re_tau):
-        # y_delta = y+ / Re_tau would be inf or NaN
         with pytest.raises(ProfileParseError, match="Re_tau must be finite and positive"):
-            dns.parse_profile(self.TEXT, {"y_plus": 1}, re_tau=re_tau)
+            dns.parse_profile(self.TEXT, re_tau=re_tau)
 
 
 class TestWriteLoadRoundTrip:
@@ -71,16 +60,6 @@ class TestWriteLoadRoundTrip:
         assert np.allclose(back.y_plus, prof.y_plus, atol=1e-9)
         assert np.allclose(back.U_plus, prof.U_plus, atol=1e-9)
         assert np.allclose(back.uv_plus, prof.uv_plus, atol=1e-9)
-
-    def test_custom_column_map(self, tmp_path):
-        prof = dns.synthetic_profile(180.0, n_points=32)
-        path = tmp_path / "profile.dat"
-        dns.write_profile(prof, path)
-        back = dns.load_profile(
-            path, column_map={"y_plus": 1, "U_plus": 2}, re_tau=180.0
-        )
-        assert np.allclose(back.U_plus, prof.U_plus, atol=1e-9)
-        assert np.allclose(back.uu_plus, 0.0)
 
 
 PROFILE_FIELDS = ("y_plus", "U_plus", "uu_plus", "vv_plus", "ww_plus", "uv_plus")
@@ -150,17 +129,16 @@ class TestProfileProperties:
                     st.floats(-2.0, 200.0).map(repr),
                     st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "0"]),
                 ),
-                min_size=1,
-                max_size=5,
+                min_size=6,
+                max_size=8,
             ),
             max_size=6,
         ),
     )
     def test_arbitrary_tokens(self, rows):
         text = "\n".join(" ".join(row) for row in rows)
-        column_map = {"y_plus": 0, "uu_plus": 1, "vv_plus": 2, "uv_plus": 3}
         try:
-            prof = dns.parse_profile(text, column_map, re_tau=180.0)
+            prof = dns.parse_profile(text, re_tau=180.0)
         except ProfileParseError:
             return
         assert_valid(prof)

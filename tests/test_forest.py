@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenuq import forest
+from eigenuq import dns, forest
 from eigenuq.forest import ForestFormatError, ForestHyperparams
 
 
@@ -91,13 +91,14 @@ class TestHyperparams:
                 ForestHyperparams(**kwargs)
 
     def test_presets(self):
-        assert forest.HYPERPARAMS_P.max_depth == 6
-        assert forest.HYPERPARAMS_P.min_samples_split == 6
-        assert forest.HYPERPARAMS_P.max_features == 3
-        assert forest.HYPERPARAMS_P.n_trees == 30
-        assert forest.HYPERPARAMS_PCORR.max_depth == 9
-        assert forest.HYPERPARAMS_PCORR.n_trees == 15
-        assert forest.HYPERPARAMS_PCORR_ANGLES.n_trees == 30
+        assert forest.HYPERPARAMS["p"].max_depth == 6
+        assert forest.HYPERPARAMS["p"].min_samples_split == 6
+        assert forest.HYPERPARAMS["p"].max_features == 3
+        assert forest.HYPERPARAMS["p"].n_trees == 30
+        assert forest.HYPERPARAMS["pcorr"].max_depth == 9
+        assert forest.HYPERPARAMS["pcorr"].n_trees == 15
+        assert forest.HYPERPARAMS["pcorr_angles"].n_trees == 30
+        assert forest.HYPERPARAMS.keys() == dns.TARGET_NAMES.keys()
 
 
 class TestFit:

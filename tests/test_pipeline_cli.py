@@ -298,9 +298,11 @@ class TestCli:
             (["uq", "--mode", "pcorr", "--delta-b", "0.3"], "does not take --delta-b"),
             (["propagate-dns", "--noise", "-5"], "must be finite and >= 0, got -5"),
             (["propagate-dns", "--noise", "inf"], "must be finite and >= 0, got inf"),
+            (["baseline", "--re-tau", "inf"], "re_tau must be finite and positive"),
+            (["baseline", "--re-tau", "nan"], "re_tau must be finite and positive"),
         ],
         ids=["delta_b", "forest_kind", "forest_datafree", "delta_b_pcorr", "noise_negative",
-             "noise_inf"],
+             "noise_inf", "re_tau_inf", "re_tau_nan"],
     )
     def test_bad_arguments_rejected_before_solving(self, tmp_path, args, message):
         # every solve fails (exit 3) within 10 iterations, so exit 2 shows
