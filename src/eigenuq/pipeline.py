@@ -365,6 +365,10 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
         "integrated_width": env.integrated_width(),
         "realizability_violations": violations,
         "iterations": {c: s.iterations for c, s in env.corner_states.items()},
+        "frozen_at": {c: s.frozen_at for c, s in env.corner_states.items()},
+        "total_shear_error": {
+            c: channel.total_shear_error(s) for c, s in env.corner_states.items()
+        },
     }
     if forest_path is not None:
         # the base name: the same forest read from another directory
@@ -411,6 +415,7 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
             "noise_seed": seed,
             "rel_l2_error_U": rel_l2,
             "iterations": state.iterations,
+            "total_shear_error": channel.total_shear_error(state),
             "realizability_violations": count_realizability_violations(state),
         },
     )

@@ -1,7 +1,8 @@
 """Shared fixtures.
 
-The channel solves with corner-perturbed stresses are expensive (tens of
-seconds each), so every converged state used by more than one test is a
+The channel solves with corner-perturbed stresses are expensive (several
+seconds each, almost all of it in the coupled iterations before the
+stress freezes), so every converged state used by more than one test is a
 session-scoped fixture. Baselines are taken from the envelope runs so
 each configuration is solved exactly once.
 """

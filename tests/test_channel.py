@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from eigenuq import channel, tensors
+from eigenuq import channel, dns, tensors
 from eigenuq.channel import ChannelConfig
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -109,8 +109,12 @@ class TestKernels:
                 channel._Grid(y), np.zeros(n - 1), np.zeros(n), np.ones(n), 0.0
             )
 
-    @pytest.mark.parametrize("injected", [False, True], ids=["eddy_viscosity", "injected_shear"])
-    def test_sweep_leaves_its_input_intact(self, injected):
+    @pytest.mark.parametrize(
+        "injected, coupled",
+        [(False, False), (True, False), (True, True)],
+        ids=["eddy_viscosity", "injected_shear", "coupled_shear"],
+    )
+    def test_sweep_leaves_its_input_intact(self, injected, coupled):
         # the solver keeps earlier iterates by reference (the stress
         # freeze restores one), so a sweep must not write into its input
         grid = channel._Grid(channel.make_grid(180.0, 33, 0.5))
@@ -120,7 +124,7 @@ class TestKernels:
         names = ("y_plus", "U_plus", "k_plus", "omega_plus", "nu_t_plus", "dUdy_plus")
         before = {name: getattr(state, name).copy() for name in names}
         shear_before = None if shear is None else shear.copy()
-        after = channel._sweep(grid, state, shear, 0.5)
+        after = channel._sweep(grid, state, shear, 0.5, coupled)
         for name in names:
             assert np.array_equal(getattr(state, name), before[name]), name
         if injected:
@@ -203,8 +207,6 @@ class TestInjectionValidation:
             channel.PerturbationInjection(mode="pcorr")
 
     def test_frozen_profile_must_cover_channel(self):
-        from eigenuq import dns
-
         prof = dns.synthetic_profile(180.0)
         inj = channel.FrozenStressInjection(profile=prof)
         cfg = ChannelConfig(re_tau=1000.0, n_cells=64)
@@ -212,8 +214,6 @@ class TestInjectionValidation:
             channel.solve_with_injection(cfg, inj)
 
     def test_shear_cap_only_for_state_coupled_modes(self):
-        from eigenuq import dns
-
         assert channel.PerturbationInjection(
             mode="datafree", corner="1C", delta_b=1.0
         ).coupled
@@ -225,21 +225,37 @@ class TestInjectionValidation:
 
 class TestInjectedSolve:
     def test_prescribed_stress_used_as_given(self):
-        from eigenuq import dns
-
         inj = channel.FrozenStressInjection(profile=dns.synthetic_profile(180.0))
         state = channel.solve_with_injection(ChannelConfig(re_tau=180.0, n_cells=32), inj)
         assert np.array_equal(state.minus_uv_plus, -state.tau[:, 0, 1])
 
     def test_stall_after_freeze_names_freeze_iteration(self, monkeypatch):
+        # the 1C stress on 32 cells freezes soon after 20 stalled
+        # iterations; the flow then needs more sweeps than are left
+        monkeypatch.setattr(channel, "FREEZE_STALL", 20)
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32, max_iters=100)
+        inj = channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=1.0)
+        with pytest.raises(channel.SolverError, match="no convergence after 100") as err:
+            channel.solve_with_injection(cfg, inj)
+        frozen_at = int(re.search(r"stress frozen at iteration (\d+)\)", str(err.value))[1])
+        assert 20 < frozen_at < 100
+        assert len(err.value.residual_history) == 100
+
+    def test_frozen_solve_converges(self, monkeypatch):
+        # once frozen, momentum is one exact linear solve per sweep, so
+        # the same solve converges against its frozen stress
         monkeypatch.setattr(channel, "FREEZE_STALL", 20)
         cfg = ChannelConfig(re_tau=180.0, n_cells=32, max_iters=300)
         inj = channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=1.0)
-        with pytest.raises(channel.SolverError, match="no convergence after 300") as err:
-            channel.solve_with_injection(cfg, inj)
-        frozen_at = int(re.search(r"stress frozen at iteration (\d+)\)", str(err.value))[1])
-        assert 20 < frozen_at < 300
-        assert len(err.value.residual_history) == 300
+        state = channel.solve_with_injection(cfg, inj)
+        assert 20 < state.frozen_at < state.iterations <= 300
+        assert channel.total_shear_error(state) <= cfg.residual_tol
+
+    def test_unfrozen_solves_record_no_freeze(self):
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+        inj = channel.FrozenStressInjection(profile=dns.synthetic_profile(180.0))
+        assert channel.solve_with_injection(cfg, inj).frozen_at is None
+        assert channel.solve_baseline(cfg).frozen_at is None
 
 
 @pytest.fixture(scope="module")

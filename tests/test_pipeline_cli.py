@@ -128,6 +128,25 @@ class TestUqCommand:
         header = (out / "envelope.csv").read_text().split("\n")[0]
         assert header == "y_plus,U_baseline,U_min,U_max,width"
 
+    def test_manifest_records_how_each_corner_ended(self, tmp_path, monkeypatch):
+        # on 32 cells with a 200-iteration stall limit the 1C and 2C
+        # stresses freeze and 3C converges coupled
+        monkeypatch.setattr(channel, "FREEZE_STALL", 200)
+        out = tmp_path / "uq"
+        s = pipeline.load_settings(
+            overrides=[("channel", "re_tau", "180"), ("channel", "n_cells", "32"),
+                       ("uq", "delta_b", "1.0")]
+        )
+        assert pipeline.cmd_uq(s, out) == pipeline.EXIT_OK
+        man = pipeline.read_manifest(out)
+        frozen_at, iterations = man["frozen_at"], man["iterations"]
+        assert set(frozen_at) == set(man["total_shear_error"]) == {"1C", "2C", "3C"}
+        for corner in ("1C", "2C"):
+            assert 200 < frozen_at[corner] < iterations[corner]
+            assert man["total_shear_error"][corner] <= 1e-8
+        assert frozen_at["3C"] is None
+        assert man["total_shear_error"]["3C"] < 0.01
+
     def test_corner_free_mode_solves_once(self, settings, tmp_path, monkeypatch):
         # the forest of a default-settings training, on a 32-cell grid
         fitted, _ = pipeline.train_forest(settings, "pcorr_angles")
@@ -174,6 +193,7 @@ class TestPropagateCommand:
         assert pipeline.cmd_propagate_dns(fast_settings(), out) == pipeline.EXIT_OK
         man = pipeline.read_manifest(out)
         assert man["rel_l2_error_U"] < 0.01
+        assert man["total_shear_error"] <= 1e-8
         rows = (out / "metrics.csv").read_text().strip().split("\n")
         assert rows[0] == "re_tau,noise,noise_seed,rel_l2_error_U,iterations"
         assert len(rows) == 2
