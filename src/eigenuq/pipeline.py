@@ -73,7 +73,7 @@ class Settings:
     train: dict
     uq: dict
     propagate: dict
-    data: dict  # re_tau (as str) -> profile path or "synthetic"
+    data: dict  # f"{re_tau:g}" -> profile path or "synthetic"
 
 
 def load_settings(config_path=None, overrides=None) -> Settings:
@@ -100,7 +100,18 @@ def load_settings(config_path=None, overrides=None) -> Settings:
         unknown = sorted(set(parser[section]) - set(DEFAULTS[section]))
         if unknown:
             raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
-    data = dict(parser.items("data")) if parser.has_section("data") else {}
+    # [data] keys are Re_tau values, stored in the form profile lookups use
+    data = {}
+    for key, source in parser.items("data") if parser.has_section("data") else []:
+        try:
+            re_tau = float(key)
+        except ValueError:
+            re_tau = np.nan
+        if not (np.isfinite(re_tau) and re_tau > 0):
+            raise ConfigError(f"[data] key {key!r} is not a finite positive Re_tau")
+        if f"{re_tau:g}" in data:
+            raise ConfigError(f"[data] names Re_tau={re_tau:g} more than once")
+        data[f"{re_tau:g}"] = source
     return Settings(
         channel=dict(parser.items("channel")),
         train=dict(parser.items("train")),

@@ -138,24 +138,44 @@ class TestMomentumBalance:
 
 
 class TestFixedPoint:
-    """Every converged state is a fixed point of one more fixed-stress
-    sweep, the sweep the solver runs once the stress is fixed, under the
-    shear it reports: U, k and omega move by at most 10 x residual_tol
-    in the solver's own relative-change norm.
+    """Every converged state is a fixed point of one more sweep under
+    the shear it reports: U, k and omega move by at most
+    10 x residual_tol in the solver's own relative-change norm.
 
     This is the flow equations' fixed point with the reported shear held
-    fixed, not self-consistency of the stress: the frozen corner
-    stresses differ from the stress recomputed from the converged flow
-    by up to 0.9 in wall units.
+    fixed; TestStressConsistency checks the shear itself against the
+    stress its injection gives on the converged flow.
     """
 
     def test_all_states(self, all_injected_states):
         for label, state in all_injected_states.items():
             shear = None if label.startswith("baseline") else state.minus_uv_plus
-            after = channel._sweep(channel._Grid(state.y_plus), state, shear, 0.5, coupled=False)
+            after = channel._sweep(channel._Grid(state.y_plus), state, shear, 0.5)
             change = channel._relative_change(state, after)
             tol = 10.0 * ChannelConfig(re_tau=state.re_tau).residual_tol
             assert change <= tol, f"{label}: one more sweep moves the state by {change:.3e}"
+
+
+class TestStressConsistency:
+    """A coupled corner that converged without freezing used the shear
+    its injection gives on the converged flow, capped by the total-stress
+    line, to within 1e-6."""
+
+    def test_unfrozen_coupled_states(self, all_injected_states, forest_p, stress_consistency):
+        injections = {
+            "datafree_180": channel.corner_injections("datafree", delta_b=1.0),
+            "datafree_1000": channel.corner_injections("datafree", delta_b=1.0),
+            "datadriven_1000": channel.corner_injections("p", forest=forest_p[0]),
+        }
+        checked = []
+        for label, corners in injections.items():
+            for corner, injection in corners.items():
+                state = all_injected_states[f"{label}_{corner}"]
+                if state.frozen_at is None:
+                    err = stress_consistency(state, injection)
+                    assert err <= 1e-6, f"{label}_{corner}: shear off by {err:.3e}"
+                    checked.append(f"{label}_{corner}")
+        assert "datafree_180_2C" in checked
 
 
 class TestReferencePropagation:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from eigenuq import channel, cli, dns, forest, pipeline
 from eigenuq.pipeline import ConfigError, DataError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 FAST = [
     ("channel", "re_tau", "180"),
@@ -74,6 +76,37 @@ class TestSettings:
             "1000": "synthetic", "395": "profiles/retau395.dat"
         }
 
+    @pytest.mark.parametrize("key", ["1000", "1000.0", "1e3", "01000"])
+    def test_data_keys_name_a_re_tau(self, tmp_path, key):
+        # every spelling of Re_tau 1000 reaches the profile lookup
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\n{key} = /nonexistent.dat\n")
+        assert pipeline.load_settings(cfg).data == {"1000": "/nonexistent.dat"}
+        with pytest.raises(DataError, match="not found: /nonexistent.dat"):
+            cli.run(["propagate-dns", "--config", str(cfg), "--re-tau", "1000",
+                     "--out", str(tmp_path / "d")])
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (["abc"], "'abc' is not a finite positive Re_tau"),
+            (["0"], "'0' is not a finite positive Re_tau"),
+            (["-180"], "'-180' is not a finite positive Re_tau"),
+            (["inf"], "'inf' is not a finite positive Re_tau"),
+            (["nan"], "'nan' is not a finite positive Re_tau"),
+            (["1000", "1000.0"], "names Re_tau=1000 more than once"),
+            (["1e3", "1000"], "names Re_tau=1000 more than once"),
+        ],
+        ids=["word", "zero", "negative", "inf", "nan", "trailing_zero", "exponent"],
+    )
+    def test_bad_data_keys_rejected(self, tmp_path, keys, message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\n" + "".join(f"{key} = synthetic\n" for key in keys))
+        with pytest.raises(ConfigError, match=message):
+            cli.run(["propagate-dns", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert not (tmp_path / "d").exists()
+
     def test_invalid_channel_value(self):
         s = pipeline.load_settings(overrides=[("channel", "n_cells", "many")])
         with pytest.raises(ConfigError, match="channel.n_cells"):
@@ -105,6 +138,20 @@ class TestBaselineCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.fixture(scope="module")
+def small_grid_datafree_uq(tmp_path_factory):
+    """The benchmark's datafree uq at Re_tau 180 on the 32-cell grid of
+    perfbench/uq-small-grid.ini, with a 200-iteration stall limit: the 1C
+    stress freezes, while 2C and 3C converge coupled."""
+    out = tmp_path_factory.mktemp("small_grid") / "uq"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel, "FREEZE_STALL", 200)
+        assert cli.run(["uq", "--mode", "datafree", "--delta-b", "1.0", "--re-tau", "180",
+                        "--config", str(PERFBENCH / "uq-small-grid.ini"),
+                        "--out", str(out)]) == pipeline.EXIT_OK
+    return out
+
+
 class TestUqCommand:
     def test_datafree_zero_delta_artifacts(self, tmp_path):
         out = tmp_path / "uq"
@@ -128,24 +175,14 @@ class TestUqCommand:
         header = (out / "envelope.csv").read_text().split("\n")[0]
         assert header == "y_plus,U_baseline,U_min,U_max,width"
 
-    def test_manifest_records_how_each_corner_ended(self, tmp_path, monkeypatch):
-        # on 32 cells with a 200-iteration stall limit the 1C and 2C
-        # stresses freeze and 3C converges coupled
-        monkeypatch.setattr(channel, "FREEZE_STALL", 200)
-        out = tmp_path / "uq"
-        s = pipeline.load_settings(
-            overrides=[("channel", "re_tau", "180"), ("channel", "n_cells", "32"),
-                       ("uq", "delta_b", "1.0")]
-        )
-        assert pipeline.cmd_uq(s, out) == pipeline.EXIT_OK
-        man = pipeline.read_manifest(out)
+    def test_manifest_records_how_each_corner_ended(self, small_grid_datafree_uq):
+        man = pipeline.read_manifest(small_grid_datafree_uq)
         frozen_at, iterations = man["frozen_at"], man["iterations"]
         assert set(frozen_at) == set(man["total_shear_error"]) == {"1C", "2C", "3C"}
-        for corner in ("1C", "2C"):
-            assert 200 < frozen_at[corner] < iterations[corner]
-            assert man["total_shear_error"][corner] <= 1e-8
-        assert frozen_at["3C"] is None
-        assert man["total_shear_error"]["3C"] < 0.01
+        assert 200 < frozen_at["1C"] < iterations["1C"]
+        assert man["total_shear_error"]["1C"] <= 1e-8
+        assert frozen_at["2C"] is frozen_at["3C"] is None
+        assert max(man["total_shear_error"].values()) <= 1e-6
 
     def test_corner_free_mode_solves_once(self, settings, tmp_path, monkeypatch):
         # the forest of a default-settings training, on a 32-cell grid
@@ -261,6 +298,22 @@ class TestReportCommand:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             pipeline.cmd_report([str(tmp_path)], tmp_path / "out")
+
+
+class TestBenchmarkChecks:
+    """The benchmark's own output checks pass on the outputs of a uq run
+    and a report over it, so a format or API break shows up here before
+    it turns into failed benchmark ops."""
+
+    def test_uq_and_report_outputs_pass(self, small_grid_datafree_uq, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        checks = importlib.import_module("checks")
+        report = tmp_path / "report"
+        assert cli.run(["report", str(small_grid_datafree_uq), "--out", str(report)]) == 0
+        for out in (small_grid_datafree_uq, report):
+            assert checks.check_outputs(out, 0) == [], out.name
+        quality = checks.quality(small_grid_datafree_uq)
+        assert np.isfinite(quality["stress_consistency_max"])
 
 
 class TestCli:
