@@ -363,22 +363,37 @@ def solve_with_injection(cfg: ChannelConfig, injection: StressInjection) -> Chan
     return _solve(cfg, injection=injection)
 
 
-def _sweep(grid, state, minus_uv, ur):
+def _sweep(grid, state, minus_uv, ur, coupled=False):
     """One outer iteration: the relaxed U -> k -> omega -> nu_t update
     of ``state`` under the shear stress ``minus_uv`` (-u'v'*; None for
     the eddy-viscosity closure), with under-relaxation factor ``ur``.
+    ``coupled`` says that ``minus_uv`` still follows the flow; a fixed
+    stress (prescribed, or coupled and frozen) is not.
 
     Returns a new ChannelState; every array of ``state`` stays intact.
     """
     U, k, om, nu_t = state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus
+    dudy = state.dUdy_plus
     n = len(grid.y)
 
-    # momentum: implicit eddy diffusion, or for an injected stress one
-    # exact linear solve of dU/dy + (-u'v'*) = 1 - y/Re_tau for U
+    # momentum: implicit eddy diffusion, or for injected modes a
+    # converged shear of dU/dy + (-u'v'*)
     src_u = np.full(n, 1.0 / state.re_tau)
     if minus_uv is None:
         nu_mid = _mid(nu_t)
+    elif coupled:
+        # the shear-aligned part of a coupled stress is folded into an
+        # effective viscosity and treated implicitly, which keeps
+        # strongly amplified stresses stable; any nonnegative nu_eff
+        # yields the same fixed point (the deferred correction cancels
+        # it at convergence), so the ratio is regularized and capped
+        ratio = minus_uv * dudy / (dudy**2 + 1e-8)
+        nu_mid = _mid(np.clip(ratio, 0.0, 1e5))
+        src_u -= _face_divergence(grid, nu_mid * np.diff(U) / grid.h - _mid(minus_uv))
     else:
+        # a fixed stress does not depend on the flow: momentum is one
+        # exact linear solve for U, with no effective viscosity to
+        # slow its approach to the fixed point
         nu_mid = np.zeros(n - 1)
         src_u += _face_divergence(grid, _mid(minus_uv))
     U_new = _transport_solve(grid, 1.0 + nu_mid, np.zeros(n), src_u, 0.0)
@@ -452,7 +467,7 @@ def _solve(cfg, injection):
             else:
                 minus_uv = (1.0 - STRESS_RELAX) * minus_uv + STRESS_RELAX * m_new
 
-        new = _sweep(grid, state, minus_uv, ur)
+        new = _sweep(grid, state, minus_uv, ur, coupled)
         res = _relative_change(state, new)
         state = new
         residuals.append(res)

@@ -73,7 +73,7 @@ class Settings:
     train: dict
     uq: dict
     propagate: dict
-    data: dict  # f"{re_tau:g}" -> profile path or "synthetic"
+    data: dict  # re_tau -> profile path or "synthetic"
 
 
 def load_settings(config_path=None, overrides=None) -> Settings:
@@ -100,18 +100,17 @@ def load_settings(config_path=None, overrides=None) -> Settings:
         unknown = sorted(set(parser[section]) - set(DEFAULTS[section]))
         if unknown:
             raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
-    # [data] keys are Re_tau values, stored in the form profile lookups use
     data = {}
     for key, source in parser.items("data") if parser.has_section("data") else []:
         try:
             re_tau = float(key)
+            if not (np.isfinite(re_tau) and re_tau > 0):
+                raise ValueError
         except ValueError:
-            re_tau = np.nan
-        if not (np.isfinite(re_tau) and re_tau > 0):
-            raise ConfigError(f"[data] key {key!r} is not a finite positive Re_tau")
-        if f"{re_tau:g}" in data:
+            raise ConfigError(f"[data] key {key!r} is not a finite positive Re_tau") from None
+        if re_tau in data:
             raise ConfigError(f"[data] names Re_tau={re_tau:g} more than once")
-        data[f"{re_tau:g}"] = source
+        data[re_tau] = source
     return Settings(
         channel=dict(parser.items("channel")),
         train=dict(parser.items("train")),
@@ -156,7 +155,7 @@ def load_reference_profile(settings: Settings, re_tau: float) -> dns.DnsProfile:
     """Reference profile for one Re_tau from the [data] section; the
     keyword ``synthetic`` (also the default) builds the bundled
     self-consistent synthetic profile."""
-    source = settings.data.get(f"{re_tau:g}", "synthetic")
+    source = settings.data.get(float(re_tau), "synthetic")
     if source == "synthetic":
         return dns.synthetic_profile(re_tau)
     return read_reference_profile(source, re_tau)

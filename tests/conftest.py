@@ -2,10 +2,10 @@
 
 The channel solves with corner-perturbed stresses that freeze are
 expensive: several seconds each, almost all of it in the coupled
-iterations before the freeze (datafree 1C at Re_tau 180 and 1C/2C at
+iterations before the freeze (datafree 1C and 2C at Re_tau 180 and
 1000, every data-driven `p` corner at 1000). A corner that converges
-coupled, such as datafree 2C at Re_tau 180, takes a few hundred
-iterations. Every converged state used by more than one test is a
+coupled, such as datafree 3C, takes a few hundred iterations. Every
+converged state used by more than one test is a
 session-scoped fixture. Baselines are taken from the envelope runs so
 each configuration is solved exactly once.
 """

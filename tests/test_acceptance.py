@@ -138,19 +138,21 @@ class TestMomentumBalance:
 
 
 class TestFixedPoint:
-    """Every converged state is a fixed point of one more sweep under
-    the shear it reports: U, k and omega move by at most
-    10 x residual_tol in the solver's own relative-change norm.
+    """Every converged state is a fixed point of one more fixed-stress
+    sweep, the sweep the solver runs once the stress is fixed, under the
+    shear it reports: U, k and omega move by at most 10 x residual_tol
+    in the solver's own relative-change norm.
 
     This is the flow equations' fixed point with the reported shear held
-    fixed; TestStressConsistency checks the shear itself against the
-    stress its injection gives on the converged flow.
+    fixed, not self-consistency of the stress: the frozen corner
+    stresses differ from the stress recomputed from the converged flow
+    by up to 0.9 in wall units.
     """
 
     def test_all_states(self, all_injected_states):
         for label, state in all_injected_states.items():
             shear = None if label.startswith("baseline") else state.minus_uv_plus
-            after = channel._sweep(channel._Grid(state.y_plus), state, shear, 0.5)
+            after = channel._sweep(channel._Grid(state.y_plus), state, shear, 0.5, coupled=False)
             change = channel._relative_change(state, after)
             tol = 10.0 * ChannelConfig(re_tau=state.re_tau).residual_tol
             assert change <= tol, f"{label}: one more sweep moves the state by {change:.3e}"
@@ -175,7 +177,43 @@ class TestStressConsistency:
                     err = stress_consistency(state, injection)
                     assert err <= 1e-6, f"{label}_{corner}: shear off by {err:.3e}"
                     checked.append(f"{label}_{corner}")
-        assert "datafree_180_2C" in checked
+        assert {"datafree_180_3C", "datafree_1000_3C"} <= set(checked)
+
+
+class TestFreezeReproducibility:
+    """A frozen corner does not hinge on roundoff. Moving the initial U
+    by 4 ulp sends the 1C corner at Re_tau 1000 down another iteration
+    path, so its stress freezes at another iteration, yet the envelope
+    moves by less than 0.1 in U+ (at most 0.037 measured). Without the
+    coupled effective viscosity it moved by 1.4 (datafree) and 0.22 (p).
+    """
+
+    @pytest.mark.parametrize("mode", ["datafree", "p"])
+    def test_ulp_shift_keeps_the_envelope(self, mode, request, forest_p, monkeypatch):
+        if mode == "datafree":
+            env = request.getfixturevalue("envelope_datafree_1000")
+            injection = channel.PerturbationInjection("datafree", corner="1C", delta_b=1.0)
+        else:
+            env = request.getfixturevalue("envelope_datadriven_1000")
+            injection = channel.PerturbationInjection("p", corner="1C", forest=forest_p[0])
+        init_state = channel._init_state
+
+        def shifted_init_state(grid):
+            U, k, om, nu_t = init_state(grid)
+            U = U.copy()
+            for _ in range(4):
+                U[1:] = np.nextafter(U[1:], np.inf)
+            return U, k, om, nu_t
+
+        monkeypatch.setattr(channel, "_init_state", shifted_init_state)
+        shifted = channel.solve_with_injection(ChannelConfig(re_tau=1000.0), injection)
+        old = env.corner_states["1C"]
+        assert old.frozen_at is not None and shifted.frozen_at != old.frozen_at
+        others = [env.baseline] + [s for c, s in env.corner_states.items() if c != "1C"]
+        profiles = np.vstack([s.U_plus for s in others] + [shifted.U_plus])
+        lower = np.max(np.abs(profiles.min(axis=0) - env.U_min))
+        upper = np.max(np.abs(profiles.max(axis=0) - env.U_max))
+        assert max(lower, upper) < 0.1, f"U_min moved by {lower:.3e}, U_max by {upper:.3e}"
 
 
 class TestReferencePropagation:
