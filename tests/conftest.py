@@ -1,11 +1,8 @@
 """Shared fixtures.
 
-The channel solves with corner-perturbed stresses that freeze are
-expensive: several seconds each, almost all of it in the coupled
-iterations before the freeze (datafree 1C and 2C at Re_tau 180 and
-1000, every data-driven `p` corner at 1000). A corner that converges
-coupled, such as datafree 3C, takes a few hundred iterations. Every
-converged state used by more than one test is a
+The channel solves with corner-perturbed stresses are expensive (several
+seconds each, almost all of it in the coupled iterations before the
+stress freezes), so every converged state used by more than one test is a
 session-scoped fixture. Baselines are taken from the envelope runs so
 each configuration is solved exactly once.
 """
@@ -101,20 +98,6 @@ def all_injected_states(
         for corner, st in env.corner_states.items():
             states[f"{label}_{corner}"] = st
     return states
-
-
-@pytest.fixture(scope="session")
-def stress_consistency():
-    """Max |min(-u'v'* recomputed from a converged state, 1 - y+/Re_tau)
-    - minus_uv_plus|: how far the shear a solve used is from the shear
-    its injection gives on the flow it converged to."""
-
-    def error(state, injection):
-        cap = 1.0 - state.y_plus / state.re_tau
-        recomputed = np.minimum(-injection.compute(state)[:, 0, 1], cap)
-        return float(np.max(np.abs(recomputed - state.minus_uv_plus)))
-
-    return error
 
 
 @pytest.fixture()

@@ -2,10 +2,11 @@
 
 Each test class checks one contract of the package: exactness of the
 barycentric realizability map, algebraic round trips, solver physics
-(plane strain, laminar limit, momentum balance), reference-stress
-propagation, envelope behaviour of the data-driven mode, forest
-training quality, realizability of every perturbed stress field, and
-the full-anisotropy correction round trip.
+(plane strain, laminar limit, momentum balance), self-consistency of
+the coupled corners that converge and roundoff reproducibility of the
+frozen ones, reference-stress propagation, envelope behaviour of the
+data-driven mode, forest training quality, realizability of every
+perturbed stress field, and the full-anisotropy correction round trip.
 """
 
 import numpy as np
@@ -163,7 +164,7 @@ class TestStressConsistency:
     its injection gives on the converged flow, capped by the total-stress
     line, to within 1e-6."""
 
-    def test_unfrozen_coupled_states(self, all_injected_states, forest_p, stress_consistency):
+    def test_unfrozen_coupled_states(self, all_injected_states, forest_p):
         injections = {
             "datafree_180": channel.corner_injections("datafree", delta_b=1.0),
             "datafree_1000": channel.corner_injections("datafree", delta_b=1.0),
@@ -174,7 +175,9 @@ class TestStressConsistency:
             for corner, injection in corners.items():
                 state = all_injected_states[f"{label}_{corner}"]
                 if state.frozen_at is None:
-                    err = stress_consistency(state, injection)
+                    cap = 1.0 - state.y_plus / state.re_tau
+                    recomputed = np.minimum(-injection.compute(state)[:, 0, 1], cap)
+                    err = np.max(np.abs(recomputed - state.minus_uv_plus))
                     assert err <= 1e-6, f"{label}_{corner}: shear off by {err:.3e}"
                     checked.append(f"{label}_{corner}")
         assert {"datafree_180_3C", "datafree_1000_3C"} <= set(checked)
