@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
+from scipy.sparse.linalg import LinearOperator, gmres
 
-from . import features as feat
-from . import perturb, tensors
+from . import perturb, rotation, tensors
 from .dns import TARGET_NAMES, DnsProfile, check_coverage, interpolate
 
 # SST closure constants (standard published set)
@@ -36,16 +36,21 @@ OMEGA_FLOOR = 1e-8
 # calls the same routine but validates its inputs on every call
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
-# Coupled-stress iteration controls. Strongly amplified perturbed
-# stresses scale with the local k, which makes the coupled fixed point
-# only marginally stable: the stress is under-relaxed (STRESS_RELAX),
-# and when the self-consistent iteration stalls (no residual improvement
-# by FREEZE_IMPROVE within FREEZE_STALL iterations) the stress field is
-# frozen at the closest-approach iterate and from then on treated as
-# prescribed, so the flow equations can converge tightly against it.
+# Coupled-stress solve controls. A coupled stress is solved to its
+# fixed point x = G(x), where x stacks U, k, omega and nu_t and G is one
+# fixed-stress sweep at ur = 1 under the capped stress evaluated at x.
+# Picard sweeps with an under-relaxed stress (STRESS_RELAX) run in
+# blocks of PICARD_BLOCK; after a block whose scaled F = G(x) - x is at
+# most NEWTON_GATE, pseudo-transient Newton-Krylov takes over on a copy
+# for at most NEWTON_STEPS steps, and gives up when F turns non-finite
+# or grows past NEWTON_BLOWUP times its start. A solve is done at a
+# scaled max-norm F of NEWTON_TOL.
 STRESS_RELAX = 0.2
-FREEZE_IMPROVE = 0.7
-FREEZE_STALL = 3000
+PICARD_BLOCK = 200
+NEWTON_GATE = 0.5
+NEWTON_STEPS = 40
+NEWTON_BLOWUP = 10.0
+NEWTON_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -85,12 +90,21 @@ class ChannelState:
     # set once the solve ends; None on the iterates handed to an injection
     minus_uv_plus: np.ndarray | None = None  # shear stress actually used in momentum
     tau: np.ndarray | None = None  # (n, 3, 3) Reynolds stress per node
-    residual_history: list[float] = field(default_factory=list)
-    frozen_at: int | None = None  # iteration at which a coupled stress froze
+    residual_history: list[float] = field(default_factory=list)  # one per sweep
+    # how a coupled stress reached its fixed point: Newton steps over all
+    # attempts, the final scaled max-norm of F and the largest change of
+    # the capped shear recomputed from the converged flow
+    newton_steps: int = 0
+    fixed_point_residual: float | None = None
+    stress_consistency: float | None = None
+
+    @property
+    def picard_sweeps(self) -> int:
+        return len(self.residual_history)
 
     @property
     def iterations(self) -> int:
-        return len(self.residual_history)
+        return self.picard_sweeps + self.newton_steps
 
     @property
     def centerline_U(self) -> float:
@@ -220,9 +234,8 @@ class StressInjection:
 
     A prescribed stress (``coupled`` False) is computed once, on the
     initial iterate, and used as given. A coupled stress depends on the
-    flow: it is recomputed every outer iteration, bounded by the
-    total-stress line and under-relaxed until the solve converges or the
-    stress is frozen.
+    flow: it is recomputed from every iterate and bounded by the
+    total-stress line until the solve reaches its fixed point.
     """
 
     coupled = False
@@ -258,12 +271,31 @@ class FrozenStressInjection(StressInjection):
         )
 
 
+# Eigenvectors of the Boussinesq anisotropy of a channel flow with
+# dU/dy > 0, as columns for the eigenvalues (a, 0, -a): the x-y axes
+# turned by 45 degrees, plus z, signed as tensors.decompose signs them
+_SHEAR_FRAME = np.array([
+    [1.0, 0.0, -1.0],
+    [-1.0, 0.0, -1.0],
+    [0.0, np.sqrt(2.0), 0.0],
+]) / np.sqrt(2.0)
+
+
 class PerturbationInjection(StressInjection):
     """In-loop eigenspace perturbation of the Boussinesq stress.
 
-    mode: 'datafree' (corner + delta_b), 'p' (magnitude forest +
-    corner), 'pcorr' (componentwise forest), 'pcorr_angles'
-    (componentwise + eigenvector rotation forest).
+    mode: 'datafree' (corner + delta_b), 'p' (magnitude targets +
+    corner), 'pcorr' (componentwise targets), 'pcorr_angles'
+    (componentwise + eigenvector rotation targets). The targets are an
+    (n, n_targets) array of per-node forest predictions, columns in
+    ``dns.TARGET_NAMES[mode]`` order.
+
+    The stress is perturbed in closed form in the channel's fixed frame:
+    the Boussinesq anisotropy has eigenvalues (a, 0, -a) with
+    a = nu_t |dU/dy| / k on ``_SHEAR_FRAME``. The shear is oriented by
+    the total-stress line, positive wherever 1 - y+/Re_tau > 0 and zero
+    at the centreline node, so the roundoff sign of dU/dy where the
+    shear vanishes cannot flip it.
     """
 
     coupled = True
@@ -272,16 +304,16 @@ class PerturbationInjection(StressInjection):
     # the CLI, the pipeline and corner_injections read the modes from here
     TAKES = {
         "datafree": ("corner", "delta_b"),
-        "p": ("corner", "forest"),
-        "pcorr": ("forest",),
-        "pcorr_angles": ("forest",),
+        "p": ("corner", "targets"),
+        "pcorr": ("targets",),
+        "pcorr_angles": ("targets",),
     }
 
-    def __init__(self, mode, corner=None, delta_b=None, forest=None):
+    def __init__(self, mode, corner=None, delta_b=None, targets=None):
         if mode not in self.TAKES:
             raise ValueError(f"unknown injection mode {mode!r}")
         takes = self.TAKES[mode]
-        given = {"corner": corner, "delta_b": delta_b, "forest": forest}
+        given = {"corner": corner, "delta_b": delta_b, "targets": targets}
         if any(given[name] is None for name in takes):
             raise ValueError(f"mode {mode!r} needs {' and '.join(takes)}")
         extra = [name for name, val in given.items() if val is not None and name not in takes]
@@ -291,32 +323,47 @@ class PerturbationInjection(StressInjection):
             raise ValueError("delta_b must be in [0, 1]")
         if corner is not None:
             tensors.corner_coords(corner)  # validates the identifier
-        if forest is not None:
-            if forest.n_features != len(feat.DEFAULT_FEATURES):
-                raise ValueError(
-                    f"forest expects {forest.n_features} features, "
-                    f"solver provides {len(feat.DEFAULT_FEATURES)}"
-                )
-            if forest.n_targets != len(TARGET_NAMES[mode]):
-                raise ValueError(
-                    f"mode {mode!r} needs {len(TARGET_NAMES[mode])} forest targets, "
-                    f"got {forest.n_targets}"
-                )
         self.mode = mode
         self.corner = corner
         self.delta_b = delta_b
-        self.forest = forest
+        self.angles = None
+        if mode == "datafree":
+            self.move = perturb.corner_shift(corner, delta_b)
+            return
+        targets = np.asarray(targets, dtype=float)
+        self.check_target_count(mode, targets.shape[-1])
+        if mode == "p":
+            self.move = perturb.magnitude_shift(corner, targets[:, 0])
+            return
+        self.move = perturb.componentwise_shift(targets[:, :2])
+        if mode == "pcorr_angles":
+            self.angles = targets[:, 2:]
+
+    @staticmethod
+    def check_target_count(mode, n_targets):
+        if n_targets != len(TARGET_NAMES[mode]):
+            raise ValueError(
+                f"mode {mode!r} needs {len(TARGET_NAMES[mode])} forest targets, got {n_targets}"
+            )
 
     def compute(self, state):
-        tau = tensors.boussinesq(state.k_plus, state.nu_t_plus, state.dUdy_plus)
-        if self.mode == "datafree":
-            return perturb.data_free_corner(tau, self.corner, self.delta_b)
-        pred = self.forest.predict(feat.feature_matrix(state))
-        if self.mode == "p":
-            return perturb.data_driven_magnitude(tau, self.corner, pred[:, 0])
-        if self.mode == "pcorr":
-            return perturb.componentwise_correction(tau, pred[:, :2])
-        return perturb.full_anisotropy_correction(tau, pred[:, :2], pred[:, 2:])
+        k, nu_t, dudy = state.k_plus, state.nu_t_plus, state.dUdy_plus
+        laminar = k < tensors.K_FLOOR
+        a = nu_t * np.abs(dudy) / np.where(laminar, 1.0, k)
+        lam = perturb.move_eigenvalues(np.column_stack([a, np.zeros_like(a), -a]), self.move)
+        if self.angles is None:
+            # the anisotropy diag(lam) on _SHEAR_FRAME, written out
+            l1, l2, l3 = lam.T
+            iso = k * (0.5 * (l1 + l3) + 2.0 / 3.0)
+            tau = tensors.stress_stack(iso, iso, k * (l2 + 2.0 / 3.0), -0.5 * k * (l1 - l3))
+        else:
+            frame = np.broadcast_to(_SHEAR_FRAME, (len(k), 3, 3))
+            tau = tensors.reconstruct(k, lam, rotation.apply_rotation(frame, self.angles))
+        # zero orientation at the centreline: the mean of the stress and
+        # its mirror image in y, which keeps it realizable
+        tau[-1, 1, [0, 2]] = tau[-1, [0, 2], 1] = 0.0
+        tau[laminar] = tensors.boussinesq(k[laminar], nu_t[laminar], dudy[laminar])
+        return tau
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +380,7 @@ def _init_state(grid):
     om_vis = 6.0 / (BETA_1 * grid.yp2)
     om_log = 1.0 / (np.sqrt(BETA_STAR) * KAPPA * yp)
     om = np.sqrt(om_vis**2 + om_log**2)
+    om[0] = grid.om_wall
     nu_t = k / np.maximum(om, OMEGA_FLOOR)
     return U, k, om, nu_t
 
@@ -367,8 +415,9 @@ def _sweep(grid, state, minus_uv, ur, coupled=False):
     """One outer iteration: the relaxed U -> k -> omega -> nu_t update
     of ``state`` under the shear stress ``minus_uv`` (-u'v'*; None for
     the eddy-viscosity closure), with under-relaxation factor ``ur``.
-    ``coupled`` says that ``minus_uv`` still follows the flow; a fixed
-    stress (prescribed, or coupled and frozen) is not.
+    ``coupled`` selects the Picard form for a stress that still follows
+    the flow; a fixed stress (prescribed, or held for one evaluation of
+    the fixed-point map) is solved exactly.
 
     Returns a new ChannelState; every array of ``state`` stays intact.
     """
@@ -445,62 +494,175 @@ def _solve(cfg, injection):
     grid = _Grid(make_grid(cfg.re_tau, cfg.n_cells, cfg.stretch))
     U, k, om, nu_t = _init_state(grid)
     state = ChannelState(cfg.re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
+    if injection is not None and injection.coupled:
+        return _solve_coupled(cfg, grid, state, injection)
     ur = 0.8 if injection is None else 0.5
-    coupled = injection is not None and injection.coupled
     minus_uv = tau = None
-    if injection is not None and not coupled:
+    if injection is not None:
         tau = injection.compute(state)
         minus_uv = -tau[:, 0, 1]
 
-    # steady fully developed momentum bounds the turbulent shear stress
-    # by the total-stress line
-    shear_cap = 1.0 - grid.y / cfg.re_tau
     residuals = []
-    frozen_at = None
-    best_res, best_it, best_snap = np.inf, 0, None
     for it in range(cfg.max_iters):
-        if coupled:
-            tau = injection.compute(state)
-            m_new = np.minimum(-tau[:, 0, 1], shear_cap)
+        state, res = _picard_sweep(grid, state, minus_uv, ur, residuals)
+        if res < cfg.residual_tol and it > 5:
+            break
+    else:
+        raise SolverError(
+            f"no convergence after {cfg.max_iters} iterations "
+            f"(last residual {residuals[-1]:.3e})",
+            residuals,
+        )
+
+    # report the injected stress itself; minus_uv_plus carries the shear
+    # the momentum equation used
+    if minus_uv is None:
+        minus_uv = state.nu_t_plus * state.dUdy_plus
+        tau = tensors.boussinesq(state.k_plus, state.nu_t_plus, state.dUdy_plus)
+    return replace(state, minus_uv_plus=minus_uv, tau=tau, residual_history=residuals)
+
+
+def _picard_sweep(grid, state, minus_uv, ur, residuals, coupled=False):
+    """One relaxed sweep; appends its relative change to ``residuals``
+    and stops the solve on a NaN/Inf."""
+    new = _sweep(grid, state, minus_uv, ur, coupled)
+    res = _relative_change(state, new)
+    residuals.append(res)
+    if not np.isfinite(res):
+        raise SolverError(f"NaN/Inf detected at iteration {len(residuals) - 1}", residuals)
+    return new, res
+
+
+class _FixedPoint:
+    """The map G of a coupled stress on packed states x = (U, k, omega,
+    nu_t): one fixed-stress sweep at ur = 1 under the capped stress
+    evaluated at x."""
+
+    def __init__(self, grid, re_tau, injection):
+        self.grid, self.re_tau, self.injection = grid, re_tau, injection
+        self.cap = 1.0 - grid.y / re_tau  # steady momentum bounds the turbulent shear
+
+    def shear(self, state):
+        """The capped shear -u'v'* of the injection at ``state`` and the stress."""
+        tau = self.injection.compute(state)
+        return np.minimum(-tau[:, 0, 1], self.cap), tau
+
+    def state(self, x):
+        U, k, om, nu_t = np.split(x, 4)
+        return ChannelState(self.re_tau, self.grid.y, U, k, om, nu_t, self.grid.grad(U))
+
+    def sweep(self, state):
+        return _sweep(self.grid, state, self.shear(state)[0], 1.0)
+
+    def residual(self, x):
+        """F(x) = G(x) - x."""
+        return _pack(self.sweep(self.state(x))) - x
+
+
+def _pack(state):
+    return np.concatenate([state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus])
+
+
+def _solve_coupled(cfg, grid, state, injection):
+    """Picard blocks until pseudo-transient Newton-Krylov reaches the
+    fixed point; SolverError when none does within ``max_iters`` sweeps."""
+    fp = _FixedPoint(grid, cfg.re_tau, injection)
+    residuals = []
+    minus_uv = None
+    newton_steps = 0
+    reason = "max_iters allows no sweep"
+    while len(residuals) < cfg.max_iters:
+        for _ in range(min(PICARD_BLOCK, cfg.max_iters - len(residuals))):
+            m_new = fp.shear(state)[0]
             if minus_uv is None:
                 minus_uv = m_new
             else:
                 minus_uv = (1.0 - STRESS_RELAX) * minus_uv + STRESS_RELAX * m_new
-
-        new = _sweep(grid, state, minus_uv, ur, coupled)
-        res = _relative_change(state, new)
-        state = new
-        residuals.append(res)
-        if not np.isfinite(res):
-            raise SolverError(f"NaN/Inf detected at iteration {it}", residuals)
-        if res < cfg.residual_tol and it > 5:
+            state, _ = _picard_sweep(grid, state, minus_uv, 0.5, residuals, coupled=True)
+        x = _pack(state)
+        scale = np.repeat(np.maximum(1.0, np.abs(x).reshape(4, -1).max(axis=1)), len(grid.y))
+        f_scaled = fp.residual(x) / scale
+        f = np.max(np.abs(f_scaled))
+        if f <= NEWTON_TOL:
             break
-        if not coupled:
+        if not f <= NEWTON_GATE:  # NaN included
+            reason = f"scaled F {f:.3e} above the Newton gate {NEWTON_GATE:g}"
             continue
-        # sweeps never write into a state, so a snapshot is a reference
-        if res < FREEZE_IMPROVE * best_res:
-            best_res, best_it, best_snap = res, it, (minus_uv, tau, state)
-        elif it - best_it > FREEZE_STALL:
-            # marginally stable stress coupling: freeze the stress at
-            # the closest-approach iterate and converge against it
-            minus_uv, tau, state = best_snap
-            coupled, frozen_at = False, it
+        x_new, steps, f, reason = _newton(fp.residual, x, scale, f_scaled)
+        newton_steps += steps
+        if x_new is not None:
+            x = x_new
+            break
     else:
-        frozen = "" if frozen_at is None else f", stress frozen at iteration {frozen_at}"
         raise SolverError(
-            f"no convergence after {cfg.max_iters} iterations "
-            f"(last residual {residuals[-1]:.3e}{frozen})",
+            f"no fixed point after {len(residuals)} Picard sweeps and "
+            f"{newton_steps} Newton steps ({reason})",
             residuals,
         )
 
-    # report the injected stresses themselves (realizable by
-    # construction); minus_uv_plus carries the shear the momentum
-    # equation actually used, relaxed and capped if it was coupled
-    if minus_uv is None:
-        minus_uv = state.nu_t_plus * state.dUdy_plus
-        tau = tensors.boussinesq(state.k_plus, state.nu_t_plus, state.dUdy_plus)
-    return replace(state, minus_uv_plus=minus_uv, tau=tau, residual_history=residuals,
-                   frozen_at=frozen_at)
+    # report the flow solved under the stress at the fixed point, and how
+    # far the stress recomputed from that flow is from the one it used
+    at_x = fp.state(x)
+    minus_uv, tau = fp.shear(at_x)
+    out = fp.sweep(at_x)
+    consistency = float(np.max(np.abs(fp.shear(out)[0] - minus_uv)))
+    return replace(out, minus_uv_plus=minus_uv, tau=tau, residual_history=residuals,
+                   newton_steps=newton_steps, fixed_point_residual=float(f),
+                   stress_consistency=consistency)
+
+
+def _newton(residual, x, scale, f):
+    """Pseudo-transient Newton-Krylov on F(z) = residual(z scale) / scale
+    from x, where F is ``f``.
+
+    Each step solves (I/dt - J) dz = F by GMRES with a forward-difference
+    J v, halves dz until k >= 0 off the wall, omega > 0 and nu_t >= 0,
+    and scales dt by |F_old| / |F_new| clipped to [0.1, 10].
+
+    Returns (x, steps, final scaled F, reason): x is None unless the
+    scaled max-norm of F reached NEWTON_TOL, and reason says why not.
+    """
+    n = len(x)
+    m = n // 4
+
+    def F(z):
+        return residual(z * scale) / scale
+
+    def shifted(v):
+        """(I/dt - J) v at the current z, dt and F."""
+        v_norm = np.linalg.norm(v)
+        if v_norm == 0.0:
+            return np.zeros_like(v)
+        h = np.sqrt(np.finfo(float).eps) * max(1.0, np.linalg.norm(z)) / v_norm
+        return v / dt - (F(z + h * v) - f) / h
+
+    z = x / scale
+    f_norm = f_start = np.max(np.abs(f))
+    dt = 1.0
+    operator = LinearOperator((n, n), matvec=shifted)
+    for step in range(1, NEWTON_STEPS + 1):
+        dz, _ = gmres(operator, f, rtol=1e-6, restart=200, maxiter=1)
+        for _ in range(60):  # down to a step of 1e-18 dz
+            x_new = (z + dz) * scale
+            k, om, nu_t = x_new[m + 1:2 * m], x_new[2 * m:3 * m], x_new[3 * m:]
+            if np.all(k >= 0.0) and np.all(om > 0.0) and np.all(nu_t >= 0.0):
+                break
+            dz = 0.5 * dz
+        else:
+            return None, step, f_norm, f"no admissible Newton step at step {step}"
+        z = z + dz
+        f = F(z)
+        f_new = np.max(np.abs(f))
+        if not np.isfinite(f_new):
+            return None, step, f_new, f"non-finite F at Newton step {step}"
+        if f_new > NEWTON_BLOWUP * f_start:
+            return None, step, f_new, f"Newton diverged: scaled F {f_new:.3e} at step {step}"
+        if f_new <= NEWTON_TOL:
+            return z * scale, step, f_new, None
+        dt *= min(max(f_norm / f_new, 0.1), 10.0)
+        f_norm = f_new
+    return None, NEWTON_STEPS, f_norm, (
+        f"Newton stopped at scaled F {f_norm:.3e} after {NEWTON_STEPS} steps")
 
 
 def total_shear_error(state: ChannelState) -> float:
@@ -541,7 +703,7 @@ class Envelope:
         return float(np.trapezoid(self.width, self.baseline.y_plus))
 
 
-def corner_injections(mode, delta_b=None, forest=None) -> dict[str, PerturbationInjection]:
+def corner_injections(mode, delta_b=None, targets=None) -> dict[str, PerturbationInjection]:
     """The injection of each corner slot 1C/2C/3C for one uq mode.
 
     Modes that take no corner get one shared instance in all three
@@ -549,21 +711,24 @@ def corner_injections(mode, delta_b=None, forest=None) -> dict[str, Perturbation
     """
     if "corner" in PerturbationInjection.TAKES.get(mode, ()):
         return {
-            c: PerturbationInjection(mode, corner=c, delta_b=delta_b, forest=forest)
+            c: PerturbationInjection(mode, corner=c, delta_b=delta_b, targets=targets)
             for c in CORNER_SLOTS
         }
-    shared = PerturbationInjection(mode, delta_b=delta_b, forest=forest)
+    shared = PerturbationInjection(mode, delta_b=delta_b, targets=targets)
     return dict.fromkeys(CORNER_SLOTS, shared)
 
 
-def uq_envelope(cfg: ChannelConfig, injections: dict[str, StressInjection]) -> Envelope:
-    """Solve the baseline and each distinct corner injection once and
-    collect the per-node min/max velocity envelope.
+def uq_envelope(cfg: ChannelConfig, injections: dict[str, StressInjection],
+                baseline: ChannelState | None = None) -> Envelope:
+    """Solve the baseline (unless given, solved under ``cfg``) and each
+    distinct corner injection once and collect the per-node min/max
+    velocity envelope.
 
     ``injections`` maps each corner slot to its StressInjection (see
     ``corner_injections``); slots sharing one instance share its state.
     """
-    baseline = solve_baseline(cfg)
+    if baseline is None:
+        baseline = solve_baseline(cfg)
     solved = {}  # id(injection) -> state
     states = {}
     for corner, injection in injections.items():

@@ -6,6 +6,12 @@ reassemble with the (possibly rotated) eigenvector frame. Corner weights
 are clipped into the triangle on both sides of the move (roundoff
 guard), turbulent kinetic energy is never changed, and degenerate
 near-laminar nodes pass through unchanged.
+
+Each mode's move of the barycentric points is built by one of
+``corner_shift``, ``magnitude_shift`` and ``componentwise_shift``;
+``move_eigenvalues`` applies a move to anisotropy eigenvalues, which is
+how the channel solver perturbs its stress in the channel's fixed frame
+without an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -16,45 +22,67 @@ from . import rotation as rot
 from . import tensors
 
 
+def corner_shift(corner: str, delta_b: float):
+    """Relative shift toward a corner: x* = x + delta_b (x_t - x)."""
+    xt = tensors.corner_coords(corner)
+    return lambda xy: xy + delta_b * (xt - xy)
+
+
+def magnitude_shift(corner: str, p):
+    """Move each node's point a distance p (negative counts as 0) toward
+    a corner, stopping at the corner."""
+    xt = tensors.corner_coords(corner)
+    p_pos = np.maximum(p, 0.0)
+
+    def move(xy):
+        d = xt - xy
+        dist = np.linalg.norm(d, axis=1)
+        step = np.minimum(np.where(dist > 1e-14, p_pos / np.maximum(dist, 1e-14), 0.0), 1.0)
+        return xy + step[:, None] * d
+
+    return move
+
+
+def componentwise_shift(p_corr):
+    """Add a plane correction vector (n, 2) per node; points pushed out of
+    the triangle are projected back onto it."""
+    return lambda xy: tensors.project_into_triangle(xy + p_corr)
+
+
+def move_eigenvalues(lam, move):
+    """Anisotropy eigenvalues (n, 3), sorted descending, whose
+    barycentric points ``move`` has moved."""
+    xy = tensors.weights_to_points(tensors.clip_weights(tensors.eigenvalues_to_weights(lam)))
+    return tensors.weights_to_eigenvalues(tensors.clip_weights(tensors.points_to_weights(move(xy))))
+
+
 def _perturb(tau, move, angles=None):
     k, lam, frame, degenerate = tensors.decompose(tau)
-    xy = tensors.weights_to_points(tensors.clip_weights(tensors.eigenvalues_to_weights(lam)))
-    w_new = tensors.clip_weights(tensors.points_to_weights(move(xy)))
     if angles is not None:
         frame = rot.apply_rotation(frame, angles)
-    out = tensors.reconstruct(k, tensors.weights_to_eigenvalues(w_new), frame)
+    out = tensors.reconstruct(k, move_eigenvalues(lam, move), frame)
     out[degenerate] = tau[degenerate]
     return out
 
 
 def data_free_corner(tau, corner: str, delta_b: float):
     """Relative shift toward a corner: x* = x + delta_b (x_t - x)."""
-    xt = tensors.corner_coords(corner)
-    return _perturb(tau, lambda xy: xy + delta_b * (xt - xy))
+    return _perturb(tau, corner_shift(corner, delta_b))
 
 
 def data_driven_magnitude(tau, corner: str, p):
     """Move each node's point a distance p (negative counts as 0) toward
     a corner, stopping at the corner."""
-    xt = tensors.corner_coords(corner)
-
-    def move(xy):
-        d = xt - xy
-        dist = np.linalg.norm(d, axis=1)
-        p_pos = np.maximum(p, 0.0)
-        step = np.minimum(np.where(dist > 1e-14, p_pos / np.maximum(dist, 1e-14), 0.0), 1.0)
-        return xy + step[:, None] * d
-
-    return _perturb(tau, move)
+    return _perturb(tau, magnitude_shift(corner, p))
 
 
 def componentwise_correction(tau, p_corr):
     """Add a plane correction vector (n, 2) per node; points pushed out of
     the triangle are projected back onto it."""
-    return _perturb(tau, lambda xy: tensors.project_into_triangle(xy + p_corr))
+    return _perturb(tau, componentwise_shift(p_corr))
 
 
 def full_anisotropy_correction(tau, p_corr, angles):
     """Componentwise correction plus a Tait-Bryan rotation (n, 3) of
     each eigenvector frame."""
-    return _perturb(tau, lambda xy: tensors.project_into_triangle(xy + p_corr), angles)
+    return _perturb(tau, componentwise_shift(p_corr), angles)

@@ -1,5 +1,5 @@
 """End-to-end orchestration: baseline runs, forest training, forward UQ,
-frozen-stress propagation, and report aggregation.
+prescribed-stress propagation, and report aggregation.
 
 Every command writes its outputs plus a single ``manifest.json`` into the
 output directory; reruns with an identical manifest produce byte-identical
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import __version__, channel, dns, forest, tensors
+from . import __version__, channel, dns, features, forest, tensors
 from .forest import ForestFormatError
 
 EXIT_OK = 0
@@ -310,34 +310,64 @@ def cmd_train(settings: Settings, out_dir, target_kind: str) -> int:
     return EXIT_OK
 
 
-def _load_forest(path):
+def _load_forest(path, mode):
+    """The forest at ``path``, checked to map the solver's features to
+    the targets of ``mode``."""
     if path is None:
         raise ConfigError("data-driven uq mode needs --forest")
     if not os.path.exists(path):
         raise DataError(f"forest file not found: {path}")
     try:
-        return forest.load(path)
+        fitted = forest.load(path)
     except ForestFormatError as e:
         raise DataError(str(e)) from e
+    check_forest(fitted, mode)
+    return fitted
+
+
+def check_forest(fitted, mode):
+    """ConfigError unless ``fitted`` reads the solver's features and
+    predicts the targets of ``mode``."""
+    if fitted.n_features != len(features.DEFAULT_FEATURES):
+        raise ConfigError(
+            f"forest expects {fitted.n_features} features, "
+            f"solver provides {len(features.DEFAULT_FEATURES)}"
+        )
+    try:
+        channel.PerturbationInjection.check_target_count(mode, fitted.n_targets)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def forest_targets(fitted, baseline):
+    """Per-node perturbation targets: the forest queried once, on the
+    converged baseline whose features it was trained on."""
+    return fitted.predict(features.feature_matrix(baseline))
 
 
 def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
     """Check the mode's arguments, then solve its envelope. A mode
     rejects a ``forest_path`` or ``delta_b`` (command-line values) it
-    does not take; without ``delta_b`` it reads ``uq.delta_b``."""
+    does not take; without ``delta_b`` it reads ``uq.delta_b``. A
+    data-driven mode takes its targets from the forest queried on the
+    baseline of the envelope."""
     cfg = build_channel_config(settings)
     takes = channel.PerturbationInjection.TAKES.get(mode)
     if takes is None:
         raise ConfigError(f"unknown uq mode {mode!r}")
-    if forest_path is not None and "forest" not in takes:
+    if forest_path is not None and "targets" not in takes:
         raise ConfigError(f"uq mode {mode!r} does not take --forest")
     if delta_b is not None and "delta_b" not in takes:
         raise ConfigError(f"uq mode {mode!r} does not take --delta-b")
-    if delta_b is None and "delta_b" in takes:
+    if "targets" in takes:
+        fitted = _load_forest(forest_path, mode)
+        baseline = channel.solve_baseline(cfg)
+        injections = channel.corner_injections(mode, targets=forest_targets(fitted, baseline))
+        return channel.uq_envelope(cfg, injections, baseline)
+    if delta_b is None:
         delta_b = _get(settings.uq, "delta_b", float, "uq")
-    fitted = _load_forest(forest_path) if "forest" in takes else None
     try:
-        injections = channel.corner_injections(mode, delta_b=delta_b, forest=fitted)
+        injections = channel.corner_injections(mode, delta_b=delta_b)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     return channel.uq_envelope(cfg, injections)
@@ -375,7 +405,12 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
         "integrated_width": env.integrated_width(),
         "realizability_violations": violations,
         "iterations": {c: s.iterations for c, s in env.corner_states.items()},
-        "frozen_at": {c: s.frozen_at for c, s in env.corner_states.items()},
+        "picard_sweeps": {c: s.picard_sweeps for c, s in env.corner_states.items()},
+        "newton_steps": {c: s.newton_steps for c, s in env.corner_states.items()},
+        "fixed_point_residual": {
+            c: s.fixed_point_residual for c, s in env.corner_states.items()
+        },
+        "stress_consistency": {c: s.stress_consistency for c, s in env.corner_states.items()},
         "total_shear_error": {
             c: channel.total_shear_error(s) for c, s in env.corner_states.items()
         },
@@ -385,7 +420,8 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
         # gives the same manifest
         with open(forest_path, "rb") as f:
             digest = hashlib.sha256(f.read()).hexdigest()
-        extra["forest"] = {"file": os.path.basename(forest_path), "sha256": digest}
+        extra["forest"] = {"file": os.path.basename(forest_path), "sha256": digest,
+                           "queried_on": "baseline"}
     write_manifest(out_dir, "uq", ran, extra, sections=("channel", "uq"))
     return EXIT_OK
 

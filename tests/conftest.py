@@ -1,10 +1,12 @@
 """Shared fixtures.
 
-The channel solves with corner-perturbed stresses are expensive (several
-seconds each, almost all of it in the coupled iterations before the
-stress freezes), so every converged state used by more than one test is a
-session-scoped fixture. Baselines are taken from the envelope runs so
-each configuration is solved exactly once.
+The channel solves with corner-perturbed stresses cost up to a second
+or two each (the Picard sweeps that bring a corner into Newton's basin,
+then the Newton-Krylov finish), so every converged state used by more
+than one test is a session-scoped fixture. Baselines are taken from the
+envelope runs so each configuration is solved exactly once; the
+data-driven envelope reuses the Re_tau 1000 baseline, on which its
+forest is queried.
 """
 
 import numpy as np
@@ -47,10 +49,16 @@ def forest_p(settings):
 
 
 @pytest.fixture(scope="session")
-def envelope_datadriven_1000(forest_p):
-    fitted, _ = forest_p
+def targets_p_1000(forest_p, baseline_1000):
+    """The magnitude forest's targets, queried once on the baseline."""
+    return pipeline.forest_targets(forest_p[0], baseline_1000)
+
+
+@pytest.fixture(scope="session")
+def envelope_datadriven_1000(targets_p_1000, baseline_1000):
     cfg = channel.ChannelConfig(re_tau=1000.0)
-    return channel.uq_envelope(cfg, channel.corner_injections("p", forest=fitted))
+    injections = channel.corner_injections("p", targets=targets_p_1000)
+    return channel.uq_envelope(cfg, injections, baseline_1000)
 
 
 @pytest.fixture(scope="session")

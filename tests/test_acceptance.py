@@ -3,8 +3,8 @@
 Each test class checks one contract of the package: exactness of the
 barycentric realizability map, algebraic round trips, solver physics
 (plane strain, laminar limit, momentum balance), self-consistency of
-the coupled corners that converge and roundoff reproducibility of the
-frozen ones, reference-stress propagation, envelope behaviour of the
+every coupled corner and independence of its fixed point from the
+iteration path, reference-stress propagation, envelope behaviour of the
 data-driven mode, forest training quality, realizability of every
 perturbed stress field, and the full-anisotropy correction round trip.
 """
@@ -117,7 +117,7 @@ class TestLaminarLimit:
 class TestMomentumBalance:
     """Converged total shear matches 1 - y+/Re_tau within 1 percent for
     the baseline and every injection mode at both Reynolds numbers, and
-    to the solver tolerance wherever the stress is fixed."""
+    to the solver tolerance for every injected stress."""
 
     def test_all_states(self, all_injected_states):
         for label, state in all_injected_states.items():
@@ -125,13 +125,14 @@ class TestMomentumBalance:
             assert err < 0.01, f"{label}: total shear off by {err:.3e}"
 
     def test_fixed_stress_states_balance_discretely(self, all_injected_states):
-        # a prescribed or frozen stress leaves momentum one linear
-        # equation, so its discrete balance holds to the solver tolerance
+        # a prescribed stress, or a coupled one at its fixed point, leaves
+        # momentum one linear equation, so its discrete balance holds to
+        # the solver tolerance
         fixed = {
             label: state for label, state in all_injected_states.items()
-            if label.startswith("frozen") or state.frozen_at is not None
+            if not label.startswith("baseline")
         }
-        assert len(fixed) >= 6
+        assert len(fixed) == 11
         for label, state in fixed.items():
             err = channel.total_shear_error(state)
             tol = ChannelConfig(re_tau=state.re_tau).residual_tol
@@ -145,9 +146,7 @@ class TestFixedPoint:
     in the solver's own relative-change norm.
 
     This is the flow equations' fixed point with the reported shear held
-    fixed, not self-consistency of the stress: the frozen corner
-    stresses differ from the stress recomputed from the converged flow
-    by up to 0.9 in wall units.
+    fixed; TestStressConsistency checks the stress itself.
     """
 
     def test_all_states(self, all_injected_states):
@@ -160,45 +159,42 @@ class TestFixedPoint:
 
 
 class TestStressConsistency:
-    """A coupled corner that converged without freezing used the shear
-    its injection gives on the converged flow, capped by the total-stress
-    line, to within 1e-6."""
+    """Every coupled corner used the shear its injection gives on the
+    converged flow, capped by the total-stress line, to within 1e-6, and
+    reached its fixed point to a scaled F of NEWTON_TOL."""
 
-    def test_unfrozen_coupled_states(self, all_injected_states, forest_p):
+    def test_unfrozen_coupled_states(self, all_injected_states, targets_p_1000):
         injections = {
             "datafree_180": channel.corner_injections("datafree", delta_b=1.0),
             "datafree_1000": channel.corner_injections("datafree", delta_b=1.0),
-            "datadriven_1000": channel.corner_injections("p", forest=forest_p[0]),
+            "datadriven_1000": channel.corner_injections("p", targets=targets_p_1000),
         }
-        checked = []
         for label, corners in injections.items():
             for corner, injection in corners.items():
                 state = all_injected_states[f"{label}_{corner}"]
-                if state.frozen_at is None:
-                    cap = 1.0 - state.y_plus / state.re_tau
-                    recomputed = np.minimum(-injection.compute(state)[:, 0, 1], cap)
-                    err = np.max(np.abs(recomputed - state.minus_uv_plus))
-                    assert err <= 1e-6, f"{label}_{corner}: shear off by {err:.3e}"
-                    checked.append(f"{label}_{corner}")
-        assert {"datafree_180_3C", "datafree_1000_3C"} <= set(checked)
+                cap = 1.0 - state.y_plus / state.re_tau
+                recomputed = np.minimum(-injection.compute(state)[:, 0, 1], cap)
+                err = np.max(np.abs(recomputed - state.minus_uv_plus))
+                assert err <= 1e-6, f"{label}_{corner}: shear off by {err:.3e}"
+                assert state.stress_consistency == err, f"{label}_{corner}"
+                assert state.fixed_point_residual <= channel.NEWTON_TOL, f"{label}_{corner}"
 
 
-class TestFreezeReproducibility:
-    """A frozen corner does not hinge on roundoff. Moving the initial U
-    by 4 ulp sends the 1C corner at Re_tau 1000 down another iteration
-    path, so its stress freezes at another iteration, yet the envelope
-    moves by less than 0.1 in U+ (at most 0.037 measured). Without the
-    coupled effective viscosity it moved by 1.4 (datafree) and 0.22 (p).
+class TestPathIndependence:
+    """A corner's fixed point does not hinge on the iteration path.
+    Moving the initial U by 4 ulp sends the 1C corner at Re_tau 1000
+    down another path of Picard sweeps, yet the envelope moves by at most
+    1e-6 in U+.
     """
 
     @pytest.mark.parametrize("mode", ["datafree", "p"])
-    def test_ulp_shift_keeps_the_envelope(self, mode, request, forest_p, monkeypatch):
+    def test_ulp_shift_keeps_the_envelope(self, mode, request, targets_p_1000, monkeypatch):
         if mode == "datafree":
             env = request.getfixturevalue("envelope_datafree_1000")
             injection = channel.PerturbationInjection("datafree", corner="1C", delta_b=1.0)
         else:
             env = request.getfixturevalue("envelope_datadriven_1000")
-            injection = channel.PerturbationInjection("p", corner="1C", forest=forest_p[0])
+            injection = channel.PerturbationInjection("p", corner="1C", targets=targets_p_1000)
         init_state = channel._init_state
 
         def shifted_init_state(grid):
@@ -211,12 +207,12 @@ class TestFreezeReproducibility:
         monkeypatch.setattr(channel, "_init_state", shifted_init_state)
         shifted = channel.solve_with_injection(ChannelConfig(re_tau=1000.0), injection)
         old = env.corner_states["1C"]
-        assert old.frozen_at is not None and shifted.frozen_at != old.frozen_at
+        assert not np.array_equal(shifted.U_plus, old.U_plus)
         others = [env.baseline] + [s for c, s in env.corner_states.items() if c != "1C"]
         profiles = np.vstack([s.U_plus for s in others] + [shifted.U_plus])
         lower = np.max(np.abs(profiles.min(axis=0) - env.U_min))
         upper = np.max(np.abs(profiles.max(axis=0) - env.U_max))
-        assert max(lower, upper) < 0.1, f"U_min moved by {lower:.3e}, U_max by {upper:.3e}"
+        assert max(lower, upper) <= 1e-6, f"U_min moved by {lower:.3e}, U_max by {upper:.3e}"
 
 
 class TestReferencePropagation:

@@ -1,12 +1,13 @@
-import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
-from eigenuq import channel, dns, tensors
+from eigenuq import channel, dns, perturb, tensors
 from eigenuq.channel import ChannelConfig
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -115,8 +116,9 @@ class TestKernels:
         ids=["eddy_viscosity", "injected_shear", "coupled_shear"],
     )
     def test_sweep_leaves_its_input_intact(self, injected, coupled):
-        # the solver keeps earlier iterates by reference (the stress
-        # freeze restores one), so a sweep must not write into its input
+        # the solver keeps earlier iterates by reference (Picard goes on
+        # from the iterate a failed Newton attempt started at), so a sweep
+        # must not write into its input
         grid = channel._Grid(channel.make_grid(180.0, 33, 0.5))
         U, k, om, nu_t = channel._init_state(grid)
         state = channel.ChannelState(180.0, grid.y, U, k, om, nu_t, grid.grad(U))
@@ -203,7 +205,8 @@ class TestInjectionValidation:
             channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=2.0)
 
     def test_data_driven_needs_forest(self):
-        with pytest.raises(ValueError, match="forest"):
+        # the targets are the forest's predictions on the baseline
+        with pytest.raises(ValueError, match="needs targets"):
             channel.PerturbationInjection(mode="pcorr")
 
     def test_frozen_profile_must_cover_channel(self):
@@ -229,33 +232,110 @@ class TestInjectedSolve:
         state = channel.solve_with_injection(ChannelConfig(re_tau=180.0, n_cells=32), inj)
         assert np.array_equal(state.minus_uv_plus, -state.tau[:, 0, 1])
 
-    def test_stall_after_freeze_names_freeze_iteration(self, monkeypatch):
-        # the 1C stress on 32 cells freezes soon after 20 stalled
-        # iterations; the flow then needs more sweeps than are left
-        monkeypatch.setattr(channel, "FREEZE_STALL", 20)
-        cfg = ChannelConfig(re_tau=180.0, n_cells=32, max_iters=100)
-        inj = channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=1.0)
-        with pytest.raises(channel.SolverError, match="no convergence after 100") as err:
-            channel.solve_with_injection(cfg, inj)
-        frozen_at = int(re.search(r"stress frozen at iteration (\d+)\)", str(err.value))[1])
-        assert 20 < frozen_at < 100
-        assert len(err.value.residual_history) == 100
-
-    def test_frozen_solve_converges(self, monkeypatch):
-        # once frozen, momentum is one exact linear solve per sweep, so
-        # the same solve converges against its frozen stress
-        monkeypatch.setattr(channel, "FREEZE_STALL", 20)
-        cfg = ChannelConfig(re_tau=180.0, n_cells=32, max_iters=300)
+    def test_coupled_solve_reaches_its_fixed_point(self):
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
         inj = channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=1.0)
         state = channel.solve_with_injection(cfg, inj)
-        assert 20 < state.frozen_at < state.iterations <= 300
+        assert state.picard_sweeps % channel.PICARD_BLOCK == 0
+        assert state.newton_steps > 0
+        assert state.iterations == state.picard_sweeps + state.newton_steps
+        assert state.fixed_point_residual <= channel.NEWTON_TOL
+        assert state.stress_consistency <= 1e-6
         assert channel.total_shear_error(state) <= cfg.residual_tol
 
-    def test_unfrozen_solves_record_no_freeze(self):
+    def test_corner_without_fixed_point_names_its_reason(self):
+        # after 200 sweeps the 1C corner at Re_tau 1000 is still far from
+        # Newton's basin, and max_iters allows no more
+        cfg = ChannelConfig(re_tau=1000.0, max_iters=200)
+        inj = channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=1.0)
+        with pytest.raises(channel.SolverError, match=(
+            r"no fixed point after 200 Picard sweeps and 0 Newton steps "
+            r"\(scaled F \S+ above the Newton gate 0.5\)")) as err:
+            channel.solve_with_injection(cfg, inj)
+        assert len(err.value.residual_history) == 200
+
+    def test_uncoupled_solves_take_no_newton_steps(self):
         cfg = ChannelConfig(re_tau=180.0, n_cells=32)
         inj = channel.FrozenStressInjection(profile=dns.synthetic_profile(180.0))
-        assert channel.solve_with_injection(cfg, inj).frozen_at is None
-        assert channel.solve_baseline(cfg).frozen_at is None
+        for state in (channel.solve_with_injection(cfg, inj), channel.solve_baseline(cfg)):
+            assert state.newton_steps == 0
+            assert state.iterations == state.picard_sweeps
+            assert state.fixed_point_residual is None and state.stress_consistency is None
+
+
+MODES = ("datafree", "p", "pcorr", "pcorr_angles")
+# nu_t > 0 as well as dU/dy > 0: where the anisotropy vanishes, any
+# frame is an eigenframe and the decomposition's is arbitrary. k stays
+# clear of K_FLOOR, below which the decomposition's k (half the trace,
+# rounded) may fall where the closed form's does not
+positive = st.floats(1e-6, 1e3)
+channel_nodes = st.integers(2, 24).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=st.floats(2.0 * tensors.K_FLOOR, 1e3)),  # k
+    arrays(np.float64, n, elements=positive),  # nu_t
+    arrays(np.float64, n, elements=positive),  # dU/dy
+))
+
+
+def injection_and_decomposed(mode, rng, n):
+    """An injection of ``mode`` with random arguments, and the same
+    perturbation of a stress stack through the perturb mode functions,
+    which find the frame by tensors.decompose (eigh)."""
+    p_corr, angles = rng.uniform(-0.3, 0.3, (n, 2)), rng.uniform(-np.pi, np.pi, (n, 3))
+    if mode == "datafree":
+        delta_b = rng.uniform()
+        return (channel.PerturbationInjection(mode, corner="2C", delta_b=delta_b),
+                lambda tau: perturb.data_free_corner(tau, "2C", delta_b))
+    if mode == "p":
+        p = rng.uniform(-0.1, 0.5, (n, 1))
+        return (channel.PerturbationInjection(mode, corner="1C", targets=p),
+                lambda tau: perturb.data_driven_magnitude(tau, "1C", p[:, 0]))
+    if mode == "pcorr":
+        return (channel.PerturbationInjection(mode, targets=p_corr),
+                lambda tau: perturb.componentwise_correction(tau, p_corr))
+    return (channel.PerturbationInjection(mode, targets=np.hstack([p_corr, angles])),
+            lambda tau: perturb.full_anisotropy_correction(tau, p_corr, angles))
+
+
+class TestClosedFormInjection:
+    """The closed-form stress of the channel's fixed frame is the stress
+    every perturb mode gives on the Boussinesq tensor wherever dU/dy > 0,
+    and its frame is tensors.decompose's sign-normalised one, the frame
+    in which a forest's target angles were fitted."""
+
+    @PROPERTY
+    @given(nodes=channel_nodes, mode=st.sampled_from(MODES), seed=seeds)
+    def test_matches_perturb_on_boussinesq(self, nodes, mode, seed):
+        k, nu_t, dudy = nodes
+        n = len(k)
+        state = SimpleNamespace(re_tau=100.0, y_plus=np.linspace(0.0, 100.0, n),
+                                k_plus=k, nu_t_plus=nu_t, dUdy_plus=dudy)
+        injection, decomposed = injection_and_decomposed(mode, np.random.default_rng(seed), n)
+        closed = injection.compute(state)
+        expected = decomposed(tensors.boussinesq(k, nu_t, dudy))
+        err = np.max(np.abs(closed - expected)[:-1], axis=(1, 2))
+        assert np.all(err <= 1e-12 * k[:-1]), f"worst node error / k {np.max(err / k[:-1]):.3e}"
+        # no shear at the centreline node: the mean of the stress and its
+        # mirror image in y
+        mirror = expected[-1] * np.outer([1, -1, 1], [1, -1, 1])
+        assert np.max(np.abs(closed[-1] - 0.5 * (expected[-1] + mirror))) <= 1e-12 * k[-1]
+        assert np.all(tensors.is_realizable(closed))
+
+    @PROPERTY
+    @given(nodes=channel_nodes)
+    def test_fixed_frame_is_the_decomposition_frame(self, nodes):
+        k, nu_t, dudy = nodes
+        _, lam, frame, _ = tensors.decompose(tensors.boussinesq(k, nu_t, dudy))
+        a = nu_t * dudy / k
+        assert np.array_equal(frame, np.broadcast_to(channel._SHEAR_FRAME, frame.shape))
+        assert np.max(np.abs(lam - np.column_stack([a, 0.0 * a, -a]))) <= 1e-12 * (1.0 + a.max())
+
+    def test_laminar_nodes_keep_the_boussinesq_stress(self):
+        k = np.array([0.0, 1e-13, 1.0, 1.0])
+        state = SimpleNamespace(re_tau=3.0, y_plus=np.arange(4.0), k_plus=k,
+                                nu_t_plus=np.ones(4), dUdy_plus=np.ones(4))
+        injection = channel.PerturbationInjection("datafree", corner="1C", delta_b=1.0)
+        tau = injection.compute(state)
+        assert np.array_equal(tau[:2], tensors.boussinesq(k[:2], np.ones(2), np.ones(2)))
 
 
 @pytest.fixture(scope="module")

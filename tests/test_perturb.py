@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eigenuq import channel, perturb, rotation, tensors
+from eigenuq import channel, perturb, pipeline, rotation, tensors
 
 PROPERTY = settings(max_examples=100, deadline=None)
 
@@ -49,6 +49,11 @@ def forest_stub(n_targets, n_features=6):
     return SimpleNamespace(n_features=n_features, n_targets=n_targets)
 
 
+def targets(n_targets, n_nodes=4):
+    """Per-node forest predictions of the given width."""
+    return np.zeros((n_nodes, n_targets))
+
+
 def all_modes(tau, rng):
     n = len(tau)
     p_corr = rng.uniform(-0.3, 0.3, size=(n, 2))
@@ -67,37 +72,42 @@ class TestSpecValidation:
 
     def test_constructors(self):
         channel.PerturbationInjection("datafree", corner="1C", delta_b=0.5)
-        channel.PerturbationInjection("p", corner="2C", forest=forest_stub(1))
-        channel.PerturbationInjection("pcorr", forest=forest_stub(2))
-        channel.PerturbationInjection("pcorr_angles", forest=forest_stub(5))
+        channel.PerturbationInjection("p", corner="2C", targets=targets(1))
+        channel.PerturbationInjection("pcorr", targets=targets(2))
+        channel.PerturbationInjection("pcorr_angles", targets=targets(5))
+        pipeline.check_forest(forest_stub(5), "pcorr_angles")
 
     def test_missing_required_field(self):
         with pytest.raises(ValueError, match="needs corner and delta_b"):
             channel.PerturbationInjection("datafree", corner="1C")
-        with pytest.raises(ValueError, match="needs corner and forest"):
-            channel.PerturbationInjection("p", forest=forest_stub(1))
-        with pytest.raises(ValueError, match="needs forest"):
+        with pytest.raises(ValueError, match="needs corner and targets"):
+            channel.PerturbationInjection("p", targets=targets(1))
+        with pytest.raises(ValueError, match="needs targets"):
             channel.PerturbationInjection("pcorr_angles")
 
     def test_forbidden_field(self):
         with pytest.raises(ValueError, match="does not take delta_b"):
-            channel.PerturbationInjection("pcorr", forest=forest_stub(2), delta_b=0.5)
-        with pytest.raises(ValueError, match="does not take forest"):
+            channel.PerturbationInjection("pcorr", targets=targets(2), delta_b=0.5)
+        with pytest.raises(ValueError, match="does not take targets"):
             channel.PerturbationInjection(
-                "datafree", corner="1C", delta_b=0.5, forest=forest_stub(1)
+                "datafree", corner="1C", delta_b=0.5, targets=targets(1)
             )
 
     def test_forest_feature_count(self):
+        # checked where the forest is loaded, before any solve
         with pytest.raises(ValueError, match="forest expects 4 features, solver provides 6"):
-            channel.PerturbationInjection("pcorr", forest=forest_stub(2, n_features=4))
+            pipeline.check_forest(forest_stub(2, n_features=4), "pcorr")
 
     @pytest.mark.parametrize(
         "mode, corner, needed, given",
         [("p", "1C", 1, 2), ("pcorr", None, 2, 1), ("pcorr_angles", None, 5, 2)],
     )
     def test_forest_target_count(self, mode, corner, needed, given):
-        with pytest.raises(ValueError, match=f"needs {needed} forest targets, got {given}"):
-            channel.PerturbationInjection(mode, corner=corner, forest=forest_stub(given))
+        message = f"needs {needed} forest targets, got {given}"
+        with pytest.raises(ValueError, match=message):
+            pipeline.check_forest(forest_stub(given), mode)
+        with pytest.raises(ValueError, match=message):
+            channel.PerturbationInjection(mode, corner=corner, targets=targets(given))
 
     def test_delta_b_range(self):
         for bad in (1.5, -0.1):

@@ -149,14 +149,12 @@ class TestBaselineCommand:
 @pytest.fixture(scope="module")
 def small_grid_datafree_uq(tmp_path_factory):
     """The benchmark's datafree uq at Re_tau 180 on the 32-cell grid of
-    perfbench/uq-small-grid.ini, with a 200-iteration stall limit: the 1C
-    and 2C stresses freeze and 3C converges coupled."""
+    perfbench/uq-small-grid.ini: 1C and 2C reach their fixed points by
+    Newton-Krylov, 3C by Picard sweeps alone."""
     out = tmp_path_factory.mktemp("small_grid") / "uq"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(channel, "FREEZE_STALL", 200)
-        assert cli.run(["uq", "--mode", "datafree", "--delta-b", "1.0", "--re-tau", "180",
-                        "--config", str(PERFBENCH / "uq-small-grid.ini"),
-                        "--out", str(out)]) == pipeline.EXIT_OK
+    assert cli.run(["uq", "--mode", "datafree", "--delta-b", "1.0", "--re-tau", "180",
+                    "--config", str(PERFBENCH / "uq-small-grid.ini"),
+                    "--out", str(out)]) == pipeline.EXIT_OK
     return out
 
 
@@ -185,13 +183,18 @@ class TestUqCommand:
 
     def test_manifest_records_how_each_corner_ended(self, small_grid_datafree_uq):
         man = pipeline.read_manifest(small_grid_datafree_uq)
-        frozen_at, iterations = man["frozen_at"], man["iterations"]
-        assert set(frozen_at) == set(man["total_shear_error"]) == {"1C", "2C", "3C"}
-        for corner in ("1C", "2C"):
-            assert 200 < frozen_at[corner] < iterations[corner]
+        fields = ("iterations", "picard_sweeps", "newton_steps", "fixed_point_residual",
+                  "stress_consistency", "total_shear_error")
+        for field in fields:
+            assert set(man[field]) == {"1C", "2C", "3C"}, field
+        for corner in ("1C", "2C", "3C"):
+            picard, newton = man["picard_sweeps"][corner], man["newton_steps"][corner]
+            assert man["iterations"][corner] == picard + newton
+            assert picard > 0 and picard % channel.PICARD_BLOCK == 0
+            assert (newton > 0) == (corner != "3C")
+            assert man["fixed_point_residual"][corner] <= channel.NEWTON_TOL
+            assert man["stress_consistency"][corner] <= 1e-6
             assert man["total_shear_error"][corner] <= 1e-8
-        assert frozen_at["3C"] is None
-        assert man["total_shear_error"]["3C"] < 0.01
 
     def test_corner_free_mode_solves_once(self, settings, tmp_path, monkeypatch):
         # the forest of a default-settings training, on a 32-cell grid
@@ -358,6 +361,18 @@ class TestCli:
         assert "numerical failure" in proc.stderr
         assert not (tmp_path / "d").exists()
 
+    def test_corner_without_fixed_point_exit_three(self, tmp_path):
+        # 200 sweeps leave the 1C corner at Re_tau 1000 outside Newton's basin
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\nre_tau = 1000\nmax_iters = 200\n")
+        proc = self.run_cli("uq", "--mode", "datafree", "--config", str(cfg),
+                            "--out", str(tmp_path / "d"))
+        assert proc.returncode == 3, proc.stderr
+        assert ("numerical failure: corner 1C failed: no fixed point after 200 Picard sweeps "
+                "and 0 Newton steps (scaled F ") in proc.stderr
+        assert "above the Newton gate 0.5)" in proc.stderr
+        assert not (tmp_path / "d").exists()
+
     def test_data_error_exit_four(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[channel]\nre_tau = 180\nn_cells = 64\n")
@@ -517,7 +532,8 @@ class TestManifest:
             assert cli.run([*args, "--config", str(cfg), "--out", str(out)]) == pipeline.EXIT_OK
         man = pipeline.read_manifest(tmp_path / "run_a")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert man["forest"] == {"file": "forest.json", "sha256": digest}
+        assert man["forest"] == {"file": "forest.json", "sha256": digest,
+                                 "queried_on": "baseline"}
         assert sorted(man["settings"]) == ["channel", "uq"]
         # the same forest in another directory: the same manifest
         assert (tmp_path / "run_a" / "manifest.json").read_bytes() == (
