@@ -43,13 +43,17 @@ _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 # blocks of PICARD_BLOCK; after a block whose scaled F = G(x) - x is at
 # most NEWTON_GATE, pseudo-transient Newton-Krylov takes over on a copy
 # for at most NEWTON_STEPS steps, and gives up when F turns non-finite
-# or grows past NEWTON_BLOWUP times its start. A solve is done at a
-# scaled max-norm F of NEWTON_TOL.
+# or grows past NEWTON_BLOWUP times its start. An attempt that stalls
+# (uses up its steps) costs as much as dozens of Picard blocks, so the
+# next one waits until F has fallen to NEWTON_RETRY times the F that
+# attempt started from. A solve is done at a scaled max-norm F of
+# NEWTON_TOL.
 STRESS_RELAX = 0.2
 PICARD_BLOCK = 200
 NEWTON_GATE = 0.5
 NEWTON_STEPS = 40
 NEWTON_BLOWUP = 10.0
+NEWTON_RETRY = 0.01
 NEWTON_TOL = 1e-10
 
 
@@ -571,6 +575,7 @@ def _solve_coupled(cfg, grid, state, injection):
     minus_uv = None
     newton_steps = 0
     reason = "max_iters allows no sweep"
+    gate = NEWTON_GATE
     while len(residuals) < cfg.max_iters:
         for _ in range(min(PICARD_BLOCK, cfg.max_iters - len(residuals))):
             m_new = fp.shear(state)[0]
@@ -585,14 +590,16 @@ def _solve_coupled(cfg, grid, state, injection):
         f = np.max(np.abs(f_scaled))
         if f <= NEWTON_TOL:
             break
-        if not f <= NEWTON_GATE:  # NaN included
-            reason = f"scaled F {f:.3e} above the Newton gate {NEWTON_GATE:g}"
+        if not f <= gate:  # NaN included
+            reason = f"scaled F {f:.3e} above the Newton gate {gate:.3g}"
             continue
-        x_new, steps, f, reason = _newton(fp.residual, x, scale, f_scaled)
+        x_new, steps, f_end, reason = _newton(fp.residual, x, scale, f_scaled)
         newton_steps += steps
         if x_new is not None:
-            x = x_new
+            x, f = x_new, f_end
             break
+        if steps == NEWTON_STEPS:
+            gate = NEWTON_RETRY * f
     else:
         raise SolverError(
             f"no fixed point after {len(residuals)} Picard sweeps and "

@@ -254,6 +254,27 @@ class TestInjectedSolve:
             channel.solve_with_injection(cfg, inj)
         assert len(err.value.residual_history) == 200
 
+    def test_stalled_newton_attempt_lowers_the_gate(self, monkeypatch):
+        # an attempt that uses up its steps is retried only once Picard
+        # has cut F to NEWTON_RETRY times its start, which Picard alone
+        # does not do for the 1C corner
+        starts = []
+
+        def stalled(residual, x, scale, f):
+            starts.append(np.max(np.abs(f)))
+            return None, channel.NEWTON_STEPS, starts[-1], "stalled"
+
+        monkeypatch.setattr(channel, "_newton", stalled)
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32, max_iters=1000)
+        inj = channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=1.0)
+        with pytest.raises(channel.SolverError, match=(
+            r"after 1000 Picard sweeps and 40 Newton steps \(scaled F \S+ above the "
+            r"Newton gate (\S+)\)")) as err:
+            channel.solve_with_injection(cfg, inj)
+        assert len(starts) == 1 and starts[0] <= channel.NEWTON_GATE
+        gate = float(str(err.value).rsplit(" ", 1)[1].rstrip(")"))
+        assert gate == pytest.approx(channel.NEWTON_RETRY * starts[0], rel=1e-2)
+
     def test_uncoupled_solves_take_no_newton_steps(self):
         cfg = ChannelConfig(re_tau=180.0, n_cells=32)
         inj = channel.FrozenStressInjection(profile=dns.synthetic_profile(180.0))
