@@ -29,6 +29,10 @@ SIGMA_K1, SIGMA_W1, BETA_1 = 0.85, 0.5, 0.075
 SIGMA_K2, SIGMA_W2, BETA_2 = 1.0, 0.856, 0.0828
 GAMMA_1 = BETA_1 / BETA_STAR - SIGMA_W1 * KAPPA**2 / np.sqrt(BETA_STAR)
 GAMMA_2 = BETA_2 / BETA_STAR - SIGMA_W2 * KAPPA**2 / np.sqrt(BETA_STAR)
+# the blended coefficients sigma_k, sigma_w, beta and gamma of one node
+# are F1 times set 1 plus (1 - F1) times set 2; one column per set
+_SET_1 = np.array([[SIGMA_K1], [SIGMA_W1], [BETA_1], [GAMMA_1]])
+_SET_2 = np.array([[SIGMA_K2], [SIGMA_W2], [BETA_2], [GAMMA_2]])
 
 OMEGA_FLOOR = 1e-8
 
@@ -143,12 +147,14 @@ def make_grid(re_tau: float, n_nodes: int, y1: float) -> np.ndarray:
 
 class _Grid:
     """The nodes of one solve, their spacings, the stencil of numpy's
-    gradient and the wall-distance terms of the closure, built once with
-    numpy's formulas: ``grad(f)`` equals numpy's ``gradient(f, y)`` bit
-    for bit, uniform-spacing branch too."""
+    gradient, the wall-distance terms of the closure and the unit
+    diffusivity and zero sink of momentum under a fixed stress, built
+    once with numpy's formulas: ``grad(f)`` equals numpy's
+    ``gradient(f, y)`` bit for bit, uniform-spacing branch too."""
 
     def __init__(self, y):
         self.y = y
+        self.unit_mid, self.no_sink = np.ones(len(y) - 1), np.zeros(len(y))
         self.yp = np.maximum(y, 1e-30)
         self.yp2 = self.yp**2
         self.om_wall = 60.0 / (BETA_1 * y[1] ** 2)
@@ -247,6 +253,10 @@ class StressInjection:
     def compute(self, state) -> np.ndarray:
         raise NotImplementedError
 
+    def shear(self, state) -> np.ndarray:
+        """The shear stress -u'v'* that momentum uses: -compute()[:, 0, 1]."""
+        return -self.compute(state)[:, 0, 1]
+
 
 @dataclass
 class FrozenStressInjection(StressInjection):
@@ -300,6 +310,10 @@ class PerturbationInjection(StressInjection):
     the total-stress line, positive wherever 1 - y+/Re_tau > 0 and zero
     at the centreline node, so the roundoff sign of dU/dy where the
     shear vanishes cannot flip it.
+
+    ``shear`` and ``compute`` share the moved eigenvalues; ``shear``
+    assembles no tensor, and for 'pcorr_angles' the rotated frame is
+    built once, from the targets.
     """
 
     coupled = True
@@ -330,7 +344,7 @@ class PerturbationInjection(StressInjection):
         self.mode = mode
         self.corner = corner
         self.delta_b = delta_b
-        self.angles = None
+        self.frame = None  # rotated eigenvector frames of pcorr_angles
         if mode == "datafree":
             self.move = perturb.corner_shift(corner, delta_b)
             return
@@ -341,7 +355,8 @@ class PerturbationInjection(StressInjection):
             return
         self.move = perturb.componentwise_shift(targets[:, :2])
         if mode == "pcorr_angles":
-            self.angles = targets[:, 2:]
+            shear_frame = np.broadcast_to(_SHEAR_FRAME, (len(targets), 3, 3))
+            self.frame = rotation.apply_rotation(shear_frame, targets[:, 2:])
 
     @staticmethod
     def check_target_count(mode, n_targets):
@@ -350,19 +365,40 @@ class PerturbationInjection(StressInjection):
                 f"mode {mode!r} needs {len(TARGET_NAMES[mode])} forest targets, got {n_targets}"
             )
 
+    def _eigenvalues(self, state):
+        """The laminar nodes (k below K_FLOOR) and the moved anisotropy
+        eigenvalues of the Boussinesq stress at every node."""
+        k = state.k_plus
+        laminar = k < tensors.K_FLOOR
+        a = state.nu_t_plus * np.abs(state.dUdy_plus) / np.where(laminar, 1.0, k)
+        lam = np.zeros((len(a), 3))
+        lam[:, 0], lam[:, 2] = a, -a
+        return laminar, perturb.move_eigenvalues(lam, self.move)
+
+    def shear(self, state):
+        k, nu_t, dudy = state.k_plus, state.nu_t_plus, state.dUdy_plus
+        laminar, lam = self._eigenvalues(state)
+        if self.frame is None:
+            shear = 0.5 * k * (lam[:, 0] - lam[:, 2])
+        else:
+            # -k a_xy of the anisotropy diag(lam) on the rotated frame
+            f = self.frame
+            shear = -k * np.einsum("nj,nj,nj->n", f[:, 0], lam, f[:, 1])
+        # the centreline and laminar rules of compute
+        shear[-1] = 0.0
+        shear[laminar] = nu_t[laminar] * dudy[laminar]
+        return shear
+
     def compute(self, state):
         k, nu_t, dudy = state.k_plus, state.nu_t_plus, state.dUdy_plus
-        laminar = k < tensors.K_FLOOR
-        a = nu_t * np.abs(dudy) / np.where(laminar, 1.0, k)
-        lam = perturb.move_eigenvalues(np.column_stack([a, np.zeros_like(a), -a]), self.move)
-        if self.angles is None:
+        laminar, lam = self._eigenvalues(state)
+        if self.frame is None:
             # the anisotropy diag(lam) on _SHEAR_FRAME, written out
             l1, l2, l3 = lam.T
             iso = k * (0.5 * (l1 + l3) + 2.0 / 3.0)
             tau = tensors.stress_stack(iso, iso, k * (l2 + 2.0 / 3.0), -0.5 * k * (l1 - l3))
         else:
-            frame = np.broadcast_to(_SHEAR_FRAME, (len(k), 3, 3))
-            tau = tensors.reconstruct(k, lam, rotation.apply_rotation(frame, self.angles))
+            tau = tensors.reconstruct(k, lam, self.frame)
         # zero orientation at the centreline: the mean of the stress and
         # its mirror image in y, which keeps it realizable
         tau[-1, 1, [0, 2]] = tau[-1, [0, 2], 1] = 0.0
@@ -389,17 +425,17 @@ def _init_state(grid):
     return U, k, om, nu_t
 
 
-def _blending(yp, yp2, k, om_s, dkdy, domdy):
-    """SST blending F1, F2; yp = max(y, 1e-30), yp2 = yp**2, om_s = floored omega."""
+def _blending(grid, k, om_s, dkdy, domdy):
+    """SST blending F1, F2; om_s = floored omega."""
     k_pos = np.maximum(k, 0.0)
     sqrt_k = np.sqrt(k_pos)
-    om_yp = BETA_STAR * om_s * yp
-    viscous = 500.0 / (yp2 * om_s)
+    # sqrt(k) / (beta* omega y), doubled exactly in F2's argument
+    turbulent = sqrt_k / (BETA_STAR * om_s * grid.yp)
+    viscous = 500.0 / (grid.yp2 * om_s)
     cd = np.maximum(2.0 * SIGMA_W2 / om_s * dkdy * domdy, 1e-10)
-    arg1 = np.minimum(np.maximum(sqrt_k / om_yp, viscous), 4.0 * SIGMA_W2 * k_pos / (cd * yp2))
+    arg1 = np.minimum(np.maximum(turbulent, viscous), 4.0 * SIGMA_W2 * k_pos / (cd * grid.yp2))
     f1 = np.tanh(arg1**4)
-    arg2 = np.maximum(2.0 * sqrt_k / om_yp, viscous)
-    f2 = np.tanh(arg2**2)
+    f2 = np.tanh(np.maximum(2.0 * turbulent, viscous) ** 2)
     f1[0], f2[0] = 1.0, 1.0
     return f1, f2
 
@@ -427,13 +463,12 @@ def _sweep(grid, state, minus_uv, ur, coupled=False):
     """
     U, k, om, nu_t = state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus
     dudy = state.dUdy_plus
-    n = len(grid.y)
 
     # momentum: implicit eddy diffusion, or for injected modes a
     # converged shear of dU/dy + (-u'v'*)
-    src_u = np.full(n, 1.0 / state.re_tau)
     if minus_uv is None:
-        nu_mid = _mid(nu_t)
+        gamma_u = 1.0 + _mid(nu_t)
+        src_u = np.full(len(U), 1.0 / state.re_tau)
     elif coupled:
         # the shear-aligned part of a coupled stress is folded into an
         # effective viscosity and treated implicitly, which keeps
@@ -441,28 +476,29 @@ def _sweep(grid, state, minus_uv, ur, coupled=False):
         # yields the same fixed point (the deferred correction cancels
         # it at convergence), so the ratio is regularized and capped
         ratio = minus_uv * dudy / (dudy**2 + 1e-8)
-        nu_mid = _mid(np.clip(ratio, 0.0, 1e5))
-        src_u -= _face_divergence(grid, nu_mid * np.diff(U) / grid.h - _mid(minus_uv))
+        nu_mid = _mid(np.minimum(np.maximum(ratio, 0.0), 1e5))
+        gamma_u = 1.0 + nu_mid
+        src_u = 1.0 / state.re_tau - _face_divergence(
+            grid, nu_mid * np.diff(U) / grid.h - _mid(minus_uv))
     else:
         # a fixed stress does not depend on the flow: momentum is one
         # exact linear solve for U, with no effective viscosity to
         # slow its approach to the fixed point
-        nu_mid = np.zeros(n - 1)
-        src_u += _face_divergence(grid, _mid(minus_uv))
-    U_new = _transport_solve(grid, 1.0 + nu_mid, np.zeros(n), src_u, 0.0)
+        gamma_u = grid.unit_mid
+        src_u = _face_divergence(grid, _mid(minus_uv)) + 1.0 / state.re_tau
+    U_new = _transport_solve(grid, gamma_u, grid.no_sink, src_u, 0.0)
     U_next = U + ur * (U_new - U)
     dudy = grid.grad(U_next)
+    dudy2 = dudy**2
 
     dkdy = grid.grad(k)
     domdy = grid.grad(om)
     om_s = np.maximum(om, OMEGA_FLOOR)
-    f1, f2 = _blending(grid.yp, grid.yp2, k, om_s, dkdy, domdy)
-    sigma_k = f1 * SIGMA_K1 + (1.0 - f1) * SIGMA_K2
-    sigma_w = f1 * SIGMA_W1 + (1.0 - f1) * SIGMA_W2
-    beta = f1 * BETA_1 + (1.0 - f1) * BETA_2
-    gamma_c = f1 * GAMMA_1 + (1.0 - f1) * GAMMA_2
+    f1, f2 = _blending(grid, k, om_s, dkdy, domdy)
+    not_f1 = 1.0 - f1
+    sigma_k, sigma_w, beta, gamma_c = f1 * _SET_1 + not_f1 * _SET_2
 
-    pk = nu_t * dudy**2 if minus_uv is None else minus_uv * dudy
+    pk = nu_t * dudy2 if minus_uv is None else minus_uv * dudy
     pk = np.minimum(pk, 10.0 * BETA_STAR * k * om)
 
     # k transport
@@ -473,9 +509,8 @@ def _sweep(grid, state, minus_uv, ur, coupled=False):
 
     # omega transport
     gamma_w = 1.0 + _mid(sigma_w * nu_t)
-    prod_w = gamma_c * dudy**2
-    cross = 2.0 * (1.0 - f1) * SIGMA_W2 / om_s * dkdy * domdy
-    om_new = _transport_solve(grid, gamma_w, -beta * om_s, prod_w + cross, grid.om_wall)
+    cross = 2.0 * SIGMA_W2 * not_f1 / om_s * dkdy * domdy
+    om_new = _transport_solve(grid, gamma_w, -beta * om_s, gamma_c * dudy2 + cross, grid.om_wall)
     om_next = np.maximum(om + ur * (om_new - om), OMEGA_FLOOR)
 
     nu_t_new = A1 * k_next / np.maximum(A1 * om_next, np.abs(dudy) * f2)
@@ -485,13 +520,14 @@ def _sweep(grid, state, minus_uv, ur, coupled=False):
 
 def _relative_change(old, new):
     """Largest change of U, k and omega from ``old`` to ``new``, each
-    relative to the larger of 1 and its new maximum."""
-    # np.max, unlike max(), keeps a NaN in any place
-    return np.max([
-        np.max(np.abs(new.U_plus - old.U_plus)) / max(1.0, np.max(np.abs(new.U_plus))),
-        np.max(np.abs(new.k_plus - old.k_plus)) / max(1.0, np.max(new.k_plus)),
-        np.max(np.abs(new.omega_plus - old.omega_plus)) / max(1.0, np.max(new.omega_plus)),
-    ])
+    relative to the larger of 1 and its new maximum (k and omega are
+    never negative)."""
+    U, k, om = new.U_plus, new.k_plus, new.omega_plus
+    du = np.abs(U - old.U_plus).max() / max(1.0, np.abs(U).max())
+    dk = np.abs(k - old.k_plus).max() / max(1.0, k.max())
+    dom = np.abs(om - old.omega_plus).max() / max(1.0, om.max())
+    # np.maximum, unlike max(), keeps a NaN in any place
+    return np.maximum(np.maximum(du, dk), dom)
 
 
 def _solve(cfg, injection):
@@ -547,16 +583,15 @@ class _FixedPoint:
         self.cap = 1.0 - grid.y / re_tau  # steady momentum bounds the turbulent shear
 
     def shear(self, state):
-        """The capped shear -u'v'* of the injection at ``state`` and the stress."""
-        tau = self.injection.compute(state)
-        return np.minimum(-tau[:, 0, 1], self.cap), tau
+        """The capped shear -u'v'* of the injection at ``state``."""
+        return np.minimum(self.injection.shear(state), self.cap)
 
     def state(self, x):
         U, k, om, nu_t = np.split(x, 4)
         return ChannelState(self.re_tau, self.grid.y, U, k, om, nu_t, self.grid.grad(U))
 
     def sweep(self, state):
-        return _sweep(self.grid, state, self.shear(state)[0], 1.0)
+        return _sweep(self.grid, state, self.shear(state), 1.0)
 
     def residual(self, x):
         """F(x) = G(x) - x."""
@@ -578,7 +613,7 @@ def _solve_coupled(cfg, grid, state, injection):
     gate = NEWTON_GATE
     while len(residuals) < cfg.max_iters:
         for _ in range(min(PICARD_BLOCK, cfg.max_iters - len(residuals))):
-            m_new = fp.shear(state)[0]
+            m_new = fp.shear(state)
             if minus_uv is None:
                 minus_uv = m_new
             else:
@@ -610,12 +645,12 @@ def _solve_coupled(cfg, grid, state, injection):
     # report the flow solved under the stress at the fixed point, and how
     # far the stress recomputed from that flow is from the one it used
     at_x = fp.state(x)
-    minus_uv, tau = fp.shear(at_x)
-    out = fp.sweep(at_x)
-    consistency = float(np.max(np.abs(fp.shear(out)[0] - minus_uv)))
-    return replace(out, minus_uv_plus=minus_uv, tau=tau, residual_history=residuals,
-                   newton_steps=newton_steps, fixed_point_residual=float(f),
-                   stress_consistency=consistency)
+    minus_uv = fp.shear(at_x)
+    out = _sweep(grid, at_x, minus_uv, 1.0)
+    consistency = float(np.max(np.abs(fp.shear(out) - minus_uv)))
+    return replace(out, minus_uv_plus=minus_uv, tau=injection.compute(at_x),
+                   residual_history=residuals, newton_steps=newton_steps,
+                   fixed_point_residual=float(f), stress_consistency=consistency)
 
 
 def _newton(residual, x, scale, f):

@@ -108,10 +108,11 @@ def reconstruct(k, lam, frame):
 def eigenvalues_to_weights(lam):
     """Corner weights (C1, C2, C3) of sorted anisotropy eigenvalues; C3
     uses (3 l3 + 2)/2 so the weights sum to 1 for any traceless triple."""
-    c1 = 0.5 * (lam[:, 0] - lam[:, 1])
-    c2 = lam[:, 1] - lam[:, 2]
-    c3 = 0.5 * (3.0 * lam[:, 2] + 2.0)
-    return np.column_stack([c1, c2, c3])
+    w = np.empty(lam.shape)
+    w[:, 0] = 0.5 * (lam[:, 0] - lam[:, 1])
+    w[:, 1] = lam[:, 1] - lam[:, 2]
+    w[:, 2] = 0.5 * (3.0 * lam[:, 2] + 2.0)
+    return w
 
 
 def weights_to_points(w):
@@ -121,24 +122,27 @@ def weights_to_points(w):
 
 def points_to_weights(xy):
     """Corner weights (C1, C2, C3) of plane points; always sum to 1."""
-    d = xy - CORNER_3C
-    c12 = d @ _A_INV.T
-    return np.column_stack([c12, 1.0 - c12.sum(axis=1)])
+    w = np.empty((len(xy), 3))
+    w[:, :2] = (xy - CORNER_3C) @ _A_INV.T
+    w[:, 2] = 1.0 - (w[:, 0] + w[:, 1])
+    return w
 
 
 def weights_to_eigenvalues(w):
     """Invert the barycentric map: corner weights -> eigenvalue triples."""
-    l3 = (2.0 * w[:, 2] - 2.0) / 3.0
-    l2 = w[:, 1] + l3
-    l1 = 2.0 * w[:, 0] + l2
-    return np.column_stack([l1, l2, l3])
+    lam = np.empty(w.shape)
+    lam[:, 2] = (2.0 * w[:, 2] - 2.0) / 3.0
+    lam[:, 1] = w[:, 1] + lam[:, 2]
+    lam[:, 0] = 2.0 * w[:, 0] + lam[:, 1]
+    return lam
 
 
 def clip_weights(w):
     """Project barely-outside points back into the triangle by clipping
     negative weights and renormalizing (roundoff guard)."""
-    w = np.clip(w, 0.0, None)
-    return w / w.sum(axis=1)[:, None]
+    w = np.maximum(w, 0.0)
+    w /= ((w[:, 0] + w[:, 1]) + w[:, 2])[:, None]
+    return w
 
 
 def _rowdot(u, v):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
-from eigenuq import channel, dns, perturb, tensors
+from eigenuq import channel, dns, perturb, rotation, tensors
 from eigenuq.channel import ChannelConfig
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -357,6 +357,94 @@ class TestClosedFormInjection:
         injection = channel.PerturbationInjection("datafree", corner="1C", delta_b=1.0)
         tau = injection.compute(state)
         assert np.array_equal(tau[:2], tensors.boussinesq(k[:2], np.ones(2), np.ones(2)))
+
+
+# nodes of a state handed to an injection: any k from 0 up, laminar ones
+# (below K_FLOOR) included, and dU/dy of either sign
+any_nodes = st.integers(1, 24).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=st.one_of(
+        st.floats(0.0, tensors.K_FLOOR, exclude_max=True), st.floats(tensors.K_FLOOR, 1e3))),
+    arrays(np.float64, n, elements=st.floats(0.0, 1e3)),  # nu_t
+    arrays(np.float64, n, elements=st.floats(-1e3, 1e3)),  # dU/dy
+))
+
+
+class TestShear:
+    """The shear the solve loop evaluates is the uv of the stress it
+    reports."""
+
+    @PROPERTY
+    @given(nodes=any_nodes, mode=st.sampled_from(MODES), seed=seeds)
+    def test_shear_is_minus_uv_of_compute(self, nodes, mode, seed):
+        # every state also holds a laminar node, a node with a = 1.5,
+        # whose eigenvalue -a lies outside the triangle (the clip
+        # acts), and a turbulent centreline node
+        k, nu_t, dudy = (np.concatenate([head, v, tail]) for head, v, tail in zip(
+            ([0.5 * tensors.K_FLOOR, 1.0], [1.0, 1.5], [1.0, 1.0]), nodes,
+            ([2.0], [1.0], [0.5])))
+        n = len(k)
+        state = SimpleNamespace(re_tau=100.0, y_plus=np.linspace(0.0, 100.0, n),
+                                k_plus=k, nu_t_plus=nu_t, dUdy_plus=dudy)
+        injection, _ = injection_and_decomposed(mode, np.random.default_rng(seed), n)
+        shear = injection.shear(state)
+        minus_uv = -injection.compute(state)[:, 0, 1]
+        if mode in ("datafree", "p"):
+            assert np.array_equal(shear, minus_uv)
+        else:
+            assert np.all(np.abs(shear - minus_uv) <= 1e-15 * np.maximum(1.0, k))
+        assert shear[-1] == 0.0
+        assert shear[0] == nu_t[0] * dudy[0]  # laminar: the Boussinesq shear
+
+
+class TestInputsStayIntact:
+    """The stress and fixed-point evaluations write into no input: the
+    solver keeps earlier iterates by reference."""
+
+    def initial_state(self):
+        grid = channel._Grid(channel.make_grid(180.0, 32, 0.5))
+        U, k, om, nu_t = channel._init_state(grid)
+        return grid, channel.ChannelState(180.0, grid.y, U, k, om, nu_t, grid.grad(U))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shear_and_residual(self, mode):
+        grid, state = self.initial_state()
+        injection, _ = injection_and_decomposed(mode, np.random.default_rng(3), len(grid.y))
+        names = ("y_plus", "U_plus", "k_plus", "omega_plus", "nu_t_plus", "dUdy_plus")
+        before = {name: getattr(state, name).copy() for name in names}
+        injection.shear(state)
+        for name in names:
+            assert np.array_equal(getattr(state, name), before[name]), name
+        fp = channel._FixedPoint(grid, 180.0, injection)
+        x = channel._pack(state)
+        x_before = x.copy()
+        f = fp.residual(x)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(fp.residual(x), f)
+
+    def test_pcorr_angles_rotates_once_per_injection(self, monkeypatch):
+        # the rotated frame depends on the targets only; the stress
+        # tensor is assembled once, for the reported state
+        calls = {"apply_rotation": 0, "compute": 0}
+        apply_rotation = rotation.apply_rotation
+        compute = channel.PerturbationInjection.compute
+
+        def counted_rotation(*args):
+            calls["apply_rotation"] += 1
+            return apply_rotation(*args)
+
+        def counted_compute(self, state):
+            calls["compute"] += 1
+            return compute(self, state)
+
+        monkeypatch.setattr(rotation, "apply_rotation", counted_rotation)
+        monkeypatch.setattr(channel.PerturbationInjection, "compute", counted_compute)
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+        rng = np.random.default_rng(5)
+        targets = np.hstack([rng.uniform(-0.05, 0.05, (32, 2)), rng.uniform(-0.2, 0.2, (32, 3))])
+        injection = channel.PerturbationInjection("pcorr_angles", targets=targets)
+        state = channel.solve_with_injection(cfg, injection)
+        assert state.fixed_point_residual <= channel.NEWTON_TOL
+        assert calls == {"apply_rotation": 1, "compute": 1}
 
 
 @pytest.fixture(scope="module")

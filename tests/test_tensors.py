@@ -206,3 +206,66 @@ class TestRealizability:
         lam = tensors.weights_to_eigenvalues(w)
         tau = tensors.reconstruct(np.full(len(w), k), lam, frame)
         assert np.all(tensors.is_realizable(tau, tol=1e-10))
+
+
+# the barycentric helpers as first written, one column_stack each; the
+# helpers fill preallocated arrays with the same per-element formulas
+def reference_eigenvalues_to_weights(lam):
+    c1 = 0.5 * (lam[:, 0] - lam[:, 1])
+    c2 = lam[:, 1] - lam[:, 2]
+    c3 = 0.5 * (3.0 * lam[:, 2] + 2.0)
+    return np.column_stack([c1, c2, c3])
+
+
+def reference_points_to_weights(xy):
+    c12 = (xy - tensors.CORNER_3C) @ tensors._A_INV.T
+    return np.column_stack([c12, 1.0 - c12.sum(axis=1)])
+
+
+def reference_weights_to_eigenvalues(w):
+    l3 = (2.0 * w[:, 2] - 2.0) / 3.0
+    l2 = w[:, 1] + l3
+    l1 = 2.0 * w[:, 0] + l2
+    return np.column_stack([l1, l2, l3])
+
+
+def reference_clip_weights(w):
+    w = np.clip(w, 0.0, None)
+    return w / w.sum(axis=1)[:, None]
+
+
+triples = arrays(np.float64, st.tuples(st.integers(1, 64), st.just(3)),
+                 elements=st.floats(-2.0, 2.0))
+# weights with a negative entry but a positive sum, as clip_weights gets
+# them from roundoff or a point outside the triangle
+near_weights = arrays(np.float64, st.tuples(st.integers(1, 64), st.just(3)),
+                      elements=st.floats(-0.5, 1.5)).filter(
+    lambda w: np.all(np.maximum(w, 0.0).sum(axis=1) > 0.0))
+
+
+class TestStackedHelpers:
+    """Each barycentric helper equals its column_stack form bit for bit
+    and leaves its input as it was."""
+
+    HELPERS = {
+        "eigenvalues_to_weights": (tensors.eigenvalues_to_weights, reference_eigenvalues_to_weights),
+        "weights_to_eigenvalues": (tensors.weights_to_eigenvalues, reference_weights_to_eigenvalues),
+        "points_to_weights": (tensors.points_to_weights, reference_points_to_weights),
+    }
+
+    @PROPERTY
+    @given(triples, st.sampled_from(sorted(HELPERS)))
+    def test_matches_column_stack_form(self, arg, name):
+        helper, reference = self.HELPERS[name]
+        if name == "points_to_weights":
+            arg = arg[:, :2]
+        before = arg.copy()
+        assert np.array_equal(helper(arg), reference(arg))
+        assert np.array_equal(arg, before)
+
+    @PROPERTY
+    @given(near_weights)
+    def test_clip_weights_matches_column_stack_form(self, w):
+        before = w.copy()
+        assert np.array_equal(tensors.clip_weights(w), reference_clip_weights(w))
+        assert np.array_equal(w, before)
