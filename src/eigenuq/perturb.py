@@ -36,9 +36,9 @@ def magnitude_shift(corner: str, p):
 
     def move(xy):
         d = xt - xy
-        dist = np.linalg.norm(d, axis=1)
+        dist = np.linalg.norm(d, axis=-1)
         step = np.minimum(np.where(dist > 1e-14, p_pos / np.maximum(dist, 1e-14), 0.0), 1.0)
-        return xy + step[:, None] * d
+        return xy + step[..., None] * d
 
     return move
 
@@ -50,7 +50,7 @@ def componentwise_shift(p_corr):
 
 
 def move_eigenvalues(lam, move):
-    """Anisotropy eigenvalues (n, 3), sorted descending, whose
+    """Anisotropy eigenvalues (..., n, 3), sorted descending, whose
     barycentric points ``move`` has moved."""
     xy = tensors.weights_to_points(tensors.clip_weights(tensors.eigenvalues_to_weights(lam)))
     return tensors.weights_to_eigenvalues(tensors.clip_weights(tensors.points_to_weights(move(xy))))

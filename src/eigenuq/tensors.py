@@ -4,9 +4,10 @@ projection into the triangle, realizability checks.
 
 Every function takes an ``(n, 3, 3)`` stack of stresses or the matching
 ``(n, 3)`` eigenvalue / corner-weight and ``(n, 2)`` plane-point arrays;
-a single tensor is the case n = 1. The barycentric triangle uses the
-standard equilateral layout with corners 1C = (1, 0), 2C = (0, 0),
-3C = (1/2, sqrt(3)/2).
+a single tensor is the case n = 1. The barycentric maps and the
+projection also take further leading axes, ``(..., 3)`` and
+``(..., 2)``. The barycentric triangle uses the standard equilateral
+layout with corners 1C = (1, 0), 2C = (0, 0), 3C = (1/2, sqrt(3)/2).
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ def eigenvalues_to_weights(lam):
     """Corner weights (C1, C2, C3) of sorted anisotropy eigenvalues; C3
     uses (3 l3 + 2)/2 so the weights sum to 1 for any traceless triple."""
     w = np.empty(lam.shape)
-    w[:, 0] = 0.5 * (lam[:, 0] - lam[:, 1])
-    w[:, 1] = lam[:, 1] - lam[:, 2]
-    w[:, 2] = 0.5 * (3.0 * lam[:, 2] + 2.0)
+    w[..., 0] = 0.5 * (lam[..., 0] - lam[..., 1])
+    w[..., 1] = lam[..., 1] - lam[..., 2]
+    w[..., 2] = 0.5 * (3.0 * lam[..., 2] + 2.0)
     return w
 
 
@@ -122,18 +123,18 @@ def weights_to_points(w):
 
 def points_to_weights(xy):
     """Corner weights (C1, C2, C3) of plane points; always sum to 1."""
-    w = np.empty((len(xy), 3))
-    w[:, :2] = (xy - CORNER_3C) @ _A_INV.T
-    w[:, 2] = 1.0 - (w[:, 0] + w[:, 1])
+    w = np.empty(xy.shape[:-1] + (3,))
+    w[..., :2] = (xy - CORNER_3C) @ _A_INV.T
+    w[..., 2] = 1.0 - (w[..., 0] + w[..., 1])
     return w
 
 
 def weights_to_eigenvalues(w):
     """Invert the barycentric map: corner weights -> eigenvalue triples."""
     lam = np.empty(w.shape)
-    lam[:, 2] = (2.0 * w[:, 2] - 2.0) / 3.0
-    lam[:, 1] = w[:, 1] + lam[:, 2]
-    lam[:, 0] = 2.0 * w[:, 0] + lam[:, 1]
+    lam[..., 2] = (2.0 * w[..., 2] - 2.0) / 3.0
+    lam[..., 1] = w[..., 1] + lam[..., 2]
+    lam[..., 0] = 2.0 * w[..., 0] + lam[..., 1]
     return lam
 
 
@@ -141,7 +142,7 @@ def clip_weights(w):
     """Project barely-outside points back into the triangle by clipping
     negative weights and renormalizing (roundoff guard)."""
     w = np.maximum(w, 0.0)
-    w /= ((w[:, 0] + w[:, 1]) + w[:, 2])[:, None]
+    w /= ((w[..., 0] + w[..., 1]) + w[..., 2])[..., None]
     return w
 
 
@@ -150,17 +151,22 @@ def _rowdot(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
+_EDGES = np.roll(CORNERS, -1, axis=0) - CORNERS  # 1C-2C, 2C-3C, 3C-1C
+_EDGE_SQUARES = _rowdot(_EDGES, _EDGES)
+
+
 def project_into_triangle(xy):
     """Euclidean projection of plane points onto the closed triangle;
-    points inside it are returned unchanged."""
-    a = CORNERS
-    ab = np.roll(CORNERS, -1, axis=0) - a  # edges 1C-2C, 2C-3C, 3C-1C
-    t = np.clip(_rowdot(xy[:, None, :] - a, ab) / _rowdot(ab, ab), 0.0, 1.0)
-    q = a + t[..., None] * ab
-    dist = _rowdot(xy[:, None, :] - q, xy[:, None, :] - q)
-    nearest = q[np.arange(len(xy)), np.argmin(dist, axis=1)]
-    inside = points_to_weights(xy).min(axis=1) >= 0.0
-    return np.where(inside[:, None], xy, nearest)
+    points inside it are returned unchanged, and only the others are
+    measured against the three edges."""
+    out = xy.copy()
+    outside = ~(points_to_weights(xy).min(axis=-1) >= 0.0)  # NaN rows too
+    p = xy[outside][:, None, :]
+    t = np.clip(_rowdot(p - CORNERS, _EDGES) / _EDGE_SQUARES, 0.0, 1.0)
+    q = CORNERS + t[..., None] * _EDGES
+    dist = _rowdot(p - q, p - q)
+    out[outside] = q[np.arange(len(q)), np.argmin(dist, axis=1)]
+    return out
 
 
 def is_realizable(tau, tol: float = 1e-10):

@@ -1,9 +1,9 @@
 """Shared fixtures.
 
-The channel solves with corner-perturbed stresses cost up to a second
-or two each (the Picard sweeps that bring a corner into Newton's basin,
-then the Newton-Krylov finish), so every converged state used by more
-than one test is a session-scoped fixture. Baselines are taken from the
+The channel solves with corner-perturbed stresses cost up to a few
+tenths of a second each (the Picard sweeps that bring a corner into
+Newton's basin, then the Newton finish), so every converged state used
+by more than one test is a session-scoped fixture. Baselines are taken from the
 envelope runs so each configuration is solved exactly once; the
 data-driven envelope reuses the Re_tau 1000 baseline, on which its
 forest is queried.

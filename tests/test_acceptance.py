@@ -4,7 +4,8 @@ Each test class checks one contract of the package: exactness of the
 barycentric realizability map, algebraic round trips, solver physics
 (plane strain, laminar limit, momentum balance), self-consistency of
 every coupled corner and independence of its fixed point from the
-iteration path, reference-stress propagation, envelope behaviour of the
+iteration path, convergence where Newton once stalled,
+reference-stress propagation, envelope behaviour of the
 data-driven mode, forest training quality, realizability of every
 perturbed stress field, and the full-anisotropy correction round trip.
 """
@@ -158,10 +159,22 @@ class TestFixedPoint:
             assert change <= tol, f"{label}: one more sweep moves the state by {change:.3e}"
 
 
+def newton_correction(state, injection):
+    """The largest entry of the scaled Newton step -J^-1 R that the
+    local residual R asks for at a converged corner."""
+    newton = channel._Newton(
+        channel._FixedPoint(channel._Grid(state.y_plus), state.re_tau, injection))
+    x = channel._pack(state)
+    newton.scale = channel._scale(x)
+    return np.max(np.abs(newton.direction(x / newton.scale)))
+
+
 class TestStressConsistency:
     """Every coupled corner used the shear its injection gives on the
-    converged flow, capped by the total-stress line, to within 1e-6, and
-    reached its fixed point to a scaled F of NEWTON_TOL."""
+    converged flow, capped by the total-stress line, to within 1e-6,
+    reached its fixed point to a scaled F of NEWTON_TOL, and is a zero
+    of the local residual to roundoff: Newton would move it by at most
+    1e-9 of each field's scale."""
 
     def test_unfrozen_coupled_states(self, all_injected_states, targets_p_1000):
         injections = {
@@ -178,6 +191,26 @@ class TestStressConsistency:
                 assert err <= 1e-6, f"{label}_{corner}: shear off by {err:.3e}"
                 assert state.stress_consistency == err, f"{label}_{corner}"
                 assert state.fixed_point_residual <= channel.NEWTON_TOL, f"{label}_{corner}"
+                assert newton_correction(state, injection) <= 1e-9, f"{label}_{corner}"
+
+
+class TestNewtonWithoutStall:
+    """The pcorr_angles envelope at Re_tau 1000 with the forest of
+    ``train --seed 7``, on which matrix-free Newton-Krylov stalled for
+    4,800 Picard sweeps and 128 steps, reaches its fixed point within a
+    few Picard blocks."""
+
+    def test_seed_7_pcorr_angles_envelope(self, baseline_1000):
+        settings = pipeline.load_settings(overrides=[("train", "seed", 7)])
+        fitted, _ = pipeline.train_forest(settings, "pcorr_angles")
+        injections = channel.corner_injections(
+            "pcorr_angles", targets=pipeline.forest_targets(fitted, baseline_1000))
+        env = channel.uq_envelope(ChannelConfig(re_tau=1000.0), injections, baseline_1000)
+        for corner, state in env.corner_states.items():
+            assert state.fixed_point_residual <= channel.NEWTON_TOL, corner
+            assert state.picard_sweeps <= 10 * channel.PICARD_BLOCK, corner
+            assert state.stress_consistency <= 1e-6, corner
+            assert newton_correction(state, injections[corner]) <= 1e-9, corner
 
 
 class TestPathIndependence:

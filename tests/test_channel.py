@@ -244,36 +244,43 @@ class TestInjectedSolve:
         assert channel.total_shear_error(state) <= cfg.residual_tol
 
     def test_corner_without_fixed_point_names_its_reason(self):
-        # after 200 sweeps the 1C corner at Re_tau 1000 is still far from
-        # Newton's basin, and max_iters allows no more
+        # after 200 sweeps the 1C corner at Re_tau 1000 is still outside
+        # Newton's basin, and max_iters allows no more: the error names
+        # the sweeps, the steps of all attempts and how the last ended
         cfg = ChannelConfig(re_tau=1000.0, max_iters=200)
         inj = channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=1.0)
         with pytest.raises(channel.SolverError, match=(
-            r"no fixed point after 200 Picard sweeps and 0 Newton steps "
-            r"\(scaled F \S+ above the Newton gate 0.5\)")) as err:
+            r"no fixed point after 200 Picard sweeps and [1-9]\d* Newton steps "
+            r"\(no Newton step lowers the scaled F \S+ at step \d+\)")) as err:
             channel.solve_with_injection(cfg, inj)
         assert len(err.value.residual_history) == 200
 
-    def test_stalled_newton_attempt_lowers_the_gate(self, monkeypatch):
-        # an attempt that uses up its steps is retried only once Picard
-        # has cut F to NEWTON_RETRY times its start, which Picard alone
-        # does not do for the 1C corner
-        starts = []
+    def test_newton_follows_every_picard_block(self, monkeypatch):
+        # no gate: every block, the last and shorter one included, ends
+        # in a Newton attempt from the Picard iterate, and a failed
+        # attempt leaves that iterate to the next block
+        attempts = []
+        picard_sweep = channel._picard_sweep
 
-        def stalled(residual, x, scale, f):
-            starts.append(np.max(np.abs(f)))
-            return None, channel.NEWTON_STEPS, starts[-1], "stalled"
+        def recorded_sweep(*args, **kwargs):
+            new, res = picard_sweep(*args, **kwargs)
+            recorded_sweep.last = channel._pack(new)
+            return new, res
 
-        monkeypatch.setattr(channel, "_newton", stalled)
-        cfg = ChannelConfig(re_tau=180.0, n_cells=32, max_iters=1000)
+        def failed(self, x):
+            assert np.array_equal(x, recorded_sweep.last)
+            attempts.append(x)
+            return None, 3, 0.5, f"attempt {len(attempts)} failed"
+
+        monkeypatch.setattr(channel, "_picard_sweep", recorded_sweep)
+        monkeypatch.setattr(channel._Newton, "solve", failed)
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32, max_iters=2 * channel.PICARD_BLOCK + 20)
         inj = channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=1.0)
         with pytest.raises(channel.SolverError, match=(
-            r"after 1000 Picard sweeps and 40 Newton steps \(scaled F \S+ above the "
-            r"Newton gate (\S+)\)")) as err:
+            rf"no fixed point after {cfg.max_iters} Picard sweeps and 9 Newton steps "
+            r"\(attempt 3 failed\)$")):
             channel.solve_with_injection(cfg, inj)
-        assert len(starts) == 1 and starts[0] <= channel.NEWTON_GATE
-        gate = float(str(err.value).rsplit(" ", 1)[1].rstrip(")"))
-        assert gate == pytest.approx(channel.NEWTON_RETRY * starts[0], rel=1e-2)
+        assert len(attempts) == 3
 
     def test_uncoupled_solves_take_no_newton_steps(self):
         cfg = ChannelConfig(re_tau=180.0, n_cells=32)
@@ -445,6 +452,61 @@ class TestInputsStayIntact:
         state = channel.solve_with_injection(cfg, injection)
         assert state.fixed_point_residual <= channel.NEWTON_TOL
         assert calls == {"apply_rotation": 1, "compute": 1}
+
+
+@pytest.fixture(scope="module", params=MODES)
+def converged_newton(request):
+    """A Newton solver at the converged small-grid corner of each mode
+    (forest-like targets from a fixed seed), its scale set, and the
+    scaled state z."""
+    cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+    rng = np.random.default_rng(5)
+    n = cfg.n_cells
+    p_corr = rng.uniform(-0.05, 0.05, (n, 2))
+    kwargs = {
+        "datafree": {"corner": "1C", "delta_b": 1.0},
+        "p": {"corner": "2C", "targets": rng.uniform(0.0, 0.3, (n, 1))},
+        "pcorr": {"targets": p_corr},
+        "pcorr_angles": {"targets": np.hstack([p_corr, rng.uniform(-0.2, 0.2, (n, 3))])},
+    }[request.param]
+    injection = channel.PerturbationInjection(request.param, **kwargs)
+    state = channel.solve_with_injection(cfg, injection)
+    newton = channel._Newton(channel._FixedPoint(channel._Grid(state.y_plus), 180.0, injection))
+    x = channel._pack(state)
+    newton.scale = channel._scale(x)
+    return newton, x / newton.scale
+
+
+class TestLocalResidual:
+    """The banded Jacobian Newton solves with is the whole Jacobian of
+    the local residual R, and R vanishes at a converged corner."""
+
+    def test_banded_jacobian_is_the_dense_one(self, converged_newton):
+        newton, z = converged_newton
+        r = newton.residual(z)
+        ab = newton.jacobian(z, r)
+        # the dense forward-difference Jacobian, one column at a time,
+        # with the same steps, in node-major order
+        h = 1.5e-8 * np.maximum(np.abs(z), 1e-8)
+        m = len(z)
+        dense = np.empty((m, m))
+        for j in range(m):
+            moved = z.copy()
+            moved[j] += h[j]
+            dense[:, j] = (newton.fp.local_residual(moved * newton.scale) - r) / h[j]
+        dense = dense[np.ix_(newton.order, newton.order)]
+        node = np.arange(m) // 4
+        assert np.count_nonzero(dense[np.abs(node[:, None] - node) > 2]) == 0
+        rows, cols = np.indices((m, m))
+        in_band = np.abs(rows - cols) <= newton.BAND
+        banded = np.zeros((m, m))
+        banded[in_band] = ab[(newton.BAND + rows - cols)[in_band], cols[in_band]]
+        for j in range(m):
+            assert np.array_equal(banded[:, j], dense[:, j]), f"column {j}"
+
+    def test_residual_vanishes_at_the_fixed_point(self, converged_newton):
+        newton, z = converged_newton
+        assert np.max(np.abs(newton.direction(z))) <= 1e-9
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,7 +151,7 @@ class TestBaselineCommand:
 def small_grid_datafree_uq(tmp_path_factory):
     """The benchmark's datafree uq at Re_tau 180 on the 32-cell grid of
     perfbench/uq-small-grid.ini: 1C and 2C reach their fixed points by
-    Newton-Krylov, 3C by Picard sweeps alone."""
+    Newton steps, 3C by Picard sweeps alone."""
     out = tmp_path_factory.mktemp("small_grid") / "uq"
     assert cli.run(["uq", "--mode", "datafree", "--delta-b", "1.0", "--re-tau", "180",
                     "--config", str(PERFBENCH / "uq-small-grid.ini"),
@@ -368,9 +369,9 @@ class TestCli:
         proc = self.run_cli("uq", "--mode", "datafree", "--config", str(cfg),
                             "--out", str(tmp_path / "d"))
         assert proc.returncode == 3, proc.stderr
-        assert ("numerical failure: corner 1C failed: no fixed point after 200 Picard sweeps "
-                "and 0 Newton steps (scaled F ") in proc.stderr
-        assert "above the Newton gate 0.5)" in proc.stderr
+        assert re.search(r"numerical failure: corner 1C failed: no fixed point after 200 Picard "
+                         r"sweeps and \d+ Newton steps \(no Newton step lowers the scaled F \S+ "
+                         r"at step \d+\)", proc.stderr), proc.stderr
         assert not (tmp_path / "d").exists()
 
     def test_data_error_exit_four(self, tmp_path):

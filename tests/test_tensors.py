@@ -180,6 +180,21 @@ class TestProjection:
         assert np.allclose(once, twice, atol=1e-12)
 
     @PROPERTY
+    @given(planes, st.integers(0, 2**32 - 1))
+    def test_matches_every_row_formula(self, xy, seed):
+        # rows inside the triangle, on each edge and outside it, mixed
+        rng = np.random.default_rng(seed)
+        edge = rng.integers(0, 3, len(xy))
+        on_edge = tensors.CORNERS[edge] + rng.uniform(0.0, 1.0, (len(xy), 1)) * (
+            tensors.CORNERS[(edge + 1) % 3] - tensors.CORNERS[edge])
+        inside = tensors.weights_to_points(rng.dirichlet(np.ones(3), len(xy)))
+        rows = np.concatenate([xy, on_edge, inside])[rng.permutation(3 * len(xy))]
+        before = rows.copy()
+        assert np.array_equal(tensors.project_into_triangle(rows),
+                              reference_project_into_triangle(rows))
+        assert np.array_equal(rows, before)
+
+    @PROPERTY
     @given(planes)
     def test_projection_is_nearest_point(self, xy):
         # p is the nearest point of the convex triangle to x iff
@@ -227,6 +242,19 @@ def reference_weights_to_eigenvalues(w):
     l2 = w[:, 1] + l3
     l1 = 2.0 * w[:, 0] + l2
     return np.column_stack([l1, l2, l3])
+
+
+def reference_project_into_triangle(xy):
+    """The projection as first written: every row measured against the
+    three edges, inside rows then kept as they are."""
+    a = tensors.CORNERS
+    ab = np.roll(tensors.CORNERS, -1, axis=0) - a
+    t = np.clip(tensors._rowdot(xy[:, None, :] - a, ab) / tensors._rowdot(ab, ab), 0.0, 1.0)
+    q = a + t[..., None] * ab
+    dist = tensors._rowdot(xy[:, None, :] - q, xy[:, None, :] - q)
+    nearest = q[np.arange(len(xy)), np.argmin(dist, axis=1)]
+    inside = tensors.points_to_weights(xy).min(axis=1) >= 0.0
+    return np.where(inside[:, None], xy, nearest)
 
 
 def reference_clip_weights(w):
