@@ -42,11 +42,11 @@ _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 # Coupled-stress solve controls. A coupled stress is solved to its
 # fixed point x = G(x), where x stacks U, k, omega and nu_t and G is one
 # fixed-stress sweep at ur = 1 under the capped stress evaluated at x.
-# Picard sweeps with an under-relaxed stress (STRESS_RELAX) run in
-# blocks of PICARD_BLOCK; after each block, damped Newton on the local
-# residual of the discrete equations (``_Newton``) takes over on a copy
-# for at most NEWTON_STEPS steps. A solve is done at a scaled max-norm
-# of F = G(x) - x of NEWTON_TOL.
+# Picard sweeps at ur = 0.5, under a stress relaxed toward the one of each
+# iterate by min(STRESS_RELAX, 1 / (1 + nu_t)), run in blocks of
+# PICARD_BLOCK; after each block, damped Newton on the local residual
+# (``_Newton``) takes over on a copy for at most NEWTON_STEPS steps. A
+# solve is done at a scaled max-norm of F = G(x) - x of NEWTON_TOL.
 STRESS_RELAX = 0.2
 PICARD_BLOCK = 50
 NEWTON_STEPS = 40
@@ -74,6 +74,8 @@ class ChannelConfig:
             raise ValueError("n_cells too small")
         if not 0 < self.stretch < 1.0:
             raise ValueError("stretch (first node y+) must be in (0, 1)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be a positive integer")
         if not (np.isfinite(self.residual_tol) and self.residual_tol > 0):
             raise ValueError("residual_tol must be finite and positive")
 
@@ -150,7 +152,7 @@ class _Grid:
         self.yp = np.maximum(y, 1e-30)
         self.yp2 = self.yp**2
         self.om_wall = 60.0 / (BETA_1 * y[1] ** 2)
-        self.h = h = np.diff(y)
+        h = np.diff(y)
         self.last = len(y) - 1
         self.h_ends = h[::len(h) - 1]
         self.delta = delta = 0.5 * (h[:-1] + h[1:])
@@ -283,6 +285,8 @@ class FrozenStressInjection(StressInjection):
             raise ValueError(
                 f"noise amplitude must be finite and >= 0, got {self.noise_amplitude}"
             )
+        if self.noise_seed < 0:
+            raise ValueError(f"noise seed must be a non-negative integer, got {self.noise_seed}")
 
     def compute(self, state):
         check_coverage(self.profile, state.re_tau)
@@ -467,26 +471,14 @@ def solve_with_injection(cfg: ChannelConfig, injection: StressInjection) -> Chan
     return _solve(cfg, injection=injection)
 
 
-def _momentum(grid, state, minus_uv, coupled):
+def _momentum(grid, state, minus_uv):
     """Face diffusivity and source of the momentum system of ``state``
     under the shear ``minus_uv`` (see ``_sweep``)."""
     if minus_uv is None:
         # implicit eddy diffusion
         return 1.0 + _mid(state.nu_t_plus), np.full(len(grid.y), 1.0 / state.re_tau)
-    if coupled:
-        # the shear-aligned part of a coupled stress is folded into an
-        # effective viscosity and treated implicitly, which keeps
-        # strongly amplified stresses stable; any nonnegative nu_eff
-        # yields the same fixed point (the deferred correction cancels
-        # it at convergence), so the ratio is regularized and capped
-        dudy = state.dUdy_plus
-        ratio = minus_uv * dudy / (dudy**2 + 1e-8)
-        nu_mid = _mid(np.minimum(np.maximum(ratio, 0.0), 1e5))
-        return 1.0 + nu_mid, 1.0 / state.re_tau - _face_divergence(
-            grid, nu_mid * np.diff(state.U_plus) / grid.h - _mid(minus_uv))
-    # a fixed stress does not depend on the flow: momentum is one exact
-    # linear solve for U, with no effective viscosity to slow its
-    # approach to the fixed point
+    # a given stress does not depend on this sweep's U: momentum is one
+    # exact linear solve for U
     return grid.unit_mid, _face_divergence(grid, _mid(minus_uv)) + 1.0 / state.re_tau
 
 
@@ -516,18 +508,18 @@ def _eddy_viscosity(k, om, dudy, f2):
     return A1 * k / np.maximum(A1 * om, np.abs(dudy) * f2)
 
 
-def _sweep(grid, state, minus_uv, ur, coupled=False):
+def _sweep(grid, state, minus_uv, ur):
     """One outer iteration: the relaxed U -> k -> omega -> nu_t update
     of ``state`` under the shear stress ``minus_uv`` (-u'v'*; None for
     the eddy-viscosity closure), with under-relaxation factor ``ur``.
-    ``coupled`` selects the Picard form for a stress that still follows
-    the flow; a fixed stress (prescribed, or held for one evaluation of
-    the fixed-point map) is solved exactly.
+    A given shear is held fixed for the sweep, so momentum is solved
+    exactly, whether the stress is prescribed, a Picard iterate of a
+    coupled one or the one evaluation of the fixed-point map.
 
     Returns a new ChannelState; every array of ``state`` stays intact.
     """
     U, k, om, nu_t = state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus
-    gamma_u, src_u = _momentum(grid, state, minus_uv, coupled)
+    gamma_u, src_u = _momentum(grid, state, minus_uv)
     U_new = _transport_solve(grid, gamma_u, grid.no_sink, src_u, 0.0)
     U_next = U + ur * (U_new - U)
     dudy = grid.grad(U_next)
@@ -588,10 +580,10 @@ def _solve(cfg, injection):
     return replace(state, minus_uv_plus=minus_uv, tau=tau, residual_history=residuals)
 
 
-def _picard_sweep(grid, state, minus_uv, ur, residuals, coupled=False):
+def _picard_sweep(grid, state, minus_uv, ur, residuals):
     """One relaxed sweep; appends its relative change to ``residuals``
     and stops the solve on a NaN/Inf."""
-    new = _sweep(grid, state, minus_uv, ur, coupled)
+    new = _sweep(grid, state, minus_uv, ur)
     res = _relative_change(state, new)
     residuals.append(res)
     if not np.isfinite(res):
@@ -633,7 +625,7 @@ class _FixedPoint:
         U, k, om, nu_t, dudy = (state.U_plus, state.k_plus, state.omega_plus,
                                 state.nu_t_plus, state.dUdy_plus)
         minus_uv = self.shear(state)
-        gamma_u, src_u = _momentum(grid, state, minus_uv, False)
+        gamma_u, src_u = _momentum(grid, state, minus_uv)
         k_system, om_system, f2 = _turbulence(grid, k, om, nu_t, dudy, minus_uv)
         return np.concatenate([
             _transport_residual(grid, U, gamma_u, grid.no_sink, src_u, 0.0),
@@ -661,17 +653,18 @@ def _solve_coupled(cfg, grid, state, injection):
     fp = _FixedPoint(grid, cfg.re_tau, injection)
     newton = _Newton(fp)
     residuals = []
-    minus_uv = None
+    minus_uv = fp.shear(state)
     newton_steps = 0
-    reason = "max_iters allows no sweep"
     while len(residuals) < cfg.max_iters:
         for _ in range(min(PICARD_BLOCK, cfg.max_iters - len(residuals))):
+            # momentum under a given shear turns a shear error into a dU/dy
+            # error of the same size, which an uncapped stress answers with
+            # a gain of about nu_t: moving it by 1 / (1 + nu_t) of its
+            # change is the implicit eddy-viscosity update
             m_new = fp.shear(state)
-            if minus_uv is None:
-                minus_uv = m_new
-            else:
-                minus_uv = (1.0 - STRESS_RELAX) * minus_uv + STRESS_RELAX * m_new
-            state, _ = _picard_sweep(grid, state, minus_uv, 0.5, residuals, coupled=True)
+            gain = np.where(m_new < fp.cap, state.nu_t_plus, 0.0)
+            minus_uv = minus_uv + np.minimum(STRESS_RELAX, 1.0 / (1.0 + gain)) * (m_new - minus_uv)
+            state, _ = _picard_sweep(grid, state, minus_uv, 0.5, residuals)
         x_new, steps, f, reason = newton.solve(_pack(state))
         newton_steps += steps
         if x_new is not None:

@@ -34,6 +34,8 @@ class ForestHyperparams:
         for name in ("max_depth", "min_samples_split", "max_features", "n_trees"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 # Table-style defaults per target kind (the keys of dns.TARGET_NAMES).

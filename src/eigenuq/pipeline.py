@@ -262,6 +262,10 @@ def train_forest(settings: Settings, target_kind: str):
     seed = _get(settings.train, "seed", int, "train")
     if not train_re:
         raise ConfigError("train.train_re_tau is empty")
+    try:
+        hp = replace(forest.HYPERPARAMS[target_kind], seed=seed)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
     def targets_at(re_tau):
         state = channel.solve_baseline(build_channel_config(settings, re_tau=re_tau))
@@ -272,7 +276,6 @@ def train_forest(settings: Settings, target_kind: str):
     for re_tau in train_re[1:]:
         training.extend(targets_at(re_tau))
 
-    hp = replace(forest.HYPERPARAMS[target_kind], seed=seed)
     fitted = forest.fit(
         training.X,
         training.Y,

@@ -153,7 +153,7 @@ class TestFixedPoint:
     def test_all_states(self, all_injected_states):
         for label, state in all_injected_states.items():
             shear = None if label.startswith("baseline") else state.minus_uv_plus
-            after = channel._sweep(channel._Grid(state.y_plus), state, shear, 0.5, coupled=False)
+            after = channel._sweep(channel._Grid(state.y_plus), state, shear, 0.5)
             change = channel._relative_change(state, after)
             tol = 10.0 * ChannelConfig(re_tau=state.re_tau).residual_tol
             assert change <= tol, f"{label}: one more sweep moves the state by {change:.3e}"
@@ -174,7 +174,8 @@ class TestStressConsistency:
     converged flow, capped by the total-stress line, to within 1e-6,
     reached its fixed point to a scaled F of NEWTON_TOL, and is a zero
     of the local residual to roundoff: Newton would move it by at most
-    1e-9 of each field's scale."""
+    1e-9 of each field's scale. Each one, and datafree 2C at delta_b 0.5
+    and Re_tau 180, needs one Picard block to reach Newton's basin."""
 
     def test_unfrozen_coupled_states(self, all_injected_states, targets_p_1000):
         injections = {
@@ -192,6 +193,29 @@ class TestStressConsistency:
                 assert state.stress_consistency == err, f"{label}_{corner}"
                 assert state.fixed_point_residual <= channel.NEWTON_TOL, f"{label}_{corner}"
                 assert newton_correction(state, injection) <= 1e-9, f"{label}_{corner}"
+                assert state.picard_sweeps == channel.PICARD_BLOCK, f"{label}_{corner}"
+        half = channel.solve_with_injection(
+            ChannelConfig(re_tau=180.0),
+            channel.PerturbationInjection("datafree", corner="2C", delta_b=0.5))
+        assert half.fixed_point_residual <= channel.NEWTON_TOL
+        assert half.picard_sweeps == channel.PICARD_BLOCK
+
+
+class TestHighReynoldsCorners:
+    """At Re_tau 5200, the largest training Re_tau, nu_t is largest, and
+    a datafree corner with a small delta_b keeps a nearly Boussinesq
+    shear that answers a change of dU/dy with a gain of about nu_t. The
+    Picard stress relaxation damps that loop by 1 / (1 + nu_t): each
+    corner at delta_b 0.1 reaches its fixed point within two blocks."""
+
+    @pytest.mark.parametrize("corner", ["1C", "2C", "3C"])
+    def test_small_delta_b_reaches_its_fixed_point(self, corner):
+        state = channel.solve_with_injection(
+            ChannelConfig(re_tau=5200.0),
+            channel.PerturbationInjection("datafree", corner=corner, delta_b=0.1))
+        assert state.fixed_point_residual <= channel.NEWTON_TOL
+        assert state.stress_consistency <= 1e-6
+        assert state.picard_sweeps <= 2 * channel.PICARD_BLOCK
 
 
 class TestNewtonWithoutStall:

@@ -363,13 +363,15 @@ class TestCli:
         assert not (tmp_path / "d").exists()
 
     def test_corner_without_fixed_point_exit_three(self, tmp_path):
-        # 200 sweeps leave the 1C corner at Re_tau 1000 outside Newton's basin
+        # 100 sweeps bring the 1C and 2C corners at Re_tau 5200 and
+        # delta_b 0.5 to their fixed points but leave 3C outside Newton's
+        # basin
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[channel]\nre_tau = 1000\nmax_iters = 200\n")
-        proc = self.run_cli("uq", "--mode", "datafree", "--config", str(cfg),
+        cfg.write_text("[channel]\nre_tau = 5200\nmax_iters = 100\n")
+        proc = self.run_cli("uq", "--mode", "datafree", "--delta-b", "0.5", "--config", str(cfg),
                             "--out", str(tmp_path / "d"))
         assert proc.returncode == 3, proc.stderr
-        assert re.search(r"numerical failure: corner 1C failed: no fixed point after 200 Picard "
+        assert re.search(r"numerical failure: corner 3C failed: no fixed point after 100 Picard "
                          r"sweeps and \d+ Newton steps \(no Newton step lowers the scaled F \S+ "
                          r"at step \d+\)", proc.stderr), proc.stderr
         assert not (tmp_path / "d").exists()
@@ -398,9 +400,11 @@ class TestCli:
             (["propagate-dns", "--noise", "inf"], "must be finite and >= 0, got inf"),
             (["baseline", "--re-tau", "inf"], "re_tau must be finite and positive"),
             (["baseline", "--re-tau", "nan"], "re_tau must be finite and positive"),
+            (["train", "--target", "p", "--seed", "-1"], "seed must be a non-negative integer"),
+            (["propagate-dns", "--seed", "-1"], "seed must be a non-negative integer"),
         ],
         ids=["delta_b", "forest_kind", "forest_datafree", "delta_b_pcorr", "noise_negative",
-             "noise_inf", "re_tau_inf", "re_tau_nan"],
+             "noise_inf", "re_tau_inf", "re_tau_nan", "seed_train", "seed_propagate"],
     )
     def test_bad_arguments_rejected_before_solving(self, tmp_path, args, message):
         # every solve fails (exit 3) within 10 iterations, so exit 2 shows
