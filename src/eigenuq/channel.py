@@ -39,14 +39,16 @@ OMEGA_FLOOR = 1e-8
 # calls the same routine but validates its inputs on every call
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
-# Coupled-stress solve controls. A coupled stress is solved to its
-# fixed point x = G(x), where x stacks U, k, omega and nu_t and G is one
-# fixed-stress sweep at ur = 1 under the capped stress evaluated at x.
-# Picard sweeps at ur = 0.5, under a stress relaxed toward the one of each
-# iterate by min(STRESS_RELAX, 1 / (1 + nu_t)), run in blocks of
-# PICARD_BLOCK; after each block, damped Newton on the local residual
-# (``_Newton``) takes over on a copy for at most NEWTON_STEPS steps. A
-# solve is done at a scaled max-norm of F = G(x) - x of NEWTON_TOL.
+# Solve controls. Every solve, baseline, prescribed or coupled stress,
+# is solved to its fixed point x = G(x), where x stacks U, k, omega and
+# nu_t and G is one sweep at ur = 1 under the shear of x: the eddy
+# viscosity's, the prescribed one, or the capped coupled stress evaluated
+# at x. Picard sweeps (ur = 0.8 for the baseline, 0.5 under an injected
+# stress; a coupled stress relaxed toward the one of each iterate by
+# min(STRESS_RELAX, 1 / (1 + nu_t))) run in blocks of PICARD_BLOCK; after
+# each block, damped Newton on the local residual (``_Newton``) takes
+# over on a copy for at most NEWTON_STEPS steps. A solve is done at a
+# scaled max-norm of F = G(x) - x of NEWTON_TOL.
 STRESS_RELAX = 0.2
 PICARD_BLOCK = 50
 NEWTON_STEPS = 40
@@ -65,7 +67,6 @@ class ChannelConfig:
     n_cells: int = 192
     stretch: float = 0.5  # target first off-wall node position y1+
     max_iters: int = 40000
-    residual_tol: float = 1e-8
 
     def __post_init__(self):
         if not (np.isfinite(self.re_tau) and self.re_tau > 0):
@@ -76,8 +77,6 @@ class ChannelConfig:
             raise ValueError("stretch (first node y+) must be in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        if not (np.isfinite(self.residual_tol) and self.residual_tol > 0):
-            raise ValueError("residual_tol must be finite and positive")
 
 
 @dataclass
@@ -92,10 +91,12 @@ class ChannelState:
     # set once the solve ends; None on the iterates handed to an injection
     minus_uv_plus: np.ndarray | None = None  # shear stress actually used in momentum
     tau: np.ndarray | None = None  # (n, 3, 3) Reynolds stress per node
-    residual_history: list[float] = field(default_factory=list)  # one per sweep
-    # how a coupled stress reached its fixed point: Newton steps over all
-    # attempts, the final scaled max-norm of F and the largest change of
-    # the capped shear recomputed from the converged flow
+    # relative change of U, k and omega, one per Picard sweep
+    residual_history: list[float] = field(default_factory=list)
+    # how the solve reached its fixed point: Newton steps over all
+    # attempts and the final scaled max-norm of F; for a coupled stress
+    # also the largest change of the capped shear recomputed from the
+    # converged flow (None otherwise)
     newton_steps: int = 0
     fixed_point_residual: float | None = None
     stress_consistency: float | None = None
@@ -476,7 +477,7 @@ def _momentum(grid, state, minus_uv):
     under the shear ``minus_uv`` (see ``_sweep``)."""
     if minus_uv is None:
         # implicit eddy diffusion
-        return 1.0 + _mid(state.nu_t_plus), np.full(len(grid.y), 1.0 / state.re_tau)
+        return 1.0 + _mid(state.nu_t_plus), np.full(state.U_plus.shape, 1.0 / state.re_tau)
     # a given stress does not depend on this sweep's U: momentum is one
     # exact linear solve for U
     return grid.unit_mid, _face_divergence(grid, _mid(minus_uv)) + 1.0 / state.re_tau
@@ -549,60 +550,93 @@ def _relative_change(old, new):
 
 
 def _solve(cfg, injection):
+    """Picard blocks, each followed by a Newton attempt, until Newton
+    reaches the fixed point; SolverError when none does within
+    ``max_iters`` sweeps."""
     grid = _Grid(make_grid(cfg.re_tau, cfg.n_cells, cfg.stretch))
     U, k, om, nu_t = _init_state(grid)
     state = ChannelState(cfg.re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
-    if injection is not None and injection.coupled:
-        return _solve_coupled(cfg, grid, state, injection)
-    ur = 0.8 if injection is None else 0.5
-    minus_uv = tau = None
-    if injection is not None:
+    if injection is None or injection.coupled:
+        fp = _FixedPoint(grid, cfg.re_tau, injection)
+    else:
+        # a prescribed stress is computed once, on the initial iterate
         tau = injection.compute(state)
-        minus_uv = -tau[:, 0, 1]
-
+        fp = _FixedPoint(grid, cfg.re_tau, prescribed=-tau[:, 0, 1])
+    coupled = fp.injection is not None
+    ur = 0.8 if injection is None else 0.5
+    newton = _Newton(fp)
     residuals = []
-    for it in range(cfg.max_iters):
-        state, res = _picard_sweep(grid, state, minus_uv, ur, residuals)
-        if res < cfg.residual_tol and it > 5:
+    minus_uv = fp.shear(state)
+    newton_steps = 0
+    while len(residuals) < cfg.max_iters:
+        for _ in range(min(PICARD_BLOCK, cfg.max_iters - len(residuals))):
+            if coupled:
+                # momentum under a given shear turns a shear error into a
+                # dU/dy error of the same size, which an uncapped stress
+                # answers with a gain of about nu_t: moving it by
+                # 1 / (1 + nu_t) of its change is the implicit
+                # eddy-viscosity update
+                m_new = fp.shear(state)
+                gain = np.where(m_new < fp.cap, state.nu_t_plus, 0.0)
+                relax = np.minimum(STRESS_RELAX, 1.0 / (1.0 + gain))
+                minus_uv = minus_uv + relax * (m_new - minus_uv)
+            state = _picard_sweep(grid, state, minus_uv, ur, residuals)
+        x_new, steps, f, reason = newton.solve(_pack(state))
+        newton_steps += steps
+        if x_new is not None:
             break
     else:
         raise SolverError(
-            f"no convergence after {cfg.max_iters} iterations "
-            f"(last residual {residuals[-1]:.3e})",
+            f"no fixed point after {len(residuals)} Picard sweeps and "
+            f"{newton_steps} Newton steps ({reason})",
             residuals,
         )
 
-    # report the injected stress itself; minus_uv_plus carries the shear
-    # the momentum equation used
-    if minus_uv is None:
-        minus_uv = state.nu_t_plus * state.dUdy_plus
-        tau = tensors.boussinesq(state.k_plus, state.nu_t_plus, state.dUdy_plus)
-    return replace(state, minus_uv_plus=minus_uv, tau=tau, residual_history=residuals)
+    # report the flow solved under the stress at the fixed point, with the
+    # shear momentum used there and the stress itself; a coupled stress
+    # also reports how far the one recomputed from that flow is from it
+    at_x = fp.state(x_new)
+    minus_uv = fp.shear(at_x)
+    out = _sweep(grid, at_x, minus_uv, 1.0)
+    consistency = None
+    if injection is None:
+        minus_uv = out.nu_t_plus * out.dUdy_plus
+        tau = tensors.boussinesq(out.k_plus, out.nu_t_plus, out.dUdy_plus)
+    elif coupled:
+        consistency = float(np.max(np.abs(fp.shear(out) - minus_uv)))
+        tau = injection.compute(at_x)
+    return replace(out, minus_uv_plus=minus_uv, tau=tau, residual_history=residuals,
+                   newton_steps=newton_steps, fixed_point_residual=float(f),
+                   stress_consistency=consistency)
 
 
 def _picard_sweep(grid, state, minus_uv, ur, residuals):
     """One relaxed sweep; appends its relative change to ``residuals``
     and stops the solve on a NaN/Inf."""
     new = _sweep(grid, state, minus_uv, ur)
-    res = _relative_change(state, new)
-    residuals.append(res)
-    if not np.isfinite(res):
+    residuals.append(_relative_change(state, new))
+    if not np.isfinite(residuals[-1]):
         raise SolverError(f"NaN/Inf detected at iteration {len(residuals) - 1}", residuals)
-    return new, res
+    return new
 
 
 class _FixedPoint:
-    """The map G of a coupled stress on packed states x = (U, k, omega,
-    nu_t): one fixed-stress sweep at ur = 1 under the capped stress
-    evaluated at x; and the local residual R of the same discrete
-    equations, which has the zeros of F = G(x) - x."""
+    """The map G on packed states x = (U, k, omega, nu_t): one
+    fixed-stress sweep at ur = 1 under the shear of x; and the local
+    residual R of the same discrete equations, which has the zeros of
+    F = G(x) - x. The shear is None for the eddy-viscosity closure, the
+    ``prescribed`` one, or that of a coupled ``injection`` evaluated at
+    x and capped."""
 
-    def __init__(self, grid, re_tau, injection):
+    def __init__(self, grid, re_tau, injection=None, prescribed=None):
         self.grid, self.re_tau, self.injection = grid, re_tau, injection
+        self.prescribed = prescribed
         self.cap = 1.0 - grid.y / re_tau  # steady momentum bounds the turbulent shear
 
     def shear(self, state):
-        """The capped shear -u'v'* of the injection at ``state``."""
+        """The shear -u'v'* momentum uses at ``state``."""
+        if self.injection is None:
+            return self.prescribed
         return np.minimum(self.injection.shear(state), self.cap)
 
     def state(self, x):
@@ -644,47 +678,6 @@ def _scale(x):
     the largest magnitude of its field."""
     n = len(x) // 4
     return np.repeat(np.maximum(1.0, np.abs(x).reshape(4, n).max(axis=1)), n)
-
-
-def _solve_coupled(cfg, grid, state, injection):
-    """Picard blocks, each followed by a Newton attempt, until Newton
-    reaches the fixed point; SolverError when none does within
-    ``max_iters`` sweeps."""
-    fp = _FixedPoint(grid, cfg.re_tau, injection)
-    newton = _Newton(fp)
-    residuals = []
-    minus_uv = fp.shear(state)
-    newton_steps = 0
-    while len(residuals) < cfg.max_iters:
-        for _ in range(min(PICARD_BLOCK, cfg.max_iters - len(residuals))):
-            # momentum under a given shear turns a shear error into a dU/dy
-            # error of the same size, which an uncapped stress answers with
-            # a gain of about nu_t: moving it by 1 / (1 + nu_t) of its
-            # change is the implicit eddy-viscosity update
-            m_new = fp.shear(state)
-            gain = np.where(m_new < fp.cap, state.nu_t_plus, 0.0)
-            minus_uv = minus_uv + np.minimum(STRESS_RELAX, 1.0 / (1.0 + gain)) * (m_new - minus_uv)
-            state, _ = _picard_sweep(grid, state, minus_uv, 0.5, residuals)
-        x_new, steps, f, reason = newton.solve(_pack(state))
-        newton_steps += steps
-        if x_new is not None:
-            break
-    else:
-        raise SolverError(
-            f"no fixed point after {len(residuals)} Picard sweeps and "
-            f"{newton_steps} Newton steps ({reason})",
-            residuals,
-        )
-
-    # report the flow solved under the stress at the fixed point, and how
-    # far the stress recomputed from that flow is from the one it used
-    at_x = fp.state(x_new)
-    minus_uv = fp.shear(at_x)
-    out = _sweep(grid, at_x, minus_uv, 1.0)
-    consistency = float(np.max(np.abs(fp.shear(out) - minus_uv)))
-    return replace(out, minus_uv_plus=minus_uv, tau=injection.compute(at_x),
-                   residual_history=residuals, newton_steps=newton_steps,
-                   fixed_point_residual=float(f), stress_consistency=consistency)
 
 
 class _Newton:

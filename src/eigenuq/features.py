@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-BETA_STAR = 0.09
+from .channel import BETA_STAR
 
 DEFAULT_FEATURES = [
     "re_wall_dist",

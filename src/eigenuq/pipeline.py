@@ -47,7 +47,6 @@ DEFAULTS = {
         "n_cells": "192",
         "stretch": "0.5",
         "max_iters": "40000",
-        "residual_tol": "1e-8",
     },
     "train": {
         "train_re_tau": "180, 550, 2000, 5200",
@@ -138,7 +137,6 @@ def build_channel_config(settings: Settings, re_tau=None) -> channel.ChannelConf
             n_cells=_get(ch, "n_cells", int, "channel"),
             stretch=_get(ch, "stretch", float, "channel"),
             max_iters=_get(ch, "max_iters", int, "channel"),
-            residual_tol=_get(ch, "residual_tol", float, "channel"),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -226,6 +224,17 @@ def count_realizability_violations(state: channel.ChannelState) -> int:
     return int(np.count_nonzero(~tensors.is_realizable(state.tau, tol=_REALIZABILITY_TOL)))
 
 
+def solve_record(state: channel.ChannelState) -> dict:
+    """How a solve reached its fixed point, as manifest fields."""
+    return {
+        "iterations": state.iterations,
+        "picard_sweeps": state.picard_sweeps,
+        "newton_steps": state.newton_steps,
+        "fixed_point_residual": state.fixed_point_residual,
+        "total_shear_error": channel.total_shear_error(state),
+    }
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -241,9 +250,8 @@ def cmd_baseline(settings: Settings, out_dir) -> int:
         "baseline",
         settings,
         {
-            "iterations": state.iterations,
+            **solve_record(state),
             "centerline_U": state.centerline_U,
-            "total_shear_error": channel.total_shear_error(state),
             "realizability_violations": count_realizability_violations(state),
         },
     )
@@ -403,20 +411,14 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
     violations = count_realizability_violations(env.baseline) + sum(
         count_realizability_violations(s) for s in env.corner_states.values()
     )
+    # each field of the solve record, then the stress consistency, by corner
+    records = {c: {**solve_record(s), "stress_consistency": s.stress_consistency}
+               for c, s in env.corner_states.items()}
     extra = {
         "mode": mode,
         "integrated_width": env.integrated_width(),
         "realizability_violations": violations,
-        "iterations": {c: s.iterations for c, s in env.corner_states.items()},
-        "picard_sweeps": {c: s.picard_sweeps for c, s in env.corner_states.items()},
-        "newton_steps": {c: s.newton_steps for c, s in env.corner_states.items()},
-        "fixed_point_residual": {
-            c: s.fixed_point_residual for c, s in env.corner_states.items()
-        },
-        "stress_consistency": {c: s.stress_consistency for c, s in env.corner_states.items()},
-        "total_shear_error": {
-            c: channel.total_shear_error(s) for c, s in env.corner_states.items()
-        },
+        **{key: {c: r[key] for c, r in records.items()} for key in records["1C"]},
     }
     if forest_path is not None:
         # the base name: the same forest read from another directory
@@ -463,8 +465,7 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
             "noise": noise,
             "noise_seed": seed,
             "rel_l2_error_U": rel_l2,
-            "iterations": state.iterations,
-            "total_shear_error": channel.total_shear_error(state),
+            **solve_record(state),
             "realizability_violations": count_realizability_violations(state),
         },
     )

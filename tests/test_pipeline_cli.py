@@ -26,6 +26,14 @@ def fast_settings(extra=()):
     return pipeline.load_settings(overrides=FAST + list(extra))
 
 
+def assert_solve_record(man):
+    """The manifest of a one-solve command says how its solve ended."""
+    picard, newton = man["picard_sweeps"], man["newton_steps"]
+    assert man["iterations"] == picard + newton
+    assert picard > 0 and picard % channel.PICARD_BLOCK == 0
+    assert man["fixed_point_residual"] <= channel.NEWTON_TOL
+
+
 class TestSettings:
     def test_defaults(self):
         s = pipeline.load_settings()
@@ -61,6 +69,7 @@ class TestSettings:
         [
             ("[channel]\nn_cell = 16\n", r"unknown key\(s\) in \[channel\]: n_cell"),
             ("[uqq]\nmode = p\n", r"unknown config section \[uqq\]"),
+            ("[channel]\nresidual_tol = 1e-8\n", r"unknown key\(s\) in \[channel\]: residual_tol"),
         ],
     )
     def test_unknown_config_entries_rejected(self, tmp_path, text, message):
@@ -138,6 +147,7 @@ class TestBaselineCommand:
         assert man["settings"]["channel"]["re_tau"] == "180"
         assert man["realizability_violations"] == 0
         assert man["total_shear_error"] < 0.01
+        assert_solve_record(man)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -244,6 +254,7 @@ class TestPropagateCommand:
         man = pipeline.read_manifest(out)
         assert man["rel_l2_error_U"] < 0.01
         assert man["total_shear_error"] <= 1e-8
+        assert_solve_record(man)
         rows = (out / "metrics.csv").read_text().strip().split("\n")
         assert rows[0] == "re_tau,noise,noise_seed,rel_l2_error_U,iterations"
         assert len(rows) == 2
@@ -407,8 +418,10 @@ class TestCli:
              "noise_inf", "re_tau_inf", "re_tau_nan", "seed_train", "seed_propagate"],
     )
     def test_bad_arguments_rejected_before_solving(self, tmp_path, args, message):
-        # every solve fails (exit 3) within 10 iterations, so exit 2 shows
-        # that the arguments were rejected before the first solve
+        # the baseline fails (exit 3) within 10 iterations, so exit 2 from
+        # baseline, train or uq shows that the arguments were rejected
+        # before the first solve; propagate-dns checks its noise and seed
+        # as it builds the injection, before its solve
         cfg = tmp_path / "run.ini"
         cfg.write_text("[channel]\nre_tau = 180\nn_cells = 64\nmax_iters = 10\n")
         rng = np.random.default_rng(0)
