@@ -262,17 +262,14 @@ class StressInjection:
     A prescribed stress (``coupled`` False) is computed once, on the
     initial iterate, and used as given. A coupled stress depends on the
     flow: it is recomputed from every iterate and bounded by the
-    total-stress line until the solve reaches its fixed point.
+    total-stress line until the solve reaches its fixed point; the solve
+    asks it only for ``shear``, the -u'v'* that momentum uses.
     """
 
     coupled = False
 
     def compute(self, state) -> np.ndarray:
         raise NotImplementedError
-
-    def shear(self, state) -> np.ndarray:
-        """The shear stress -u'v'* that momentum uses: -compute()[:, 0, 1]."""
-        return -self.compute(state)[:, 0, 1]
 
 
 @dataclass
@@ -461,17 +458,6 @@ def _blending(grid, k, om_s, dkdy, domdy):
     return f1, f2
 
 
-def solve_baseline(cfg: ChannelConfig) -> ChannelState:
-    """Converge the baseline channel flow."""
-    return _solve(cfg, injection=None)
-
-
-def solve_with_injection(cfg: ChannelConfig, injection: StressInjection) -> ChannelState:
-    """Converge with perturbed/prescribed Reynolds stresses in the
-    momentum and production terms."""
-    return _solve(cfg, injection=injection)
-
-
 def _momentum(grid, state, minus_uv):
     """Face diffusivity and source of the momentum system of ``state``
     under the shear ``minus_uv`` (see ``_sweep``)."""
@@ -549,10 +535,12 @@ def _relative_change(old, new):
     return np.maximum(np.maximum(du, dk), dom)
 
 
-def _solve(cfg, injection):
-    """Picard blocks, each followed by a Newton attempt, until Newton
-    reaches the fixed point; SolverError when none does within
-    ``max_iters`` sweeps."""
+def solve(cfg: ChannelConfig, injection: StressInjection | None = None) -> ChannelState:
+    """Converge the channel flow: the baseline closure, or with the
+    perturbed/prescribed Reynolds stresses of ``injection`` in the
+    momentum and production terms. Picard blocks, each followed by a
+    Newton attempt, until Newton reaches the fixed point; SolverError
+    when none does within ``max_iters`` sweeps."""
     grid = _Grid(make_grid(cfg.re_tau, cfg.n_cells, cfg.stretch))
     U, k, om, nu_t = _init_state(grid)
     state = ChannelState(cfg.re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
@@ -643,12 +631,10 @@ class _FixedPoint:
         U, k, om, nu_t = np.split(x, 4, axis=-1)
         return ChannelState(self.re_tau, self.grid.y, U, k, om, nu_t, self.grid.grad(U))
 
-    def sweep(self, state):
-        return _sweep(self.grid, state, self.shear(state), 1.0)
-
     def residual(self, x):
         """F(x) = G(x) - x."""
-        return _pack(self.sweep(self.state(x))) - x
+        state = self.state(x)
+        return _pack(_sweep(self.grid, state, self.shear(state), 1.0)) - x
 
     def local_residual(self, x):
         """R(x): A(x) phi - b(x) of the U, k and omega systems that a
@@ -837,13 +823,13 @@ def uq_envelope(cfg: ChannelConfig, injections: dict[str, StressInjection],
     ``corner_injections``); slots sharing one instance share its state.
     """
     if baseline is None:
-        baseline = solve_baseline(cfg)
+        baseline = solve(cfg)
     solved = {}  # id(injection) -> state
     states = {}
     for corner, injection in injections.items():
         if id(injection) not in solved:
             try:
-                solved[id(injection)] = solve_with_injection(cfg, injection)
+                solved[id(injection)] = solve(cfg, injection)
             except SolverError as e:
                 raise SolverError(f"corner {corner} failed: {e}", e.residual_history) from e
         states[corner] = solved[id(injection)]

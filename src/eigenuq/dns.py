@@ -12,7 +12,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import PchipInterpolator
 
 from . import rotation as rot
@@ -135,19 +134,8 @@ def interpolate(profile: DnsProfile, y_plus_targets) -> DnsProfile:
     if np.any(t < -1e-12) or np.any(t > profile.re_tau * (1 + 1e-12)):
         raise ValueError("interpolation targets outside [0, Re_tau]")
     tc = np.clip(t, profile.y_plus[0], profile.y_plus[-1])
-
-    def interp(vals):
-        return PchipInterpolator(profile.y_plus, vals)(tc)
-
-    return DnsProfile(
-        re_tau=profile.re_tau,
-        y_plus=t,
-        U_plus=interp(profile.U_plus),
-        uu_plus=interp(profile.uu_plus),
-        vv_plus=interp(profile.vv_plus),
-        ww_plus=interp(profile.ww_plus),
-        uv_plus=interp(profile.uv_plus),
-    )
+    columns = np.column_stack([getattr(profile, name) for name in _COLUMNS[1:]])
+    return DnsProfile(profile.re_tau, t, *PchipInterpolator(profile.y_plus, columns)(tc).T)
 
 
 def synthetic_profile(re_tau: float, n_points: int = 256) -> DnsProfile:
@@ -171,7 +159,7 @@ def synthetic_profile(re_tau: float, n_points: int = 256) -> DnsProfile:
     )
     nu_t = 0.5 * np.sqrt(1.0 + term) - 0.5
     dudy = (1.0 - eta) / (1.0 + nu_t)
-    U = np.concatenate([[0.0], cumulative_trapezoid(dudy, yf)])
+    U = np.concatenate([[0.0], np.cumsum(np.diff(yf) * (dudy[1:] + dudy[:-1]) / 2.0)])
     minus_uv = nu_t * dudy
 
     # turbulent kinetic energy: equilibrium log-region level plus a
@@ -195,19 +183,8 @@ def synthetic_profile(re_tau: float, n_points: int = 256) -> DnsProfile:
 
     # resample onto the requested grid size (stretched toward the wall)
     yt = re_tau * (1.0 - np.cos(np.linspace(0.0, np.pi / 2, n_points)))
-
-    def onto(vals):
-        return PchipInterpolator(yf, vals)(yt)
-
-    return DnsProfile(
-        re_tau=re_tau,
-        y_plus=yt,
-        U_plus=onto(U),
-        uu_plus=onto(uu),
-        vv_plus=onto(vv),
-        ww_plus=onto(ww),
-        uv_plus=onto(uv),
-    )
+    columns = np.column_stack([U, uu, vv, ww, uv])
+    return DnsProfile(re_tau, yt, *PchipInterpolator(yf, columns)(yt).T)
 
 
 # the target kinds and the names of their columns

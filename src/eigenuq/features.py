@@ -32,12 +32,8 @@ def _ratio(n, d):
 def feature_matrix(state) -> np.ndarray:
     """Pointwise features of a channel state as an (n_points,
     n_features) matrix, columns in DEFAULT_FEATURES order."""
-    y = np.asarray(state.y_plus, dtype=float)
-    u = np.asarray(state.U_plus, dtype=float)
-    k = np.asarray(state.k_plus, dtype=float)
-    om = np.asarray(state.omega_plus, dtype=float)
-    nut = np.asarray(state.nu_t_plus, dtype=float)
-    s = np.abs(np.asarray(state.dUdy_plus, dtype=float))
+    y, u, k, om, nut = state.y_plus, state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus
+    s = np.abs(state.dUdy_plus)
     eps = BETA_STAR * k * om
     out = np.column_stack([
         np.minimum(np.sqrt(np.maximum(k, 0.0)) * y / 50.0, 2.0),

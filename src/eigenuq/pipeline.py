@@ -41,25 +41,30 @@ class DataError(ValueError):
 # configuration
 
 
+def _re_tau_list(raw: str):
+    return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+# every settings key with its default and the cast its value must pass
 DEFAULTS = {
     "channel": {
-        "re_tau": "1000",
-        "n_cells": "192",
-        "stretch": "0.5",
-        "max_iters": "40000",
+        "re_tau": ("1000", float),
+        "n_cells": ("192", int),
+        "stretch": ("0.5", float),
+        "max_iters": ("40000", int),
     },
     "train": {
-        "train_re_tau": "180, 550, 2000, 5200",
-        "holdout_re_tau": "1000",
-        "seed": "0",
+        "train_re_tau": ("180, 550, 2000, 5200", _re_tau_list),
+        "holdout_re_tau": ("1000", float),
+        "seed": ("0", int),
     },
     "uq": {
-        "mode": "datafree",
-        "delta_b": "1.0",
+        "mode": ("datafree", str),
+        "delta_b": ("1.0", float),
     },
     "propagate": {
-        "noise": "0.0",
-        "noise_seed": "0",
+        "noise": ("0.0", float),
+        "noise_seed": ("0", int),
     },
 }
 
@@ -77,7 +82,8 @@ class Settings:
 
 def load_settings(config_path=None, overrides=None) -> Settings:
     parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULTS)
+    parser.read_dict({section: {key: default for key, (default, _) in keys.items()}
+                      for section, keys in DEFAULTS.items()})
     if config_path is not None:
         if not os.path.exists(config_path):
             raise ConfigError(f"config file not found: {config_path}")
@@ -110,43 +116,33 @@ def load_settings(config_path=None, overrides=None) -> Settings:
         if re_tau in data:
             raise ConfigError(f"[data] names Re_tau={re_tau:g} more than once")
         data[re_tau] = source
-    return Settings(
-        channel=dict(parser.items("channel")),
-        train=dict(parser.items("train")),
-        uq=dict(parser.items("uq")),
-        propagate=dict(parser.items("propagate")),
-        data=data,
-    )
+    settings = Settings(**{section: dict(parser.items(section)) for section in DEFAULTS},
+                        data=data)
+    for section, keys in DEFAULTS.items():
+        for key in keys:
+            _get(settings, section, key)  # every value casts, whatever the command
+    return settings
 
 
-def _get(section: dict, key: str, cast, what: str):
-    raw = section.get(key)
-    if raw is None:
-        raise ConfigError(f"missing setting {what}.{key}")
+def _get(settings: Settings, section: str, key: str):
+    """The value of ``section.key``, cast as ``DEFAULTS`` says."""
+    raw = getattr(settings, section)[key]
     try:
-        return cast(raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid value for {what}.{key}: {raw!r}") from e
+        return DEFAULTS[section][key][1](raw)
+    except ValueError as e:
+        raise ConfigError(f"invalid value for {section}.{key}: {raw!r}") from e
 
 
 def build_channel_config(settings: Settings, re_tau=None) -> channel.ChannelConfig:
-    ch = settings.channel
     try:
         return channel.ChannelConfig(
-            re_tau=float(re_tau) if re_tau is not None else _get(ch, "re_tau", float, "channel"),
-            n_cells=_get(ch, "n_cells", int, "channel"),
-            stretch=_get(ch, "stretch", float, "channel"),
-            max_iters=_get(ch, "max_iters", int, "channel"),
+            re_tau=float(re_tau) if re_tau is not None else _get(settings, "channel", "re_tau"),
+            n_cells=_get(settings, "channel", "n_cells"),
+            stretch=_get(settings, "channel", "stretch"),
+            max_iters=_get(settings, "channel", "max_iters"),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-
-
-def _re_tau_list(raw: str):
-    try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError as e:
-        raise ConfigError(f"invalid Re_tau list: {raw!r}") from e
 
 
 def load_reference_profile(settings: Settings, re_tau: float) -> dns.DnsProfile:
@@ -241,7 +237,7 @@ def solve_record(state: channel.ChannelState) -> dict:
 
 def cmd_baseline(settings: Settings, out_dir) -> int:
     cfg = build_channel_config(settings)
-    state = channel.solve_baseline(cfg)
+    state = channel.solve(cfg)
     _ensure_out(out_dir)
     channel.write_solution_csv(state, os.path.join(out_dir, "baseline.csv"))
     write_trace_csv(state, os.path.join(out_dir, "baseline_trace.csv"))
@@ -265,9 +261,9 @@ def train_forest(settings: Settings, target_kind: str):
         raise ConfigError(
             f"unknown target {target_kind!r}; choose from {tuple(dns.TARGET_NAMES)}"
         )
-    train_re = _re_tau_list(settings.train["train_re_tau"])
-    holdout_re = _get(settings.train, "holdout_re_tau", float, "train")
-    seed = _get(settings.train, "seed", int, "train")
+    train_re = _get(settings, "train", "train_re_tau")
+    holdout_re = _get(settings, "train", "holdout_re_tau")
+    seed = _get(settings, "train", "seed")
     if not train_re:
         raise ConfigError("train.train_re_tau is empty")
     try:
@@ -276,7 +272,7 @@ def train_forest(settings: Settings, target_kind: str):
         raise ConfigError(str(e)) from e
 
     def targets_at(re_tau):
-        state = channel.solve_baseline(build_channel_config(settings, re_tau=re_tau))
+        state = channel.solve(build_channel_config(settings, re_tau=re_tau))
         profile = dns.interpolate(load_reference_profile(settings, re_tau), state.y_plus)
         return dns.build_targets(state, profile, target_kind)
 
@@ -372,11 +368,11 @@ def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
         raise ConfigError(f"uq mode {mode!r} does not take --delta-b")
     if "targets" in takes:
         fitted = _load_forest(forest_path, mode)
-        baseline = channel.solve_baseline(cfg)
+        baseline = channel.solve(cfg)
         injections = channel.corner_injections(mode, targets=forest_targets(fitted, baseline))
         return channel.uq_envelope(cfg, injections, baseline)
     if delta_b is None:
-        delta_b = _get(settings.uq, "delta_b", float, "uq")
+        delta_b = _get(settings, "uq", "delta_b")
     try:
         injections = channel.corner_injections(mode, delta_b=delta_b)
     except ValueError as e:
@@ -385,7 +381,7 @@ def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
 
 
 def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
-    mode = _get(settings.uq, "mode", str, "uq")
+    mode = _get(settings, "uq", "mode")
     env = run_uq(settings, mode, forest_path, delta_b)
     # the manifest records only the settings this mode ran with: [channel]
     # and the [uq] keys it takes
@@ -398,16 +394,11 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
             st, os.path.join(out_dir, f"corner_{corner}.csv")
         )
         write_trace_csv(st, os.path.join(out_dir, f"trace_{corner}.csv"))
-    _write_rows(
-        os.path.join(out_dir, "envelope.csv"),
-        ["y_plus", "U_baseline", "U_min", "U_max", "width"],
-        [
-            [y, ub, lo, hi, w]
-            for y, ub, lo, hi, w in zip(
-                env.baseline.y_plus, env.baseline.U_plus, env.U_min, env.U_max, env.width
-            )
-        ],
-    )
+    np.savetxt(os.path.join(out_dir, "envelope.csv"),
+               np.column_stack([env.baseline.y_plus, env.baseline.U_plus, env.U_min, env.U_max,
+                                env.width]),
+               fmt="%.17g", delimiter=",", comments="",
+               header="y_plus,U_baseline,U_min,U_max,width")
     violations = count_realizability_violations(env.baseline) + sum(
         count_realizability_violations(s) for s in env.corner_states.values()
     )
@@ -433,8 +424,8 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
 
 def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
     cfg = build_channel_config(settings)
-    noise = _get(settings.propagate, "noise", float, "propagate")
-    seed = _get(settings.propagate, "noise_seed", int, "propagate")
+    noise = _get(settings, "propagate", "noise")
+    seed = _get(settings, "propagate", "noise_seed")
     if dns_path is not None:
         profile = read_reference_profile(dns_path, cfg.re_tau)
     else:
@@ -445,7 +436,7 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    state = channel.solve_with_injection(cfg, injection)
+    state = channel.solve(cfg, injection)
     ref = dns.interpolate(profile, state.y_plus)
     num = np.linalg.norm(state.U_plus - ref.U_plus)
     den = np.linalg.norm(ref.U_plus)

@@ -81,13 +81,8 @@ def decompose(tau):
     signs = np.sign(np.take_along_axis(vec, imax[:, None, :], axis=1))[:, 0, :]
     signs[signs == 0] = 1.0
     vec = vec * signs[:, None, :]
-    # the frame is orthonormal: its triple product c0 . (c1 x c2) has
-    # the sign of its determinant
-    c0, c1, c2 = vec[:, :, 0], vec[:, :, 1], vec[:, :, 2]
-    triple = (c0[:, 0] * (c1[:, 1] * c2[:, 2] - c1[:, 2] * c2[:, 1])
-              + c0[:, 1] * (c1[:, 2] * c2[:, 0] - c1[:, 0] * c2[:, 2])
-              + c0[:, 2] * (c1[:, 0] * c2[:, 1] - c1[:, 1] * c2[:, 0]))
-    vec[triple < 0, :, 2] *= -1.0
+    # the frame is orthonormal, its determinant +-1: flip a left-handed one
+    vec[np.linalg.det(vec) < 0, :, 2] *= -1.0
     lam[degenerate] = 0.0
     vec[degenerate] = np.eye(3)
     return k, lam, vec, degenerate

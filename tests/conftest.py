@@ -70,7 +70,7 @@ def synthetic_1000():
 def frozen_state_1000(synthetic_1000):
     cfg = channel.ChannelConfig(re_tau=1000.0)
     inj = channel.FrozenStressInjection(profile=synthetic_1000)
-    return channel.solve_with_injection(cfg, inj)
+    return channel.solve(cfg, inj)
 
 
 @pytest.fixture(scope="session")
@@ -79,7 +79,7 @@ def frozen_state_noisy_1000(synthetic_1000):
     inj = channel.FrozenStressInjection(
         profile=synthetic_1000, noise_amplitude=0.05, noise_seed=0
     )
-    return channel.solve_with_injection(cfg, inj)
+    return channel.solve(cfg, inj)
 
 
 @pytest.fixture(scope="session")

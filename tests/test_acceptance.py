@@ -109,7 +109,7 @@ class TestLaminarLimit:
         y = np.linspace(0.0, cfg.re_tau, 8)
         zero = np.zeros_like(y)
         still = dns.DnsProfile(cfg.re_tau, y, zero, zero, zero, zero, zero)
-        state = channel.solve_with_injection(cfg, channel.FrozenStressInjection(profile=still))
+        state = channel.solve(cfg, channel.FrozenStressInjection(profile=still))
         y = state.y_plus
         exact = y - y**2 / (2.0 * cfg.re_tau)
         assert np.max(np.abs(state.U_plus - exact)) <= 1e-3
@@ -192,7 +192,7 @@ class TestStressConsistency:
                 assert state.fixed_point_residual <= channel.NEWTON_TOL, f"{label}_{corner}"
                 assert newton_correction(state, injection) <= 1e-9, f"{label}_{corner}"
                 assert state.picard_sweeps == channel.PICARD_BLOCK, f"{label}_{corner}"
-        half = channel.solve_with_injection(
+        half = channel.solve(
             ChannelConfig(re_tau=180.0),
             channel.PerturbationInjection("datafree", corner="2C", delta_b=0.5))
         assert half.fixed_point_residual <= channel.NEWTON_TOL
@@ -208,7 +208,7 @@ class TestHighReynoldsCorners:
 
     @pytest.mark.parametrize("corner", ["1C", "2C", "3C"])
     def test_small_delta_b_reaches_its_fixed_point(self, corner):
-        state = channel.solve_with_injection(
+        state = channel.solve(
             ChannelConfig(re_tau=5200.0),
             channel.PerturbationInjection("datafree", corner=corner, delta_b=0.1))
         assert state.fixed_point_residual <= channel.NEWTON_TOL
@@ -260,7 +260,7 @@ class TestPathIndependence:
             return U, k, om, nu_t
 
         monkeypatch.setattr(channel, "_init_state", shifted_init_state)
-        shifted = channel.solve_with_injection(ChannelConfig(re_tau=1000.0), injection)
+        shifted = channel.solve(ChannelConfig(re_tau=1000.0), injection)
         old = env.corner_states["1C"]
         assert not np.array_equal(shifted.U_plus, old.U_plus)
         others = [env.baseline] + [s for c, s in env.corner_states.items() if c != "1C"]

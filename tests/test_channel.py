@@ -208,7 +208,7 @@ class TestInjectionValidation:
         inj = channel.FrozenStressInjection(profile=prof)
         cfg = ChannelConfig(re_tau=1000.0, n_cells=64)
         with pytest.raises(ValueError, match="covers y\\+"):
-            channel.solve_with_injection(cfg, inj)
+            channel.solve(cfg, inj)
 
     def test_shear_cap_only_for_state_coupled_modes(self):
         assert channel.PerturbationInjection(
@@ -223,13 +223,13 @@ class TestInjectionValidation:
 class TestInjectedSolve:
     def test_prescribed_stress_used_as_given(self):
         inj = channel.FrozenStressInjection(profile=dns.synthetic_profile(180.0))
-        state = channel.solve_with_injection(ChannelConfig(re_tau=180.0, n_cells=32), inj)
+        state = channel.solve(ChannelConfig(re_tau=180.0, n_cells=32), inj)
         assert np.array_equal(state.minus_uv_plus, -state.tau[:, 0, 1])
 
     def test_coupled_solve_reaches_its_fixed_point(self):
         cfg = ChannelConfig(re_tau=180.0, n_cells=32)
         inj = channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=1.0)
-        state = channel.solve_with_injection(cfg, inj)
+        state = channel.solve(cfg, inj)
         assert state.picard_sweeps % channel.PICARD_BLOCK == 0
         assert state.newton_steps > 0
         assert state.iterations == state.picard_sweeps + state.newton_steps
@@ -247,7 +247,7 @@ class TestInjectedSolve:
         with pytest.raises(channel.SolverError, match=(
             r"no fixed point after 100 Picard sweeps and [1-9]\d* Newton steps "
             r"\(no Newton step lowers the scaled F \S+ at step \d+\)")) as err:
-            channel.solve_with_injection(cfg, inj)
+            channel.solve(cfg, inj)
         assert len(err.value.residual_history) == 100
 
     def test_newton_follows_every_picard_block(self, monkeypatch):
@@ -274,7 +274,7 @@ class TestInjectedSolve:
         with pytest.raises(channel.SolverError, match=(
             rf"no fixed point after {cfg.max_iters} Picard sweeps and 9 Newton steps "
             r"\(attempt 3 failed\)$")):
-            channel.solve_with_injection(cfg, inj)
+            channel.solve(cfg, inj)
         assert len(attempts) == 3
 
     def test_every_solve_kind_reaches_its_fixed_point(self):
@@ -285,9 +285,9 @@ class TestInjectedSolve:
         prescribed = channel.FrozenStressInjection(profile=dns.synthetic_profile(180.0))
         coupled = channel.PerturbationInjection(mode="datafree", corner="2C", delta_b=0.5)
         states = {
-            "baseline": channel.solve_baseline(cfg),
-            "prescribed": channel.solve_with_injection(cfg, prescribed),
-            "coupled": channel.solve_with_injection(cfg, coupled),
+            "baseline": channel.solve(cfg),
+            "prescribed": channel.solve(cfg, prescribed),
+            "coupled": channel.solve(cfg, coupled),
         }
         for kind, state in states.items():
             assert state.fixed_point_residual <= channel.NEWTON_TOL, kind
@@ -453,7 +453,7 @@ class TestInputsStayIntact:
         rng = np.random.default_rng(5)
         targets = np.hstack([rng.uniform(-0.05, 0.05, (32, 2)), rng.uniform(-0.2, 0.2, (32, 3))])
         injection = channel.PerturbationInjection("pcorr_angles", targets=targets)
-        state = channel.solve_with_injection(cfg, injection)
+        state = channel.solve(cfg, injection)
         assert state.fixed_point_residual <= channel.NEWTON_TOL
         assert calls == {"apply_rotation": 1, "compute": 1}
 
@@ -474,7 +474,7 @@ def converged_newton(request):
         "pcorr_angles": {"targets": np.hstack([p_corr, rng.uniform(-0.2, 0.2, (n, 3))])},
     }[request.param]
     injection = channel.PerturbationInjection(request.param, **kwargs)
-    state = channel.solve_with_injection(cfg, injection)
+    state = channel.solve(cfg, injection)
     newton = channel._Newton(channel._FixedPoint(channel._Grid(state.y_plus), 180.0, injection))
     x = channel._pack(state)
     newton.scale = channel._scale(x)
@@ -515,7 +515,7 @@ class TestLocalResidual:
 
 @pytest.fixture(scope="module")
 def state():
-    return channel.solve_baseline(ChannelConfig(re_tau=180.0, n_cells=96))
+    return channel.solve(ChannelConfig(re_tau=180.0, n_cells=96))
 
 
 class TestBaselineSolve:
@@ -562,7 +562,7 @@ class TestBaselineSolve:
 
         cfg = ChannelConfig(re_tau=180.0, n_cells=32)
         with pytest.raises(channel.SolverError, match="NaN/Inf detected at iteration 0") as err:
-            channel.solve_with_injection(cfg, NanShear())
+            channel.solve(cfg, NanShear())
         assert len(err.value.residual_history) == 1
         assert np.isnan(err.value.residual_history[0])
 
@@ -578,10 +578,10 @@ class TestBaselineSolve:
         monkeypatch.setattr(channel, "_blending", nan_blending)
         cfg = ChannelConfig(re_tau=180.0, n_cells=32)
         with pytest.raises(channel.SolverError, match="NaN/Inf detected at iteration 0") as err:
-            channel.solve_baseline(cfg)
+            channel.solve(cfg)
         assert np.isnan(err.value.residual_history[-1])
 
     def test_nonconvergence_raises(self):
         cfg = ChannelConfig(re_tau=180.0, n_cells=96, max_iters=10)
         with pytest.raises(channel.SolverError, match="no fixed point after 10 Picard sweeps"):
-            channel.solve_baseline(cfg)
+            channel.solve(cfg)

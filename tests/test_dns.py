@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from eigenuq import channel, dns
 from eigenuq.dns import ProfileParseError
@@ -157,6 +158,17 @@ class TestInterpolate:
         assert np.all(np.diff(out.U_plus) >= -1e-9)
         assert out.U_plus.max() <= prof.U_plus.max() + 1e-9
 
+    @pytest.mark.parametrize("re_tau", [180.0, 1000.0])
+    def test_equals_one_pchip_per_column(self, re_tau):
+        # the five columns share one fit; each equals scipy's fit of it alone
+        prof = dns.synthetic_profile(re_tau)
+        target = channel.make_grid(re_tau, 193, 0.5)
+        out = dns.interpolate(prof, target)
+        clipped = np.clip(target, prof.y_plus[0], prof.y_plus[-1])
+        for name in ("U_plus", "uu_plus", "vv_plus", "ww_plus", "uv_plus"):
+            expected = PchipInterpolator(prof.y_plus, getattr(prof, name))(clipped)
+            assert np.array_equal(getattr(out, name), expected), name
+
     def test_targets_outside_domain_rejected(self):
         prof = dns.synthetic_profile(180.0, n_points=32)
         with pytest.raises(ValueError, match="outside"):
@@ -194,7 +206,7 @@ class TestSyntheticProfile:
 @pytest.fixture(scope="module")
 def state_and_profile():
     cfg = channel.ChannelConfig(re_tau=180.0, n_cells=64)
-    st = channel.solve_baseline(cfg)
+    st = channel.solve(cfg)
     prof = dns.interpolate(dns.synthetic_profile(180.0), st.y_plus)
     return st, prof
 

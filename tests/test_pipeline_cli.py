@@ -26,6 +26,20 @@ def fast_settings(extra=()):
     return pipeline.load_settings(overrides=FAST + list(extra))
 
 
+def main_without_solving(monkeypatch, capsys, *args):
+    """The exit code and stderr of ``cli.main()`` on ``args``, run in
+    process; a solve fails the test."""
+
+    def no_solve(*_args, **_kwargs):
+        pytest.fail("solved before the arguments were rejected")
+
+    monkeypatch.setattr(channel, "solve", no_solve)
+    monkeypatch.setattr(sys, "argv", ["eigenuq", *args])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    return exit_.value.code, capsys.readouterr().err
+
+
 def assert_solve_record(man):
     """The manifest of a one-solve command says how its solve ended."""
     picard, newton = man["picard_sweeps"], man["newton_steps"]
@@ -126,9 +140,8 @@ class TestSettings:
         assert not (tmp_path / "d").exists()
 
     def test_invalid_channel_value(self):
-        s = pipeline.load_settings(overrides=[("channel", "n_cells", "many")])
         with pytest.raises(ConfigError, match="channel.n_cells"):
-            pipeline.build_channel_config(s)
+            pipeline.load_settings(overrides=[("channel", "n_cells", "many")])
 
     def test_unphysical_channel_value(self):
         s = pipeline.load_settings(overrides=[("channel", "re_tau", "-5")])
@@ -213,13 +226,15 @@ class TestUqCommand:
         forest_path = tmp_path / "forest_pcorr_angles.json"
         forest.save(fitted, forest_path)
         solves = []
-        solve = channel.solve_with_injection
+        solve = channel.solve
 
-        def counting_solve(cfg, injection):
-            solves.append(injection)
+        def counting_solve(cfg, injection=None):
+            # the baseline's solve(cfg) is not counted
+            if injection is not None:
+                solves.append(injection)
             return solve(cfg, injection)
 
-        monkeypatch.setattr(channel, "solve_with_injection", counting_solve)
+        monkeypatch.setattr(channel, "solve", counting_solve)
         out = tmp_path / "uq"
         s = pipeline.load_settings(
             overrides=[("channel", "re_tau", "180"), ("channel", "n_cells", "32"),
@@ -366,6 +381,9 @@ class TestCli:
         assert not (tmp_path / "d").exists()
 
     def test_numerical_error_exit_three(self, tmp_path):
+        # this baseline fails by the parity of max_iters: at 64 cells and
+        # Re_tau 180 it reaches no fixed point at max_iters 2, 4, ..., 12
+        # but converges at the odd values
         cfg = tmp_path / "run.ini"
         cfg.write_text("[channel]\nre_tau = 180\nn_cells = 64\nmax_iters = 10\n")
         proc = self.run_cli("baseline", "--config", str(cfg), "--out", str(tmp_path / "d"))
@@ -417,22 +435,42 @@ class TestCli:
         ids=["delta_b", "forest_kind", "forest_datafree", "delta_b_pcorr", "noise_negative",
              "noise_inf", "re_tau_inf", "re_tau_nan", "seed_train", "seed_propagate"],
     )
-    def test_bad_arguments_rejected_before_solving(self, tmp_path, args, message):
-        # the baseline fails (exit 3) within 10 iterations, so exit 2 from
-        # baseline, train or uq shows that the arguments were rejected
-        # before the first solve; propagate-dns checks its noise and seed
-        # as it builds the injection, before its solve
+    def test_bad_arguments_rejected_before_solving(self, tmp_path, monkeypatch, capsys, args,
+                                                   message):
+        # in process, with every solve failing the test
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[channel]\nre_tau = 180\nn_cells = 64\nmax_iters = 10\n")
+        cfg.write_text("[channel]\nre_tau = 180\nn_cells = 64\n")
         rng = np.random.default_rng(0)
         hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
         p_forest = tmp_path / "forest_p.json"
         forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), p_forest)
         args = [arg.format(p_forest=p_forest) for arg in args]
-        proc = self.run_cli(*args, "--config", str(cfg), "--out", str(tmp_path / "d"))
-        assert proc.returncode == 2, proc.stderr
-        assert "configuration error" in proc.stderr
-        assert message in proc.stderr
+        code, stderr = main_without_solving(monkeypatch, capsys, *args, "--config", str(cfg),
+                                            "--out", str(tmp_path / "d"))
+        assert code == 2, stderr
+        assert "configuration error" in stderr
+        assert message in stderr
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[uq]\ndelta_b = abc\n", "uq.delta_b"),
+            ("[propagate]\nnoise = xyz\n", "propagate.noise"),
+            ("[train]\nseed = 1.5\n", "train.seed"),
+            ("[train]\ntrain_re_tau = 180, x\n", "train.train_re_tau"),
+        ],
+        ids=["uq", "propagate", "train_seed", "train_re_tau"],
+    )
+    def test_malformed_value_rejected_by_any_command(self, tmp_path, monkeypatch, capsys, text,
+                                                     key):
+        # a value of a section the baseline does not read is cast all the same
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        code, stderr = main_without_solving(monkeypatch, capsys, "baseline", "--re-tau", "180",
+                                            "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 2, stderr
+        assert f"configuration error: invalid value for {key}" in stderr
         assert not (tmp_path / "d").exists()
 
     def test_malformed_forest_exit_four(self, tmp_path):
