@@ -12,7 +12,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import rotation as rot
 from . import tensors
@@ -124,9 +123,44 @@ def check_coverage(profile: DnsProfile, re_tau: float) -> None:
         )
 
 
+def _pchip(x, y, t):
+    """The columns of ``y``, given at strictly increasing ``x``, at the
+    targets ``t`` in [x[0], x[-1]] by monotone cubic Hermite interpolation,
+    with scipy's ``PchipInterpolator`` arithmetic in its order."""
+    h = (x[1:] - x[:-1])[:, None]
+    m = (y[1:] - y[:-1]) / h
+    d = np.empty_like(y)
+    if len(x) == 2:
+        d[:] = m
+    else:
+        # Fritsch-Butland: the weighted harmonic mean of the adjacent
+        # secants, zero where they differ in sign or one is zero
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        # one-sided three-point ends, kept shape-preserving
+        for j, k in ((0, 1), (-1, -2)):
+            e = ((2 * h[j] + h[k]) * m[j] - h[j] * m[k]) / (h[j] + h[k])
+            overshoot = (np.sign(m[j]) != np.sign(m[k])) & (np.abs(e) > 3.0 * np.abs(m[j]))
+            d[j] = np.where(np.sign(e) != np.sign(m[j]), 0.0, np.where(overshoot, 3.0 * m[j], e))
+    u = (d[:-1] + d[1:] - 2 * m) / h
+    a2, a3 = (m - d[:-1]) / h - u, u / h
+    # a breakpoint belongs to the interval on its right, x[-1] to the last
+    i = np.clip(np.searchsorted(x, t, "right") - 1, 0, len(x) - 2)
+    s = (t - x[i])[:, None]
+    ss = s * s
+    # scipy's sum starts from 0.0, which turns a -0.0 value into 0.0
+    return (((0.0 + y[i]) + d[i] * s) + a2[i] * ss) + a3[i] * (ss * s)
+
+
 def interpolate(profile: DnsProfile, y_plus_targets) -> DnsProfile:
     """Monotone piecewise-cubic (no overshoot) interpolation onto a new
-    grid. Targets within [0, Re_tau] but outside the data range are
+    grid: PCHIP with the Fritsch-Butland weighted-harmonic-mean slopes
+    inside and one-sided three-point slopes at the ends, the same
+    floating-point operations in the same order as scipy's
+    ``PchipInterpolator``, so its values are scipy's bit for bit.
+    Targets within [0, Re_tau] but outside the data range are
     clamped to the boundary values; on a profile that passed
     ``check_coverage`` that is only roundoff at the wall and the
     centreline. Targets outside [0, Re_tau] are an extrapolation error."""
@@ -135,7 +169,7 @@ def interpolate(profile: DnsProfile, y_plus_targets) -> DnsProfile:
         raise ValueError("interpolation targets outside [0, Re_tau]")
     tc = np.clip(t, profile.y_plus[0], profile.y_plus[-1])
     columns = np.column_stack([getattr(profile, name) for name in _COLUMNS[1:]])
-    return DnsProfile(profile.re_tau, t, *PchipInterpolator(profile.y_plus, columns)(tc).T)
+    return DnsProfile(profile.re_tau, t, *_pchip(profile.y_plus, columns, tc).T)
 
 
 def synthetic_profile(re_tau: float, n_points: int = 256) -> DnsProfile:
@@ -184,7 +218,7 @@ def synthetic_profile(re_tau: float, n_points: int = 256) -> DnsProfile:
     # resample onto the requested grid size (stretched toward the wall)
     yt = re_tau * (1.0 - np.cos(np.linspace(0.0, np.pi / 2, n_points)))
     columns = np.column_stack([U, uu, vv, ww, uv])
-    return DnsProfile(re_tau, yt, *PchipInterpolator(yf, columns)(yt).T)
+    return DnsProfile(re_tau, yt, *_pchip(yf, columns, yt).T)
 
 
 # the target kinds and the names of their columns

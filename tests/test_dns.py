@@ -169,6 +169,49 @@ class TestInterpolate:
             expected = PchipInterpolator(prof.y_plus, getattr(prof, name))(clipped)
             assert np.array_equal(getattr(out, name), expected), name
 
+    @staticmethod
+    @st.composite
+    def fits(draw):
+        """A fit of five columns at 2-300 strictly increasing abscissae from
+        y+ >= 0, and targets: every breakpoint, both ends and points between.
+        Column 0 rises, the others change sign; every column has flat runs,
+        exact zeros and negative zeros in drawn proportions. The arrays come
+        from a drawn numpy seed, which keeps a draw cheap at 300 rows."""
+        n = draw(st.integers(2, 300))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        spacing = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        x = draw(st.floats(0.0, 100.0)) + np.cumsum(rng.uniform(0.01, 1.0, n) * spacing)
+        y = rng.normal(size=(n, 5)) * 10.0 ** rng.uniform(-3, 3, 5)
+        y[:, 0] = np.cumsum(np.abs(y[:, 0]))
+        for value in (0.0, -0.0):
+            y[rng.uniform(size=(n, 5)) < draw(st.floats(0.0, 0.3))] = value
+        # a flat run repeats the last row that is not flat
+        flat = rng.uniform(size=(n, 5)) < draw(st.floats(0.0, 0.8))
+        flat[0] = False
+        y = np.take_along_axis(y, np.maximum.accumulate(np.where(flat, 0, np.arange(n)[:, None])), 0)
+        between = x[0] + rng.uniform(size=draw(st.integers(0, 50))) * (x[-1] - x[0])
+        return x, y, np.concatenate([x, [x[0], x[-1]], np.clip(between, x[0], x[-1])])
+
+    @settings(max_examples=200, deadline=None)
+    @given(fits())
+    def test_bit_identical_to_scipy_pchip(self, fit):
+        x, y, t = fit
+        prof = dns.DnsProfile(x[-1], x, *y.T)
+        out = dns.interpolate(prof, t)
+        got = np.column_stack([out.U_plus, out.uu_plus, out.vv_plus, out.ww_plus, out.uv_plus])
+        expected = PchipInterpolator(x, y)(t)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_two_rows_interpolated_linearly(self):
+        prof = dns.synthetic_profile(180.0, n_points=2)
+        assert len(prof.y_plus) == 2
+        target = np.linspace(0.0, prof.y_plus[-1], 9)
+        out = dns.interpolate(prof, target)
+        for name in ("U_plus", "uu_plus", "vv_plus", "ww_plus", "uv_plus"):
+            expected = np.interp(target, prof.y_plus, getattr(prof, name))
+            assert np.allclose(getattr(out, name), expected, rtol=1e-14, atol=1e-30), name
+
     def test_targets_outside_domain_rejected(self):
         prof = dns.synthetic_profile(180.0, n_points=32)
         with pytest.raises(ValueError, match="outside"):

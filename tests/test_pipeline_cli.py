@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -26,18 +27,34 @@ def fast_settings(extra=()):
     return pipeline.load_settings(overrides=FAST + list(extra))
 
 
-def main_without_solving(monkeypatch, capsys, *args):
+def run_python(*args):
+    """A fresh interpreter on ``args`` that imports this checkout's eigenuq."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+
+
+def run_main(monkeypatch, capsys, *args):
     """The exit code and stderr of ``cli.main()`` on ``args``, run in
-    process; a solve fails the test."""
+    process."""
+    monkeypatch.setattr(sys, "argv", ["eigenuq", *args])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    return exit_.value.code, capsys.readouterr().err
+
+
+def main_without_solving(monkeypatch, capsys, *args):
+    """``run_main`` with every solve failing the test."""
 
     def no_solve(*_args, **_kwargs):
         pytest.fail("solved before the arguments were rejected")
 
     monkeypatch.setattr(channel, "solve", no_solve)
-    monkeypatch.setattr(sys, "argv", ["eigenuq", *args])
-    with pytest.raises(SystemExit) as exit_:
-        cli.main()
-    return exit_.value.code, capsys.readouterr().err
+    return run_main(monkeypatch, capsys, *args)
 
 
 def assert_solve_record(man):
@@ -356,14 +373,12 @@ class TestBenchmarkChecks:
 
 
 class TestCli:
+    """Exit codes and messages of ``cli.main()``. Two cases start
+    ``python -m eigenuq.cli`` for the entry point and its stderr; the
+    others run in process."""
+
     def run_cli(self, *args):
-        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "eigenuq.cli", *args],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-        )
+        return run_python("-m", "eigenuq.cli", *args)
 
     def test_baseline_success_exit_zero(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -372,23 +387,22 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "d" / "manifest.json").exists()
 
-    def test_config_error_exit_two(self, tmp_path):
-        proc = self.run_cli(
-            "baseline", "--out", str(tmp_path / "d"), "--re-tau", "0"
-        )
-        assert proc.returncode == 2
-        assert "configuration error" in proc.stderr
+    def test_config_error_exit_two(self, tmp_path, monkeypatch, capsys):
+        code, stderr = run_main(monkeypatch, capsys,
+                                "baseline", "--out", str(tmp_path / "d"), "--re-tau", "0")
+        assert code == 2
+        assert "configuration error" in stderr
         assert not (tmp_path / "d").exists()
 
-    def test_numerical_error_exit_three(self, tmp_path):
-        # this baseline fails by the parity of max_iters: at 64 cells and
-        # Re_tau 180 it reaches no fixed point at max_iters 2, 4, ..., 12
-        # but converges at the odd values
+    def test_numerical_error_exit_three(self, tmp_path, monkeypatch, capsys):
+        # with a zero Newton tolerance no solve converges, whatever max_iters
+        monkeypatch.setattr(channel, "NEWTON_TOL", 0.0)
         cfg = tmp_path / "run.ini"
         cfg.write_text("[channel]\nre_tau = 180\nn_cells = 64\nmax_iters = 10\n")
-        proc = self.run_cli("baseline", "--config", str(cfg), "--out", str(tmp_path / "d"))
-        assert proc.returncode == 3
-        assert "numerical failure" in proc.stderr
+        code, stderr = run_main(monkeypatch, capsys,
+                                "baseline", "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 3
+        assert "numerical failure" in stderr
         assert not (tmp_path / "d").exists()
 
     def test_corner_without_fixed_point_exit_three(self, tmp_path):
@@ -405,17 +419,18 @@ class TestCli:
                          r"at step \d+\)", proc.stderr), proc.stderr
         assert not (tmp_path / "d").exists()
 
-    def test_data_error_exit_four(self, tmp_path):
+    def test_data_error_exit_four(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[channel]\nre_tau = 180\nn_cells = 64\n")
-        proc = self.run_cli(
+        code, stderr = run_main(
+            monkeypatch, capsys,
             "propagate-dns",
             "--config", str(cfg),
             "--out", str(tmp_path / "d"),
             "--dns", "/nonexistent.dat",
         )
-        assert proc.returncode == 4
-        assert "data error" in proc.stderr
+        assert code == 4
+        assert "data error" in stderr
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
@@ -473,7 +488,7 @@ class TestCli:
         assert f"configuration error: invalid value for {key}" in stderr
         assert not (tmp_path / "d").exists()
 
-    def test_malformed_forest_exit_four(self, tmp_path):
+    def test_malformed_forest_exit_four(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(0)
         hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
         path = tmp_path / "forest_p.json"
@@ -481,13 +496,14 @@ class TestCli:
         doc = json.loads(path.read_text())
         doc["trees"][0]["split_feature"][0] = 6  # the forest has features 0-5
         path.write_text(json.dumps(doc))
-        proc = self.run_cli(
+        code, stderr = run_main(
+            monkeypatch, capsys,
             "uq", "--mode", "p", "--forest", str(path), "--re-tau", "180",
             "--out", str(tmp_path / "d"),
         )
-        assert proc.returncode == 4, proc.stderr
-        assert "data error" in proc.stderr
-        assert r"split feature outside [-1, 6)" in proc.stderr
+        assert code == 4, stderr
+        assert "data error" in stderr
+        assert r"split feature outside [-1, 6)" in stderr
         assert not (tmp_path / "d").exists()
 
     DEFECT_MESSAGES = {
@@ -513,7 +529,7 @@ class TestCli:
         return path
 
     @pytest.mark.parametrize("defect", ["truncated", "starts_above_wall", "nan"])
-    def test_bad_training_profile_exit_four(self, tmp_path, defect):
+    def test_bad_training_profile_exit_four(self, tmp_path, monkeypatch, capsys, defect):
         path = self.write_bad_profile(tmp_path, defect)
         cfg = tmp_path / "run.ini"
         cfg.write_text(
@@ -521,20 +537,22 @@ class TestCli:
             "[train]\ntrain_re_tau = 180\nholdout_re_tau = 180\n"
             f"[data]\n180 = {path}\n"
         )
-        proc = self.run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "d"))
-        assert proc.returncode == 4, proc.stderr
-        assert "data error" in proc.stderr
-        assert self.DEFECT_MESSAGES[defect] in proc.stderr
+        code, stderr = run_main(monkeypatch, capsys,
+                                "train", "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 4, stderr
+        assert "data error" in stderr
+        assert self.DEFECT_MESSAGES[defect] in stderr
         assert not (tmp_path / "d").exists()
 
-    def test_propagated_profile_above_wall_exit_four(self, tmp_path):
+    def test_propagated_profile_above_wall_exit_four(self, tmp_path, monkeypatch, capsys):
         # interpolation would clamp the uncovered wall region to y+ = 30
         path = self.write_bad_profile(tmp_path, "starts_above_wall")
-        proc = self.run_cli(
+        code, stderr = run_main(
+            monkeypatch, capsys,
             "propagate-dns", "--re-tau", "180", "--dns", str(path), "--out", str(tmp_path / "d")
         )
-        assert proc.returncode == 4, proc.stderr
-        assert self.DEFECT_MESSAGES["starts_above_wall"] in proc.stderr
+        assert code == 4, stderr
+        assert self.DEFECT_MESSAGES["starts_above_wall"] in stderr
         assert not (tmp_path / "d").exists()
 
     def test_seed_flag_reaches_both_sections(self):
@@ -546,6 +564,18 @@ class TestCli:
         )
         assert s.train["seed"] == "7"
         assert s.propagate["noise_seed"] == "7"
+
+
+class TestStartup:
+    def test_cli_import_loads_only_scipy_linalg(self):
+        # every command is a fresh process and pays for what the CLI imports
+        proc = run_python("-c", "import eigenuq.cli, sys; print(sorted(sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = ast.literal_eval(proc.stdout)
+        assert "scipy.linalg" in loaded
+        for heavy in ("scipy.interpolate", "scipy.optimize", "scipy.integrate", "scipy.special",
+                      "scipy.sparse"):
+            assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")], heavy
 
 
 class TestManifest:
