@@ -12,6 +12,9 @@ production term P_k = -tau*_xy dU/dy back into the turbulence model.
 
 from __future__ import annotations
 
+import copy
+import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -184,38 +187,45 @@ class _Grid:
 
 
 def _tridiagonal(grid, gamma_mid, sink, source, wall_value):
-    """The finite-volume system (sub, diag, sup, rhs) of
+    """The finite-volume system (lower, diag, upper, rhs) of
     d/dy(Gamma dphi/dy) + sink*phi + source = 0 with Dirichlet wall
     value and zero flux at the centerline; along the last axis, with the
-    leading axes of ``source``."""
-    sub = gamma_mid / grid.sub_den
-    # the upper diagonal, 0 in the wall row, padded with the centreline
-    # row's missing outflow 0
-    up = np.zeros(source.shape)
-    up[..., 1:-1] = gamma_mid[..., 1:] / grid.sup_den
+    leading axes of ``source``. Each diagonal is as long as the system:
+    the wall row has no lower entry and the centreline row no outflow,
+    both 0, so the rows of a stack laid end to end are one
+    block-diagonal tridiagonal system."""
+    lower = np.zeros(source.shape)
+    sub = np.divide(gamma_mid, grid.sub_den, out=lower[..., 1:])
+    upper = np.zeros(source.shape)
+    upper[..., 1:-1] = gamma_mid[..., 1:] / grid.sup_den
     diag = np.empty(source.shape)
     diag[..., 0] = 1.0
-    diag[..., 1:] = -(sub + up[..., 1:]) + sink[..., 1:]
+    diag[..., 1:] = -(sub + upper[..., 1:]) + sink[..., 1:]
     rhs = -source
     rhs[..., 0] = wall_value
-    return sub, diag, up[..., :-1], rhs
+    return lower, diag, upper, rhs
 
 
 def _transport_solve(grid, gamma_mid, sink, source, wall_value):
-    """Solve the system of ``_tridiagonal``."""
-    sub, diag, sup, rhs = _tridiagonal(grid, gamma_mid, sink, source, wall_value)
-    *_, x, info = _GTSV(sub, diag, sup, rhs, 1, 1, 1, 1)  # may overwrite all four
+    """Solve the system of ``_tridiagonal``, every row of a stack in one
+    LAPACK call. Partial pivoting stays inside a row: at the seam the
+    wall row's lower entry is 0, so no row interchange crosses it, and
+    the zero couplings pass finite values on unchanged, so each row's
+    solution is that of the row alone."""
+    lower, diag, upper, rhs = _tridiagonal(grid, gamma_mid, sink, source, wall_value)
+    *_, x, info = _GTSV(lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1], rhs.ravel(),
+                        1, 1, 1, 1)  # may overwrite all four
     if info != 0:
         raise SolverError(f"singular transport system (LAPACK gtsv info={info})")
-    return x
+    return x.reshape(rhs.shape)
 
 
 def _transport_residual(grid, phi, gamma_mid, sink, source, wall_value):
     """A phi - b of the system of ``_tridiagonal``."""
-    sub, diag, sup, rhs = _tridiagonal(grid, gamma_mid, sink, source, wall_value)
+    lower, diag, upper, rhs = _tridiagonal(grid, gamma_mid, sink, source, wall_value)
     r = diag * phi - rhs
-    r[..., 1:] += sub * phi[..., :-1]
-    r[..., :-1] += sup * phi[..., 1:]
+    r[..., 1:] += lower[..., 1:] * phi[..., :-1]
+    r[..., :-1] += upper[..., :-1] * phi[..., 1:]
     return r
 
 
@@ -359,22 +369,45 @@ class PerturbationInjection(StressInjection):
             raise ValueError("delta_b must be in [0, 1]")
         if corner is not None:
             tensors.corner_coords(corner)  # validates the identifier
+        if targets is not None:
+            targets = np.asarray(targets, dtype=float)
+            self.check_target_count(mode, targets.shape[-1])
         self.mode = mode
         self.corner = corner
         self.delta_b = delta_b
+        self.targets = targets
         self.frame = None  # rotated eigenvector frames of pcorr_angles
-        if mode == "datafree":
-            self.move = perturb.corner_shift(corner, delta_b)
-            return
-        targets = np.asarray(targets, dtype=float)
-        self.check_target_count(mode, targets.shape[-1])
-        if mode == "p":
-            self.move = perturb.magnitude_shift(corner, targets[:, 0])
-            return
-        self.move = perturb.componentwise_shift(targets[:, :2])
+        self.move = self._shift(None if corner is None else tensors.corner_coords(corner))
         if mode == "pcorr_angles":
             shear_frame = np.broadcast_to(_SHEAR_FRAME, (len(targets), 3, 3))
             self.frame = rotation.apply_rotation(shear_frame, targets[:, 2:])
+
+    def _shift(self, xt):
+        """The move of this mode's barycentric points, toward the corner
+        point(s) xt of ``perturb.corner_shift`` where the mode takes one."""
+        if self.mode == "datafree":
+            return perturb.corner_shift(xt, self.delta_b)
+        if self.mode == "p":
+            return perturb.magnitude_shift(xt, self.targets[:, 0])
+        return perturb.componentwise_shift(self.targets[:, :2])
+
+    @classmethod
+    def stack(cls, injections):
+        """One injection whose ``shear`` on row r of a stack of states is
+        that of ``injections[r]``: injections of one corner-taking mode
+        with the same other arguments, as ``corner_injections`` builds
+        them. Their corner points broadcast as an (m, 1, 2) array, so the
+        stack's shear is one evaluation."""
+        first = injections[0]
+        for injection in injections:
+            if not (isinstance(injection, cls) and injection.corner is not None
+                    and injection.mode == first.mode and injection.delta_b == first.delta_b
+                    and np.array_equal(injection.targets, first.targets)):
+                raise ValueError("the injections of one stack must differ in their corner alone")
+        stacked = copy.copy(first)
+        stacked.move = first._shift(
+            np.array([tensors.corner_coords(i.corner) for i in injections])[:, None])
+        return stacked
 
     @staticmethod
     def check_target_count(mode, n_targets):
@@ -514,7 +547,7 @@ def _sweep(grid, state, minus_uv, ur):
     k_system, om_system, f2 = _turbulence(grid, k, om, nu_t, dudy, minus_uv)
     k_new = _transport_solve(grid, *k_system)
     k_next = np.maximum(k + ur * (k_new - k), 0.0)
-    k_next[0] = 0.0
+    k_next[..., 0] = 0.0
     om_new = _transport_solve(grid, *om_system)
     om_next = np.maximum(om + ur * (om_new - om), OMEGA_FLOOR)
 
@@ -524,15 +557,33 @@ def _sweep(grid, state, minus_uv, ur):
 
 
 def _relative_change(old, new):
-    """Largest change of U, k and omega from ``old`` to ``new``, each
-    relative to the larger of 1 and its new maximum (k and omega are
-    never negative)."""
+    """Largest change of U, k and omega from ``old`` to ``new`` in each
+    row of a stack, each relative to the larger of 1 and its new maximum
+    in the row (k and omega are never negative)."""
     U, k, om = new.U_plus, new.k_plus, new.omega_plus
-    du = np.abs(U - old.U_plus).max() / max(1.0, np.abs(U).max())
-    dk = np.abs(k - old.k_plus).max() / max(1.0, k.max())
-    dom = np.abs(om - old.omega_plus).max() / max(1.0, om.max())
+    du = np.abs(U - old.U_plus).max(axis=-1) / np.abs(U).max(axis=-1, initial=1.0)
+    dk = np.abs(k - old.k_plus).max(axis=-1) / k.max(axis=-1, initial=1.0)
+    dom = np.abs(om - old.omega_plus).max(axis=-1) / om.max(axis=-1, initial=1.0)
     # np.maximum, unlike max(), keeps a NaN in any place
     return np.maximum(np.maximum(du, dk), dom)
+
+
+_FIELDS = ("U_plus", "k_plus", "omega_plus", "nu_t_plus", "dUdy_plus")
+
+
+def _rows(a, rows):
+    """The rows ``rows`` (a list of indices) of a stack of arrays (n,)
+    or (rows, n). A single row is a plain (n,) array, both ways: numpy
+    broadcasts a (1, n) stack against the (n,) grid arrays on a slower
+    path, which costs a one-row sweep about 15%."""
+    rows = list(rows)
+    return np.atleast_2d(a)[rows[0] if len(rows) == 1 else rows]
+
+
+def _take(state, rows):
+    """The states of ``rows`` of a stack of states, as ``_rows``."""
+    return ChannelState(state.re_tau, state.y_plus,
+                        *(_rows(getattr(state, name), rows) for name in _FIELDS))
 
 
 def solve(cfg: ChannelConfig, injection: StressInjection | None = None) -> ChannelState:
@@ -540,24 +591,48 @@ def solve(cfg: ChannelConfig, injection: StressInjection | None = None) -> Chann
     perturbed/prescribed Reynolds stresses of ``injection`` in the
     momentum and production terms. Picard blocks, each followed by a
     Newton attempt, until Newton reaches the fixed point; SolverError
-    when none does within ``max_iters`` sweeps."""
+    when none does within ``max_iters`` sweeps. This is the one-row case
+    of ``_solve_rows``."""
+    (result,) = _solve_rows(cfg, [injection])
+    if isinstance(result, SolverError):
+        raise result
+    return result
+
+
+def _solve_rows(cfg, injections):
+    """Solve the flow under each of ``injections`` (None for the baseline
+    closure) as the rows of one (rows, n) stack.
+
+    Each Picard sweep updates every row at once: one tridiagonal solve
+    per transport equation and, for several rows, one evaluation of the
+    coupled shear (``PerturbationInjection.stack``). After each block
+    every row gets its own Newton attempt, and a row that converges
+    leaves the stack. A row's arithmetic is that of the row alone, so
+    its state, residual history, Newton steps and error are those of a
+    solve of that row by itself.
+
+    Returns, row by row, the converged ChannelState or the SolverError
+    that ended the row. A caller reports the first failing row, so the
+    rows after one that fails stop there and are None.
+    """
     grid = _Grid(make_grid(cfg.re_tau, cfg.n_cells, cfg.stretch))
     U, k, om, nu_t = _init_state(grid)
-    state = ChannelState(cfg.re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
-    if injection is None or injection.coupled:
-        fp = _FixedPoint(grid, cfg.re_tau, injection)
-    else:
-        # a prescribed stress is computed once, on the initial iterate
-        tau = injection.compute(state)
-        fp = _FixedPoint(grid, cfg.re_tau, prescribed=-tau[:, 0, 1])
-    coupled = fp.injection is not None
-    ur = 0.8 if injection is None else 0.5
-    newton = _Newton(fp)
-    residuals = []
+    start = ChannelState(cfg.re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
+    fps = [_FixedPoint.under(grid, start, injection) for injection in injections]
+    newtons = [_Newton(fp) for fp in fps]
+    ur = 0.8 if injections[0] is None else 0.5
+    coupled = fps[0].injection is not None
+    results = [None] * len(fps)
+    residuals = [[] for _ in fps]
+    newton_steps = [0] * len(fps)
+    reasons = [None] * len(fps)
+    active = list(range(len(fps)))  # the rows on the stack, in order
+    state = _take(start, [0] * len(active))
+    fp = _FixedPoint.stack(fps)
     minus_uv = fp.shear(state)
-    newton_steps = 0
-    while len(residuals) < cfg.max_iters:
-        for _ in range(min(PICARD_BLOCK, cfg.max_iters - len(residuals))):
+    sweeps = 0
+    while active and sweeps < cfg.max_iters:
+        for _ in range(min(PICARD_BLOCK, cfg.max_iters - sweeps)):
             if coupled:
                 # momentum under a given shear turns a shear error into a
                 # dU/dy error of the same size, which an uncapped stress
@@ -568,58 +643,99 @@ def solve(cfg: ChannelConfig, injection: StressInjection | None = None) -> Chann
                 gain = np.where(m_new < fp.cap, state.nu_t_plus, 0.0)
                 relax = np.minimum(STRESS_RELAX, 1.0 / (1.0 + gain))
                 minus_uv = minus_uv + relax * (m_new - minus_uv)
-            state = _picard_sweep(grid, state, minus_uv, ur, residuals)
-        x_new, steps, f, reason = newton.solve(_pack(state))
-        newton_steps += steps
-        if x_new is not None:
-            break
-    else:
-        raise SolverError(
-            f"no fixed point after {len(residuals)} Picard sweeps and "
-            f"{newton_steps} Newton steps ({reason})",
-            residuals,
+            state, change = _picard_sweep(grid, state, minus_uv, ur)
+            for row, value in zip(active, change):
+                residuals[row].append(value)
+            sweeps += 1
+            if not all(map(math.isfinite, change)):
+                cut = next(i for i, value in enumerate(change) if not math.isfinite(value))
+                results[active[cut]] = SolverError(
+                    f"NaN/Inf detected at iteration {sweeps - 1}", residuals[active[cut]])
+                # the rows after it no longer matter: a caller reports
+                # this row or a failing one before it
+                active, state, minus_uv, fp = _keep(range(cut), active, state, minus_uv, fps)
+                if not active:
+                    break
+        x = np.atleast_2d(_pack(state))
+        going = []
+        for i, row in enumerate(active):
+            x_new, steps, f, reasons[row] = newtons[row].solve(x[i])
+            newton_steps[row] += steps
+            if x_new is None:
+                going.append(i)
+            else:
+                results[row] = fps[row].converged(x_new, f, residuals[row], newton_steps[row])
+        if len(going) < len(active):
+            active, state, minus_uv, fp = _keep(going, active, state, minus_uv, fps)
+    for row in active:
+        results[row] = SolverError(
+            f"no fixed point after {sweeps} Picard sweeps and "
+            f"{newton_steps[row]} Newton steps ({reasons[row]})",
+            residuals[row],
         )
-
-    # report the flow solved under the stress at the fixed point, with the
-    # shear momentum used there and the stress itself; a coupled stress
-    # also reports how far the one recomputed from that flow is from it
-    at_x = fp.state(x_new)
-    minus_uv = fp.shear(at_x)
-    out = _sweep(grid, at_x, minus_uv, 1.0)
-    consistency = None
-    if injection is None:
-        minus_uv = out.nu_t_plus * out.dUdy_plus
-        tau = tensors.boussinesq(out.k_plus, out.nu_t_plus, out.dUdy_plus)
-    elif coupled:
-        consistency = float(np.max(np.abs(fp.shear(out) - minus_uv)))
-        tau = injection.compute(at_x)
-    return replace(out, minus_uv_plus=minus_uv, tau=tau, residual_history=residuals,
-                   newton_steps=newton_steps, fixed_point_residual=float(f),
-                   stress_consistency=consistency)
+    return results
 
 
-def _picard_sweep(grid, state, minus_uv, ur, residuals):
-    """One relaxed sweep; appends its relative change to ``residuals``
-    and stops the solve on a NaN/Inf."""
+def _keep(places, active, state, minus_uv, fps):
+    """The stack cut down to the ``places`` of its rows ``active``: those
+    rows, their state, their shear and their fixed point. Only a stack of
+    coupled rows keeps some of its rows, so only then is there a shear to
+    cut."""
+    active = [active[i] for i in places]
+    if not active:
+        return active, state, minus_uv, None
+    return (active, _take(state, places), _rows(minus_uv, places),
+            _FixedPoint.stack([fps[row] for row in active]))
+
+
+def _picard_sweep(grid, state, minus_uv, ur):
+    """One relaxed sweep of every row of the stack ``state``, and the
+    list of each row's relative change. A row that turns non-finite
+    spreads through the stacked tridiagonal solves into every other row,
+    so then each row is swept again alone."""
     new = _sweep(grid, state, minus_uv, ur)
-    residuals.append(_relative_change(state, new))
-    if not np.isfinite(residuals[-1]):
-        raise SolverError(f"NaN/Inf detected at iteration {len(residuals) - 1}", residuals)
-    return new
+    change = np.reshape(_relative_change(state, new), -1).tolist()
+    if len(change) > 1 and not all(map(math.isfinite, change)):
+        alone = [_sweep(grid, _take(state, [r]), _rows(minus_uv, [r]), ur)
+                 for r in range(len(change))]
+        new = ChannelState(state.re_tau, state.y_plus, *(
+            np.stack([getattr(row, name) for row in alone]) for name in _FIELDS))
+        change = _relative_change(state, new).tolist()
+    return new, change
 
 
 class _FixedPoint:
     """The map G on packed states x = (U, k, omega, nu_t): one
     fixed-stress sweep at ur = 1 under the shear of x; and the local
     residual R of the same discrete equations, which has the zeros of
-    F = G(x) - x. The shear is None for the eddy-viscosity closure, the
-    ``prescribed`` one, or that of a coupled ``injection`` evaluated at
-    x and capped."""
+    F = G(x) - x. The shear is None for the eddy-viscosity closure, that
+    of a prescribed stress ``tau``, or that of a coupled ``injection``
+    evaluated at x and capped."""
 
-    def __init__(self, grid, re_tau, injection=None, prescribed=None):
+    def __init__(self, grid, re_tau, injection=None, tau=None):
         self.grid, self.re_tau, self.injection = grid, re_tau, injection
-        self.prescribed = prescribed
+        self.tau = tau
+        self.prescribed = None if tau is None else -tau[:, 0, 1]
         self.cap = 1.0 - grid.y / re_tau  # steady momentum bounds the turbulent shear
+
+    @classmethod
+    def under(cls, grid, start, injection):
+        """The fixed point of a solve under ``injection`` that starts at
+        the state ``start``."""
+        if injection is None or injection.coupled:
+            return cls(grid, start.re_tau, injection)
+        # a prescribed stress is computed once, on the initial iterate
+        return cls(grid, start.re_tau, tau=injection.compute(start))
+
+    @classmethod
+    def stack(cls, fps):
+        """The fixed point of a stack whose row r is that of ``fps[r]``:
+        one row's own, or the coupled stresses of several rows at once."""
+        if len(fps) == 1:
+            return fps[0]
+        first = fps[0]
+        return cls(first.grid, first.re_tau,
+                   PerturbationInjection.stack([fp.injection for fp in fps]))
 
     def shear(self, state):
         """The shear -u'v'* momentum uses at ``state``."""
@@ -654,9 +770,31 @@ class _FixedPoint:
             nu_t - _eddy_viscosity(k, om, dudy, f2),
         ], axis=-1)
 
+    def converged(self, x, f, residuals, newton_steps):
+        """The reported state at the fixed point x, reached at scaled F
+        ``f``: the flow solved under the stress at x, with the shear
+        momentum used there and the stress itself; a coupled stress also
+        reports how far the one recomputed from that flow is from it."""
+        at_x = self.state(x)
+        minus_uv = self.shear(at_x)
+        out = _sweep(self.grid, at_x, minus_uv, 1.0)
+        consistency = None
+        if self.injection is not None:
+            consistency = float(np.max(np.abs(self.shear(out) - minus_uv)))
+            tau = self.injection.compute(at_x)
+        elif self.tau is not None:
+            tau = self.tau
+        else:
+            minus_uv = out.nu_t_plus * out.dUdy_plus
+            tau = tensors.boussinesq(out.k_plus, out.nu_t_plus, out.dUdy_plus)
+        return replace(out, minus_uv_plus=minus_uv, tau=tau, residual_history=residuals,
+                       newton_steps=newton_steps, fixed_point_residual=float(f),
+                       stress_consistency=consistency)
+
 
 def _pack(state):
-    return np.concatenate([state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus])
+    return np.concatenate(
+        [state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus], axis=-1)
 
 
 def _scale(x):
@@ -664,6 +802,34 @@ def _scale(x):
     the largest magnitude of its field."""
     n = len(x) // 4
     return np.repeat(np.maximum(1.0, np.abs(x).reshape(4, n).max(axis=1)), n)
+
+
+@functools.lru_cache(maxsize=4)
+def _band_tables(n):
+    """The index tables of ``_Newton`` on n nodes, built once per grid
+    size: the node-major order of the packed positions; the flat place
+    in the band storage of every band entry (column node i, field f; row
+    node i + d, field g), in the order of the entries of the colour
+    differences that hold them; which of those entries are in the band;
+    and the 20 colours' columns. Each holds one entry per band entry at
+    most, so the tables of 193 nodes take about 160 KB."""
+    # node-major position 4 i + f -> packed position f n + i
+    order = np.arange(4 * n).reshape(4, n).T.ravel()
+    i, f, d, g = np.ix_(np.arange(n), np.arange(4), np.arange(-2, 3), np.arange(4))
+    keep = np.broadcast_to((i + d >= 0) & (i + d < n), (n, 4, 5, 4))
+
+    def entries(a):
+        return np.broadcast_to(a, keep.shape)[keep]
+
+    band = entries((_Newton.BAND + 4 * d + g - f) * (4 * n) + 4 * i + f)
+    difference = entries((i % 5 * 4 + f) * (4 * n) + g * n + i + d)
+    in_band = np.zeros(20 * 4 * n, dtype=bool)
+    in_band[difference] = True
+    colours = (np.arange(n) % 5 * 4 + np.arange(4)[:, None]).ravel() == np.arange(20)[:, None]
+    tables = order, band[np.argsort(difference)], in_band, colours
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 class _Newton:
@@ -681,23 +847,8 @@ class _Newton:
 
     def __init__(self, fp):
         self.fp = fp
-        n = self.n = len(fp.grid.y)
-        # node-major position 4 i + f -> packed position f n + i
-        self.order = np.arange(4 * n).reshape(4, n).T.ravel()
-        # every entry of the band: column (node i, field f), row (node
-        # i + d, field g); its place in the band storage, its colour's
-        # difference, and its column's step
-        i, f, d, g = np.ix_(np.arange(n), np.arange(4), np.arange(-2, 3), np.arange(4))
-        keep = np.broadcast_to((i + d >= 0) & (i + d < n), (n, 4, 5, 4))
-
-        def entries(a):
-            return np.broadcast_to(a, keep.shape)[keep]
-
-        self.band_index = (entries(self.BAND + 4 * d + g - f), entries(4 * i + f))
-        self.colour_index = (entries(i % 5 * 4 + f), entries(g * n + i + d))
-        self.step_index = entries(f * n + i)
-        colour = (np.arange(n) % 5 * 4 + np.arange(4)[:, None]).ravel()
-        self.colours = colour == np.arange(20)[:, None]
+        self.n = len(fp.grid.y)
+        self.order, self.band_index, self.in_band, self.colours = _band_tables(self.n)
 
     def residual(self, z):
         return self.fp.local_residual(z * self.scale)
@@ -708,7 +859,8 @@ class _Newton:
         h = 1.5e-8 * np.maximum(np.abs(z), 1e-8)
         diffs = self.residual(z + self.colours * h) - r
         ab = np.zeros((2 * self.BAND + 1, len(z)))
-        ab[self.band_index] = diffs[self.colour_index] / h[self.step_index]
+        ab.ravel()[self.band_index] = diffs.ravel()[self.in_band]
+        ab /= h[self.order]  # each column's differences over its step; 0 stays 0
         return ab
 
     def direction(self, z):
@@ -815,24 +967,28 @@ def corner_injections(mode, delta_b=None, targets=None) -> dict[str, Perturbatio
 
 def uq_envelope(cfg: ChannelConfig, injections: dict[str, StressInjection],
                 baseline: ChannelState | None = None) -> Envelope:
-    """Solve the baseline (unless given, solved under ``cfg``) and each
-    distinct corner injection once and collect the per-node min/max
-    velocity envelope.
+    """Solve the baseline (unless given, solved under ``cfg``) and the
+    distinct corner injections, as the rows of one stack
+    (``_solve_rows``), and collect the per-node min/max velocity
+    envelope.
 
-    ``injections`` maps each corner slot to its StressInjection (see
-    ``corner_injections``); slots sharing one instance share its state.
+    ``injections`` maps each corner slot to its injection as
+    ``corner_injections`` builds them: slots sharing one instance share
+    one row and its state, and distinct instances differ in their corner
+    alone. Every corner's state is that of its own ``solve``; when
+    corners fail, the SolverError names the first failing slot and
+    carries its residual history, as solving the slots in order would.
     """
     if baseline is None:
         baseline = solve(cfg)
-    solved = {}  # id(injection) -> state
+    rows = list({id(injection): injection for injection in injections.values()}.values())
+    solved = dict(zip(map(id, rows), _solve_rows(cfg, rows)))
     states = {}
     for corner, injection in injections.items():
-        if id(injection) not in solved:
-            try:
-                solved[id(injection)] = solve(cfg, injection)
-            except SolverError as e:
-                raise SolverError(f"corner {corner} failed: {e}", e.residual_history) from e
-        states[corner] = solved[id(injection)]
+        state = solved[id(injection)]
+        if isinstance(state, SolverError):
+            raise SolverError(f"corner {corner} failed: {state}", state.residual_history) from state
+        states[corner] = state
     profiles = np.vstack([baseline.U_plus] + [s.U_plus for s in states.values()])
     return Envelope(
         baseline=baseline,

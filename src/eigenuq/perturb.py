@@ -22,16 +22,18 @@ from . import rotation as rot
 from . import tensors
 
 
-def corner_shift(corner: str, delta_b: float):
-    """Relative shift toward a corner: x* = x + delta_b (x_t - x)."""
-    xt = tensors.corner_coords(corner)
+def corner_shift(xt, delta_b: float):
+    """Relative shift toward the corner point xt: x* = x + delta_b (xt - x).
+
+    xt is a corner's plane point, (2,), or one per row of a stack of
+    points, (m, 1, 2) against (m, n, 2)."""
     return lambda xy: xy + delta_b * (xt - xy)
 
 
-def magnitude_shift(corner: str, p):
+def magnitude_shift(xt, p):
     """Move each node's point a distance p (negative counts as 0) toward
-    a corner, stopping at the corner."""
-    xt = tensors.corner_coords(corner)
+    the corner point xt, stopping at the corner; xt as ``corner_shift``
+    takes it."""
     p_pos = np.maximum(p, 0.0)
 
     def move(xy):
@@ -67,13 +69,13 @@ def _perturb(tau, move, angles=None):
 
 def data_free_corner(tau, corner: str, delta_b: float):
     """Relative shift toward a corner: x* = x + delta_b (x_t - x)."""
-    return _perturb(tau, corner_shift(corner, delta_b))
+    return _perturb(tau, corner_shift(tensors.corner_coords(corner), delta_b))
 
 
 def data_driven_magnitude(tau, corner: str, p):
     """Move each node's point a distance p (negative counts as 0) toward
     a corner, stopping at the corner."""
-    return _perturb(tau, magnitude_shift(corner, p))
+    return _perturb(tau, magnitude_shift(tensors.corner_coords(corner), p))
 
 
 def componentwise_correction(tau, p_corr):

@@ -127,6 +127,63 @@ class TestKernels:
             assert np.array_equal(shear, shear_before)
         assert not np.array_equal(after.U_plus, state.U_plus)
 
+    @pytest.mark.parametrize("injected", [False, True], ids=["eddy_viscosity", "injected_shear"])
+    def test_sweep_of_a_stack_is_each_row_alone(self, injected):
+        # the rows of a stacked sweep, wall node of k included, are the
+        # sweeps of the rows one by one, bit for bit
+        grid = channel._Grid(channel.make_grid(180.0, 33, 0.5))
+        U, k, om, nu_t = channel._init_state(grid)
+        scale = np.array([[1.0], [0.7], [1.3]])
+        state = channel.ChannelState(180.0, grid.y, U * scale, k * scale, om * scale,
+                                     nu_t * scale, grid.grad(U * scale))
+        shear = 0.8 * (1.0 - grid.y / 180.0) * scale if injected else None
+        stacked = channel._sweep(grid, state, shear, 0.5)
+        for r in range(3):
+            alone = channel._sweep(grid, channel._take(state, [r]),
+                                   None if shear is None else shear[r], 0.5)
+            for name in channel._FIELDS:
+                assert np.array_equal(getattr(stacked, name)[r], getattr(alone, name)), (r, name)
+        assert np.all(stacked.k_plus[:, 0] == 0.0)
+
+    @staticmethod
+    def random_stacked_system(rows, nodes, seed):
+        """A grid of ``nodes`` nodes and the arguments of a transport
+        system of ``rows`` rows: diffusivities and sinks of either sign
+        and of magnitudes 1e-3 to 1e3, so that many rows are not
+        diagonally dominant and gtsv pivots."""
+        rng = np.random.default_rng(seed)
+        y = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, nodes - 1))])
+
+        def draw(*shape):
+            return rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+        return (channel._Grid(y), draw(rows, nodes - 1), draw(rows, nodes), draw(rows, nodes),
+                rng.normal())
+
+    @PROPERTY
+    @given(rows=st.integers(1, 4), nodes=st.integers(3, 40), seed=seeds)
+    def test_stacked_transport_solve_is_each_row_alone(self, rows, nodes, seed):
+        # the stack is one gtsv call on the rows laid end to end; the wall
+        # row's missing lower entry and the centreline row's missing
+        # outflow keep pivoting inside each row
+        grid, gamma_mid, sink, source, wall = self.random_stacked_system(rows, nodes, seed)
+        stacked = channel._transport_solve(grid, gamma_mid, sink, source, wall)
+        assert stacked.shape == (rows, nodes)
+        for r in range(rows):
+            alone = channel._transport_solve(grid, gamma_mid[r], sink[r], source[r], wall)
+            assert np.array_equal(stacked[r], alone), r
+
+    @PROPERTY
+    @given(rows=st.integers(1, 4), nodes=st.integers(3, 40), seed=seeds)
+    def test_stacked_transport_residual_is_each_row_alone(self, rows, nodes, seed):
+        grid, gamma_mid, sink, source, wall = self.random_stacked_system(rows, nodes, seed)
+        phi = np.random.default_rng(seed).normal(size=(rows, nodes))
+        stacked = channel._transport_residual(grid, phi, gamma_mid, sink, source, wall)
+        for r in range(rows):
+            alone = channel._transport_residual(grid, phi[r], gamma_mid[r], sink[r], source[r],
+                                                wall)
+            assert np.array_equal(stacked[r], alone), r
+
 
 class TestStackHelpers:
     """The stacked tensor helpers as the solver's injection chains them."""
@@ -258,9 +315,9 @@ class TestInjectedSolve:
         picard_sweep = channel._picard_sweep
 
         def recorded_sweep(*args, **kwargs):
-            new = picard_sweep(*args, **kwargs)
+            new, change = picard_sweep(*args, **kwargs)
             recorded_sweep.last = channel._pack(new)
-            return new
+            return new, change
 
         def failed(self, x):
             assert np.array_equal(x, recorded_sweep.last)
@@ -293,6 +350,94 @@ class TestInjectedSolve:
             assert state.fixed_point_residual <= channel.NEWTON_TOL, kind
             assert state.iterations == state.picard_sweeps + state.newton_steps, kind
             assert (state.stress_consistency is not None) == (kind == "coupled"), kind
+
+
+class TestStackedSolve:
+    """uq_envelope solves its distinct corners as the rows of one stack;
+    every corner's state, solve record and error is that of its own
+    solve, bit for bit."""
+
+    FIELDS = ("U_plus", "k_plus", "omega_plus", "nu_t_plus", "tau", "minus_uv_plus")
+    RECORD = ("residual_history", "newton_steps", "fixed_point_residual", "stress_consistency")
+
+    def assert_each_corner_solved_alone(self, cfg, injections, envelope):
+        for corner, injection in injections.items():
+            stacked, alone = envelope.corner_states[corner], channel.solve(cfg, injection)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(stacked, name), getattr(alone, name)), (corner, name)
+            for name in self.RECORD:
+                assert getattr(stacked, name) == getattr(alone, name), (corner, name)
+
+    def test_datafree_envelope(self, envelope_datafree_180):
+        self.assert_each_corner_solved_alone(
+            ChannelConfig(re_tau=180.0), channel.corner_injections("datafree", delta_b=1.0),
+            envelope_datafree_180)
+
+    def test_corner_sweeping_on_alone(self, baseline_180):
+        # 1C and 2C leave the stack after their first block; 3C sweeps on
+        # alone to 200 + 134 sweeps + steps
+        cfg = ChannelConfig(re_tau=180.0)
+        injections = channel.corner_injections("datafree", delta_b=0.75)
+        envelope = channel.uq_envelope(cfg, injections, baseline_180)
+        sweeps = {c: s.picard_sweeps for c, s in envelope.corner_states.items()}
+        assert sweeps["1C"] == sweeps["2C"] == channel.PICARD_BLOCK < sweeps["3C"]
+        self.assert_each_corner_solved_alone(cfg, injections, envelope)
+
+    def test_data_driven_envelope(self, envelope_datadriven_1000, targets_p_1000):
+        self.assert_each_corner_solved_alone(
+            ChannelConfig(re_tau=1000.0), channel.corner_injections("p", targets=targets_p_1000),
+            envelope_datadriven_1000)
+
+    def test_first_failing_corner_is_reported(self, monkeypatch):
+        # with a zero Newton tolerance every row fails; the envelope
+        # reports 1C, as solving the corners in slot order does
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32, max_iters=60)
+        baseline = channel.solve(cfg)
+        monkeypatch.setattr(channel, "NEWTON_TOL", 0.0)
+        injections = channel.corner_injections("datafree", delta_b=1.0)
+        with pytest.raises(channel.SolverError) as alone:
+            channel.solve(cfg, injections["1C"])
+        with pytest.raises(channel.SolverError, match=(
+                r"^corner 1C failed: no fixed point after 60 Picard sweeps")) as err:
+            channel.uq_envelope(cfg, injections, baseline)
+        assert str(err.value) == f"corner 1C failed: {alone.value}"
+        assert err.value.residual_history == alone.value.residual_history
+
+    def test_non_finite_row_fails_alone(self, monkeypatch):
+        # a NaN shear in the 2C row spreads through the stacked
+        # tridiagonal solves; the rows are then swept alone, so 2C fails
+        # by itself and 1C goes on to its own fixed point
+        shear = channel.PerturbationInjection.shear
+
+        def nan_in_second_row(self, state):
+            out = shear(self, state)
+            if np.ndim(out) == 2 and len(out) == 3:
+                out[1] = np.nan
+            return out
+
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+        injections = channel.corner_injections("datafree", delta_b=1.0)
+        baseline, alone = channel.solve(cfg), channel.solve(cfg, injections["1C"])
+        monkeypatch.setattr(channel.PerturbationInjection, "shear", nan_in_second_row)
+        first, second, third = channel._solve_rows(cfg, list(injections.values()))
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(first, name), getattr(alone, name)), name
+        assert first.residual_history == alone.residual_history
+        assert str(second) == "NaN/Inf detected at iteration 0"
+        assert third is None  # stopped: the failure of 2C is what is reported
+        with pytest.raises(channel.SolverError, match=r"^corner 2C failed: NaN/Inf detected"):
+            channel.uq_envelope(cfg, injections, baseline)
+
+    def test_stack_takes_corners_of_one_perturbation(self):
+        datafree = channel.corner_injections("datafree", delta_b=1.0)
+        stacked = channel.PerturbationInjection.stack(list(datafree.values()))
+        assert stacked.move is not datafree["1C"].move
+        other = channel.PerturbationInjection("datafree", corner="2C", delta_b=0.5)
+        for rows in ([datafree["1C"], other],
+                     [datafree["1C"], channel.FrozenStressInjection(dns.synthetic_profile(180.0))],
+                     [channel.PerturbationInjection("pcorr", targets=np.zeros((33, 2)))] * 2):
+            with pytest.raises(ValueError, match="differ in their corner alone"):
+                channel.PerturbationInjection.stack(rows)
 
 
 MODES = ("datafree", "p", "pcorr", "pcorr_angles")

@@ -243,15 +243,14 @@ class TestUqCommand:
         forest_path = tmp_path / "forest_pcorr_angles.json"
         forest.save(fitted, forest_path)
         solves = []
-        solve = channel.solve
+        solve_rows = channel._solve_rows
 
-        def counting_solve(cfg, injection=None):
-            # the baseline's solve(cfg) is not counted
-            if injection is not None:
-                solves.append(injection)
-            return solve(cfg, injection)
+        def counting_solve_rows(cfg, injections):
+            # the rows that reach _solve_rows; the baseline's row is not counted
+            solves.extend(injection for injection in injections if injection is not None)
+            return solve_rows(cfg, injections)
 
-        monkeypatch.setattr(channel, "solve", counting_solve)
+        monkeypatch.setattr(channel, "_solve_rows", counting_solve_rows)
         out = tmp_path / "uq"
         s = pipeline.load_settings(
             overrides=[("channel", "re_tau", "180"), ("channel", "n_cells", "32"),
