@@ -998,12 +998,31 @@ def uq_envelope(cfg: ChannelConfig, injections: dict[str, StressInjection],
     )
 
 
-def write_solution_csv(state: ChannelState, path) -> None:
-    _, w = barycentric_trace(state)
+def _write_csv(paths, header: str, table: np.ndarray) -> None:
+    """Write ``table`` (rows, columns) under ``header`` to each of
+    ``paths``, every float as ``%.17g``: the bytes that
+    ``np.savetxt(path, table, fmt="%.17g", delimiter=",", comments="",
+    header=header)`` writes for a non-empty header, but the whole table
+    is formatted by one ``%`` operation and written by one ``write``
+    call per file."""
+    n_rows, n_cols = table.shape
+    row = ",".join(["%.17g"] * n_cols) + "\n"
+    text = header + "\n" + (row * n_rows) % tuple(table.ravel().tolist())
+    for path in paths:
+        with open(path, "w") as f:
+            f.write(text)
+
+
+def write_solution_csv(state: ChannelState, *paths, trace=None) -> None:
+    """Write the state's profiles, stress components and corner weights to
+    each of ``paths``, one row per node, every float as ``%.17g`` (which
+    round-trips float64) and ``nan`` weights at degenerate nodes.
+    ``trace`` is the state's ``barycentric_trace``, computed here when
+    not given."""
+    _, w = barycentric_trace(state) if trace is None else trace
     tau = state.tau
     cols = np.column_stack([
         state.y_plus, state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus,
         tau[:, 0, 0], tau[:, 1, 1], tau[:, 2, 2], tau[:, 0, 1], w,
     ])
-    np.savetxt(path, cols, fmt="%.17g", delimiter=",", comments="",
-               header="y_plus,U_plus,k_plus,omega_plus,nu_t_plus,uu,vv,ww,uv,C1,C2,C3")
+    _write_csv(paths, "y_plus,U_plus,k_plus,omega_plus,nu_t_plus,uu,vv,ww,uv,C1,C2,C3", cols)

@@ -279,28 +279,34 @@ def mse(forest: RegressionForest, X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def save(forest: RegressionForest, path) -> None:
-    """Schema 1: one node list per tree, child indices local to the tree."""
-    bounds = zip(forest.roots, [*forest.roots[1:], len(forest.feature)])
-    doc = {
+    """Schema 1: one node list per tree, child indices local to the tree.
+
+    The file holds the bytes ``json.dump(doc, f)`` writes (floats in
+    Python's shortest repr), but each part goes through the C encoder of
+    ``json.dumps``: the head, then one tree at a time, so no more than
+    one tree's text is held at once."""
+    head = json.dumps({
         "version": SCHEMA_VERSION,
         "hyperparams": asdict(forest.hyperparams),
         "feature_names": forest.feature_names,
         "target_names": forest.target_names,
         "n_features": forest.n_features,
         "n_targets": forest.n_targets,
-        "trees": [
-            {
+    })
+    bounds = zip(forest.roots, [*forest.roots[1:], len(forest.feature)])
+    with open(path, "w") as f:
+        f.write(head[:-1] + ', "trees": [')
+        for t, (s, e) in enumerate(bounds):
+            if t:
+                f.write(", ")
+            f.write(json.dumps({
                 "split_feature": forest.feature[s:e].tolist(),
                 "threshold": forest.threshold[s:e].tolist(),
                 "left": np.where(forest.left[s:e] >= 0, forest.left[s:e] - s, -1).tolist(),
                 "right": np.where(forest.right[s:e] >= 0, forest.right[s:e] - s, -1).tolist(),
                 "leaf_value": forest.value[s:e].tolist(),
-            }
-            for s, e in bounds
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+            }))
+        f.write("]}")
 
 
 class ForestFormatError(ValueError):
@@ -308,19 +314,25 @@ class ForestFormatError(ValueError):
 
 
 def load(path) -> RegressionForest:
+    with open(path, "rb") as f:
+        return loads(f.read(), path)
+
+
+def loads(document, name) -> RegressionForest:
+    """The forest of a schema-1 JSON document, text or bytes; a
+    ForestFormatError names the document by ``name``."""
     try:
-        with open(path) as f:
-            doc = json.load(f)
+        doc = json.loads(document)
     except json.JSONDecodeError as e:
-        raise ForestFormatError(f"{path}: not valid JSON (line {e.lineno})") from e
+        raise ForestFormatError(f"{name}: not valid JSON (line {e.lineno})") from e
     if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
         raise ForestFormatError(
-            f"{path}: unsupported or missing version tag (expected {SCHEMA_VERSION})"
+            f"{name}: unsupported or missing version tag (expected {SCHEMA_VERSION})"
         )
     try:
         return _pack(doc)
     except (KeyError, TypeError, ValueError) as e:
-        raise ForestFormatError(f"{path}: malformed forest file ({e})") from e
+        raise ForestFormatError(f"{name}: malformed forest file ({e})") from e
 
 
 def _pack(doc: dict) -> RegressionForest:

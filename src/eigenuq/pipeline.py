@@ -210,10 +210,13 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def write_trace_csv(state: channel.ChannelState, path) -> None:
-    xy, w = channel.barycentric_trace(state)
-    np.savetxt(path, np.column_stack([state.y_plus, xy, w]), fmt="%.17g",
-               delimiter=",", comments="", header="y_plus,x,y,C1,C2,C3")
+def write_trace_csv(state: channel.ChannelState, *paths, trace) -> None:
+    """Write the state's barycentric position and corner weights, its
+    ``trace`` as ``channel.barycentric_trace`` returns it, to each of
+    ``paths``: one row per node, every float as ``%.17g`` and ``nan`` at
+    degenerate nodes."""
+    xy, w = trace
+    channel._write_csv(paths, "y_plus,x,y,C1,C2,C3", np.column_stack([state.y_plus, xy, w]))
 
 
 def count_realizability_violations(state: channel.ChannelState) -> int:
@@ -239,8 +242,9 @@ def cmd_baseline(settings: Settings, out_dir) -> int:
     cfg = build_channel_config(settings)
     state = channel.solve(cfg)
     _ensure_out(out_dir)
-    channel.write_solution_csv(state, os.path.join(out_dir, "baseline.csv"))
-    write_trace_csv(state, os.path.join(out_dir, "baseline_trace.csv"))
+    trace = channel.barycentric_trace(state)
+    channel.write_solution_csv(state, os.path.join(out_dir, "baseline.csv"), trace=trace)
+    write_trace_csv(state, os.path.join(out_dir, "baseline_trace.csv"), trace=trace)
     write_manifest(
         out_dir,
         "baseline",
@@ -319,17 +323,20 @@ def cmd_train(settings: Settings, out_dir, target_kind: str) -> int:
 
 def _load_forest(path, mode):
     """The forest at ``path``, checked to map the solver's features to
-    the targets of ``mode``."""
+    the targets of ``mode``, and the sha256 of the bytes it was parsed
+    from: the file is read once."""
     if path is None:
         raise ConfigError("data-driven uq mode needs --forest")
     if not os.path.exists(path):
         raise DataError(f"forest file not found: {path}")
+    with open(path, "rb") as f:
+        document = f.read()
     try:
-        fitted = forest.load(path)
+        fitted = forest.loads(document, path)
     except ForestFormatError as e:
         raise DataError(str(e)) from e
     check_forest(fitted, mode)
-    return fitted
+    return fitted, hashlib.sha256(document).hexdigest()
 
 
 def check_forest(fitted, mode):
@@ -357,7 +364,8 @@ def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
     rejects a ``forest_path`` or ``delta_b`` (command-line values) it
     does not take; without ``delta_b`` it reads ``uq.delta_b``. A
     data-driven mode takes its targets from the forest queried on the
-    baseline of the envelope."""
+    baseline of the envelope. Returns the envelope and the sha256 of the
+    forest file (None without one)."""
     cfg = build_channel_config(settings)
     takes = channel.PerturbationInjection.TAKES.get(mode)
     if takes is None:
@@ -367,38 +375,45 @@ def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
     if delta_b is not None and "delta_b" not in takes:
         raise ConfigError(f"uq mode {mode!r} does not take --delta-b")
     if "targets" in takes:
-        fitted = _load_forest(forest_path, mode)
+        fitted, digest = _load_forest(forest_path, mode)
         baseline = channel.solve(cfg)
         injections = channel.corner_injections(mode, targets=forest_targets(fitted, baseline))
-        return channel.uq_envelope(cfg, injections, baseline)
+        return channel.uq_envelope(cfg, injections, baseline), digest
     if delta_b is None:
         delta_b = _get(settings, "uq", "delta_b")
     try:
         injections = channel.corner_injections(mode, delta_b=delta_b)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    return channel.uq_envelope(cfg, injections)
+    return channel.uq_envelope(cfg, injections), None
 
 
 def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
     mode = _get(settings, "uq", "mode")
-    env = run_uq(settings, mode, forest_path, delta_b)
+    env, forest_sha256 = run_uq(settings, mode, forest_path, delta_b)
     # the manifest records only the settings this mode ran with: [channel]
     # and the [uq] keys it takes
     takes = channel.PerturbationInjection.TAKES[mode]
     ran = replace(settings, uq={k: v for k, v in settings.uq.items() if k == "mode" or k in takes})
     _ensure_out(out_dir)
     channel.write_solution_csv(env.baseline, os.path.join(out_dir, "baseline.csv"))
+    # slots that share one state (the corner-free modes) share its trace
+    # and its formatted files
+    slots = {}
     for corner, st in env.corner_states.items():
+        slots.setdefault(id(st), (st, []))[1].append(corner)
+    for st, corners in slots.values():
+        trace = channel.barycentric_trace(st)
         channel.write_solution_csv(
-            st, os.path.join(out_dir, f"corner_{corner}.csv")
+            st, *(os.path.join(out_dir, f"corner_{c}.csv") for c in corners), trace=trace
         )
-        write_trace_csv(st, os.path.join(out_dir, f"trace_{corner}.csv"))
-    np.savetxt(os.path.join(out_dir, "envelope.csv"),
-               np.column_stack([env.baseline.y_plus, env.baseline.U_plus, env.U_min, env.U_max,
-                                env.width]),
-               fmt="%.17g", delimiter=",", comments="",
-               header="y_plus,U_baseline,U_min,U_max,width")
+        write_trace_csv(st, *(os.path.join(out_dir, f"trace_{c}.csv") for c in corners),
+                        trace=trace)
+    channel._write_csv(
+        [os.path.join(out_dir, "envelope.csv")], "y_plus,U_baseline,U_min,U_max,width",
+        np.column_stack([env.baseline.y_plus, env.baseline.U_plus, env.U_min, env.U_max,
+                         env.width]),
+    )
     violations = count_realizability_violations(env.baseline) + sum(
         count_realizability_violations(s) for s in env.corner_states.values()
     )
@@ -411,12 +426,10 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
         "realizability_violations": violations,
         **{key: {c: r[key] for c, r in records.items()} for key in records["1C"]},
     }
-    if forest_path is not None:
+    if forest_sha256 is not None:
         # the base name: the same forest read from another directory
         # gives the same manifest
-        with open(forest_path, "rb") as f:
-            digest = hashlib.sha256(f.read()).hexdigest()
-        extra["forest"] = {"file": os.path.basename(forest_path), "sha256": digest,
+        extra["forest"] = {"file": os.path.basename(forest_path), "sha256": forest_sha256,
                            "queried_on": "baseline"}
     write_manifest(out_dir, "uq", ran, extra, sections=("channel", "uq"))
     return EXIT_OK

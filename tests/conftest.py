@@ -49,6 +49,13 @@ def forest_p(settings):
 
 
 @pytest.fixture(scope="session")
+def trained_forests(settings, forest_p):
+    """The forest of every target kind from a default-settings training."""
+    forests = {kind: pipeline.train_forest(settings, kind)[0] for kind in ("pcorr", "pcorr_angles")}
+    return {"p": forest_p[0], **forests}
+
+
+@pytest.fixture(scope="session")
 def targets_p_1000(forest_p, baseline_1000):
     """The magnitude forest's targets, queried once on the baseline."""
     return pipeline.forest_targets(forest_p[0], baseline_1000)

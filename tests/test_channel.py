@@ -730,3 +730,32 @@ class TestBaselineSolve:
         cfg = ChannelConfig(re_tau=180.0, n_cells=96, max_iters=10)
         with pytest.raises(channel.SolverError, match="no fixed point after 10 Picard sweeps"):
             channel.solve(cfg)
+
+
+class TestCsvWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        table=arrays(np.float64, st.tuples(st.integers(1, 300), st.integers(1, 12)),
+                     elements=st.floats(allow_nan=True, allow_infinity=True)),
+        header=st.text(alphabet="abcxyz_,%", min_size=1, max_size=30),
+    )
+    @example(  # NaN, both infinities, -0.0, subnormals, both ends of the exponent range
+        table=np.array([[np.nan, np.inf, -np.inf, -0.0],
+                        [5e-324, -2.2250738585072014e-308, 1e-320, 1.7976931348623157e308],
+                        [1 / 3, -1e308, 123456789.0, 0.1]]),
+        header="a,b,c,d",
+    )
+    def test_bytes_are_savetxt_bytes(self, tmp_path_factory, table, header):
+        out = tmp_path_factory.mktemp("csv")
+        channel._write_csv([out / "block.csv"], header, table)
+        np.savetxt(out / "savetxt.csv", table, fmt="%.17g", delimiter=",", comments="",
+                   header=header)
+        assert (out / "block.csv").read_bytes() == (out / "savetxt.csv").read_bytes()
+
+    def test_every_path_gets_the_table(self, tmp_path):
+        table = np.arange(6.0).reshape(3, 2)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        channel._write_csv(paths, "u,v", table)
+        for path in paths:
+            assert path.read_text() == "u,v\n0,1\n2,3\n4,5\n"
+            assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), table)

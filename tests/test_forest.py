@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 from collections import deque
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -27,6 +29,38 @@ def assert_saves_the_same(fitted, expected, out):
     forest.save(fitted, out / "fit.json")
     forest.save(expected, out / "expected.json")
     assert (out / "fit.json").read_bytes() == (out / "expected.json").read_bytes()
+
+
+def reference_save(fitted, path):
+    """Schema 1 as one document through ``json.dump``: the bytes ``save``
+    must write."""
+    bounds = zip(fitted.roots, [*fitted.roots[1:], len(fitted.feature)])
+    doc = {
+        "version": forest.SCHEMA_VERSION,
+        "hyperparams": asdict(fitted.hyperparams),
+        "feature_names": fitted.feature_names,
+        "target_names": fitted.target_names,
+        "n_features": fitted.n_features,
+        "n_targets": fitted.n_targets,
+        "trees": [
+            {
+                "split_feature": fitted.feature[s:e].tolist(),
+                "threshold": fitted.threshold[s:e].tolist(),
+                "left": np.where(fitted.left[s:e] >= 0, fitted.left[s:e] - s, -1).tolist(),
+                "right": np.where(fitted.right[s:e] >= 0, fitted.right[s:e] - s, -1).tolist(),
+                "leaf_value": fitted.value[s:e].tolist(),
+            }
+            for s, e in bounds
+        ],
+    }
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+
+def assert_saves_as_json_dump(fitted, out):
+    forest.save(fitted, out / "save.json")
+    reference_save(fitted, out / "dump.json")
+    assert (out / "save.json").read_bytes() == (out / "dump.json").read_bytes()
 
 
 def reference_split(X, Y, idx, cand):
@@ -315,3 +349,39 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ForestFormatError, match="no trees"):
             forest.load(path)
+
+    @pytest.mark.parametrize("kind", ["p", "pcorr", "pcorr_angles"])
+    def test_trained_forest_saves_as_json_dump(self, trained_forests, kind, tmp_path):
+        assert_saves_as_json_dump(trained_forests[kind], tmp_path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 80),
+        n_targets=st.integers(1, 5),
+        max_depth=st.integers(1, 6),
+        n_trees=st.integers(1, 40),
+        names=st.lists(st.text(max_size=6), max_size=4),
+    )
+    def test_fitted_forest_saves_as_json_dump(
+        self, tmp_path_factory, seed, n_rows, n_targets, max_depth, n_trees, names,
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n_rows, 4)) * 10.0 ** rng.integers(-300, 300, size=4)
+        Y = rng.normal(size=(n_rows, n_targets))
+        hp = ForestHyperparams(max_depth=max_depth, min_samples_split=2, max_features=3,
+                               n_trees=n_trees, seed=seed)
+        fitted = forest.fit(X, Y, hp, feature_names=names, target_names=names[::-1])
+        assert_saves_as_json_dump(fitted, tmp_path_factory.mktemp("forest"))
+
+    def test_save_holds_one_tree_at_a_time(self, trained_forests, tmp_path):
+        fitted = trained_forests["pcorr_angles"]
+        assert len(fitted.roots) == 30
+        tracemalloc.start()
+        try:
+            forest.save(fitted, tmp_path / "forest.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole document as one object peaks at about 3.4 MB
+        assert peak < 1e6

@@ -199,6 +199,17 @@ def small_grid_datafree_uq(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def pcorr_angles_forest(trained_forests, tmp_path_factory):
+    """The default-settings pcorr_angles forest, saved."""
+    path = tmp_path_factory.mktemp("forest") / "forest_pcorr_angles.json"
+    forest.save(trained_forests["pcorr_angles"], path)
+    return path
+
+
+SMALL_GRID_UQ = ["uq", "--re-tau", "180", "--config", str(PERFBENCH / "uq-small-grid.ini")]
+
+
 class TestUqCommand:
     def test_datafree_zero_delta_artifacts(self, tmp_path):
         out = tmp_path / "uq"
@@ -259,11 +270,29 @@ class TestUqCommand:
         code = pipeline.cmd_uq(s, out, forest_path=str(forest_path))
         assert code == pipeline.EXIT_OK
         assert len(solves) == 1
-        first = (out / "corner_1C.csv").read_bytes()
-        assert (out / "corner_2C.csv").read_bytes() == first
-        assert (out / "corner_3C.csv").read_bytes() == first
+        for prefix in ("corner", "trace"):
+            first = (out / f"{prefix}_1C.csv").read_bytes()
+            assert (out / f"{prefix}_2C.csv").read_bytes() == first
+            assert (out / f"{prefix}_3C.csv").read_bytes() == first
         iterations = pipeline.read_manifest(out)["iterations"]
         assert iterations["1C"] == iterations["2C"] == iterations["3C"]
+
+    def test_forest_file_is_read_once(self, pcorr_angles_forest, tmp_path, monkeypatch):
+        opened = []
+        builtin_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == pcorr_angles_forest:
+                opened.append(file)
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        out = tmp_path / "uq"
+        args = [*SMALL_GRID_UQ, "--mode", "pcorr_angles", "--forest", str(pcorr_angles_forest)]
+        assert cli.run([*args, "--out", str(out)]) == pipeline.EXIT_OK
+        assert len(opened) == 1
+        digest = hashlib.sha256(pcorr_angles_forest.read_bytes()).hexdigest()
+        assert pipeline.read_manifest(out)["forest"]["sha256"] == digest
 
     def test_data_driven_mode_requires_forest(self):
         with pytest.raises(ConfigError, match="forest"):
@@ -276,6 +305,31 @@ class TestUqCommand:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="unknown uq mode"):
             pipeline.run_uq(fast_settings(), "noisy")
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "args, traces",
+        [
+            (["baseline", "--re-tau", "180", "--config", str(PERFBENCH / "uq-small-grid.ini")], 1),
+            ([*SMALL_GRID_UQ, "--mode", "datafree", "--delta-b", "1.0"], 4),
+            ([*SMALL_GRID_UQ, "--mode", "pcorr_angles", "--forest", "{forest}"], 2),
+        ],
+        ids=["baseline", "datafree", "pcorr_angles"],
+    )
+    def test_one_trace_per_distinct_state(self, pcorr_angles_forest, tmp_path, monkeypatch,
+                                          args, traces):
+        traced = []
+        barycentric_trace = channel.barycentric_trace
+
+        def counting_trace(state):
+            traced.append(id(state))
+            return barycentric_trace(state)
+
+        monkeypatch.setattr(channel, "barycentric_trace", counting_trace)
+        args = [arg.format(forest=pcorr_angles_forest) for arg in args]
+        assert cli.run([*args, "--out", str(tmp_path / "run")]) == pipeline.EXIT_OK
+        assert len(traced) == len(set(traced)) == traces
 
 
 class TestPropagateCommand:
