@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from . import perturb, rotation, tensors
 from .dns import TARGET_NAMES, DnsProfile, check_coverage, interpolate
@@ -38,20 +38,24 @@ _SET_2 = np.array([[SIGMA_K2], [SIGMA_W2], [BETA_2], [GAMMA_2]])
 
 OMEGA_FLOOR = 1e-8
 
-# LAPACK tridiagonal solver, called directly: scipy's banded solver
-# calls the same routine but validates its inputs on every call
+# LAPACK's tridiagonal and banded solvers, called directly: scipy's
+# banded solver calls the same routines but validates its inputs, and
+# copies a banded matrix into new storage, on every call
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
+_GBSV = get_lapack_funcs("gbsv", dtype=np.float64)
 
 # Solve controls. Every solve, baseline, prescribed or coupled stress,
 # is solved to its fixed point x = G(x), where x stacks U, k, omega and
 # nu_t and G is one sweep at ur = 1 under the shear of x: the eddy
 # viscosity's, the prescribed one, or the capped coupled stress evaluated
 # at x. Picard sweeps (ur = 0.8 for the baseline, 0.5 under an injected
-# stress; a coupled stress relaxed toward the one of each iterate by
-# min(STRESS_RELAX, 1 / (1 + nu_t))) run in blocks of PICARD_BLOCK; after
-# each block, damped Newton on the local residual (``_Newton``) takes
-# over on a copy for at most NEWTON_STEPS steps. A solve is done at a
-# scaled max-norm of F = G(x) - x of NEWTON_TOL.
+# stress, each row of a stack its own; a coupled stress relaxed toward
+# the one of each iterate by min(STRESS_RELAX, 1 / (1 + nu_t))) run in
+# blocks of PICARD_BLOCK; after each block, damped Newton on the local
+# residual (``_Newton``) takes over on a copy for at most NEWTON_STEPS
+# steps, each one evaluation of that residual on 21 states and one
+# LAPACK gbsv call. A solve is done at a scaled max-norm of
+# F = G(x) - x of NEWTON_TOL.
 STRESS_RELAX = 0.2
 PICARD_BLOCK = 50
 NEWTON_STEPS = 40
@@ -156,6 +160,7 @@ class _Grid:
         self.yp = np.maximum(y, 1e-30)
         self.yp2 = self.yp**2
         self.om_wall = 60.0 / (BETA_1 * y[1] ** 2)
+        self.walls = np.array([0.0, self.om_wall])  # of k and omega
         h = np.diff(y)
         self.last = len(y) - 1
         self.h_ends = h[::len(h) - 1]
@@ -190,7 +195,8 @@ def _tridiagonal(grid, gamma_mid, sink, source, wall_value):
     """The finite-volume system (lower, diag, upper, rhs) of
     d/dy(Gamma dphi/dy) + sink*phi + source = 0 with Dirichlet wall
     value and zero flux at the centerline; along the last axis, with the
-    leading axes of ``source``. Each diagonal is as long as the system:
+    leading axes of ``source``, and the wall value a number or an array
+    that broadcasts against them. Each diagonal is as long as the system:
     the wall row has no lower entry and the centreline row no outflow,
     both 0, so the rows of a stack laid end to end are one
     block-diagonal tridiagonal system."""
@@ -491,21 +497,29 @@ def _blending(grid, k, om_s, dkdy, domdy):
     return f1, f2
 
 
-def _momentum(grid, state, minus_uv):
+def _momentum(grid, state, minus_uv, eddy=None):
     """Face diffusivity and source of the momentum system of ``state``
     under the shear ``minus_uv`` (see ``_sweep``)."""
-    if minus_uv is None:
+    if minus_uv is None or eddy is not None:
         # implicit eddy diffusion
-        return 1.0 + _mid(state.nu_t_plus), np.full(state.U_plus.shape, 1.0 / state.re_tau)
+        implicit = 1.0 + _mid(state.nu_t_plus), np.full(state.U_plus.shape, 1.0 / state.re_tau)
+        if minus_uv is None:
+            return implicit
     # a given stress does not depend on this sweep's U: momentum is one
     # exact linear solve for U
-    return grid.unit_mid, _face_divergence(grid, _mid(minus_uv)) + 1.0 / state.re_tau
+    given = grid.unit_mid, _face_divergence(grid, _mid(minus_uv)) + 1.0 / state.re_tau
+    if eddy is None:
+        return given
+    return tuple(np.where(eddy, a, b) for a, b in zip(implicit, given))
 
 
-def _turbulence(grid, k, om, nu_t, dudy, minus_uv):
+def _turbulence(grid, k, om, nu_t, dudy, minus_uv, eddy=None):
     """The SST closure at one state and velocity gradient ``dudy``: the
-    k and omega transport systems, as ``_tridiagonal`` arguments, and the
-    blending function F2 of the eddy viscosity."""
+    k and omega transport systems as the ``_tridiagonal`` arguments of
+    one stack, k's first along a new leading axis, wall values 0 and
+    omega's; and the blending function F2 of the eddy viscosity.
+    Production is nu_t dU/dy^2 under the eddy-viscosity closure and
+    -u'v'* dU/dy under the shear ``minus_uv`` (see ``_sweep``)."""
     dudy2 = dudy**2
     dkdy = grid.grad(k)
     domdy = grid.grad(om)
@@ -513,42 +527,51 @@ def _turbulence(grid, k, om, nu_t, dudy, minus_uv):
     f1, f2 = _blending(grid, k, om_s, dkdy, domdy)
     not_f1 = 1.0 - f1
     sets = (4,) + (1,) * f1.ndim
-    sigma_k, sigma_w, beta, gamma_c = f1 * _SET_1.reshape(sets) + not_f1 * _SET_2.reshape(sets)
+    # sigma_k, sigma_w, beta, gamma
+    blended = f1 * _SET_1.reshape(sets) + not_f1 * _SET_2.reshape(sets)
 
-    pk = nu_t * dudy2 if minus_uv is None else minus_uv * dudy
+    if minus_uv is None:
+        pk = nu_t * dudy2
+    elif eddy is None:
+        pk = minus_uv * dudy
+    else:
+        pk = np.where(eddy, nu_t * dudy2, minus_uv * dudy)
     pk = np.minimum(pk, 10.0 * BETA_STAR * k * om)
-    k_system = (1.0 + _mid(sigma_k * nu_t), -BETA_STAR * om_s, pk, 0.0)
     cross = 2.0 * SIGMA_W2 * not_f1 / om_s * dkdy * domdy
-    om_system = (1.0 + _mid(sigma_w * nu_t), -beta * om_s, gamma_c * dudy2 + cross,
-                 grid.om_wall)
-    return k_system, om_system, f2
+    systems = (1.0 + _mid(blended[:2] * nu_t),
+               np.stack([-BETA_STAR * om_s, -blended[2] * om_s]),
+               np.stack([pk, blended[3] * dudy2 + cross]),
+               grid.walls.reshape((2,) + (1,) * (f1.ndim - 1)))
+    return systems, f2
 
 
 def _eddy_viscosity(k, om, dudy, f2):
     return A1 * k / np.maximum(A1 * om, np.abs(dudy) * f2)
 
 
-def _sweep(grid, state, minus_uv, ur):
+def _sweep(grid, state, minus_uv, ur, eddy=None):
     """One outer iteration: the relaxed U -> k -> omega -> nu_t update
     of ``state`` under the shear stress ``minus_uv`` (-u'v'*; None for
     the eddy-viscosity closure), with under-relaxation factor ``ur``.
     A given shear is held fixed for the sweep, so momentum is solved
     exactly, whether the stress is prescribed, a Picard iterate of a
-    coupled one or the one evaluation of the fixed-point map.
+    coupled one or the one evaluation of the fixed-point map. In a stack
+    whose rows differ, ``ur`` is a (rows, 1) array and the rows where
+    the (rows, 1) mask ``eddy`` holds take the eddy-viscosity closure,
+    whatever ``minus_uv`` holds there.
 
     Returns a new ChannelState; every array of ``state`` stays intact.
     """
     U, k, om, nu_t = state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus
-    gamma_u, src_u = _momentum(grid, state, minus_uv)
+    gamma_u, src_u = _momentum(grid, state, minus_uv, eddy)
     U_new = _transport_solve(grid, gamma_u, grid.no_sink, src_u, 0.0)
     U_next = U + ur * (U_new - U)
     dudy = grid.grad(U_next)
 
-    k_system, om_system, f2 = _turbulence(grid, k, om, nu_t, dudy, minus_uv)
-    k_new = _transport_solve(grid, *k_system)
+    systems, f2 = _turbulence(grid, k, om, nu_t, dudy, minus_uv, eddy)
+    k_new, om_new = _transport_solve(grid, *systems)
     k_next = np.maximum(k + ur * (k_new - k), 0.0)
     k_next[..., 0] = 0.0
-    om_new = _transport_solve(grid, *om_system)
     om_next = np.maximum(om + ur * (om_new - om), OMEGA_FLOOR)
 
     nu_t_new = _eddy_viscosity(k_next, om_next, dudy, f2)
@@ -601,11 +624,14 @@ def solve(cfg: ChannelConfig, injection: StressInjection | None = None) -> Chann
 
 def _solve_rows(cfg, injections):
     """Solve the flow under each of ``injections`` (None for the baseline
-    closure) as the rows of one (rows, n) stack.
+    closure) as the rows of one (rows, n) stack: one row, or coupled
+    rows of one perturbation after at most one baseline row.
 
     Each Picard sweep updates every row at once: one tridiagonal solve
-    per transport equation and, for several rows, one evaluation of the
-    coupled shear (``PerturbationInjection.stack``). After each block
+    for momentum and one for k and omega together and, for several
+    coupled rows, one evaluation of the coupled shear
+    (``PerturbationInjection.stack``). Each row keeps its own relaxation
+    factor and momentum form (``_FixedPoint.stack``). After each block
     every row gets its own Newton attempt, and a row that converges
     leaves the stack. A row's arithmetic is that of the row alone, so
     its state, residual history, Newton steps and error are those of a
@@ -620,8 +646,6 @@ def _solve_rows(cfg, injections):
     start = ChannelState(cfg.re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
     fps = [_FixedPoint.under(grid, start, injection) for injection in injections]
     newtons = [_Newton(fp) for fp in fps]
-    ur = 0.8 if injections[0] is None else 0.5
-    coupled = fps[0].injection is not None
     results = [None] * len(fps)
     residuals = [[] for _ in fps]
     newton_steps = [0] * len(fps)
@@ -633,17 +657,18 @@ def _solve_rows(cfg, injections):
     sweeps = 0
     while active and sweeps < cfg.max_iters:
         for _ in range(min(PICARD_BLOCK, cfg.max_iters - sweeps)):
-            if coupled:
+            if fp.injection is not None:
                 # momentum under a given shear turns a shear error into a
                 # dU/dy error of the same size, which an uncapped stress
                 # answers with a gain of about nu_t: moving it by
                 # 1 / (1 + nu_t) of its change is the implicit
-                # eddy-viscosity update
+                # eddy-viscosity update. A baseline row's shear is 0
+                # and stays 0.
                 m_new = fp.shear(state)
                 gain = np.where(m_new < fp.cap, state.nu_t_plus, 0.0)
                 relax = np.minimum(STRESS_RELAX, 1.0 / (1.0 + gain))
                 minus_uv = minus_uv + relax * (m_new - minus_uv)
-            state, change = _picard_sweep(grid, state, minus_uv, ur)
+            state, change = _picard_sweep(grid, state, minus_uv, fp)
             for row, value in zip(active, change):
                 residuals[row].append(value)
             sweeps += 1
@@ -659,12 +684,12 @@ def _solve_rows(cfg, injections):
         x = np.atleast_2d(_pack(state))
         going = []
         for i, row in enumerate(active):
-            x_new, steps, f, reasons[row] = newtons[row].solve(x[i])
+            g, steps, f, reasons[row] = newtons[row].solve(x[i])
             newton_steps[row] += steps
-            if x_new is None:
+            if g is None:
                 going.append(i)
             else:
-                results[row] = fps[row].converged(x_new, f, residuals[row], newton_steps[row])
+                results[row] = fps[row].converged(g, f, residuals[row], newton_steps[row])
         if len(going) < len(active):
             active, state, minus_uv, fp = _keep(going, active, state, minus_uv, fps)
     for row in active:
@@ -678,26 +703,29 @@ def _solve_rows(cfg, injections):
 
 def _keep(places, active, state, minus_uv, fps):
     """The stack cut down to the ``places`` of its rows ``active``: those
-    rows, their state, their shear and their fixed point. Only a stack of
-    coupled rows keeps some of its rows, so only then is there a shear to
-    cut."""
+    rows, their state, their shear and their fixed point. Only a stack
+    with coupled rows keeps some of its rows, so only then is there a
+    shear to cut; a baseline row left alone sweeps under no shear."""
     active = [active[i] for i in places]
     if not active:
         return active, state, minus_uv, None
-    return (active, _take(state, places), _rows(minus_uv, places),
-            _FixedPoint.stack([fps[row] for row in active]))
+    fp = _FixedPoint.stack([fps[row] for row in active])
+    minus_uv = None if fp.injection is None else _rows(minus_uv, places)
+    return active, _take(state, places), minus_uv, fp
 
 
-def _picard_sweep(grid, state, minus_uv, ur):
-    """One relaxed sweep of every row of the stack ``state``, and the
-    list of each row's relative change. A row that turns non-finite
-    spreads through the stacked tridiagonal solves into every other row,
-    so then each row is swept again alone."""
-    new = _sweep(grid, state, minus_uv, ur)
+def _picard_sweep(grid, state, minus_uv, fp):
+    """One relaxed sweep of every row of the stack ``state`` under the
+    stacked fixed point ``fp``, and the list of each row's relative
+    change. A row that turns non-finite spreads through the stacked
+    tridiagonal solves into every other row, so then each row is swept
+    again alone, with its own relaxation factor and closure."""
+    new = _sweep(grid, state, minus_uv, fp.ur, fp.eddy)
     change = np.reshape(_relative_change(state, new), -1).tolist()
     if len(change) > 1 and not all(map(math.isfinite, change)):
-        alone = [_sweep(grid, _take(state, [r]), _rows(minus_uv, [r]), ur)
-                 for r in range(len(change))]
+        alone = [_sweep(grid, _take(state, [r]), None if row.injection is None else minus_uv[r],
+                        row.ur)
+                 for r, row in enumerate(fp.rows)]
         new = ChannelState(state.re_tau, state.y_plus, *(
             np.stack([getattr(row, name) for row in alone]) for name in _FIELDS))
         change = _relative_change(state, new).tolist()
@@ -710,13 +738,19 @@ class _FixedPoint:
     residual R of the same discrete equations, which has the zeros of
     F = G(x) - x. The shear is None for the eddy-viscosity closure, that
     of a prescribed stress ``tau``, or that of a coupled ``injection``
-    evaluated at x and capped."""
+    evaluated at x and capped. ``ur`` is the relaxation factor of its
+    Picard sweeps: 0.8 under the eddy-viscosity closure, 0.5 under a
+    stress."""
 
     def __init__(self, grid, re_tau, injection=None, tau=None):
         self.grid, self.re_tau, self.injection = grid, re_tau, injection
         self.tau = tau
         self.prescribed = None if tau is None else -tau[:, 0, 1]
         self.cap = 1.0 - grid.y / re_tau  # steady momentum bounds the turbulent shear
+        self.ur = 0.8 if injection is None and tau is None else 0.5
+        # the fixed points of a stack's rows, and the (rows, 1) mask of
+        # its baseline row (see ``stack``)
+        self.rows, self.eddy = [self], None
 
     @classmethod
     def under(cls, grid, start, injection):
@@ -730,27 +764,52 @@ class _FixedPoint:
     @classmethod
     def stack(cls, fps):
         """The fixed point of a stack whose row r is that of ``fps[r]``:
-        one row's own, or the coupled stresses of several rows at once."""
+        one row's own; or the coupled stresses of several rows at once,
+        after at most one baseline row. Each row keeps its relaxation
+        factor, a (rows, 1) array when they differ, and a baseline row
+        its closure, implicit eddy diffusion in momentum and nu_t dU/dy
+        in production, where the (rows, 1) mask ``eddy`` holds."""
         if len(fps) == 1:
             return fps[0]
         first = fps[0]
-        return cls(first.grid, first.re_tau,
-                   PerturbationInjection.stack([fp.injection for fp in fps]))
+        baseline = first.injection is None and first.tau is None
+        coupled = [fp.injection for fp in (fps[1:] if baseline else fps)]
+        if len(coupled) == 1 and coupled[0] is not None:
+            stacked = cls(first.grid, first.re_tau, coupled[0])
+        else:
+            stacked = cls(first.grid, first.re_tau, PerturbationInjection.stack(coupled))
+        stacked.rows = fps
+        if baseline:
+            stacked.ur = np.array([[fp.ur] for fp in fps])
+            stacked.eddy = np.arange(len(fps))[:, None] == 0
+        return stacked
 
     def shear(self, state):
-        """The shear -u'v'* momentum uses at ``state``."""
+        """The shear -u'v'* momentum uses at ``state``; 0 in the rows of
+        a stack's baseline, whose momentum does not use it."""
         if self.injection is None:
             return self.prescribed
-        return np.minimum(self.injection.shear(state), self.cap)
+        if self.eddy is None:
+            return np.minimum(self.injection.shear(state), self.cap)
+        # the coupled rows after the baseline's as views, one row as (n,)
+        # arrays
+        rows = 1 if len(self.rows) == 2 else slice(1, None)
+        coupled = ChannelState(state.re_tau, state.y_plus,
+                               *(getattr(state, name)[rows] for name in _FIELDS))
+        out = np.zeros(state.U_plus.shape)
+        out[1:] = np.minimum(self.injection.shear(coupled), self.cap)
+        return out
 
     def state(self, x):
         U, k, om, nu_t = np.split(x, 4, axis=-1)
         return ChannelState(self.re_tau, self.grid.y, U, k, om, nu_t, self.grid.grad(U))
 
-    def residual(self, x):
-        """F(x) = G(x) - x."""
+    def sweep(self, x):
+        """G's evaluation at x: the state x, the shear momentum uses
+        there, and G(x), the flow solved under that shear."""
         state = self.state(x)
-        return _pack(_sweep(self.grid, state, self.shear(state), 1.0)) - x
+        minus_uv = self.shear(state)
+        return state, minus_uv, _sweep(self.grid, state, minus_uv, 1.0)
 
     def local_residual(self, x):
         """R(x): A(x) phi - b(x) of the U, k and omega systems that a
@@ -762,22 +821,22 @@ class _FixedPoint:
                                 state.nu_t_plus, state.dUdy_plus)
         minus_uv = self.shear(state)
         gamma_u, src_u = _momentum(grid, state, minus_uv)
-        k_system, om_system, f2 = _turbulence(grid, k, om, nu_t, dudy, minus_uv)
+        systems, f2 = _turbulence(grid, k, om, nu_t, dudy, minus_uv)
+        r_k, r_om = _transport_residual(grid, np.stack([k, om]), *systems)
         return np.concatenate([
             _transport_residual(grid, U, gamma_u, grid.no_sink, src_u, 0.0),
-            _transport_residual(grid, k, *k_system),
-            _transport_residual(grid, om, *om_system),
+            r_k,
+            r_om,
             nu_t - _eddy_viscosity(k, om, dudy, f2),
         ], axis=-1)
 
-    def converged(self, x, f, residuals, newton_steps):
-        """The reported state at the fixed point x, reached at scaled F
-        ``f``: the flow solved under the stress at x, with the shear
-        momentum used there and the stress itself; a coupled stress also
-        reports how far the one recomputed from that flow is from it."""
-        at_x = self.state(x)
-        minus_uv = self.shear(at_x)
-        out = _sweep(self.grid, at_x, minus_uv, 1.0)
+    def converged(self, g, f, residuals, newton_steps):
+        """The reported state at the fixed point x of G's evaluation
+        ``g`` there (``sweep``), reached at scaled F ``f``: the flow
+        solved under the stress at x, with the shear momentum used there
+        and the stress itself; a coupled stress also reports how far the
+        one recomputed from that flow is from it."""
+        at_x, minus_uv, out = g
         consistency = None
         if self.injection is not None:
             consistency = float(np.max(np.abs(self.shear(out) - minus_uv)))
@@ -808,11 +867,12 @@ def _scale(x):
 def _band_tables(n):
     """The index tables of ``_Newton`` on n nodes, built once per grid
     size: the node-major order of the packed positions; the flat place
-    in the band storage of every band entry (column node i, field f; row
-    node i + d, field g), in the order of the entries of the colour
-    differences that hold them; which of those entries are in the band;
-    and the 20 colours' columns. Each holds one entry per band entry at
-    most, so the tables of 193 nodes take about 160 KB."""
+    of every band entry (column node i, field f; row node i + d, field
+    g) in gbsv's band storage laid out column by column, in the order of
+    the entries of the colour differences that hold them; which of those
+    entries are in the band; and the 20 colours' columns. Each holds one
+    entry per band entry at most, so the tables of 193 nodes take about
+    160 KB."""
     # node-major position 4 i + f -> packed position f n + i
     order = np.arange(4 * n).reshape(4, n).T.ravel()
     i, f, d, g = np.ix_(np.arange(n), np.arange(4), np.arange(-2, 3), np.arange(4))
@@ -821,7 +881,7 @@ def _band_tables(n):
     def entries(a):
         return np.broadcast_to(a, keep.shape)[keep]
 
-    band = entries((_Newton.BAND + 4 * d + g - f) * (4 * n) + 4 * i + f)
+    band = entries((4 * i + f) * (3 * _Newton.BAND + 1) + 2 * _Newton.BAND + 4 * d + g - f)
     difference = entries((i % 5 * 4 + f) * (4 * n) + g * n + i + d)
     in_band = np.zeros(20 * 4 * n, dtype=bool)
     in_band[difference] = True
@@ -840,8 +900,8 @@ class _Newton:
     4 * 2 + 3 = 11 of the diagonal. The band is found exactly by forward
     differences along 20 colours, 5 node classes i mod 5 times the 4
     fields (Curtis, Powell & Reid, 1974): no two columns of one colour
-    reach the same row. The 20 differences are one evaluation of R on a
-    stack of 20 states."""
+    reach the same row. R and the 20 differences are one evaluation of R
+    on a stack of 21 states."""
 
     BAND = 11
 
@@ -853,40 +913,47 @@ class _Newton:
     def residual(self, z):
         return self.fp.local_residual(z * self.scale)
 
-    def jacobian(self, z, r):
-        """The band of dR/dz at z, where R is ``r``, node-major, in the
-        storage of ``scipy.linalg.solve_banded``."""
-        h = 1.5e-8 * np.maximum(np.abs(z), 1e-8)
-        diffs = self.residual(z + self.colours * h) - r
-        ab = np.zeros((2 * self.BAND + 1, len(z)))
-        ab.ravel()[self.band_index] = diffs.ravel()[self.in_band]
-        ab /= h[self.order]  # each column's differences over its step; 0 stays 0
-        return ab
-
     def direction(self, z):
-        """The full Newton step -J^-1 R at z."""
-        dz = np.empty_like(z)
-        r = self.residual(z)
-        dz[self.order] = solve_banded((self.BAND, self.BAND), self.jacobian(z, r), -r[self.order],
-                                      overwrite_ab=True, overwrite_b=True, check_finite=False)
-        return dz
+        """The full Newton step -J^-1 R at z. The band of J = dR/dz,
+        node-major, goes straight into the (3 BAND + 1, 4n) storage of
+        LAPACK's gbsv, which holds J[i, j] in row 2 BAND + i - j of
+        column j and the fill-in of its pivoting in the BAND rows above;
+        np.linalg.LinAlgError when J is singular."""
+        h = 1.5e-8 * np.maximum(np.abs(z), 1e-8)
+        r = self.residual(np.vstack([z, z + self.colours * h]))
+        # the storage in Fortran order, which gbsv factors in place:
+        # column j of the band is row j of ``band``
+        band = np.zeros((len(z), 3 * self.BAND + 1))
+        band.ravel()[self.band_index] = (r[1:] - r[0]).ravel()[self.in_band]
+        # each column's differences over its step; 0 stays 0
+        band[:, self.BAND:] /= h[self.order, None]
+        *_, dz, info = _GBSV(self.BAND, self.BAND, band.T, -r[0, self.order],
+                             overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix (LAPACK gbsv info={info})")
+        out = np.empty_like(z)
+        out[self.order] = dz
+        return out
 
     def scaled_f(self, x):
-        return np.max(np.abs(self.fp.residual(x) / self.scale))
+        """The scaled max-norm of F at x, and G's evaluation there."""
+        g = self.fp.sweep(x)
+        return np.max(np.abs((_pack(g[2]) - x) / self.scale)), g
 
     def solve(self, x):
         """Newton from x. Each step solves J dz = -R and halves dz until
         k >= 0, omega > 0 and nu_t >= 0 off the wall (where both are
         set to 0) and the scaled max-norm of F falls.
 
-        Returns (x, steps, final scaled F, reason): x is None unless the
-        scaled max-norm of F reached NEWTON_TOL, and reason says why not.
+        Returns (g, steps, final scaled F, reason): g is G's evaluation
+        (``_FixedPoint.sweep``) at the x where the scaled max-norm of F
+        reached NEWTON_TOL, None if it did not, and reason says why not.
         """
         n = self.n
         self.scale = _scale(x)
-        f = self.scaled_f(x)
+        f, g = self.scaled_f(x)
         if f <= NEWTON_TOL:
-            return x, 0, f, None
+            return g, 0, f, None
         for step in range(1, NEWTON_STEPS + 1):
             z = x / self.scale
             try:
@@ -898,7 +965,7 @@ class _Newton:
                 x_new[n] = x_new[3 * n] = 0.0  # k and nu_t at the wall
                 k, om, nu_t = x_new[n + 1:2 * n], x_new[2 * n:3 * n], x_new[3 * n + 1:]
                 if np.all(k >= 0.0) and np.all(om > 0.0) and np.all(nu_t >= 0.0):
-                    f_new = self.scaled_f(x_new)
+                    f_new, g = self.scaled_f(x_new)
                     if f_new < f:
                         break
                 dz = 0.5 * dz
@@ -907,7 +974,7 @@ class _Newton:
                     f"no Newton step lowers the scaled F {f:.3e} at step {step}")
             x, f = x_new, f_new
             if f <= NEWTON_TOL:
-                return x, step, f, None
+                return g, step, f, None
         return None, NEWTON_STEPS, f, (
             f"Newton stopped at scaled F {f:.3e} after {NEWTON_STEPS} steps")
 
@@ -967,22 +1034,27 @@ def corner_injections(mode, delta_b=None, targets=None) -> dict[str, Perturbatio
 
 def uq_envelope(cfg: ChannelConfig, injections: dict[str, StressInjection],
                 baseline: ChannelState | None = None) -> Envelope:
-    """Solve the baseline (unless given, solved under ``cfg``) and the
-    distinct corner injections, as the rows of one stack
-    (``_solve_rows``), and collect the per-node min/max velocity
-    envelope.
+    """Solve the distinct corner injections, after the baseline unless it
+    is given, as the rows of one stack (``_solve_rows``) under ``cfg``,
+    and collect the per-node min/max velocity envelope.
 
     ``injections`` maps each corner slot to its injection as
     ``corner_injections`` builds them: slots sharing one instance share
     one row and its state, and distinct instances differ in their corner
-    alone. Every corner's state is that of its own ``solve``; when
-    corners fail, the SolverError names the first failing slot and
-    carries its residual history, as solving the slots in order would.
+    alone. The baseline's and every corner's state is that of its own
+    ``solve``. A failing baseline raises the SolverError of
+    ``solve(cfg)``; when corners fail, the SolverError names the first
+    failing slot and carries its residual history, as solving the
+    baseline and then the slots in order would.
     """
-    if baseline is None:
-        baseline = solve(cfg)
     rows = list({id(injection): injection for injection in injections.values()}.values())
-    solved = dict(zip(map(id, rows), _solve_rows(cfg, rows)))
+    if baseline is None:
+        baseline, *solved = _solve_rows(cfg, [None] + rows)
+        if isinstance(baseline, SolverError):
+            raise baseline
+    else:
+        solved = _solve_rows(cfg, rows)
+    solved = dict(zip(map(id, rows), solved))
     states = {}
     for corner, injection in injections.items():
         state = solved[id(injection)]

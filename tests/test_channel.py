@@ -146,43 +146,57 @@ class TestKernels:
         assert np.all(stacked.k_plus[:, 0] == 0.0)
 
     @staticmethod
-    def random_stacked_system(rows, nodes, seed):
-        """A grid of ``nodes`` nodes and the arguments of a transport
-        system of ``rows`` rows: diffusivities and sinks of either sign
-        and of magnitudes 1e-3 to 1e3, so that many rows are not
-        diagonally dominant and gtsv pivots."""
+    def random_stacked_system(systems, rows, nodes, seed):
+        """A grid of ``nodes`` nodes and the arguments of a stack of
+        ``rows`` rows, or of ``systems`` (rows, nodes) stacks with one
+        wall value each, a (systems, 1) array, as the k and omega systems
+        of a sweep come: diffusivities and sinks of either sign and of
+        magnitudes 1e-3 to 1e3, so that many rows are not diagonally
+        dominant and gtsv pivots."""
         rng = np.random.default_rng(seed)
         y = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, nodes - 1))])
+        lead = (rows,) if systems is None else (systems, rows)
 
         def draw(*shape):
+            shape = lead + shape
             return rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
 
-        return (channel._Grid(y), draw(rows, nodes - 1), draw(rows, nodes), draw(rows, nodes),
-                rng.normal())
+        wall = rng.normal() if systems is None else rng.normal(size=(systems, 1))
+        return channel._Grid(y), draw(nodes - 1), draw(nodes), draw(nodes), wall
+
+    @staticmethod
+    def alone(wall, place):
+        """The wall value of the row at ``place`` of a stack."""
+        return wall if np.ndim(wall) == 0 else wall[place[0], 0]
 
     @PROPERTY
-    @given(rows=st.integers(1, 4), nodes=st.integers(3, 40), seed=seeds)
-    def test_stacked_transport_solve_is_each_row_alone(self, rows, nodes, seed):
+    @given(systems=st.sampled_from([None, 2]), rows=st.integers(1, 4), nodes=st.integers(3, 40),
+           seed=seeds)
+    def test_stacked_transport_solve_is_each_row_alone(self, systems, rows, nodes, seed):
         # the stack is one gtsv call on the rows laid end to end; the wall
         # row's missing lower entry and the centreline row's missing
         # outflow keep pivoting inside each row
-        grid, gamma_mid, sink, source, wall = self.random_stacked_system(rows, nodes, seed)
+        grid, gamma_mid, sink, source, wall = self.random_stacked_system(systems, rows, nodes,
+                                                                         seed)
         stacked = channel._transport_solve(grid, gamma_mid, sink, source, wall)
-        assert stacked.shape == (rows, nodes)
-        for r in range(rows):
-            alone = channel._transport_solve(grid, gamma_mid[r], sink[r], source[r], wall)
-            assert np.array_equal(stacked[r], alone), r
+        assert stacked.shape == source.shape
+        for place in np.ndindex(source.shape[:-1]):
+            alone = channel._transport_solve(grid, gamma_mid[place], sink[place], source[place],
+                                             self.alone(wall, place))
+            assert np.array_equal(stacked[place], alone), place
 
     @PROPERTY
-    @given(rows=st.integers(1, 4), nodes=st.integers(3, 40), seed=seeds)
-    def test_stacked_transport_residual_is_each_row_alone(self, rows, nodes, seed):
-        grid, gamma_mid, sink, source, wall = self.random_stacked_system(rows, nodes, seed)
-        phi = np.random.default_rng(seed).normal(size=(rows, nodes))
+    @given(systems=st.sampled_from([None, 2]), rows=st.integers(1, 4), nodes=st.integers(3, 40),
+           seed=seeds)
+    def test_stacked_transport_residual_is_each_row_alone(self, systems, rows, nodes, seed):
+        grid, gamma_mid, sink, source, wall = self.random_stacked_system(systems, rows, nodes,
+                                                                         seed)
+        phi = np.random.default_rng(seed).normal(size=source.shape)
         stacked = channel._transport_residual(grid, phi, gamma_mid, sink, source, wall)
-        for r in range(rows):
-            alone = channel._transport_residual(grid, phi[r], gamma_mid[r], sink[r], source[r],
-                                                wall)
-            assert np.array_equal(stacked[r], alone), r
+        for place in np.ndindex(source.shape[:-1]):
+            alone = channel._transport_residual(grid, phi[place], gamma_mid[place], sink[place],
+                                                source[place], self.alone(wall, place))
+            assert np.array_equal(stacked[place], alone), place
 
 
 class TestStackHelpers:
@@ -352,36 +366,57 @@ class TestInjectedSolve:
             assert (state.stress_consistency is not None) == (kind == "coupled"), kind
 
 
+@pytest.fixture(scope="module")
+def envelope_datafree_075_180():
+    cfg = ChannelConfig(re_tau=180.0)
+    return channel.uq_envelope(cfg, channel.corner_injections("datafree", delta_b=0.75))
+
+
 class TestStackedSolve:
-    """uq_envelope solves its distinct corners as the rows of one stack;
-    every corner's state, solve record and error is that of its own
+    """uq_envelope solves its distinct corners as the rows of one stack,
+    after the baseline's row unless a baseline is given; the baseline's
+    and every corner's state, solve record and error is that of its own
     solve, bit for bit."""
 
     FIELDS = ("U_plus", "k_plus", "omega_plus", "nu_t_plus", "tau", "minus_uv_plus")
     RECORD = ("residual_history", "newton_steps", "fixed_point_residual", "stress_consistency")
 
+    def assert_solved_alone(self, stacked, alone, label):
+        for name in self.FIELDS + ("dUdy_plus",):
+            assert np.array_equal(getattr(stacked, name), getattr(alone, name)), (label, name)
+        for name in self.RECORD:
+            assert getattr(stacked, name) == getattr(alone, name), (label, name)
+
     def assert_each_corner_solved_alone(self, cfg, injections, envelope):
         for corner, injection in injections.items():
-            stacked, alone = envelope.corner_states[corner], channel.solve(cfg, injection)
-            for name in self.FIELDS:
-                assert np.array_equal(getattr(stacked, name), getattr(alone, name)), (corner, name)
-            for name in self.RECORD:
-                assert getattr(stacked, name) == getattr(alone, name), (corner, name)
+            self.assert_solved_alone(envelope.corner_states[corner],
+                                     channel.solve(cfg, injection), corner)
 
     def test_datafree_envelope(self, envelope_datafree_180):
         self.assert_each_corner_solved_alone(
             ChannelConfig(re_tau=180.0), channel.corner_injections("datafree", delta_b=1.0),
             envelope_datafree_180)
 
-    def test_corner_sweeping_on_alone(self, baseline_180):
-        # 1C and 2C leave the stack after their first block; 3C sweeps on
-        # alone to 200 + 134 sweeps + steps
+    def test_corner_sweeping_on_alone(self, envelope_datafree_075_180):
+        # the baseline, 1C and 2C leave the stack after their first block;
+        # 3C sweeps on alone to 200 + 134 sweeps + steps
         cfg = ChannelConfig(re_tau=180.0)
         injections = channel.corner_injections("datafree", delta_b=0.75)
-        envelope = channel.uq_envelope(cfg, injections, baseline_180)
+        envelope = envelope_datafree_075_180
         sweeps = {c: s.picard_sweeps for c, s in envelope.corner_states.items()}
+        assert envelope.baseline.picard_sweeps == channel.PICARD_BLOCK
         assert sweeps["1C"] == sweeps["2C"] == channel.PICARD_BLOCK < sweeps["3C"]
         self.assert_each_corner_solved_alone(cfg, injections, envelope)
+
+    @pytest.mark.parametrize("delta_b", [1.0, 0.75])
+    def test_baseline_row_is_the_baseline_solve(self, delta_b, envelope_datafree_180,
+                                                envelope_datafree_075_180):
+        # the baseline's row of the stack, with its relaxation factor 0.8,
+        # implicit eddy diffusion and eddy-viscosity production, is the
+        # baseline solve alone; its stress consistency is None
+        envelope = envelope_datafree_180 if delta_b == 1.0 else envelope_datafree_075_180
+        self.assert_solved_alone(envelope.baseline, channel.solve(ChannelConfig(re_tau=180.0)),
+                                 "baseline")
 
     def test_data_driven_envelope(self, envelope_datadriven_1000, targets_p_1000):
         self.assert_each_corner_solved_alone(
@@ -403,10 +438,25 @@ class TestStackedSolve:
         assert str(err.value) == f"corner 1C failed: {alone.value}"
         assert err.value.residual_history == alone.value.residual_history
 
+    def test_failing_baseline_is_reported(self, monkeypatch):
+        # with a zero Newton tolerance every row fails; the envelope
+        # reports the baseline's own error, as solving it first does
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32, max_iters=60)
+        monkeypatch.setattr(channel, "NEWTON_TOL", 0.0)
+        with pytest.raises(channel.SolverError) as alone:
+            channel.solve(cfg)
+        with pytest.raises(channel.SolverError, match=(
+                r"^no fixed point after 60 Picard sweeps")) as err:
+            channel.uq_envelope(cfg, channel.corner_injections("datafree", delta_b=1.0))
+        assert str(err.value) == str(alone.value)
+        assert err.value.residual_history == alone.value.residual_history
+
     def test_non_finite_row_fails_alone(self, monkeypatch):
         # a NaN shear in the 2C row spreads through the stacked
-        # tridiagonal solves; the rows are then swept alone, so 2C fails
-        # by itself and 1C goes on to its own fixed point
+        # tridiagonal solves; the rows are then swept alone, each with its
+        # own relaxation factor and momentum form, so 2C fails by itself
+        # and 1C, and the baseline in the stack that holds it, go on to
+        # their own fixed points
         shear = channel.PerturbationInjection.shear
 
         def nan_in_second_row(self, state):
@@ -419,14 +469,15 @@ class TestStackedSolve:
         injections = channel.corner_injections("datafree", delta_b=1.0)
         baseline, alone = channel.solve(cfg), channel.solve(cfg, injections["1C"])
         monkeypatch.setattr(channel.PerturbationInjection, "shear", nan_in_second_row)
-        first, second, third = channel._solve_rows(cfg, list(injections.values()))
-        for name in self.FIELDS:
-            assert np.array_equal(getattr(first, name), getattr(alone, name)), name
-        assert first.residual_history == alone.residual_history
-        assert str(second) == "NaN/Inf detected at iteration 0"
-        assert third is None  # stopped: the failure of 2C is what is reported
-        with pytest.raises(channel.SolverError, match=r"^corner 2C failed: NaN/Inf detected"):
-            channel.uq_envelope(cfg, injections, baseline)
+        for lead in ([], [None]):
+            *rows, first, second, third = channel._solve_rows(cfg, lead + list(injections.values()))
+            if lead:
+                self.assert_solved_alone(rows[0], baseline, "baseline")
+            self.assert_solved_alone(first, alone, "1C")
+            assert str(second) == "NaN/Inf detected at iteration 0"
+            assert third is None  # stopped: the failure of 2C is what is reported
+            with pytest.raises(channel.SolverError, match=r"^corner 2C failed: NaN/Inf detected"):
+                channel.uq_envelope(cfg, injections, None if lead else baseline)
 
     def test_stack_takes_corners_of_one_perturbation(self):
         datafree = channel.corner_injections("datafree", delta_b=1.0)
@@ -573,9 +624,9 @@ class TestInputsStayIntact:
         fp = channel._FixedPoint(grid, 180.0, injection)
         x = channel._pack(state)
         x_before = x.copy()
-        f = fp.residual(x)
+        f = channel._pack(fp.sweep(x)[2]) - x
         assert np.array_equal(x, x_before)
-        assert np.array_equal(fp.residual(x), f)
+        assert np.array_equal(channel._pack(fp.sweep(x)[2]) - x, f)
 
     def test_pcorr_angles_rotates_once_per_injection(self, monkeypatch):
         # the rotated frame depends on the targets only; the stress
@@ -630,10 +681,21 @@ class TestLocalResidual:
     """The banded Jacobian Newton solves with is the whole Jacobian of
     the local residual R, and R vanishes at a converged corner."""
 
-    def test_banded_jacobian_is_the_dense_one(self, converged_newton):
+    def test_banded_jacobian_is_the_dense_one(self, converged_newton, monkeypatch):
         newton, z = converged_newton
+        factored = []
+        gbsv = channel._GBSV
+
+        def recorded_gbsv(kl, ku, ab, b, **kwargs):
+            factored.append(ab.copy())
+            return gbsv(kl, ku, ab, b, **kwargs)
+
+        # the band that direction hands LAPACK, in gbsv's storage
+        monkeypatch.setattr(channel, "_GBSV", recorded_gbsv)
+        newton.direction(z)
+        (ab,) = factored
+        assert ab.shape == (3 * newton.BAND + 1, len(z))
         r = newton.residual(z)
-        ab = newton.jacobian(z, r)
         # the dense forward-difference Jacobian, one column at a time,
         # with the same steps, in node-major order
         h = 1.5e-8 * np.maximum(np.abs(z), 1e-8)
@@ -649,9 +711,29 @@ class TestLocalResidual:
         rows, cols = np.indices((m, m))
         in_band = np.abs(rows - cols) <= newton.BAND
         banded = np.zeros((m, m))
-        banded[in_band] = ab[(newton.BAND + rows - cols)[in_band], cols[in_band]]
+        banded[in_band] = ab[(2 * newton.BAND + rows - cols)[in_band], cols[in_band]]
         for j in range(m):
             assert np.array_equal(banded[:, j], dense[:, j]), f"column {j}"
+
+    def test_singular_jacobian_ends_the_attempt(self, monkeypatch):
+        # a local residual that does not depend on nu_t has zero nu_t
+        # columns: gbsv reports the singular factor and the attempt ends
+        grid = channel._Grid(channel.make_grid(180.0, 33, 0.5))
+        fixed = channel._init_state(grid)
+        x = np.concatenate(fixed)
+        fp = channel._FixedPoint(grid, 180.0)
+        local_residual = fp.local_residual
+
+        def without_nu_t(x):
+            x = x.copy()
+            x[..., 3 * len(grid.y):] = fixed[3]
+            return local_residual(x)
+
+        monkeypatch.setattr(fp, "local_residual", without_nu_t)
+        newton = channel._Newton(fp)
+        g, steps, f, reason = newton.solve(x)
+        assert (g, steps, reason) == (None, 1, "singular Jacobian at Newton step 1")
+        assert f == newton.scaled_f(x)[0] > channel.NEWTON_TOL
 
     def test_residual_vanishes_at_the_fixed_point(self, converged_newton):
         newton, z = converged_newton

@@ -48,12 +48,13 @@ def run_main(monkeypatch, capsys, *args):
 
 
 def main_without_solving(monkeypatch, capsys, *args):
-    """``run_main`` with every solve failing the test."""
+    """``run_main`` with every solve failing the test: ``channel.solve``
+    and ``uq_envelope`` both solve through ``channel._solve_rows``."""
 
     def no_solve(*_args, **_kwargs):
         pytest.fail("solved before the arguments were rejected")
 
-    monkeypatch.setattr(channel, "solve", no_solve)
+    monkeypatch.setattr(channel, "_solve_rows", no_solve)
     return run_main(monkeypatch, capsys, *args)
 
 
@@ -456,6 +457,19 @@ class TestCli:
                                 "baseline", "--config", str(cfg), "--out", str(tmp_path / "d"))
         assert code == 3
         assert "numerical failure" in stderr
+        assert not (tmp_path / "d").exists()
+
+    def test_failing_uq_baseline_exit_three(self, tmp_path, monkeypatch, capsys):
+        # the data-free baseline is the first row of the corners' stack;
+        # its failure is reported as a failing baseline command reports it
+        monkeypatch.setattr(channel, "NEWTON_TOL", 0.0)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\nre_tau = 180\nn_cells = 32\nmax_iters = 10\n")
+        code, stderr = run_main(monkeypatch, capsys, "uq", "--mode", "datafree", "--delta-b",
+                                "1.0", "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 3
+        assert re.search(r"^numerical failure: no fixed point after 10 Picard sweeps and \d+ "
+                         r"Newton steps", stderr), stderr
         assert not (tmp_path / "d").exists()
 
     def test_corner_without_fixed_point_exit_three(self, tmp_path):
