@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import copy
 import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from . import perturb, rotation, tensors
 from .dns import TARGET_NAMES, DnsProfile, check_coverage, interpolate
@@ -38,11 +41,40 @@ _SET_2 = np.array([[SIGMA_K2], [SIGMA_W2], [BETA_2], [GAMMA_2]])
 
 OMEGA_FLOOR = 1e-8
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack(directories):
+    """scipy's compiled LAPACK wrappers, the extension module
+    ``scipy.linalg._flapack``, loaded from the first of ``directories``
+    that holds it, without running the ``__init__`` of ``scipy`` or
+    ``scipy.linalg``; ImportError naming the directories if none does.
+    The module is registered under its real name, so a later import of
+    ``scipy.linalg`` finds it (and a module already registered is kept:
+    both hold the same routine objects)."""
+    for directory in directories:
+        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_FLAPACK)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return sys.modules.setdefault(_FLAPACK, module)
+    raise ImportError(f"no {_FLAPACK} extension in {', '.join(directories)}", name=_FLAPACK)
+
+
 # LAPACK's tridiagonal and banded solvers, called directly: scipy's
 # banded solver calls the same routines but validates its inputs, and
-# copies a banded matrix into new storage, on every call
-_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
-_GBSV = get_lapack_funcs("gbsv", dtype=np.float64)
+# copies a banded matrix into new storage, on every call. They are the
+# objects ``scipy.linalg.get_lapack_funcs`` returns, taken from the
+# compiled module alone: importing ``scipy.linalg`` costs a fresh
+# process about 0.3 s and 28 MB, more than a baseline solve, for modules
+# no command uses. ``find_spec`` of a top-level package runs none of its
+# code.
+_scipy = importlib.util.find_spec("scipy")
+if _scipy is None:
+    raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+_flapack = _load_flapack([os.path.join(d, "linalg") for d in _scipy.submodule_search_locations])
+_GTSV = _flapack.dgtsv
+_GBSV = _flapack.dgbsv
 
 # Solve controls. Every solve, baseline, prescribed or coupled stress,
 # is solved to its fixed point x = G(x), where x stacks U, k, omega and
@@ -252,6 +284,23 @@ def _mid(a):
 # stress injection modes
 
 
+def _gaussian_filter(x, sigma):
+    """Gaussian running mean of the 1D array ``x`` (standard deviation
+    ``sigma`` samples, edges extended by their end values), bit for bit
+    ``scipy.ndimage.gaussian_filter1d(x, sigma, mode="nearest")``: the
+    same kernel, truncated at 4 sigma, and the floating-point operations
+    of its symmetric correlation loop in their order."""
+    radius = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    w = w[radius:] / w.sum()  # symmetric: w[j] weighs x[i - j] and x[i + j]
+    xp = np.pad(x, radius, mode="edge")
+    n = len(x)
+    out = xp[radius:radius + n] * w[0]
+    for j in range(radius, 0, -1):
+        out += (xp[radius - j:radius - j + n] + xp[radius + j:radius + j + n]) * w[j]
+    return out
+
+
 def _roughness_noise(y, seed, window=20.0):
     """Zero-mean uniform noise, high-passed so its running integral stays
     bounded; unit peak amplitude.
@@ -262,12 +311,10 @@ def _roughness_noise(y, seed, window=20.0):
     mean (window in wall units) keeps the pointwise roughness while
     making the robustness check probe derivative non-smoothness.
     """
-    from scipy.ndimage import gaussian_filter1d
-
     rng = np.random.default_rng(seed)
     eps = rng.uniform(-1.0, 1.0, len(y))
     yu = np.arange(0.0, y[-1] + 0.5, 1.0)
-    smooth = gaussian_filter1d(np.interp(yu, y, eps), sigma=window, mode="nearest")
+    smooth = _gaussian_filter(np.interp(yu, y, eps), window)
     eps = eps - np.interp(y, yu, smooth)
     return eps / np.max(np.abs(eps))
 

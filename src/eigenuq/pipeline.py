@@ -183,11 +183,19 @@ def write_manifest(out_dir, command, settings: Settings, extra=None, sections=No
 
 
 def read_manifest(run_dir) -> dict:
+    """The manifest of a run directory; DataError (exit 4) if it is
+    missing, is not UTF-8 JSON, or holds something other than an object."""
     path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(path):
         raise DataError(f"no manifest.json in {run_dir}")
-    with open(path) as f:
-        return json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise DataError(f"unreadable manifest {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise DataError(f"manifest {path} is not a JSON object")
+    return doc
 
 
 def _ensure_out(out_dir):

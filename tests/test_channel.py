@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
+from scipy.ndimage import gaussian_filter1d
 
 from eigenuq import channel, dns, perturb, rotation, tensors
 from eigenuq.channel import ChannelConfig
@@ -73,9 +79,56 @@ grids = st.tuples(
 seeds = st.integers(0, 2**32 - 1)
 
 
+class TestLapackLoader:
+    """``channel`` takes gtsv and gbsv from scipy's compiled ``_flapack``
+    without importing ``scipy.linalg``."""
+
+    @pytest.mark.parametrize("name", ["gtsv", "gbsv"])
+    def test_routines_are_scipys(self, name):
+        routine = getattr(channel, f"_{name.upper()}")
+        assert routine is scipy.linalg.get_lapack_funcs(name, dtype=np.float64)
+
+    def test_routines_are_scipys_when_loaded_first(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import sys, numpy as np\n"
+            "from eigenuq import channel\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg\n"
+            "for name in ('gtsv', 'gbsv'):\n"
+            "    routine = scipy.linalg.get_lapack_funcs(name, dtype=np.float64)\n"
+            "    assert getattr(channel, '_' + name.upper()) is routine, name\n"
+        )
+        pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": pythonpath})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_missing_extension_is_named(self, tmp_path):
+        with pytest.raises(ImportError, match="no scipy.linalg._flapack extension in") as info:
+            channel._load_flapack([str(tmp_path)])
+        assert str(tmp_path) in str(info.value)
+
+
 class TestKernels:
-    """The solver's gradient and tridiagonal kernels against the library
-    calls they stand for, compared exactly."""
+    """The solver's gradient, tridiagonal and smoothing kernels against
+    the library calls they stand for, compared exactly."""
+
+    @PROPERTY
+    @given(n=st.integers(1, 6000), sigma=st.one_of(st.just(20.0), st.floats(0.5, 40.0)),
+           values=st.sampled_from(["uniform", "constant", "mixed"]), seed=seeds)
+    @example(n=1, sigma=40.0, values="uniform", seed=0)  # one node, radius 160
+    @example(n=5201, sigma=20.0, values="uniform", seed=0)  # the Re_tau 5200 noise line
+    def test_gaussian_filter_is_scipys(self, n, sigma, values, seed):
+        rng = np.random.default_rng(seed)
+        if values == "uniform":
+            x = rng.uniform(-1.0, 1.0, n)
+        elif values == "constant":
+            x = np.full(n, rng.normal())
+        else:
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-12, 13, n)
+        expected = gaussian_filter1d(x, sigma, mode="nearest")
+        assert channel._gaussian_filter(x, sigma).tobytes() == expected.tobytes()
 
     @PROPERTY
     @given(y=grids, seed=seeds)
@@ -254,6 +307,20 @@ class TestRoughnessNoise:
         noise = channel._roughness_noise(y, seed=0)
         assert np.max(np.abs(noise)) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.mean(noise)) < 0.2
+
+    @pytest.mark.parametrize("re_tau", [180.0, 550.0, 1000.0, 2000.0, 5200.0])
+    def test_noise_is_the_scipy_filtered_noise(self, re_tau):
+        def reference(y, seed, window=20.0):
+            rng = np.random.default_rng(seed)
+            eps = rng.uniform(-1.0, 1.0, len(y))
+            yu = np.arange(0.0, y[-1] + 0.5, 1.0)
+            smooth = gaussian_filter1d(np.interp(yu, y, eps), sigma=window, mode="nearest")
+            eps = eps - np.interp(y, yu, smooth)
+            return eps / np.max(np.abs(eps))
+
+        y = channel.make_grid(re_tau, 193, 0.5)
+        for seed in range(10):
+            assert channel._roughness_noise(y, seed).tobytes() == reference(y, seed).tobytes()
 
 
 class TestInjectionValidation:

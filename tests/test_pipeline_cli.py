@@ -405,9 +405,23 @@ class TestReportCommand:
         with pytest.raises(DataError, match=message):
             pipeline.cmd_report([str(tmp_path / n) for n in names], tmp_path / "out")
 
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DataError, match="manifest"):
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "no manifest.json in"),
+            (b'{"command": "uq", "mode"', "unreadable manifest"),
+            (b"[1, 2]", "is not a JSON object"),
+            (b'{"command": "\xff"}', "unreadable manifest"),
+        ],
+        ids=["missing", "truncated", "not_an_object", "not_utf8"],
+    )
+    def test_missing_manifest(self, tmp_path, content, message):
+        if content is not None:
+            (tmp_path / "manifest.json").write_bytes(content)
+        with pytest.raises(DataError, match=message) as info:
             pipeline.cmd_report([str(tmp_path)], tmp_path / "out")
+        assert str(tmp_path) in str(info.value)
+        assert not (tmp_path / "out").exists()
 
 
 class TestBenchmarkChecks:
@@ -498,6 +512,16 @@ class TestCli:
         )
         assert code == 4
         assert "data error" in stderr
+        assert not (tmp_path / "d").exists()
+
+    def test_unreadable_manifest_exit_four(self, tmp_path, monkeypatch, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "manifest.json").write_text('{"command": "uq"')
+        code, stderr = run_main(monkeypatch, capsys,
+                                "report", str(run), "--out", str(tmp_path / "d"))
+        assert code == 4
+        assert f"data error: unreadable manifest {run / 'manifest.json'}" in stderr
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
@@ -634,12 +658,26 @@ class TestCli:
 
 
 class TestStartup:
-    def test_cli_import_loads_only_scipy_linalg(self):
-        # every command is a fresh process and pays for what the CLI imports
-        proc = run_python("-c", "import eigenuq.cli, sys; print(sorted(sys.modules))")
+    def test_commands_load_only_the_compiled_lapack_of_scipy(self, tmp_path):
+        # every command is a fresh process and pays for what it imports:
+        # of scipy only the compiled LAPACK wrappers, no package __init__
+        script = (
+            "import sys\n"
+            "from eigenuq import cli\n"
+            "for i, argv in enumerate(sys.argv[2:]):\n"
+            "    code = cli.run([*argv.split(), '--out', f'{sys.argv[1]}/{i}'])\n"
+            "    assert code == 0, (argv, code)\n"
+            "print(sorted(sys.modules))\n"
+        )
+        proc = run_python("-c", script, str(tmp_path),
+                          "propagate-dns --re-tau 180 --noise 0.02",
+                          "uq --mode datafree --re-tau 180")
         assert proc.returncode == 0, proc.stderr
         loaded = ast.literal_eval(proc.stdout)
-        assert "scipy.linalg" in loaded
+        assert "scipy.linalg._flapack" in loaded
+        for absent in ("scipy.linalg", "scipy.ndimage", "scipy._lib", "numpy.f2py",
+                       "numpy.testing", "numpy.ma"):
+            assert absent not in loaded, absent
         for heavy in ("scipy.interpolate", "scipy.optimize", "scipy.integrate", "scipy.special",
                       "scipy.sparse"):
             assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")], heavy
