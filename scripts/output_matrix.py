@@ -1,4 +1,4 @@
-"""Write the outputs of ten eigenuq commands into one directory, so that
+"""Write the outputs of twelve eigenuq commands into one directory, so that
 two checkouts can be compared byte for byte.
 
     python3 scripts/output_matrix.py OUT_DIR
@@ -24,19 +24,22 @@ from eigenuq import cli  # noqa: E402
 SMALL_GRID = os.path.join(ROOT, "perfbench", "uq-small-grid.ini")
 
 # (subdirectory, arguments): baselines at a low and the highest Re_tau,
-# both forest kinds the data-driven runs need, the data-free envelope at
-# two settings, a data-driven envelope of each kind (the componentwise
-# one on the 32-cell grid, as the benchmark runs it), a noisy
-# propagation and a report over three runs
+# the three forest kinds the data-driven runs need, the data-free
+# envelope at two settings, a data-driven envelope of each mode (the
+# componentwise ones on the 32-cell grid, as the benchmark runs them), a
+# noisy propagation and a report over three runs
 COMMANDS = [
     ("baseline_180", ["baseline", "--re-tau", "180"]),
     ("baseline_5200", ["baseline", "--re-tau", "5200"]),
     ("train_p", ["train", "--target", "p"]),
+    ("train_pcorr", ["train", "--target", "pcorr"]),
     ("train_pcorr_angles", ["train", "--target", "pcorr_angles"]),
     ("uq_datafree_180", ["uq", "--mode", "datafree", "--delta-b", "1.0", "--re-tau", "180"]),
     ("uq_datafree_1000", ["uq", "--mode", "datafree", "--delta-b", "0.5", "--re-tau", "1000"]),
     ("uq_p_1000", ["uq", "--mode", "p", "--re-tau", "1000",
                    "--forest", os.path.join("train_p", "forest_p.json")]),
+    ("uq_pcorr_180", ["uq", "--mode", "pcorr", "--re-tau", "180", "--config", SMALL_GRID,
+                      "--forest", os.path.join("train_pcorr", "forest_pcorr.json")]),
     ("uq_pcorr_angles_180", ["uq", "--mode", "pcorr_angles", "--re-tau", "180",
                              "--config", SMALL_GRID,
                              "--forest", os.path.join("train_pcorr_angles",

@@ -40,6 +40,7 @@ _SET_1 = np.array([[SIGMA_K1], [SIGMA_W1], [BETA_1], [GAMMA_1]])
 _SET_2 = np.array([[SIGMA_K2], [SIGMA_W2], [BETA_2], [GAMMA_2]])
 
 OMEGA_FLOOR = 1e-8
+NOISE_WINDOW = 20.0  # standard deviation, in wall units, of the mean _roughness_noise removes
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -84,14 +85,15 @@ _GBSV = _flapack.dgbsv
 # stress, each row of a stack its own; a coupled stress relaxed toward
 # the one of each iterate by min(STRESS_RELAX, 1 / (1 + nu_t))) run in
 # blocks of PICARD_BLOCK; after each block, damped Newton on the local
-# residual (``_Newton``) takes over on a copy for at most NEWTON_STEPS
-# steps, each one evaluation of that residual on 21 states and one
-# LAPACK gbsv call. A solve is done at a scaled max-norm of
+# residual (``_FixedPoint.attempt``) takes over on a copy for at most
+# NEWTON_STEPS steps, each one evaluation of that residual on 21 states
+# and one LAPACK gbsv call. A solve is done at a scaled max-norm of
 # F = G(x) - x of NEWTON_TOL.
 STRESS_RELAX = 0.2
 PICARD_BLOCK = 50
 NEWTON_STEPS = 40
 NEWTON_TOL = 1e-10
+BAND = 11  # the half-bandwidth of Newton's node-major Jacobian (``_FixedPoint``)
 
 
 class SolverError(RuntimeError):
@@ -301,20 +303,20 @@ def _gaussian_filter(x, sigma):
     return out
 
 
-def _roughness_noise(y, seed, window=20.0):
+def _roughness_noise(y, seed):
     """Zero-mean uniform noise, high-passed so its running integral stays
     bounded; unit peak amplitude.
 
     Low-wavenumber content of pointwise noise is a systematic regional
     stress bias rather than roughness, and in 1D its integral feeds
     straight into the velocity profile. Removing a Gaussian running
-    mean (window in wall units) keeps the pointwise roughness while
+    mean (NOISE_WINDOW wide) keeps the pointwise roughness while
     making the robustness check probe derivative non-smoothness.
     """
     rng = np.random.default_rng(seed)
     eps = rng.uniform(-1.0, 1.0, len(y))
     yu = np.arange(0.0, y[-1] + 0.5, 1.0)
-    smooth = _gaussian_filter(np.interp(yu, y, eps), window)
+    smooth = _gaussian_filter(np.interp(yu, y, eps), NOISE_WINDOW)
     eps = eps - np.interp(y, yu, smooth)
     return eps / np.max(np.abs(eps))
 
@@ -691,15 +693,10 @@ def _solve_rows(cfg, injections):
     grid = _Grid(make_grid(cfg.re_tau, cfg.n_cells, cfg.stretch))
     U, k, om, nu_t = _init_state(grid)
     start = ChannelState(cfg.re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
-    fps = [_FixedPoint.under(grid, start, injection) for injection in injections]
-    newtons = [_Newton(fp) for fp in fps]
-    results = [None] * len(fps)
-    residuals = [[] for _ in fps]
-    newton_steps = [0] * len(fps)
-    reasons = [None] * len(fps)
-    active = list(range(len(fps)))  # the rows on the stack, in order
+    rows = [_FixedPoint.under(grid, start, injection) for injection in injections]
+    active = rows  # the rows on the stack, in order
     state = _take(start, [0] * len(active))
-    fp = _FixedPoint.stack(fps)
+    fp = _FixedPoint.stack(active)
     minus_uv = fp.shear(state)
     sweeps = 0
     while active and sweeps < cfg.max_iters:
@@ -717,38 +714,29 @@ def _solve_rows(cfg, injections):
                 minus_uv = minus_uv + relax * (m_new - minus_uv)
             state, change = _picard_sweep(grid, state, minus_uv, fp)
             for row, value in zip(active, change):
-                residuals[row].append(value)
+                row.residuals.append(value)
             sweeps += 1
             if not all(map(math.isfinite, change)):
                 cut = next(i for i, value in enumerate(change) if not math.isfinite(value))
-                results[active[cut]] = SolverError(
-                    f"NaN/Inf detected at iteration {sweeps - 1}", residuals[active[cut]])
+                active[cut].result = SolverError(
+                    f"NaN/Inf detected at iteration {sweeps - 1}", active[cut].residuals)
                 # the rows after it no longer matter: a caller reports
                 # this row or a failing one before it
-                active, state, minus_uv, fp = _keep(range(cut), active, state, minus_uv, fps)
+                active, state, minus_uv, fp = _keep(range(cut), active, state, minus_uv)
                 if not active:
                     break
-        x = np.atleast_2d(_pack(state))
-        going = []
-        for i, row in enumerate(active):
-            g, steps, f, reasons[row] = newtons[row].solve(x[i])
-            newton_steps[row] += steps
-            if g is None:
-                going.append(i)
-            else:
-                results[row] = fps[row].converged(g, f, residuals[row], newton_steps[row])
+        for row, x in zip(active, np.atleast_2d(_pack(state))):
+            row.attempt(x)
+        going = [i for i, row in enumerate(active) if row.result is None]
         if len(going) < len(active):
-            active, state, minus_uv, fp = _keep(going, active, state, minus_uv, fps)
+            active, state, minus_uv, fp = _keep(going, active, state, minus_uv)
     for row in active:
-        results[row] = SolverError(
-            f"no fixed point after {sweeps} Picard sweeps and "
-            f"{newton_steps[row]} Newton steps ({reasons[row]})",
-            residuals[row],
-        )
-    return results
+        row.result = SolverError(f"no fixed point after {sweeps} Picard sweeps and "
+                                 f"{row.newton_steps} Newton steps ({row.reason})", row.residuals)
+    return [row.result for row in rows]
 
 
-def _keep(places, active, state, minus_uv, fps):
+def _keep(places, active, state, minus_uv):
     """The stack cut down to the ``places`` of its rows ``active``: those
     rows, their state, their shear and their fixed point. Only a stack
     with coupled rows keeps some of its rows, so only then is there a
@@ -756,7 +744,7 @@ def _keep(places, active, state, minus_uv, fps):
     active = [active[i] for i in places]
     if not active:
         return active, state, minus_uv, None
-    fp = _FixedPoint.stack([fps[row] for row in active])
+    fp = _FixedPoint.stack(active)
     minus_uv = None if fp.injection is None else _rows(minus_uv, places)
     return active, _take(state, places), minus_uv, fp
 
@@ -787,7 +775,18 @@ class _FixedPoint:
     of a prescribed stress ``tau``, or that of a coupled ``injection``
     evaluated at x and capped. ``ur`` is the relaxation factor of its
     Picard sweeps: 0.8 under the eddy-viscosity closure, 0.5 under a
-    stress."""
+    stress.
+
+    Each row of a solve is one fixed point, which also keeps the row's
+    record and runs its damped Newton attempts on R in scaled variables
+    z = x / scale. R couples nodes at most 2 apart, so with the unknowns
+    ordered node by node (U, k, omega, nu_t of node 0, then of node 1,
+    ...) its Jacobian is banded, every entry within 4 * 2 + 3 = BAND of
+    the diagonal. The band is found exactly by forward differences along
+    20 colours, 5 node classes i mod 5 times the 4 fields (Curtis,
+    Powell & Reid, 1974): no two columns of one colour reach the same
+    row. R and the 20 differences are one evaluation of R on a stack of
+    21 states."""
 
     def __init__(self, grid, re_tau, injection=None, tau=None):
         self.grid, self.re_tau, self.injection = grid, re_tau, injection
@@ -798,6 +797,10 @@ class _FixedPoint:
         # the fixed points of a stack's rows, and the (rows, 1) mask of
         # its baseline row (see ``stack``)
         self.rows, self.eddy = [self], None
+        self.order, self.band_index, self.in_band, self.colours = _band_tables(len(grid.y))
+        self.residuals = []  # the relative change of each Picard sweep
+        self.newton_steps = 0  # of all attempts
+        self.f = self.reason = self.result = None  # see ``attempt``
 
     @classmethod
     def under(cls, grid, start, injection):
@@ -877,12 +880,12 @@ class _FixedPoint:
             nu_t - _eddy_viscosity(k, om, dudy, f2),
         ], axis=-1)
 
-    def converged(self, g, f, residuals, newton_steps):
+    def converged(self, g):
         """The reported state at the fixed point x of G's evaluation
-        ``g`` there (``sweep``), reached at scaled F ``f``: the flow
-        solved under the stress at x, with the shear momentum used there
-        and the stress itself; a coupled stress also reports how far the
-        one recomputed from that flow is from it."""
+        ``g`` there (``sweep``), with the row's record: the flow solved
+        under the stress at x, with the shear momentum used there and the
+        stress itself; a coupled stress also reports how far the one
+        recomputed from that flow is from it."""
         at_x, minus_uv, out = g
         consistency = None
         if self.injection is not None:
@@ -893,9 +896,81 @@ class _FixedPoint:
         else:
             minus_uv = out.nu_t_plus * out.dUdy_plus
             tau = tensors.boussinesq(out.k_plus, out.nu_t_plus, out.dUdy_plus)
-        return replace(out, minus_uv_plus=minus_uv, tau=tau, residual_history=residuals,
-                       newton_steps=newton_steps, fixed_point_residual=float(f),
+        return replace(out, minus_uv_plus=minus_uv, tau=tau, residual_history=self.residuals,
+                       newton_steps=self.newton_steps, fixed_point_residual=float(self.f),
                        stress_consistency=consistency)
+
+    def residual(self, z):
+        return self.local_residual(z * self.scale)
+
+    def direction(self, z):
+        """The full Newton step -J^-1 R at z. The band of J = dR/dz,
+        node-major, goes straight into the (3 BAND + 1, 4n) storage of
+        LAPACK's gbsv, which holds J[i, j] in row 2 BAND + i - j of
+        column j and the fill-in of its pivoting in the BAND rows above;
+        np.linalg.LinAlgError when J is singular."""
+        h = 1.5e-8 * np.maximum(np.abs(z), 1e-8)
+        r = self.residual(np.vstack([z, z + self.colours * h]))
+        # the storage in Fortran order, which gbsv factors in place:
+        # column j of the band is row j of ``band``
+        band = np.zeros((len(z), 3 * BAND + 1))
+        band.ravel()[self.band_index] = (r[1:] - r[0]).ravel()[self.in_band]
+        # each column's differences over its step; 0 stays 0
+        band[:, BAND:] /= h[self.order, None]
+        *_, dz, info = _GBSV(BAND, BAND, band.T, -r[0, self.order],
+                             overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix (LAPACK gbsv info={info})")
+        out = np.empty_like(z)
+        out[self.order] = dz
+        return out
+
+    def scaled_f(self, x):
+        """The scaled max-norm of F at x, and G's evaluation there."""
+        g = self.sweep(x)
+        return np.max(np.abs((_pack(g[2]) - x) / self.scale)), g
+
+    def attempt(self, x):
+        """Newton from x. Each step solves J dz = -R and halves dz until
+        k >= 0, omega > 0 and nu_t >= 0 off the wall (where both are
+        set to 0) and the scaled max-norm of F falls.
+
+        Adds its steps to ``newton_steps`` and ends at scaled F ``f``:
+        with ``result`` the converged state and the row's record where
+        that reached NEWTON_TOL, or with ``reason`` saying why it did not
+        (a row that fails holds its SolverError in ``result``).
+        """
+        n = len(self.grid.y)
+        self.scale = _scale(x)
+        self.f, g = self.scaled_f(x)
+        step = 0
+        while not self.f <= NEWTON_TOL:  # a NaN F, too, goes on to a step
+            if step == NEWTON_STEPS:
+                self.reason = f"Newton stopped at scaled F {self.f:.3e} after {NEWTON_STEPS} steps"
+                break
+            step += 1
+            z = x / self.scale
+            try:
+                dz = self.direction(z)
+            except np.linalg.LinAlgError:
+                self.reason = f"singular Jacobian at Newton step {step}"
+                break
+            for _ in range(40):  # down to a step of 1e-12 dz
+                x_new = (z + dz) * self.scale
+                x_new[n] = x_new[3 * n] = 0.0  # k and nu_t at the wall
+                k, om, nu_t = x_new[n + 1:2 * n], x_new[2 * n:3 * n], x_new[3 * n + 1:]
+                if np.all(k >= 0.0) and np.all(om > 0.0) and np.all(nu_t >= 0.0):
+                    f_new, g = self.scaled_f(x_new)
+                    if f_new < self.f:
+                        break
+                dz = 0.5 * dz
+            else:
+                self.reason = f"no Newton step lowers the scaled F {self.f:.3e} at step {step}"
+                break
+            x, self.f = x_new, f_new
+        self.newton_steps += step
+        if self.f <= NEWTON_TOL:
+            self.result = self.converged(g)
 
 
 def _pack(state):
@@ -912,14 +987,14 @@ def _scale(x):
 
 @functools.lru_cache(maxsize=4)
 def _band_tables(n):
-    """The index tables of ``_Newton`` on n nodes, built once per grid
-    size: the node-major order of the packed positions; the flat place
-    of every band entry (column node i, field f; row node i + d, field
-    g) in gbsv's band storage laid out column by column, in the order of
-    the entries of the colour differences that hold them; which of those
-    entries are in the band; and the 20 colours' columns. Each holds one
-    entry per band entry at most, so the tables of 193 nodes take about
-    160 KB."""
+    """The index tables of the Newton attempts of ``_FixedPoint`` on n
+    nodes, built once per grid size: the node-major order of the packed
+    positions; the flat place of every band entry (column node i, field
+    f; row node i + d, field g) in gbsv's band storage laid out column
+    by column, in the order of the entries of the colour differences
+    that hold them; which of those entries are in the band; and the 20
+    colours' columns. Each holds one entry per band entry at most, so
+    the tables of 193 nodes take about 160 KB."""
     # node-major position 4 i + f -> packed position f n + i
     order = np.arange(4 * n).reshape(4, n).T.ravel()
     i, f, d, g = np.ix_(np.arange(n), np.arange(4), np.arange(-2, 3), np.arange(4))
@@ -928,7 +1003,7 @@ def _band_tables(n):
     def entries(a):
         return np.broadcast_to(a, keep.shape)[keep]
 
-    band = entries((4 * i + f) * (3 * _Newton.BAND + 1) + 2 * _Newton.BAND + 4 * d + g - f)
+    band = entries((4 * i + f) * (3 * BAND + 1) + 2 * BAND + 4 * d + g - f)
     difference = entries((i % 5 * 4 + f) * (4 * n) + g * n + i + d)
     in_band = np.zeros(20 * 4 * n, dtype=bool)
     in_band[difference] = True
@@ -937,93 +1012,6 @@ def _band_tables(n):
     for table in tables:
         table.flags.writeable = False
     return tables
-
-
-class _Newton:
-    """Damped Newton on the local residual R of a ``_FixedPoint`` in
-    scaled variables z = x / scale. R couples nodes at most 2 apart, so
-    with the unknowns ordered node by node (U, k, omega, nu_t of node 0,
-    then of node 1, ...) its Jacobian is banded, every entry within
-    4 * 2 + 3 = 11 of the diagonal. The band is found exactly by forward
-    differences along 20 colours, 5 node classes i mod 5 times the 4
-    fields (Curtis, Powell & Reid, 1974): no two columns of one colour
-    reach the same row. R and the 20 differences are one evaluation of R
-    on a stack of 21 states."""
-
-    BAND = 11
-
-    def __init__(self, fp):
-        self.fp = fp
-        self.n = len(fp.grid.y)
-        self.order, self.band_index, self.in_band, self.colours = _band_tables(self.n)
-
-    def residual(self, z):
-        return self.fp.local_residual(z * self.scale)
-
-    def direction(self, z):
-        """The full Newton step -J^-1 R at z. The band of J = dR/dz,
-        node-major, goes straight into the (3 BAND + 1, 4n) storage of
-        LAPACK's gbsv, which holds J[i, j] in row 2 BAND + i - j of
-        column j and the fill-in of its pivoting in the BAND rows above;
-        np.linalg.LinAlgError when J is singular."""
-        h = 1.5e-8 * np.maximum(np.abs(z), 1e-8)
-        r = self.residual(np.vstack([z, z + self.colours * h]))
-        # the storage in Fortran order, which gbsv factors in place:
-        # column j of the band is row j of ``band``
-        band = np.zeros((len(z), 3 * self.BAND + 1))
-        band.ravel()[self.band_index] = (r[1:] - r[0]).ravel()[self.in_band]
-        # each column's differences over its step; 0 stays 0
-        band[:, self.BAND:] /= h[self.order, None]
-        *_, dz, info = _GBSV(self.BAND, self.BAND, band.T, -r[0, self.order],
-                             overwrite_ab=1, overwrite_b=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular matrix (LAPACK gbsv info={info})")
-        out = np.empty_like(z)
-        out[self.order] = dz
-        return out
-
-    def scaled_f(self, x):
-        """The scaled max-norm of F at x, and G's evaluation there."""
-        g = self.fp.sweep(x)
-        return np.max(np.abs((_pack(g[2]) - x) / self.scale)), g
-
-    def solve(self, x):
-        """Newton from x. Each step solves J dz = -R and halves dz until
-        k >= 0, omega > 0 and nu_t >= 0 off the wall (where both are
-        set to 0) and the scaled max-norm of F falls.
-
-        Returns (g, steps, final scaled F, reason): g is G's evaluation
-        (``_FixedPoint.sweep``) at the x where the scaled max-norm of F
-        reached NEWTON_TOL, None if it did not, and reason says why not.
-        """
-        n = self.n
-        self.scale = _scale(x)
-        f, g = self.scaled_f(x)
-        if f <= NEWTON_TOL:
-            return g, 0, f, None
-        for step in range(1, NEWTON_STEPS + 1):
-            z = x / self.scale
-            try:
-                dz = self.direction(z)
-            except np.linalg.LinAlgError:
-                return None, step, f, f"singular Jacobian at Newton step {step}"
-            for _ in range(40):  # down to a step of 1e-12 dz
-                x_new = (z + dz) * self.scale
-                x_new[n] = x_new[3 * n] = 0.0  # k and nu_t at the wall
-                k, om, nu_t = x_new[n + 1:2 * n], x_new[2 * n:3 * n], x_new[3 * n + 1:]
-                if np.all(k >= 0.0) and np.all(om > 0.0) and np.all(nu_t >= 0.0):
-                    f_new, g = self.scaled_f(x_new)
-                    if f_new < f:
-                        break
-                dz = 0.5 * dz
-            else:
-                return None, step, f, (
-                    f"no Newton step lowers the scaled F {f:.3e} at step {step}")
-            x, f = x_new, f_new
-            if f <= NEWTON_TOL:
-                return g, step, f, None
-        return None, NEWTON_STEPS, f, (
-            f"Newton stopped at scaled F {f:.3e} after {NEWTON_STEPS} steps")
 
 
 def total_shear_error(state: ChannelState) -> float:

@@ -39,10 +39,6 @@ class DnsProfile:
         if not (np.isfinite(self.re_tau) and self.re_tau > 0):
             raise ProfileParseError(f"Re_tau must be finite and positive, got {self.re_tau}")
 
-    @property
-    def k_plus(self) -> np.ndarray:
-        return 0.5 * (self.uu_plus + self.vv_plus + self.ww_plus)
-
     def validate(self) -> None:
         y = self.y_plus
         for name in ("y_plus", "U_plus", "uu_plus", "vv_plus", "ww_plus", "uv_plus"):

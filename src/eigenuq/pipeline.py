@@ -10,6 +10,7 @@ file values.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import os
@@ -484,15 +485,28 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
     return EXIT_OK
 
 
+def _report_field(run_dir, field, value, kind=(str, int, float)):
+    """``value``, the ``field`` of the run in ``run_dir``, if it is of
+    ``kind``, not true or false, and no text with a comma or line break
+    (which would split a row of summary.csv); DataError (exit 4) if not."""
+    if (not isinstance(value, kind) or isinstance(value, bool)
+            or isinstance(value, str) and any(c in value for c in ",\r\n")):
+        raise DataError(f"manifest of {run_dir}: {field} cannot be {value!r}")
+    return value
+
+
 def cmd_report(run_dirs, out_dir) -> int:
     """Aggregate one or more completed run directories into summary.csv."""
     rows = []
     uq_runs = {"datafree": [], "data-driven": []}  # kind -> [(run, width)]
     for run_dir in run_dirs:
         man = read_manifest(run_dir)
-        name = os.path.basename(os.path.normpath(run_dir))
-        cmdname = man.get("command", "")
-        width = man.get("integrated_width", np.nan)
+        field = functools.partial(_report_field, run_dir)
+        settings = field("settings", man.get("settings", {}), dict)
+        channel_settings = field("settings.channel", settings.get("channel", {}), dict)
+        name = field("run name", os.path.basename(os.path.normpath(run_dir)))
+        cmdname = field("command", man.get("command", ""))
+        width = field("integrated_width", man.get("integrated_width", np.nan), (int, float))
         if cmdname == "uq":
             kind = "datafree" if man.get("mode") == "datafree" else "data-driven"
             uq_runs[kind].append((name, width))
@@ -500,11 +514,12 @@ def cmd_report(run_dirs, out_dir) -> int:
             [
                 name,
                 cmdname,
-                man.get("mode", ""),
-                man.get("settings", {}).get("channel", {}).get("re_tau", ""),
+                field("mode", man.get("mode", "")),
+                field("re_tau", channel_settings.get("re_tau", "")),
                 width,
-                man.get("rel_l2_error_U", np.nan),
-                man.get("realizability_violations", np.nan),
+                field("rel_l2_error_U", man.get("rel_l2_error_U", np.nan), (int, float)),
+                field("realizability_violations", man.get("realizability_violations", np.nan),
+                      (int, float)),
                 json.dumps(man.get("iterations", ""), sort_keys=True).replace(",", ";"),
             ]
         )

@@ -403,10 +403,11 @@ class TestInjectedSolve:
         def failed(self, x):
             assert np.array_equal(x, recorded_sweep.last)
             attempts.append(x)
-            return None, 3, 0.5, f"attempt {len(attempts)} failed"
+            self.newton_steps += 3
+            self.f, self.reason = 0.5, f"attempt {len(attempts)} failed"
 
         monkeypatch.setattr(channel, "_picard_sweep", recorded_sweep)
-        monkeypatch.setattr(channel._Newton, "solve", failed)
+        monkeypatch.setattr(channel._FixedPoint, "attempt", failed)
         cfg = ChannelConfig(re_tau=180.0, n_cells=32, max_iters=2 * channel.PICARD_BLOCK + 20)
         inj = channel.PerturbationInjection(mode="datafree", corner="1C", delta_b=1.0)
         with pytest.raises(channel.SolverError, match=(
@@ -484,6 +485,23 @@ class TestStackedSolve:
         envelope = envelope_datafree_180 if delta_b == 1.0 else envelope_datafree_075_180
         self.assert_solved_alone(envelope.baseline, channel.solve(ChannelConfig(re_tau=180.0)),
                                  "baseline")
+
+    @pytest.mark.parametrize("mode", ["pcorr", "pcorr_angles"])
+    def test_baseline_and_one_coupled_row(self, mode):
+        # a corner-free mode has one coupled row, stacked after the
+        # baseline's when no baseline is given: both rows are their own
+        # solves, and the three slots share the one state
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+        rng = np.random.default_rng(5)
+        targets = rng.uniform(-0.05, 0.05, (cfg.n_cells, 2))
+        if mode == "pcorr_angles":
+            targets = np.hstack([targets, rng.uniform(-0.2, 0.2, (cfg.n_cells, 3))])
+        injections = channel.corner_injections(mode, targets=targets)
+        envelope = channel.uq_envelope(cfg, injections)
+        self.assert_solved_alone(envelope.baseline, channel.solve(cfg), "baseline")
+        self.assert_solved_alone(envelope.corner_states["1C"],
+                                 channel.solve(cfg, injections["1C"]), mode)
+        assert len({id(state) for state in envelope.corner_states.values()}) == 1
 
     def test_data_driven_envelope(self, envelope_datadriven_1000, targets_p_1000):
         self.assert_each_corner_solved_alone(
@@ -738,7 +756,7 @@ def converged_newton(request):
     }[request.param]
     injection = channel.PerturbationInjection(request.param, **kwargs)
     state = channel.solve(cfg, injection)
-    newton = channel._Newton(channel._FixedPoint(channel._Grid(state.y_plus), 180.0, injection))
+    newton = channel._FixedPoint(channel._Grid(state.y_plus), 180.0, injection)
     x = channel._pack(state)
     newton.scale = channel._scale(x)
     return newton, x / newton.scale
@@ -761,7 +779,7 @@ class TestLocalResidual:
         monkeypatch.setattr(channel, "_GBSV", recorded_gbsv)
         newton.direction(z)
         (ab,) = factored
-        assert ab.shape == (3 * newton.BAND + 1, len(z))
+        assert ab.shape == (3 * channel.BAND + 1, len(z))
         r = newton.residual(z)
         # the dense forward-difference Jacobian, one column at a time,
         # with the same steps, in node-major order
@@ -771,14 +789,14 @@ class TestLocalResidual:
         for j in range(m):
             moved = z.copy()
             moved[j] += h[j]
-            dense[:, j] = (newton.fp.local_residual(moved * newton.scale) - r) / h[j]
+            dense[:, j] = (newton.local_residual(moved * newton.scale) - r) / h[j]
         dense = dense[np.ix_(newton.order, newton.order)]
         node = np.arange(m) // 4
         assert np.count_nonzero(dense[np.abs(node[:, None] - node) > 2]) == 0
         rows, cols = np.indices((m, m))
-        in_band = np.abs(rows - cols) <= newton.BAND
+        in_band = np.abs(rows - cols) <= channel.BAND
         banded = np.zeros((m, m))
-        banded[in_band] = ab[(2 * newton.BAND + rows - cols)[in_band], cols[in_band]]
+        banded[in_band] = ab[(2 * channel.BAND + rows - cols)[in_band], cols[in_band]]
         for j in range(m):
             assert np.array_equal(banded[:, j], dense[:, j]), f"column {j}"
 
@@ -797,10 +815,10 @@ class TestLocalResidual:
             return local_residual(x)
 
         monkeypatch.setattr(fp, "local_residual", without_nu_t)
-        newton = channel._Newton(fp)
-        g, steps, f, reason = newton.solve(x)
-        assert (g, steps, reason) == (None, 1, "singular Jacobian at Newton step 1")
-        assert f == newton.scaled_f(x)[0] > channel.NEWTON_TOL
+        fp.attempt(x)
+        assert (fp.result, fp.newton_steps, fp.reason) == (
+            None, 1, "singular Jacobian at Newton step 1")
+        assert fp.f == fp.scaled_f(x)[0] > channel.NEWTON_TOL
 
     def test_residual_vanishes_at_the_fixed_point(self, converged_newton):
         newton, z = converged_newton

@@ -423,6 +423,38 @@ class TestReportCommand:
         assert str(tmp_path) in str(info.value)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"settings": []}, "settings"),
+            ({"settings": {"channel": "180"}}, "settings.channel"),
+            ({"integrated_width": "wide"}, "integrated_width"),
+            ({"rel_l2_error_U": None}, "rel_l2_error_U"),
+            ({"realizability_violations": True}, "realizability_violations"),
+            ({"mode": "data,free"}, "mode"),
+            ({"command": "uq\n"}, "command"),
+            ({"settings": {"channel": {"re_tau": "180\r"}}}, "re_tau"),
+            ({"mode": ["datafree"]}, "mode"),
+            ({}, "run name"),
+        ],
+    )
+    def test_malformed_field_rejected(self, tmp_path, fields, name):
+        # a field summary.csv cannot hold, beside a well-formed
+        # data-driven run that a width ratio would be taken against
+        run = tmp_path / ("data,free" if name == "run name" else "datafree")
+        driven = tmp_path / "driven"
+        for d in (run, driven):
+            d.mkdir()
+        doc = {"command": "uq", "mode": "datafree", "integrated_width": 3.0,
+               "settings": {"channel": {"re_tau": "180"}}, **fields}
+        (run / "manifest.json").write_text(json.dumps(doc))
+        pipeline.write_manifest(driven, "uq", fast_settings(),
+                                {"mode": "p", "integrated_width": 1.0})
+        with pytest.raises(DataError, match=rf": {name} cannot be ") as info:
+            pipeline.cmd_report([str(run), str(driven)], tmp_path / "out")
+        assert str(run) in str(info.value)
+        assert not (tmp_path / "out").exists()
+
 
 class TestBenchmarkChecks:
     """The benchmark's own output checks pass on the outputs of a uq run
@@ -522,6 +554,16 @@ class TestCli:
                                 "report", str(run), "--out", str(tmp_path / "d"))
         assert code == 4
         assert f"data error: unreadable manifest {run / 'manifest.json'}" in stderr
+        assert not (tmp_path / "d").exists()
+
+    def test_malformed_manifest_field_exit_four(self, tmp_path, monkeypatch, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "manifest.json").write_text('{"command": "uq", "settings": []}')
+        code, stderr = run_main(monkeypatch, capsys,
+                                "report", str(run), "--out", str(tmp_path / "d"))
+        assert code == 4
+        assert f"data error: manifest of {run}: settings cannot be []" in stderr
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
