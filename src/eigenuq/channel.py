@@ -261,11 +261,25 @@ def _transport_solve(grid, gamma_mid, sink, source, wall_value):
 
 
 def _transport_residual(grid, phi, gamma_mid, sink, source, wall_value):
-    """A phi - b of the system of ``_tridiagonal``."""
-    lower, diag, upper, rhs = _tridiagonal(grid, gamma_mid, sink, source, wall_value)
-    r = diag * phi - rhs
-    r[..., 1:] += lower[..., 1:] * phi[..., :-1]
-    r[..., :-1] += upper[..., :-1] * phi[..., 1:]
+    """A phi - b of the system of ``_tridiagonal``, formed in place from
+    the face coefficients without that system's four full-length arrays:
+    (diag phi - rhs + lower phi_prev) + upper phi_next, each operation in
+    that order, the zeros of the full upper diagonal at the wall and
+    centreline rows included, so R is the same bit for bit."""
+    sub = gamma_mid / grid.sub_den  # lower[1:]
+    sup = gamma_mid[..., 1:] / grid.sup_den  # upper[1:-1]
+    r = np.empty(phi.shape)
+    r[..., 0] = phi[..., 0] - wall_value
+    r[..., 0] += 0.0 * phi[..., 1]
+    # rows 1 to n-1: (-(lower + upper) + sink) phi - (-source), built in r
+    rows = r[..., 1:]
+    np.add(sub[..., :-1], sup, out=rows[..., :-1])
+    rows[..., -1] = sub[..., -1] + 0.0
+    np.subtract(sink[..., 1:], rows, out=rows)
+    rows *= phi[..., 1:]
+    rows += source[..., 1:]
+    rows += sub * phi[..., :-1]
+    rows[..., :-1] += sup * phi[..., 2:]
     return r
 
 

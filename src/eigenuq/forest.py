@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,17 @@ HYPERPARAMS = {
 class RegressionForest:
     """All trees in one node table; tree t starts at node ``roots[t]``
     and its children come after their parents. Leaves have feature -1
-    and children -1; ``value`` holds every node's mean target, read only
-    at leaves."""
+    and children -1, and only leaves have a value: ``value`` holds one
+    row per leaf, the mean target of its training rows, and ``leaf``
+    maps each node to its row (-1 at a split node). Leaf rows follow
+    the table's node order."""
 
     feature: np.ndarray  # (n_nodes,) int
     threshold: np.ndarray  # (n_nodes,)
     left: np.ndarray  # (n_nodes,) int, table-wide node indices
     right: np.ndarray
-    value: np.ndarray  # (n_nodes, n_targets)
+    leaf: np.ndarray  # (n_nodes,) int, row of ``value``
+    value: np.ndarray  # (n_leaves, n_targets)
     roots: np.ndarray  # (n_trees,) int
     hyperparams: ForestHyperparams
     feature_names: list[str] = field(default_factory=list)
@@ -82,7 +85,7 @@ class RegressionForest:
             feat = self.feature[node]
         # tree by tree, so every row sums in one fixed order
         out = np.zeros((X.shape[0], self.n_targets))
-        for leaf_values in self.value[node]:
+        for leaf_values in self.value[self.leaf[node]]:
             out += leaf_values
         return out / len(self.roots)
 
@@ -92,7 +95,7 @@ class RegressionForest:
         for i in self.roots:
             while self.feature[i] >= 0:
                 i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
-            out += self.value[i]
+            out += self.value[self.leaf[i]]
         return out / len(self.roots)
 
 
@@ -165,8 +168,10 @@ def _best_splits(X, Y, rows, count, cand):
 def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
     """Grow all trees together, one level per pass; each tree draws its
     bootstrap, then one candidate set per searching node in breadth-first
-    order. Returns the node columns feature, threshold, left, right, value
-    and the roots: tree by tree, breadth first within a tree."""
+    order. Returns the node columns feature, threshold, left, right and
+    leaf, the leaf values and the roots: tree by tree, breadth first
+    within a tree. A split node's mean target is computed, for the stop
+    check, but not kept."""
     n, n_features = X.shape
     rngs = [np.random.default_rng([hp.seed, t]) for t in range(hp.n_trees)]
     # the open nodes of a level, ordered by tree, then breadth first;
@@ -230,7 +235,9 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
     split = feature >= 0
     left, right = (np.where(split, position[left + side], -1)[order] for side in (0, 1))
     roots = np.searchsorted(tree[order], np.arange(hp.n_trees))
-    return feature[order], threshold[order], left, right, value[order], roots
+    feature, is_leaf = feature[order], ~split[order]
+    leaf = np.where(is_leaf, np.cumsum(is_leaf) - 1, -1)
+    return feature, threshold[order], left, right, leaf, value[order[is_leaf]], roots
 
 
 def fit(
@@ -279,7 +286,10 @@ def mse(forest: RegressionForest, X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def save(forest: RegressionForest, path) -> None:
-    """Schema 1: one node list per tree, child indices local to the tree.
+    """Schema 2: one object per tree. ``split_feature`` has an entry for
+    every node, -1 at a leaf; ``threshold``, ``left`` and ``right`` one
+    for each split node, in node order, with child indices local to the
+    tree; ``leaf_value`` one row for each leaf, in node order.
 
     The file holds the bytes ``json.dump(doc, f)`` writes (floats in
     Python's shortest repr), but each part goes through the C encoder of
@@ -299,12 +309,13 @@ def save(forest: RegressionForest, path) -> None:
         for t, (s, e) in enumerate(bounds):
             if t:
                 f.write(", ")
+            split = forest.feature[s:e] >= 0
             f.write(json.dumps({
                 "split_feature": forest.feature[s:e].tolist(),
-                "threshold": forest.threshold[s:e].tolist(),
-                "left": np.where(forest.left[s:e] >= 0, forest.left[s:e] - s, -1).tolist(),
-                "right": np.where(forest.right[s:e] >= 0, forest.right[s:e] - s, -1).tolist(),
-                "leaf_value": forest.value[s:e].tolist(),
+                "threshold": forest.threshold[s:e][split].tolist(),
+                "left": (forest.left[s:e][split] - s).tolist(),
+                "right": (forest.right[s:e][split] - s).tolist(),
+                "leaf_value": forest.value[forest.leaf[s:e][~split]].tolist(),
             }))
         f.write("]}")
 
@@ -319,13 +330,21 @@ def load(path) -> RegressionForest:
 
 
 def loads(document, name) -> RegressionForest:
-    """The forest of a schema-1 JSON document, text or bytes; a
-    ForestFormatError names the document by ``name``."""
+    """The forest of a schema-2 JSON document (see ``save``), text or
+    bytes; a ForestFormatError names the document by ``name``. A schema-1
+    document, which kept a value row for every node, is rejected too:
+    the forest has to be trained again."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
         raise ForestFormatError(f"{name}: not valid JSON (line {e.lineno})") from e
-    if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version == 1:
+        raise ForestFormatError(
+            f"{name}: schema-1 forest file; this version reads schema {SCHEMA_VERSION} "
+            "only: re-run train"
+        )
+    if version != SCHEMA_VERSION:
         raise ForestFormatError(
             f"{name}: unsupported or missing version tag (expected {SCHEMA_VERSION})"
         )
@@ -335,35 +354,66 @@ def loads(document, name) -> RegressionForest:
         raise ForestFormatError(f"{name}: malformed forest file ({e})") from e
 
 
+def _positive_int(doc, key):
+    value = doc[key]
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _indices(tree, t, key):
+    """The integer list ``key`` of tree t as an int64 array; a float or a
+    text entry, which a cast to int64 would truncate or parse, is a
+    defect."""
+    a = np.array(tree[key])
+    if a.size and a.dtype.kind != "i":
+        raise ValueError(f"tree {t}: {key} holds a non-integer entry")
+    return a.astype(np.int64)
+
+
 def _pack(doc: dict) -> RegressionForest:
-    """The node table of a schema-1 document; raises ValueError naming
-    the first defect that would make ``predict`` fail, hang or misshape."""
-    n_features, n_targets = int(doc["n_features"]), int(doc["n_targets"])
-    if not doc["trees"]:
+    """The node table of a schema-2 document; raises ValueError naming
+    the first defect that would make ``predict`` fail, hang or misshape.
+    Each tree's lists leave ``doc`` once they are arrays."""
+    n_features, n_targets = _positive_int(doc, "n_features"), _positive_int(doc, "n_targets")
+    trees = doc["trees"]
+    if not trees:
         raise ValueError("no trees")
-    roots, tables, offset = [], [], 0
-    for t, tree in enumerate(doc["trees"]):
-        feature, left, right = (
-            np.array(tree[key], dtype=np.int64) for key in ("split_feature", "left", "right")
-        )
-        threshold = np.array(tree["threshold"], dtype=float)
-        value = np.array(tree["leaf_value"], dtype=float)
-        m = len(feature)
-        if m == 0 or any(a.shape != (m,) for a in (feature, threshold, left, right)):
-            raise ValueError(f"tree {t}: node lists are empty or differ in length")
-        if value.shape != (m, n_targets):
-            raise ValueError(f"tree {t}: leaf_value is {value.shape}, expected ({m}, {n_targets})")
+    roots, tables, offset, leaves = [], [], 0, 0
+    for t, tree in enumerate(trees):
+        trees[t] = None
+        feature = _indices(tree, t, "split_feature")
+        if feature.ndim != 1 or len(feature) == 0:
+            raise ValueError(f"tree {t}: split_feature is not a non-empty list")
         if np.any((feature < -1) | (feature >= n_features)):
             raise ValueError(f"tree {t}: split feature outside [-1, {n_features})")
-        i = np.arange(m)
         split = feature >= 0
-        inside = (i < left) & (left < m) & (i < right) & (right < m)
-        if not np.all(np.where(split, inside, (left == -1) & (right == -1))):
+        m, n_split = len(feature), int(np.count_nonzero(split))
+        threshold = np.array(tree["threshold"], dtype=float)
+        left, right = (_indices(tree, t, key) for key in ("left", "right"))
+        for key, a in (("threshold", threshold), ("left", left), ("right", right)):
+            if a.shape != (n_split,):
+                raise ValueError(
+                    f"tree {t}: {key} is {a.shape}, expected ({n_split},), one per split node"
+                )
+        value = np.array(tree["leaf_value"], dtype=float)
+        if value.shape != (m - n_split, n_targets):
+            raise ValueError(
+                f"tree {t}: leaf_value is {value.shape}, expected ({m - n_split}, {n_targets})"
+            )
+        i = np.flatnonzero(split)
+        if not np.all((i < left) & (left < m) & (i < right) & (right < m)):
             raise ValueError(f"tree {t}: a child is not after its parent inside the tree")
-        left, right = np.where(split, left + offset, -1), np.where(split, right + offset, -1)
-        tables.append((feature, threshold, left, right, value))
+        at_split = np.zeros(m)
+        at_split[split] = threshold
+        children = np.full((2, m), -1, dtype=np.int64)
+        children[:, split] = left + offset, right + offset
+        leaf = np.full(m, -1, dtype=np.int64)
+        leaf[~split] = np.arange(leaves, leaves + m - n_split)
+        tables.append((feature, at_split, *children, leaf, value))
         roots.append(offset)
         offset += m
+        leaves += m - n_split
     return RegressionForest(
         *(np.concatenate(column) for column in zip(*tables)),
         roots=np.array(roots),

@@ -506,15 +506,18 @@ def cmd_report(run_dirs, out_dir) -> int:
         channel_settings = field("settings.channel", settings.get("channel", {}), dict)
         name = field("run name", os.path.basename(os.path.normpath(run_dir)))
         cmdname = field("command", man.get("command", ""))
+        mode = field("mode", man.get("mode", ""))
         width = field("integrated_width", man.get("integrated_width", np.nan), (int, float))
         if cmdname == "uq":
-            kind = "datafree" if man.get("mode") == "datafree" else "data-driven"
+            if mode not in channel.PerturbationInjection.TAKES:
+                raise DataError(f"manifest of {run_dir}: mode cannot be {man.get('mode')!r}")
+            kind = "datafree" if mode == "datafree" else "data-driven"
             uq_runs[kind].append((name, width))
         rows.append(
             [
                 name,
                 cmdname,
-                field("mode", man.get("mode", "")),
+                mode,
                 field("re_tau", channel_settings.get("re_tau", "")),
                 width,
                 field("rel_l2_error_U", man.get("rel_l2_error_U", np.nan), (int, float)),

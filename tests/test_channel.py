@@ -739,11 +739,11 @@ class TestInputsStayIntact:
         assert calls == {"apply_rotation": 1, "compute": 1}
 
 
-@pytest.fixture(scope="module", params=MODES)
+@pytest.fixture(scope="module", params=[*MODES, "baseline", "prescribed"])
 def converged_newton(request):
     """A Newton solver at the converged small-grid corner of each mode
-    (forest-like targets from a fixed seed), its scale set, and the
-    scaled state z."""
+    (forest-like targets from a fixed seed), at the baseline and under a
+    prescribed stress, its scale set, and the scaled state z."""
     cfg = ChannelConfig(re_tau=180.0, n_cells=32)
     rng = np.random.default_rng(5)
     n = cfg.n_cells
@@ -753,18 +753,36 @@ def converged_newton(request):
         "p": {"corner": "2C", "targets": rng.uniform(0.0, 0.3, (n, 1))},
         "pcorr": {"targets": p_corr},
         "pcorr_angles": {"targets": np.hstack([p_corr, rng.uniform(-0.2, 0.2, (n, 3))])},
-    }[request.param]
-    injection = channel.PerturbationInjection(request.param, **kwargs)
+    }
+    if request.param == "baseline":
+        injection = None
+    elif request.param == "prescribed":
+        injection = channel.FrozenStressInjection(profile=dns.synthetic_profile(180.0))
+    else:
+        injection = channel.PerturbationInjection(request.param, **kwargs[request.param])
     state = channel.solve(cfg, injection)
-    newton = channel._FixedPoint(channel._Grid(state.y_plus), 180.0, injection)
+    newton = channel._FixedPoint.under(channel._Grid(state.y_plus), state, injection)
     x = channel._pack(state)
     newton.scale = channel._scale(x)
     return newton, x / newton.scale
 
 
+# How far R reaches, column field -> row field: REACH[f][g] is the largest
+# |i - j| at which field f of node j enters the row of field g of node i
+# (None: never), fields in packed order. It is the union of what the
+# converged_newton cases measure; a colouring of the Jacobian may rely on
+# it.
+REACH = {
+    "U": {"U": 2, "k": 1, "omega": 1, "nu_t": 1},
+    "k": {"U": 1, "k": 2, "omega": 2, "nu_t": 0},
+    "omega": {"U": None, "k": 2, "omega": 2, "nu_t": 0},
+    "nu_t": {"U": 1, "k": 1, "omega": 1, "nu_t": 0},
+}
+
+
 class TestLocalResidual:
     """The banded Jacobian Newton solves with is the whole Jacobian of
-    the local residual R, and R vanishes at a converged corner."""
+    the local residual R, and R vanishes at a converged state."""
 
     def test_banded_jacobian_is_the_dense_one(self, converged_newton, monkeypatch):
         newton, z = converged_newton
@@ -791,14 +809,46 @@ class TestLocalResidual:
             moved[j] += h[j]
             dense[:, j] = (newton.local_residual(moved * newton.scale) - r) / h[j]
         dense = dense[np.ix_(newton.order, newton.order)]
-        node = np.arange(m) // 4
-        assert np.count_nonzero(dense[np.abs(node[:, None] - node) > 2]) == 0
+        # node-major: entry 4 i + f is field f of node i
+        node, fields = np.divmod(np.arange(m), 4)
+        reach = np.array([[-1 if d is None else d for d in row.values()]
+                          for row in REACH.values()])  # [column field, row field]
+        allowed = np.abs(node[:, None] - node) <= reach[fields, fields[:, None]]
+        assert np.count_nonzero(dense[~allowed]) == 0
         rows, cols = np.indices((m, m))
         in_band = np.abs(rows - cols) <= channel.BAND
         banded = np.zeros((m, m))
         banded[in_band] = ab[(2 * channel.BAND + rows - cols)[in_band], cols[in_band]]
         for j in range(m):
             assert np.array_equal(banded[:, j], dense[:, j]), f"column {j}"
+
+    @pytest.mark.parametrize(
+        "lead, coefficient_lead",
+        [((), ()), ((3,), (3,)), ((2, 3), (2, 3)), ((3,), ())],
+        ids=["one_row", "stack", "k_and_omega", "shared_coefficients"],
+    )
+    def test_transport_residual_is_the_tridiagonal_one(self, lead, coefficient_lead):
+        # A phi - b as the full diagonals of _tridiagonal give it, bit for
+        # bit: NaN, infinities and signed zeros in phi included
+        n = 33
+        grid = channel._Grid(channel.make_grid(180.0, n, 0.5))
+        rng = np.random.default_rng(3)
+        gamma = rng.uniform(0.5, 2.0, coefficient_lead + (n - 1,))
+        sink = -rng.uniform(0.0, 1.0, coefficient_lead + (n,))
+        source = rng.normal(size=coefficient_lead + (n,))
+        phi = rng.normal(size=lead + (n,))
+        phi[..., 0] = -0.0  # minus the wall value 0 gives -0
+        phi.ravel()[rng.choice(phi.size, 6, replace=False)] = [
+            np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300]
+        wall = grid.walls.reshape(2, 1) if lead == (2, 3) else 0.0
+        lower, diag, upper, rhs = channel._tridiagonal(grid, gamma, sink, source, wall)
+        expected = diag * phi - rhs
+        expected[..., 1:] += lower[..., 1:] * phi[..., :-1]
+        expected[..., :-1] += upper[..., :-1] * phi[..., 1:]
+        r = channel._transport_residual(grid, phi, gamma, sink, source, wall)
+        assert r.shape == expected.shape
+        assert np.array_equal(r, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(r), np.signbit(expected))
 
     def test_singular_jacobian_ends_the_attempt(self, monkeypatch):
         # a local residual that does not depend on nu_t has zero nu_t

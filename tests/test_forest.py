@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from collections import deque
 from dataclasses import asdict
@@ -32,29 +33,48 @@ def assert_saves_the_same(fitted, expected, out):
 
 
 def reference_save(fitted, path):
-    """Schema 1 as one document through ``json.dump``: the bytes ``save``
-    must write."""
-    bounds = zip(fitted.roots, [*fitted.roots[1:], len(fitted.feature)])
+    """Schema 2 as one document through ``json.dump``: the bytes ``save``
+    must write. Per tree, split_feature for every node, threshold and
+    tree-local children for the split nodes and leaf_value for the
+    leaves, each in node order."""
+    trees, roots = [], fitted.roots.tolist()
+    for s, e in zip(roots, [*roots[1:], len(fitted.feature)]):
+        nodes = range(s, e)
+        splits = [i for i in nodes if fitted.feature[i] >= 0]
+        trees.append({
+            "split_feature": [int(fitted.feature[i]) for i in nodes],
+            "threshold": [float(fitted.threshold[i]) for i in splits],
+            "left": [int(fitted.left[i]) - s for i in splits],
+            "right": [int(fitted.right[i]) - s for i in splits],
+            "leaf_value": [fitted.value[fitted.leaf[i]].tolist()
+                           for i in nodes if fitted.feature[i] < 0],
+        })
     doc = {
-        "version": forest.SCHEMA_VERSION,
+        "version": 2,
         "hyperparams": asdict(fitted.hyperparams),
         "feature_names": fitted.feature_names,
         "target_names": fitted.target_names,
         "n_features": fitted.n_features,
         "n_targets": fitted.n_targets,
-        "trees": [
-            {
-                "split_feature": fitted.feature[s:e].tolist(),
-                "threshold": fitted.threshold[s:e].tolist(),
-                "left": np.where(fitted.left[s:e] >= 0, fitted.left[s:e] - s, -1).tolist(),
-                "right": np.where(fitted.right[s:e] >= 0, fitted.right[s:e] - s, -1).tolist(),
-                "leaf_value": fitted.value[s:e].tolist(),
-            }
-            for s, e in bounds
-        ],
+        "trees": trees,
     }
     with open(path, "w") as f:
         json.dump(doc, f)
+
+
+def schema_1_doc(doc):
+    """The schema-1 layout of a schema-2 document: every list has an
+    entry per node (threshold 0, children -1 and value 0 where schema 2
+    has none)."""
+    for tree in doc["trees"]:
+        splits = iter(zip(tree["threshold"], tree["left"], tree["right"]))
+        leaves = iter(tree["leaf_value"])
+        zero = [0.0] * doc["n_targets"]
+        nodes = [(*next(splits), zero) if f >= 0 else (0.0, -1, -1, next(leaves))
+                 for f in tree["split_feature"]]
+        tree.update(zip(("threshold", "left", "right", "leaf_value"), map(list, zip(*nodes))))
+    doc["version"] = 1
+    return doc
 
 
 def assert_saves_as_json_dump(fitted, out):
@@ -86,7 +106,7 @@ def reference_split(X, Y, idx, cand):
 
 def reference_fit(X, Y, hp):
     """``forest.fit`` one node at a time, each tree breadth first from a queue."""
-    nodes, roots = [], []  # node: [feature, threshold, left, right, value]
+    nodes, values, roots = [], [], []  # node: [feature, threshold, left, right, leaf]
     for t in range(hp.n_trees):
         rng = np.random.default_rng([hp.seed, t])
         roots.append(len(nodes))
@@ -94,22 +114,24 @@ def reference_fit(X, Y, hp):
         while queue:
             idx, depth = queue.popleft()
             y = Y[idx]
-            nodes.append([-1, 0.0, -1, -1, y.mean(axis=0)])
-            if (
+            nodes.append([-1, 0.0, -1, -1, len(values)])
+            split = None
+            if not (
                 depth >= hp.max_depth
                 or len(idx) < hp.min_samples_split
                 or np.all(y.var(axis=0) <= 0.0)
             ):
-                continue
-            split = reference_split(X, Y, idx, rng.permutation(X.shape[1])[: hp.max_features])
+                split = reference_split(X, Y, idx, rng.permutation(X.shape[1])[: hp.max_features])
             if split is None:
+                values.append(y.mean(axis=0))
                 continue
             mask = X[idx, split[0]] <= split[1]
             given = len(nodes) + len(queue)  # the children's indices, first in first out
-            nodes[-1][:4] = *split, given, given + 1
+            nodes[-1] = [*split, given, given + 1, -1]
             queue += [(idx[mask], depth + 1), (idx[~mask], depth + 1)]
     return forest.RegressionForest(
         *(np.array(column) for column in zip(*nodes)),
+        value=np.array(values),
         roots=np.array(roots),
         hyperparams=hp,
         n_features=X.shape[1],
@@ -317,30 +339,68 @@ class TestSerialization:
         path, doc = saved_doc(tmp_path)
         loaded = forest.load(path)
         sizes = [len(tree["split_feature"]) for tree in doc["trees"]]
+        n_leaves = sum(len(tree["leaf_value"]) for tree in doc["trees"])
         assert loaded.roots.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
-        assert loaded.value.shape == (sum(sizes), doc["n_targets"])
+        assert loaded.value.shape == (n_leaves, doc["n_targets"])
         assert loaded.n_targets == doc["n_targets"] == 2
+        # leaf rows in node order, one per leaf
+        assert loaded.leaf[loaded.feature < 0].tolist() == list(range(n_leaves))
+        assert np.all(loaded.leaf[loaded.feature >= 0] == -1)
 
     @pytest.mark.parametrize(
         "key, edit, message",
         [
-            ("left", lambda v: [0, *v[1:]], "a child is not after its parent"),
-            ("right", lambda v: [len(v), *v[1:]], "a child is not after its parent"),
-            ("split_feature", lambda v: [4, *v[1:]], r"split feature outside \[-1, 4\)"),
-            ("split_feature", lambda v: [-2, *v[1:]], r"split feature outside \[-1, 4\)"),
-            ("leaf_value", lambda v: v[:-1], r"leaf_value is \(\d+, 2\), expected"),
-            ("leaf_value", lambda v: [[*row, 0.0] for row in v], r"leaf_value is \(\d+, 3\)"),
+            ("left", lambda v, tree: [0, *v[1:]], "a child is not after its parent"),
+            ("right", lambda v, tree: [len(tree["split_feature"]), *v[1:]],
+             "a child is not after its parent"),
+            ("split_feature", lambda v, tree: [4, *v[1:]], r"split feature outside \[-1, 4\)"),
+            ("split_feature", lambda v, tree: [-2, *v[1:]], r"split feature outside \[-1, 4\)"),
+            ("split_feature", lambda v, tree: [], "split_feature is not a non-empty list"),
+            ("split_feature", lambda v, tree: [v[0] + 0.5, *v[1:]],
+             "split_feature holds a non-integer entry"),
+            ("left", lambda v, tree: [float(v[0]), *v[1:]], "left holds a non-integer entry"),
+            ("right", lambda v, tree: [str(v[0]), *v[1:]], "right holds a non-integer entry"),
+            ("threshold", lambda v, tree: [0.0] * len(tree["split_feature"]),
+             r"threshold is \(\d+,\), expected \(\d+,\), one per split node"),
+            ("left", lambda v, tree: v[:-1], r"left is \(\d+,\), expected \(\d+,\)"),
+            ("right", lambda v, tree: [*v, len(tree["split_feature"]) - 1],
+             r"right is \(\d+,\), expected \(\d+,\)"),
+            ("leaf_value", lambda v, tree: v[:-1], r"leaf_value is \(\d+, 2\), expected"),
+            ("leaf_value", lambda v, tree: [[0.0, 0.0]] * len(tree["split_feature"]),
+             r"leaf_value is \(\d+, 2\), expected"),
+            ("leaf_value", lambda v, tree: [[*row, 0.0] for row in v],
+             r"leaf_value is \(\d+, 3\)"),
         ],
         ids=["cycle", "child_outside_tree", "feature_too_large", "feature_below_leaf",
-             "leaf_value_rows", "leaf_value_width"],
+             "no_nodes", "feature_not_integer", "left_float", "right_text",
+             "threshold_per_node", "left_short", "right_long",
+             "leaf_value_rows", "leaf_value_per_node", "leaf_value_width"],
     )
     def test_load_rejects_malformed_tree(self, tmp_path, key, edit, message):
         path, doc = saved_doc(tmp_path)
         tree = doc["trees"][1]
         assert tree["split_feature"][0] >= 0  # the root splits
-        tree[key] = edit(tree[key])
+        tree[key] = edit(tree[key], tree)
         path.write_text(json.dumps(doc))
         with pytest.raises(ForestFormatError, match=f"tree 1: {message}"):
+            forest.load(path)
+
+    @pytest.mark.parametrize("key", ["n_features", "n_targets"])
+    @pytest.mark.parametrize("count", [2.0, "2", True, None, 0, -1])
+    def test_load_rejects_count_that_is_not_a_positive_integer(self, tmp_path, key, count):
+        path, doc = saved_doc(tmp_path)
+        doc[key] = count
+        path.write_text(json.dumps(doc))
+        message = f"{key} must be a positive integer, got {re.escape(repr(count))}"
+        with pytest.raises(ForestFormatError, match=message):
+            forest.load(path)
+
+    def test_load_rejects_schema_1(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        path.write_text(json.dumps(schema_1_doc(doc)))
+        with pytest.raises(ForestFormatError,
+                           match=f"^{re.escape(str(path))}: schema-1 forest file; this version "
+                                 "reads schema 2 only: re-run train$"):
             forest.load(path)
 
     def test_load_rejects_file_without_trees(self, tmp_path):
@@ -385,3 +445,16 @@ class TestSerialization:
             tracemalloc.stop()
         # the whole document as one object peaks at about 3.4 MB
         assert peak < 1e6
+
+    def test_loads_peak_memory(self, trained_forests, tmp_path):
+        path = tmp_path / "forest.json"
+        forest.save(trained_forests["pcorr_angles"], path)
+        document = path.read_bytes()
+        tracemalloc.start()
+        try:
+            forest.loads(document, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a schema-1 file of this forest peaked at 5.32 MB, schema 2 at 2.6 MB
+        assert peak < 4.5e6

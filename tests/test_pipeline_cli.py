@@ -455,6 +455,26 @@ class TestReportCommand:
         assert str(run) in str(info.value)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", [None, "", "data-driven", "Datafree", 3])
+    def test_uq_mode_must_be_known(self, tmp_path, mode):
+        # a uq run of no mode or an unknown one is not the data-driven run
+        # a width ratio would be taken against; a baseline needs no mode
+        free, run, base = (tmp_path / name for name in ("free", "run", "base"))
+        for d in (free, run, base):
+            d.mkdir()
+        (free / "manifest.json").write_text(
+            json.dumps({"command": "uq", "mode": "datafree", "integrated_width": 300.0}))
+        doc = {"command": "uq", "integrated_width": 50.0}
+        if mode is not None:
+            doc["mode"] = mode
+        (run / "manifest.json").write_text(json.dumps(doc))
+        (base / "manifest.json").write_text(json.dumps({"command": "baseline"}))
+        with pytest.raises(DataError) as info:
+            pipeline.cmd_report([str(free), str(run), str(base)], tmp_path / "out")
+        assert str(info.value) == f"manifest of {run}: mode cannot be {mode!r}"
+        assert not (tmp_path / "out").exists()
+        assert pipeline.cmd_report([str(free), str(base)], tmp_path / "out") == 0
+
 
 class TestBenchmarkChecks:
     """The benchmark's own output checks pass on the outputs of a uq run
@@ -637,6 +657,24 @@ class TestCli:
         assert code == 4, stderr
         assert "data error" in stderr
         assert r"split feature outside [-1, 6)" in stderr
+        assert not (tmp_path / "d").exists()
+
+    def test_schema_1_forest_exit_four(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(0)
+        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
+        path = tmp_path / "forest_p.json"
+        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 1  # the tag alone decides: no schema-1 layout is parsed
+        path.write_text(json.dumps(doc))
+        code, stderr = run_main(
+            monkeypatch, capsys,
+            "uq", "--mode", "p", "--forest", str(path), "--re-tau", "180",
+            "--out", str(tmp_path / "d"),
+        )
+        assert code == 4, stderr
+        assert f"data error: {path}: schema-1 forest file" in stderr
+        assert "re-run train" in stderr
         assert not (tmp_path / "d").exists()
 
     DEFECT_MESSAGES = {
