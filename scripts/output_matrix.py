@@ -2,19 +2,26 @@
 two checkouts can be compared byte for byte.
 
     python3 scripts/output_matrix.py OUT_DIR
+    python3 scripts/output_matrix.py --compare OUT_A OUT_B
 
 The package is imported from the ``src`` directory next to this script,
 so each checkout runs its own code. OUT_DIR must not exist yet; each
 command writes into its own subdirectory of it, and the data-driven
-``uq`` runs read the forests of this run's ``train`` commands. Compare
-two checkouts with ``diff -r OUT_A OUT_B``: the commands are
-deterministic, so every file (CSVs, forests and manifests) must be
-identical unless the change alters the numbers on purpose.
+``uq`` runs read the forests of this run's ``train`` commands. The
+commands are deterministic, so every file (CSVs, forests and manifests)
+of two checkouts must be identical unless the change alters the numbers
+on purpose. ``--compare`` lists the files that differ between two such
+directories (or are in one only), prints the largest |difference| of
+every numeric column of each differing CSV, and exits with status 1 if
+any file differs.
 """
 
+import csv
 import os
 import sys
 import time
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -49,10 +56,64 @@ COMMANDS = [
 ]
 
 
+def _files(top):
+    return {os.path.relpath(os.path.join(d, name), top)
+            for d, _, names in os.walk(top) for name in names}
+
+
+def _csv_deltas(path_a, path_b):
+    """One line per column of two CSV files of the same header and
+    length: the largest |a - b| of a numeric column (NaN against NaN
+    counts as equal), or whether a text column differs."""
+    tables = []
+    for path in (path_a, path_b):
+        with open(path, newline="") as f:
+            header, *rows = csv.reader(f)
+        tables.append((header, rows))
+    (header, rows_a), (header_b, rows_b) = tables
+    if header != header_b or len(rows_a) != len(rows_b):
+        return [f"header or row count differs ({len(rows_a)} against {len(rows_b)} rows)"]
+    lines = []
+    for name, a, b in zip(header, zip(*rows_a), zip(*rows_b)):
+        try:
+            x, y = np.array(a, dtype=float), np.array(b, dtype=float)
+        except ValueError:
+            lines.append(f"{name}: text {'differs' if a != b else 'identical'}")
+            continue
+        delta = np.where((x == y) | (np.isnan(x) & np.isnan(y)), 0.0, np.abs(x - y))
+        lines.append(f"{name}: max |delta| {delta.max(initial=0.0):.3e}")
+    return lines
+
+
+def compare(a, b):
+    """Print how the output directories ``a`` and ``b`` differ; the exit
+    status, 1 if any file differs and 0 otherwise."""
+    files_a, files_b = _files(a), _files(b)
+    names = sorted(files_a | files_b)
+    differ = 0
+    for name in names:
+        if name not in files_a or name not in files_b:
+            print(f"only in {a if name in files_a else b}: {name}")
+        else:
+            with open(os.path.join(a, name), "rb") as fa, open(os.path.join(b, name), "rb") as fb:
+                if fa.read() == fb.read():
+                    continue
+            print(f"differs: {name}")
+            if name.endswith(".csv"):
+                for line in _csv_deltas(os.path.join(a, name), os.path.join(b, name)):
+                    print(f"  {line}")
+        differ += 1
+    print(f"{differ} of {len(names)} files differ")
+    return 1 if differ else 0
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        sys.exit(compare(*args[1:]))
     if len(args) != 1:
-        sys.exit("usage: python3 scripts/output_matrix.py OUT_DIR")
+        sys.exit("usage: python3 scripts/output_matrix.py OUT_DIR\n"
+                 "       python3 scripts/output_matrix.py --compare OUT_A OUT_B")
     out = args[0]
     os.makedirs(out)  # fails if it exists: no file of an earlier run may remain
     os.chdir(out)  # relative run paths, so no file records where OUT_DIR is

@@ -86,14 +86,37 @@ _GBSV = _flapack.dgbsv
 # the one of each iterate by min(STRESS_RELAX, 1 / (1 + nu_t))) run in
 # blocks of PICARD_BLOCK; after each block, damped Newton on the local
 # residual (``_FixedPoint.attempt``) takes over on a copy for at most
-# NEWTON_STEPS steps, each one evaluation of that residual on 21 states
+# NEWTON_STEPS steps, each one evaluation of that residual on 17 states
 # and one LAPACK gbsv call. A solve is done at a scaled max-norm of
 # F = G(x) - x of NEWTON_TOL.
 STRESS_RELAX = 0.2
 PICARD_BLOCK = 50
 NEWTON_STEPS = 40
 NEWTON_TOL = 1e-10
-BAND = 11  # the half-bandwidth of Newton's node-major Jacobian (``_FixedPoint``)
+
+# How far the local residual R reaches, column field -> row field, fields
+# in packed order (U, k, omega, nu_t): _REACH[f, g] is the largest |i - j|
+# at which field f of node j enters the row of field g of node i, -1 where
+# it never does. Newton's band and colouring rest on it (``_FixedPoint``).
+_REACH = np.array([
+    [2, 1, 1, 1],  # U
+    [1, 2, 2, 0],  # k
+    [-1, 2, 2, 0],  # omega
+    [1, 1, 1, 0],  # nu_t
+])
+_REACH.flags.writeable = False
+# the half-bandwidth of Newton's node-major Jacobian: field g of node
+# j + d sits 4 d + g - f rows from field f of node j, at most
+# 4 _REACH[f, g] + |g - f| away
+BAND = int(max(4 * r + abs(g - f) for (f, g), r in np.ndenumerate(_REACH) if r >= 0))
+# Newton's 16 colours: field f of node i is in colour
+# _COLOUR_BASE[f] + (i - _COLOUR_SHIFT[f]) mod 8, so U of node i shares
+# colour i mod 8 with omega of node i + 4, and k of node i colour
+# 8 + i mod 8 with nu_t of node i + 4. By _REACH no two columns of one
+# colour reach the same row.
+_COLOURS = 16
+_COLOUR_BASE = np.array([0, 8, 0, 8])
+_COLOUR_SHIFT = np.array([0, 0, 4, 4])
 
 
 class SolverError(RuntimeError):
@@ -793,14 +816,16 @@ class _FixedPoint:
 
     Each row of a solve is one fixed point, which also keeps the row's
     record and runs its damped Newton attempts on R in scaled variables
-    z = x / scale. R couples nodes at most 2 apart, so with the unknowns
-    ordered node by node (U, k, omega, nu_t of node 0, then of node 1,
-    ...) its Jacobian is banded, every entry within 4 * 2 + 3 = BAND of
-    the diagonal. The band is found exactly by forward differences along
-    20 colours, 5 node classes i mod 5 times the 4 fields (Curtis,
-    Powell & Reid, 1974): no two columns of one colour reach the same
-    row. R and the 20 differences are one evaluation of R on a stack of
-    21 states."""
+    z = x / scale. R couples nodes at most 2 apart, field by field as
+    ``_REACH`` says, so with the unknowns ordered node by node (U, k,
+    omega, nu_t of node 0, then of node 1, ...) its Jacobian is banded,
+    every entry within BAND = 9 of the diagonal (k at node j reaches omega
+    at j + 2: 4 * 2 + 1). The band is found exactly by forward
+    differences along 16 colours, U of node i with omega of node i + 4
+    and k of node i with nu_t of node i + 4, each pair at the 8 node
+    classes i mod 8 (Curtis, Powell & Reid, 1974): no two columns of one
+    colour reach the same row. R and the 16 differences are one
+    evaluation of R on a stack of 17 states."""
 
     def __init__(self, grid, re_tau, injection=None, tau=None):
         self.grid, self.re_tau, self.injection = grid, re_tau, injection
@@ -811,7 +836,7 @@ class _FixedPoint:
         # the fixed points of a stack's rows, and the (rows, 1) mask of
         # its baseline row (see ``stack``)
         self.rows, self.eddy = [self], None
-        self.order, self.band_index, self.in_band, self.colours = _band_tables(len(grid.y))
+        self.order, self.band_index, self.reached, self.colours = _band_tables(len(grid.y))
         self.residuals = []  # the relative change of each Picard sweep
         self.newton_steps = 0  # of all attempts
         self.f = self.reason = self.result = None  # see ``attempt``
@@ -928,7 +953,7 @@ class _FixedPoint:
         # the storage in Fortran order, which gbsv factors in place:
         # column j of the band is row j of ``band``
         band = np.zeros((len(z), 3 * BAND + 1))
-        band.ravel()[self.band_index] = (r[1:] - r[0]).ravel()[self.in_band]
+        band.ravel()[self.band_index] = (r[1:] - r[0]).ravel()[self.reached]
         # each column's differences over its step; 0 stays 0
         band[:, BAND:] /= h[self.order, None]
         *_, dz, info = _GBSV(BAND, BAND, band.T, -r[0, self.order],
@@ -1003,26 +1028,30 @@ def _scale(x):
 def _band_tables(n):
     """The index tables of the Newton attempts of ``_FixedPoint`` on n
     nodes, built once per grid size: the node-major order of the packed
-    positions; the flat place of every band entry (column node i, field
-    f; row node i + d, field g) in gbsv's band storage laid out column
-    by column, in the order of the entries of the colour differences
-    that hold them; which of those entries are in the band; and the 20
-    colours' columns. Each holds one entry per band entry at most, so
-    the tables of 193 nodes take about 160 KB."""
+    positions; the flat place of every reached entry (column node i,
+    field f; row node i + d, field g, |d| <= _REACH[f, g]) in gbsv's band
+    storage laid out column by column, in the order of the entries of
+    the colour differences that hold them; which of those entries are
+    reached; and the 16 colours' columns. Only reached entries are kept:
+    a difference entry outside one column's reach may hold the entry of
+    the other field of its colour. Each table holds one entry per
+    reached entry at most, so the tables of 193 nodes take about 90 KB."""
     # node-major position 4 i + f -> packed position f n + i
     order = np.arange(4 * n).reshape(4, n).T.ravel()
-    i, f, d, g = np.ix_(np.arange(n), np.arange(4), np.arange(-2, 3), np.arange(4))
-    keep = np.broadcast_to((i + d >= 0) & (i + d < n), (n, 4, 5, 4))
-
-    def entries(a):
-        return np.broadcast_to(a, keep.shape)[keep]
-
-    band = entries((4 * i + f) * (3 * BAND + 1) + 2 * BAND + 4 * d + g - f)
-    difference = entries((i % 5 * 4 + f) * (4 * n) + g * n + i + d)
-    in_band = np.zeros(20 * 4 * n, dtype=bool)
-    in_band[difference] = True
-    colours = (np.arange(n) % 5 * 4 + np.arange(4)[:, None]).ravel() == np.arange(20)[:, None]
-    tables = order, band[np.argsort(difference)], in_band, colours
+    colour = _COLOUR_BASE[:, None] + (np.arange(n) - _COLOUR_SHIFT[:, None]) % 8  # (4, n)
+    # each reached entry's band place at its difference entry, read back
+    # in the order of the differences; one node range at a time, so no
+    # temporary outgrows the tables
+    band = np.empty(_COLOURS * 4 * n, dtype=np.intp)
+    reached = np.zeros(band.shape, dtype=bool)
+    for (f, g), r in np.ndenumerate(_REACH):
+        for d in range(-r, r + 1):
+            i = np.arange(max(0, -d), n - max(0, d))  # the nodes with i + d inside
+            difference = (colour[f, i] * 4 + g) * n + i + d
+            reached[difference] = True
+            band[difference] = (4 * i + f) * (3 * BAND + 1) + 2 * BAND + 4 * d + g - f
+    colours = colour.ravel() == np.arange(_COLOURS)[:, None]
+    tables = order, band[reached], reached, colours
     for table in tables:
         table.flags.writeable = False
     return tables

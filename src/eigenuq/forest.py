@@ -339,6 +339,8 @@ def loads(document, name) -> RegressionForest:
     except json.JSONDecodeError as e:
         raise ForestFormatError(f"{name}: not valid JSON (line {e.lineno})") from e
     version = doc.get("version") if isinstance(doc, dict) else None
+    if type(version) is not int:  # JSON true is no version, though True == 1
+        version = None
     if version == 1:
         raise ForestFormatError(
             f"{name}: schema-1 forest file; this version reads schema {SCHEMA_VERSION} "
@@ -362,11 +364,12 @@ def _positive_int(doc, key):
 
 
 def _indices(tree, t, key):
-    """The integer list ``key`` of tree t as an int64 array; a float or a
-    text entry, which a cast to int64 would truncate or parse, is a
-    defect."""
-    a = np.array(tree[key])
-    if a.size and a.dtype.kind != "i":
+    """The integer list ``key`` of tree t as an int64 array; a float, a
+    text or a boolean entry, which a cast to int64 would truncate, parse
+    or read as 0 or 1, is a defect."""
+    entries = tree[key]
+    a = np.array(entries)
+    if a.size and (a.dtype.kind != "i" or a.ndim == 1 and bool in set(map(type, entries))):
         raise ValueError(f"tree {t}: {key} holds a non-integer entry")
     return a.astype(np.int64)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -770,14 +771,56 @@ def converged_newton(request):
 # How far R reaches, column field -> row field: REACH[f][g] is the largest
 # |i - j| at which field f of node j enters the row of field g of node i
 # (None: never), fields in packed order. It is the union of what the
-# converged_newton cases measure; a colouring of the Jacobian may rely on
-# it.
+# converged_newton cases measure, and the colouring and band of the
+# Jacobian rely on it through channel._REACH, which must equal it.
 REACH = {
     "U": {"U": 2, "k": 1, "omega": 1, "nu_t": 1},
     "k": {"U": 1, "k": 2, "omega": 2, "nu_t": 0},
     "omega": {"U": None, "k": 2, "omega": 2, "nu_t": 0},
     "nu_t": {"U": 1, "k": 1, "omega": 1, "nu_t": 0},
 }
+# [column field, row field], -1 for never
+REACH_TABLE = np.array([[-1 if d is None else d for d in row.values()] for row in REACH.values()])
+
+
+class TestBandTables:
+    """Newton's colouring and band storage follow R's reach."""
+
+    def test_module_reach_is_the_measured_one(self):
+        assert np.array_equal(channel._REACH, REACH_TABLE)
+
+    def test_band_is_the_widest_reach(self):
+        widest = max(abs(4 * d + g - f)
+                     for (f, g), r in np.ndenumerate(REACH_TABLE) for d in range(-r, r + 1))
+        assert channel.BAND == widest == 9
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(8, 400))
+    @example(n=8)
+    @example(n=193)
+    def test_tables_hold_every_reached_entry_once(self, n):
+        order, band_index, reached, colours = channel._band_tables(n)
+        m = 4 * n
+        # the colours partition the columns (packed order)
+        assert colours.shape == (16, m)
+        assert np.all(colours.sum(axis=0) == 1)
+        colour_of = np.argmax(colours, axis=0)
+        # the reached entries, node-major: row 4 i + g, column 4 j + f
+        node, fld = np.divmod(np.arange(m), 4)
+        pattern = np.abs(node[:, None] - node) <= REACH_TABLE[fld, fld[:, None]]
+        rows, cols = np.nonzero(pattern)
+        # each goes to its own entry of the colour differences: its
+        # column's colour, its row's packed position
+        difference = colour_of[order[cols]] * m + order[rows]
+        assert len(np.unique(difference)) == len(difference)
+        assert np.array_equal(np.flatnonzero(reached), np.sort(difference))
+        # and to its place in the band storage, in the order of the
+        # differences, inside the 3 BAND + 1 rows below the fill-in
+        storage_row = 2 * channel.BAND + rows - cols
+        assert np.all((channel.BAND <= storage_row) & (storage_row <= 3 * channel.BAND))
+        place = cols * (3 * channel.BAND + 1) + storage_row
+        assert np.array_equal(band_index, place[np.argsort(difference)])
+        assert band_index.max() < m * (3 * channel.BAND + 1)
 
 
 class TestLocalResidual:
@@ -811,9 +854,7 @@ class TestLocalResidual:
         dense = dense[np.ix_(newton.order, newton.order)]
         # node-major: entry 4 i + f is field f of node i
         node, fields = np.divmod(np.arange(m), 4)
-        reach = np.array([[-1 if d is None else d for d in row.values()]
-                          for row in REACH.values()])  # [column field, row field]
-        allowed = np.abs(node[:, None] - node) <= reach[fields, fields[:, None]]
+        allowed = np.abs(node[:, None] - node) <= REACH_TABLE[fields, fields[:, None]]
         assert np.count_nonzero(dense[~allowed]) == 0
         rows, cols = np.indices((m, m))
         in_band = np.abs(rows - cols) <= channel.BAND
@@ -869,6 +910,22 @@ class TestLocalResidual:
         assert (fp.result, fp.newton_steps, fp.reason) == (
             None, 1, "singular Jacobian at Newton step 1")
         assert fp.f == fp.scaled_f(x)[0] > channel.NEWTON_TOL
+
+    def test_direction_peak_memory(self, envelope_datafree_180):
+        state = envelope_datafree_180.corner_states["1C"]
+        injection = channel.PerturbationInjection("datafree", corner="1C", delta_b=1.0)
+        newton = channel._FixedPoint.under(channel._Grid(state.y_plus), state, injection)
+        x = channel._pack(state)
+        newton.scale = channel._scale(x)
+        newton.direction(x / newton.scale)  # the index tables are built once per size
+        tracemalloc.start()
+        try:
+            newton.direction(x / newton.scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 193 nodes: 1,041 KB with 20 colours and BAND 11, 845 KB with 16 and 9
+        assert peak <= 922e3
 
     def test_residual_vanishes_at_the_fixed_point(self, converged_newton):
         newton, z = converged_newton

@@ -360,6 +360,11 @@ class TestSerialization:
              "split_feature holds a non-integer entry"),
             ("left", lambda v, tree: [float(v[0]), *v[1:]], "left holds a non-integer entry"),
             ("right", lambda v, tree: [str(v[0]), *v[1:]], "right holds a non-integer entry"),
+            # JSON true and false parse as bool, which numpy and == read as 1 and 0
+            ("split_feature", lambda v, tree: [v[0], *[f >= 0 for f in v[1:]]],
+             "split_feature holds a non-integer entry"),
+            ("left", lambda v, tree: [*v[:-1], True], "left holds a non-integer entry"),
+            ("right", lambda v, tree: [False, *v[1:]], "right holds a non-integer entry"),
             ("threshold", lambda v, tree: [0.0] * len(tree["split_feature"]),
              r"threshold is \(\d+,\), expected \(\d+,\), one per split node"),
             ("left", lambda v, tree: v[:-1], r"left is \(\d+,\), expected \(\d+,\)"),
@@ -373,6 +378,7 @@ class TestSerialization:
         ],
         ids=["cycle", "child_outside_tree", "feature_too_large", "feature_below_leaf",
              "no_nodes", "feature_not_integer", "left_float", "right_text",
+             "feature_bool", "left_true", "right_false",
              "threshold_per_node", "left_short", "right_long",
              "leaf_value_rows", "leaf_value_per_node", "leaf_value_width"],
     )
@@ -393,6 +399,15 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         message = f"{key} must be a positive integer, got {re.escape(repr(count))}"
         with pytest.raises(ForestFormatError, match=message):
+            forest.load(path)
+
+    @pytest.mark.parametrize("version", [True, 2.0])
+    def test_load_rejects_version_that_is_not_an_integer(self, tmp_path, version):
+        # JSON true equals 1 in Python, so it must not read as schema 1
+        path, doc = saved_doc(tmp_path)
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ForestFormatError, match="unsupported or missing version tag"):
             forest.load(path)
 
     def test_load_rejects_schema_1(self, tmp_path):

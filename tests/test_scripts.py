@@ -1,0 +1,50 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_matrix.py"
+
+
+@pytest.fixture(scope="module")
+def output_matrix():
+    spec = importlib.util.spec_from_file_location("output_matrix", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+class TestCompare:
+    def test_identical_directories(self, output_matrix, tmp_path, capsys):
+        for side in ("a", "b"):
+            write(tmp_path / side / "run" / "out.csv", "y,U\n0,1\n")
+        assert output_matrix.compare(tmp_path / "a", tmp_path / "b") == 0
+        assert capsys.readouterr().out == "0 of 1 files differ\n"
+
+    def test_lists_differences_with_column_deltas(self, output_matrix, tmp_path, capsys):
+        write(tmp_path / "a" / "run" / "out.csv", "y,U,kind\n0,1,p\n1,nan,p\n")
+        write(tmp_path / "b" / "run" / "out.csv", "y,U,kind\n0,1.25,q\n1,nan,p\n")
+        write(tmp_path / "a" / "run" / "manifest.json", "{}")
+        write(tmp_path / "b" / "run" / "manifest.json", "{ }")
+        write(tmp_path / "b" / "extra.txt", "x")
+        assert output_matrix.compare(tmp_path / "a", tmp_path / "b") == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"only in {tmp_path / 'b'}: extra.txt",
+            "differs: run/manifest.json",
+            "differs: run/out.csv",
+            "  y: max |delta| 0.000e+00",
+            "  U: max |delta| 2.500e-01",
+            "  kind: text differs",
+            "3 of 3 files differ",
+        ]
+
+    def test_reports_a_changed_shape(self, output_matrix, tmp_path, capsys):
+        write(tmp_path / "a" / "out.csv", "y\n0\n1\n")
+        write(tmp_path / "b" / "out.csv", "y\n0\n")
+        assert output_matrix.compare(tmp_path / "a", tmp_path / "b") == 1
+        assert "header or row count differs (2 against 1 rows)" in capsys.readouterr().out
