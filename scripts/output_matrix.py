@@ -12,11 +12,13 @@ commands are deterministic, so every file (CSVs, forests and manifests)
 of two checkouts must be identical unless the change alters the numbers
 on purpose. ``--compare`` lists the files that differ between two such
 directories (or are in one only), prints the largest |difference| of
-every numeric column of each differing CSV, and exits with status 1 if
+every numeric column of each differing CSV and the dotted keys whose
+values differ in each differing JSON file, and exits with status 1 if
 any file differs.
 """
 
 import csv
+import json
 import os
 import sys
 import time
@@ -85,6 +87,43 @@ def _csv_deltas(path_a, path_b):
     return lines
 
 
+def _same(x, y):
+    """Whether two JSON scalars are equal and of one type (1, 1.0 and
+    true differ); NaN equals NaN."""
+    return type(x) is type(y) and (x == y or x != x and y != y)
+
+
+def _key_diffs(x, y, key):
+    """Yield one line per dotted key (list entries by index) whose values
+    differ between the JSON values ``x`` and ``y``; a list of another
+    length differs as a whole."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        for k in [*x, *(k for k in y if k not in x)]:
+            sub = f"{key}.{k}" if key else k
+            if k in x and k in y:
+                yield from _key_diffs(x[k], y[k], sub)
+            else:
+                yield f"{sub}: in one file only"
+    elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        for i, (u, v) in enumerate(zip(x, y)):
+            yield from _key_diffs(u, v, f"{key}.{i}" if key else str(i))
+    elif isinstance(x, (dict, list)) or isinstance(y, (dict, list)) or not _same(x, y):
+        yield f"{key or '(whole document)'}: differs"
+
+
+def _json_diffs(path_a, path_b):
+    """The lines of ``_key_diffs`` for two JSON files: none when only the
+    formatting differs."""
+    docs = []
+    for path in (path_a, path_b):
+        with open(path, "rb") as f:
+            try:
+                docs.append(json.load(f))
+            except ValueError:
+                return [f"not valid JSON: {path}"]
+    return list(_key_diffs(*docs, ""))
+
+
 def compare(a, b):
     """Print how the output directories ``a`` and ``b`` differ; the exit
     status, 1 if any file differs and 0 otherwise."""
@@ -99,8 +138,9 @@ def compare(a, b):
                 if fa.read() == fb.read():
                     continue
             print(f"differs: {name}")
-            if name.endswith(".csv"):
-                for line in _csv_deltas(os.path.join(a, name), os.path.join(b, name)):
+            detail = {".csv": _csv_deltas, ".json": _json_diffs}.get(os.path.splitext(name)[1])
+            if detail:
+                for line in detail(os.path.join(a, name), os.path.join(b, name)):
                     print(f"  {line}")
         differ += 1
     print(f"{differ} of {len(names)} files differ")

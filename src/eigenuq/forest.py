@@ -14,12 +14,19 @@ child before right within a level.
 
 from __future__ import annotations
 
+import binascii
 import json
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+# base64 of the standard alphabet, padded: with a length that is a multiple
+# of 4, this is the text binascii.a2b_base64 decodes without skipping a
+# character or guessing the padding
+_BASE64 = re.compile("[A-Za-z0-9+/]*={0,2}")
 
 
 @dataclass(frozen=True)
@@ -165,13 +172,21 @@ def _best_splits(X, Y, rows, count, cand):
     return np.where(split, cand[node, pick], -1), np.where(split, threshold, 0.0)
 
 
+def _targets(Y, rows, start, count, nodes):
+    """Yield (nodes, y): the given nodes in blocks, with their targets y
+    (nodes, c, targets). Every node of a block has c rows, so numpy sums
+    each node's rows as it sums them for that node alone."""
+    for block, c in _blocks(count[nodes], Y.shape[1], equal=True):
+        yield nodes[block], Y[rows[start[nodes[block], None] + np.arange(c)]]
+
+
 def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
     """Grow all trees together, one level per pass; each tree draws its
     bootstrap, then one candidate set per searching node in breadth-first
     order. Returns the node columns feature, threshold, left, right and
     leaf, the leaf values and the roots: tree by tree, breadth first
-    within a tree. A split node's mean target is computed, for the stop
-    check, but not kept."""
+    within a tree. Only a node that may split gets the constant-target
+    check, and only a leaf gets its mean target."""
     n, n_features = X.shape
     rngs = [np.random.default_rng([hp.seed, t]) for t in range(hp.n_trees)]
     # the open nodes of a level, ordered by tree, then breadth first;
@@ -183,13 +198,10 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
     first = 0  # level-order index of the level's first node
     for depth in range(hp.max_depth + 1):
         start = np.cumsum(count) - count
-        value = np.empty((len(count), Y.shape[1]))
         # the stop checks: depth, min_samples_split, constant targets
         search = (count >= hp.min_samples_split) & (depth < hp.max_depth)
-        for nodes, c in _blocks(count, Y.shape[1], equal=True):
-            y = Y[rows[start[nodes, None] + np.arange(c)]]  # (nodes, c, targets)
-            value[nodes] = y.mean(axis=1)
-            search[nodes] &= ~np.all(y.var(axis=1) <= 0.0, axis=1)
+        for nodes, y in _targets(Y, rows, start, count, np.flatnonzero(search)):
+            search[nodes] = ~np.all(y.var(axis=1) <= 0.0, axis=1)
         feature = np.full(len(count), -1)
         threshold = np.zeros(len(count))
         searching = np.flatnonzero(search)
@@ -208,6 +220,9 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
                 feature[nodes], threshold[nodes] = _best_splits(
                     X, Y, rows[padded], count[nodes], cand[block]
                 )
+        value = np.empty((len(count), Y.shape[1]))  # read at leaves only
+        for nodes, y in _targets(Y, rows, start, count, np.flatnonzero(feature < 0)):
+            value[nodes] = y.mean(axis=1)
         # a split node's children are nodes 2r and 2r + 1 of the next level,
         # r its rank among the level's split nodes; left before right, each
         # child keeps its parent's row order
@@ -285,16 +300,23 @@ def mse(forest: RegressionForest, X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.mean((pred - Y) ** 2))
 
 
-def save(forest: RegressionForest, path) -> None:
-    """Schema 2: one object per tree. ``split_feature`` has an entry for
-    every node, -1 at a leaf; ``threshold``, ``left`` and ``right`` one
-    for each split node, in node order, with child indices local to the
-    tree; ``leaf_value`` one row for each leaf, in node order.
+def _base64(a: np.ndarray) -> str:
+    """The base64 text of ``a``'s little-endian float64 bytes, row-major."""
+    raw = np.asarray(a, dtype="<f8").tobytes()
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
 
-    The file holds the bytes ``json.dump(doc, f)`` writes (floats in
-    Python's shortest repr), but each part goes through the C encoder of
-    ``json.dumps``: the head, then one tree at a time, so no more than
-    one tree's text is held at once."""
+
+def save(forest: RegressionForest, path) -> None:
+    """Schema 3: one object per tree. ``split_feature`` has an entry for
+    every node, -1 at a leaf; ``left`` and ``right`` one for each split
+    node, in node order, with child indices local to the tree. The
+    floats are exact: ``threshold`` is the base64 text of the split
+    nodes' thresholds as little-endian float64 bytes, in node order, and
+    ``leaf_value`` that of the leaves' rows, in node order, row-major.
+
+    The file holds the bytes ``json.dump(doc, f)`` writes, but each part
+    goes through the C encoder of ``json.dumps``: the head, then one
+    tree at a time, so no more than one tree's text is held at once."""
     head = json.dumps({
         "version": SCHEMA_VERSION,
         "hyperparams": asdict(forest.hyperparams),
@@ -312,10 +334,10 @@ def save(forest: RegressionForest, path) -> None:
             split = forest.feature[s:e] >= 0
             f.write(json.dumps({
                 "split_feature": forest.feature[s:e].tolist(),
-                "threshold": forest.threshold[s:e][split].tolist(),
+                "threshold": _base64(forest.threshold[s:e][split]),
                 "left": (forest.left[s:e][split] - s).tolist(),
                 "right": (forest.right[s:e][split] - s).tolist(),
-                "leaf_value": forest.value[forest.leaf[s:e][~split]].tolist(),
+                "leaf_value": _base64(forest.value[forest.leaf[s:e][~split]]),
             }))
         f.write("]}")
 
@@ -330,10 +352,10 @@ def load(path) -> RegressionForest:
 
 
 def loads(document, name) -> RegressionForest:
-    """The forest of a schema-2 JSON document (see ``save``), text or
+    """The forest of a schema-3 JSON document (see ``save``), text or
     bytes; a ForestFormatError names the document by ``name``. A schema-1
-    document, which kept a value row for every node, is rejected too:
-    the forest has to be trained again."""
+    or schema-2 document, which wrote its floats as JSON numbers, is
+    rejected too: the forest has to be trained again."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
@@ -341,10 +363,10 @@ def loads(document, name) -> RegressionForest:
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int:  # JSON true is no version, though True == 1
         version = None
-    if version == 1:
+    if version in (1, 2):
         raise ForestFormatError(
-            f"{name}: schema-1 forest file; this version reads schema {SCHEMA_VERSION} "
-            "only: re-run train"
+            f"{name}: schema-{version} forest file; this version reads schema "
+            f"{SCHEMA_VERSION} only: re-run train"
         )
     if version != SCHEMA_VERSION:
         raise ForestFormatError(
@@ -363,6 +385,14 @@ def _positive_int(doc, key):
     return value
 
 
+def _names(doc, key, count):
+    """The name list ``key``: empty, or one name for each of ``count``."""
+    names = list(doc[key])
+    if names and len(names) != count:
+        raise ValueError(f"{key} holds {len(names)} names, expected 0 or {count}")
+    return names
+
+
 def _indices(tree, t, key):
     """The integer list ``key`` of tree t as an int64 array; a float, a
     text or a boolean entry, which a cast to int64 would truncate, parse
@@ -374,14 +404,41 @@ def _indices(tree, t, key):
     return a.astype(np.int64)
 
 
+def _floats(tree, t, key, rows, width, per):
+    """The float field ``key`` of tree t as a (rows, width) array: a
+    strict base64 text of 8 little-endian float64 bytes per entry, each
+    finite. ``per`` names what one row belongs to."""
+    text = tree[key]
+    if type(text) is not str:
+        raise ValueError(f"tree {t}: {key} is not a base64 text")
+    if len(text) % 4 or not _BASE64.fullmatch(text):
+        raise ValueError(f"tree {t}: {key} is not valid base64 text")
+    raw = binascii.a2b_base64(text)
+    if len(raw) != 8 * rows * width:
+        raise ValueError(
+            f"tree {t}: {key} holds {len(raw)} bytes, expected {8 * rows * width}: "
+            f"{width} float64 per {per}"
+        )
+    a = np.frombuffer(raw, dtype="<f8").reshape(rows, width)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"tree {t}: {key} holds a non-finite entry")
+    return a
+
+
 def _pack(doc: dict) -> RegressionForest:
-    """The node table of a schema-2 document; raises ValueError naming
-    the first defect that would make ``predict`` fail, hang or misshape.
-    Each tree's lists leave ``doc`` once they are arrays."""
+    """The node table of a schema-3 document; raises ValueError naming
+    the first defect that would make ``predict`` fail, hang, misshape or
+    return a non-finite value, or that contradicts the head. Each tree's
+    fields leave ``doc`` once they are arrays."""
     n_features, n_targets = _positive_int(doc, "n_features"), _positive_int(doc, "n_targets")
+    hyperparams = ForestHyperparams(**doc["hyperparams"])
+    feature_names = _names(doc, "feature_names", n_features)
+    target_names = _names(doc, "target_names", n_targets)
     trees = doc["trees"]
     if not trees:
         raise ValueError("no trees")
+    if len(trees) != hyperparams.n_trees:
+        raise ValueError(f"{len(trees)} trees, but hyperparams.n_trees is {hyperparams.n_trees}")
     roots, tables, offset, leaves = [], [], 0, 0
     for t, tree in enumerate(trees):
         trees[t] = None
@@ -392,18 +449,14 @@ def _pack(doc: dict) -> RegressionForest:
             raise ValueError(f"tree {t}: split feature outside [-1, {n_features})")
         split = feature >= 0
         m, n_split = len(feature), int(np.count_nonzero(split))
-        threshold = np.array(tree["threshold"], dtype=float)
         left, right = (_indices(tree, t, key) for key in ("left", "right"))
-        for key, a in (("threshold", threshold), ("left", left), ("right", right)):
+        for key, a in (("left", left), ("right", right)):
             if a.shape != (n_split,):
                 raise ValueError(
                     f"tree {t}: {key} is {a.shape}, expected ({n_split},), one per split node"
                 )
-        value = np.array(tree["leaf_value"], dtype=float)
-        if value.shape != (m - n_split, n_targets):
-            raise ValueError(
-                f"tree {t}: leaf_value is {value.shape}, expected ({m - n_split}, {n_targets})"
-            )
+        threshold = _floats(tree, t, "threshold", n_split, 1, "split node")[:, 0]
+        value = _floats(tree, t, "leaf_value", m - n_split, n_targets, "leaf")
         i = np.flatnonzero(split)
         if not np.all((i < left) & (left < m) & (i < right) & (right < m)):
             raise ValueError(f"tree {t}: a child is not after its parent inside the tree")
@@ -420,8 +473,8 @@ def _pack(doc: dict) -> RegressionForest:
     return RegressionForest(
         *(np.concatenate(column) for column in zip(*tables)),
         roots=np.array(roots),
-        hyperparams=ForestHyperparams(**doc["hyperparams"]),
-        feature_names=list(doc["feature_names"]),
-        target_names=list(doc["target_names"]),
+        hyperparams=hyperparams,
+        feature_names=feature_names,
+        target_names=target_names,
         n_features=n_features,
     )

@@ -1,5 +1,7 @@
+import base64
 import json
 import re
+import struct
 import tracemalloc
 from collections import deque
 from dataclasses import asdict
@@ -32,25 +34,37 @@ def assert_saves_the_same(fitted, expected, out):
     assert (out / "fit.json").read_bytes() == (out / "expected.json").read_bytes()
 
 
+def b64(floats):
+    """Reference encoding of a schema-3 float field: the base64 text of
+    the floats as little-endian float64 bytes, in order."""
+    return base64.b64encode(struct.pack(f"<{len(floats)}d", *floats)).decode("ascii")
+
+
+def unb64(text):
+    """The floats of a schema-3 float field, in order."""
+    raw = base64.b64decode(text)
+    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
+
+
 def reference_save(fitted, path):
-    """Schema 2 as one document through ``json.dump``: the bytes ``save``
-    must write. Per tree, split_feature for every node, threshold and
-    tree-local children for the split nodes and leaf_value for the
-    leaves, each in node order."""
+    """Schema 3 as one document through ``json.dump``: the bytes ``save``
+    must write. Per tree, split_feature for every node, tree-local
+    children for the split nodes, and the float64 bytes of the split
+    nodes' thresholds and of the leaves' rows, each in node order."""
     trees, roots = [], fitted.roots.tolist()
     for s, e in zip(roots, [*roots[1:], len(fitted.feature)]):
         nodes = range(s, e)
         splits = [i for i in nodes if fitted.feature[i] >= 0]
         trees.append({
             "split_feature": [int(fitted.feature[i]) for i in nodes],
-            "threshold": [float(fitted.threshold[i]) for i in splits],
+            "threshold": b64([float(fitted.threshold[i]) for i in splits]),
             "left": [int(fitted.left[i]) - s for i in splits],
             "right": [int(fitted.right[i]) - s for i in splits],
-            "leaf_value": [fitted.value[fitted.leaf[i]].tolist()
-                           for i in nodes if fitted.feature[i] < 0],
+            "leaf_value": b64([v for i in nodes if fitted.feature[i] < 0
+                               for v in fitted.value[fitted.leaf[i]].tolist()]),
         })
     doc = {
-        "version": 2,
+        "version": 3,
         "hyperparams": asdict(fitted.hyperparams),
         "feature_names": fitted.feature_names,
         "target_names": fitted.target_names,
@@ -62,10 +76,23 @@ def reference_save(fitted, path):
         json.dump(doc, f)
 
 
+def schema_2_doc(doc):
+    """The schema-2 layout of a schema-3 document: floats as JSON numbers,
+    one leaf_value row of n_targets per leaf."""
+    width = doc["n_targets"]
+    for tree in doc["trees"]:
+        tree["threshold"] = unb64(tree["threshold"])
+        values = unb64(tree["leaf_value"])
+        tree["leaf_value"] = [values[i:i + width] for i in range(0, len(values), width)]
+    doc["version"] = 2
+    return doc
+
+
 def schema_1_doc(doc):
-    """The schema-1 layout of a schema-2 document: every list has an
+    """The schema-1 layout of a schema-3 document: every list has an
     entry per node (threshold 0, children -1 and value 0 where schema 2
     has none)."""
+    doc = schema_2_doc(doc)
     for tree in doc["trees"]:
         splits = iter(zip(tree["threshold"], tree["left"], tree["right"]))
         leaves = iter(tree["leaf_value"])
@@ -339,7 +366,7 @@ class TestSerialization:
         path, doc = saved_doc(tmp_path)
         loaded = forest.load(path)
         sizes = [len(tree["split_feature"]) for tree in doc["trees"]]
-        n_leaves = sum(len(tree["leaf_value"]) for tree in doc["trees"])
+        n_leaves = sum(tree["split_feature"].count(-1) for tree in doc["trees"])
         assert loaded.roots.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
         assert loaded.value.shape == (n_leaves, doc["n_targets"])
         assert loaded.n_targets == doc["n_targets"] == 2
@@ -365,22 +392,51 @@ class TestSerialization:
              "split_feature holds a non-integer entry"),
             ("left", lambda v, tree: [*v[:-1], True], "left holds a non-integer entry"),
             ("right", lambda v, tree: [False, *v[1:]], "right holds a non-integer entry"),
-            ("threshold", lambda v, tree: [0.0] * len(tree["split_feature"]),
-             r"threshold is \(\d+,\), expected \(\d+,\), one per split node"),
+            ("threshold", lambda v, tree: b64([0.0] * len(tree["split_feature"])),
+             r"threshold holds \d+ bytes, expected \d+: 1 float64 per split node"),
             ("left", lambda v, tree: v[:-1], r"left is \(\d+,\), expected \(\d+,\)"),
             ("right", lambda v, tree: [*v, len(tree["split_feature"]) - 1],
              r"right is \(\d+,\), expected \(\d+,\)"),
-            ("leaf_value", lambda v, tree: v[:-1], r"leaf_value is \(\d+, 2\), expected"),
-            ("leaf_value", lambda v, tree: [[0.0, 0.0]] * len(tree["split_feature"]),
-             r"leaf_value is \(\d+, 2\), expected"),
-            ("leaf_value", lambda v, tree: [[*row, 0.0] for row in v],
-             r"leaf_value is \(\d+, 3\)"),
+            ("leaf_value", lambda v, tree: b64(unb64(v)[:-2]),
+             r"leaf_value holds \d+ bytes, expected \d+: 2 float64 per leaf"),
+            ("leaf_value", lambda v, tree: b64([0.0, 0.0] * len(tree["split_feature"])),
+             r"leaf_value holds \d+ bytes, expected \d+: 2 float64 per leaf"),
+            ("leaf_value", lambda v, tree: b64(unb64(v) + [0.0] * tree["split_feature"].count(-1)),
+             r"leaf_value holds \d+ bytes, expected \d+: 2 float64 per leaf"),
+            # bytes that are not whole float64 entries
+            ("threshold", lambda v, tree: base64.b64encode(base64.b64decode(v)[:-3]).decode(),
+             r"threshold holds \d+ bytes, expected \d+"),
+            # strict base64: no character outside the alphabet (which a bare
+            # a2b_base64 skips), no missing or extra padding
+            ("threshold", lambda v, tree: v[:8] + "!" + v[9:], "threshold is not valid base64"),
+            ("leaf_value", lambda v, tree: v[:8] + "\n" + v[9:], "leaf_value is not valid base64"),
+            ("threshold", lambda v, tree: v.rstrip("="), "threshold is not valid base64"),
+            ("threshold", lambda v, tree: v + "====", "threshold is not valid base64"),
+            ("leaf_value", lambda v, tree: v[:8] + "\u00e9" + v[9:],
+             "leaf_value is not valid base64"),
+            # the schema-2 lists, with text or boolean entries too
+            ("threshold", lambda v, tree: unb64(v), "threshold is not a base64 text"),
+            ("threshold", lambda v, tree: [repr(x) for x in unb64(v)],
+             "threshold is not a base64 text"),
+            ("leaf_value", lambda v, tree: [[True, x] for x in unb64(v)[1::2]],
+             "leaf_value is not a base64 text"),
+            ("leaf_value", lambda v, tree: None, "leaf_value is not a base64 text"),
+            ("threshold", lambda v, tree: b64([float("nan"), *unb64(v)[1:]]),
+             "threshold holds a non-finite entry"),
+            ("leaf_value", lambda v, tree: b64([*unb64(v)[:-1], float("inf")]),
+             "leaf_value holds a non-finite entry"),
+            ("threshold", lambda v, tree: b64([*unb64(v)[:-1], float("-inf")]),
+             "threshold holds a non-finite entry"),
         ],
         ids=["cycle", "child_outside_tree", "feature_too_large", "feature_below_leaf",
              "no_nodes", "feature_not_integer", "left_float", "right_text",
              "feature_bool", "left_true", "right_false",
              "threshold_per_node", "left_short", "right_long",
-             "leaf_value_rows", "leaf_value_per_node", "leaf_value_width"],
+             "leaf_value_rows", "leaf_value_per_node", "leaf_value_width",
+             "threshold_partial_entry", "threshold_outside_alphabet", "leaf_value_newline",
+             "threshold_no_padding", "threshold_extra_padding", "leaf_value_not_ascii",
+             "threshold_list", "threshold_text_entries", "leaf_value_bool_entries",
+             "leaf_value_null", "threshold_nan", "leaf_value_inf", "threshold_minus_inf"],
     )
     def test_load_rejects_malformed_tree(self, tmp_path, key, edit, message):
         path, doc = saved_doc(tmp_path)
@@ -415,7 +471,32 @@ class TestSerialization:
         path.write_text(json.dumps(schema_1_doc(doc)))
         with pytest.raises(ForestFormatError,
                            match=f"^{re.escape(str(path))}: schema-1 forest file; this version "
-                                 "reads schema 2 only: re-run train$"):
+                                 "reads schema 3 only: re-run train$"):
+            forest.load(path)
+
+    def test_load_rejects_schema_2(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        path.write_text(json.dumps(schema_2_doc(doc)))
+        with pytest.raises(ForestFormatError,
+                           match=f"^{re.escape(str(path))}: schema-2 forest file; this version "
+                                 "reads schema 3 only: re-run train$"):
+            forest.load(path)
+
+    @pytest.mark.parametrize(
+        "key, edit, message",
+        [
+            ("hyperparams", lambda v: {**v, "n_trees": 7},
+             "20 trees, but hyperparams.n_trees is 7"),
+            ("feature_names", lambda v: ["a"], "feature_names holds 1 names, expected 0 or 4"),
+            ("target_names", lambda v: list("uvw"), "target_names holds 3 names, expected 0 or 2"),
+        ],
+        ids=["n_trees", "feature_names", "target_names"],
+    )
+    def test_load_rejects_head_that_contradicts_the_trees(self, tmp_path, key, edit, message):
+        path, doc = saved_doc(tmp_path)
+        doc[key] = edit(doc[key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ForestFormatError, match=message):
             forest.load(path)
 
     def test_load_rejects_file_without_trees(self, tmp_path):
@@ -461,15 +542,51 @@ class TestSerialization:
         # the whole document as one object peaks at about 3.4 MB
         assert peak < 1e6
 
-    def test_loads_peak_memory(self, trained_forests, tmp_path):
-        path = tmp_path / "forest.json"
-        forest.save(trained_forests["pcorr_angles"], path)
+    @staticmethod
+    def loads_peak(fitted, path):
+        """The ``tracemalloc`` peak of ``loads`` on the saved ``fitted``."""
+        forest.save(fitted, path)
         document = path.read_bytes()
         tracemalloc.start()
         try:
             forest.loads(document, path)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_loads_peak_memory(self, trained_forests, tmp_path):
+        peak = self.loads_peak(trained_forests["pcorr_angles"], tmp_path / "forest.json")
         # a schema-1 file of this forest peaked at 5.32 MB, schema 2 at 2.6 MB
         assert peak < 4.5e6
+
+    def test_loads_peak_memory_of_float_bytes(self, trained_forests, tmp_path):
+        peak = self.loads_peak(trained_forests["pcorr_angles"], tmp_path / "forest.json")
+        # schema 2 parsed each float into a Python float first: 2.5 MB
+        assert peak <= 1.6e6
+
+    # -0.0, the smallest subnormal, the largest subnormal, the smallest
+    # normal and the largest finite float, each with both signs
+    EDGE_FLOATS = [s * x for s in (1.0, -1.0) for x in (
+        0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e308,
+        1.7976931348623157e308)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_targets=st.integers(1, 3), data=st.data())
+    def test_save_load_floats_bit_for_bit(self, tmp_path_factory, seed, n_targets, data):
+        rng = np.random.default_rng(seed)
+        hp = ForestHyperparams(max_depth=4, min_samples_split=2, max_features=3, n_trees=3,
+                               seed=seed)
+        fitted = forest.fit(rng.normal(size=(40, 4)), rng.normal(size=(40, n_targets)), hp)
+        floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            self.EDGE_FLOATS)
+        split = fitted.feature >= 0
+        for a, where in ((fitted.threshold, split), (fitted.value, ...)):
+            size = a[where].size
+            a[where] = np.reshape(data.draw(st.lists(floats, min_size=size, max_size=size)),
+                                  a[where].shape)
+        path = tmp_path_factory.mktemp("forest") / "forest.json"
+        forest.save(fitted, path)
+        loaded = forest.load(path)
+        assert loaded.threshold[split].tobytes() == fitted.threshold[split].tobytes()
+        assert not np.any(loaded.threshold[~split])
+        assert loaded.value.tobytes() == fitted.value.tobytes()

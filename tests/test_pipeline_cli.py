@@ -1,4 +1,5 @@
 import ast
+import base64
 import hashlib
 import importlib
 import json
@@ -659,13 +660,16 @@ class TestCli:
         assert r"split feature outside [-1, 6)" in stderr
         assert not (tmp_path / "d").exists()
 
-    def test_schema_1_forest_exit_four(self, tmp_path, monkeypatch, capsys):
+    def test_non_finite_forest_exit_four(self, tmp_path, monkeypatch, capsys):
+        # an infinite leaf value would reach the solver as an infinite target
         rng = np.random.default_rng(0)
         hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
         path = tmp_path / "forest_p.json"
         forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), path)
         doc = json.loads(path.read_text())
-        doc["version"] = 1  # the tag alone decides: no schema-1 layout is parsed
+        leaves = doc["trees"][0]["split_feature"].count(-1)
+        doc["trees"][0]["leaf_value"] = base64.b64encode(
+            np.full(leaves, np.inf).astype("<f8").tobytes()).decode("ascii")
         path.write_text(json.dumps(doc))
         code, stderr = run_main(
             monkeypatch, capsys,
@@ -673,7 +677,25 @@ class TestCli:
             "--out", str(tmp_path / "d"),
         )
         assert code == 4, stderr
-        assert f"data error: {path}: schema-1 forest file" in stderr
+        assert "tree 0: leaf_value holds a non-finite entry" in stderr
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_schema_1_forest_exit_four(self, tmp_path, monkeypatch, capsys, version):
+        rng = np.random.default_rng(0)
+        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
+        path = tmp_path / "forest_p.json"
+        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), path)
+        doc = json.loads(path.read_text())
+        doc["version"] = version  # the tag alone decides: no older layout is parsed
+        path.write_text(json.dumps(doc))
+        code, stderr = run_main(
+            monkeypatch, capsys,
+            "uq", "--mode", "p", "--forest", str(path), "--re-tau", "180",
+            "--out", str(tmp_path / "d"),
+        )
+        assert code == 4, stderr
+        assert f"data error: {path}: schema-{version} forest file" in stderr
         assert "re-run train" in stderr
         assert not (tmp_path / "d").exists()
 

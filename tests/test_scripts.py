@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,30 @@ class TestCompare:
         write(tmp_path / "b" / "out.csv", "y\n0\n")
         assert output_matrix.compare(tmp_path / "a", tmp_path / "b") == 1
         assert "header or row count differs (2 against 1 rows)" in capsys.readouterr().out
+
+    def test_lists_the_differing_keys_of_json_files(self, output_matrix, tmp_path, capsys):
+        write(tmp_path / "a" / "manifest.json", json.dumps({
+            "forest": {"path": "f.json", "sha256": "aa"}, "runs": [1, 2], "n": 1,
+            "trees": [{"t": "x"}], "gone": None, "nan": float("nan"),
+        }))
+        write(tmp_path / "b" / "manifest.json", json.dumps({
+            "forest": {"path": "f.json", "sha256": "bb"}, "runs": [1, 3], "n": 1.0,
+            "trees": [{"t": "x"}, {"t": "y"}], "nan": float("nan"), "new": True,
+        }))
+        assert output_matrix.compare(tmp_path / "a", tmp_path / "b") == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: manifest.json",
+            "  forest.sha256: differs",
+            "  runs.1: differs",
+            "  n: differs",
+            "  trees: differs",
+            "  gone: in one file only",
+            "  new: in one file only",
+            "1 of 1 files differ",
+        ]
+
+    def test_json_file_that_does_not_parse(self, output_matrix, tmp_path, capsys):
+        write(tmp_path / "a" / "forest.json", '{"version": 3}')
+        write(tmp_path / "b" / "forest.json", '{"version": 3')
+        assert output_matrix.compare(tmp_path / "a", tmp_path / "b") == 1
+        assert f"  not valid JSON: {tmp_path / 'b' / 'forest.json'}" in capsys.readouterr().out
