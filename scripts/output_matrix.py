@@ -1,4 +1,4 @@
-"""Write the outputs of twelve eigenuq commands into one directory, so that
+"""Write the outputs of thirteen eigenuq commands into one directory, so that
 two checkouts can be compared byte for byte.
 
     python3 scripts/output_matrix.py OUT_DIR
@@ -32,17 +32,24 @@ from eigenuq import cli  # noqa: E402
 
 SMALL_GRID = os.path.join(ROOT, "perfbench", "uq-small-grid.ini")
 
+# A training on Re_tau whose grids take both branches of the gradient:
+# at 192 nodes, 90 and 95.5 are evenly spaced (linspace) grids, and only
+# 95.5's spacings are all equal, which numpy's uniform branch needs.
+# Written into OUT_DIR and read by a relative path.
+MIXED_GRIDS = ("train_mixed_grids.ini", "[train]\ntrain_re_tau = 90, 95.5, 180, 5200\n")
+
 # (subdirectory, arguments): baselines at a low and the highest Re_tau,
-# the three forest kinds the data-driven runs need, the data-free
-# envelope at two settings, a data-driven envelope of each mode (the
-# componentwise ones on the 32-cell grid, as the benchmark runs them), a
-# noisy propagation and a report over three runs
+# the three forest kinds the data-driven runs need, a training on mixed
+# grids, the data-free envelope at two settings, a data-driven envelope
+# of each mode (the componentwise ones on the 32-cell grid, as the
+# benchmark runs them), a noisy propagation and a report over three runs
 COMMANDS = [
     ("baseline_180", ["baseline", "--re-tau", "180"]),
     ("baseline_5200", ["baseline", "--re-tau", "5200"]),
     ("train_p", ["train", "--target", "p"]),
     ("train_pcorr", ["train", "--target", "pcorr"]),
     ("train_pcorr_angles", ["train", "--target", "pcorr_angles"]),
+    ("train_p_mixed_grids", ["train", "--target", "p", "--config", MIXED_GRIDS[0]]),
     ("uq_datafree_180", ["uq", "--mode", "datafree", "--delta-b", "1.0", "--re-tau", "180"]),
     ("uq_datafree_1000", ["uq", "--mode", "datafree", "--delta-b", "0.5", "--re-tau", "1000"]),
     ("uq_p_1000", ["uq", "--mode", "p", "--re-tau", "1000",
@@ -157,6 +164,8 @@ def main(argv=None):
     out = args[0]
     os.makedirs(out)  # fails if it exists: no file of an earlier run may remain
     os.chdir(out)  # relative run paths, so no file records where OUT_DIR is
+    with open(MIXED_GRIDS[0], "w") as f:
+        f.write(MIXED_GRIDS[1])
     for name, command in COMMANDS:
         start = time.perf_counter()
         code = cli.run([*command, "--out", name])

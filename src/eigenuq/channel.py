@@ -205,34 +205,47 @@ def make_grid(re_tau: float, n_nodes: int, y1: float) -> np.ndarray:
 
 
 class _Grid:
-    """The nodes of one solve, their spacings, the stencil of numpy's
+    """The nodes of a solve, their spacings, the stencil of numpy's
     gradient, the wall-distance terms of the closure and the unit
     diffusivity and zero sink of momentum under a fixed stress, built
     once with numpy's formulas: ``grad(f)`` equals numpy's
-    ``gradient(f, y)`` bit for bit, uniform-spacing branch too."""
+    ``gradient(f, y)`` bit for bit, uniform-spacing branch too.
+
+    ``y`` holds the (n,) nodes of one grid, or the (rows, n) nodes of a
+    stack whose rows differ in Re_tau. Then every term is per row, the
+    wall omega and the last half spacing (rows,) arrays, and each row
+    takes the gradient branch of its own grid."""
 
     def __init__(self, y):
         self.y = y
-        self.unit_mid, self.no_sink = np.ones(len(y) - 1), np.zeros(len(y))
+        n = y.shape[-1]
+        self.unit_mid, self.no_sink = np.ones(n - 1), np.zeros(n)
         self.yp = np.maximum(y, 1e-30)
         self.yp2 = self.yp**2
-        self.om_wall = 60.0 / (BETA_1 * y[1] ** 2)
-        self.walls = np.array([0.0, self.om_wall])  # of k and omega
+        self.om_wall = 60.0 / (BETA_1 * y[..., 1] ** 2)
+        self.walls = np.stack([np.zeros_like(self.om_wall), self.om_wall])  # of k and omega
         h = np.diff(y)
-        self.last = len(y) - 1
-        self.h_ends = h[::len(h) - 1]
-        self.delta = delta = 0.5 * (h[:-1] + h[1:])
+        self.last = n - 1
+        self.h_ends = h[..., ::n - 2]
+        self.delta = delta = 0.5 * (h[..., :-1] + h[..., 1:])
         # denominators of the transport and divergence stencils: the
         # lower diagonal's, the centreline row's last, and the upper's
-        self.sub_den = np.append(h[:-1] * delta, h[-1] * 0.5 * h[-1])
-        self.sup_den = h[1:] * delta
-        self.half_h_end = 0.5 * h[-1]
-        if (h == h[0]).all():
-            self.two_h, self.abc = 2.0 * h[0], None
+        self.sub_den = np.concatenate([h[..., :-1] * delta, h[..., -1:] * 0.5 * h[..., -1:]],
+                                      axis=-1)
+        self.sup_den = h[..., 1:] * delta
+        self.half_h_end = 0.5 * h[..., -1]
+        # numpy's uniform branch, for the rows whose spacings are all equal
+        uniform = (h == h[..., :1]).all(axis=-1)
+        self.abc = self.uniform = None
+        if uniform.all():
+            self.two_h = 2.0 * h[..., :1]
         else:
-            dx1, dx2 = h[:-1], h[1:]
+            dx1, dx2 = h[..., :-1], h[..., 1:]
             self.abc = (-(dx2) / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
                         dx1 / (dx2 * (dx1 + dx2)))
+            if uniform.any():
+                self.uniform = np.flatnonzero(uniform)
+                self.two_h = 2.0 * h[self.uniform, :1]
 
     def grad(self, f):
         """The gradient along the last axis of ``f``."""
@@ -242,6 +255,9 @@ class _Grid:
         else:
             a, b, c = self.abc
             out[..., 1:-1] = a * f[..., :-2] + b * f[..., 1:-1] + c * f[..., 2:]
+            if self.uniform is not None:
+                u = self.uniform
+                out[..., u, 1:-1] = (f[..., u, 2:] - f[..., u, :-2]) / self.two_h
         # both one-sided ends in one strided operation: (f[1] - f[0]) / h[0]
         # and (f[-1] - f[-2]) / h[-1]
         out[..., ::self.last] = (f[..., 1::self.last - 1] - f[..., :-1:self.last - 1]) / self.h_ends
@@ -309,7 +325,7 @@ def _transport_residual(grid, phi, gamma_mid, sink, source, wall_value):
 def _face_divergence(grid, g_mid):
     """Nodal divergence of a face flux with zero flux at the centerline
     face; entry 0 is unused (Dirichlet wall node)."""
-    out = np.zeros(g_mid.shape[:-1] + (len(grid.y),))
+    out = np.zeros(g_mid.shape[:-1] + grid.y.shape[-1:])
     out[..., 1:-1] = (g_mid[..., 1:] - g_mid[..., :-1]) / grid.delta
     out[..., -1] = (0.0 - g_mid[..., -1]) / grid.half_h_end
     return out
@@ -627,7 +643,7 @@ def _turbulence(grid, k, om, nu_t, dudy, minus_uv, eddy=None):
     systems = (1.0 + _mid(blended[:2] * nu_t),
                np.stack([-BETA_STAR * om_s, -blended[2] * om_s]),
                np.stack([pk, blended[3] * dudy2 + cross]),
-               grid.walls.reshape((2,) + (1,) * (f1.ndim - 1)))
+               grid.walls.reshape((2,) + (1,) * (f1.ndim - grid.y.ndim) + grid.y.shape[:-1]))
     return systems, f2
 
 
@@ -689,10 +705,21 @@ def _rows(a, rows):
     return np.atleast_2d(a)[rows[0] if len(rows) == 1 else rows]
 
 
-def _take(state, rows):
-    """The states of ``rows`` of a stack of states, as ``_rows``."""
-    return ChannelState(state.re_tau, state.y_plus,
-                        *(_rows(getattr(state, name), rows) for name in _FIELDS))
+def _take(state, rows, fp=None):
+    """The states of ``rows`` of a stack of states, as ``_rows``, on the
+    Re_tau and nodes of ``fp``, the fixed point of those rows, or on the
+    stack's own."""
+    re_tau, y = (state.re_tau, state.y_plus) if fp is None else (fp.re_tau, fp.grid.y)
+    return ChannelState(re_tau, y, *(_rows(getattr(state, name), rows) for name in _FIELDS))
+
+
+def _stack(states, re_tau, y):
+    """``states`` as the rows of one stack of states on Re_tau ``re_tau``
+    and nodes ``y``; a single state as it is."""
+    if len(states) == 1:
+        return states[0]
+    return ChannelState(re_tau, y, *(np.stack([getattr(state, name) for state in states])
+                                     for name in _FIELDS))
 
 
 def solve(cfg: ChannelConfig, injection: StressInjection | None = None) -> ChannelState:
@@ -708,17 +735,43 @@ def solve(cfg: ChannelConfig, injection: StressInjection | None = None) -> Chann
     return result
 
 
-def _solve_rows(cfg, injections):
-    """Solve the flow under each of ``injections`` (None for the baseline
-    closure) as the rows of one (rows, n) stack: one row, or coupled
-    rows of one perturbation after at most one baseline row.
+def solve_baselines(cfgs: list[ChannelConfig]) -> list:
+    """The baseline of each of ``cfgs``, configs that differ in re_tau
+    alone, solved as the rows of one stack (``_solve_rows``). Returns,
+    config by config, what ``_solve_rows`` returns: the state of
+    ``solve(cfg)``, the SolverError it raises, or None after the first
+    row that fails."""
+    first = cfgs[0]
+    if any(replace(cfg, re_tau=first.re_tau) != first for cfg in cfgs):
+        raise ValueError("the configs of one stack must differ in re_tau alone")
+    return _solve_rows(first, [None] * len(cfgs), [cfg.re_tau for cfg in cfgs])
 
-    Each Picard sweep updates every row at once: one tridiagonal solve
-    for momentum and one for k and omega together and, for several
-    coupled rows, one evaluation of the coupled shear
-    (``PerturbationInjection.stack``). Each row keeps its own relaxation
-    factor and momentum form (``_FixedPoint.stack``). After each block
-    every row gets its own Newton attempt, and a row that converges
+
+def _start(re_tau, cfg):
+    """The grid of a solve at ``re_tau`` under ``cfg``, and its initial
+    state."""
+    grid = _Grid(make_grid(re_tau, cfg.n_cells, cfg.stretch))
+    U, k, om, nu_t = _init_state(grid)
+    return grid, ChannelState(re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
+
+
+def _solve_rows(cfg, injections, re_taus=None):
+    """Solve the flow under each of ``injections`` (None for the baseline
+    closure) as the rows of one (rows, n) stack: one row, baseline rows
+    alone, or coupled rows of one perturbation after at most one
+    baseline row. Row r is at Re_tau ``re_taus[r]``, by default
+    cfg.re_tau; all rows share the n_cells, stretch and max_iters of
+    ``cfg``.
+
+    Each row is one ``_FixedPoint`` on its own (n,) grid, with its own
+    relaxation factor and momentum form (``_FixedPoint.stack``). Each
+    Picard sweep updates every row at once: one tridiagonal solve for
+    momentum and one for k and omega together and, for several coupled
+    rows, one evaluation of the coupled shear
+    (``PerturbationInjection.stack``). Rows at one Re_tau share its
+    grid; rows that differ in Re_tau sweep on the (rows, n) stack of
+    their grids, with 1/Re_tau per row. After each block every row gets
+    its own Newton attempt on its own grid, and a row that converges
     leaves the stack. A row's arithmetic is that of the row alone, so
     its state, residual history, Newton steps and error are those of a
     solve of that row by itself.
@@ -727,13 +780,13 @@ def _solve_rows(cfg, injections):
     that ended the row. A caller reports the first failing row, so the
     rows after one that fails stop there and are None.
     """
-    grid = _Grid(make_grid(cfg.re_tau, cfg.n_cells, cfg.stretch))
-    U, k, om, nu_t = _init_state(grid)
-    start = ChannelState(cfg.re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
-    rows = [_FixedPoint.under(grid, start, injection) for injection in injections]
+    re_taus = [cfg.re_tau] * len(injections) if re_taus is None else list(re_taus)
+    starts = {re_tau: _start(re_tau, cfg) for re_tau in dict.fromkeys(re_taus)}
+    rows = [_FixedPoint.under(*starts[re_tau], injection)
+            for re_tau, injection in zip(re_taus, injections)]
     active = rows  # the rows on the stack, in order
-    state = _take(start, [0] * len(active))
     fp = _FixedPoint.stack(active)
+    state = _stack([starts[re_tau][1] for re_tau in re_taus], fp.re_tau, fp.grid.y)
     minus_uv = fp.shear(state)
     sweeps = 0
     while active and sweeps < cfg.max_iters:
@@ -749,7 +802,7 @@ def _solve_rows(cfg, injections):
                 gain = np.where(m_new < fp.cap, state.nu_t_plus, 0.0)
                 relax = np.minimum(STRESS_RELAX, 1.0 / (1.0 + gain))
                 minus_uv = minus_uv + relax * (m_new - minus_uv)
-            state, change = _picard_sweep(grid, state, minus_uv, fp)
+            state, change = _picard_sweep(state, minus_uv, fp)
             for row, value in zip(active, change):
                 row.residuals.append(value)
             sweeps += 1
@@ -775,31 +828,32 @@ def _solve_rows(cfg, injections):
 
 def _keep(places, active, state, minus_uv):
     """The stack cut down to the ``places`` of its rows ``active``: those
-    rows, their state, their shear and their fixed point. Only a stack
-    with coupled rows keeps some of its rows, so only then is there a
-    shear to cut; a baseline row left alone sweeps under no shear."""
+    rows, their state on their grid, their shear and their fixed point.
+    Only a stack with coupled rows keeps some of its rows, so only then
+    is there a shear to cut; a baseline row left alone sweeps under no
+    shear."""
     active = [active[i] for i in places]
     if not active:
         return active, state, minus_uv, None
     fp = _FixedPoint.stack(active)
     minus_uv = None if fp.injection is None else _rows(minus_uv, places)
-    return active, _take(state, places), minus_uv, fp
+    return active, _take(state, places, fp), minus_uv, fp
 
 
-def _picard_sweep(grid, state, minus_uv, fp):
+def _picard_sweep(state, minus_uv, fp):
     """One relaxed sweep of every row of the stack ``state`` under the
-    stacked fixed point ``fp``, and the list of each row's relative
-    change. A row that turns non-finite spreads through the stacked
-    tridiagonal solves into every other row, so then each row is swept
-    again alone, with its own relaxation factor and closure."""
-    new = _sweep(grid, state, minus_uv, fp.ur, fp.eddy)
+    stacked fixed point ``fp``, on its grid, and the list of each row's
+    relative change. A row that turns non-finite spreads through the
+    stacked tridiagonal solves into every other row, so then each row is
+    swept again alone, on its own grid, with its own relaxation factor
+    and closure."""
+    new = _sweep(fp.grid, state, minus_uv, fp.ur, fp.eddy)
     change = np.reshape(_relative_change(state, new), -1).tolist()
     if len(change) > 1 and not all(map(math.isfinite, change)):
-        alone = [_sweep(grid, _take(state, [r]), None if row.injection is None else minus_uv[r],
-                        row.ur)
+        alone = [_sweep(row.grid, _take(state, [r], row),
+                        None if row.injection is None else minus_uv[r], row.ur)
                  for r, row in enumerate(fp.rows)]
-        new = ChannelState(state.re_tau, state.y_plus, *(
-            np.stack([getattr(row, name) for row in alone]) for name in _FIELDS))
+        new = _stack(alone, state.re_tau, state.y_plus)
         change = _relative_change(state, new).tolist()
     return new, change
 
@@ -834,9 +888,12 @@ class _FixedPoint:
         self.cap = 1.0 - grid.y / re_tau  # steady momentum bounds the turbulent shear
         self.ur = 0.8 if injection is None and tau is None else 0.5
         # the fixed points of a stack's rows, and the (rows, 1) mask of
-        # its baseline row (see ``stack``)
-        self.rows, self.eddy = [self], None
-        self.order, self.band_index, self.reached, self.colours = _band_tables(len(grid.y))
+        # its baseline row (see ``stack``); None for one row's own, since
+        # a row listing itself would keep its converged state alive in a
+        # reference cycle until the garbage collector runs
+        self.rows, self.eddy = None, None
+        self.order, self.band_index, self.reached, self.colours = _band_tables(
+            grid.y.shape[-1])
         self.residuals = []  # the relative change of each Picard sweep
         self.newton_steps = 0  # of all attempts
         self.f = self.reason = self.result = None  # see ``attempt``
@@ -853,22 +910,32 @@ class _FixedPoint:
     @classmethod
     def stack(cls, fps):
         """The fixed point of a stack whose row r is that of ``fps[r]``:
-        one row's own; or the coupled stresses of several rows at once,
-        after at most one baseline row. Each row keeps its relaxation
-        factor, a (rows, 1) array when they differ, and a baseline row
-        its closure, implicit eddy diffusion in momentum and nu_t dU/dy
-        in production, where the (rows, 1) mask ``eddy`` holds."""
+        one row's own; the baselines of several rows; or the coupled
+        stresses of several rows at once, after at most one baseline
+        row. Rows on one grid share it; baseline rows on several grids
+        sweep on the stack of their grids, with ``re_tau`` a (rows, 1)
+        array.
+        Each row keeps its relaxation factor, a (rows, 1) array when they
+        differ, and a baseline row its closure, implicit eddy diffusion
+        in momentum and nu_t dU/dy in production, where the (rows, 1)
+        mask ``eddy`` holds."""
         if len(fps) == 1:
             return fps[0]
         first = fps[0]
+        grid, re_tau = first.grid, first.re_tau
+        if any(fp.grid is not grid for fp in fps):
+            grid = _Grid(np.stack([fp.grid.y for fp in fps]))
+            re_tau = np.array([[fp.re_tau] for fp in fps])
         baseline = first.injection is None and first.tau is None
         coupled = [fp.injection for fp in (fps[1:] if baseline else fps)]
-        if len(coupled) == 1 and coupled[0] is not None:
-            stacked = cls(first.grid, first.re_tau, coupled[0])
+        if baseline and not any(coupled):
+            stacked = cls(grid, re_tau)  # baseline rows alone
+        elif len(coupled) == 1 and coupled[0] is not None:
+            stacked = cls(grid, re_tau, coupled[0])
         else:
-            stacked = cls(first.grid, first.re_tau, PerturbationInjection.stack(coupled))
+            stacked = cls(grid, re_tau, PerturbationInjection.stack(coupled))
         stacked.rows = fps
-        if baseline:
+        if baseline and stacked.injection is not None:
             stacked.ur = np.array([[fp.ur] for fp in fps])
             stacked.eddy = np.arange(len(fps))[:, None] == 0
         return stacked
@@ -1035,7 +1102,8 @@ def _band_tables(n):
     reached; and the 16 colours' columns. Only reached entries are kept:
     a difference entry outside one column's reach may hold the entry of
     the other field of its colour. Each table holds one entry per
-    reached entry at most, so the tables of 193 nodes take about 90 KB."""
+    reached entry at most, so the tables of 192 nodes, the default grid,
+    take 105,632 bytes (``nbytes``)."""
     # node-major position 4 i + f -> packed position f n + i
     order = np.arange(4 * n).reshape(4, n).T.ravel()
     colour = _COLOUR_BASE[:, None] + (np.arange(n) - _COLOUR_SHIFT[:, None]) % 8  # (4, n)

@@ -38,11 +38,14 @@ class ForestHyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        # a Python int each, so a forest file's 2.5, true or "30" is no
+        # hyperparameter (true == 1, and 2.5 would pass the bounds)
         for name in ("max_depth", "min_samples_split", "max_features", "n_trees"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 # Table-style defaults per target kind (the keys of dns.TARGET_NAMES).
@@ -386,8 +389,11 @@ def _positive_int(doc, key):
 
 
 def _names(doc, key, count):
-    """The name list ``key``: empty, or one name for each of ``count``."""
-    names = list(doc[key])
+    """The name list ``key``: a list of texts, empty or one for each of
+    ``count``."""
+    names = doc[key]
+    if type(names) is not list or any(type(name) is not str for name in names):
+        raise ValueError(f"{key} is not a list of texts")
     if names and len(names) != count:
         raise ValueError(f"{key} holds {len(names)} names, expected 0 or {count}")
     return names

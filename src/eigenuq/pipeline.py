@@ -269,7 +269,10 @@ def cmd_baseline(settings: Settings, out_dir) -> int:
 
 def train_forest(settings: Settings, target_kind: str):
     """Train one forest per the dataset config; returns
-    (forest, metrics dict)."""
+    (forest, metrics dict). The baselines of the training Re_tau and of
+    the holdout are solved as one stack (``channel.solve_baselines``),
+    each row that of its own ``channel.solve``; a failing one raises the
+    SolverError of the first failing Re_tau, in that order."""
     if target_kind not in dns.TARGET_NAMES:
         raise ConfigError(
             f"unknown target {target_kind!r}; choose from {tuple(dns.TARGET_NAMES)}"
@@ -284,14 +287,20 @@ def train_forest(settings: Settings, target_kind: str):
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
-    def targets_at(re_tau):
-        state = channel.solve(build_channel_config(settings, re_tau=re_tau))
+    # the targets of each Re_tau in turn; its state is dropped once they
+    # are built, so that no state is held while the forest is fitted
+    sets = []
+    re_taus = [*train_re, holdout_re]
+    for re_tau, state in zip(re_taus, channel.solve_baselines(
+            [build_channel_config(settings, re_tau=re_tau) for re_tau in re_taus])):
+        if isinstance(state, channel.SolverError):
+            raise state
         profile = dns.interpolate(load_reference_profile(settings, re_tau), state.y_plus)
-        return dns.build_targets(state, profile, target_kind)
-
-    training = targets_at(train_re[0])
-    for re_tau in train_re[1:]:
-        training.extend(targets_at(re_tau))
+        sets.append(dns.build_targets(state, profile, target_kind))
+    del state
+    training, *more, held = sets
+    for targets in more:
+        training.extend(targets)
 
     fitted = forest.fit(
         training.X,
@@ -301,7 +310,6 @@ def train_forest(settings: Settings, target_kind: str):
         target_names=training.target_names,
     )
 
-    held = targets_at(holdout_re)
     metrics = {
         "target_kind": target_kind,
         "n_train_rows": int(training.X.shape[0]),

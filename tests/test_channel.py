@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -443,9 +444,10 @@ def envelope_datafree_075_180():
 
 class TestStackedSolve:
     """uq_envelope solves its distinct corners as the rows of one stack,
-    after the baseline's row unless a baseline is given; the baseline's
-    and every corner's state, solve record and error is that of its own
-    solve, bit for bit."""
+    after the baseline's row unless a baseline is given, and
+    solve_baselines the baselines of several Re_tau, each row on its own
+    grid; the baseline's and every corner's or Re_tau's state, solve
+    record and error is that of its own solve, bit for bit."""
 
     FIELDS = ("U_plus", "k_plus", "omega_plus", "nu_t_plus", "tau", "minus_uv_plus")
     RECORD = ("residual_history", "newton_steps", "fixed_point_residual", "stress_consistency")
@@ -564,6 +566,105 @@ class TestStackedSolve:
             assert third is None  # stopped: the failure of 2C is what is reported
             with pytest.raises(channel.SolverError, match=r"^corner 2C failed: NaN/Inf detected"):
                 channel.uq_envelope(cfg, injections, None if lead else baseline)
+
+    def assert_each_re_tau_solved_alone(self, cfgs, stacked):
+        for cfg, state in zip(cfgs, stacked):
+            alone = channel.solve(cfg)
+            assert state.re_tau == alone.re_tau == cfg.re_tau
+            assert np.array_equal(state.y_plus, alone.y_plus), cfg.re_tau
+            self.assert_solved_alone(state, alone, cfg.re_tau)
+
+    def test_train_re_tau_as_one_stack(self):
+        # the default training Re_tau and the holdout's, as train solves
+        # them: five stretched grids, each row with its own 1/Re_tau
+        cfgs = [ChannelConfig(re_tau=re_tau) for re_tau in (180.0, 550.0, 2000.0, 5200.0, 1000.0)]
+        self.assert_each_re_tau_solved_alone(cfgs, channel.solve_baselines(cfgs))
+
+    def test_stack_of_uniform_and_stretched_grids(self):
+        # at 192 nodes Re_tau 90 and 95.5 get evenly spaced (linspace)
+        # grids, but only the spacings of 95.5 are all equal: its row
+        # takes numpy's uniform branch of the gradient, the others the
+        # stretched one, in one stacked grid whose every term is that of
+        # the row's own grid
+        re_taus = (90.0, 95.5, 180.0, 5200.0)
+        grids = [channel._Grid(channel.make_grid(re_tau, 192, 0.5)) for re_tau in re_taus]
+        assert np.array_equal(grids[0].y, np.linspace(0.0, 90.0, 192))
+        assert [grid.abc is None for grid in grids] == [False, True, False, False]
+        stacked = channel._Grid(np.stack([grid.y for grid in grids]))
+        assert stacked.uniform.tolist() == [1]
+        f = np.random.default_rng(3).uniform(-1.0, 1.0, stacked.y.shape)
+        for r, grid in enumerate(grids):
+            for name in ("yp", "yp2", "om_wall", "h_ends", "delta", "sub_den", "sup_den",
+                         "half_h_end"):
+                assert np.array_equal(getattr(stacked, name)[r], getattr(grid, name)), (r, name)
+            assert np.array_equal(stacked.walls[:, r], grid.walls), r
+            assert np.array_equal(stacked.grad(f)[r], np.gradient(f[r], grid.y)), r
+        cfgs = [ChannelConfig(re_tau=re_tau) for re_tau in re_taus]
+        self.assert_each_re_tau_solved_alone(cfgs, channel.solve_baselines(cfgs))
+
+    def test_failing_re_tau_rows_are_their_own_errors(self, monkeypatch):
+        # with a zero Newton tolerance every row fails, each with the
+        # message and residual history of its own solve, so a caller
+        # that reports the first in list order reports that Re_tau's
+        monkeypatch.setattr(channel, "NEWTON_TOL", 0.0)
+        cfgs = [ChannelConfig(re_tau=re_tau, n_cells=32, max_iters=60)
+                for re_tau in (2000.0, 180.0, 5200.0)]
+        rows = channel.solve_baselines(cfgs)
+        histories = []
+        for cfg, row in zip(cfgs, rows):
+            with pytest.raises(channel.SolverError) as alone:
+                channel.solve(cfg)
+            assert isinstance(row, channel.SolverError), cfg.re_tau
+            assert str(row) == str(alone.value), cfg.re_tau
+            assert str(row).startswith("no fixed point after 60 Picard sweeps")
+            assert row.residual_history == alone.value.residual_history, cfg.re_tau
+            histories.append(row.residual_history)
+        assert histories[0] != histories[1] != histories[2]
+
+    def test_non_finite_re_tau_fails_alone(self, monkeypatch):
+        # a NaN in the initial U of the Re_tau 5200 row spreads through
+        # the stacked tridiagonal solves; the rows are then swept alone,
+        # each on its own grid, so 5200 fails by itself and the other
+        # rows go on to their own fixed points
+        init_state = channel._init_state
+
+        def nan_at_5200(grid):
+            U, k, om, nu_t = init_state(grid)
+            if grid.y[-1] > 5000.0:
+                U[5] = np.nan
+            return U, k, om, nu_t
+
+        cfgs = [ChannelConfig(re_tau=re_tau) for re_tau in (180.0, 550.0, 5200.0)]
+        alone = [channel.solve(cfg) for cfg in cfgs[:2]]
+        monkeypatch.setattr(channel, "_init_state", nan_at_5200)
+        with pytest.raises(channel.SolverError) as failing:
+            channel.solve(cfgs[2])
+        *rows, last = channel.solve_baselines(cfgs)
+        for cfg, state, own in zip(cfgs, rows, alone):
+            self.assert_solved_alone(state, own, cfg.re_tau)
+        assert str(last) == str(failing.value) == "NaN/Inf detected at iteration 0"
+        assert np.array_equal(last.residual_history, failing.value.residual_history,
+                              equal_nan=True)
+
+    def test_rows_are_freed_without_the_collector(self):
+        # no row's fixed point is left in a reference cycle that would
+        # keep its converged state, and the row's Newton arrays, alive
+        # until the garbage collector runs
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+        gc.collect()
+        gc.disable()
+        try:
+            channel.solve_baselines([cfg, ChannelConfig(re_tau=550.0, n_cells=32)])
+            channel.uq_envelope(cfg, channel.corner_injections("datafree", delta_b=1.0))
+            left = [o for o in gc.get_objects() if isinstance(o, channel._FixedPoint)]
+        finally:
+            gc.enable()
+        assert left == []
+
+    def test_configs_of_one_stack_differ_in_re_tau_alone(self):
+        with pytest.raises(ValueError, match="differ in re_tau alone"):
+            channel.solve_baselines([ChannelConfig(re_tau=180.0),
+                                     ChannelConfig(re_tau=550.0, n_cells=64)])
 
     def test_stack_takes_corners_of_one_perturbation(self):
         datafree = channel.corner_injections("datafree", delta_b=1.0)

@@ -499,6 +499,33 @@ class TestSerialization:
         with pytest.raises(ForestFormatError, match=message):
             forest.load(path)
 
+    @pytest.mark.parametrize(
+        "key, edit, message",
+        [
+            # a float, a JSON true and a text passed the bounds checks or
+            # read as an integer
+            ("hyperparams", lambda v: {**v, "max_depth": 2.5},
+             "max_depth must be a positive integer, got 2.5"),
+            ("hyperparams", lambda v: {**v, "seed": True},
+             "seed must be a non-negative integer, got True"),
+            ("hyperparams", lambda v: {**v, "n_trees": "30"},
+             "n_trees must be a positive integer, got '30'"),
+            # a text read as one name per character, other entries as given
+            ("feature_names", lambda v: "abcd", "feature_names is not a list of texts"),
+            ("feature_names", lambda v: [1, 2, 3, {}], "feature_names is not a list of texts"),
+            ("target_names", lambda v: ["u", None], "target_names is not a list of texts"),
+        ],
+        ids=["max_depth_float", "seed_true", "n_trees_text", "feature_names_text",
+             "feature_names_entries", "target_names_null"],
+    )
+    def test_load_rejects_head_of_another_type(self, tmp_path, key, edit, message):
+        path, doc = saved_doc(tmp_path)
+        doc[key] = edit(doc[key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ForestFormatError,
+                           match=f"malformed forest file \\({re.escape(message)}\\)"):
+            forest.load(path)
+
     def test_load_rejects_file_without_trees(self, tmp_path):
         path, doc = saved_doc(tmp_path)
         doc["trees"] = []

@@ -189,6 +189,39 @@ class TestBaselineCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+class TestTrainCommand:
+    @pytest.mark.parametrize("kind", ["p", "pcorr_angles"])
+    def test_stacked_baselines_train_the_forest_of_one_by_one_solves(
+            self, settings, kind, tmp_path, monkeypatch):
+        # train solves its Re_tau as one stack; a training that solves
+        # them one by one gives the same forest file and metrics
+        fitted, metrics = pipeline.train_forest(settings, kind)
+        monkeypatch.setattr(channel, "solve_baselines",
+                            lambda cfgs: [channel.solve(cfg) for cfg in cfgs])
+        reference, reference_metrics = pipeline.train_forest(settings, kind)
+        assert metrics == reference_metrics
+        stacked, one_by_one = tmp_path / "stacked.json", tmp_path / "reference.json"
+        forest.save(fitted, stacked)
+        forest.save(reference, one_by_one)
+        assert stacked.read_bytes() == one_by_one.read_bytes()
+
+    def test_failing_re_tau_exit_three(self, tmp_path, monkeypatch, capsys):
+        # with a zero Newton tolerance every Re_tau fails; train reports
+        # the first of its list with the message of that Re_tau's own
+        # solve, as solving them in turn did, and leaves no output
+        monkeypatch.setattr(channel, "NEWTON_TOL", 0.0)
+        with pytest.raises(channel.SolverError) as first:
+            channel.solve(channel.ChannelConfig(re_tau=2000.0, n_cells=32, max_iters=60))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\nn_cells = 32\nmax_iters = 60\n"
+                       "[train]\ntrain_re_tau = 2000, 180\nholdout_re_tau = 5200\n")
+        code, stderr = run_main(monkeypatch, capsys, "train", "--config", str(cfg),
+                                "--out", str(tmp_path / "d"))
+        assert code == 3
+        assert stderr == f"numerical failure: {first.value}\n"
+        assert not (tmp_path / "d").exists()
+
+
 @pytest.fixture(scope="module")
 def small_grid_datafree_uq(tmp_path_factory):
     """The benchmark's datafree uq at Re_tau 180 on the 32-cell grid of
@@ -658,6 +691,40 @@ class TestCli:
         assert code == 4, stderr
         assert "data error" in stderr
         assert r"split feature outside [-1, 6)" in stderr
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("max_depth", 2.5, "max_depth must be a positive integer, got 2.5"),
+            ("seed", True, "seed must be a non-negative integer, got True"),
+            ("n_trees", "2", "n_trees must be a positive integer, got '2'"),
+            ("feature_names", "abcdef", "feature_names is not a list of texts"),
+            ("feature_names", [1, 2, 3, 4, 5, {}], "feature_names is not a list of texts"),
+        ],
+        ids=["max_depth_float", "seed_true", "n_trees_text", "feature_names_text",
+             "feature_names_entries"],
+    )
+    def test_forest_head_of_another_type_exit_four(self, tmp_path, monkeypatch, capsys, key,
+                                                   value, message):
+        # rejected before any solve
+        rng = np.random.default_rng(0)
+        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
+        path = tmp_path / "forest_p.json"
+        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), path)
+        doc = json.loads(path.read_text())
+        if key == "feature_names":
+            doc[key] = value
+        else:
+            doc["hyperparams"][key] = value
+        path.write_text(json.dumps(doc))
+        code, stderr = main_without_solving(
+            monkeypatch, capsys,
+            "uq", "--mode", "p", "--forest", str(path), "--re-tau", "180",
+            "--out", str(tmp_path / "d"),
+        )
+        assert code == 4, stderr
+        assert f"data error: {path}: malformed forest file ({message})" in stderr
         assert not (tmp_path / "d").exists()
 
     def test_non_finite_forest_exit_four(self, tmp_path, monkeypatch, capsys):
