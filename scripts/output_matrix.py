@@ -1,4 +1,4 @@
-"""Write the outputs of thirteen eigenuq commands into one directory, so that
+"""Write the outputs of fourteen eigenuq commands into one directory, so that
 two checkouts can be compared byte for byte.
 
     python3 scripts/output_matrix.py OUT_DIR
@@ -28,7 +28,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from eigenuq import cli  # noqa: E402
+from eigenuq import cli, dns  # noqa: E402
 
 SMALL_GRID = os.path.join(ROOT, "perfbench", "uq-small-grid.ini")
 
@@ -37,12 +37,16 @@ SMALL_GRID = os.path.join(ROOT, "perfbench", "uq-small-grid.ini")
 # 95.5's spacings are all equal, which numpy's uniform branch needs.
 # Written into OUT_DIR and read by a relative path.
 MIXED_GRIDS = ("train_mixed_grids.ini", "[train]\ntrain_re_tau = 90, 95.5, 180, 5200\n")
+# The synthetic Re_tau 1000 profile as a file, for propagate-dns --dns;
+# written into OUT_DIR by dns.write_profile and read by a relative path.
+PROFILE = "profile_1000.dat"
 
 # (subdirectory, arguments): baselines at a low and the highest Re_tau,
 # the three forest kinds the data-driven runs need, a training on mixed
 # grids, the data-free envelope at two settings, a data-driven envelope
 # of each mode (the componentwise ones on the 32-cell grid, as the
-# benchmark runs them), a noisy propagation and a report over three runs
+# benchmark runs them), a noisy propagation, a propagation of a profile
+# file and a report over three runs
 COMMANDS = [
     ("baseline_180", ["baseline", "--re-tau", "180"]),
     ("baseline_5200", ["baseline", "--re-tau", "5200"]),
@@ -61,6 +65,7 @@ COMMANDS = [
                              "--forest", os.path.join("train_pcorr_angles",
                                                       "forest_pcorr_angles.json")]),
     ("propagate_1000", ["propagate-dns", "--re-tau", "1000", "--noise", "0.02"]),
+    ("propagate_dns_1000", ["propagate-dns", "--re-tau", "1000", "--dns", PROFILE]),
     ("report", ["report", "uq_datafree_180", "uq_p_1000", "propagate_1000"]),
 ]
 
@@ -166,6 +171,7 @@ def main(argv=None):
     os.chdir(out)  # relative run paths, so no file records where OUT_DIR is
     with open(MIXED_GRIDS[0], "w") as f:
         f.write(MIXED_GRIDS[1])
+    dns.write_profile(dns.synthetic_profile(1000.0), PROFILE)
     for name, command in COMMANDS:
         start = time.perf_counter()
         code = cli.run([*command, "--out", name])

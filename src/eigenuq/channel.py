@@ -502,11 +502,13 @@ class PerturbationInjection(StressInjection):
     @classmethod
     def stack(cls, injections):
         """One injection whose ``shear`` on row r of a stack of states is
-        that of ``injections[r]``: injections of one corner-taking mode
-        with the same other arguments, as ``corner_injections`` builds
-        them. Their corner points broadcast as an (m, 1, 2) array, so the
-        stack's shear is one evaluation."""
+        that of ``injections[r]``: a lone injection itself, or injections
+        of one corner-taking mode with the same other arguments, as
+        ``corner_injections`` builds them. Their corner points broadcast
+        as an (m, 1, 2) array, so the stack's shear is one evaluation."""
         first = injections[0]
+        if len(injections) == 1:
+            return first
         for injection in injections:
             if not (isinstance(injection, cls) and injection.corner is not None
                     and injection.mode == first.mode and injection.delta_b == first.delta_b
@@ -698,9 +700,10 @@ _FIELDS = ("U_plus", "k_plus", "omega_plus", "nu_t_plus", "dUdy_plus")
 
 def _rows(a, rows):
     """The rows ``rows`` (a list of indices) of a stack of arrays (n,)
-    or (rows, n). A single row is a plain (n,) array, both ways: numpy
-    broadcasts a (1, n) stack against the (n,) grid arrays on a slower
-    path, which costs a one-row sweep about 15%."""
+    or (rows, n). A single row is a plain (n,) array, both ways: whole
+    one-row solves run as (1, n) stacks took 6-8% longer (the baseline at
+    Re_tau 180 and 1000, ``propagate-dns`` at 1000; 17-18 of 20
+    interleaved pairs), though a bare ``_sweep`` was not slower."""
     rows = list(rows)
     return np.atleast_2d(a)[rows[0] if len(rows) == 1 else rows]
 
@@ -757,11 +760,12 @@ def _start(re_tau, cfg):
 
 def _solve_rows(cfg, injections, re_taus=None):
     """Solve the flow under each of ``injections`` (None for the baseline
-    closure) as the rows of one (rows, n) stack: one row, baseline rows
-    alone, or coupled rows of one perturbation after at most one
-    baseline row. Row r is at Re_tau ``re_taus[r]``, by default
-    cfg.re_tau; all rows share the n_cells, stretch and max_iters of
-    ``cfg``.
+    closure) as the rows of one (rows, n) stack. One row may be any
+    solve; several rows are baseline rows alone, or at most one baseline
+    row followed by the corners of one perturbation
+    (``_FixedPoint.stack``). Row r is at Re_tau ``re_taus[r]``, by
+    default cfg.re_tau; all rows share the n_cells, stretch and
+    max_iters of ``cfg``.
 
     Each row is one ``_FixedPoint`` on its own (n,) grid, with its own
     relaxation factor and momentum form (``_FixedPoint.stack``). Each
@@ -802,7 +806,7 @@ def _solve_rows(cfg, injections, re_taus=None):
                 gain = np.where(m_new < fp.cap, state.nu_t_plus, 0.0)
                 relax = np.minimum(STRESS_RELAX, 1.0 / (1.0 + gain))
                 minus_uv = minus_uv + relax * (m_new - minus_uv)
-            state, change = _picard_sweep(state, minus_uv, fp)
+            state, change = _picard_sweep(state, minus_uv, fp, active)
             for row, value in zip(active, change):
                 row.residuals.append(value)
             sweeps += 1
@@ -829,9 +833,8 @@ def _solve_rows(cfg, injections, re_taus=None):
 def _keep(places, active, state, minus_uv):
     """The stack cut down to the ``places`` of its rows ``active``: those
     rows, their state on their grid, their shear and their fixed point.
-    Only a stack with coupled rows keeps some of its rows, so only then
-    is there a shear to cut; a baseline row left alone sweeps under no
-    shear."""
+    Only coupled rows have a shear to cut: baseline rows, alone or left
+    without their corners, sweep under none."""
     active = [active[i] for i in places]
     if not active:
         return active, state, minus_uv, None
@@ -840,19 +843,19 @@ def _keep(places, active, state, minus_uv):
     return active, _take(state, places, fp), minus_uv, fp
 
 
-def _picard_sweep(state, minus_uv, fp):
+def _picard_sweep(state, minus_uv, fp, rows):
     """One relaxed sweep of every row of the stack ``state`` under the
     stacked fixed point ``fp``, on its grid, and the list of each row's
     relative change. A row that turns non-finite spreads through the
     stacked tridiagonal solves into every other row, so then each row is
     swept again alone, on its own grid, with its own relaxation factor
-    and closure."""
+    and closure: those of its fixed point in ``rows``."""
     new = _sweep(fp.grid, state, minus_uv, fp.ur, fp.eddy)
     change = np.reshape(_relative_change(state, new), -1).tolist()
     if len(change) > 1 and not all(map(math.isfinite, change)):
         alone = [_sweep(row.grid, _take(state, [r], row),
                         None if row.injection is None else minus_uv[r], row.ur)
-                 for r, row in enumerate(fp.rows)]
+                 for r, row in enumerate(rows)]
         new = _stack(alone, state.re_tau, state.y_plus)
         change = _relative_change(state, new).tolist()
     return new, change
@@ -887,11 +890,7 @@ class _FixedPoint:
         self.prescribed = None if tau is None else -tau[:, 0, 1]
         self.cap = 1.0 - grid.y / re_tau  # steady momentum bounds the turbulent shear
         self.ur = 0.8 if injection is None and tau is None else 0.5
-        # the fixed points of a stack's rows, and the (rows, 1) mask of
-        # its baseline row (see ``stack``); None for one row's own, since
-        # a row listing itself would keep its converged state alive in a
-        # reference cycle until the garbage collector runs
-        self.rows, self.eddy = None, None
+        self.eddy = None  # the (rows, 1) mask of a stack's baseline row (see ``stack``)
         self.order, self.band_index, self.reached, self.colours = _band_tables(
             grid.y.shape[-1])
         self.residuals = []  # the relative change of each Picard sweep
@@ -909,12 +908,12 @@ class _FixedPoint:
 
     @classmethod
     def stack(cls, fps):
-        """The fixed point of a stack whose row r is that of ``fps[r]``:
-        one row's own; the baselines of several rows; or the coupled
-        stresses of several rows at once, after at most one baseline
-        row. Rows on one grid share it; baseline rows on several grids
-        sweep on the stack of their grids, with ``re_tau`` a (rows, 1)
-        array.
+        """The fixed point of a stack whose row r is that of ``fps[r]``.
+        One row is its own; several rows are baseline rows alone, or at
+        most one baseline row followed by the corners of one perturbation
+        (``PerturbationInjection.stack``). Rows on one grid share it;
+        rows on several grids sweep on the stack of their grids, with
+        ``re_tau`` a (rows, 1) array.
         Each row keeps its relaxation factor, a (rows, 1) array when they
         differ, and a baseline row its closure, implicit eddy diffusion
         in momentum and nu_t dU/dy in production, where the (rows, 1)
@@ -926,15 +925,9 @@ class _FixedPoint:
         if any(fp.grid is not grid for fp in fps):
             grid = _Grid(np.stack([fp.grid.y for fp in fps]))
             re_tau = np.array([[fp.re_tau] for fp in fps])
-        baseline = first.injection is None and first.tau is None
+        baseline = first.injection is None
         coupled = [fp.injection for fp in (fps[1:] if baseline else fps)]
-        if baseline and not any(coupled):
-            stacked = cls(grid, re_tau)  # baseline rows alone
-        elif len(coupled) == 1 and coupled[0] is not None:
-            stacked = cls(grid, re_tau, coupled[0])
-        else:
-            stacked = cls(grid, re_tau, PerturbationInjection.stack(coupled))
-        stacked.rows = fps
+        stacked = cls(grid, re_tau, PerturbationInjection.stack(coupled) if any(coupled) else None)
         if baseline and stacked.injection is not None:
             stacked.ur = np.array([[fp.ur] for fp in fps])
             stacked.eddy = np.arange(len(fps))[:, None] == 0
@@ -949,7 +942,7 @@ class _FixedPoint:
             return np.minimum(self.injection.shear(state), self.cap)
         # the coupled rows after the baseline's as views, one row as (n,)
         # arrays
-        rows = 1 if len(self.rows) == 2 else slice(1, None)
+        rows = 1 if len(state.U_plus) == 2 else slice(1, None)
         coupled = ChannelState(state.re_tau, state.y_plus,
                                *(getattr(state, name)[rows] for name in _FIELDS))
         out = np.zeros(state.U_plus.shape)
@@ -1178,21 +1171,25 @@ def corner_injections(mode, delta_b=None, targets=None) -> dict[str, Perturbatio
     return dict.fromkeys(CORNER_SLOTS, shared)
 
 
-def uq_envelope(cfg: ChannelConfig, injections: dict[str, StressInjection],
+def uq_envelope(cfg: ChannelConfig, injections: dict[str, PerturbationInjection],
                 baseline: ChannelState | None = None) -> Envelope:
-    """Solve the distinct corner injections, after the baseline unless it
-    is given, as the rows of one stack (``_solve_rows``) under ``cfg``,
-    and collect the per-node min/max velocity envelope.
+    """Solve the distinct corners of one perturbation, after the baseline
+    unless it is given, as the rows of one stack (``_solve_rows``) under
+    ``cfg``, and collect the per-node min/max velocity envelope.
 
-    ``injections`` maps each corner slot to its injection as
-    ``corner_injections`` builds them: slots sharing one instance share
-    one row and its state, and distinct instances differ in their corner
-    alone. The baseline's and every corner's state is that of its own
-    ``solve``. A failing baseline raises the SolverError of
-    ``solve(cfg)``; when corners fail, the SolverError names the first
-    failing slot and carries its residual history, as solving the
-    baseline and then the slots in order would.
+    ``injections`` maps each corner slot to a PerturbationInjection
+    (ValueError before any solve otherwise) as ``corner_injections``
+    builds them: slots sharing one instance share one row and its state,
+    and distinct instances differ in their corner alone. The baseline's
+    and every corner's state is that of its own ``solve``. A failing
+    baseline raises the SolverError of ``solve(cfg)``; when corners
+    fail, the SolverError names the first failing slot and carries its
+    residual history, as solving the baseline and then the slots in
+    order would.
     """
+    for corner, injection in injections.items():
+        if not isinstance(injection, PerturbationInjection):
+            raise ValueError(f"corner {corner}: {type(injection).__name__} is no perturbation")
     rows = list({id(injection): injection for injection in injections.values()}.values())
     if baseline is None:
         baseline, *solved = _solve_rows(cfg, [None] + rows)

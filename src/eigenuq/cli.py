@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import pipeline
@@ -68,6 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # commands create --out only after their solves: a file in its way is rejected first
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"output path {args.out} exists and is not a directory")
     if args.command == "report":
         return pipeline.cmd_report(args.runs, args.out)
 

@@ -363,6 +363,8 @@ def loads(document, name) -> RegressionForest:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
         raise ForestFormatError(f"{name}: not valid JSON (line {e.lineno})") from e
+    except UnicodeDecodeError as e:
+        raise ForestFormatError(f"{name}: not UTF-8 ({e})") from e
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int:  # JSON true is no version, though True == 1
         version = None

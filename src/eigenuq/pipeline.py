@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import functools
 import hashlib
+import io
 import json
 import os
 from dataclasses import asdict, dataclass, replace
@@ -36,6 +37,25 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Missing or malformed input data."""
+
+
+def _read(path, error, what, not_found=None):
+    """The bytes of the input file ``path`` (a ``what``), read once, and
+    their UTF-8 text. ``error`` (ConfigError or DataError) says
+    ``not_found`` (by default "<what> not found: <path>") if there is no
+    such file, and why not if it cannot be read (a directory, no
+    permission) or is not UTF-8."""
+    try:
+        with open(path, "rb") as f:
+            document = f.read()
+    except FileNotFoundError:
+        raise error(not_found or f"{what} not found: {path}") from None
+    except OSError as e:
+        raise error(f"unreadable {what} {path}: {e.strerror or e}") from e
+    try:
+        return document, document.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"unreadable {what} {path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +106,9 @@ def load_settings(config_path=None, overrides=None) -> Settings:
     parser.read_dict({section: {key: default for key, (default, _) in keys.items()}
                       for section, keys in DEFAULTS.items()})
     if config_path is not None:
-        if not os.path.exists(config_path):
-            raise ConfigError(f"config file not found: {config_path}")
+        _, text = _read(config_path, ConfigError, "config file")
         try:
-            parser.read(config_path)
+            parser.read_file(io.StringIO(text, newline=None), os.fspath(config_path))
         except configparser.Error as e:
             raise ConfigError(f"malformed config file {config_path}: {e}") from e
     for section, key, value in overrides or []:
@@ -153,20 +172,21 @@ def load_reference_profile(settings: Settings, re_tau: float) -> dns.DnsProfile:
     source = settings.data.get(float(re_tau), "synthetic")
     if source == "synthetic":
         return dns.synthetic_profile(re_tau)
-    return read_reference_profile(source, re_tau)
+    return read_reference_profile(source, re_tau)[0]
 
 
-def read_reference_profile(path, re_tau: float) -> dns.DnsProfile:
+def read_reference_profile(path, re_tau: float):
     """A profile file that is well formed and covers the half channel at
-    ``re_tau``; DataError (exit 4) otherwise."""
-    if not os.path.exists(path):
-        raise DataError(f"reference profile for Re_tau={re_tau:g} not found: {path}")
+    ``re_tau``, and the sha256 of the bytes it was parsed from: the file
+    is read once. DataError (exit 4) otherwise."""
+    document, text = _read(path, DataError, "reference profile",
+                           f"reference profile for Re_tau={re_tau:g} not found: {path}")
     try:
-        profile = dns.load_profile(path, re_tau=re_tau)
+        profile = dns.parse_profile(text, re_tau=re_tau)
         dns.check_coverage(profile, re_tau)
     except dns.ProfileParseError as e:
         raise DataError(str(e)) from e
-    return profile
+    return profile, hashlib.sha256(document).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +205,13 @@ def write_manifest(out_dir, command, settings: Settings, extra=None, sections=No
 
 def read_manifest(run_dir) -> dict:
     """The manifest of a run directory; DataError (exit 4) if it is
-    missing, is not UTF-8 JSON, or holds something other than an object."""
+    missing or unreadable, is not UTF-8 JSON, or holds something other
+    than an object."""
     path = os.path.join(run_dir, "manifest.json")
-    if not os.path.exists(path):
-        raise DataError(f"no manifest.json in {run_dir}")
+    _, text = _read(path, DataError, "manifest", f"no manifest.json in {run_dir}")
     try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
         raise DataError(f"unreadable manifest {path}: {e}") from e
     if not isinstance(doc, dict):
         raise DataError(f"manifest {path} is not a JSON object")
@@ -287,8 +306,9 @@ def train_forest(settings: Settings, target_kind: str):
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
-    # the targets of each Re_tau in turn; its state is dropped once they
-    # are built, so that no state is held while the forest is fitted
+    # the targets of each Re_tau in turn; the list of solve_baselines
+    # holds every state until the loop ends, and none is held while the
+    # forest is fitted
     sets = []
     re_taus = [*train_re, holdout_re]
     for re_tau, state in zip(re_taus, channel.solve_baselines(
@@ -344,12 +364,9 @@ def _load_forest(path, mode):
     from: the file is read once."""
     if path is None:
         raise ConfigError("data-driven uq mode needs --forest")
-    if not os.path.exists(path):
-        raise DataError(f"forest file not found: {path}")
-    with open(path, "rb") as f:
-        document = f.read()
+    document, text = _read(path, DataError, "forest file")
     try:
-        fitted = forest.loads(document, path)
+        fitted = forest.loads(text, path)
     except ForestFormatError as e:
         raise DataError(str(e)) from e
     check_forest(fitted, mode)
@@ -456,8 +473,11 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
     cfg = build_channel_config(settings)
     noise = _get(settings, "propagate", "noise")
     seed = _get(settings, "propagate", "noise_seed")
+    extra = {}
     if dns_path is not None:
-        profile = read_reference_profile(dns_path, cfg.re_tau)
+        profile, digest = read_reference_profile(dns_path, cfg.re_tau)
+        # the base name, as uq records its forest
+        extra["dns"] = {"file": os.path.basename(dns_path), "sha256": digest}
     else:
         profile = load_reference_profile(settings, cfg.re_tau)
     try:
@@ -488,6 +508,7 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
             "rel_l2_error_U": rel_l2,
             **solve_record(state),
             "realizability_violations": count_realizability_violations(state),
+            **extra,
         },
     )
     return EXIT_OK

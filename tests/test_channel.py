@@ -670,12 +670,34 @@ class TestStackedSolve:
         datafree = channel.corner_injections("datafree", delta_b=1.0)
         stacked = channel.PerturbationInjection.stack(list(datafree.values()))
         assert stacked.move is not datafree["1C"].move
+        # a lone injection, of any mode, is its own stack
+        pcorr = channel.PerturbationInjection("pcorr", targets=np.zeros((33, 2)))
+        assert channel.PerturbationInjection.stack([pcorr]) is pcorr
         other = channel.PerturbationInjection("datafree", corner="2C", delta_b=0.5)
         for rows in ([datafree["1C"], other],
                      [datafree["1C"], channel.FrozenStressInjection(dns.synthetic_profile(180.0))],
                      [channel.PerturbationInjection("pcorr", targets=np.zeros((33, 2)))] * 2):
             with pytest.raises(ValueError, match="differ in their corner alone"):
                 channel.PerturbationInjection.stack(rows)
+
+    def test_envelope_takes_perturbation_corners_only(self, monkeypatch):
+        # a prescribed stress in a corner slot would be swept under the
+        # baseline's closure: it is rejected before any sweep, with the
+        # baseline given or not
+        def no_sweep(*_args):
+            pytest.fail("swept before the corner was rejected")
+
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+        baseline = channel.solve(cfg)
+        monkeypatch.setattr(channel, "_picard_sweep", no_sweep)
+        prescribed = channel.FrozenStressInjection(dns.synthetic_profile(180.0))
+        datafree = channel.corner_injections("datafree", delta_b=1.0)
+        for injections, slot in ((dict.fromkeys(channel.CORNER_SLOTS, prescribed), "1C"),
+                                 ({**datafree, "2C": prescribed}, "2C")):
+            for given in (None, baseline):
+                with pytest.raises(ValueError, match=(
+                        rf"^corner {slot}: FrozenStressInjection is no perturbation$")):
+                    channel.uq_envelope(cfg, injections, given)
 
 
 MODES = ("datafree", "p", "pcorr", "pcorr_angles")

@@ -350,6 +350,9 @@ class TestSerialization:
         path.write_text("not json at all")
         with pytest.raises(ForestFormatError):
             forest.load(path)
+        path.write_bytes(b'{"version": "caf\xe9"}')
+        with pytest.raises(ForestFormatError, match=f"{path}: not UTF-8"):
+            forest.load(path)
 
     def test_load_rejects_wrong_schema_version(self, tmp_path):
         X, Y = toy_data(n=60)

@@ -59,6 +59,22 @@ def main_without_solving(monkeypatch, capsys, *args):
     return run_main(monkeypatch, capsys, *args)
 
 
+def unreadable_inputs(tmp_path):
+    """Inputs that exist but cannot be read: a directory, a file that is
+    not UTF-8, a config whose [data] names that directory, and a run
+    directory whose manifest is a directory."""
+    paths = {"directory": tmp_path / "directory", "not_utf8": tmp_path / "latin1.txt",
+             "data_directory": tmp_path / "data.ini", "run": tmp_path / "run",
+             "manifest": tmp_path / "run" / "manifest.json"}
+    paths["directory"].mkdir()
+    paths["manifest"].mkdir(parents=True)
+    paths["not_utf8"].write_bytes(b"# caf\xe9\n")
+    paths["data_directory"].write_text(
+        "[channel]\nre_tau = 180\nn_cells = 32\n"
+        f"[train]\ntrain_re_tau = 180\nholdout_re_tau = 180\n[data]\n180 = {paths['directory']}\n")
+    return {name: str(path) for name, path in paths.items()}
+
+
 def assert_solve_record(man):
     """The manifest of a one-solve command says how its solve ended."""
     picard, newton = man["picard_sweeps"], man["newton_steps"]
@@ -372,6 +388,7 @@ class TestPropagateCommand:
         out = tmp_path / "prop"
         assert pipeline.cmd_propagate_dns(fast_settings(), out) == pipeline.EXIT_OK
         man = pipeline.read_manifest(out)
+        assert "dns" not in man
         assert man["rel_l2_error_U"] < 0.01
         assert man["total_shear_error"] <= 1e-8
         assert_solve_record(man)
@@ -386,7 +403,11 @@ class TestPropagateCommand:
         out = tmp_path / "prop"
         code = pipeline.cmd_propagate_dns(fast_settings(), out, dns_path=str(path))
         assert code == pipeline.EXIT_OK
-        assert pipeline.read_manifest(out)["rel_l2_error_U"] < 0.01
+        man = pipeline.read_manifest(out)
+        assert man["rel_l2_error_U"] < 0.01
+        # the profile it propagated, by base name and the digest of its bytes
+        assert man["dns"] == {"file": "ref.dat",
+                              "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
     def test_missing_profile_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -541,12 +562,26 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "d" / "manifest.json").exists()
 
+    # the arguments of a baseline, and the start of its exit-2 message
+    CONFIG_ERRORS = [
+        (["--re-tau", "0"], "re_tau must be finite and positive"),
+        (["--config", "{directory}"], "unreadable config file {directory}: "),
+        (["--config", "{not_utf8}"],
+         "unreadable config file {not_utf8}: 'utf-8' codec can't decode byte 0xe9"),
+        (["--out", "{not_utf8}"], "output path {not_utf8} exists and is not a directory"),
+    ]
+
     def test_config_error_exit_two(self, tmp_path, monkeypatch, capsys):
-        code, stderr = run_main(monkeypatch, capsys,
-                                "baseline", "--out", str(tmp_path / "d"), "--re-tau", "0")
-        assert code == 2
-        assert "configuration error" in stderr
-        assert not (tmp_path / "d").exists()
+        # each in one line, before any solve
+        paths = unreadable_inputs(tmp_path)
+        for args, message in self.CONFIG_ERRORS:
+            code, stderr = main_without_solving(monkeypatch, capsys, "baseline", "--out",
+                                                str(tmp_path / "d"),
+                                                *(arg.format(**paths) for arg in args))
+            assert code == 2, args
+            assert stderr.startswith(f"configuration error: {message.format(**paths)}"), stderr
+            assert stderr.count("\n") == 1, stderr
+            assert not (tmp_path / "d").exists()
 
     def test_numerical_error_exit_three(self, tmp_path, monkeypatch, capsys):
         # with a zero Newton tolerance no solve converges, whatever max_iters
@@ -586,19 +621,33 @@ class TestCli:
                          r"at step \d+\)", proc.stderr), proc.stderr
         assert not (tmp_path / "d").exists()
 
+    # the arguments of a command, and the start of its exit-4 message
+    DATA_ERRORS = [
+        (["propagate-dns", "--dns", "/nonexistent.dat"],
+         "reference profile for Re_tau=180 not found: /nonexistent.dat"),
+        (["propagate-dns", "--dns", "{directory}"], "unreadable reference profile {directory}: "),
+        (["propagate-dns", "--dns", "{not_utf8}"],
+         "unreadable reference profile {not_utf8}: 'utf-8' codec can't decode byte 0xe9"),
+        (["uq", "--mode", "p", "--forest", "{directory}"], "unreadable forest file {directory}: "),
+        (["uq", "--mode", "p", "--forest", "{not_utf8}"],
+         "unreadable forest file {not_utf8}: 'utf-8' codec can't decode byte 0xe9"),
+        (["train"], "unreadable reference profile {directory}: "),
+        (["report", "{run}"], "unreadable manifest {manifest}: "),
+    ]
+
     def test_data_error_exit_four(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[channel]\nre_tau = 180\nn_cells = 64\n")
-        code, stderr = run_main(
-            monkeypatch, capsys,
-            "propagate-dns",
-            "--config", str(cfg),
-            "--out", str(tmp_path / "d"),
-            "--dns", "/nonexistent.dat",
-        )
-        assert code == 4
-        assert "data error" in stderr
-        assert not (tmp_path / "d").exists()
+        # each in one line; of the config, whose [data] names a directory,
+        # only train reads that section
+        paths = unreadable_inputs(tmp_path)
+        for args, message in self.DATA_ERRORS:
+            if args[0] != "report":
+                args = [*args, "--config", paths["data_directory"]]
+            code, stderr = run_main(monkeypatch, capsys, *(arg.format(**paths) for arg in args),
+                                    "--out", str(tmp_path / "d"))
+            assert code == 4, args
+            assert stderr.startswith(f"data error: {message.format(**paths)}"), stderr
+            assert stderr.count("\n") == 1, stderr
+            assert not (tmp_path / "d").exists()
 
     def test_unreadable_manifest_exit_four(self, tmp_path, monkeypatch, capsys):
         run = tmp_path / "run"
