@@ -1,4 +1,4 @@
-"""Write the outputs of fourteen eigenuq commands into one directory, so that
+"""Write the outputs of sixteen eigenuq commands into one directory, so that
 two checkouts can be compared byte for byte.
 
     python3 scripts/output_matrix.py OUT_DIR
@@ -43,9 +43,10 @@ PROFILE = "profile_1000.dat"
 
 # (subdirectory, arguments): baselines at a low and the highest Re_tau,
 # the three forest kinds the data-driven runs need, a training on mixed
-# grids, the data-free envelope at two settings, a data-driven envelope
-# of each mode (the componentwise ones on the 32-cell grid, as the
-# benchmark runs them), a noisy propagation, a propagation of a profile
+# grids and one with another seed, the data-free envelope at two
+# settings, a data-driven envelope of each mode (the componentwise ones
+# on the 32-cell grid, as the benchmark runs them), a noisy propagation
+# with the default and another noise seed, a propagation of a profile
 # file and a report over three runs
 COMMANDS = [
     ("baseline_180", ["baseline", "--re-tau", "180"]),
@@ -54,6 +55,7 @@ COMMANDS = [
     ("train_pcorr", ["train", "--target", "pcorr"]),
     ("train_pcorr_angles", ["train", "--target", "pcorr_angles"]),
     ("train_p_mixed_grids", ["train", "--target", "p", "--config", MIXED_GRIDS[0]]),
+    ("train_p_seed_3", ["train", "--target", "p", "--seed", "3"]),
     ("uq_datafree_180", ["uq", "--mode", "datafree", "--delta-b", "1.0", "--re-tau", "180"]),
     ("uq_datafree_1000", ["uq", "--mode", "datafree", "--delta-b", "0.5", "--re-tau", "1000"]),
     ("uq_p_1000", ["uq", "--mode", "p", "--re-tau", "1000",
@@ -65,6 +67,8 @@ COMMANDS = [
                              "--forest", os.path.join("train_pcorr_angles",
                                                       "forest_pcorr_angles.json")]),
     ("propagate_1000", ["propagate-dns", "--re-tau", "1000", "--noise", "0.02"]),
+    ("propagate_1000_seed_3", ["propagate-dns", "--re-tau", "1000", "--noise", "0.02",
+                               "--seed", "3"]),
     ("propagate_dns_1000", ["propagate-dns", "--re-tau", "1000", "--dns", PROFILE]),
     ("report", ["report", "uq_datafree_180", "uq_p_1000", "propagate_1000"]),
 ]

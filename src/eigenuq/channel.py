@@ -604,17 +604,15 @@ def _blending(grid, k, om_s, dkdy, domdy):
 def _momentum(grid, state, minus_uv, eddy=None):
     """Face diffusivity and source of the momentum system of ``state``
     under the shear ``minus_uv`` (see ``_sweep``)."""
-    if minus_uv is None or eddy is not None:
+    if minus_uv is None:
         # implicit eddy diffusion
-        implicit = 1.0 + _mid(state.nu_t_plus), np.full(state.U_plus.shape, 1.0 / state.re_tau)
-        if minus_uv is None:
-            return implicit
+        return 1.0 + _mid(state.nu_t_plus), np.full(state.U_plus.shape, 1.0 / state.re_tau)
     # a given stress does not depend on this sweep's U: momentum is one
-    # exact linear solve for U
-    given = grid.unit_mid, _face_divergence(grid, _mid(minus_uv)) + 1.0 / state.re_tau
-    if eddy is None:
-        return given
-    return tuple(np.where(eddy, a, b) for a, b in zip(implicit, given))
+    # exact linear solve for U. The eddy rows of a mixed stack take implicit
+    # diffusion; under their zero shear the source is 1/Re_tau bit for bit
+    source = _face_divergence(grid, _mid(minus_uv)) + 1.0 / state.re_tau
+    gamma = grid.unit_mid if eddy is None else np.where(eddy, 1.0 + _mid(state.nu_t_plus), 1.0)
+    return gamma, source
 
 
 def _turbulence(grid, k, om, nu_t, dudy, minus_uv, eddy=None):
@@ -703,7 +701,11 @@ def _rows(a, rows):
     or (rows, n). A single row is a plain (n,) array, both ways: whole
     one-row solves run as (1, n) stacks took 6-8% longer (the baseline at
     Re_tau 180 and 1000, ``propagate-dns`` at 1000; 17-18 of 20
-    interleaved pairs), though a bare ``_sweep`` was not slower."""
+    interleaved pairs). The Picard sweeps carry it: a baseline
+    ``_sweep`` took 7-13% longer as a (1, n) stack (faster in 0-6 of 30
+    pairs), because a numpy ufunc that broadcasts an (n,) grid array
+    against a (1, n) one costs about 1 us more than one on equal shapes
+    (``_Grid.grad``: 7.5 against 11.6 us in one run)."""
     rows = list(rows)
     return np.atleast_2d(a)[rows[0] if len(rows) == 1 else rows]
 
@@ -935,7 +937,7 @@ class _FixedPoint:
 
     def shear(self, state):
         """The shear -u'v'* momentum uses at ``state``; 0 in the rows of
-        a stack's baseline, whose momentum does not use it."""
+        a stack's baseline, whose momentum takes only its source from it."""
         if self.injection is None:
             return self.prescribed
         if self.eddy is None:

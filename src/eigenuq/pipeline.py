@@ -110,13 +110,12 @@ def load_settings(config_path=None, overrides=None) -> Settings:
         try:
             parser.read_file(io.StringIO(text, newline=None), os.fspath(config_path))
         except configparser.Error as e:
-            raise ConfigError(f"malformed config file {config_path}: {e}") from e
+            # configparser puts the file, line number and line on lines of their own
+            message = " ".join(line.strip() for line in str(e).splitlines())
+            raise ConfigError(f"malformed config file {config_path}: {message}") from e
     for section, key, value in overrides or []:
-        if value is None:
-            continue
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, key, str(value))
+        if value is not None:
+            parser.set(section, key, str(value))
     for section in parser.sections():
         if section == "data":
             continue  # keys are Re_tau values

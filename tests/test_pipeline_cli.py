@@ -568,12 +568,23 @@ class TestCli:
         (["--config", "{directory}"], "unreadable config file {directory}: "),
         (["--config", "{not_utf8}"],
          "unreadable config file {not_utf8}: 'utf-8' codec can't decode byte 0xe9"),
+        (["--config", "{no_header}"], "malformed config file {no_header}: File contains no "
+         "section headers. file: '{no_header}', line: 1 're_tau = 180\\n'"),
+        (["--config", "{stray_line}"], "malformed config file {stray_line}: Source contains "
+         "parsing errors: '{stray_line}' [line  2]: 'garbage\\n'"),
         (["--out", "{not_utf8}"], "output path {not_utf8} exists and is not a directory"),
+        (["--out", "{not_utf8}/sub"],
+         "output path {not_utf8}/sub lies under {not_utf8}, which exists and is not a directory"),
+        (["--out", ""], "output path is empty"),
     ]
 
     def test_config_error_exit_two(self, tmp_path, monkeypatch, capsys):
         # each in one line, before any solve
         paths = unreadable_inputs(tmp_path)
+        for name, text in (("no_header", "re_tau = 180\n"),
+                           ("stray_line", "[channel]\ngarbage\nre_tau = 180\n")):
+            paths[name] = str(tmp_path / f"{name}.ini")
+            Path(paths[name]).write_text(text)
         for args, message in self.CONFIG_ERRORS:
             code, stderr = main_without_solving(monkeypatch, capsys, "baseline", "--out",
                                                 str(tmp_path / "d"),
@@ -864,15 +875,59 @@ class TestCli:
         assert self.DEFECT_MESSAGES["starts_above_wall"] in stderr
         assert not (tmp_path / "d").exists()
 
-    def test_seed_flag_reaches_both_sections(self):
-        parser = cli.build_parser()
-        args = parser.parse_args(["train", "--out", "x", "--seed", "7"])
-        assert args.seed == 7
-        s = pipeline.load_settings(
-            overrides=[("train", "seed", 7), ("propagate", "noise_seed", 7)]
-        )
-        assert s.train["seed"] == "7"
-        assert s.propagate["noise_seed"] == "7"
+    @pytest.mark.parametrize("args, section, key",
+                             [(["train", "--target", "p"], "train", "seed"),
+                              (["propagate-dns"], "propagate", "noise_seed")],
+                             ids=["train", "propagate"])
+    def test_seed_flag_sets_only_its_command_s_key(self, tmp_path, monkeypatch, args, section,
+                                                   key):
+        ran = []
+        monkeypatch.setattr(pipeline, f"cmd_{args[0].replace('-', '_')}",
+                            lambda settings, *_args, **_kwargs: ran.append(settings) or 0)
+        assert cli.run([*args, "--seed", "7", "--out", str(tmp_path / "d")]) == 0
+        (settings,) = ran
+        seeds = {("train", "seed"): settings.train["seed"],
+                 ("propagate", "noise_seed"): settings.propagate["noise_seed"]}
+        assert seeds == {**dict.fromkeys(seeds, "0"), (section, key): "7"}
+
+    @pytest.mark.parametrize("args", [["baseline", "--seed", "1"], ["uq", "--seed", "1"],
+                                      ["train", "--re-tau", "550"]],
+                             ids=["baseline_seed", "uq_seed", "train_re_tau"])
+    def test_flag_of_a_setting_the_command_does_not_read_rejected(self, tmp_path, monkeypatch,
+                                                                  capsys, args):
+        code, stderr = main_without_solving(monkeypatch, capsys, *args,
+                                            "--out", str(tmp_path / "d"))
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(args[1:])}" in stderr
+        assert not (tmp_path / "d").exists()
+
+    def test_override_flags_name_settings_keys(self):
+        # the dest of an override flag is the "section.key" it sets
+        (subs,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        dests = {action.dest for sub in subs.choices.values() for action in sub._actions}
+        overrides = sorted(dest for dest in dests if "." in dest)
+        assert overrides == ["channel.re_tau", "propagate.noise", "propagate.noise_seed",
+                             "train.seed", "uq.delta_b", "uq.mode"]
+        for dest in overrides:
+            section, key = dest.split(".")
+            assert key in pipeline.DEFAULTS[section]
+
+    def test_report_into_one_of_its_runs_exit_two(self, tmp_path, monkeypatch, capsys):
+        # however the path is spelled, before any manifest is read
+        monkeypatch.chdir(tmp_path)
+        run = tmp_path / "run1"
+        run.mkdir()
+        pipeline.write_manifest(run, "baseline", fast_settings(), {"centerline_U": 1.0})
+        before = (run / "manifest.json").read_bytes()
+        monkeypatch.setattr(pipeline, "read_manifest", lambda _: pytest.fail("read a manifest"))
+        for runs, out in ((["run1"], "run1"), (["run1/"], "./run1"),
+                          (["missing", "./run1"], str(run))):
+            code, stderr = run_main(monkeypatch, capsys, "report", *runs, "--out", out)
+            assert code == 2
+            assert stderr == (f"configuration error: output path {out} is one of the runs "
+                              "to report\n")
+        assert os.listdir(run) == ["manifest.json"]
+        assert (run / "manifest.json").read_bytes() == before
 
 
 class TestStartup:
