@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenuq import dns, forest
+from eigenuq import dns, forest, pipeline
 from eigenuq.forest import ForestFormatError, ForestHyperparams
 
 
@@ -184,6 +184,25 @@ class TestHyperparams:
         assert forest.HYPERPARAMS.keys() == dns.TARGET_NAMES.keys()
 
 
+@pytest.fixture(scope="module")
+def training_sets(settings):
+    """(X, Y) of the default training set of each target kind, as ``train``
+    hands them to ``forest.fit``."""
+    sets = {}
+
+    class Captured(Exception):
+        pass
+
+    def capture(X, Y, hp, **names):
+        raise Captured(X, Y)
+
+    for kind in ("p", "pcorr_angles"):
+        with mock.patch.object(forest, "fit", capture), pytest.raises(Captured) as caught:
+            pipeline.train_forest(settings, kind)
+        sets[kind] = caught.value.args
+    return sets
+
+
 class TestFit:
     def test_deterministic_refit(self):
         X, Y = toy_data()
@@ -271,6 +290,8 @@ class TestFit:
         n_targets=st.integers(1, 5),
         feature_levels=st.sampled_from([1, 2, 5, 40, 10**6]),
         target_levels=st.sampled_from([1, 2, 4, None]),
+        target_scale=st.sampled_from([1.0, 1e-120, 1e-150, 1e-160, 1e-165, 1e-300]),
+        signed_zeros=st.booleans(),
         max_depth=st.integers(1, 10),
         min_samples_split=st.integers(1, 6),
         n_trees=st.integers(1, 4),
@@ -279,16 +300,24 @@ class TestFit:
     )
     def test_fit_matches_breadth_first_reference(
         self, tmp_path_factory, seed, n_rows, n_features, n_targets, feature_levels,
-        target_levels, max_depth, min_samples_split, n_trees, block_elements, data,
+        target_levels, target_scale, signed_zeros, max_depth, min_samples_split, n_trees,
+        block_elements, data,
     ):
         # few feature levels give duplicate values, few target levels constant
-        # or quantized targets; small blocks split every size across blocks
+        # or quantized targets; small blocks split every size across blocks.
+        # Scaled targets differ by less and more than 1e-140, and some of
+        # their squares underflow (at 1e-165 spreads are about 1e-165 and
+        # every square is 0, so a pre-test cut set too low shows); -0.0 and
+        # 0.0 are one feature value
         rng = np.random.default_rng(seed)
         X = rng.integers(0, feature_levels, size=(n_rows, n_features)) / feature_levels
+        if signed_zeros:
+            X[(X == 0.0) & (rng.random(X.shape) < 0.5)] = -0.0
         if target_levels is None:
             Y = rng.normal(size=(n_rows, n_targets))
         else:
             Y = rng.integers(0, target_levels, size=(n_rows, n_targets)) * 0.3
+        Y *= target_scale
         hp = ForestHyperparams(
             max_depth=max_depth,
             min_samples_split=min_samples_split,
@@ -299,6 +328,44 @@ class TestFit:
         with mock.patch.object(forest, "_BLOCK_ELEMENTS", block_elements):
             fitted = forest.fit(X, Y, hp)
         assert_saves_the_same(fitted, reference_fit(X, Y, hp), tmp_path_factory.mktemp("fit"))
+
+    def test_equal_targets_with_positive_variance_search(self, tmp_path):
+        # three targets of 0.1 have a numpy variance of 1.9e-34, not 0: the
+        # node is no constant-target stop, and it splits
+        X = np.array([[0.0], [1.0], [2.0]])
+        Y = np.full((3, 1), 0.1)
+        assert Y.var() > 0.0
+        hp = ForestHyperparams(max_depth=1, min_samples_split=2, max_features=1, n_trees=1,
+                               seed=1)
+        fitted = forest.fit(X, Y, hp)
+        assert fitted.feature[0] == 0
+        assert_saves_the_same(fitted, reference_fit(X, Y, hp), tmp_path)
+
+    def test_ranks_are_dense_and_signed_zeros_share_one(self):
+        X = np.array([[0.5, -0.0], [-0.0, 2.0], [0.0, 0.0], [-1.0, 2.0]])
+        assert forest._ranks(X).tolist() == [[2, 0], [1, 1], [1, 0], [0, 1]]
+
+    def test_fit_rejects_target_without_columns(self):
+        with pytest.raises(ValueError, match="no target columns"):
+            forest.fit(np.zeros((5, 2)), np.ones((5, 0)), HP)
+
+    @pytest.mark.parametrize(
+        "kind, parent_peak_kb", [("pcorr_angles", 3_034), ("p", 2_160)]
+    )
+    def test_fit_peak_memory(self, training_sets, kind, parent_peak_kb):
+        X, Y = training_sets[kind]
+        hp = forest.HYPERPARAMS[kind]
+        forest.fit(X, Y, hp)  # numpy's first use of each routine is not counted
+        tracemalloc.start()
+        try:
+            forest.fit(X, Y, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the peak before the rank-key sort and the spread pre-test, plus
+        # 64 KB; leaf values kept per leaf, not per node, brought it to
+        # 2,558 and 1,910 KB
+        assert peak <= (parent_peak_kb + 64) * 1024
 
     def test_default_training_size_matches_reference(self, tmp_path):
         # 764 rows, as the default training sets have: several blocks per level
