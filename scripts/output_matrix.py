@@ -1,4 +1,4 @@
-"""Write the outputs of sixteen eigenuq commands into one directory, so that
+"""Write the outputs of seventeen eigenuq commands into one directory, so that
 two checkouts can be compared byte for byte.
 
     python3 scripts/output_matrix.py OUT_DIR
@@ -40,14 +40,19 @@ MIXED_GRIDS = ("train_mixed_grids.ini", "[train]\ntrain_re_tau = 90, 95.5, 180, 
 # The synthetic Re_tau 1000 profile as a file, for propagate-dns --dns;
 # written into OUT_DIR by dns.write_profile and read by a relative path.
 PROFILE = "profile_1000.dat"
+# A training whose Re_tau 180 reference is a profile file that the
+# [data] section names, written like PROFILE: the file path through
+# dns.build_targets, and the data record of the train manifest.
+DATA_PROFILE = "profile_180.dat"
+DATA_FILE = ("train_data_file.ini", f"[data]\n180 = {DATA_PROFILE}\n")
 
 # (subdirectory, arguments): baselines at a low and the highest Re_tau,
 # the three forest kinds the data-driven runs need, a training on mixed
-# grids and one with another seed, the data-free envelope at two
-# settings, a data-driven envelope of each mode (the componentwise ones
-# on the 32-cell grid, as the benchmark runs them), a noisy propagation
-# with the default and another noise seed, a propagation of a profile
-# file and a report over three runs
+# grids, one with another seed and one on a [data] file, the data-free
+# envelope at two settings, a data-driven envelope of each mode (the
+# componentwise ones on the 32-cell grid, as the benchmark runs them), a
+# noisy propagation with the default and another noise seed, a
+# propagation of a profile file and a report over three runs
 COMMANDS = [
     ("baseline_180", ["baseline", "--re-tau", "180"]),
     ("baseline_5200", ["baseline", "--re-tau", "5200"]),
@@ -56,6 +61,7 @@ COMMANDS = [
     ("train_pcorr_angles", ["train", "--target", "pcorr_angles"]),
     ("train_p_mixed_grids", ["train", "--target", "p", "--config", MIXED_GRIDS[0]]),
     ("train_p_seed_3", ["train", "--target", "p", "--seed", "3"]),
+    ("train_p_data_file", ["train", "--target", "p", "--config", DATA_FILE[0]]),
     ("uq_datafree_180", ["uq", "--mode", "datafree", "--delta-b", "1.0", "--re-tau", "180"]),
     ("uq_datafree_1000", ["uq", "--mode", "datafree", "--delta-b", "0.5", "--re-tau", "1000"]),
     ("uq_p_1000", ["uq", "--mode", "p", "--re-tau", "1000",
@@ -173,9 +179,11 @@ def main(argv=None):
     out = args[0]
     os.makedirs(out)  # fails if it exists: no file of an earlier run may remain
     os.chdir(out)  # relative run paths, so no file records where OUT_DIR is
-    with open(MIXED_GRIDS[0], "w") as f:
-        f.write(MIXED_GRIDS[1])
+    for name, text in (MIXED_GRIDS, DATA_FILE):
+        with open(name, "w") as f:
+            f.write(text)
     dns.write_profile(dns.synthetic_profile(1000.0), PROFILE)
+    dns.write_profile(dns.synthetic_profile(180.0), DATA_PROFILE)
     for name, command in COMMANDS:
         start = time.perf_counter()
         code = cli.run([*command, "--out", name])

@@ -1,6 +1,8 @@
-"""Reference channel-flow statistics: parsing of whitespace-delimited
-DNS profile files, wall-unit interpolation onto solver grids, synthetic
-self-consistent fixtures, and training-target construction.
+"""Reference channel-flow statistics: parsing of the text of
+whitespace-delimited DNS profile files, wall-unit interpolation onto
+solver grids, synthetic self-consistent fixtures, and training-target
+construction. The files themselves are read by
+``pipeline.read_reference_profile``.
 
 Profiles live on the half channel y+ in [0, Re_tau]. Only the uv
 off-diagonal is nonzero in 1D channel data.
@@ -8,7 +10,6 @@ off-diagonal is nonzero in 1D channel data.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +62,15 @@ class DnsProfile:
 _COLUMNS = ("y_plus", "U_plus", "uu_plus", "vv_plus", "ww_plus", "uv_plus")
 
 
-def parse_profile(stream, re_tau: float) -> DnsProfile:
-    """Parse a profile in the layout :func:`write_profile` writes: seven
-    whitespace-delimited columns y/delta, y+, U+, uu+, vv+, ww+, uv+ per
-    row, in any row order; lines starting with % or # are comments. The
-    y/delta column is not read: y+ is the wall distance."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
+def parse_profile(text: str, re_tau: float) -> DnsProfile:
+    """Parse the text of a profile in the layout :func:`write_profile`
+    writes: seven whitespace-delimited columns y/delta, y+, U+, uu+, vv+,
+    ww+, uv+ per line, lines in any order; lines starting with % or # are
+    comments. The y/delta column is not read: y+ is the wall distance.
+    The profile is checked by ``validate``, not for coverage of the half
+    channel (``check_coverage``)."""
     rows = []
-    for lineno, line in enumerate(stream, start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         s = line.strip()
         if not s or s.startswith(("%", "#")):
             continue
@@ -89,11 +90,6 @@ def parse_profile(stream, re_tau: float) -> DnsProfile:
     prof = DnsProfile(re_tau, **dict(zip(_COLUMNS, data.T)))
     prof.validate()
     return prof
-
-
-def load_profile(path, re_tau: float) -> DnsProfile:
-    with open(path) as f:
-        return parse_profile(f, re_tau)
 
 
 def write_profile(profile: DnsProfile, path) -> None:
@@ -239,9 +235,11 @@ class TrainingSet:
         self.n_excluded += other.n_excluded
 
 
-def build_targets(rans_state, dns: DnsProfile, target_kind: str) -> TrainingSet:
+def build_targets(rans_state, reference: DnsProfile, target_kind: str) -> TrainingSet:
     """Per-node discrepancy targets between a converged RANS state and a
-    reference profile interpolated onto the same grid.
+    reference profile on any grid that covers the half channel:
+    ``check_coverage`` at the state's Re_tau (ProfileParseError if not),
+    then ``interpolate`` onto the state's y+.
 
     Degenerate (near-laminar) nodes in either field are excluded and
     counted in ``n_excluded``.
@@ -250,15 +248,12 @@ def build_targets(rans_state, dns: DnsProfile, target_kind: str) -> TrainingSet:
 
     if target_kind not in TARGET_NAMES:
         raise ValueError(f"unknown target kind {target_kind!r}")
-    y = np.asarray(rans_state.y_plus)
-    if len(dns.y_plus) != len(y) or np.max(np.abs(dns.y_plus - y)) > 1e-8 * max(
-        1.0, float(y[-1])
-    ):
-        raise ValueError("DNS profile is not on the RANS grid; interpolate first")
+    check_coverage(reference, rans_state.re_tau)
+    ref = interpolate(reference, rans_state.y_plus)
 
     X = feat.feature_matrix(rans_state)
     _, lam_r, frame_r, degen_r = tensors.decompose(rans_state.tau)
-    tau_d = tensors.stress_stack(dns.uu_plus, dns.vv_plus, dns.ww_plus, dns.uv_plus)
+    tau_d = tensors.stress_stack(ref.uu_plus, ref.vv_plus, ref.ww_plus, ref.uv_plus)
     _, lam_d, frame_d, degen_d = tensors.decompose(tau_d)
     keep = ~(degen_r | degen_d)
     if not keep.any():

@@ -422,22 +422,17 @@ class ForestFormatError(ValueError):
     pass
 
 
-def load(path) -> RegressionForest:
-    with open(path, "rb") as f:
-        return loads(f.read(), path)
-
-
-def loads(document, name) -> RegressionForest:
-    """The forest of a schema-3 JSON document (see ``save``), text or
-    bytes; a ForestFormatError names the document by ``name``. A schema-1
-    or schema-2 document, which wrote its floats as JSON numbers, is
-    rejected too: the forest has to be trained again."""
+def loads(text: str, name) -> RegressionForest:
+    """The forest of the text of a schema-3 JSON document (see ``save``);
+    a ForestFormatError names the document by ``name``. A byte-order
+    mark is not JSON. A schema-1 or schema-2 document, which wrote its
+    floats as JSON numbers, is rejected too: the forest has to be
+    trained again. Files are read, and decoded as UTF-8, by the CLI
+    (``pipeline._load_forest``)."""
     try:
-        doc = json.loads(document)
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ForestFormatError(f"{name}: not valid JSON (line {e.lineno})") from e
-    except UnicodeDecodeError as e:
-        raise ForestFormatError(f"{name}: not UTF-8 ({e})") from e
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int:  # JSON true is no version, though True == 1
         version = None

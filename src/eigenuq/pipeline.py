@@ -164,20 +164,24 @@ def build_channel_config(settings: Settings, re_tau=None) -> channel.ChannelConf
         raise ConfigError(str(e)) from e
 
 
-def load_reference_profile(settings: Settings, re_tau: float) -> dns.DnsProfile:
-    """Reference profile for one Re_tau from the [data] section; the
-    keyword ``synthetic`` (also the default) builds the bundled
-    self-consistent synthetic profile."""
+def load_reference_profile(settings: Settings, re_tau: float):
+    """Reference profile for one Re_tau from the [data] section, and the
+    record of its file (``read_reference_profile``); the keyword
+    ``synthetic`` (also the default) builds the bundled self-consistent
+    synthetic profile, which has no file: its record is None."""
     source = settings.data.get(float(re_tau), "synthetic")
     if source == "synthetic":
-        return dns.synthetic_profile(re_tau)
-    return read_reference_profile(source, re_tau)[0]
+        return dns.synthetic_profile(re_tau), None
+    return read_reference_profile(source, re_tau)
 
 
 def read_reference_profile(path, re_tau: float):
     """A profile file that is well formed and covers the half channel at
-    ``re_tau``, and the sha256 of the bytes it was parsed from: the file
-    is read once. DataError (exit 4) otherwise."""
+    ``re_tau``, and its manifest record: the base name, so the same file
+    read from another directory gives the same manifest, and the sha256
+    of the bytes it was parsed from (the file is read once). DataError
+    (exit 4) otherwise. This is the one reader of profile files; ``dns``
+    parses their text."""
     document, text = _read(path, DataError, "reference profile",
                            f"reference profile for Re_tau={re_tau:g} not found: {path}")
     try:
@@ -185,7 +189,8 @@ def read_reference_profile(path, re_tau: float):
         dns.check_coverage(profile, re_tau)
     except dns.ProfileParseError as e:
         raise DataError(str(e)) from e
-    return profile, hashlib.sha256(document).hexdigest()
+    return profile, {"file": os.path.basename(path),
+                     "sha256": hashlib.sha256(document).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +291,10 @@ def cmd_baseline(settings: Settings, out_dir) -> int:
 
 
 def train_forest(settings: Settings, target_kind: str):
-    """Train one forest per the dataset config; returns
-    (forest, metrics dict). The baselines of the training Re_tau and of
-    the holdout are solved as one stack (``channel.solve_baselines``),
+    """Train one forest per the dataset config; returns (forest, metrics
+    dict, the record of each reference profile read from a [data] file,
+    by Re_tau). Each reference goes to ``dns.build_targets`` as read.
+    The baselines of the training Re_tau and of the holdout are solved as one stack (``channel.solve_baselines``),
     each row that of its own ``channel.solve``; a failing one raises the
     SolverError of the first failing Re_tau, in that order."""
     if target_kind not in dns.TARGET_NAMES:
@@ -308,13 +314,15 @@ def train_forest(settings: Settings, target_kind: str):
     # the targets of each Re_tau in turn; the list of solve_baselines
     # holds every state until the loop ends, and none is held while the
     # forest is fitted
-    sets = []
+    sets, sources = [], {}
     re_taus = [*train_re, holdout_re]
     for re_tau, state in zip(re_taus, channel.solve_baselines(
             [build_channel_config(settings, re_tau=re_tau) for re_tau in re_taus])):
         if isinstance(state, channel.SolverError):
             raise state
-        profile = dns.interpolate(load_reference_profile(settings, re_tau), state.y_plus)
+        profile, source = load_reference_profile(settings, re_tau)
+        if source is not None:
+            sources[re_tau] = source
         sets.append(dns.build_targets(state, profile, target_kind))
     del state
     training, *more, held = sets
@@ -341,11 +349,11 @@ def train_forest(settings: Settings, target_kind: str):
         ),
         "hyperparams": asdict(hp),
     }
-    return fitted, metrics
+    return fitted, metrics, sources
 
 
 def cmd_train(settings: Settings, out_dir, target_kind: str) -> int:
-    fitted, metrics = train_forest(settings, target_kind)
+    fitted, metrics, sources = train_forest(settings, target_kind)
     _ensure_out(out_dir)
     forest.save(fitted, os.path.join(out_dir, f"forest_{target_kind}.json"))
     # every metric but the hyperparameters, which only the manifest records
@@ -353,7 +361,10 @@ def cmd_train(settings: Settings, out_dir, target_kind: str) -> int:
     _write_rows(
         os.path.join(out_dir, "metrics.csv"), columns, [[metrics[key] for key in columns]]
     )
-    write_manifest(out_dir, "train", settings, {"metrics": metrics})
+    extra = {"metrics": metrics}
+    if sources:
+        extra["data"] = sources
+    write_manifest(out_dir, "train", settings, extra)
     return EXIT_OK
 
 
@@ -460,8 +471,7 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
         **{key: {c: r[key] for c, r in records.items()} for key in records["1C"]},
     }
     if forest_sha256 is not None:
-        # the base name: the same forest read from another directory
-        # gives the same manifest
+        # the base name, as read_reference_profile records a profile
         extra["forest"] = {"file": os.path.basename(forest_path), "sha256": forest_sha256,
                            "queried_on": "baseline"}
     write_manifest(out_dir, "uq", ran, extra, sections=("channel", "uq"))
@@ -472,13 +482,11 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
     cfg = build_channel_config(settings)
     noise = _get(settings, "propagate", "noise")
     seed = _get(settings, "propagate", "noise_seed")
-    extra = {}
     if dns_path is not None:
-        profile, digest = read_reference_profile(dns_path, cfg.re_tau)
-        # the base name, as uq records its forest
-        extra["dns"] = {"file": os.path.basename(dns_path), "sha256": digest}
+        profile, source = read_reference_profile(dns_path, cfg.re_tau)
     else:
-        profile = load_reference_profile(settings, cfg.re_tau)
+        profile, source = load_reference_profile(settings, cfg.re_tau)
+    extra = {} if source is None else {"dns": source}
     try:
         injection = channel.FrozenStressInjection(
             profile=profile, noise_amplitude=noise, noise_seed=seed

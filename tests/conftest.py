@@ -45,7 +45,7 @@ def baseline_1000(envelope_datafree_1000):
 @pytest.fixture(scope="session")
 def forest_p(settings):
     """Trained magnitude forest plus its training metrics."""
-    return pipeline.train_forest(settings, "p")
+    return pipeline.train_forest(settings, "p")[:2]
 
 
 @pytest.fixture(scope="session")

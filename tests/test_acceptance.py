@@ -223,7 +223,7 @@ class TestNewtonWithoutStall:
 
     def test_seed_7_pcorr_angles_envelope(self, baseline_1000):
         settings = pipeline.load_settings(overrides=[("train", "seed", 7)])
-        fitted, _ = pipeline.train_forest(settings, "pcorr_angles")
+        fitted, _, _ = pipeline.train_forest(settings, "pcorr_angles")
         injections = channel.corner_injections(
             "pcorr_angles", targets=pipeline.forest_targets(fitted, baseline_1000))
         env = channel.uq_envelope(ChannelConfig(re_tau=1000.0), injections, baseline_1000)
@@ -332,7 +332,7 @@ class TestForestTraining:
 
     def test_training_is_deterministic(self, forest_p, settings):
         fitted, _ = forest_p
-        refit, _ = pipeline.train_forest(settings, "p")
+        refit, _, _ = pipeline.train_forest(settings, "p")
         probe = np.random.default_rng(0).uniform(0.0, 1.0, size=(200, fitted.n_features))
         assert np.array_equal(fitted.predict(probe), refit.predict(probe))
 

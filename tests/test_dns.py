@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from eigenuq import channel, dns
+from eigenuq import channel, dns, features, rotation, tensors
 from eigenuq.dns import ProfileParseError
 
 
@@ -57,7 +57,7 @@ class TestWriteLoadRoundTrip:
         prof = dns.synthetic_profile(180.0, n_points=64)
         path = tmp_path / "profile.dat"
         dns.write_profile(prof, path)
-        back = dns.load_profile(path, re_tau=180.0)
+        back = dns.parse_profile(path.read_text(), re_tau=180.0)
         assert np.allclose(back.y_plus, prof.y_plus, atol=1e-9)
         assert np.allclose(back.U_plus, prof.U_plus, atol=1e-9)
         assert np.allclose(back.uv_plus, prof.uv_plus, atol=1e-9)
@@ -114,7 +114,7 @@ class TestProfileProperties:
             rows[i][3 + j % 3] = "-1.0"
         path.write_text("\n".join(header + [" ".join(row) for row in rows]) + "\n")
         try:
-            back = dns.load_profile(path, re_tau=180.0)
+            back = dns.parse_profile(path.read_text(), re_tau=180.0)
         except ProfileParseError:
             assert corruption not in ("none", "unsorted")
             return
@@ -248,19 +248,46 @@ class TestSyntheticProfile:
 
 @pytest.fixture(scope="module")
 def state_and_profile():
+    """A Re_tau 180 baseline on 64 cells and the reference on its own grid."""
     cfg = channel.ChannelConfig(re_tau=180.0, n_cells=64)
-    st = channel.solve(cfg)
-    prof = dns.interpolate(dns.synthetic_profile(180.0), st.y_plus)
-    return st, prof
+    return channel.solve(cfg), dns.synthetic_profile(180.0)
+
+
+def targets_on_the_state_grid(state, reference, kind):
+    """``build_targets`` as it was when its caller interpolated the
+    reference onto the state's grid: the targets it must still give."""
+    ref = dns.interpolate(reference, state.y_plus)
+    _, lam_r, frame_r, degen_r = tensors.decompose(state.tau)
+    _, lam_d, frame_d, degen_d = tensors.decompose(
+        tensors.stress_stack(ref.uu_plus, ref.vv_plus, ref.ww_plus, ref.uv_plus))
+    keep = ~(degen_r | degen_d)
+    x_r = tensors.weights_to_points(tensors.eigenvalues_to_weights(lam_r[keep]))
+    x_d = tensors.weights_to_points(tensors.eigenvalues_to_weights(lam_d[keep]))
+    p_corr = x_d - x_r
+    Y = {"p": np.linalg.norm(p_corr, axis=1)[:, None], "pcorr": p_corr}.get(kind)
+    if Y is None:
+        Y = np.hstack([p_corr, rotation.extract_angles(frame_r[keep], frame_d[keep])])
+    return features.feature_matrix(state)[keep], Y, int(np.count_nonzero(~keep))
 
 
 class TestBuildTargets:
 
-    def test_grid_mismatch_rejected(self, state_and_profile):
-        st, _ = state_and_profile
-        coarse = dns.synthetic_profile(180.0, n_points=32)
-        with pytest.raises(ValueError, match="interpolate first"):
-            dns.build_targets(st, coarse, "p")
+    @pytest.mark.parametrize("kind", list(dns.TARGET_NAMES))
+    def test_reference_as_read_gives_the_targets_on_the_state_grid(self, state_and_profile,
+                                                                    kind):
+        st, prof = state_and_profile
+        assert len(prof.y_plus) != len(st.y_plus)
+        ts = dns.build_targets(st, prof, kind)
+        X, Y, n_excluded = targets_on_the_state_grid(st, prof, kind)
+        assert ts.X.tobytes() == X.tobytes()
+        assert ts.Y.shape == Y.shape and ts.Y.tobytes() == Y.tobytes()
+        assert ts.n_excluded == n_excluded
+
+    def test_reference_short_of_re_tau_rejected(self, state_and_profile):
+        st, prof = state_and_profile
+        short = dns.DnsProfile(180.0, *(getattr(prof, name)[:-3] for name in PROFILE_FIELDS))
+        with pytest.raises(ProfileParseError, match=r"covers y\+ up to .*needs \[0, 180\]"):
+            dns.build_targets(st, short, "p")
 
     def test_unknown_kind_rejected(self, state_and_profile):
         st, prof = state_and_profile

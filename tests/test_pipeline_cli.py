@@ -211,10 +211,10 @@ class TestTrainCommand:
             self, settings, kind, tmp_path, monkeypatch):
         # train solves its Re_tau as one stack; a training that solves
         # them one by one gives the same forest file and metrics
-        fitted, metrics = pipeline.train_forest(settings, kind)
+        fitted, metrics, _ = pipeline.train_forest(settings, kind)
         monkeypatch.setattr(channel, "solve_baselines",
                             lambda cfgs: [channel.solve(cfg) for cfg in cfgs])
-        reference, reference_metrics = pipeline.train_forest(settings, kind)
+        reference, reference_metrics, _ = pipeline.train_forest(settings, kind)
         assert metrics == reference_metrics
         stacked, one_by_one = tmp_path / "stacked.json", tmp_path / "reference.json"
         forest.save(fitted, stacked)
@@ -301,7 +301,7 @@ class TestUqCommand:
 
     def test_corner_free_mode_solves_once(self, settings, tmp_path, monkeypatch):
         # the forest of a default-settings training, on a 32-cell grid
-        fitted, _ = pipeline.train_forest(settings, "pcorr_angles")
+        fitted, _, _ = pipeline.train_forest(settings, "pcorr_angles")
         forest_path = tmp_path / "forest_pcorr_angles.json"
         forest.save(fitted, forest_path)
         solves = []
@@ -408,6 +408,17 @@ class TestPropagateCommand:
         # the profile it propagated, by base name and the digest of its bytes
         assert man["dns"] == {"file": "ref.dat",
                               "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+    def test_data_profile_file_is_recorded_as_a_dns_profile(self, tmp_path):
+        path = tmp_path / "profiles" / "ref.dat"
+        path.parent.mkdir()
+        dns.write_profile(dns.synthetic_profile(180.0), path)
+        settings = fast_settings()
+        settings.data[180.0] = str(path)
+        out = tmp_path / "prop"
+        assert pipeline.cmd_propagate_dns(settings, out) == pipeline.EXIT_OK
+        assert pipeline.read_manifest(out)["dns"] == {
+            "file": "ref.dat", "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
     def test_missing_profile_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -826,6 +837,25 @@ class TestCli:
         assert "re-run train" in stderr
         assert not (tmp_path / "d").exists()
 
+    def test_forest_with_byte_order_mark_exit_four(self, tmp_path, monkeypatch, capsys):
+        # the CLI and forest.loads on the file's UTF-8 text say the same
+        rng = np.random.default_rng(0)
+        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
+        path = tmp_path / "forest_p.json"
+        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        with pytest.raises(forest.ForestFormatError) as caught:
+            forest.loads(path.read_text(encoding="utf-8"), str(path))
+        assert str(caught.value) == f"{path}: not valid JSON (line 1)"
+        code, stderr = main_without_solving(
+            monkeypatch, capsys,
+            "uq", "--mode", "p", "--forest", str(path), "--re-tau", "180",
+            "--out", str(tmp_path / "d"),
+        )
+        assert code == 4, stderr
+        assert stderr == f"data error: {caught.value}\n"
+        assert not (tmp_path / "d").exists()
+
     DEFECT_MESSAGES = {
         "truncated": "covers y+ up to",
         "starts_above_wall": "profile starts at y+",
@@ -979,6 +1009,29 @@ class TestManifest:
         out = tmp_path / "run"
         assert cli.run([*args, "--config", str(cfg), "--out", str(out)]) == pipeline.EXIT_OK
         assert pipeline.read_manifest(out)["settings"][section] == recorded
+
+    def test_train_records_the_data_files_it_read(self, tmp_path, monkeypatch):
+        # two profiles that differ in a comment line alone: the same
+        # forest and metrics, and manifests that differ in the digest alone
+        for side in ("a", "b"):
+            run = tmp_path / side
+            run.mkdir()
+            dns.write_profile(dns.synthetic_profile(180.0), run / "ref.dat")
+            (run / "ref.dat").write_text(f"% copy {side}\n" + (run / "ref.dat").read_text())
+            (run / "run.ini").write_text("[channel]\nn_cells = 32\n[train]\ntrain_re_tau = 180\n"
+                                         "holdout_re_tau = 550\n[data]\n180 = ref.dat\n")
+            monkeypatch.chdir(run)
+            args = ["train", "--target", "p", "--config", "run.ini", "--out", "out"]
+            assert cli.run(args) == pipeline.EXIT_OK
+        a, b = (pipeline.read_manifest(tmp_path / side / "out") for side in "ab")
+        for man, side in ((a, "a"), (b, "b")):
+            digest = hashlib.sha256((tmp_path / side / "ref.dat").read_bytes()).hexdigest()
+            # one entry per Re_tau read from a file: 550 is synthetic
+            assert man.pop("data") == {"180.0": {"file": "ref.dat", "sha256": digest}}
+        assert a == b
+        for name in ("forest_p.json", "metrics.csv"):
+            assert (tmp_path / "a" / "out" / name).read_bytes() == (
+                tmp_path / "b" / "out" / name).read_bytes()
 
     def test_uq_records_the_forest_it_ran_with(self, tmp_path):
         rng = np.random.default_rng(0)
