@@ -52,7 +52,8 @@ DATA_FILE = ("train_data_file.ini", f"[data]\n180 = {DATA_PROFILE}\n")
 # envelope at two settings, a data-driven envelope of each mode (the
 # componentwise ones on the 32-cell grid, as the benchmark runs them), a
 # noisy propagation with the default and another noise seed, a
-# propagation of a profile file and a report over three runs
+# propagation of a profile file and a report over three runs, whose two
+# uq runs share one channel, as a width ratio needs
 COMMANDS = [
     ("baseline_180", ["baseline", "--re-tau", "180"]),
     ("baseline_5200", ["baseline", "--re-tau", "5200"]),
@@ -76,7 +77,7 @@ COMMANDS = [
     ("propagate_1000_seed_3", ["propagate-dns", "--re-tau", "1000", "--noise", "0.02",
                                "--seed", "3"]),
     ("propagate_dns_1000", ["propagate-dns", "--re-tau", "1000", "--dns", PROFILE]),
-    ("report", ["report", "uq_datafree_180", "uq_p_1000", "propagate_1000"]),
+    ("report", ["report", "uq_datafree_1000", "uq_p_1000", "propagate_1000"]),
 ]
 
 

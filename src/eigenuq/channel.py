@@ -186,7 +186,11 @@ def make_grid(re_tau: float, n_nodes: int, y1: float) -> np.ndarray:
         return np.linspace(0.0, re_tau, n_nodes)
 
     def total(r):
-        return y1 * (r**m - 1.0) / (r - 1.0)
+        # an r**m past the float range is larger than any re_tau
+        try:
+            return y1 * (r**m - 1.0) / (r - 1.0)
+        except OverflowError:
+            return math.inf
 
     lo, hi = 1.0 + 1e-12, 2.0
     while total(hi) < re_tau:

@@ -25,6 +25,9 @@ class ProfileParseError(ValueError):
 # tolerance of the profile checks on stresses in wall units
 _STRESS_SLACK = 1e-8
 
+# how far y/delta * Re_tau may lie from y+ on a profile row, relative to Re_tau
+_Y_DELTA_SLACK = 1e-6
+
 
 @dataclass
 class DnsProfile:
@@ -66,10 +69,11 @@ def parse_profile(text: str, re_tau: float) -> DnsProfile:
     """Parse the text of a profile in the layout :func:`write_profile`
     writes: seven whitespace-delimited columns y/delta, y+, U+, uu+, vv+,
     ww+, uv+ per line, lines in any order; lines starting with % or # are
-    comments. The y/delta column is not read: y+ is the wall distance.
-    The profile is checked by ``validate``, not for coverage of the half
-    channel (``check_coverage``)."""
-    rows = []
+    comments. y+ is the wall distance; on every row, y/delta * re_tau
+    must lie within 1e-6 re_tau of it, so a profile of another Re_tau is
+    rejected. The profile is checked by ``validate``, not for coverage of
+    the half channel (``check_coverage``)."""
+    rows, linenos = [], []
     for lineno, line in enumerate(text.split("\n"), start=1):
         s = line.strip()
         if not s or s.startswith(("%", "#")):
@@ -82,13 +86,24 @@ def parse_profile(text: str, re_tau: float) -> DnsProfile:
             raise ProfileParseError(
                 f"line {lineno}: expected {1 + len(_COLUMNS)} columns, got {len(vals)}"
             )
-        rows.append(vals[1:])
+        rows.append(vals)
+        linenos.append(lineno)
     if not rows:
         raise ProfileParseError("no data rows")
     data = np.array(rows)
-    data = data[np.argsort(data[:, 0], kind="stable")]
-    prof = DnsProfile(re_tau, **dict(zip(_COLUMNS, data.T)))
+    ordered = data[np.argsort(data[:, 1], kind="stable")]
+    prof = DnsProfile(re_tau, **dict(zip(_COLUMNS, ordered[:, 1:].T)))
     prof.validate()
+    y_delta, y_plus = data[:, 0], data[:, 1]
+    off = ~(np.abs(y_delta * re_tau - y_plus) <= _Y_DELTA_SLACK * re_tau)
+    if np.any(off):
+        i = int(np.argmax(off))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            implied = y_plus[i] / y_delta[i]
+        raise ProfileParseError(
+            f"line {linenos[i]}: y/delta {y_delta[i]:.6g} at y+ {y_plus[i]:.6g} implies "
+            f"Re_tau = {implied:.6g}, not {re_tau:g}"
+        )
     return prof
 
 

@@ -1,7 +1,7 @@
 """Random regression forest: bagged CART trees with multi-output leaves.
 
 Splits minimize the weighted child sum-of-squared-errors summed over all
-target dimensions; candidate thresholds are midpoints between
+target dimensions, left to right; candidate thresholds are midpoints between
 consecutive sorted unique feature values. Ties break to the lowest
 feature index, then the smallest threshold, so training is fully
 deterministic given (X, Y, hyperparameters).
@@ -151,66 +151,98 @@ def _ranks(X):
     return rank
 
 
-def _best_splits(X, Y, ranks, rows, count, cand):
-    """The best split of each node of a block: its ``count`` rows, padded to
-    ``rows`` (nodes, n) with copies of its last row, and its ascending
-    candidate features ``cand`` (nodes, m). Each candidate's rows sort on
-    the unique keys rank * n + place, from the dense ranks ``ranks`` of X's
-    columns (``_ranks``) and each row's place in its node. Returns
-    (feature, threshold), feature -1 where no candidate takes two
-    distinct values."""
+def _prefix_sums(a):
+    """``a`` with its prefix sums along the last axis, in place, in
+    ``np.cumsum``'s order. Along an axis of at most 16 entries the sums
+    run as slab adds: numpy's accumulate makes one inner-loop call per
+    row, which costs 3-5x more per element there."""
+    if a.shape[-1] > 16:
+        return np.cumsum(a, axis=-1, out=a)
+    for k in range(1, a.shape[-1]):
+        a[..., k] += a[..., k - 1]
+    return a
+
+
+def _sorted_rows(ranks, rows, count, cand):
+    """Each candidate's rows in the order a stable sort of its values gives,
+    (nodes, m, n), padding last, and whether the value rises after each
+    position but the last, (nodes, m, n - 1), never into the padding.
+    Rows sort on the unique keys (rank, place): the dense rank of the
+    value (``_ranks``) and the row's place in its node, padding on rank
+    len(ranks). A key holds the place in its low bits, so the sorted keys
+    give both the order and the ranks. Flat np.take gathers faster than
+    fancy indexing on several axes."""
     B, n = rows.shape
-    node = np.arange(B)
-    feat = cand[:, :, None]
-    # each row sorts on rank * n + place, its place in the node, and padding
-    # on len(X) * n + place, after every rank: the keys are unique, so any
-    # sort gives the order a stable sort of the values gives, padding last
     place = np.arange(n)
     pad = place >= count[:, None, None]
-    key = np.where(pad, len(X), ranks[rows[:, None, :], feat]) * n + place
-    rows = rows[node[:, None, None], np.argsort(key, axis=2)]  # (nodes, m, n)
-    # np.take gathers rows about 3x faster than Y[rows]
-    xs, ys = X[rows, feat], np.take(Y, rows, axis=0)
-    # prefix sums for O(n) SSE of every left/right partition. Each step
-    # below is an operation of ``c2 - c1**2 / nl`` and ``(tot2 - c2) -
-    # (tot1 - c1)**2 / nr``, in that order, done in place on whole arrays
-    # with divisors as wide as the targets, so numpy runs long inner loops;
-    # the split after the last position is dropped at the end
-    c1 = np.cumsum(ys, axis=2)
-    c2 = np.cumsum(np.square(ys, out=ys), axis=2, out=ys)
-    tot1, tot2 = c1[node, :, count - 1][:, :, None], c2[node, :, count - 1][:, :, None]
-    w = ys.shape[3]
-    nl = np.repeat(np.arange(1.0, n + 1), w).reshape(n, w)
-    nr = np.maximum(count[:, None, None, None] - nl, 1.0)  # 1 in the padding
+    bits = (n - 1).bit_length()
+    rank = np.take(ranks, rows[:, None, :] * ranks.shape[1] + cand[:, :, None])
+    key = np.sort(np.where(pad, len(ranks), rank) << bits | place, axis=2)
+    rows = np.take(rows, (key & ((1 << bits) - 1)) + (np.arange(B) * n)[:, None, None])
+    key >>= bits
+    return rows, (key[:, :, 1:] > key[:, :, :-1]) & ~pad[:, :, 1:]
+
+
+def _best_splits(X, YY, ranks, rows, count, cand):
+    """The best split on each candidate of each node of a block: its
+    ``count`` rows, padded to ``rows`` (nodes, n) with copies of its last
+    row, and its ascending candidate features ``cand`` (nodes, m).
+    ``ranks`` holds the dense ranks of X's columns (``_ranks``),
+    C-contiguous, and ``YY`` the w target columns, then their squares, as
+    2w C-contiguous rows. Returns, each (nodes, m): whether the candidate
+    takes two distinct values, the least SSE of its splits, and the
+    threshold of the first split of that SSE."""
+    B, n = rows.shape
+    m = cand.shape[1]
+    rows, boundary = _sorted_rows(ranks, rows, count, cand)
+    # the targets first, (2w, nodes, m, n): prefix sums run along contiguous
+    # rows, and a sum over the targets is w - 1 adds of whole slabs, left
+    # to right, the order in which np.sum adds fewer than 8 columns
+    c = _prefix_sums(np.take(YY, rows, axis=1))
+    w = len(c) // 2
+    c1, c2 = c[:w], c[w:]
+    cell = np.arange(B * m).reshape(B, m)  # (node, candidate), flat
+    tot = np.take(c.reshape(2 * w, -1), cell * n + (count - 1)[:, None], axis=1)[..., None]
+    tot1, tot2 = tot[:w], tot[w:]
+    # the SSE of every left/right partition. Each step below is an
+    # operation of ``c2 - c1**2 / nl`` and ``(tot2 - c2) - (tot1 - c1)**2 /
+    # nr``, in that order, done in place on whole arrays with divisors as
+    # wide as a target's slab, so numpy runs long inner loops
+    nl = np.empty((B, m, n))
+    nl[...] = np.arange(1.0, n + 1)
     right = np.square(tot1 - c1)
-    right /= nr
+    right /= np.maximum(count[:, None, None] - nl, 1.0)  # 1 in the padding
     right = np.subtract(tot2 - c2, right, out=right)
     left = np.square(c1, out=c1)
     left /= nl
     left = np.subtract(c2, left, out=left)
-    sse = np.sum(left, axis=3)
-    sse += np.sum(right, axis=3)
-    sse = sse[:, :, :-1]  # split after position b
-    # no boundary lies in the padding: it repeats a value, none above the max
-    boundary = xs[:, :, 1:] > xs[:, :, :-1]
-    np.copyto(sse, np.inf, where=~boundary)
+    for k in range(1, w):
+        left[0] += left[k]
+        right[0] += right[k]
+    left[0] += right[0]
+    sse = np.where(boundary, left[0, :, :, :-1], np.inf)  # a split after each position
     # first minimum = smallest threshold among equal-SSE splits
     j = np.argmin(sse, axis=2)
-    found = np.any(boundary, axis=2)
-    feature_sse = np.take_along_axis(sse, j[:, :, None], axis=2)[:, :, 0]
-    # a later candidate must beat the best so far by the relative tolerance
-    pick, best = np.full(B, -1), np.full(B, np.inf)
+    below, above = np.take(rows, cell * n + j), np.take(rows, cell * n + j + 1)
+    threshold = 0.5 * (X[below, cand] + X[above, cand])
+    return np.any(boundary, axis=2), np.take(sse, cell * (n - 1) + j), threshold
+
+
+def _pick(cand, found, sse, threshold):
+    """The split of each node from its candidates' best splits (see
+    ``_best_splits``): the first candidate that takes two distinct values,
+    unless a later one beats the best so far by the relative tolerance.
+    Returns (feature, threshold), feature -1 where no candidate takes two
+    distinct values."""
+    pick, best = np.full(len(cand), -1), np.full(len(cand), np.inf)
     with np.errstate(invalid="ignore"):  # inf - inf before the first find
         for f in range(cand.shape[1]):
-            better = found[:, f] & (
-                (pick < 0) | (feature_sse[:, f] < best - 1e-15 * np.maximum(1.0, best))
-            )
+            better = found[:, f] & ((pick < 0) | (sse[:, f] < best - 1e-15 * np.maximum(1.0, best)))
             pick = np.where(better, f, pick)
-            best = np.where(better, feature_sse[:, f], best)
-    b = j[node, pick]
-    threshold = 0.5 * (xs[node, pick, b] + xs[node, pick, b + 1])
+            best = np.where(better, sse[:, f], best)
+    node = np.arange(len(cand))
     split = pick >= 0
-    return np.where(split, cand[node, pick], -1), np.where(split, threshold, 0.0)
+    return np.where(split, cand[node, pick], -1), np.where(split, threshold[node, pick], 0.0)
 
 
 def _targets(Y, rows, start, count, nodes):
@@ -256,6 +288,7 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
     every column (``_differ``)."""
     n, n_features = X.shape
     ranks = _ranks(X)
+    YY = np.concatenate([Y.T, np.square(Y.T)])
     rngs = [np.random.default_rng([hp.seed, t]) for t in range(hp.n_trees)]
     # the open nodes of a level, ordered by tree, then breadth first;
     # their rows are concatenated in ``rows``
@@ -284,12 +317,15 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
                 if c
             ])
             cand = np.sort(cand[:, : hp.max_features], axis=1)
+            found = np.empty(cand.shape, dtype=bool)
+            sse, cut = np.empty(cand.shape), np.empty(cand.shape)
             for block, c in _blocks(count[searching], hp.max_features * Y.shape[1]):
                 nodes = searching[block]
                 padded = start[nodes, None] + np.minimum(np.arange(c), count[nodes, None] - 1)
-                feature[nodes], threshold[nodes] = _best_splits(
-                    X, Y, ranks, rows[padded], count[nodes], cand[block]
+                found[block], sse[block], cut[block] = _best_splits(
+                    X, YY, ranks, rows[padded], count[nodes], cand[block]
                 )
+            feature[searching], threshold[searching] = _pick(cand, found, sse, cut)
         is_leaf = feature < 0
         slot = np.cumsum(is_leaf) - 1  # a leaf's row of ``value``
         value = np.empty((slot[-1] + 1, Y.shape[1]))

@@ -293,7 +293,8 @@ def cmd_baseline(settings: Settings, out_dir) -> int:
 def train_forest(settings: Settings, target_kind: str):
     """Train one forest per the dataset config; returns (forest, metrics
     dict, the record of each reference profile read from a [data] file,
-    by Re_tau). Each reference goes to ``dns.build_targets`` as read.
+    by Re_tau). Every reference is read and checked before the first
+    solve, and goes to ``dns.build_targets`` as read.
     The baselines of the training Re_tau and of the holdout are solved as one stack (``channel.solve_baselines``),
     each row that of its own ``channel.solve``; a failing one raises the
     SolverError of the first failing Re_tau, in that order."""
@@ -311,18 +312,19 @@ def train_forest(settings: Settings, target_kind: str):
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
-    # the targets of each Re_tau in turn; the list of solve_baselines
-    # holds every state until the loop ends, and none is held while the
-    # forest is fitted
-    sets, sources = [], {}
+    # every reference is read and checked before any solve; then the
+    # targets of each Re_tau in turn. The list of solve_baselines holds
+    # every state until the loop ends, and none is held while the forest
+    # is fitted
     re_taus = [*train_re, holdout_re]
-    for re_tau, state in zip(re_taus, channel.solve_baselines(
+    profiles = [load_reference_profile(settings, re_tau) for re_tau in re_taus]
+    sources = {re_tau: source for re_tau, (_, source) in zip(re_taus, profiles)
+               if source is not None}
+    sets = []
+    for (profile, _), state in zip(profiles, channel.solve_baselines(
             [build_channel_config(settings, re_tau=re_tau) for re_tau in re_taus])):
         if isinstance(state, channel.SolverError):
             raise state
-        profile, source = load_reference_profile(settings, re_tau)
-        if source is not None:
-            sources[re_tau] = source
         sets.append(dns.build_targets(state, profile, target_kind))
     del state
     training, *more, held = sets
@@ -531,6 +533,15 @@ def _report_field(run_dir, field, value, kind=(str, int, float)):
     return value
 
 
+def _channel_setting(key, value):
+    """A manifest's ``settings.channel`` value as the channel reads it, so
+    that "180" and "180.0" agree; as it is if it does not cast."""
+    try:
+        return DEFAULTS["channel"][key][1](value)
+    except (KeyError, TypeError, ValueError):
+        return value
+
+
 def cmd_report(run_dirs, out_dir) -> int:
     """Aggregate one or more completed run directories into summary.csv."""
     rows = []
@@ -548,7 +559,7 @@ def cmd_report(run_dirs, out_dir) -> int:
             if mode not in channel.PerturbationInjection.TAKES:
                 raise DataError(f"manifest of {run_dir}: mode cannot be {man.get('mode')!r}")
             kind = "datafree" if mode == "datafree" else "data-driven"
-            uq_runs[kind].append((name, width))
+            uq_runs[kind].append((name, width, channel_settings))
         rows.append(
             [
                 name,
@@ -566,7 +577,7 @@ def cmd_report(run_dirs, out_dir) -> int:
         if len(runs) > 1:
             raise DataError(
                 f"ambiguous report input: {len(runs)} {kind} uq runs "
-                f"({', '.join(name for name, _ in runs)}); pass at most one"
+                f"({', '.join(name for name, *_ in runs)}); pass at most one"
             )
     header = [
         "run",
@@ -579,8 +590,16 @@ def cmd_report(run_dirs, out_dir) -> int:
         "iterations",
     ]
     if uq_runs["datafree"] and uq_runs["data-driven"]:
-        datafree = uq_runs["datafree"][0][1]
-        datadriven = uq_runs["data-driven"][0][1]
+        (free, datafree, free_channel), (driven, datadriven, driven_channel) = (
+            uq_runs["datafree"][0], uq_runs["data-driven"][0])
+        # a width ratio compares two envelopes of one channel
+        for key in sorted(free_channel.keys() | driven_channel.keys()):
+            a, b = free_channel.get(key), driven_channel.get(key)
+            if _channel_setting(key, a) != _channel_setting(key, b):
+                raise DataError(
+                    f"uq runs {free} and {driven} differ in settings.channel.{key} "
+                    f"({a!r} and {b!r}): no width ratio between them"
+                )
         header.append("width_ratio_datafree_over_datadriven")
         ratio = datafree / datadriven if datadriven > 0 else np.nan
         rows = [row + [ratio] for row in rows]

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -47,6 +48,30 @@ class TestGrid:
     def test_uniform_fallback_when_unstretched(self):
         y = channel.make_grid(10.0, 101, 0.5)
         assert np.allclose(np.diff(y), np.diff(y)[0])
+
+    def test_builds_where_r_to_the_m_overflows(self):
+        # 4,095 intervals: the search for a ratio tries r = 2, and 2.0**4095
+        # is past the float range
+        y = channel.make_grid(5200.0, 4096, 0.5)
+        assert len(y) == 4096 and y[0] == 0.0
+        assert y[-1] == pytest.approx(5200.0)
+        assert np.all(np.isfinite(y)) and np.all(np.diff(y) > 0)
+
+    # sha256 of the little-endian float64 bytes of each default-config grid,
+    # as make_grid built them before an overflowing r**m counted as too large
+    DEFAULT_GRIDS = {
+        180.0: "30048059360a36d7650689760ff9e4135e38c187b6d4726d81a1bd1ca1febe1b",
+        550.0: "961be0320c29f10f0d007f2a781e924adbc20a88f0a266d30dee224c4f166280",
+        1000.0: "56ee8abeea605c37afc9982649c875d5719c9f61524abe1bc0663b2886f11346",
+        2000.0: "a1525f886a49d5763cebf2a0dacc93fddfcff7a32ea2c946454c66afcd5b7a57",
+        5200.0: "365783d98a38d824fedc25c21bf32b3a1f3aa17b1f9ad8497c712b791e350304",
+    }
+
+    @pytest.mark.parametrize("re_tau", sorted(DEFAULT_GRIDS))
+    def test_default_grids_keep_their_bits(self, re_tau):
+        cfg = ChannelConfig(re_tau=re_tau)
+        y = channel.make_grid(re_tau, cfg.n_cells, cfg.stretch)
+        assert hashlib.sha256(y.astype("<f8").tobytes()).hexdigest() == self.DEFAULT_GRIDS[re_tau]
 
 
 def reference_transport_solve(y, gamma_mid, sink, source, wall_value):

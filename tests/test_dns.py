@@ -32,7 +32,7 @@ class TestParseProfile:
 
     def test_rows_sorted_by_wall_distance(self):
         scrambled = "\n".join(
-            ["9 1.0 3.0 0 0 0 0", "9 0.0 1.0 0 0 0 0", "9 0.5 2.0 0 0 0 0"]
+            ["1.0 1.0 3.0 0 0 0 0", "0.0 0.0 1.0 0 0 0 0", "0.5 0.5 2.0 0 0 0 0"]
         )
         prof = dns.parse_profile(scrambled, re_tau=1.0)
         assert np.allclose(prof.y_plus, [0.0, 0.5, 1.0])
@@ -51,6 +51,24 @@ class TestParseProfile:
         with pytest.raises(ProfileParseError, match="Re_tau must be finite and positive"):
             dns.parse_profile(self.TEXT, re_tau=re_tau)
 
+    @pytest.mark.parametrize("y_delta, parses", [
+        ("0.5000009", True), ("0.4999991", True), ("0.500002", False), ("nan", False),
+    ])
+    def test_y_delta_must_agree_with_y_plus_to_1e_6_of_re_tau(self, y_delta, parses):
+        # line 5 holds y+ 90 at Re_tau 180
+        text = self.TEXT.replace("0.5  90.0", f"{y_delta} 90.0")
+        if parses:
+            dns.parse_profile(text, re_tau=180.0)
+            return
+        with pytest.raises(ProfileParseError, match=rf"^line 5: y/delta {y_delta} at y\+ 90 "):
+            dns.parse_profile(text, re_tau=180.0)
+
+    def test_profile_of_another_re_tau_rejected(self):
+        # the first row off is the second: y+ 0 agrees at any Re_tau
+        with pytest.raises(ProfileParseError,
+                           match=r"^line 4: y/delta 0.25 at y\+ 45 implies Re_tau = 180, not 1000$"):
+            dns.parse_profile(self.TEXT, re_tau=1000.0)
+
 
 class TestWriteLoadRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -61,6 +79,12 @@ class TestWriteLoadRoundTrip:
         assert np.allclose(back.y_plus, prof.y_plus, atol=1e-9)
         assert np.allclose(back.U_plus, prof.U_plus, atol=1e-9)
         assert np.allclose(back.uv_plus, prof.uv_plus, atol=1e-9)
+
+    @pytest.mark.parametrize("re_tau", [180.0, 550.0, 1000.0, 2000.0, 5200.0, 1e-3, 1e6])
+    def test_written_profile_parses_at_its_re_tau(self, tmp_path, re_tau):
+        path = tmp_path / "profile.dat"
+        dns.write_profile(dns.synthetic_profile(re_tau), path)
+        dns.parse_profile(path.read_text(), re_tau=re_tau)
 
 
 PROFILE_FIELDS = ("y_plus", "U_plus", "uu_plus", "vv_plus", "ww_plus", "uv_plus")
@@ -92,7 +116,8 @@ class TestProfileProperties:
         lines = path.read_text().splitlines()
         header, rows = lines[:2], [line.split() for line in lines[2:]]
         i = data.draw(st.integers(0, n_points - 1), label="row")
-        # columns 1-6 are read into the profile; column 0 (y/delta) is not
+        # columns 1-6 are read into the profile; column 0 (y/delta) is only
+        # checked against y+
         j = data.draw(st.integers(1, 6), label="column")
         if corruption == "unsorted":
             rows = data.draw(st.permutations(rows), label="order")

@@ -115,6 +115,15 @@ def assert_saves_as_json_dump(fitted, out):
     assert (out / "save.json").read_bytes() == (out / "dump.json").read_bytes()
 
 
+def sum_targets(a):
+    """Each row of ``a`` summed over its target columns, left to right from
+    0.0: the order in which ``forest.fit`` adds the targets."""
+    total = np.zeros(len(a))
+    for column in a.T:
+        total += column
+    return total
+
+
 def reference_split(X, Y, idx, cand):
     """One node's split search, one candidate feature at a time."""
     best, best_sse = None, np.inf
@@ -127,8 +136,8 @@ def reference_split(X, Y, idx, cand):
             continue
         nl = (b + 1)[:, None]
         nr = len(xs) - nl
-        sse = np.sum(c2[b] - c1[b] ** 2 / nl, axis=1) + np.sum(
-            (c2[-1] - c2[b]) - (c1[-1] - c1[b]) ** 2 / nr, axis=1
+        sse = sum_targets(c2[b] - c1[b] ** 2 / nl) + sum_targets(
+            (c2[-1] - c2[b]) - (c1[-1] - c1[b]) ** 2 / nr
         )
         j = int(np.argmin(sse))
         if best is None or sse[j] < best_sse - 1e-15 * max(1.0, best_sse):
@@ -292,7 +301,7 @@ class TestFit:
         seed=st.integers(0, 2**32 - 1),
         n_rows=st.integers(1, 300),
         n_features=st.integers(1, 5),
-        n_targets=st.integers(1, 5),
+        n_targets=st.integers(1, 10),
         feature_levels=st.sampled_from([1, 2, 5, 40, 10**6]),
         target_levels=st.sampled_from([1, 2, 4, None]),
         target_scale=st.sampled_from([1.0, 1e-120, 1e-150, 1e-160, 1e-165, 1e-300]),
@@ -332,7 +341,30 @@ class TestFit:
         )
         with mock.patch.object(forest, "_BLOCK_ELEMENTS", block_elements):
             fitted = forest.fit(X, Y, hp)
-        assert_saves_the_same(fitted, reference_fit(X, Y, hp), tmp_path_factory.mktemp("fit"))
+        summed, left_to_right = [], sum_targets
+
+        def recorded(a):
+            summed.append(a)
+            return left_to_right(a)
+
+        with mock.patch.dict(globals(), sum_targets=recorded):
+            reference = reference_fit(X, Y, hp)
+        assert_saves_the_same(fitted, reference, tmp_path_factory.mktemp("fit"))
+        if n_targets < 8:
+            # np.sum adds fewer than 8 columns in this order, bit for bit:
+            # an oracle that summed with np.sum gave the same forest
+            for a in summed:
+                assert np.array_equal(np.sum(a, axis=1).view(np.int64), sum_targets(a).view(np.int64))
+
+    def test_ten_targets_sum_left_to_right(self, tmp_path):
+        # np.sum adds 8 or more columns in pairwise order, not left to
+        # right: summed that way, the third tree of this forest grows
+        # otherwise
+        rng = np.random.default_rng(10)
+        X, Y = rng.uniform(size=(300, 4)), rng.normal(size=(300, 10))
+        hp = ForestHyperparams(max_depth=6, min_samples_split=2, max_features=3, n_trees=3,
+                               seed=10)
+        assert_saves_the_same(forest.fit(X, Y, hp), reference_fit(X, Y, hp), tmp_path)
 
     def test_equal_targets_with_positive_variance_search(self, tmp_path):
         # three targets of 0.1 have a numpy variance of 1.9e-34, not 0: the

@@ -454,6 +454,39 @@ class TestReportCommand:
         assert ratio == pytest.approx(6.0)
 
     @pytest.mark.parametrize(
+        "driven_channel, message",
+        [
+            ({"re_tau": "1000.0"}, "settings.channel.re_tau ('180' and '1000.0')"),
+            ({"n_cells": "64"}, "settings.channel.n_cells ('96' and '64')"),
+            ({"stretch": None}, "settings.channel.stretch ('0.5' and None)"),
+            ({"re_tau": "180.0", "max_iters": "4e4"}, "settings.channel.max_iters ('40000' and '4e4')"),
+            ({"re_tau": "180.0", "n_cells": "096"}, None),
+        ],
+        ids=["re_tau", "n_cells", "missing", "uncast", "same_values"],
+    )
+    def test_width_ratio_needs_one_channel(self, tmp_path, driven_channel, message):
+        # each channel key, as the channel reads it: "180" and "180.0" agree
+        channels = {"free": {"re_tau": "180", "n_cells": "96", "stretch": "0.5",
+                             "max_iters": "40000"}}
+        channels["driven"] = {**channels["free"], **driven_channel}
+        channels["driven"] = {k: v for k, v in channels["driven"].items() if v is not None}
+        for name, mode, width in (("free", "datafree", 300.0), ("driven", "pcorr", 50.0)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "manifest.json").write_text(json.dumps(
+                {"command": "uq", "mode": mode, "integrated_width": width,
+                 "settings": {"channel": channels[name]}}))
+        runs, out = [str(tmp_path / "free"), str(tmp_path / "driven")], tmp_path / "out"
+        if message is None:
+            assert pipeline.cmd_report(runs, out) == pipeline.EXIT_OK
+            assert float((out / "summary.csv").read_text().split("\n")[1].split(",")[-1]) == 6.0
+            return
+        with pytest.raises(DataError) as info:
+            pipeline.cmd_report(runs, out)
+        assert str(info.value) == (f"uq runs free and driven differ in {message}: "
+                                   "no width ratio between them")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "names, message",
         [
             (["free_a", "free_b", "drv_p"], r"2 datafree uq runs \(free_a, free_b\)"),
@@ -893,6 +926,79 @@ class TestCli:
         assert "data error" in stderr
         assert self.DEFECT_MESSAGES[defect] in stderr
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("defect", ["missing", "truncated"])
+    def test_training_profiles_read_before_solving(self, tmp_path, monkeypatch, capsys, defect):
+        # the bad profile is that of a training Re_tau after the first
+        path = (tmp_path / "absent.dat" if defect == "missing"
+                else self.write_bad_profile(tmp_path, "truncated"))
+        calls, solve_baselines = [], channel.solve_baselines
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_baselines(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "solve_baselines", counted)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\nn_cells = 32\n[train]\ntrain_re_tau = 550, 180\n"
+                       f"holdout_re_tau = 1000\n[data]\n180 = {path}\n")
+        code, stderr = run_main(monkeypatch, capsys,
+                                "train", "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 4, stderr
+        assert stderr.startswith("data error: ") and stderr.count("\n") == 1
+        assert calls == []
+        assert not (tmp_path / "d").exists()
+
+    def test_profile_of_another_re_tau_exit_four(self, tmp_path, monkeypatch, capsys):
+        # the synthetic Re_tau 1000 profile given for 180: it covers [0, 180],
+        # and propagating it once gave rel_l2_error_U 1.86 with exit 0
+        path = tmp_path / "ref_1000.dat"
+        dns.write_profile(dns.synthetic_profile(1000.0), path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[channel]\nn_cells = 32\n[data]\n180 = {path}\n")
+        code, stderr = run_main(monkeypatch, capsys, "propagate-dns", "--config", str(cfg),
+                                "--re-tau", "180", "--out", str(tmp_path / "d"))
+        assert code == 4, stderr
+        # line 3 holds the wall, where y+ is 0 at any Re_tau
+        assert re.fullmatch(r"data error: line 4: y/delta \S+ at y\+ \S+ implies "
+                            r"Re_tau = 1000, not 180\n", stderr), stderr
+        assert not (tmp_path / "d").exists()
+
+    def test_baseline_past_1024_cells(self, tmp_path, monkeypatch, capsys):
+        # make_grid's search for a ratio once overflowed at r**1099 here
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\nn_cells = 1100\n")
+        code, stderr = run_main(monkeypatch, capsys, "baseline", "--config", str(cfg),
+                                "--re-tau", "1000", "--out", str(tmp_path / "d"))
+        assert code == 0 or code in (2, 3) and stderr.count("\n") == 1, (code, stderr)
+
+    def test_width_ratio_of_two_channels_exit_four(self, small_grid_datafree_uq,
+                                                   pcorr_angles_forest, tmp_path, monkeypatch,
+                                                   capsys):
+        # the datafree uq at Re_tau 180 against pcorr_angles at 1000 once
+        # gave a width ratio of 0.46; against pcorr_angles at 180 it stands
+        driven = {}
+        for re_tau in ("180", "1000"):
+            driven[re_tau] = tmp_path / f"pcorr_angles_{re_tau}"
+            assert cli.run(["uq", "--mode", "pcorr_angles", "--forest", str(pcorr_angles_forest),
+                            "--re-tau", re_tau, "--config", str(PERFBENCH / "uq-small-grid.ini"),
+                            "--out", str(driven[re_tau])]) == pipeline.EXIT_OK
+        out = tmp_path / "report"
+        code, stderr = run_main(monkeypatch, capsys, "report", str(small_grid_datafree_uq),
+                                str(driven["1000"]), "--out", str(out))
+        assert code == 4, stderr
+        assert stderr == ("data error: uq runs uq and pcorr_angles_1000 differ in "
+                          "settings.channel.re_tau ('180.0' and '1000.0'): "
+                          "no width ratio between them\n")
+        assert not (out / "summary.csv").exists()
+        code, stderr = run_main(monkeypatch, capsys, "report", str(small_grid_datafree_uq),
+                                str(driven["180"]), "--out", str(out))
+        assert code == 0, stderr
+        free, drv = (pipeline.read_manifest(d)["integrated_width"]
+                     for d in (small_grid_datafree_uq, driven["180"]))
+        header, row, *_ = (out / "summary.csv").read_text().splitlines()
+        assert header.endswith(",width_ratio_datafree_over_datadriven")
+        assert float(row.split(",")[-1]) == free / drv
 
     def test_propagated_profile_above_wall_exit_four(self, tmp_path, monkeypatch, capsys):
         # interpolation would clamp the uncovered wall region to y+ = 30
