@@ -16,6 +16,10 @@ integer keys, rank and place, in the order a stable sort of the values
 gives. A node stops on constant targets where every target column has a
 variance of 0; a node whose targets differ by 1e-140 or more in some
 column is known to vary without one (``_differ``).
+
+Each tree is laid out breadth first, so its layout gives its children:
+those of its j-th split node are its nodes 2j + 1 and 2j + 2, and a tree
+of k split nodes has 2k + 1 nodes. No child index is stored.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # base64 of the standard alphabet, padded: with a length that is a multiple
 # of 4, this is the text binascii.a2b_base64 decodes without skipping a
@@ -64,24 +68,32 @@ HYPERPARAMS = {
 
 @dataclass
 class RegressionForest:
-    """All trees in one node table; tree t starts at node ``roots[t]``
-    and its children come after their parents. Leaves have feature -1
-    and children -1, and only leaves have a value: ``value`` holds one
-    row per leaf, the mean target of its training rows, and ``leaf``
-    maps each node to its row (-1 at a split node). Leaf rows follow
-    the table's node order."""
+    """All trees in one node table; tree t starts at node ``roots[t]``,
+    breadth first. Leaves have feature -1, and only leaves have a value:
+    ``value`` holds one row per leaf, the mean target of its training
+    rows, in the table's node order. Derived from ``feature`` and
+    ``roots``: ``left`` and ``right``, table-wide child indices (-1 at a
+    leaf), and ``leaf``, each node's row of ``value`` (-1 at a split)."""
 
     feature: np.ndarray  # (n_nodes,) int
     threshold: np.ndarray  # (n_nodes,)
-    left: np.ndarray  # (n_nodes,) int, table-wide node indices
-    right: np.ndarray
-    leaf: np.ndarray  # (n_nodes,) int, row of ``value``
     value: np.ndarray  # (n_leaves, n_targets)
-    roots: np.ndarray  # (n_trees,) int
+    roots: np.ndarray  # (n_trees,) int, ascending from 0
     hyperparams: ForestHyperparams
     feature_names: list[str] = field(default_factory=list)
     target_names: list[str] = field(default_factory=list)
     n_features: int = 0
+    left: np.ndarray = field(init=False, repr=False)
+    right: np.ndarray = field(init=False, repr=False)
+    leaf: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        split = self.feature >= 0
+        before = np.cumsum(split) - split  # split nodes before each node
+        root = np.repeat(self.roots, np.diff([*self.roots, len(self.feature)]))
+        self.left = np.where(split, root + 2 * (before - before[root]) + 1, -1)
+        self.right = np.where(split, self.left + 1, -1)
+        self.leaf = np.where(split, -1, np.cumsum(~split) - 1)
 
     @property
     def n_targets(self) -> int:
@@ -280,12 +292,12 @@ def _differ(Y, rows, start, count, nodes):
 def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
     """Grow all trees together, one level per pass; each tree draws its
     bootstrap, then one candidate set per searching node in breadth-first
-    order. Returns the node columns feature, threshold, left, right and
-    leaf, the leaf values and the roots: tree by tree, breadth first
-    within a tree. Only a node that may split gets the constant-target
-    check, and only a leaf gets its mean target. The check computes the
-    variances only of nodes whose targets differ by less than 1e-140 in
-    every column (``_differ``)."""
+    order. Returns the node columns feature and threshold, the leaf
+    values and the roots: tree by tree, breadth first within a tree.
+    Only a node that may split gets the constant-target check, and only
+    a leaf gets its mean target. The check computes the variances only
+    of nodes whose targets differ by less than 1e-140 in every column
+    (``_differ``)."""
     n, n_features = X.shape
     ranks = _ranks(X)
     YY = np.concatenate([Y.T, np.square(Y.T)])
@@ -295,8 +307,7 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
     tree = np.arange(hp.n_trees)
     count = np.full(hp.n_trees, n)
     rows = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
-    levels = []  # per level: tree, feature, threshold, value, left child
-    first = 0  # level-order index of the level's first node
+    levels = []  # per level: tree, feature, threshold, value
     for depth in range(hp.max_depth + 1):
         start = np.cumsum(count) - count
         # the stop checks: depth, min_samples_split, constant targets
@@ -331,14 +342,12 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
         value = np.empty((slot[-1] + 1, Y.shape[1]))
         for nodes, y in _targets(Y, rows, start, count, np.flatnonzero(is_leaf)):
             value[slot[nodes]] = y.mean(axis=1)
+        levels.append((tree, feature, threshold, value))
         # a split node's children are nodes 2r and 2r + 1 of the next level,
         # r its rank among the level's split nodes; left before right, each
         # child keeps its parent's row order
         split = feature >= 0
         rank = np.cumsum(split) - 1
-        left = np.where(split, first + len(count) + 2 * rank, -1)
-        levels.append((tree, feature, threshold, value, left))
-        first += len(count)
         if not split.any():
             break
         owner = np.repeat(np.arange(len(count)), count)
@@ -351,18 +360,13 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
 
     # level order -> table order: a stable sort by tree keeps each tree
     # breadth first
-    tree, feature, threshold, value, left = (np.concatenate(c) for c in zip(*levels))
+    tree, feature, threshold, value = (np.concatenate(c) for c in zip(*levels))
     order = np.argsort(tree, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    split = feature >= 0
-    left, right = (np.where(split, position[left + side], -1)[order] for side in (0, 1))
     roots = np.searchsorted(tree[order], np.arange(hp.n_trees))
-    feature, is_leaf = feature[order], ~split[order]
-    leaf = np.where(is_leaf, np.cumsum(is_leaf) - 1, -1)
+    is_leaf = feature < 0
     # ``value`` holds the leaves in level order
-    value = value[(np.cumsum(~split) - 1)[order[is_leaf]]]
-    return feature, threshold[order], left, right, leaf, value, roots
+    value = value[(np.cumsum(is_leaf) - 1)[order[is_leaf[order]]]]
+    return feature[order], threshold[order], value, roots
 
 
 def fit(
@@ -391,10 +395,8 @@ def fit(
     if hp.max_features > X.shape[1]:
         raise ValueError("max_features exceeds the feature count")
 
-    *columns, roots = _grow(X, Y, hp)
     return RegressionForest(
-        *columns,
-        roots=roots,
+        *_grow(X, Y, hp),
         hyperparams=hp,
         feature_names=list(feature_names or []),
         target_names=list(target_names or []),
@@ -419,12 +421,12 @@ def _base64(a: np.ndarray) -> str:
 
 
 def save(forest: RegressionForest, path) -> None:
-    """Schema 3: one object per tree. ``split_feature`` has an entry for
-    every node, -1 at a leaf; ``left`` and ``right`` one for each split
-    node, in node order, with child indices local to the tree. The
-    floats are exact: ``threshold`` is the base64 text of the split
-    nodes' thresholds as little-endian float64 bytes, in node order, and
-    ``leaf_value`` that of the leaves' rows, in node order, row-major.
+    """Schema 4: one object per tree. ``split_feature`` has an entry for
+    every node, breadth first, -1 at a leaf; the children follow from
+    that layout (see the module docstring). The floats are exact:
+    ``threshold`` is the base64 text of the split nodes' thresholds as
+    little-endian float64 bytes, in node order, and ``leaf_value`` that
+    of the leaves' rows, in node order, row-major.
 
     The file holds the bytes ``json.dump(doc, f)`` writes, but each part
     goes through the C encoder of ``json.dumps``: the head, then one
@@ -447,8 +449,6 @@ def save(forest: RegressionForest, path) -> None:
             f.write(json.dumps({
                 "split_feature": forest.feature[s:e].tolist(),
                 "threshold": _base64(forest.threshold[s:e][split]),
-                "left": (forest.left[s:e][split] - s).tolist(),
-                "right": (forest.right[s:e][split] - s).tolist(),
                 "leaf_value": _base64(forest.value[forest.leaf[s:e][~split]]),
             }))
         f.write("]}")
@@ -459,11 +459,12 @@ class ForestFormatError(ValueError):
 
 
 def loads(text: str, name) -> RegressionForest:
-    """The forest of the text of a schema-3 JSON document (see ``save``);
+    """The forest of the text of a schema-4 JSON document (see ``save``);
     a ForestFormatError names the document by ``name``. A byte-order
-    mark is not JSON. A schema-1 or schema-2 document, which wrote its
-    floats as JSON numbers, is rejected too: the forest has to be
-    trained again. Files are read, and decoded as UTF-8, by the CLI
+    mark is not JSON. A document of schema 1 or 2, which wrote its
+    floats as JSON numbers, or of schema 3, which stored each split
+    node's children, is rejected too: the forest has to be trained
+    again. Files are read, and decoded as UTF-8, by the CLI
     (``pipeline._load_forest``)."""
     try:
         doc = json.loads(text)
@@ -472,7 +473,7 @@ def loads(text: str, name) -> RegressionForest:
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int:  # JSON true is no version, though True == 1
         version = None
-    if version in (1, 2):
+    if version in (1, 2, 3):
         raise ForestFormatError(
             f"{name}: schema-{version} forest file; this version reads schema "
             f"{SCHEMA_VERSION} only: re-run train"
@@ -505,17 +506,6 @@ def _names(doc, key, count):
     return names
 
 
-def _indices(tree, t, key):
-    """The integer list ``key`` of tree t as an int64 array; a float, a
-    text or a boolean entry, which a cast to int64 would truncate, parse
-    or read as 0 or 1, is a defect."""
-    entries = tree[key]
-    a = np.array(entries)
-    if a.size and (a.dtype.kind != "i" or a.ndim == 1 and bool in set(map(type, entries))):
-        raise ValueError(f"tree {t}: {key} holds a non-integer entry")
-    return a.astype(np.int64)
-
-
 def _floats(tree, t, key, rows, width, per):
     """The float field ``key`` of tree t as a (rows, width) array: a
     strict base64 text of 8 little-endian float64 bytes per entry, each
@@ -538,7 +528,7 @@ def _floats(tree, t, key, rows, width, per):
 
 
 def _pack(doc: dict) -> RegressionForest:
-    """The node table of a schema-3 document; raises ValueError naming
+    """The node table of a schema-4 document; raises ValueError naming
     the first defect that would make ``predict`` fail, hang, misshape or
     return a non-finite value, or that contradicts the head. Each tree's
     fields leave ``doc`` once they are arrays."""
@@ -551,37 +541,40 @@ def _pack(doc: dict) -> RegressionForest:
         raise ValueError("no trees")
     if len(trees) != hyperparams.n_trees:
         raise ValueError(f"{len(trees)} trees, but hyperparams.n_trees is {hyperparams.n_trees}")
-    roots, tables, offset, leaves = [], [], 0, 0
+    roots, tables, offset = [], [], 0
     for t, tree in enumerate(trees):
         trees[t] = None
-        feature = _indices(tree, t, "split_feature")
+        # a float, text or boolean entry, which a cast to int64 would
+        # truncate, parse or read as 0 or 1, is a defect
+        entries = tree["split_feature"]
+        feature = np.array(entries)
+        if feature.size and (feature.dtype.kind != "i"
+                             or feature.ndim == 1 and bool in set(map(type, entries))):
+            raise ValueError(f"tree {t}: split_feature holds a non-integer entry")
+        feature = feature.astype(np.int64)
         if feature.ndim != 1 or len(feature) == 0:
             raise ValueError(f"tree {t}: split_feature is not a non-empty list")
         if np.any((feature < -1) | (feature >= n_features)):
             raise ValueError(f"tree {t}: split feature outside [-1, {n_features})")
+        # the children of the j-th split node are nodes 2j + 1 and 2j + 2:
+        # with these two checks every route goes to higher nodes inside
+        # the tree and ends at a leaf
         split = feature >= 0
-        m, n_split = len(feature), int(np.count_nonzero(split))
-        left, right = (_indices(tree, t, key) for key in ("left", "right"))
-        for key, a in (("left", left), ("right", right)):
-            if a.shape != (n_split,):
-                raise ValueError(
-                    f"tree {t}: {key} is {a.shape}, expected ({n_split},), one per split node"
-                )
-        threshold = _floats(tree, t, "threshold", n_split, 1, "split node")[:, 0]
+        at = np.flatnonzero(split)
+        m, n_split = len(feature), len(at)
+        if m != 2 * n_split + 1:
+            raise ValueError(
+                f"tree {t}: {m} nodes, but {n_split} split nodes make {2 * n_split + 1}")
+        late = np.flatnonzero(at > 2 * np.arange(n_split))
+        if len(late):
+            raise ValueError(f"tree {t}: split node {at[late[0]]} is not before its child "
+                             f"{2 * late[0] + 1}")
+        threshold = np.zeros(m)
+        threshold[split] = _floats(tree, t, "threshold", n_split, 1, "split node")[:, 0]
         value = _floats(tree, t, "leaf_value", m - n_split, n_targets, "leaf")
-        i = np.flatnonzero(split)
-        if not np.all((i < left) & (left < m) & (i < right) & (right < m)):
-            raise ValueError(f"tree {t}: a child is not after its parent inside the tree")
-        at_split = np.zeros(m)
-        at_split[split] = threshold
-        children = np.full((2, m), -1, dtype=np.int64)
-        children[:, split] = left + offset, right + offset
-        leaf = np.full(m, -1, dtype=np.int64)
-        leaf[~split] = np.arange(leaves, leaves + m - n_split)
-        tables.append((feature, at_split, *children, leaf, value))
+        tables.append((feature, threshold, value))
         roots.append(offset)
         offset += m
-        leaves += m - n_split
     return RegressionForest(
         *(np.concatenate(column) for column in zip(*tables)),
         roots=np.array(roots),

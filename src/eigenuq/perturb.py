@@ -12,6 +12,13 @@ Each mode's move of the barycentric points is built by one of
 ``move_eigenvalues`` applies a move to anisotropy eigenvalues, which is
 how the channel solver perturbs its stress in the channel's fixed frame
 without an eigendecomposition.
+
+The tensor-level mode functions (``data_free_corner``,
+``data_driven_magnitude``, ``componentwise_correction`` and
+``full_anisotropy_correction``) are the paper's general-frame algorithm,
+for any stress. The commands run ``channel.PerturbationInjection``'s
+closed form instead; these functions are the reference it is tested
+against.
 """
 
 from __future__ import annotations

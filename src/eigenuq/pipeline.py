@@ -307,6 +307,19 @@ def train_forest(settings: Settings, target_kind: str):
     seed = _get(settings, "train", "seed")
     if not train_re:
         raise ConfigError("train.train_re_tau is empty")
+    re_taus = [*train_re, holdout_re]
+    for re_tau in re_taus:
+        if not (np.isfinite(re_tau) and re_tau > 0):
+            raise ConfigError(f"train Re_tau {re_tau:g} is not finite and positive")
+    # compared as floats, so 1000, 1000.0 and 1e3 are one Re_tau
+    for i, re_tau in enumerate(train_re):
+        if re_tau in train_re[:i]:
+            raise ConfigError(f"train.train_re_tau names Re_tau={re_tau:g} more than once")
+    if holdout_re in train_re:
+        raise ConfigError(
+            f"train.holdout_re_tau {holdout_re:g} is also a training Re_tau: "
+            "the holdout would be training data"
+        )
     try:
         hp = replace(forest.HYPERPARAMS[target_kind], seed=seed)
     except ValueError as e:
@@ -316,7 +329,6 @@ def train_forest(settings: Settings, target_kind: str):
     # targets of each Re_tau in turn. The list of solve_baselines holds
     # every state until the loop ends, and none is held while the forest
     # is fitted
-    re_taus = [*train_re, holdout_re]
     profiles = [load_reference_profile(settings, re_tau) for re_tau in re_taus]
     sources = {re_tau: source for re_tau, (_, source) in zip(re_taus, profiles)
                if source is not None}
@@ -463,8 +475,10 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
     violations = count_realizability_violations(env.baseline) + sum(
         count_realizability_violations(s) for s in env.corner_states.values()
     )
-    # each field of the solve record, then the stress consistency, by corner
-    records = {c: {**solve_record(s), "stress_consistency": s.stress_consistency}
+    # each field of the solve record, the stress consistency, the
+    # centreline U+ and whether the state is laminar, by corner
+    records = {c: {**solve_record(s), "stress_consistency": s.stress_consistency,
+                   "centerline_U": s.centerline_U, "laminar": s.laminar}
                for c, s in env.corner_states.items()}
     extra = {
         "mode": mode,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -465,6 +466,48 @@ class TestInjectedSolve:
 def envelope_datafree_075_180():
     cfg = ChannelConfig(re_tau=180.0)
     return channel.uq_envelope(cfg, channel.corner_injections("datafree", delta_b=0.75))
+
+
+class TestLaminarFlag:
+    """A converged state is laminar when its k max is below
+    LAMINAR_K_MAX or its centreline U+ lies within LAMINAR_U_RTOL of
+    Re_tau / 2: pinned with the datafree corners at Re_tau 180, whose 3C
+    corner is laminar past the fold near delta_b 0.52."""
+
+    @pytest.mark.parametrize("delta_b, k_max_3c", [(1.0, 1.3e-12), (0.75, 6e-13)])
+    def test_3c_past_the_fold_is_laminar(self, request, delta_b, k_max_3c):
+        envelope = request.getfixturevalue(
+            "envelope_datafree_180" if delta_b == 1.0 else "envelope_datafree_075_180")
+        assert not envelope.baseline.laminar
+        states = envelope.corner_states
+        assert [states[c].laminar for c in ("1C", "2C", "3C")] == [False, False, True]
+        assert np.max(states["3C"].k_plus) < k_max_3c
+        assert states["3C"].centerline_U == pytest.approx(90.0, rel=1e-12)
+        if delta_b == 1.0:
+            assert [round(float(np.max(states[c].k_plus)), 2) for c in ("1C", "2C")] == [
+                0.87, 1.62]
+
+    def test_every_corner_before_the_fold_is_turbulent(self):
+        envelope = channel.uq_envelope(ChannelConfig(re_tau=180.0),
+                                       channel.corner_injections("datafree", delta_b=0.5))
+        states = envelope.corner_states
+        assert not any(states[c].laminar for c in ("1C", "2C", "3C"))
+        assert round(float(np.max(states["3C"].k_plus)), 2) == 1.73
+        assert round(states["3C"].centerline_U, 2) == 53.75
+
+    def test_either_test_flags_a_state(self, envelope_datafree_180):
+        # a turbulent corner with its k scaled below the bound, or with a
+        # laminar centreline velocity
+        state = envelope_datafree_180.corner_states["1C"]
+        k_max = np.max(state.k_plus)
+        for scale, laminar in ((0.99 * channel.LAMINAR_K_MAX / k_max, True),
+                               (1.01 * channel.LAMINAR_K_MAX / k_max, False)):
+            assert replace(state, k_plus=scale * state.k_plus).laminar == laminar
+        U = state.U_plus.copy()
+        for rel, laminar in ((0.99 * channel.LAMINAR_U_RTOL, True),
+                             (1.01 * channel.LAMINAR_U_RTOL, False)):
+            U[-1] = 90.0 * (1 + rel)
+            assert replace(state, U_plus=U.copy()).laminar == laminar
 
 
 class TestStackedSolve:

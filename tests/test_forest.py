@@ -40,22 +40,22 @@ def assert_saves_the_same(fitted, expected, out):
 
 
 def b64(floats):
-    """Reference encoding of a schema-3 float field: the base64 text of
+    """Reference encoding of a schema-4 float field: the base64 text of
     the floats as little-endian float64 bytes, in order."""
     return base64.b64encode(struct.pack(f"<{len(floats)}d", *floats)).decode("ascii")
 
 
 def unb64(text):
-    """The floats of a schema-3 float field, in order."""
+    """The floats of a schema-4 float field, in order."""
     raw = base64.b64decode(text)
     return list(struct.unpack(f"<{len(raw) // 8}d", raw))
 
 
 def reference_save(fitted, path):
-    """Schema 3 as one document through ``json.dump``: the bytes ``save``
-    must write. Per tree, split_feature for every node, tree-local
-    children for the split nodes, and the float64 bytes of the split
-    nodes' thresholds and of the leaves' rows, each in node order."""
+    """Schema 4 as one document through ``json.dump``: the bytes ``save``
+    must write. Per tree, split_feature for every node and the float64
+    bytes of the split nodes' thresholds and of the leaves' rows, each
+    in node order."""
     trees, roots = [], fitted.roots.tolist()
     for s, e in zip(roots, [*roots[1:], len(fitted.feature)]):
         nodes = range(s, e)
@@ -63,13 +63,11 @@ def reference_save(fitted, path):
         trees.append({
             "split_feature": [int(fitted.feature[i]) for i in nodes],
             "threshold": b64([float(fitted.threshold[i]) for i in splits]),
-            "left": [int(fitted.left[i]) - s for i in splits],
-            "right": [int(fitted.right[i]) - s for i in splits],
             "leaf_value": b64([v for i in nodes if fitted.feature[i] < 0
                                for v in fitted.value[fitted.leaf[i]].tolist()]),
         })
     doc = {
-        "version": 3,
+        "version": 4,
         "hyperparams": asdict(fitted.hyperparams),
         "feature_names": fitted.feature_names,
         "target_names": fitted.target_names,
@@ -81,9 +79,22 @@ def reference_save(fitted, path):
         json.dump(doc, f)
 
 
+def schema_3_doc(doc):
+    """The schema-3 layout of a schema-4 document: ``left`` and ``right``
+    for the split nodes, tree-local, as the breadth-first layout gives
+    them (the j-th split node's children are nodes 2j + 1 and 2j + 2)."""
+    for tree in doc["trees"]:
+        k = sum(f >= 0 for f in tree["split_feature"])
+        tree["left"] = [2 * j + 1 for j in range(k)]
+        tree["right"] = [2 * j + 2 for j in range(k)]
+    doc["version"] = 3
+    return doc
+
+
 def schema_2_doc(doc):
-    """The schema-2 layout of a schema-3 document: floats as JSON numbers,
-    one leaf_value row of n_targets per leaf."""
+    """The schema-2 layout of a schema-4 document: the schema-3 children,
+    floats as JSON numbers, one leaf_value row of n_targets per leaf."""
+    doc = schema_3_doc(doc)
     width = doc["n_targets"]
     for tree in doc["trees"]:
         tree["threshold"] = unb64(tree["threshold"])
@@ -94,7 +105,7 @@ def schema_2_doc(doc):
 
 
 def schema_1_doc(doc):
-    """The schema-1 layout of a schema-3 document: every list has an
+    """The schema-1 layout of a schema-4 document: every list has an
     entry per node (threshold 0, children -1 and value 0 where schema 2
     has none)."""
     doc = schema_2_doc(doc)
@@ -146,7 +157,9 @@ def reference_split(X, Y, idx, cand):
 
 
 def reference_fit(X, Y, hp):
-    """``forest.fit`` one node at a time, each tree breadth first from a queue."""
+    """``forest.fit`` one node at a time, each tree breadth first from a
+    queue. The children the queue hands out are those the forest derives
+    from its layout."""
     nodes, values, roots = [], [], []  # node: [feature, threshold, left, right, leaf]
     for t in range(hp.n_trees):
         rng = np.random.default_rng([hp.seed, t])
@@ -170,13 +183,12 @@ def reference_fit(X, Y, hp):
             given = len(nodes) + len(queue)  # the children's indices, first in first out
             nodes[-1] = [*split, given, given + 1, -1]
             queue += [(idx[mask], depth + 1), (idx[~mask], depth + 1)]
-    return forest.RegressionForest(
-        *(np.array(column) for column in zip(*nodes)),
-        value=np.array(values),
-        roots=np.array(roots),
-        hyperparams=hp,
-        n_features=X.shape[1],
-    )
+    feature, threshold, left, right, leaf = (np.array(column) for column in zip(*nodes))
+    fitted = forest.RegressionForest(feature, threshold, np.array(values), np.array(roots),
+                                     hyperparams=hp, n_features=X.shape[1])
+    for name, given in (("left", left), ("right", right), ("leaf", leaf)):
+        assert np.array_equal(getattr(fitted, name), given), name
+    return fitted
 
 
 class TestHyperparams:
@@ -485,26 +497,24 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "key, edit, message",
         [
-            ("left", lambda v, tree: [0, *v[1:]], "a child is not after its parent"),
-            ("right", lambda v, tree: [len(tree["split_feature"]), *v[1:]],
-             "a child is not after its parent"),
+            # by the layout, node 3 as the second split node would be its
+            # own left child
+            ("split_feature", lambda v, tree: [v[0], -1, -1, v[0], -1],
+             "split node 3 is not before its child 3"),
+            # without the last two leaves, the last split node's children
+            # lie outside the tree
+            ("split_feature", lambda v, tree: v[:-2],
+             r"\d+ nodes, but \d+ split nodes make \d+\)"),
             ("split_feature", lambda v, tree: [4, *v[1:]], r"split feature outside \[-1, 4\)"),
             ("split_feature", lambda v, tree: [-2, *v[1:]], r"split feature outside \[-1, 4\)"),
             ("split_feature", lambda v, tree: [], "split_feature is not a non-empty list"),
             ("split_feature", lambda v, tree: [v[0] + 0.5, *v[1:]],
              "split_feature holds a non-integer entry"),
-            ("left", lambda v, tree: [float(v[0]), *v[1:]], "left holds a non-integer entry"),
-            ("right", lambda v, tree: [str(v[0]), *v[1:]], "right holds a non-integer entry"),
             # JSON true and false parse as bool, which numpy and == read as 1 and 0
             ("split_feature", lambda v, tree: [v[0], *[f >= 0 for f in v[1:]]],
              "split_feature holds a non-integer entry"),
-            ("left", lambda v, tree: [*v[:-1], True], "left holds a non-integer entry"),
-            ("right", lambda v, tree: [False, *v[1:]], "right holds a non-integer entry"),
             ("threshold", lambda v, tree: b64([0.0] * len(tree["split_feature"])),
              r"threshold holds \d+ bytes, expected \d+: 1 float64 per split node"),
-            ("left", lambda v, tree: v[:-1], r"left is \(\d+,\), expected \(\d+,\)"),
-            ("right", lambda v, tree: [*v, len(tree["split_feature"]) - 1],
-             r"right is \(\d+,\), expected \(\d+,\)"),
             ("leaf_value", lambda v, tree: b64(unb64(v)[:-2]),
              r"leaf_value holds \d+ bytes, expected \d+: 2 float64 per leaf"),
             ("leaf_value", lambda v, tree: b64([0.0, 0.0] * len(tree["split_feature"])),
@@ -537,9 +547,7 @@ class TestSerialization:
              "threshold holds a non-finite entry"),
         ],
         ids=["cycle", "child_outside_tree", "feature_too_large", "feature_below_leaf",
-             "no_nodes", "feature_not_integer", "left_float", "right_text",
-             "feature_bool", "left_true", "right_false",
-             "threshold_per_node", "left_short", "right_long",
+             "no_nodes", "feature_not_integer", "feature_bool", "threshold_per_node",
              "leaf_value_rows", "leaf_value_per_node", "leaf_value_width",
              "threshold_partial_entry", "threshold_outside_alphabet", "leaf_value_newline",
              "threshold_no_padding", "threshold_extra_padding", "leaf_value_not_ascii",
@@ -579,7 +587,7 @@ class TestSerialization:
         path.write_text(json.dumps(schema_1_doc(doc)))
         with pytest.raises(ForestFormatError,
                            match=f"^{re.escape(str(path))}: schema-1 forest file; this version "
-                                 "reads schema 3 only: re-run train$"):
+                                 "reads schema 4 only: re-run train$"):
             read_forest(path)
 
     def test_load_rejects_schema_2(self, tmp_path):
@@ -587,8 +595,94 @@ class TestSerialization:
         path.write_text(json.dumps(schema_2_doc(doc)))
         with pytest.raises(ForestFormatError,
                            match=f"^{re.escape(str(path))}: schema-2 forest file; this version "
-                                 "reads schema 3 only: re-run train$"):
+                                 "reads schema 4 only: re-run train$"):
             read_forest(path)
+
+    def test_load_rejects_schema_3(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        path.write_text(json.dumps(schema_3_doc(doc)))
+        with pytest.raises(ForestFormatError,
+                           match=f"^{re.escape(str(path))}: schema-3 forest file; this version "
+                                 "reads schema 4 only: re-run train$"):
+            read_forest(path)
+
+    def test_saved_tree_stores_no_children(self, tmp_path):
+        _, doc = saved_doc(tmp_path)
+        for tree in doc["trees"]:
+            assert set(tree) == {"split_feature", "threshold", "leaf_value"}
+
+    @staticmethod
+    def layouts(n_features):
+        """split_feature lists: trees grown breadth first (each node
+        splits or not while some node is still open), such a tree with
+        one more leaf or in another order, and any list, each entry a
+        leaf half the time."""
+        node = st.just(-1) | st.integers(0, n_features - 1)
+
+        def grown(splits):
+            feature, open_nodes = [], 1
+            for f in splits:
+                if not open_nodes:
+                    break
+                feature.append(f)
+                open_nodes += 1 if f >= 0 else -1
+            return feature + [-1] * open_nodes
+        trees = st.lists(node, max_size=12).map(grown)
+        return (trees | trees.map(lambda f: [*f, -1]) | trees.flatmap(st.permutations)
+                | st.lists(node, min_size=1, max_size=12))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_features=st.integers(1, 3), n_targets=st.integers(1, 2), data=st.data())
+    def test_loads_accepts_exactly_the_breadth_first_layouts(self, n_features, n_targets, data):
+        # a tree of k split nodes is accepted when it has 2k + 1 nodes and
+        # its j-th split node comes before its children 2j + 1 and 2j + 2
+        layouts = self.layouts(n_features)
+        trees = data.draw(st.lists(layouts, min_size=1, max_size=3), label="split_feature")
+        doc = {
+            "version": forest.SCHEMA_VERSION,
+            "hyperparams": asdict(ForestHyperparams(max_depth=3, min_samples_split=2,
+                                                    max_features=1, n_trees=len(trees))),
+            "feature_names": [], "target_names": [],
+            "n_features": n_features, "n_targets": n_targets,
+            "trees": [{
+                "split_feature": feature,
+                "threshold": b64([0.5] * (len(feature) - feature.count(-1))),
+                # one value per leaf and target, so a wrong route shows
+                "leaf_value": b64(list(map(float, range(feature.count(-1) * n_targets)))),
+            } for feature in trees],
+        }
+
+        def well_laid_out(feature):
+            splits = [i for i, f in enumerate(feature) if f >= 0]
+            return len(feature) == 2 * len(splits) + 1 and all(
+                i < 2 * j + 1 for j, i in enumerate(splits))
+
+        text = json.dumps(doc)
+        if not all(map(well_laid_out, trees)):
+            with pytest.raises(ForestFormatError, match="nodes, but|is not before its child"):
+                forest.loads(text, "layout.json")
+            return
+        loaded = forest.loads(text, "layout.json")
+
+        def leaf(feature, x):
+            """The leaf x reaches in one tree, as its rank among the leaves,
+            by the layout: the j-th split node's children are 2j + 1 and 2j + 2."""
+            i = 0
+            while feature[i] >= 0:
+                j = sum(f >= 0 for f in feature[:i])
+                i = 2 * j + 1 + (x[feature[i]] > 0.5)
+            return feature[:i].count(-1)
+
+        Q = np.random.default_rng(len(text)).integers(0, 2, size=(8, n_features)).astype(float)
+        batch = loaded.predict(Q)
+        assert np.all(np.isfinite(batch))
+        for i, q in enumerate(Q):
+            expected = np.zeros(n_targets)
+            for feature in trees:  # leaf r of every tree holds r * n_targets + (0, 1, ...)
+                expected += leaf(feature, q) * n_targets + np.arange(n_targets)
+            expected /= len(trees)
+            assert np.array_equal(batch[i], expected), i
+            assert np.array_equal(loaded.predict_one(q), expected), i
 
     @pytest.mark.parametrize(
         "key, edit, message",

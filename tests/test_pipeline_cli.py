@@ -71,7 +71,7 @@ def unreadable_inputs(tmp_path):
     paths["not_utf8"].write_bytes(b"# caf\xe9\n")
     paths["data_directory"].write_text(
         "[channel]\nre_tau = 180\nn_cells = 32\n"
-        f"[train]\ntrain_re_tau = 180\nholdout_re_tau = 180\n[data]\n180 = {paths['directory']}\n")
+        f"[train]\ntrain_re_tau = 180\nholdout_re_tau = 550\n[data]\n180 = {paths['directory']}\n")
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -298,6 +298,17 @@ class TestUqCommand:
             assert man["fixed_point_residual"][corner] <= channel.NEWTON_TOL
             assert man["stress_consistency"][corner] <= 1e-6
             assert man["total_shear_error"][corner] <= 1e-8
+
+    def test_manifest_flags_the_laminar_corner(self, small_grid_datafree_uq):
+        # at delta_b 1 the 3C corner is the laminar fixed point: k dies
+        # out and the centreline U+ is Re_tau / 2
+        man = pipeline.read_manifest(small_grid_datafree_uq)
+        assert man["laminar"] == {"1C": False, "2C": False, "3C": True}
+        for corner in ("1C", "2C", "3C"):
+            rows = (small_grid_datafree_uq / f"corner_{corner}.csv").read_text().splitlines()
+            assert man["centerline_U"][corner] == float(rows[-1].split(",")[1]), corner
+        assert man["centerline_U"]["3C"] == pytest.approx(90.0, rel=channel.LAMINAR_U_RTOL)
+        assert man["centerline_U"]["1C"] < 10.0
 
     def test_corner_free_mode_solves_once(self, settings, tmp_path, monkeypatch):
         # the forest of a default-settings training, on a 32-cell grid
@@ -851,7 +862,7 @@ class TestCli:
         assert "tree 0: leaf_value holds a non-finite entry" in stderr
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_schema_1_forest_exit_four(self, tmp_path, monkeypatch, capsys, version):
         rng = np.random.default_rng(0)
         hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
@@ -917,7 +928,7 @@ class TestCli:
         cfg = tmp_path / "run.ini"
         cfg.write_text(
             "[channel]\nn_cells = 32\n"
-            "[train]\ntrain_re_tau = 180\nholdout_re_tau = 180\n"
+            "[train]\ntrain_re_tau = 180\nholdout_re_tau = 550\n"
             f"[data]\n180 = {path}\n"
         )
         code, stderr = run_main(monkeypatch, capsys,
@@ -946,6 +957,38 @@ class TestCli:
                                 "train", "--config", str(cfg), "--out", str(tmp_path / "d"))
         assert code == 4, stderr
         assert stderr.startswith("data error: ") and stderr.count("\n") == 1
+        assert calls == []
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("train_re_tau, holdout_re_tau, message", [
+        ("180, 1000", "1000", "train.holdout_re_tau 1000 is also a training Re_tau"),
+        ("180, 1e3", "1000.0", "train.holdout_re_tau 1000 is also a training Re_tau"),
+        ("180, 550, 180.0", "1000", "train.train_re_tau names Re_tau=180 more than once"),
+        ("180, -5", "1000", "train Re_tau -5 is not finite and positive"),
+        ("180", "nan", "train Re_tau nan is not finite and positive"),
+    ], ids=["holdout_trained_on", "holdout_as_another_float", "training_named_twice",
+            "training_negative", "holdout_nan"])
+    def test_train_re_tau_checked_before_reading(self, tmp_path, monkeypatch, capsys,
+                                                 train_re_tau, holdout_re_tau, message):
+        # a holdout among the training rows once gave a holdout_mse below
+        # the train_mse, and exit 0; a Re_tau of -5 or nan ended in a
+        # traceback from the synthetic profile
+        calls, solve_baselines = [], channel.solve_baselines
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_baselines(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "solve_baselines", counted)
+        monkeypatch.setattr(pipeline, "load_reference_profile",
+                            lambda *_: pytest.fail("read a profile before the check"))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[channel]\nn_cells = 32\n[train]\ntrain_re_tau = {train_re_tau}\n"
+                       f"holdout_re_tau = {holdout_re_tau}\n")
+        code, stderr = run_main(monkeypatch, capsys,
+                                "train", "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 2, stderr
+        assert message in stderr and stderr.count("\n") == 1
         assert calls == []
         assert not (tmp_path / "d").exists()
 

@@ -1,3 +1,5 @@
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +34,16 @@ def test_failing_property_does_not_end_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert run.stdout.splitlines()[-1].startswith("1 failed, 1 passed"), run.stdout
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the Python block under README's "Library example", as written
+    section = (ROOT / "README.md").read_text().split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": pythonpath})
+    assert run.returncode == 0 and not run.stderr, run.stderr
+    label, value = run.stdout.rstrip("\n").split(": ")
+    assert label == "integrated envelope width"
+    assert math.isfinite(float(value))
