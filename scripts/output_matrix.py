@@ -1,4 +1,4 @@
-"""Write the outputs of seventeen eigenuq commands into one directory, so that
+"""Write the outputs of eighteen eigenuq commands into one directory, so that
 two checkouts can be compared byte for byte.
 
     python3 scripts/output_matrix.py OUT_DIR
@@ -49,9 +49,10 @@ DATA_FILE = ("train_data_file.ini", f"[data]\n180 = {DATA_PROFILE}\n")
 # (subdirectory, arguments): baselines at a low and the highest Re_tau,
 # the three forest kinds the data-driven runs need, a training on mixed
 # grids, one with another seed and one on a [data] file, the data-free
-# envelope at two settings, a data-driven envelope of each mode (the
-# componentwise ones on the 32-cell grid, as the benchmark runs them), a
-# noisy propagation with the default and another noise seed, a
+# envelope at three settings (at delta_b 0.75 the 3C corner laminarises,
+# after 200 Picard sweeps and over a hundred Newton steps), a data-driven
+# envelope of each mode (the componentwise ones on the 32-cell grid, as
+# the benchmark runs them), a noisy propagation with the default and another noise seed, a
 # propagation of a profile file and a report over three runs, whose two
 # uq runs share one channel, as a width ratio needs
 COMMANDS = [
@@ -64,6 +65,8 @@ COMMANDS = [
     ("train_p_seed_3", ["train", "--target", "p", "--seed", "3"]),
     ("train_p_data_file", ["train", "--target", "p", "--config", DATA_FILE[0]]),
     ("uq_datafree_180", ["uq", "--mode", "datafree", "--delta-b", "1.0", "--re-tau", "180"]),
+    ("uq_datafree_075_180", ["uq", "--mode", "datafree", "--delta-b", "0.75",
+                             "--re-tau", "180"]),
     ("uq_datafree_1000", ["uq", "--mode", "datafree", "--delta-b", "0.5", "--re-tau", "1000"]),
     ("uq_p_1000", ["uq", "--mode", "p", "--re-tau", "1000",
                    "--forest", os.path.join("train_p", "forest_p.json")]),

@@ -449,6 +449,15 @@ _SHEAR_FRAME = np.array([
 ]) / np.sqrt(2.0)
 
 
+# The Boussinesq anisotropy's eigenvalues are b (1, 0, -1), and their
+# barycentric point x(b) = x(0) + b dx/db, the map being affine; x(0) is
+# the 3C corner
+_BOUSSINESQ_UNIT = np.array([1.0, 0.0, -1.0])
+_BOUSSINESQ_POINT = tensors.weights_to_points(tensors.eigenvalues_to_weights(np.zeros(3)))
+_BOUSSINESQ_DIRECTION = (tensors.weights_to_points(tensors.eigenvalues_to_weights(_BOUSSINESQ_UNIT))
+                         - _BOUSSINESQ_POINT)
+
+
 class PerturbationInjection(StressInjection):
     """In-loop eigenspace perturbation of the Boussinesq stress.
 
@@ -464,6 +473,16 @@ class PerturbationInjection(StressInjection):
     the total-stress line, positive wherever 1 - y+/Re_tau > 0 and zero
     at the centreline node, so the roundoff sign of dU/dy where the
     shear vanishes cannot flip it.
+
+    The corner modes move those eigenvalues in closed form, as
+    (1 - delta) (b, 0, -b) + delta lam_c with b = min(a, 2/3) and lam_c
+    the corner's eigenvalues: the barycentric map is affine, so the
+    straight move toward the corner point is this convex combination,
+    and clipping (a, 0, -a) into the triangle is b = min(a, 2/3). delta
+    is delta_b for 'datafree', and 'p' takes perturb.magnitude_shift's
+    step per node. The componentwise modes move them through the
+    barycentric map (perturb.move_eigenvalues): their projection into
+    the triangle is no convex combination toward a fixed point.
 
     ``shear`` and ``compute`` share the moved eigenvalues; ``shear``
     assembles no tensor, and for 'pcorr_angles' the rotated frame is
@@ -505,27 +524,39 @@ class PerturbationInjection(StressInjection):
         self.delta_b = delta_b
         self.targets = targets
         self.frame = None  # rotated eigenvector frames of pcorr_angles
-        self.move = self._shift(None if corner is None else tensors.corner_coords(corner))
+        self.move = None  # the barycentric move of the componentwise modes
+        if corner is None:
+            self.move = perturb.componentwise_shift(targets[:, :2])
+        else:
+            self._set_corners([corner])
+        if mode == "p":
+            self.p_pos = np.maximum(targets[:, 0], 0.0)  # the distances, negative counting as 0
         if mode == "pcorr_angles":
             shear_frame = np.broadcast_to(_SHEAR_FRAME, (len(targets), 3, 3))
             self.frame = rotation.apply_rotation(shear_frame, targets[:, 2:])
 
-    def _shift(self, xt):
-        """The move of this mode's barycentric points, toward the corner
-        point(s) xt of ``perturb.corner_shift`` where the mode takes one."""
-        if self.mode == "datafree":
-            return perturb.corner_shift(xt, self.delta_b)
-        if self.mode == "p":
-            return perturb.magnitude_shift(xt, self.targets[:, 0])
-        return perturb.componentwise_shift(self.targets[:, :2])
+    def _set_corners(self, corners):
+        """The anisotropy eigenvalues of the corner(s), those of their
+        unit corner weights (C1, C2, C3 in CORNER_SLOTS order), and their
+        plane points relative to x(0), from which 'p' measures its
+        distances: (3,) and (2,) arrays for one corner, (m, 1, 3) and
+        (m, 1, 2) for the rows of a stack."""
+        index = [CORNER_SLOTS.index(c) for c in corners]
+        lam = tensors.weights_to_eigenvalues(np.eye(3)[index])
+        xy = tensors.CORNERS[index] - _BOUSSINESQ_POINT
+        if len(corners) == 1:
+            self.corner_lam, self.corner_xy = lam[0], xy[0]
+        else:
+            self.corner_lam, self.corner_xy = lam[:, None], xy[:, None]
 
     @classmethod
     def stack(cls, injections):
         """One injection whose ``shear`` on row r of a stack of states is
         that of ``injections[r]``: a lone injection itself, or injections
         of one corner-taking mode with the same other arguments, as
-        ``corner_injections`` builds them. Their corner points broadcast
-        as an (m, 1, 2) array, so the stack's shear is one evaluation."""
+        ``corner_injections`` builds them. Their corners broadcast as
+        (m, 1, ...) arrays (``_set_corners``), so the stack's shear is one
+        evaluation, each row's arithmetic that of the row alone."""
         first = injections[0]
         if len(injections) == 1:
             return first
@@ -535,8 +566,7 @@ class PerturbationInjection(StressInjection):
                     and np.array_equal(injection.targets, first.targets)):
                 raise ValueError("the injections of one stack must differ in their corner alone")
         stacked = copy.copy(first)
-        stacked.move = first._shift(
-            np.array([tensors.corner_coords(i.corner) for i in injections])[:, None])
+        stacked._set_corners([injection.corner for injection in injections])
         return stacked
 
     @staticmethod
@@ -548,13 +578,26 @@ class PerturbationInjection(StressInjection):
 
     def _eigenvalues(self, state):
         """The laminar nodes (k below K_FLOOR) and the moved anisotropy
-        eigenvalues of the Boussinesq stress at every node."""
+        eigenvalues of the Boussinesq stress at every node, (..., n, 3)."""
         k = state.k_plus
         laminar = k < tensors.K_FLOOR
         a = state.nu_t_plus * np.abs(state.dUdy_plus) / np.where(laminar, 1.0, k)
-        lam = np.zeros(a.shape + (3,))
-        lam[..., 0], lam[..., 2] = a, -a
-        return laminar, perturb.move_eigenvalues(lam, self.move)
+        if self.move is not None:
+            lam = np.zeros(a.shape + (3,))
+            lam[..., 0], lam[..., 2] = a, -a
+            return laminar, perturb.move_eigenvalues(lam, self.move)
+        # the corner modes: (b, 0, -b) moved by delta toward the corner
+        b = np.minimum(a, 2.0 / 3.0)
+        if self.mode == "datafree":
+            delta = self.delta_b
+        else:
+            # perturb.magnitude_shift's step, over the distance d from x(b)
+            xy = self.corner_xy
+            d = np.hypot(xy[..., 0] - b * _BOUSSINESQ_DIRECTION[0],
+                         xy[..., 1] - b * _BOUSSINESQ_DIRECTION[1])
+            delta = np.minimum(np.where(d > 1e-14, self.p_pos / np.maximum(d, 1e-14), 0.0), 1.0)
+            delta = delta[..., None]
+        return laminar, ((1.0 - delta) * b[..., None]) * _BOUSSINESQ_UNIT + delta * self.corner_lam
 
     def shear(self, state):
         k, nu_t, dudy = state.k_plus, state.nu_t_plus, state.dUdy_plus

@@ -9,9 +9,11 @@ near-laminar nodes pass through unchanged.
 
 Each mode's move of the barycentric points is built by one of
 ``corner_shift``, ``magnitude_shift`` and ``componentwise_shift``;
-``move_eigenvalues`` applies a move to anisotropy eigenvalues, which is
-how the channel solver perturbs its stress in the channel's fixed frame
-without an eigendecomposition.
+``move_eigenvalues`` applies a move to anisotropy eigenvalues. It is how
+the channel solver moves the componentwise modes in the channel's fixed
+frame, without an eigendecomposition, and the reference for the corner
+modes, which the solver moves in closed form, as a convex combination of
+the eigenvalues and the corner's (``channel.PerturbationInjection``).
 
 The tensor-level mode functions (``data_free_corner``,
 ``data_driven_magnitude``, ``componentwise_correction`` and

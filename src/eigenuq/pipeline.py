@@ -539,9 +539,10 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
 
 def _report_field(run_dir, field, value, kind=(str, int, float)):
     """``value``, the ``field`` of the run in ``run_dir``, if it is of
-    ``kind``, not true or false, and no text with a comma or line break
-    (which would split a row of summary.csv); DataError (exit 4) if not."""
-    if (not isinstance(value, kind) or isinstance(value, bool)
+    ``kind``, true or false only where ``kind`` is bool, and no text with
+    a comma or line break (which would split a row of summary.csv);
+    DataError (exit 4) if not."""
+    if (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)
             or isinstance(value, str) and any(c in value for c in ",\r\n")):
         raise DataError(f"manifest of {run_dir}: {field} cannot be {value!r}")
     return value
@@ -554,6 +555,17 @@ def _channel_setting(key, value):
         return DEFAULTS["channel"][key][1](value)
     except (KeyError, TypeError, ValueError):
         return value
+
+
+def _laminar_corners(run_dir, man):
+    """How many corner slots of the uq manifest ``man`` of the run in
+    ``run_dir`` hold a laminar state: its ``laminar`` must map each slot
+    to true or false, DataError (exit 4) if not."""
+    laminar = _report_field(run_dir, "laminar", man.get("laminar"), dict)
+    if sorted(laminar) != sorted(channel.CORNER_SLOTS):
+        raise DataError(f"manifest of {run_dir}: laminar cannot be {laminar!r}")
+    return sum(_report_field(run_dir, f"laminar.{c}", laminar[c], bool)
+               for c in channel.CORNER_SLOTS)
 
 
 def cmd_report(run_dirs, out_dir) -> int:
@@ -585,6 +597,7 @@ def cmd_report(run_dirs, out_dir) -> int:
                 field("realizability_violations", man.get("realizability_violations", np.nan),
                       (int, float)),
                 json.dumps(man.get("iterations", ""), sort_keys=True).replace(",", ";"),
+                _laminar_corners(run_dir, man) if cmdname == "uq" else 0,
             ]
         )
     for kind, runs in uq_runs.items():
@@ -602,6 +615,7 @@ def cmd_report(run_dirs, out_dir) -> int:
         "rel_l2_error_U",
         "realizability_violations",
         "iterations",
+        "laminar_corners",
     ]
     if uq_runs["datafree"] and uq_runs["data-driven"]:
         (free, datafree, free_channel), (driven, datadriven, driven_channel) = (

@@ -444,6 +444,10 @@ class TestPropagateCommand:
             pipeline.cmd_propagate_dns(fast_settings(), tmp_path / "x", dns_path=str(bad))
 
 
+# the laminar record of a uq manifest whose corners are all turbulent
+TURBULENT = dict.fromkeys(channel.CORNER_SLOTS, False)
+
+
 class TestReportCommand:
     def test_aggregation_and_width_ratio(self, tmp_path):
         s = fast_settings()
@@ -453,7 +457,8 @@ class TestReportCommand:
             d.mkdir()
             pipeline.write_manifest(
                 d, "uq", s, {"mode": mode, "integrated_width": width,
-                             "realizability_violations": 0, "iterations": {}},
+                             "realizability_violations": 0, "iterations": {},
+                             "laminar": TURBULENT},
             )
             runs.append(str(d))
         out = tmp_path / "report"
@@ -463,6 +468,39 @@ class TestReportCommand:
         assert header[-1] == "width_ratio_datafree_over_datadriven"
         ratio = float(lines[1].split(",")[-1])
         assert ratio == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("delta_b, laminar_corners", [("1.0", 1), ("0.5", 0)])
+    def test_laminar_corner_count(self, tmp_path, delta_b, laminar_corners):
+        # at Re_tau 180 the datafree 3C corner is laminar past the fold
+        # near delta_b 0.52; a baseline row holds 0
+        runs = {"uq": ["uq", "--mode", "datafree", "--delta-b", delta_b],
+                "baseline": ["baseline"]}
+        for name, args in runs.items():
+            assert cli.run([*args, "--re-tau", "180", "--out", str(tmp_path / name)]) == 0
+        out = tmp_path / "report"
+        assert cli.run(["report", *(str(tmp_path / name) for name in runs),
+                        "--out", str(out)]) == 0
+        header, *rows = (out / "summary.csv").read_text().splitlines()
+        assert header.split(",")[-1] == "laminar_corners"
+        assert [row.split(",")[-1] for row in rows] == [str(laminar_corners), "0"]
+
+    @pytest.mark.parametrize("laminar", [
+        None, [False, False, True], {"1C": False, "2C": False},
+        {**TURBULENT, "4C": False}, {**TURBULENT, "3C": 1}, {**TURBULENT, "2C": "true"},
+    ], ids=["missing", "list", "slot_missing", "extra_slot", "integer", "text"])
+    def test_malformed_laminar_exit_four(self, tmp_path, monkeypatch, capsys, laminar):
+        run = tmp_path / "run"
+        run.mkdir()
+        doc = {"command": "uq", "mode": "datafree", "integrated_width": 3.0}
+        if laminar is not None:
+            doc["laminar"] = laminar
+        (run / "manifest.json").write_text(json.dumps(doc))
+        code, stderr = run_main(monkeypatch, capsys,
+                                "report", str(run), "--out", str(tmp_path / "d"))
+        assert code == 4
+        assert re.match(rf"data error: manifest of {re.escape(str(run))}: laminar(\.\dC)? "
+                        "cannot be ", stderr), stderr
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
         "driven_channel, message",
@@ -485,7 +523,7 @@ class TestReportCommand:
             (tmp_path / name).mkdir()
             (tmp_path / name / "manifest.json").write_text(json.dumps(
                 {"command": "uq", "mode": mode, "integrated_width": width,
-                 "settings": {"channel": channels[name]}}))
+                 "settings": {"channel": channels[name]}, "laminar": TURBULENT}))
         runs, out = [str(tmp_path / "free"), str(tmp_path / "driven")], tmp_path / "out"
         if message is None:
             assert pipeline.cmd_report(runs, out) == pipeline.EXIT_OK
@@ -510,7 +548,7 @@ class TestReportCommand:
             (tmp_path / name).mkdir()
             pipeline.write_manifest(
                 tmp_path / name, "uq", fast_settings(),
-                {"mode": modes[name], "integrated_width": 1.0},
+                {"mode": modes[name], "integrated_width": 1.0, "laminar": TURBULENT},
             )
         with pytest.raises(DataError, match=message):
             pipeline.cmd_report([str(tmp_path / n) for n in names], tmp_path / "out")
@@ -573,7 +611,8 @@ class TestReportCommand:
         for d in (free, run, base):
             d.mkdir()
         (free / "manifest.json").write_text(
-            json.dumps({"command": "uq", "mode": "datafree", "integrated_width": 300.0}))
+            json.dumps({"command": "uq", "mode": "datafree", "integrated_width": 300.0,
+                        "laminar": TURBULENT}))
         doc = {"command": "uq", "integrated_width": 50.0}
         if mode is not None:
             doc["mode"] = mode
