@@ -238,16 +238,12 @@ TARGET_NAMES = {
 
 @dataclass
 class TrainingSet:
+    """The rows of one Re_tau: features in ``features.DEFAULT_FEATURES``
+    order and targets in ``TARGET_NAMES`` order."""
+
     X: np.ndarray
     Y: np.ndarray
-    feature_names: list[str]
-    target_names: list[str]
-    n_excluded: int = 0
-
-    def extend(self, other: "TrainingSet") -> None:
-        self.X = np.vstack([self.X, other.X])
-        self.Y = np.vstack([self.Y, other.Y])
-        self.n_excluded += other.n_excluded
+    n_excluded: int
 
 
 def build_targets(rans_state, reference: DnsProfile, target_kind: str) -> TrainingSet:
@@ -282,10 +278,4 @@ def build_targets(rans_state, reference: DnsProfile, target_kind: str) -> Traini
         Y = p_corr
     else:
         Y = np.hstack([p_corr, rot.extract_angles(frame_r[keep], frame_d[keep])])
-    return TrainingSet(
-        X=X[keep],
-        Y=Y,
-        feature_names=list(feat.DEFAULT_FEATURES),
-        target_names=list(TARGET_NAMES[target_kind]),
-        n_excluded=int(np.count_nonzero(~keep)),
-    )
+    return TrainingSet(X=X[keep], Y=Y, n_excluded=int(np.count_nonzero(~keep)))

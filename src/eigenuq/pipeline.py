@@ -66,13 +66,14 @@ def _re_tau_list(raw: str):
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
-# every settings key with its default and the cast its value must pass
+# every settings key with its default and the cast its value must pass;
+# the grid and the iteration cap default to ChannelConfig's
 DEFAULTS = {
     "channel": {
         "re_tau": ("1000", float),
-        "n_cells": ("192", int),
-        "stretch": ("0.5", float),
-        "max_iters": ("40000", int),
+        "n_cells": (str(channel.ChannelConfig.n_cells), int),
+        "stretch": (str(channel.ChannelConfig.stretch), float),
+        "max_iters": (str(channel.ChannelConfig.max_iters), int),
     },
     "train": {
         "train_re_tau": ("180, 550, 2000, 5200", _re_tau_list),
@@ -177,11 +178,9 @@ def load_reference_profile(settings: Settings, re_tau: float):
 
 def read_reference_profile(path, re_tau: float):
     """A profile file that is well formed and covers the half channel at
-    ``re_tau``, and its manifest record: the base name, so the same file
-    read from another directory gives the same manifest, and the sha256
-    of the bytes it was parsed from (the file is read once). DataError
-    (exit 4) otherwise. This is the one reader of profile files; ``dns``
-    parses their text."""
+    ``re_tau``, and its manifest record (``_file_record``; the file is
+    read once). DataError (exit 4) otherwise. This is the one reader of
+    profile files; ``dns`` parses their text."""
     document, text = _read(path, DataError, "reference profile",
                            f"reference profile for Re_tau={re_tau:g} not found: {path}")
     try:
@@ -189,8 +188,14 @@ def read_reference_profile(path, re_tau: float):
         dns.check_coverage(profile, re_tau)
     except dns.ProfileParseError as e:
         raise DataError(str(e)) from e
-    return profile, {"file": os.path.basename(path),
-                     "sha256": hashlib.sha256(document).hexdigest()}
+    return profile, _file_record(path, document)
+
+
+def _file_record(path, document):
+    """The manifest record of an input file: its base name, so the same
+    file read from another directory gives the same manifest, and the
+    sha256 of ``document``, the bytes ``_read`` returned for it."""
+    return {"file": os.path.basename(path), "sha256": hashlib.sha256(document).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +232,13 @@ def _ensure_out(out_dir):
     os.makedirs(out_dir, exist_ok=True)
 
 
-def _write_rows(path, header, rows):
+def _write_rows(path, rows):
+    """Write ``rows``, mappings from column to value that share the
+    columns of the first in its order, under a header of those columns."""
     with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
+        f.write(",".join(rows[0]) + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write(",".join(_fmt(v) for v in row.values()) + "\n")
 
 
 def _fmt(v):
@@ -339,28 +346,20 @@ def train_forest(settings: Settings, target_kind: str):
             raise state
         sets.append(dns.build_targets(state, profile, target_kind))
     del state
-    training, *more, held = sets
-    for targets in more:
-        training.extend(targets)
+    *training, held = sets
+    X, Y = np.vstack([s.X for s in training]), np.vstack([s.Y for s in training])
 
-    fitted = forest.fit(
-        training.X,
-        training.Y,
-        hp,
-        feature_names=training.feature_names,
-        target_names=training.target_names,
-    )
+    fitted = forest.fit(X, Y, hp, feature_names=features.DEFAULT_FEATURES,
+                        target_names=dns.TARGET_NAMES[target_kind])
 
     metrics = {
         "target_kind": target_kind,
-        "n_train_rows": int(training.X.shape[0]),
-        "n_excluded": int(training.n_excluded),
-        "train_mse": forest.mse(fitted, training.X, training.Y),
+        "n_train_rows": int(X.shape[0]),
+        "n_excluded": sum(s.n_excluded for s in training),
+        "train_mse": forest.mse(fitted, X, Y),
         "holdout_re_tau": holdout_re,
         "holdout_mse": forest.mse(fitted, held.X, held.Y),
-        "holdout_mean_predictor_mse": float(
-            np.mean((training.Y.mean(axis=0) - held.Y) ** 2)
-        ),
+        "holdout_mean_predictor_mse": float(np.mean((Y.mean(axis=0) - held.Y) ** 2)),
         "hyperparams": asdict(hp),
     }
     return fitted, metrics, sources
@@ -371,10 +370,8 @@ def cmd_train(settings: Settings, out_dir, target_kind: str) -> int:
     _ensure_out(out_dir)
     forest.save(fitted, os.path.join(out_dir, f"forest_{target_kind}.json"))
     # every metric but the hyperparameters, which only the manifest records
-    columns = [key for key in metrics if key != "hyperparams"]
-    _write_rows(
-        os.path.join(out_dir, "metrics.csv"), columns, [[metrics[key] for key in columns]]
-    )
+    _write_rows(os.path.join(out_dir, "metrics.csv"),
+                [{key: v for key, v in metrics.items() if key != "hyperparams"}])
     extra = {"metrics": metrics}
     if sources:
         extra["data"] = sources
@@ -384,8 +381,8 @@ def cmd_train(settings: Settings, out_dir, target_kind: str) -> int:
 
 def _load_forest(path, mode):
     """The forest at ``path``, checked to map the solver's features to
-    the targets of ``mode``, and the sha256 of the bytes it was parsed
-    from: the file is read once."""
+    the targets of ``mode``, and the record (``_file_record``) of the
+    bytes it was parsed from: the file is read once."""
     if path is None:
         raise ConfigError("data-driven uq mode needs --forest")
     document, text = _read(path, DataError, "forest file")
@@ -394,12 +391,13 @@ def _load_forest(path, mode):
     except ForestFormatError as e:
         raise DataError(str(e)) from e
     check_forest(fitted, mode)
-    return fitted, hashlib.sha256(document).hexdigest()
+    return fitted, _file_record(path, document)
 
 
 def check_forest(fitted, mode):
     """ConfigError unless ``fitted`` reads the solver's features and
-    predicts the targets of ``mode``."""
+    predicts the targets of ``mode``: as many of each, and, where the
+    forest stores their names, these names in this order."""
     if fitted.n_features != len(features.DEFAULT_FEATURES):
         raise ConfigError(
             f"forest expects {fitted.n_features} features, "
@@ -409,12 +407,14 @@ def check_forest(fitted, mode):
         channel.PerturbationInjection.check_target_count(mode, fitted.n_targets)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-
-
-def forest_targets(fitted, baseline):
-    """Per-node perturbation targets: the forest queried once, on the
-    converged baseline whose features it was trained on."""
-    return fitted.predict(features.feature_matrix(baseline))
+    # a forest from library fit may store no names: zip then checks none
+    for what, stored, needed in (
+            ("feature", fitted.feature_names, features.DEFAULT_FEATURES),
+            ("target", fitted.target_names, dns.TARGET_NAMES[mode])):
+        for i, (name, want) in enumerate(zip(stored, needed)):
+            if name != want:
+                raise ConfigError(f"forest {what} {i} is {name!r}, "
+                                  f"uq mode {mode!r} needs {want!r}")
 
 
 def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
@@ -422,8 +422,8 @@ def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
     rejects a ``forest_path`` or ``delta_b`` (command-line values) it
     does not take; without ``delta_b`` it reads ``uq.delta_b``. A
     data-driven mode takes its targets from the forest queried on the
-    baseline of the envelope. Returns the envelope and the sha256 of the
-    forest file (None without one)."""
+    baseline of the envelope. Returns the envelope and the record
+    (``_file_record``) of the forest file, None without one."""
     cfg = build_channel_config(settings)
     takes = channel.PerturbationInjection.TAKES.get(mode)
     if takes is None:
@@ -433,10 +433,13 @@ def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
     if delta_b is not None and "delta_b" not in takes:
         raise ConfigError(f"uq mode {mode!r} does not take --delta-b")
     if "targets" in takes:
-        fitted, digest = _load_forest(forest_path, mode)
+        fitted, record = _load_forest(forest_path, mode)
         baseline = channel.solve(cfg)
-        injections = channel.corner_injections(mode, targets=forest_targets(fitted, baseline))
-        return channel.uq_envelope(cfg, injections, baseline), digest
+        # per-node targets: the forest queried once, on the converged
+        # baseline whose features it was trained on
+        targets = fitted.predict(features.feature_matrix(baseline))
+        injections = channel.corner_injections(mode, targets=targets)
+        return channel.uq_envelope(cfg, injections, baseline), record
     if delta_b is None:
         delta_b = _get(settings, "uq", "delta_b")
     try:
@@ -448,7 +451,7 @@ def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):
 
 def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
     mode = _get(settings, "uq", "mode")
-    env, forest_sha256 = run_uq(settings, mode, forest_path, delta_b)
+    env, forest_record = run_uq(settings, mode, forest_path, delta_b)
     # the manifest records only the settings this mode ran with: [channel]
     # and the [uq] keys it takes
     takes = channel.PerturbationInjection.TAKES[mode]
@@ -486,10 +489,8 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
         "realizability_violations": violations,
         **{key: {c: r[key] for c, r in records.items()} for key in records["1C"]},
     }
-    if forest_sha256 is not None:
-        # the base name, as read_reference_profile records a profile
-        extra["forest"] = {"file": os.path.basename(forest_path), "sha256": forest_sha256,
-                           "queried_on": "baseline"}
+    if forest_record is not None:
+        extra["forest"] = {**forest_record, "queried_on": "baseline"}
     write_manifest(out_dir, "uq", ran, extra, sections=("channel", "uq"))
     return EXIT_OK
 
@@ -518,8 +519,8 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
     channel.write_solution_csv(state, os.path.join(out_dir, "propagated.csv"))
     _write_rows(
         os.path.join(out_dir, "metrics.csv"),
-        ["re_tau", "noise", "noise_seed", "rel_l2_error_U", "iterations"],
-        [[cfg.re_tau, noise, seed, rel_l2, state.iterations]],
+        [{"re_tau": cfg.re_tau, "noise": noise, "noise_seed": seed,
+          "rel_l2_error_U": rel_l2, "iterations": state.iterations}],
     )
     write_manifest(
         out_dir,
@@ -570,6 +571,8 @@ def _laminar_corners(run_dir, man):
 
 def cmd_report(run_dirs, out_dir) -> int:
     """Aggregate one or more completed run directories into summary.csv."""
+    if not run_dirs:
+        raise ConfigError("report needs at least one run directory")
     rows = []
     uq_runs = {"datafree": [], "data-driven": []}  # kind -> [(run, width)]
     for run_dir in run_dirs:
@@ -586,37 +589,27 @@ def cmd_report(run_dirs, out_dir) -> int:
                 raise DataError(f"manifest of {run_dir}: mode cannot be {man.get('mode')!r}")
             kind = "datafree" if mode == "datafree" else "data-driven"
             uq_runs[kind].append((name, width, channel_settings))
-        rows.append(
-            [
-                name,
-                cmdname,
-                mode,
-                field("re_tau", channel_settings.get("re_tau", "")),
-                width,
-                field("rel_l2_error_U", man.get("rel_l2_error_U", np.nan), (int, float)),
-                field("realizability_violations", man.get("realizability_violations", np.nan),
-                      (int, float)),
-                json.dumps(man.get("iterations", ""), sort_keys=True).replace(",", ";"),
-                _laminar_corners(run_dir, man) if cmdname == "uq" else 0,
-            ]
-        )
+        rows.append({
+            "run": name,
+            "command": cmdname,
+            "mode": mode,
+            "re_tau": field("re_tau", channel_settings.get("re_tau", "")),
+            "integrated_width": width,
+            "rel_l2_error_U": field("rel_l2_error_U", man.get("rel_l2_error_U", np.nan),
+                                    (int, float)),
+            "realizability_violations": field(
+                "realizability_violations", man.get("realizability_violations", np.nan),
+                (int, float)),
+            "iterations": json.dumps(man.get("iterations", ""),
+                                     sort_keys=True).replace(",", ";"),
+            "laminar_corners": _laminar_corners(run_dir, man) if cmdname == "uq" else 0,
+        })
     for kind, runs in uq_runs.items():
         if len(runs) > 1:
             raise DataError(
                 f"ambiguous report input: {len(runs)} {kind} uq runs "
                 f"({', '.join(name for name, *_ in runs)}); pass at most one"
             )
-    header = [
-        "run",
-        "command",
-        "mode",
-        "re_tau",
-        "integrated_width",
-        "rel_l2_error_U",
-        "realizability_violations",
-        "iterations",
-        "laminar_corners",
-    ]
     if uq_runs["datafree"] and uq_runs["data-driven"]:
         (free, datafree, free_channel), (driven, datadriven, driven_channel) = (
             uq_runs["datafree"][0], uq_runs["data-driven"][0])
@@ -628,11 +621,11 @@ def cmd_report(run_dirs, out_dir) -> int:
                     f"uq runs {free} and {driven} differ in settings.channel.{key} "
                     f"({a!r} and {b!r}): no width ratio between them"
                 )
-        header.append("width_ratio_datafree_over_datadriven")
         ratio = datafree / datadriven if datadriven > 0 else np.nan
-        rows = [row + [ratio] for row in rows]
+        for row in rows:
+            row["width_ratio_datafree_over_datadriven"] = ratio  # the last column
     _ensure_out(out_dir)
-    _write_rows(os.path.join(out_dir, "summary.csv"), header, rows)
+    _write_rows(os.path.join(out_dir, "summary.csv"), rows)
     write_manifest(
         out_dir,
         "report",

@@ -12,7 +12,7 @@ forest is queried.
 import numpy as np
 import pytest
 
-from eigenuq import channel, dns, pipeline
+from eigenuq import channel, dns, features, pipeline
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +58,7 @@ def trained_forests(settings, forest_p):
 @pytest.fixture(scope="session")
 def targets_p_1000(forest_p, baseline_1000):
     """The magnitude forest's targets, queried once on the baseline."""
-    return pipeline.forest_targets(forest_p[0], baseline_1000)
+    return forest_p[0].predict(features.feature_matrix(baseline_1000))
 
 
 @pytest.fixture(scope="session")

@@ -323,7 +323,6 @@ class TestBuildTargets:
     def test_shapes_and_names(self, state_and_profile, kind):
         st, prof = state_and_profile
         ts = dns.build_targets(st, prof, kind)
-        assert ts.target_names == dns.TARGET_NAMES[kind]
         assert ts.Y.shape == (ts.X.shape[0], len(dns.TARGET_NAMES[kind]))
         assert ts.X.shape[0] + ts.n_excluded == len(st.y_plus)
 
@@ -334,12 +333,3 @@ class TestBuildTargets:
         assert np.allclose(
             p.Y[:, 0], np.linalg.norm(pc.Y, axis=1), atol=1e-12
         )
-
-    def test_extend_concatenates(self, state_and_profile):
-        st, prof = state_and_profile
-        a = dns.build_targets(st, prof, "p")
-        b = dns.build_targets(st, prof, "p")
-        n = a.X.shape[0]
-        a.extend(b)
-        assert a.X.shape[0] == 2 * n
-        assert a.Y.shape[0] == 2 * n

@@ -45,8 +45,10 @@ def interior_points(rng, n=20):
 
 
 def forest_stub(n_targets, n_features=6):
-    """Stands in for a trained forest where only its shape is checked."""
-    return SimpleNamespace(n_features=n_features, n_targets=n_targets)
+    """Stands in for a trained forest that stores no names, where only
+    its shape is checked."""
+    return SimpleNamespace(n_features=n_features, n_targets=n_targets,
+                           feature_names=[], target_names=[])
 
 
 def targets(n_targets, n_nodes=4):

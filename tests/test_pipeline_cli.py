@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenuq import channel, cli, dns, forest, pipeline
+from eigenuq import channel, cli, dns, features, forest, pipeline
 from eigenuq.pipeline import ConfigError, DataError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -91,6 +91,11 @@ class TestSettings:
         assert s.uq["mode"] == "datafree"
         assert s.train["seed"] == "0"
         assert s.data == {}
+
+    @pytest.mark.parametrize("re_tau", [180.0, 1000.0])
+    def test_channel_defaults_are_channel_config_s(self, re_tau):
+        config = pipeline.build_channel_config(pipeline.load_settings(), re_tau=re_tau)
+        assert config == channel.ChannelConfig(re_tau=re_tau)
 
     def test_overrides_win(self):
         s = pipeline.load_settings(overrides=[("channel", "re_tau", 550.0)])
@@ -220,6 +225,11 @@ class TestTrainCommand:
         forest.save(fitted, stacked)
         forest.save(reference, one_by_one)
         assert stacked.read_bytes() == one_by_one.read_bytes()
+
+    def test_forest_stores_the_names_of_its_columns(self, trained_forests):
+        for kind, fitted in trained_forests.items():
+            assert fitted.feature_names == features.DEFAULT_FEATURES, kind
+            assert fitted.target_names == dns.TARGET_NAMES[kind], kind
 
     def test_failing_re_tau_exit_three(self, tmp_path, monkeypatch, capsys):
         # with a zero Newton tolerance every Re_tau fails; train reports
@@ -468,6 +478,46 @@ class TestReportCommand:
         assert header[-1] == "width_ratio_datafree_over_datadriven"
         ratio = float(lines[1].split(",")[-1])
         assert ratio == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("modes", [["datafree"], ["datafree", "p"]],
+                             ids=["without_ratio", "with_ratio"])
+    def test_rows_hold_the_header_s_columns_in_its_order(self, tmp_path, modes):
+        manifests = {
+            "propagated": ("propagate-dns", {"rel_l2_error_U": 0.25,
+                                             "realizability_violations": 2, "iterations": 7}),
+            "datafree": ("uq", {"mode": "datafree", "integrated_width": 300.0,
+                                "realizability_violations": 0,
+                                "iterations": {"1C": 5, "2C": 6, "3C": 7},
+                                "laminar": {**TURBULENT, "3C": True}}),
+            "p": ("uq", {"mode": "p", "integrated_width": 50.0, "iterations": {},
+                         "laminar": TURBULENT}),
+        }
+        expected = {
+            "propagated": ["propagate-dns", "", "180", "nan", "0.25", "2", "7", "0"],
+            "datafree": ["uq", "datafree", "180", "300", "nan", "0",
+                         '{"1C": 5; "2C": 6; "3C": 7}', "1"],
+            "p": ["uq", "p", "180", "50", "nan", "nan", "{}", "0"],
+        }
+        names = ["propagated", *modes]
+        for name in names:
+            (tmp_path / name).mkdir()
+            command, extra = manifests[name]
+            pipeline.write_manifest(tmp_path / name, command, fast_settings(), extra)
+        out = tmp_path / "report"
+        assert pipeline.cmd_report([str(tmp_path / name) for name in names], out) == 0
+        header, *rows = (out / "summary.csv").read_text().splitlines()
+        ratio = ["width_ratio_datafree_over_datadriven"] if len(modes) > 1 else []
+        assert header.split(",") == ["run", "command", "mode", "re_tau", "integrated_width",
+                                     "rel_l2_error_U", "realizability_violations",
+                                     "iterations", "laminar_corners", *ratio]
+        assert [row.split(",") for row in rows] == [
+            [name, *expected[name], *(["6"] if ratio else [])] for name in names]
+
+    def test_no_runs_is_a_one_line_error(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            pipeline.cmd_report([], tmp_path / "out")
+        assert str(info.value) == "report needs at least one run directory"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("delta_b, laminar_corners", [("1.0", 1), ("0.5", 0)])
     def test_laminar_corner_count(self, tmp_path, delta_b, laminar_corners):
@@ -879,6 +929,30 @@ class TestCli:
         )
         assert code == 4, stderr
         assert f"data error: {path}: malformed forest file ({message})" in stderr
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "key, names, message",
+        [
+            ("feature_names", features.DEFAULT_FEATURES[::-1],
+             "forest feature 0 is 'y_plus', uq mode 'pcorr_angles' needs 're_wall_dist'"),
+            ("target_names", ["p_corr_x", "p_corr_y", "beta", "alpha", "gamma"],
+             "forest target 2 is 'beta', uq mode 'pcorr_angles' needs 'alpha'"),
+        ],
+        ids=["swapped_features", "reordered_targets"],
+    )
+    def test_forest_of_other_columns_exit_two(self, pcorr_angles_forest, tmp_path, monkeypatch,
+                                              capsys, key, names, message):
+        # the counts match; the names say the columns mean something else
+        doc = json.loads(pcorr_angles_forest.read_text())
+        doc[key] = names
+        path = tmp_path / "forest_pcorr_angles.json"
+        path.write_text(json.dumps(doc))
+        code, stderr = main_without_solving(
+            monkeypatch, capsys, *SMALL_GRID_UQ, "--mode", "pcorr_angles", "--forest", str(path),
+            "--out", str(tmp_path / "d"))
+        assert code == 2, stderr
+        assert stderr == f"configuration error: {message}\n"
         assert not (tmp_path / "d").exists()
 
     def test_non_finite_forest_exit_four(self, tmp_path, monkeypatch, capsys):
