@@ -1,0 +1,121 @@
+"""Time one eigenuq command in two checkouts, in one process, in
+interleaved pairs.
+
+    python3 scripts/ab_time.py CHECKOUT_A CHECKOUT_B [--pairs N] -- ARGV...
+
+ARGV is an eigenuq command line without ``--out``, for example
+``uq --mode datafree --delta-b 1.0 --re-tau 180``. Each checkout's
+``src/eigenuq`` is imported under a package name of its own
+(``eigenuq_a``, ``eigenuq_b``): the package imports its modules
+relatively, so each side runs its own code only. Both sides run in this
+one process, so the comparison leaves out interpreter start-up and
+import, and the host's speed drifts alike for both.
+
+Each pair runs the command once on each side, A first in even pairs and
+B first in odd ones, each run writing into a new directory of its own
+under a temporary one. A warm-up run of each side comes first and is
+not counted. The script prints each side's median run time and
+quartiles, the median over the pairs of B's time over A's, and how many
+pairs B ran faster. A run that fails, by an exit status other than 0
+or an exception, stops it.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import tempfile
+import time
+
+SIDES = ("a", "b")
+
+
+def load(checkout, name):
+    """The ``cli`` module of the eigenuq package in ``checkout``, imported
+    as the package ``name``."""
+    src = os.path.join(os.path.abspath(checkout), "src", "eigenuq")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(src, "__init__.py"), submodule_search_locations=[src])
+    if spec is None:
+        raise SystemExit(f"no eigenuq package in {src}")
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli")
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def time_pairs(clis, argv, pairs, out_root):
+    """Each side's run times, by pair, in seconds."""
+    times = {side: [] for side in SIDES}
+    count = 0
+
+    def run(side):
+        nonlocal count
+        count += 1
+        out = os.path.join(out_root, f"{side}{count}")
+        start = time.perf_counter()
+        status = clis[side].run([*argv, "--out", out])
+        elapsed = time.perf_counter() - start
+        if status != 0:
+            raise SystemExit(f"side {side.upper()}: eigenuq {' '.join(argv)} exited {status}")
+        return elapsed
+
+    for side in SIDES:
+        run(side)  # warm-up
+    for pair in range(pairs):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            times[side].append(run(side))
+    return times
+
+
+def summary(times, checkouts):
+    """The printed lines of one comparison."""
+    lines = []
+    for side, checkout in zip(SIDES, checkouts):
+        median, q1, q3 = quartiles(times[side])
+        lines.append(f"{side.upper()} {checkout}: median {1e3 * median:.3f} ms "
+                     f"(q1 {1e3 * q1:.3f}, q3 {1e3 * q3:.3f})")
+    ratios = [b / a for a, b in zip(times["a"], times["b"])]
+    faster = sum(b < a for a, b in zip(times["a"], times["b"]))
+    lines.append(f"B/A: median ratio {statistics.median(ratios):.4f} over {len(ratios)} pairs "
+                 f"(q1 {quartiles(ratios)[1]:.4f}, q3 {quartiles(ratios)[2]:.4f}); "
+                 f"B faster in {faster} of {len(ratios)}")
+    return lines
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        usage="%(prog)s CHECKOUT_A CHECKOUT_B [--pairs N] -- ARGV...")
+    parser.add_argument("checkout_a")
+    parser.add_argument("checkout_b")
+    parser.add_argument("--pairs", type=int, default=20)
+    if "--" not in argv:
+        parser.error("no eigenuq command given after --")
+    cut = argv.index("--")
+    args, command = parser.parse_args(argv[:cut]), argv[cut + 1:]
+    if not command:
+        parser.error("no eigenuq command given after --")
+    if "--out" in command:
+        parser.error("the command takes no --out: each run writes into a directory of its own")
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    checkouts = (args.checkout_a, args.checkout_b)
+    clis = {side: load(checkout, f"eigenuq_{side}") for side, checkout in zip(SIDES, checkouts)}
+    with tempfile.TemporaryDirectory() as out_root:
+        times = time_pairs(clis, command, args.pairs, out_root)
+    for line in summary(times, checkouts):
+        print(line)
+    return times
+
+
+if __name__ == "__main__":
+    main()

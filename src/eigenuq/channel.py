@@ -172,6 +172,12 @@ class ChannelState:
     newton_steps: int = 0
     fixed_point_residual: float | None = None
     stress_consistency: float | None = None
+    # k_plus and omega_plus as the two rows of one (2, ..., n) array, on
+    # the states a sweep returns and on those a packed state holds
+    # (``_paired``); None where they are separate arrays. ``replace``
+    # leaves it None, so a state rebuilt with another k or omega never
+    # carries a stale pair.
+    k_omega: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def picard_sweeps(self) -> int:
@@ -320,25 +326,14 @@ def _transport_solve(grid, gamma_mid, sink, source, wall_value):
 
 
 def _transport_residual(grid, phi, gamma_mid, sink, source, wall_value):
-    """A phi - b of the system of ``_tridiagonal``, formed in place from
-    the face coefficients without that system's four full-length arrays:
-    (diag phi - rhs + lower phi_prev) + upper phi_next, each operation in
-    that order, the zeros of the full upper diagonal at the wall and
-    centreline rows included, so R is the same bit for bit."""
-    sub = gamma_mid / grid.sub_den  # lower[1:]
-    sup = gamma_mid[..., 1:] / grid.sup_den  # upper[1:-1]
-    r = np.empty(phi.shape)
-    r[..., 0] = phi[..., 0] - wall_value
-    r[..., 0] += 0.0 * phi[..., 1]
-    # rows 1 to n-1: (-(lower + upper) + sink) phi - (-source), built in r
-    rows = r[..., 1:]
-    np.add(sub[..., :-1], sup, out=rows[..., :-1])
-    rows[..., -1] = sub[..., -1] + 0.0
-    np.subtract(sink[..., 1:], rows, out=rows)
-    rows *= phi[..., 1:]
-    rows += source[..., 1:]
-    rows += sub * phi[..., :-1]
-    rows[..., :-1] += sup * phi[..., 2:]
+    """A phi - b of the system of ``_tridiagonal``: (diag phi - rhs +
+    lower phi_prev) + upper phi_next, each operation in that order, the
+    zero upper entry of the wall row included."""
+    lower, diag, upper, rhs = _tridiagonal(grid, gamma_mid, sink, source, wall_value)
+    r = diag * phi
+    r -= rhs
+    r[..., 1:] += lower[..., 1:] * phi[..., :-1]
+    r[..., :-1] += upper[..., :-1] * phi[..., 1:]
     return r
 
 
@@ -452,10 +447,9 @@ _SHEAR_FRAME = np.array([
 # The Boussinesq anisotropy's eigenvalues are b (1, 0, -1), and their
 # barycentric point x(b) = x(0) + b dx/db, the map being affine; x(0) is
 # the 3C corner
-_BOUSSINESQ_UNIT = np.array([1.0, 0.0, -1.0])
 _BOUSSINESQ_POINT = tensors.weights_to_points(tensors.eigenvalues_to_weights(np.zeros(3)))
-_BOUSSINESQ_DIRECTION = (tensors.weights_to_points(tensors.eigenvalues_to_weights(_BOUSSINESQ_UNIT))
-                         - _BOUSSINESQ_POINT)
+_BOUSSINESQ_DIRECTION = (tensors.weights_to_points(tensors.eigenvalues_to_weights(
+    np.array([1.0, 0.0, -1.0]))) - _BOUSSINESQ_POINT)
 
 
 class PerturbationInjection(StressInjection):
@@ -484,11 +478,11 @@ class PerturbationInjection(StressInjection):
     barycentric map (perturb.move_eigenvalues): their projection into
     the triangle is no convex combination toward a fixed point.
 
-    ``shear`` and ``compute`` share the moved eigenvalues; ``shear``
-    assembles no tensor, and for 'pcorr_angles' the rotated frame is
-    built once, from the targets. ``shear`` also takes a stack of
-    states, arrays (..., n), as the Newton solve's coloured differences
-    hand it.
+    ``shear`` and ``compute`` share the moved eigenvalues, three (..., n)
+    columns (``_eigenvalues``); ``shear`` assembles no tensor, and for
+    'pcorr_angles' the rotated frame is built once, from the targets.
+    ``shear`` also takes a stack of states, arrays (..., n), as the
+    Newton solve's coloured differences hand it.
     """
 
     coupled = True
@@ -578,14 +572,17 @@ class PerturbationInjection(StressInjection):
 
     def _eigenvalues(self, state):
         """The laminar nodes (k below K_FLOOR) and the moved anisotropy
-        eigenvalues of the Boussinesq stress at every node, (..., n, 3)."""
+        eigenvalues l1, l2, l3 of the Boussinesq stress at every node, as
+        three (..., n) columns: for the componentwise modes the columns
+        of the (3, ..., n) view of their (..., n, 3) stack, for the corner
+        modes three contiguous arrays."""
         k = state.k_plus
         laminar = k < tensors.K_FLOOR
         a = state.nu_t_plus * np.abs(state.dUdy_plus) / np.where(laminar, 1.0, k)
         if self.move is not None:
             lam = np.zeros(a.shape + (3,))
             lam[..., 0], lam[..., 2] = a, -a
-            return laminar, perturb.move_eigenvalues(lam, self.move)
+            return laminar, np.moveaxis(perturb.move_eigenvalues(lam, self.move), -1, 0)
         # the corner modes: (b, 0, -b) moved by delta toward the corner
         b = np.minimum(a, 2.0 / 3.0)
         if self.mode == "datafree":
@@ -596,33 +593,40 @@ class PerturbationInjection(StressInjection):
             d = np.hypot(xy[..., 0] - b * _BOUSSINESQ_DIRECTION[0],
                          xy[..., 1] - b * _BOUSSINESQ_DIRECTION[1])
             delta = np.minimum(np.where(d > 1e-14, self.p_pos / np.maximum(d, 1e-14), 0.0), 1.0)
-            delta = delta[..., None]
-        return laminar, ((1.0 - delta) * b[..., None]) * _BOUSSINESQ_UNIT + delta * self.corner_lam
+        # (1 - delta) b (1, 0, -1) + delta lam_c, column by column: t 1 is
+        # t, and t 0 and t (-1) keep their signed zeros and NaN signs
+        t = (1.0 - delta) * b
+        lam_c = self.corner_lam
+        return laminar, (t + delta * lam_c[..., 0], t * 0.0 + delta * lam_c[..., 1],
+                         t * -1.0 + delta * lam_c[..., 2])
 
     def shear(self, state):
+        """The -u'v'* of ``compute``'s stress: k (l1 - l3) / 2 from the
+        moved eigenvalues' columns, or -k a_xy on the rotated frame of
+        'pcorr_angles'; 0 at the centreline node and the Boussinesq shear
+        nu_t dU/dy at the laminar ones."""
         k, nu_t, dudy = state.k_plus, state.nu_t_plus, state.dUdy_plus
         laminar, lam = self._eigenvalues(state)
         if self.frame is None:
-            shear = 0.5 * k * (lam[..., 0] - lam[..., 2])
+            shear = 0.5 * k * (lam[0] - lam[2])
         else:
             # -k a_xy of the anisotropy diag(lam) on the rotated frame
             f = self.frame
-            shear = -k * np.einsum("nj,...nj,nj->...n", f[:, 0], lam, f[:, 1])
+            shear = -k * np.einsum("nj,...nj,nj->...n", f[:, 0], np.moveaxis(lam, 0, -1), f[:, 1])
         # the centreline and laminar rules of compute
         shear[..., -1] = 0.0
-        shear[laminar] = nu_t[laminar] * dudy[laminar]
-        return shear
+        return np.where(laminar, nu_t * dudy, shear)
 
     def compute(self, state):
         k, nu_t, dudy = state.k_plus, state.nu_t_plus, state.dUdy_plus
         laminar, lam = self._eigenvalues(state)
         if self.frame is None:
             # the anisotropy diag(lam) on _SHEAR_FRAME, written out
-            l1, l2, l3 = lam.T
+            l1, l2, l3 = lam
             iso = k * (0.5 * (l1 + l3) + 2.0 / 3.0)
             tau = tensors.stress_stack(iso, iso, k * (l2 + 2.0 / 3.0), -0.5 * k * (l1 - l3))
         else:
-            tau = tensors.reconstruct(k, lam, self.frame)
+            tau = tensors.reconstruct(k, np.moveaxis(lam, 0, -1), self.frame)
         # zero orientation at the centreline: the mean of the stress and
         # its mirror image in y, which keeps it realizable
         tau[-1, 1, [0, 2]] = tau[-1, [0, 2], 1] = 0.0
@@ -678,16 +682,21 @@ def _momentum(grid, state, minus_uv, eddy=None):
     return gamma, source
 
 
-def _turbulence(grid, k, om, nu_t, dudy, minus_uv, eddy=None):
-    """The SST closure at one state and velocity gradient ``dudy``: the
-    k and omega transport systems as the ``_tridiagonal`` arguments of
-    one stack, k's first along a new leading axis, wall values 0 and
-    omega's; and the blending function F2 of the eddy viscosity.
-    Production is nu_t dU/dy^2 under the eddy-viscosity closure and
-    -u'v'* dU/dy under the shear ``minus_uv`` (see ``_sweep``)."""
+def _turbulence(grid, k_omega, nu_t, dudy, minus_uv, eddy=None):
+    """The SST closure at one state, its k and omega the two rows of the
+    (2, ..., n) array ``k_omega``, and velocity gradient ``dudy``: the k
+    and omega transport systems as the ``_tridiagonal`` arguments of one
+    stack, k's first along the leading axis, wall values 0 and omega's;
+    and the blending function F2 of the eddy viscosity. Both gradients
+    are one ``grad`` call. Production is nu_t dU/dy^2 under the
+    eddy-viscosity closure and -u'v'* dU/dy under the shear ``minus_uv``
+    (see ``_sweep``)."""
     dudy2 = dudy**2
-    dkdy = grid.grad(k)
-    domdy = grid.grad(om)
+    # the rows by index: unpacking an array through its iterator takes
+    # about 1 us longer
+    k, om = k_omega[0], k_omega[1]
+    dk_omega = grid.grad(k_omega)
+    dkdy, domdy = dk_omega[0], dk_omega[1]
     om_s = np.maximum(om, OMEGA_FLOOR)
     f1, f2 = _blending(grid, k, om_s, dkdy, domdy)
     not_f1 = 1.0 - f1
@@ -714,8 +723,12 @@ def _eddy_viscosity(k, om, dudy, f2):
     return A1 * k / np.maximum(A1 * om, np.abs(dudy) * f2)
 
 
+# the floors of a sweep's k and omega, broadcast along the pair's axis
+_K_OMEGA_FLOORS = np.array([0.0, OMEGA_FLOOR])
+
+
 def _sweep(grid, state, minus_uv, ur, eddy=None):
-    """One outer iteration: the relaxed U -> k -> omega -> nu_t update
+    """One outer iteration: the relaxed U -> k and omega -> nu_t update
     of ``state`` under the shear stress ``minus_uv`` (-u'v'*; None for
     the eddy-viscosity closure), with under-relaxation factor ``ur``.
     A given shear is held fixed for the sweep, so momentum is solved
@@ -725,35 +738,57 @@ def _sweep(grid, state, minus_uv, ur, eddy=None):
     the (rows, 1) mask ``eddy`` holds take the eddy-viscosity closure,
     whatever ``minus_uv`` holds there.
 
-    Returns a new ChannelState; every array of ``state`` stays intact.
+    k and omega go through the sweep as one (2, ..., n) array
+    (``_k_omega``): one gradient call, one transport solve, and one
+    relaxed update floored at 0 and OMEGA_FLOOR, then k = 0 at the wall.
+
+    Returns a new ChannelState, whose k and omega are the rows of one
+    such array; every array of ``state`` stays intact.
     """
-    U, k, om, nu_t = state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus
+    U, k_omega, nu_t = state.U_plus, _k_omega(state), state.nu_t_plus
     gamma_u, src_u = _momentum(grid, state, minus_uv, eddy)
     U_new = _transport_solve(grid, gamma_u, grid.no_sink, src_u, 0.0)
     U_next = U + ur * (U_new - U)
     dudy = grid.grad(U_next)
 
-    systems, f2 = _turbulence(grid, k, om, nu_t, dudy, minus_uv, eddy)
-    k_new, om_new = _transport_solve(grid, *systems)
-    k_next = np.maximum(k + ur * (k_new - k), 0.0)
-    k_next[..., 0] = 0.0
-    om_next = np.maximum(om + ur * (om_new - om), OMEGA_FLOOR)
+    systems, f2 = _turbulence(grid, k_omega, nu_t, dudy, minus_uv, eddy)
+    new = _transport_solve(grid, *systems)
+    floors = _K_OMEGA_FLOORS.reshape((2,) + (1,) * (k_omega.ndim - 1))
+    k_omega_next = np.maximum(k_omega + ur * (new - k_omega), floors)
+    k_omega_next[0, ..., 0] = 0.0
 
-    nu_t_new = _eddy_viscosity(k_next, om_next, dudy, f2)
+    nu_t_new = _eddy_viscosity(k_omega_next[0], k_omega_next[1], dudy, f2)
     nu_t_next = np.maximum(nu_t + ur * (nu_t_new - nu_t), 0.0)
-    return ChannelState(state.re_tau, state.y_plus, U_next, k_next, om_next, nu_t_next, dudy)
+    return _paired(state.re_tau, state.y_plus, U_next, k_omega_next, nu_t_next, dudy)
+
+
+def _paired(re_tau, y, U, k_omega, nu_t, dudy):
+    """The ChannelState whose k_plus and omega_plus are the two rows of
+    the (2, ..., n) array ``k_omega``, which it keeps as ``k_omega``."""
+    state = ChannelState(re_tau, y, U, k_omega[0], k_omega[1], nu_t, dudy)
+    state.k_omega = k_omega
+    return state
+
+
+def _k_omega(state):
+    """The k and omega of ``state`` as one (2, ..., n) array: the one
+    whose rows they are, or, where they are separate arrays (the states
+    of ``_init_state``, ``_take`` and ``_stack``), a new one."""
+    if state.k_omega is None:
+        return np.stack([state.k_plus, state.omega_plus])
+    return state.k_omega
 
 
 def _relative_change(old, new):
     """Largest change of U, k and omega from ``old`` to ``new`` in each
     row of a stack, each relative to the larger of 1 and its new maximum
-    in the row (k and omega are never negative)."""
-    U, k, om = new.U_plus, new.k_plus, new.omega_plus
+    in the row (k and omega are never negative); k and omega in one pass
+    over their (2, ..., n) arrays."""
+    U, k_omega = new.U_plus, _k_omega(new)
     du = np.abs(U - old.U_plus).max(axis=-1) / np.abs(U).max(axis=-1, initial=1.0)
-    dk = np.abs(k - old.k_plus).max(axis=-1) / k.max(axis=-1, initial=1.0)
-    dom = np.abs(om - old.omega_plus).max(axis=-1) / om.max(axis=-1, initial=1.0)
+    d = np.abs(k_omega - _k_omega(old)).max(axis=-1) / k_omega.max(axis=-1, initial=1.0)
     # np.maximum, unlike max(), keeps a NaN in any place
-    return np.maximum(np.maximum(du, dk), dom)
+    return np.maximum(np.maximum(du, d[0]), d[1])
 
 
 _FIELDS = ("U_plus", "k_plus", "omega_plus", "nu_t_plus", "dUdy_plus")
@@ -1015,8 +1050,12 @@ class _FixedPoint:
         return out
 
     def state(self, x):
-        U, k, om, nu_t = np.split(x, 4, axis=-1)
-        return ChannelState(self.re_tau, self.grid.y, U, k, om, nu_t, self.grid.grad(U))
+        """The state packed in x, as views of x: its k and omega the two
+        rows of one (2, ..., n) view of x's k and omega blocks."""
+        n = x.shape[-1] // 4
+        U = x[..., :n]
+        k_omega = np.moveaxis(x[..., n:3 * n].reshape(x.shape[:-1] + (2, n)), -2, 0)
+        return _paired(self.re_tau, self.grid.y, U, k_omega, x[..., 3 * n:], self.grid.grad(U))
 
     def sweep(self, x):
         """G's evaluation at x: the state x, the shear momentum uses
@@ -1029,19 +1068,21 @@ class _FixedPoint:
         """R(x): A(x) phi - b(x) of the U, k and omega systems that a
         fixed-stress sweep solves, all assembled at x, and nu_t minus the
         eddy viscosity of x; along the last axis of x, packed as x is.
+        k and omega are the one view of x that ``state`` makes, so their
+        system is assembled and applied as one stack, with no copy.
         Row i of each part depends on nodes i-2 to i+2 only."""
         grid, state = self.grid, self.state(x)
-        U, k, om, nu_t, dudy = (state.U_plus, state.k_plus, state.omega_plus,
-                                state.nu_t_plus, state.dUdy_plus)
+        U, nu_t, dudy = state.U_plus, state.nu_t_plus, state.dUdy_plus
+        k_omega = _k_omega(state)
         minus_uv = self.shear(state)
         gamma_u, src_u = _momentum(grid, state, minus_uv)
-        systems, f2 = _turbulence(grid, k, om, nu_t, dudy, minus_uv)
-        r_k, r_om = _transport_residual(grid, np.stack([k, om]), *systems)
+        systems, f2 = _turbulence(grid, k_omega, nu_t, dudy, minus_uv)
+        r = _transport_residual(grid, k_omega, *systems)
         return np.concatenate([
             _transport_residual(grid, U, gamma_u, grid.no_sink, src_u, 0.0),
-            r_k,
-            r_om,
-            nu_t - _eddy_viscosity(k, om, dudy, f2),
+            r[0],
+            r[1],
+            nu_t - _eddy_viscosity(k_omega[0], k_omega[1], dudy, f2),
         ], axis=-1)
 
     def converged(self, g):

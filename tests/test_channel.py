@@ -904,7 +904,8 @@ class TestCornerClosedForm:
                      for c in channel.CORNER_SLOTS]
             lams = []
             for row, injection in enumerate(alone):
-                laminar, lam = injection._eigenvalues(corner_state(a[row]))
+                laminar, columns = injection._eigenvalues(corner_state(a[row]))
+                lam = np.stack(columns, axis=-1)
                 expected = perturb.move_eigenvalues(
                     boussinesq[row], shift(tensors.corner_coords(injection.corner)))
                 assert not laminar.any()
@@ -912,7 +913,7 @@ class TestCornerClosedForm:
                 lams.append(lam)
             # the stack's rows are each corner alone, bit for bit
             _, stacked = channel.PerturbationInjection.stack(alone)._eigenvalues(corner_state(a))
-            assert np.array_equal(stacked, lams)
+            assert np.array_equal(np.stack(stacked, axis=-1), lams)
 
     def test_corner_modes_make_no_barycentric_round_trip(self, monkeypatch):
         calls = {"move_eigenvalues": 0}
@@ -1212,6 +1213,120 @@ class TestLocalResidual:
     def test_residual_vanishes_at_the_fixed_point(self, converged_newton):
         newton, z = converged_newton
         assert np.max(np.abs(newton.direction(z))) <= 1e-9
+
+
+# values a state may hold where k and omega enter a sweep or a residual
+specials = st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]), max_size=4)
+
+
+class TestKOmegaPair:
+    """A sweep, a relative change and the local residual take k and
+    omega as one (2, ..., n) array. They come packed, as the two rows of
+    one such array (a sweep's output, the views of ``_FixedPoint.state``),
+    or as two separate arrays (``_init_state``, ``_take``, ``_stack``),
+    which are packed on entry: every result is the same bit for bit, NaN
+    places, infinities and signs of zero included."""
+
+    N = 33
+
+    @staticmethod
+    def same(a, b):
+        return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a),
+                                                                        np.signbit(b))
+
+    @staticmethod
+    def outcome(f, *args):
+        """What f(*args) returns, or the message of its SolverError."""
+        try:
+            return f(*args)
+        except channel.SolverError as e:
+            return str(e)
+
+    def inputs(self, data, rows):
+        """One state, one row or a (3, n) stack, with NaN, infinities and
+        -0.0 drawn into its U, k, omega and nu_t: with separate k and
+        omega; packed into one array; as the views of a fixed point's
+        ``state`` of its packed form; and that fixed point and form."""
+        grid = channel._Grid(channel.make_grid(180.0, self.N, 0.5))
+        scale = 1.0 if rows is None else np.array([[1.0], [0.7], [1.3]])
+        fields = [f * scale for f in channel._init_state(grid)]
+        for name, f in zip(("U", "k", "omega", "nu_t"), fields):
+            values = data.draw(specials, label=name)
+            places = data.draw(st.lists(st.integers(0, f.size - 1), min_size=len(values),
+                                        max_size=len(values)), label=f"{name} places")
+            f.ravel()[places] = values
+        U, k, om, nu_t = fields
+        dudy = grid.grad(U)
+        separate = channel.ChannelState(180.0, grid.y, U, k, om, nu_t, dudy)
+        packed = channel._paired(180.0, grid.y, U, np.stack([k, om]), nu_t, dudy)
+        injection = data.draw(st.sampled_from(
+            [None, channel.PerturbationInjection("datafree", corner="1C", delta_b=1.0)]))
+        fp = channel._FixedPoint(grid, 180.0, injection)
+        x = channel._pack(separate)
+        return grid, (separate, packed, fp.state(x)), fp, x
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.sampled_from([None, 3]), injected=st.booleans(), data=st.data())
+    def test_sweep_and_relative_change(self, rows, injected, data):
+        # the stack's first row takes the eddy-viscosity closure, as the
+        # baseline row of a mixed stack does
+        with np.errstate(all="ignore"):
+            grid, states, _, _ = self.inputs(data, rows)
+            shear = 0.8 * (1.0 - grid.y / 180.0) if injected or rows else None
+            ur, eddy = 0.5, None
+            if rows:
+                shear = shear * np.array([[0.0], [1.0], [1.2]])
+                ur, eddy = np.array([[0.8], [0.5], [0.5]]), np.arange(rows)[:, None] == 0
+            swept = [self.outcome(channel._sweep, grid, state, shear, ur, eddy)
+                     for state in states]
+            if isinstance(swept[0], str):
+                assert swept == [swept[0]] * 3
+                return
+            for out in swept[1:]:
+                for name in channel._FIELDS:
+                    assert self.same(getattr(out, name), getattr(swept[0], name)), name
+            # the sweep's output is packed; its copy is separate
+            new = swept[0]
+            apart = channel.ChannelState(new.re_tau, new.y_plus, new.U_plus, new.k_plus.copy(),
+                                         new.omega_plus.copy(), new.nu_t_plus, new.dUdy_plus)
+            changes = [channel._relative_change(old, after)
+                       for old in states for after in (new, apart)]
+        for change in changes[1:]:
+            assert self.same(change, changes[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.sampled_from([None, 3]), data=st.data())
+    def test_local_residual(self, rows, data):
+        with np.errstate(all="ignore"):
+            _, _, fp, x = self.inputs(data, rows)
+            packed = fp.local_residual(x)
+            views = fp.state
+
+            def separate(x):
+                state = views(x)
+                return channel.ChannelState(
+                    state.re_tau, state.y_plus, state.U_plus, state.k_plus.copy(),
+                    state.omega_plus.copy(), state.nu_t_plus, state.dUdy_plus)
+
+            fp.state = separate
+            assert self.same(fp.local_residual(x), packed)
+
+    def test_a_sweep_packs_its_output(self):
+        grid = channel._Grid(channel.make_grid(180.0, self.N, 0.5))
+        U, k, om, nu_t = channel._init_state(grid)
+        state = channel.ChannelState(180.0, grid.y, U, k, om, nu_t, grid.grad(U))
+        assert state.k_omega is None
+        out = channel._sweep(grid, state, None, 0.8)
+        assert out.k_omega.shape == (2, self.N)
+        assert np.shares_memory(out.k_plus, out.k_omega[0])
+        assert np.shares_memory(out.omega_plus, out.k_omega[1])
+        # a state rebuilt with another k holds no stale pair
+        assert replace(out, k_plus=2.0 * out.k_plus).k_omega is None
+        fp = channel._FixedPoint(grid, 180.0)
+        x = np.stack([channel._pack(out)] * 3)
+        viewed = fp.state(x)
+        assert viewed.k_omega.shape == (2, 3, self.N)
+        assert np.shares_memory(viewed.k_omega, x)
 
 
 @pytest.fixture(scope="module")

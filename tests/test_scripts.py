@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,49 @@ class TestCompare:
         write(tmp_path / "b" / "forest.json", '{"version": 3')
         assert output_matrix.compare(tmp_path / "a", tmp_path / "b") == 1
         assert f"  not valid JSON: {tmp_path / 'b' / 'forest.json'}" in capsys.readouterr().out
+
+
+AB_TIME = SCRIPT.with_name("ab_time.py")
+ROOT = str(SCRIPT.parents[1])
+
+
+@pytest.fixture
+def ab_time():
+    spec = importlib.util.spec_from_file_location("ab_time", AB_TIME)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in [name for name in sys.modules if name.split(".")[0] in ("eigenuq_a", "eigenuq_b")]:
+        del sys.modules[name]
+
+
+class TestAbTime:
+    def test_a_checkout_against_itself(self, ab_time, tmp_path, capsys):
+        config = tmp_path / "small.ini"
+        config.write_text("[channel]\nn_cells = 32\n")
+        times = ab_time.main([ROOT, ROOT, "--pairs", "2", "--",
+                              "baseline", "--re-tau", "180", "--config", str(config)])
+        assert [len(times[side]) for side in ("a", "b")] == [2, 2]
+        # each side runs the package imported under its own name
+        assert sys.modules["eigenuq_a.channel"] is not sys.modules["eigenuq_b.channel"]
+        number = r"\d+\.\d{3}"
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for side, line in zip("AB", lines):
+            assert re.fullmatch(
+                rf"{side} {re.escape(ROOT)}: median {number} ms \(q1 {number}, q3 {number}\)",
+                line), line
+        assert re.fullmatch(r"B/A: median ratio \d+\.\d{4} over 2 pairs "
+                            r"\(q1 \d+\.\d{4}, q3 \d+\.\d{4}\); B faster in [0-2] of 2", lines[2])
+
+    @pytest.mark.parametrize("argv, message", [
+        ([ROOT, ROOT, "baseline"], "no eigenuq command given after --"),
+        ([ROOT, ROOT, "--"], "no eigenuq command given after --"),
+        ([ROOT, ROOT, "--", "baseline", "--out", "x"], "the command takes no --out"),
+        ([ROOT, ROOT, "--pairs", "1", "--", "baseline"], "--pairs must be at least 2"),
+    ])
+    def test_usage_errors(self, ab_time, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            ab_time.main(argv)
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
