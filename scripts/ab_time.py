@@ -16,11 +16,15 @@ B first in odd ones, each run writing into a new directory of its own
 under a temporary one. A warm-up run of each side comes first and is
 not counted. The script prints each side's median run time and
 quartiles, the median over the pairs of B's time over A's, and how many
-pairs B ran faster. A run that fails, by an exit status other than 0
-or an exception, stops it.
+pairs B ran faster. Last it compares the two warm-up runs' outputs file
+by file and prints ``outputs identical (N files)`` or the names of the
+files that differ or are written by one side only; either way the exit
+status stays 0. A run that fails, by an exit status other than 0 or an
+exception, stops it.
 """
 
 import argparse
+import filecmp
 import importlib
 import importlib.util
 import os
@@ -52,14 +56,12 @@ def quartiles(values):
 
 
 def time_pairs(clis, argv, pairs, out_root):
-    """Each side's run times, by pair, in seconds."""
+    """Each side's run times, by pair, in seconds. The warm-up run of
+    side s writes into ``warm-up_s`` under ``out_root``."""
     times = {side: [] for side in SIDES}
-    count = 0
 
-    def run(side):
-        nonlocal count
-        count += 1
-        out = os.path.join(out_root, f"{side}{count}")
+    def run(side, name):
+        out = os.path.join(out_root, name)
         start = time.perf_counter()
         status = clis[side].run([*argv, "--out", out])
         elapsed = time.perf_counter() - start
@@ -68,11 +70,25 @@ def time_pairs(clis, argv, pairs, out_root):
         return elapsed
 
     for side in SIDES:
-        run(side)  # warm-up
+        run(side, f"warm-up_{side}")
     for pair in range(pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            times[side].append(run(side))
+            times[side].append(run(side, f"{side}{pair}"))
     return times
+
+
+def compare_outputs(dir_a, dir_b):
+    """The printed line that says whether two output directories hold
+    the same files, byte for byte."""
+    names = [{os.path.relpath(os.path.join(root, name), top)
+              for root, _, files in os.walk(top) for name in files}
+             for top in (dir_a, dir_b)]
+    common = sorted(names[0] & names[1])
+    _, mismatch, errors = filecmp.cmpfiles(dir_a, dir_b, common, shallow=False)
+    differ = sorted(set(mismatch + errors) | (names[0] ^ names[1]))
+    if differ:
+        return f"outputs differ: {', '.join(differ)}"
+    return f"outputs identical ({len(common)} files)"
 
 
 def summary(times, checkouts):
@@ -112,7 +128,8 @@ def main(argv=None):
     clis = {side: load(checkout, f"eigenuq_{side}") for side, checkout in zip(SIDES, checkouts)}
     with tempfile.TemporaryDirectory() as out_root:
         times = time_pairs(clis, command, args.pairs, out_root)
-    for line in summary(times, checkouts):
+        outputs = compare_outputs(*(os.path.join(out_root, f"warm-up_{side}") for side in SIDES))
+    for line in summary(times, checkouts) + [outputs]:
         print(line)
     return times
 

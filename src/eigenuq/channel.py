@@ -172,12 +172,12 @@ class ChannelState:
     newton_steps: int = 0
     fixed_point_residual: float | None = None
     stress_consistency: float | None = None
-    # k_plus and omega_plus as the two rows of one (2, ..., n) array, on
-    # the states a sweep returns and on those a packed state holds
-    # (``_paired``); None where they are separate arrays. ``replace``
-    # leaves it None, so a state rebuilt with another k or omega never
-    # carries a stale pair.
-    k_omega: np.ndarray | None = field(default=None, init=False, repr=False)
+    # U_plus, k_plus, omega_plus and nu_t_plus as the four rows of one
+    # (4, ..., n) array, on the states a sweep returns and on the views of
+    # a packed state (``_paired``); None where they are separate arrays.
+    # ``replace`` leaves it None, so a state rebuilt with another field
+    # never carries a stale iterate.
+    packed: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def picard_sweeps(self) -> int:
@@ -325,12 +325,13 @@ def _transport_solve(grid, gamma_mid, sink, source, wall_value):
     return x.reshape(rhs.shape)
 
 
-def _transport_residual(grid, phi, gamma_mid, sink, source, wall_value):
+def _transport_residual(grid, phi, gamma_mid, sink, source, wall_value, out=None):
     """A phi - b of the system of ``_tridiagonal``: (diag phi - rhs +
     lower phi_prev) + upper phi_next, each operation in that order, the
-    zero upper entry of the wall row included."""
+    zero upper entry of the wall row included; written into ``out`` when
+    it is given."""
     lower, diag, upper, rhs = _tridiagonal(grid, gamma_mid, sink, source, wall_value)
-    r = diag * phi
+    r = np.multiply(diag, phi, out=out)
     r -= rhs
     r[..., 1:] += lower[..., 1:] * phi[..., :-1]
     r[..., :-1] += upper[..., :-1] * phi[..., 1:]
@@ -522,34 +523,26 @@ class PerturbationInjection(StressInjection):
         if corner is None:
             self.move = perturb.componentwise_shift(targets[:, :2])
         else:
-            self._set_corners([corner])
+            # the corner's anisotropy eigenvalues, those of its unit weights
+            # (C1, C2, C3 in CORNER_SLOTS order), and its plane point
+            # relative to x(0), from which 'p' measures its distances
+            index = CORNER_SLOTS.index(corner)
+            self.corner_lam = tensors.weights_to_eigenvalues(np.eye(3)[index])
+            self.corner_xy = tensors.CORNERS[index] - _BOUSSINESQ_POINT
         if mode == "p":
             self.p_pos = np.maximum(targets[:, 0], 0.0)  # the distances, negative counting as 0
         if mode == "pcorr_angles":
             shear_frame = np.broadcast_to(_SHEAR_FRAME, (len(targets), 3, 3))
             self.frame = rotation.apply_rotation(shear_frame, targets[:, 2:])
 
-    def _set_corners(self, corners):
-        """The anisotropy eigenvalues of the corner(s), those of their
-        unit corner weights (C1, C2, C3 in CORNER_SLOTS order), and their
-        plane points relative to x(0), from which 'p' measures its
-        distances: (3,) and (2,) arrays for one corner, (m, 1, 3) and
-        (m, 1, 2) for the rows of a stack."""
-        index = [CORNER_SLOTS.index(c) for c in corners]
-        lam = tensors.weights_to_eigenvalues(np.eye(3)[index])
-        xy = tensors.CORNERS[index] - _BOUSSINESQ_POINT
-        if len(corners) == 1:
-            self.corner_lam, self.corner_xy = lam[0], xy[0]
-        else:
-            self.corner_lam, self.corner_xy = lam[:, None], xy[:, None]
-
     @classmethod
     def stack(cls, injections):
         """One injection whose ``shear`` on row r of a stack of states is
         that of ``injections[r]``: a lone injection itself, or injections
         of one corner-taking mode with the same other arguments, as
-        ``corner_injections`` builds them. Their corners broadcast as
-        (m, 1, ...) arrays (``_set_corners``), so the stack's shear is one
+        ``corner_injections`` builds them. Each injection's own
+        ``corner_lam`` and ``corner_xy`` are stacked as (m, 1, 3) and
+        (m, 1, 2) arrays, which broadcast, so the stack's shear is one
         evaluation, each row's arithmetic that of the row alone."""
         first = injections[0]
         if len(injections) == 1:
@@ -560,7 +553,9 @@ class PerturbationInjection(StressInjection):
                     and np.array_equal(injection.targets, first.targets)):
                 raise ValueError("the injections of one stack must differ in their corner alone")
         stacked = copy.copy(first)
-        stacked._set_corners([injection.corner for injection in injections])
+        stacked.corner_lam, stacked.corner_xy = (
+            np.stack([getattr(injection, name) for injection in injections])[:, None]
+            for name in ("corner_lam", "corner_xy"))
         return stacked
 
     @staticmethod
@@ -738,57 +733,59 @@ def _sweep(grid, state, minus_uv, ur, eddy=None):
     the (rows, 1) mask ``eddy`` holds take the eddy-viscosity closure,
     whatever ``minus_uv`` holds there.
 
-    k and omega go through the sweep as one (2, ..., n) array
-    (``_k_omega``): one gradient call, one transport solve, and one
-    relaxed update floored at 0 and OMEGA_FLOOR, then k = 0 at the wall.
+    The sweep reads the (4, ..., n) iterate of ``state`` (``_pack``) and
+    writes the relaxed U, k and omega pair and nu_t into the rows of a
+    new one: k and omega are its rows 1:3 throughout, with one gradient
+    call, one transport solve, and one relaxed update floored at 0 and
+    OMEGA_FLOOR, then k = 0 at the wall.
 
-    Returns a new ChannelState, whose k and omega are the rows of one
-    such array; every array of ``state`` stays intact.
+    Returns a new ChannelState that keeps the new iterate as ``packed``;
+    every array of ``state`` stays intact.
     """
-    U, k_omega, nu_t = state.U_plus, _k_omega(state), state.nu_t_plus
+    x = _pack(state)
+    U, k_omega, nu_t = x[0], x[1:3], x[3]
     gamma_u, src_u = _momentum(grid, state, minus_uv, eddy)
     U_new = _transport_solve(grid, gamma_u, grid.no_sink, src_u, 0.0)
-    U_next = U + ur * (U_new - U)
-    dudy = grid.grad(U_next)
+    out = np.empty(x.shape)
+    dudy = grid.grad(np.add(U, ur * (U_new - U), out=out[0]))
 
     systems, f2 = _turbulence(grid, k_omega, nu_t, dudy, minus_uv, eddy)
     new = _transport_solve(grid, *systems)
     floors = _K_OMEGA_FLOORS.reshape((2,) + (1,) * (k_omega.ndim - 1))
-    k_omega_next = np.maximum(k_omega + ur * (new - k_omega), floors)
-    k_omega_next[0, ..., 0] = 0.0
+    np.maximum(k_omega + ur * (new - k_omega), floors, out=out[1:3])
+    out[1, ..., 0] = 0.0
 
-    nu_t_new = _eddy_viscosity(k_omega_next[0], k_omega_next[1], dudy, f2)
-    nu_t_next = np.maximum(nu_t + ur * (nu_t_new - nu_t), 0.0)
-    return _paired(state.re_tau, state.y_plus, U_next, k_omega_next, nu_t_next, dudy)
+    nu_t_new = _eddy_viscosity(out[1], out[2], dudy, f2)
+    np.maximum(nu_t + ur * (nu_t_new - nu_t), 0.0, out=out[3])
+    return _paired(state.re_tau, state.y_plus, out, dudy)
 
 
-def _paired(re_tau, y, U, k_omega, nu_t, dudy):
-    """The ChannelState whose k_plus and omega_plus are the two rows of
-    the (2, ..., n) array ``k_omega``, which it keeps as ``k_omega``."""
-    state = ChannelState(re_tau, y, U, k_omega[0], k_omega[1], nu_t, dudy)
-    state.k_omega = k_omega
+def _paired(re_tau, y, x, dudy):
+    """The ChannelState whose U, k, omega and nu_t are the rows of the
+    (4, ..., n) array ``x``, which it keeps as ``packed``."""
+    state = ChannelState(re_tau, y, x[0], x[1], x[2], x[3], dudy)
+    state.packed = x
     return state
 
 
-def _k_omega(state):
-    """The k and omega of ``state`` as one (2, ..., n) array: the one
-    whose rows they are, or, where they are separate arrays (the states
-    of ``_init_state``, ``_take`` and ``_stack``), a new one."""
-    if state.k_omega is None:
-        return np.stack([state.k_plus, state.omega_plus])
-    return state.k_omega
+def _pack(state):
+    """The (4, ..., n) iterate of ``state``, rows U, k, omega and nu_t:
+    the one whose rows they are, or, where they are separate arrays (the
+    states of ``_init_state``, ``_take`` and ``_stack``), a new one."""
+    if state.packed is None:
+        return np.stack([state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus])
+    return state.packed
 
 
 def _relative_change(old, new):
     """Largest change of U, k and omega from ``old`` to ``new`` in each
-    row of a stack, each relative to the larger of 1 and its new maximum
-    in the row (k and omega are never negative); k and omega in one pass
-    over their (2, ..., n) arrays."""
-    U, k_omega = new.U_plus, _k_omega(new)
-    du = np.abs(U - old.U_plus).max(axis=-1) / np.abs(U).max(axis=-1, initial=1.0)
-    d = np.abs(k_omega - _k_omega(old)).max(axis=-1) / k_omega.max(axis=-1, initial=1.0)
-    # np.maximum, unlike max(), keeps a NaN in any place
-    return np.maximum(np.maximum(du, d[0]), d[1])
+    row of a stack, each relative to the larger of 1 and its largest
+    magnitude in the row of ``new``; the three in one pass over the
+    first three rows of their iterates."""
+    x = _pack(new)[:3]
+    d = np.abs(x - _pack(old)[:3]).max(axis=-1) / np.abs(x).max(axis=-1, initial=1.0)
+    # max, like np.maximum, keeps a NaN in any place
+    return d.max(axis=0)
 
 
 _FIELDS = ("U_plus", "k_plus", "omega_plus", "nu_t_plus", "dUdy_plus")
@@ -874,9 +871,10 @@ def _solve_rows(cfg, injections, re_taus=None):
     rows, one evaluation of the coupled shear
     (``PerturbationInjection.stack``). Rows at one Re_tau share its
     grid; rows that differ in Re_tau sweep on the (rows, n) stack of
-    their grids, with 1/Re_tau per row. After each block every row gets
-    its own Newton attempt on its own grid, and a row that converges
-    leaves the stack. A row's arithmetic is that of the row alone, so
+    their grids, with 1/Re_tau per row. After each block one G evaluation
+    of the stack gives every row its first F, then every row gets its own
+    Newton attempt on its own grid, and a row that converges leaves the
+    stack. A row's arithmetic is that of the row alone, so
     its state, residual history, Newton steps and error are those of a
     solve of that row by itself.
 
@@ -919,8 +917,16 @@ def _solve_rows(cfg, injections, re_taus=None):
                 active, state, minus_uv, fp = _keep(range(cut), active, state, minus_uv)
                 if not active:
                     break
-        for row, x in zip(active, np.atleast_2d(_pack(state))):
-            row.attempt(x)
+        if not active:
+            break
+        # one G evaluation of the stack gives every row its first F; row
+        # r's iterate is a (4, n) view, also of a one-row stack's (4, n)
+        x = _pack(state)
+        at_x, shear, out = fp.sweep(x)
+        for r, row in enumerate(active):
+            row.attempt(x.reshape(4, -1, x.shape[-1])[:, r], (
+                _take(at_x, [r], row), None if shear is None else _rows(shear, [r]),
+                _take(out, [r], row)))
         going = [i for i, row in enumerate(active) if row.result is None]
         if len(going) < len(active):
             active, state, minus_uv, fp = _keep(going, active, state, minus_uv)
@@ -962,12 +968,12 @@ def _picard_sweep(state, minus_uv, fp, rows):
 
 
 class _FixedPoint:
-    """The map G on packed states x = (U, k, omega, nu_t): one
-    fixed-stress sweep at ur = 1 under the shear of x; and the local
-    residual R of the same discrete equations, which has the zeros of
-    F = G(x) - x. The shear is None for the eddy-viscosity closure, that
-    of a prescribed stress ``tau``, or that of a coupled ``injection``
-    evaluated at x and capped. ``ur`` is the relaxation factor of its
+    """The map G on packed states x, (4, ..., n) arrays of rows U, k,
+    omega and nu_t: one fixed-stress sweep at ur = 1 under the shear of
+    x; and the local residual R of the same discrete equations, which
+    has the zeros of F = G(x) - x. The shear is None for the
+    eddy-viscosity closure, that of a prescribed stress ``tau``, or that
+    of a coupled ``injection`` evaluated at x and capped. ``ur`` is the relaxation factor of its
     Picard sweeps: 0.8 under the eddy-viscosity closure, 0.5 under a
     stress.
 
@@ -975,14 +981,15 @@ class _FixedPoint:
     record and runs its damped Newton attempts on R in scaled variables
     z = x / scale. R couples nodes at most 2 apart, field by field as
     ``_REACH`` says, so with the unknowns ordered node by node (U, k,
-    omega, nu_t of node 0, then of node 1, ...) its Jacobian is banded,
-    every entry within BAND = 9 of the diagonal (k at node j reaches omega
-    at j + 2: 4 * 2 + 1). The band is found exactly by forward
+    omega, nu_t of node 0, then of node 1, ...: the transpose of the
+    (4, n) state) its Jacobian is banded, every entry within BAND = 9 of
+    the diagonal (k at node j reaches omega at j + 2: 4 * 2 + 1). The band is found exactly by forward
     differences along 16 colours, U of node i with omega of node i + 4
     and k of node i with nu_t of node i + 4, each pair at the 8 node
     classes i mod 8 (Curtis, Powell & Reid, 1974): no two columns of one
     colour reach the same row. R and the 16 differences are one
-    evaluation of R on a stack of 17 states."""
+    evaluation of R on the field-major (4, 17, n) stack of z and its 16
+    colour steps, each field contiguous."""
 
     def __init__(self, grid, re_tau, injection=None, tau=None):
         self.grid, self.re_tau, self.injection = grid, re_tau, injection
@@ -991,8 +998,7 @@ class _FixedPoint:
         self.cap = 1.0 - grid.y / re_tau  # steady momentum bounds the turbulent shear
         self.ur = 0.8 if injection is None and tau is None else 0.5
         self.eddy = None  # the (rows, 1) mask of a stack's baseline row (see ``stack``)
-        self.order, self.band_index, self.reached, self.colours = _band_tables(
-            grid.y.shape[-1])
+        self.band_index, self.reached, self.colours = _band_tables(grid.y.shape[-1])
         self.residuals = []  # the relative change of each Picard sweep
         self.newton_steps = 0  # of all attempts
         self.f = self.reason = self.result = None  # see ``attempt``
@@ -1050,40 +1056,36 @@ class _FixedPoint:
         return out
 
     def state(self, x):
-        """The state packed in x, as views of x: its k and omega the two
-        rows of one (2, ..., n) view of x's k and omega blocks."""
-        n = x.shape[-1] // 4
-        U = x[..., :n]
-        k_omega = np.moveaxis(x[..., n:3 * n].reshape(x.shape[:-1] + (2, n)), -2, 0)
-        return _paired(self.re_tau, self.grid.y, U, k_omega, x[..., 3 * n:], self.grid.grad(U))
+        """The state packed in x, whose rows are its fields, as views of
+        x: U, the k and omega pair x[1:3], and nu_t."""
+        return _paired(self.re_tau, self.grid.y, x, self.grid.grad(x[0]))
 
     def sweep(self, x):
         """G's evaluation at x: the state x, the shear momentum uses
-        there, and G(x), the flow solved under that shear."""
+        there, and G(x), the flow solved under that shear; each row of a
+        stack under its own closure (``eddy``)."""
         state = self.state(x)
         minus_uv = self.shear(state)
-        return state, minus_uv, _sweep(self.grid, state, minus_uv, 1.0)
+        return state, minus_uv, _sweep(self.grid, state, minus_uv, 1.0, self.eddy)
 
     def local_residual(self, x):
         """R(x): A(x) phi - b(x) of the U, k and omega systems that a
         fixed-stress sweep solves, all assembled at x, and nu_t minus the
-        eddy viscosity of x; along the last axis of x, packed as x is.
-        k and omega are the one view of x that ``state`` makes, so their
+        eddy viscosity of x; packed as x is, each part written into its
+        row. k and omega are the rows 1:3 of the state's iterate, so their
         system is assembled and applied as one stack, with no copy.
         Row i of each part depends on nodes i-2 to i+2 only."""
         grid, state = self.grid, self.state(x)
-        U, nu_t, dudy = state.U_plus, state.nu_t_plus, state.dUdy_plus
-        k_omega = _k_omega(state)
+        x, dudy = _pack(state), state.dUdy_plus
+        k_omega = x[1:3]
         minus_uv = self.shear(state)
         gamma_u, src_u = _momentum(grid, state, minus_uv)
-        systems, f2 = _turbulence(grid, k_omega, nu_t, dudy, minus_uv)
-        r = _transport_residual(grid, k_omega, *systems)
-        return np.concatenate([
-            _transport_residual(grid, U, gamma_u, grid.no_sink, src_u, 0.0),
-            r[0],
-            r[1],
-            nu_t - _eddy_viscosity(k_omega[0], k_omega[1], dudy, f2),
-        ], axis=-1)
+        systems, f2 = _turbulence(grid, k_omega, x[3], dudy, minus_uv)
+        r = np.empty(x.shape)
+        _transport_residual(grid, x[0], gamma_u, grid.no_sink, src_u, 0.0, out=r[0])
+        _transport_residual(grid, k_omega, *systems, out=r[1:3])
+        np.subtract(x[3], _eddy_viscosity(k_omega[0], k_omega[1], dudy, f2), out=r[3])
+        return r
 
     def converged(self, g):
         """The reported state at the fixed point x of G's evaluation
@@ -1105,38 +1107,40 @@ class _FixedPoint:
                        newton_steps=self.newton_steps, fixed_point_residual=float(self.f),
                        stress_consistency=consistency)
 
-    def residual(self, z):
-        return self.local_residual(z * self.scale)
-
     def direction(self, z):
-        """The full Newton step -J^-1 R at z. The band of J = dR/dz,
-        node-major, goes straight into the (3 BAND + 1, 4n) storage of
+        """The full Newton step -J^-1 R at z, (4, n). R at z and its 16
+        colour steps is one evaluation on their (4, 17, n) stack, scaled
+        in place. The band of J = dR/dz, node-major (the transpose of
+        (4, n)), goes straight into the (3 BAND + 1, 4n) storage of
         LAPACK's gbsv, which holds J[i, j] in row 2 BAND + i - j of
         column j and the fill-in of its pivoting in the BAND rows above;
         np.linalg.LinAlgError when J is singular."""
         h = 1.5e-8 * np.maximum(np.abs(z), 1e-8)
-        r = self.residual(np.vstack([z, z + self.colours * h]))
+        x = np.empty((4, _COLOURS + 1, z.shape[-1]))
+        x[:, 0] = z
+        np.add(z[:, None], self.colours * h[:, None], out=x[:, 1:])
+        r = self.local_residual(np.multiply(x, self.scale[:, None], out=x))
         # the storage in Fortran order, which gbsv factors in place:
         # column j of the band is row j of ``band``
-        band = np.zeros((len(z), 3 * BAND + 1))
-        band.ravel()[self.band_index] = (r[1:] - r[0]).ravel()[self.reached]
+        band = np.zeros((z.size, 3 * BAND + 1))
+        band.ravel()[self.band_index] = (r[:, 1:] - r[:, :1]).ravel()[self.reached]
         # each column's differences over its step; 0 stays 0
-        band[:, BAND:] /= h[self.order, None]
-        *_, dz, info = _GBSV(BAND, BAND, band.T, -r[0, self.order],
+        band[:, BAND:] /= h.T.reshape(-1, 1)
+        *_, dz, info = _GBSV(BAND, BAND, band.T, -r[:, 0].T.ravel(),
                              overwrite_ab=1, overwrite_b=1)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular matrix (LAPACK gbsv info={info})")
-        out = np.empty_like(z)
-        out[self.order] = dz
-        return out
+        return dz.reshape(-1, 4).T
 
-    def scaled_f(self, x):
-        """The scaled max-norm of F at x, and G's evaluation there."""
-        g = self.sweep(x)
+    def scaled_f(self, x, g=None):
+        """The scaled max-norm of F at x, and G's evaluation there
+        (``sweep``), unless it is given as ``g``."""
+        g = self.sweep(x) if g is None else g
         return np.max(np.abs((_pack(g[2]) - x) / self.scale)), g
 
-    def attempt(self, x):
-        """Newton from x. Each step solves J dz = -R and halves dz until
+    def attempt(self, x, g):
+        """Newton from x, a (4, n) state, and ``g``, G's evaluation there
+        (``sweep``). Each step solves J dz = -R and halves dz until
         k >= 0, omega > 0 and nu_t >= 0 off the wall (where both are
         set to 0) and the scaled max-norm of F falls.
 
@@ -1145,9 +1149,8 @@ class _FixedPoint:
         that reached NEWTON_TOL, or with ``reason`` saying why it did not
         (a row that fails holds its SolverError in ``result``).
         """
-        n = len(self.grid.y)
         self.scale = _scale(x)
-        self.f, g = self.scaled_f(x)
+        self.f, g = self.scaled_f(x, g)
         step = 0
         while not self.f <= NEWTON_TOL:  # a NaN F, too, goes on to a step
             if step == NEWTON_STEPS:
@@ -1162,9 +1165,9 @@ class _FixedPoint:
                 break
             for _ in range(40):  # down to a step of 1e-12 dz
                 x_new = (z + dz) * self.scale
-                x_new[n] = x_new[3 * n] = 0.0  # k and nu_t at the wall
-                k, om, nu_t = x_new[n + 1:2 * n], x_new[2 * n:3 * n], x_new[3 * n + 1:]
-                if np.all(k >= 0.0) and np.all(om > 0.0) and np.all(nu_t >= 0.0):
+                x_new[1, 0] = x_new[3, 0] = 0.0  # k and nu_t at the wall
+                # k and nu_t off the wall, omega at every node
+                if np.all(x_new[1::2, 1:] >= 0.0) and np.all(x_new[2] > 0.0):
                     f_new, g = self.scaled_f(x_new)
                     if f_new < self.f:
                         break
@@ -1178,33 +1181,26 @@ class _FixedPoint:
             self.result = self.converged(g)
 
 
-def _pack(state):
-    return np.concatenate(
-        [state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus], axis=-1)
-
-
 def _scale(x):
-    """The scale of each entry of a packed state: the larger of 1 and
-    the largest magnitude of its field."""
-    n = len(x) // 4
-    return np.repeat(np.maximum(1.0, np.abs(x).reshape(4, n).max(axis=1)), n)
+    """The scale of each field of a packed state (4, n), as a (4, 1)
+    array: the larger of 1 and the field's largest magnitude."""
+    return np.maximum(1.0, np.abs(x).max(axis=-1, keepdims=True))
 
 
 @functools.lru_cache(maxsize=4)
 def _band_tables(n):
     """The index tables of the Newton attempts of ``_FixedPoint`` on n
-    nodes, built once per grid size: the node-major order of the packed
-    positions; the flat place of every reached entry (column node i,
-    field f; row node i + d, field g, |d| <= _REACH[f, g]) in gbsv's band
-    storage laid out column by column, in the order of the entries of
-    the colour differences that hold them; which of those entries are
-    reached; and the 16 colours' columns. Only reached entries are kept:
+    nodes, built once per grid size: the flat place of every reached
+    entry (column node i, field f; row node i + d, field g,
+    |d| <= _REACH[f, g]) in gbsv's band storage laid out column by
+    column, columns node-major (column 4 i + f), in the order of the
+    entries of the (4, 16, n) colour differences, row field first, that
+    hold them; which of those entries are reached; and the 16 colours'
+    columns, a (4, 16, n) mask. Only reached entries are kept:
     a difference entry outside one column's reach may hold the entry of
     the other field of its colour. Each table holds one entry per
-    reached entry at most, so the tables of 192 nodes, the default grid,
-    take 105,632 bytes (``nbytes``)."""
-    # node-major position 4 i + f -> packed position f n + i
-    order = np.arange(4 * n).reshape(4, n).T.ravel()
+    reached entry at most, so the tables of the default grid's 193 nodes
+    take 100,008 bytes (``nbytes``)."""
     colour = _COLOUR_BASE[:, None] + (np.arange(n) - _COLOUR_SHIFT[:, None]) % 8  # (4, n)
     # each reached entry's band place at its difference entry, read back
     # in the order of the differences; one node range at a time, so no
@@ -1214,11 +1210,11 @@ def _band_tables(n):
     for (f, g), r in np.ndenumerate(_REACH):
         for d in range(-r, r + 1):
             i = np.arange(max(0, -d), n - max(0, d))  # the nodes with i + d inside
-            difference = (colour[f, i] * 4 + g) * n + i + d
+            difference = (g * _COLOURS + colour[f, i]) * n + i + d
             reached[difference] = True
             band[difference] = (4 * i + f) * (3 * BAND + 1) + 2 * BAND + 4 * d + g - f
-    colours = colour.ravel() == np.arange(_COLOURS)[:, None]
-    tables = order, band[reached], reached, colours
+    colours = colour[:, None] == np.arange(_COLOURS)[:, None]
+    tables = band[reached], reached, colours
     for table in tables:
         table.flags.writeable = False
     return tables

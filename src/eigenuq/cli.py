@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -27,6 +28,7 @@ def _add_common(sub, re_tau=True):
                          help="override channel.re_tau")
 
 
+@functools.cache  # once per process, on the first run: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eigenuq", description="Eigenspace-perturbation "
                                      "uncertainty quantification for RANS turbulence models")

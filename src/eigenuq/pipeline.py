@@ -208,8 +208,7 @@ def write_manifest(out_dir, command, settings: Settings, extra=None, sections=No
     doc = {"tool_version": __version__, "command": command, "settings": recorded}
     doc.update(extra or {})
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(run_dir) -> dict:

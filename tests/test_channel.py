@@ -428,7 +428,7 @@ class TestInjectedSolve:
             recorded_sweep.last = channel._pack(new)
             return new, change
 
-        def failed(self, x):
+        def failed(self, x, g):
             assert np.array_equal(x, recorded_sweep.last)
             attempts.append(x)
             self.newton_steps += 3
@@ -771,6 +771,27 @@ class TestStackedSolve:
             with pytest.raises(ValueError, match="differ in their corner alone"):
                 channel.PerturbationInjection.stack(rows)
 
+    @pytest.mark.parametrize("mode", ["datafree", "p"])
+    def test_stack_keeps_each_injections_own_corner(self, mode):
+        # two injections whose corner eigenvalues and points are set to
+        # 2C's and to the midpoint of 1C and 3C: the stack's shear on
+        # each row is that injection's own, whatever corner names them
+        lam = tensors.weights_to_eigenvalues(np.eye(3))
+        xy = tensors.CORNERS - channel._BOUSSINESQ_POINT
+        baseline = channel.solve(ChannelConfig(re_tau=180.0, n_cells=32))
+        n = len(baseline.y_plus)
+        kwargs = {"delta_b": 0.5} if mode == "datafree" else {"targets": np.full((n, 1), 0.2)}
+        injections = []
+        for corner, own in (("1C", (lam[1], xy[1])),
+                            ("3C", (0.5 * (lam[0] + lam[2]), 0.5 * (xy[0] + xy[2])))):
+            injection = channel.PerturbationInjection(mode, corner=corner, **kwargs)
+            injection.corner_lam, injection.corner_xy = own
+            injections.append(injection)
+        state = channel._stack([baseline, baseline], 180.0, baseline.y_plus)
+        shear = channel.PerturbationInjection.stack(injections).shear(state)
+        for r, injection in enumerate(injections):
+            assert np.array_equal(shear[r], injection.shear(channel._take(state, [r]))), r
+
     def test_envelope_takes_perturbation_corners_only(self, monkeypatch):
         # a prescribed stress in a corner slot would be swept under the
         # baseline's closure: it is rejected before any sweep, with the
@@ -1066,6 +1087,39 @@ REACH = {
 REACH_TABLE = np.array([[-1 if d is None else d for d in row.values()] for row in REACH.values()])
 
 
+def reference_direction(newton, z):
+    """``_FixedPoint.direction`` on the flat layout: z, R and the colour
+    steps are (..., 4n) arrays, field f of node i at f n + i, the 17
+    states are stacked by np.vstack, and the index tables carry the
+    node-major order of the flat positions. R is the solver's, evaluated
+    on the (4, 17, n) view of the flat stack."""
+    n, band = z.shape[-1], channel.BAND
+    order = np.arange(4 * n).reshape(4, n).T.ravel()
+    colour = channel._COLOUR_BASE[:, None] + (np.arange(n) - channel._COLOUR_SHIFT[:, None]) % 8
+    places = np.empty(16 * 4 * n, dtype=np.intp)
+    reached = np.zeros(places.shape, dtype=bool)
+    for (f, g), r in np.ndenumerate(channel._REACH):
+        for d in range(-r, r + 1):
+            i = np.arange(max(0, -d), n - max(0, d))
+            difference = (colour[f, i] * 4 + g) * n + i + d
+            reached[difference] = True
+            places[difference] = (4 * i + f) * (3 * band + 1) + 2 * band + 4 * d + g - f
+    colours = colour.ravel() == np.arange(16)[:, None]
+    flat = z.ravel()
+    h = 1.5e-8 * np.maximum(np.abs(flat), 1e-8)
+    stack = np.vstack([flat, flat + colours * h]) * np.repeat(newton.scale, n)
+    r = newton.local_residual(stack.reshape(17, 4, n).transpose(1, 0, 2))
+    r = r.transpose(1, 0, 2).reshape(17, 4 * n)
+    ab = np.zeros((4 * n, 3 * band + 1))
+    ab.ravel()[places[reached]] = (r[1:] - r[0]).ravel()[reached]
+    ab[:, band:] /= h[order, None]
+    *_, dz, info = channel._GBSV(band, band, ab.T, -r[0, order], overwrite_ab=1, overwrite_b=1)
+    assert info == 0
+    out = np.empty_like(flat)
+    out[order] = dz
+    return out.reshape(4, n)
+
+
 class TestBandTables:
     """Newton's colouring and band storage follow R's reach."""
 
@@ -1082,19 +1136,19 @@ class TestBandTables:
     @example(n=8)
     @example(n=193)
     def test_tables_hold_every_reached_entry_once(self, n):
-        order, band_index, reached, colours = channel._band_tables(n)
+        band_index, reached, colours = channel._band_tables(n)
         m = 4 * n
-        # the colours partition the columns (packed order)
-        assert colours.shape == (16, m)
-        assert np.all(colours.sum(axis=0) == 1)
-        colour_of = np.argmax(colours, axis=0)
+        # the colours partition the columns of each field: (4, 16, n)
+        assert colours.shape == (4, 16, n)
+        assert np.all(colours.sum(axis=1) == 1)
+        colour_of = np.argmax(colours, axis=1)
         # the reached entries, node-major: row 4 i + g, column 4 j + f
         node, fld = np.divmod(np.arange(m), 4)
         pattern = np.abs(node[:, None] - node) <= REACH_TABLE[fld, fld[:, None]]
         rows, cols = np.nonzero(pattern)
-        # each goes to its own entry of the colour differences: its
-        # column's colour, its row's packed position
-        difference = colour_of[order[cols]] * m + order[rows]
+        # each goes to its own entry of the (4, 16, n) colour
+        # differences: its row's field, its column's colour, its row's node
+        difference = (fld[rows] * 16 + colour_of[fld[cols], node[cols]]) * n + node[rows]
         assert len(np.unique(difference)) == len(difference)
         assert np.array_equal(np.flatnonzero(reached), np.sort(difference))
         # and to its place in the band storage, in the order of the
@@ -1123,19 +1177,20 @@ class TestLocalResidual:
         monkeypatch.setattr(channel, "_GBSV", recorded_gbsv)
         newton.direction(z)
         (ab,) = factored
-        assert ab.shape == (3 * channel.BAND + 1, len(z))
-        r = newton.residual(z)
+        assert ab.shape == (3 * channel.BAND + 1, z.size)
+        r = newton.local_residual(z * newton.scale)
         # the dense forward-difference Jacobian, one column at a time,
-        # with the same steps, in node-major order
+        # with the same steps, in node-major order: entry 4 i + f is
+        # field f of node i, the transpose of the (4, n) state
         h = 1.5e-8 * np.maximum(np.abs(z), 1e-8)
-        m = len(z)
+        m = z.size
         dense = np.empty((m, m))
         for j in range(m):
+            node, field = divmod(j, 4)
             moved = z.copy()
-            moved[j] += h[j]
-            dense[:, j] = (newton.local_residual(moved * newton.scale) - r) / h[j]
-        dense = dense[np.ix_(newton.order, newton.order)]
-        # node-major: entry 4 i + f is field f of node i
+            moved[field, node] += h[field, node]
+            column = (newton.local_residual(moved * newton.scale) - r) / h[field, node]
+            dense[:, j] = column.T.ravel()
         node, fields = np.divmod(np.arange(m), 4)
         allowed = np.abs(node[:, None] - node) <= REACH_TABLE[fields, fields[:, None]]
         assert np.count_nonzero(dense[~allowed]) == 0
@@ -1179,17 +1234,17 @@ class TestLocalResidual:
         # columns: gbsv reports the singular factor and the attempt ends
         grid = channel._Grid(channel.make_grid(180.0, 33, 0.5))
         fixed = channel._init_state(grid)
-        x = np.concatenate(fixed)
+        x = np.stack(fixed)
         fp = channel._FixedPoint(grid, 180.0)
         local_residual = fp.local_residual
 
         def without_nu_t(x):
             x = x.copy()
-            x[..., 3 * len(grid.y):] = fixed[3]
+            x[3] = fixed[3]
             return local_residual(x)
 
         monkeypatch.setattr(fp, "local_residual", without_nu_t)
-        fp.attempt(x)
+        fp.attempt(x, fp.sweep(x))
         assert (fp.result, fp.newton_steps, fp.reason) == (
             None, 1, "singular Jacobian at Newton step 1")
         assert fp.f == fp.scaled_f(x)[0] > channel.NEWTON_TOL
@@ -1210,22 +1265,45 @@ class TestLocalResidual:
         # 193 nodes: 1,041 KB with 20 colours and BAND 11, 845 KB with 16 and 9
         assert peak <= 922e3
 
+    @staticmethod
+    def assert_direction_is_the_flat_reference(newton, z):
+        dz, expected = newton.direction(z), reference_direction(newton, z)
+        assert np.array_equal(dz, expected)
+        assert np.array_equal(np.signbit(dz), np.signbit(expected))
+
+    def test_direction_is_the_flat_reference(self, converged_newton):
+        self.assert_direction_is_the_flat_reference(*converged_newton)
+
+    def test_direction_on_the_envelope_is_the_flat_reference(self, envelope_datafree_180):
+        # at each corner of the default envelope, and at the initial
+        # state under the corner's injection
+        grid = channel._Grid(envelope_datafree_180.baseline.y_plus)
+        start = channel._pack(channel._start(180.0, ChannelConfig(re_tau=180.0))[1])
+        for corner, state in envelope_datafree_180.corner_states.items():
+            injection = channel.PerturbationInjection("datafree", corner=corner, delta_b=1.0)
+            for x in (channel._pack(state), start):
+                newton = channel._FixedPoint(grid, 180.0, injection)
+                newton.scale = channel._scale(x)
+                self.assert_direction_is_the_flat_reference(newton, x / newton.scale)
+
     def test_residual_vanishes_at_the_fixed_point(self, converged_newton):
         newton, z = converged_newton
         assert np.max(np.abs(newton.direction(z))) <= 1e-9
 
 
-# values a state may hold where k and omega enter a sweep or a residual
+# values a state may hold where it enters a sweep or a residual
 specials = st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]), max_size=4)
 
 
-class TestKOmegaPair:
-    """A sweep, a relative change and the local residual take k and
-    omega as one (2, ..., n) array. They come packed, as the two rows of
-    one such array (a sweep's output, the views of ``_FixedPoint.state``),
-    or as two separate arrays (``_init_state``, ``_take``, ``_stack``),
-    which are packed on entry: every result is the same bit for bit, NaN
-    places, infinities and signs of zero included."""
+class TestPackedIterate:
+    """A sweep, a relative change and the local residual take the
+    iterate U, k, omega, nu_t as one (4, ..., n) array. A state comes
+    packed (``_paired``, also as the strided rows of a stack's iterate,
+    as Newton takes a row), as a sweep's output, as the views of
+    ``_FixedPoint.state``, or as separate arrays (``_init_state``,
+    ``_take``, ``_stack``), which are packed on entry: every result is
+    the same bit for bit, NaN places, infinities and signs of zero
+    included."""
 
     N = 33
 
@@ -1242,28 +1320,38 @@ class TestKOmegaPair:
         except channel.SolverError as e:
             return str(e)
 
+    @staticmethod
+    def strided(x):
+        """x as the row of a stack's iterate: a view of (4, ..., 2, n)."""
+        return np.stack([np.zeros_like(x), x], axis=-2)[..., 1, :]
+
     def inputs(self, data, rows):
         """One state, one row or a (3, n) stack, with NaN, infinities and
-        -0.0 drawn into its U, k, omega and nu_t: with separate k and
-        omega; packed into one array; as the views of a fixed point's
+        -0.0 drawn into its U, k, omega and nu_t: with separate arrays;
+        packed into one array, contiguous and strided; as a sweep's
+        output holding those values; as the views of a fixed point's
         ``state`` of its packed form; and that fixed point and form."""
         grid = channel._Grid(channel.make_grid(180.0, self.N, 0.5))
         scale = 1.0 if rows is None else np.array([[1.0], [0.7], [1.3]])
         fields = [f * scale for f in channel._init_state(grid)]
+        # a sweep of the state before the draws, its output overwritten
+        swept = channel._sweep(grid, channel.ChannelState(
+            180.0, grid.y, *fields, grid.grad(fields[0])), None, 0.8)
         for name, f in zip(("U", "k", "omega", "nu_t"), fields):
             values = data.draw(specials, label=name)
             places = data.draw(st.lists(st.integers(0, f.size - 1), min_size=len(values),
                                         max_size=len(values)), label=f"{name} places")
             f.ravel()[places] = values
-        U, k, om, nu_t = fields
-        dudy = grid.grad(U)
-        separate = channel.ChannelState(180.0, grid.y, U, k, om, nu_t, dudy)
-        packed = channel._paired(180.0, grid.y, U, np.stack([k, om]), nu_t, dudy)
+        dudy = grid.grad(fields[0])
+        separate = channel.ChannelState(180.0, grid.y, *fields, dudy)
+        x = np.stack(fields)
+        swept.packed[...], swept.dUdy_plus[...] = x, dudy
         injection = data.draw(st.sampled_from(
             [None, channel.PerturbationInjection("datafree", corner="1C", delta_b=1.0)]))
         fp = channel._FixedPoint(grid, 180.0, injection)
-        x = channel._pack(separate)
-        return grid, (separate, packed, fp.state(x)), fp, x
+        states = (separate, channel._paired(180.0, grid.y, x, dudy),
+                  channel._paired(180.0, grid.y, self.strided(x), dudy), swept, fp.state(x))
+        return grid, states, fp, x
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.sampled_from([None, 3]), injected=st.booleans(), data=st.data())
@@ -1280,15 +1368,16 @@ class TestKOmegaPair:
             swept = [self.outcome(channel._sweep, grid, state, shear, ur, eddy)
                      for state in states]
             if isinstance(swept[0], str):
-                assert swept == [swept[0]] * 3
+                assert swept == [swept[0]] * len(states)
                 return
             for out in swept[1:]:
                 for name in channel._FIELDS:
                     assert self.same(getattr(out, name), getattr(swept[0], name)), name
             # the sweep's output is packed; its copy is separate
             new = swept[0]
-            apart = channel.ChannelState(new.re_tau, new.y_plus, new.U_plus, new.k_plus.copy(),
-                                         new.omega_plus.copy(), new.nu_t_plus, new.dUdy_plus)
+            apart = channel.ChannelState(new.re_tau, new.y_plus, new.U_plus.copy(),
+                                         new.k_plus.copy(), new.omega_plus.copy(),
+                                         new.nu_t_plus.copy(), new.dUdy_plus)
             changes = [channel._relative_change(old, after)
                        for old in states for after in (new, apart)]
         for change in changes[1:]:
@@ -1300,13 +1389,14 @@ class TestKOmegaPair:
         with np.errstate(all="ignore"):
             _, _, fp, x = self.inputs(data, rows)
             packed = fp.local_residual(x)
+            assert self.same(fp.local_residual(self.strided(x)), packed)
             views = fp.state
 
             def separate(x):
                 state = views(x)
                 return channel.ChannelState(
-                    state.re_tau, state.y_plus, state.U_plus, state.k_plus.copy(),
-                    state.omega_plus.copy(), state.nu_t_plus, state.dUdy_plus)
+                    state.re_tau, state.y_plus, state.U_plus.copy(), state.k_plus.copy(),
+                    state.omega_plus.copy(), state.nu_t_plus.copy(), state.dUdy_plus)
 
             fp.state = separate
             assert self.same(fp.local_residual(x), packed)
@@ -1315,18 +1405,19 @@ class TestKOmegaPair:
         grid = channel._Grid(channel.make_grid(180.0, self.N, 0.5))
         U, k, om, nu_t = channel._init_state(grid)
         state = channel.ChannelState(180.0, grid.y, U, k, om, nu_t, grid.grad(U))
-        assert state.k_omega is None
+        assert state.packed is None
         out = channel._sweep(grid, state, None, 0.8)
-        assert out.k_omega.shape == (2, self.N)
-        assert np.shares_memory(out.k_plus, out.k_omega[0])
-        assert np.shares_memory(out.omega_plus, out.k_omega[1])
-        # a state rebuilt with another k holds no stale pair
-        assert replace(out, k_plus=2.0 * out.k_plus).k_omega is None
+        assert out.packed.shape == (4, self.N)
+        for row, name in enumerate(("U_plus", "k_plus", "omega_plus", "nu_t_plus")):
+            assert np.shares_memory(getattr(out, name), out.packed[row]), name
+        # a state rebuilt with another field holds no stale iterate
+        assert replace(out, k_plus=2.0 * out.k_plus).packed is None
         fp = channel._FixedPoint(grid, 180.0)
-        x = np.stack([channel._pack(out)] * 3)
+        x = np.stack([channel._pack(out)] * 3, axis=1)
         viewed = fp.state(x)
-        assert viewed.k_omega.shape == (2, 3, self.N)
-        assert np.shares_memory(viewed.k_omega, x)
+        assert viewed.packed is x
+        assert viewed.U_plus.shape == (3, self.N)
+        assert np.shares_memory(viewed.nu_t_plus, x[3])
 
 
 @pytest.fixture(scope="module")

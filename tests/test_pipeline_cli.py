@@ -1272,6 +1272,23 @@ class TestManifest:
         assert cli.run([*args, "--config", str(cfg), "--out", str(out)]) == pipeline.EXIT_OK
         assert pipeline.read_manifest(out)["settings"][section] == recorded
 
+    def test_runs_of_one_process_share_no_arguments(self, tmp_path, capsys):
+        # the parser is built once per process: neither a run's flags nor
+        # a rejected command line carries over to the next run
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\nre_tau = 180\nn_cells = 32\n")
+        args = ["uq", "--mode", "datafree", "--config", str(cfg)]
+        assert cli.run([*args, "--delta-b", "0.5", "--out", str(tmp_path / "a")]) == 0
+        with pytest.raises(SystemExit) as exit_:
+            cli.run([*args, "--delta-b", "half", "--out", str(tmp_path / "b")])
+        assert exit_.value.code == 2
+        assert "invalid float value: 'half'" in capsys.readouterr().err
+        assert cli.run([*args, "--out", str(tmp_path / "c")]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert not (tmp_path / "b").exists()
+        for run, delta_b in (("a", "0.5"), ("c", "1.0")):
+            assert pipeline.read_manifest(tmp_path / run)["settings"]["uq"]["delta_b"] == delta_b
+
     def test_train_records_the_data_files_it_read(self, tmp_path, monkeypatch):
         # two profiles that differ in a comment line alone: the same
         # forest and metrics, and manifests that differ in the digest alone

@@ -105,13 +105,25 @@ class TestAbTime:
         assert sys.modules["eigenuq_a.channel"] is not sys.modules["eigenuq_b.channel"]
         number = r"\d+\.\d{3}"
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 3
+        assert len(lines) == 4
         for side, line in zip("AB", lines):
             assert re.fullmatch(
                 rf"{side} {re.escape(ROOT)}: median {number} ms \(q1 {number}, q3 {number}\)",
                 line), line
         assert re.fullmatch(r"B/A: median ratio \d+\.\d{4} over 2 pairs "
                             r"\(q1 \d+\.\d{4}, q3 \d+\.\d{4}\); B faster in [0-2] of 2", lines[2])
+        # baseline.csv, baseline_trace.csv and manifest.json
+        assert lines[3] == "outputs identical (3 files)"
+
+    def test_outputs_that_differ_are_named(self, ab_time, tmp_path):
+        for side, files in (("a", {"same.csv": "1\n", "changed.csv": "1\n", "a_only": ""}),
+                            ("b", {"same.csv": "1\n", "changed.csv": "2\n", "sub/b_only": ""})):
+            for name, text in files.items():
+                write(tmp_path / side / name, text)
+        assert ab_time.compare_outputs(tmp_path / "a", tmp_path / "b") == (
+            "outputs differ: a_only, changed.csv, sub/b_only")
+        assert ab_time.compare_outputs(tmp_path / "a", tmp_path / "a") == (
+            "outputs identical (3 files)")
 
     @pytest.mark.parametrize("argv, message", [
         ([ROOT, ROOT, "baseline"], "no eigenuq command given after --"),
