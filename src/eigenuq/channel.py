@@ -95,9 +95,9 @@ NEWTON_STEPS = 40
 NEWTON_TOL = 1e-10
 
 # How far the local residual R reaches, column field -> row field, fields
-# in packed order (U, k, omega, nu_t): _REACH[f, g] is the largest |i - j|
-# at which field f of node j enters the row of field g of node i, -1 where
-# it never does. Newton's band and colouring rest on it (``_FixedPoint``).
+# in the iterate's order (U, k, omega, nu_t): _REACH[f, g] is the largest
+# |i - j| at which field f of node j enters the row of field g of node i,
+# -1 where it never does. Newton's band and colouring rest on it (``_FixedPoint``).
 _REACH = np.array([
     [2, 1, 1, 1],  # U
     [1, 2, 2, 0],  # k
@@ -155,10 +155,10 @@ class ChannelConfig:
 class ChannelState:
     re_tau: float
     y_plus: np.ndarray
-    U_plus: np.ndarray
-    k_plus: np.ndarray
-    omega_plus: np.ndarray
-    nu_t_plus: np.ndarray
+    # the iterate, the one store of U+, k+, omega+ and nu_t+: the four
+    # rows of one (4, ..., n) array, which the properties below read as
+    # views
+    x: np.ndarray
     dUdy_plus: np.ndarray
     # set once the solve ends; None on the iterates handed to an injection
     minus_uv_plus: np.ndarray | None = None  # shear stress actually used in momentum
@@ -172,12 +172,22 @@ class ChannelState:
     newton_steps: int = 0
     fixed_point_residual: float | None = None
     stress_consistency: float | None = None
-    # U_plus, k_plus, omega_plus and nu_t_plus as the four rows of one
-    # (4, ..., n) array, on the states a sweep returns and on the views of
-    # a packed state (``_paired``); None where they are separate arrays.
-    # ``replace`` leaves it None, so a state rebuilt with another field
-    # never carries a stale iterate.
-    packed: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def U_plus(self) -> np.ndarray:
+        return self.x[0]
+
+    @property
+    def k_plus(self) -> np.ndarray:
+        return self.x[1]
+
+    @property
+    def omega_plus(self) -> np.ndarray:
+        return self.x[2]
+
+    @property
+    def nu_t_plus(self) -> np.ndarray:
+        return self.x[3]
 
     @property
     def picard_sweeps(self) -> int:
@@ -733,16 +743,16 @@ def _sweep(grid, state, minus_uv, ur, eddy=None):
     the (rows, 1) mask ``eddy`` holds take the eddy-viscosity closure,
     whatever ``minus_uv`` holds there.
 
-    The sweep reads the (4, ..., n) iterate of ``state`` (``_pack``) and
+    The sweep reads the (4, ..., n) iterate ``x`` of ``state`` and
     writes the relaxed U, k and omega pair and nu_t into the rows of a
     new one: k and omega are its rows 1:3 throughout, with one gradient
     call, one transport solve, and one relaxed update floored at 0 and
     OMEGA_FLOOR, then k = 0 at the wall.
 
-    Returns a new ChannelState that keeps the new iterate as ``packed``;
-    every array of ``state`` stays intact.
+    Returns a new ChannelState on the new iterate; every array of
+    ``state`` stays intact.
     """
-    x = _pack(state)
+    x = state.x
     U, k_omega, nu_t = x[0], x[1:3], x[3]
     gamma_u, src_u = _momentum(grid, state, minus_uv, eddy)
     U_new = _transport_solve(grid, gamma_u, grid.no_sink, src_u, 0.0)
@@ -757,24 +767,7 @@ def _sweep(grid, state, minus_uv, ur, eddy=None):
 
     nu_t_new = _eddy_viscosity(out[1], out[2], dudy, f2)
     np.maximum(nu_t + ur * (nu_t_new - nu_t), 0.0, out=out[3])
-    return _paired(state.re_tau, state.y_plus, out, dudy)
-
-
-def _paired(re_tau, y, x, dudy):
-    """The ChannelState whose U, k, omega and nu_t are the rows of the
-    (4, ..., n) array ``x``, which it keeps as ``packed``."""
-    state = ChannelState(re_tau, y, x[0], x[1], x[2], x[3], dudy)
-    state.packed = x
-    return state
-
-
-def _pack(state):
-    """The (4, ..., n) iterate of ``state``, rows U, k, omega and nu_t:
-    the one whose rows they are, or, where they are separate arrays (the
-    states of ``_init_state``, ``_take`` and ``_stack``), a new one."""
-    if state.packed is None:
-        return np.stack([state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus])
-    return state.packed
+    return ChannelState(state.re_tau, state.y_plus, out, dudy)
 
 
 def _relative_change(old, new):
@@ -782,18 +775,16 @@ def _relative_change(old, new):
     row of a stack, each relative to the larger of 1 and its largest
     magnitude in the row of ``new``; the three in one pass over the
     first three rows of their iterates."""
-    x = _pack(new)[:3]
-    d = np.abs(x - _pack(old)[:3]).max(axis=-1) / np.abs(x).max(axis=-1, initial=1.0)
+    x = new.x[:3]
+    d = np.abs(x - old.x[:3]).max(axis=-1) / np.abs(x).max(axis=-1, initial=1.0)
     # max, like np.maximum, keeps a NaN in any place
     return d.max(axis=0)
 
 
-_FIELDS = ("U_plus", "k_plus", "omega_plus", "nu_t_plus", "dUdy_plus")
-
-
-def _rows(a, rows):
+def _rows(a, rows, fields=()):
     """The rows ``rows`` (a list of indices) of a stack of arrays (n,)
-    or (rows, n). A single row is a plain (n,) array, both ways: whole
+    or (rows, n) behind the leading axes ``fields``: none, or the (4,)
+    of an iterate (4, n) or (4, rows, n). A single row is a plain (n,) array, both ways: whole
     one-row solves run as (1, n) stacks took 6-8% longer (the baseline at
     Re_tau 180 and 1000, ``propagate-dns`` at 1000; 17-18 of 20
     interleaved pairs). The Picard sweeps carry it: a baseline
@@ -802,7 +793,7 @@ def _rows(a, rows):
     against a (1, n) one costs about 1 us more than one on equal shapes
     (``_Grid.grad``: 7.5 against 11.6 us in one run)."""
     rows = list(rows)
-    return np.atleast_2d(a)[rows[0] if len(rows) == 1 else rows]
+    return a.reshape(fields + (-1, a.shape[-1]))[..., rows[0] if len(rows) == 1 else rows, :]
 
 
 def _take(state, rows, fp=None):
@@ -810,7 +801,7 @@ def _take(state, rows, fp=None):
     Re_tau and nodes of ``fp``, the fixed point of those rows, or on the
     stack's own."""
     re_tau, y = (state.re_tau, state.y_plus) if fp is None else (fp.re_tau, fp.grid.y)
-    return ChannelState(re_tau, y, *(_rows(getattr(state, name), rows) for name in _FIELDS))
+    return ChannelState(re_tau, y, _rows(state.x, rows, (4,)), _rows(state.dUdy_plus, rows))
 
 
 def _stack(states, re_tau, y):
@@ -818,8 +809,8 @@ def _stack(states, re_tau, y):
     and nodes ``y``; a single state as it is."""
     if len(states) == 1:
         return states[0]
-    return ChannelState(re_tau, y, *(np.stack([getattr(state, name) for state in states])
-                                     for name in _FIELDS))
+    return ChannelState(re_tau, y, np.stack([state.x for state in states], axis=1),
+                        np.stack([state.dUdy_plus for state in states]))
 
 
 def solve(cfg: ChannelConfig, injection: StressInjection | None = None) -> ChannelState:
@@ -851,13 +842,14 @@ def _start(re_tau, cfg):
     """The grid of a solve at ``re_tau`` under ``cfg``, and its initial
     state."""
     grid = _Grid(make_grid(re_tau, cfg.n_cells, cfg.stretch))
-    U, k, om, nu_t = _init_state(grid)
-    return grid, ChannelState(re_tau, grid.y, U, k, om, nu_t, grid.grad(U))
+    x = np.stack(_init_state(grid))
+    return grid, ChannelState(re_tau, grid.y, x, grid.grad(x[0]))
 
 
 def _solve_rows(cfg, injections, re_taus=None):
     """Solve the flow under each of ``injections`` (None for the baseline
-    closure) as the rows of one (rows, n) stack. One row may be any
+    closure) as the rows of one stack, a state whose iterate is
+    (4, rows, n) and its other arrays (rows, n). One row may be any
     solve; several rows are baseline rows alone, or at most one baseline
     row followed by the corners of one perturbation
     (``_FixedPoint.stack``). Row r is at Re_tau ``re_taus[r]``, by
@@ -919,12 +911,10 @@ def _solve_rows(cfg, injections, re_taus=None):
                     break
         if not active:
             break
-        # one G evaluation of the stack gives every row its first F; row
-        # r's iterate is a (4, n) view, also of a one-row stack's (4, n)
-        x = _pack(state)
-        at_x, shear, out = fp.sweep(x)
+        # one G evaluation of the stack gives every row its first F
+        at_x, shear, out = fp.sweep(state.x)
         for r, row in enumerate(active):
-            row.attempt(x.reshape(4, -1, x.shape[-1])[:, r], (
+            row.attempt(_rows(state.x, [r], (4,)), (
                 _take(at_x, [r], row), None if shear is None else _rows(shear, [r]),
                 _take(out, [r], row)))
         going = [i for i, row in enumerate(active) if row.result is None]
@@ -968,28 +958,29 @@ def _picard_sweep(state, minus_uv, fp, rows):
 
 
 class _FixedPoint:
-    """The map G on packed states x, (4, ..., n) arrays of rows U, k,
-    omega and nu_t: one fixed-stress sweep at ur = 1 under the shear of
-    x; and the local residual R of the same discrete equations, which
-    has the zeros of F = G(x) - x. The shear is None for the
-    eddy-viscosity closure, that of a prescribed stress ``tau``, or that
-    of a coupled ``injection`` evaluated at x and capped. ``ur`` is the relaxation factor of its
-    Picard sweeps: 0.8 under the eddy-viscosity closure, 0.5 under a
-    stress.
+    """The map G on iterates x, the (4, ..., n) arrays of rows U, k,
+    omega and nu_t that ChannelState keeps as ``x``: one fixed-stress
+    sweep at ur = 1 under the shear of x; and the local residual R of the
+    same discrete equations, which has the zeros of F = G(x) - x. The
+    shear is None for the eddy-viscosity closure, that of a prescribed
+    stress ``tau``, or that of a coupled ``injection`` evaluated at x and
+    capped. ``ur`` is the relaxation factor of its Picard sweeps: 0.8
+    under the eddy-viscosity closure, 0.5 under a stress.
 
     Each row of a solve is one fixed point, which also keeps the row's
     record and runs its damped Newton attempts on R in scaled variables
     z = x / scale. R couples nodes at most 2 apart, field by field as
     ``_REACH`` says, so with the unknowns ordered node by node (U, k,
     omega, nu_t of node 0, then of node 1, ...: the transpose of the
-    (4, n) state) its Jacobian is banded, every entry within BAND = 9 of
-    the diagonal (k at node j reaches omega at j + 2: 4 * 2 + 1). The band is found exactly by forward
-    differences along 16 colours, U of node i with omega of node i + 4
-    and k of node i with nu_t of node i + 4, each pair at the 8 node
-    classes i mod 8 (Curtis, Powell & Reid, 1974): no two columns of one
-    colour reach the same row. R and the 16 differences are one
-    evaluation of R on the field-major (4, 17, n) stack of z and its 16
-    colour steps, each field contiguous."""
+    (4, n) iterate) its Jacobian is banded, every entry within BAND = 9
+    of the diagonal (k at node j reaches omega at j + 2: 4 * 2 + 1). The
+    band is found exactly by forward differences along 16 colours, U of
+    node i with omega of node i + 4 and k of node i with nu_t of node
+    i + 4, each pair at the 8 node classes i mod 8 (Curtis, Powell &
+    Reid, 1974): no two columns of one colour reach the same row. R and
+    the 16 differences are one evaluation of R on the field-major
+    (4, 17, n) stack of z and its 16 colour steps, each field
+    contiguous."""
 
     def __init__(self, grid, re_tau, injection=None, tau=None):
         self.grid, self.re_tau, self.injection = grid, re_tau, injection
@@ -1049,16 +1040,14 @@ class _FixedPoint:
         # the coupled rows after the baseline's as views, one row as (n,)
         # arrays
         rows = 1 if len(state.U_plus) == 2 else slice(1, None)
-        coupled = ChannelState(state.re_tau, state.y_plus,
-                               *(getattr(state, name)[rows] for name in _FIELDS))
+        coupled = ChannelState(state.re_tau, state.y_plus, state.x[:, rows], state.dUdy_plus[rows])
         out = np.zeros(state.U_plus.shape)
         out[1:] = np.minimum(self.injection.shear(coupled), self.cap)
         return out
 
     def state(self, x):
-        """The state packed in x, whose rows are its fields, as views of
-        x: U, the k and omega pair x[1:3], and nu_t."""
-        return _paired(self.re_tau, self.grid.y, x, self.grid.grad(x[0]))
+        """The state whose iterate is x."""
+        return ChannelState(self.re_tau, self.grid.y, x, self.grid.grad(x[0]))
 
     def sweep(self, x):
         """G's evaluation at x: the state x, the shear momentum uses
@@ -1071,13 +1060,12 @@ class _FixedPoint:
     def local_residual(self, x):
         """R(x): A(x) phi - b(x) of the U, k and omega systems that a
         fixed-stress sweep solves, all assembled at x, and nu_t minus the
-        eddy viscosity of x; packed as x is, each part written into its
-        row. k and omega are the rows 1:3 of the state's iterate, so their
-        system is assembled and applied as one stack, with no copy.
+        eddy viscosity of x; laid out as x is, each part written into its
+        row. k and omega are the rows 1:3 of x, so their system is
+        assembled and applied as one stack, with no copy.
         Row i of each part depends on nodes i-2 to i+2 only."""
         grid, state = self.grid, self.state(x)
-        x, dudy = _pack(state), state.dUdy_plus
-        k_omega = x[1:3]
+        dudy, k_omega = state.dUdy_plus, x[1:3]
         minus_uv = self.shear(state)
         gamma_u, src_u = _momentum(grid, state, minus_uv)
         systems, f2 = _turbulence(grid, k_omega, x[3], dudy, minus_uv)
@@ -1136,7 +1124,7 @@ class _FixedPoint:
         """The scaled max-norm of F at x, and G's evaluation there
         (``sweep``), unless it is given as ``g``."""
         g = self.sweep(x) if g is None else g
-        return np.max(np.abs((_pack(g[2]) - x) / self.scale)), g
+        return np.max(np.abs((g[2].x - x) / self.scale)), g
 
     def attempt(self, x, g):
         """Newton from x, a (4, n) state, and ``g``, G's evaluation there
@@ -1182,7 +1170,7 @@ class _FixedPoint:
 
 
 def _scale(x):
-    """The scale of each field of a packed state (4, n), as a (4, 1)
+    """The scale of each field of an iterate (4, n), as a (4, 1)
     array: the larger of 1 and the field's largest magnitude."""
     return np.maximum(1.0, np.abs(x).max(axis=-1, keepdims=True))
 
@@ -1199,8 +1187,8 @@ def _band_tables(n):
     columns, a (4, 16, n) mask. Only reached entries are kept:
     a difference entry outside one column's reach may hold the entry of
     the other field of its colour. Each table holds one entry per
-    reached entry at most, so the tables of the default grid's 193 nodes
-    take 100,008 bytes (``nbytes``)."""
+    reached entry at most, so the tables of the default grid's 192 nodes
+    take 99,488 bytes (``nbytes``)."""
     colour = _COLOUR_BASE[:, None] + (np.arange(n) - _COLOUR_SHIFT[:, None]) % 8  # (4, n)
     # each reached entry's band place at its difference entry, read back
     # in the order of the differences; one node range at a time, so no

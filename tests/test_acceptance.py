@@ -163,7 +163,7 @@ def newton_correction(state, injection):
     """The largest entry of the scaled Newton step -J^-1 R that the
     local residual R asks for at a converged corner."""
     newton = channel._FixedPoint(channel._Grid(state.y_plus), state.re_tau, injection)
-    x = channel._pack(state)
+    x = state.x
     newton.scale = channel._scale(x)
     return np.max(np.abs(newton.direction(x / newton.scale)))
 

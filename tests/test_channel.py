@@ -195,8 +195,8 @@ class TestKernels:
         # from the iterate a failed Newton attempt started at), so a sweep
         # must not write into its input
         grid = channel._Grid(channel.make_grid(180.0, 33, 0.5))
-        U, k, om, nu_t = channel._init_state(grid)
-        state = channel.ChannelState(180.0, grid.y, U, k, om, nu_t, grid.grad(U))
+        x = np.stack(channel._init_state(grid))
+        state = channel.ChannelState(180.0, grid.y, x, grid.grad(x[0]))
         shear = 0.8 * (1.0 - grid.y / 180.0) if injected else None
         names = ("y_plus", "U_plus", "k_plus", "omega_plus", "nu_t_plus", "dUdy_plus")
         before = {name: getattr(state, name).copy() for name in names}
@@ -213,17 +213,16 @@ class TestKernels:
         # the rows of a stacked sweep, wall node of k included, are the
         # sweeps of the rows one by one, bit for bit
         grid = channel._Grid(channel.make_grid(180.0, 33, 0.5))
-        U, k, om, nu_t = channel._init_state(grid)
         scale = np.array([[1.0], [0.7], [1.3]])
-        state = channel.ChannelState(180.0, grid.y, U * scale, k * scale, om * scale,
-                                     nu_t * scale, grid.grad(U * scale))
+        x = np.stack(channel._init_state(grid))[:, None] * scale
+        state = channel.ChannelState(180.0, grid.y, x, grid.grad(x[0]))
         shear = 0.8 * (1.0 - grid.y / 180.0) * scale if injected else None
         stacked = channel._sweep(grid, state, shear, 0.5)
         for r in range(3):
             alone = channel._sweep(grid, channel._take(state, [r]),
                                    None if shear is None else shear[r], 0.5)
-            for name in channel._FIELDS:
-                assert np.array_equal(getattr(stacked, name)[r], getattr(alone, name)), (r, name)
+            assert np.array_equal(stacked.x[:, r], alone.x), r
+            assert np.array_equal(stacked.dUdy_plus[r], alone.dUdy_plus), r
         assert np.all(stacked.k_plus[:, 0] == 0.0)
 
     @staticmethod
@@ -425,7 +424,7 @@ class TestInjectedSolve:
 
         def recorded_sweep(*args, **kwargs):
             new, change = picard_sweep(*args, **kwargs)
-            recorded_sweep.last = channel._pack(new)
+            recorded_sweep.last = new.x
             return new, change
 
         def failed(self, x, g):
@@ -502,12 +501,14 @@ class TestLaminarFlag:
         k_max = np.max(state.k_plus)
         for scale, laminar in ((0.99 * channel.LAMINAR_K_MAX / k_max, True),
                                (1.01 * channel.LAMINAR_K_MAX / k_max, False)):
-            assert replace(state, k_plus=scale * state.k_plus).laminar == laminar
-        U = state.U_plus.copy()
+            x = state.x.copy()
+            x[1] = scale * state.k_plus
+            assert replace(state, x=x).laminar == laminar
+        x = state.x.copy()
         for rel, laminar in ((0.99 * channel.LAMINAR_U_RTOL, True),
                              (1.01 * channel.LAMINAR_U_RTOL, False)):
-            U[-1] = 90.0 * (1 + rel)
-            assert replace(state, U_plus=U.copy()).laminar == laminar
+            x[0, -1] = 90.0 * (1 + rel)
+            assert replace(state, x=x.copy()).laminar == laminar
 
 
 class TestIterationCounts:
@@ -999,8 +1000,8 @@ class TestInputsStayIntact:
 
     def initial_state(self):
         grid = channel._Grid(channel.make_grid(180.0, 32, 0.5))
-        U, k, om, nu_t = channel._init_state(grid)
-        return grid, channel.ChannelState(180.0, grid.y, U, k, om, nu_t, grid.grad(U))
+        x = np.stack(channel._init_state(grid))
+        return grid, channel.ChannelState(180.0, grid.y, x, grid.grad(x[0]))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_shear_and_residual(self, mode):
@@ -1012,11 +1013,11 @@ class TestInputsStayIntact:
         for name in names:
             assert np.array_equal(getattr(state, name), before[name]), name
         fp = channel._FixedPoint(grid, 180.0, injection)
-        x = channel._pack(state)
+        x = state.x
         x_before = x.copy()
-        f = channel._pack(fp.sweep(x)[2]) - x
+        f = fp.sweep(x)[2].x - x
         assert np.array_equal(x, x_before)
-        assert np.array_equal(channel._pack(fp.sweep(x)[2]) - x, f)
+        assert np.array_equal(fp.sweep(x)[2].x - x, f)
 
     def test_pcorr_angles_rotates_once_per_injection(self, monkeypatch):
         # the rotated frame depends on the targets only; the stress
@@ -1067,14 +1068,14 @@ def converged_newton(request):
         injection = channel.PerturbationInjection(request.param, **kwargs[request.param])
     state = channel.solve(cfg, injection)
     newton = channel._FixedPoint.under(channel._Grid(state.y_plus), state, injection)
-    x = channel._pack(state)
+    x = state.x
     newton.scale = channel._scale(x)
     return newton, x / newton.scale
 
 
 # How far R reaches, column field -> row field: REACH[f][g] is the largest
 # |i - j| at which field f of node j enters the row of field g of node i
-# (None: never), fields in packed order. It is the union of what the
+# (None: never), fields in the iterate's order. It is the union of what the
 # converged_newton cases measure, and the colouring and band of the
 # Jacobian rely on it through channel._REACH, which must equal it.
 REACH = {
@@ -1253,7 +1254,7 @@ class TestLocalResidual:
         state = envelope_datafree_180.corner_states["1C"]
         injection = channel.PerturbationInjection("datafree", corner="1C", delta_b=1.0)
         newton = channel._FixedPoint.under(channel._Grid(state.y_plus), state, injection)
-        x = channel._pack(state)
+        x = state.x
         newton.scale = channel._scale(x)
         newton.direction(x / newton.scale)  # the index tables are built once per size
         tracemalloc.start()
@@ -1278,10 +1279,10 @@ class TestLocalResidual:
         # at each corner of the default envelope, and at the initial
         # state under the corner's injection
         grid = channel._Grid(envelope_datafree_180.baseline.y_plus)
-        start = channel._pack(channel._start(180.0, ChannelConfig(re_tau=180.0))[1])
+        start = channel._start(180.0, ChannelConfig(re_tau=180.0))[1].x
         for corner, state in envelope_datafree_180.corner_states.items():
             injection = channel.PerturbationInjection("datafree", corner=corner, delta_b=1.0)
-            for x in (channel._pack(state), start):
+            for x in (state.x, start):
                 newton = channel._FixedPoint(grid, 180.0, injection)
                 newton.scale = channel._scale(x)
                 self.assert_direction_is_the_flat_reference(newton, x / newton.scale)
@@ -1297,13 +1298,11 @@ specials = st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]), max_size=4
 
 class TestPackedIterate:
     """A sweep, a relative change and the local residual take the
-    iterate U, k, omega, nu_t as one (4, ..., n) array. A state comes
-    packed (``_paired``, also as the strided rows of a stack's iterate,
-    as Newton takes a row), as a sweep's output, as the views of
-    ``_FixedPoint.state``, or as separate arrays (``_init_state``,
-    ``_take``, ``_stack``), which are packed on entry: every result is
-    the same bit for bit, NaN places, infinities and signs of zero
-    included."""
+    iterate U, k, omega, nu_t as one (4, ..., n) array, a state's ``x``.
+    Whether it comes contiguous, as the strided rows of a stack's
+    iterate (as Newton takes a row), as a sweep's output or as the
+    iterate of ``_FixedPoint.state``, every result is the same bit for
+    bit, NaN places, infinities and signs of zero included."""
 
     N = 33
 
@@ -1327,30 +1326,28 @@ class TestPackedIterate:
 
     def inputs(self, data, rows):
         """One state, one row or a (3, n) stack, with NaN, infinities and
-        -0.0 drawn into its U, k, omega and nu_t: with separate arrays;
-        packed into one array, contiguous and strided; as a sweep's
-        output holding those values; as the views of a fixed point's
-        ``state`` of its packed form; and that fixed point and form."""
+        -0.0 drawn into its U, k, omega and nu_t: on its iterate,
+        contiguous and strided; as a sweep's output holding those values;
+        as a fixed point's ``state`` of the iterate; and that fixed point
+        and iterate."""
         grid = channel._Grid(channel.make_grid(180.0, self.N, 0.5))
         scale = 1.0 if rows is None else np.array([[1.0], [0.7], [1.3]])
-        fields = [f * scale for f in channel._init_state(grid)]
+        x = np.stack([f * scale for f in channel._init_state(grid)])
         # a sweep of the state before the draws, its output overwritten
-        swept = channel._sweep(grid, channel.ChannelState(
-            180.0, grid.y, *fields, grid.grad(fields[0])), None, 0.8)
-        for name, f in zip(("U", "k", "omega", "nu_t"), fields):
+        swept = channel._sweep(grid, channel.ChannelState(180.0, grid.y, x, grid.grad(x[0])),
+                               None, 0.8)
+        for name, f in zip(("U", "k", "omega", "nu_t"), x):
             values = data.draw(specials, label=name)
             places = data.draw(st.lists(st.integers(0, f.size - 1), min_size=len(values),
                                         max_size=len(values)), label=f"{name} places")
             f.ravel()[places] = values
-        dudy = grid.grad(fields[0])
-        separate = channel.ChannelState(180.0, grid.y, *fields, dudy)
-        x = np.stack(fields)
-        swept.packed[...], swept.dUdy_plus[...] = x, dudy
+        dudy = grid.grad(x[0])
+        swept.x[...], swept.dUdy_plus[...] = x, dudy
         injection = data.draw(st.sampled_from(
             [None, channel.PerturbationInjection("datafree", corner="1C", delta_b=1.0)]))
         fp = channel._FixedPoint(grid, 180.0, injection)
-        states = (separate, channel._paired(180.0, grid.y, x, dudy),
-                  channel._paired(180.0, grid.y, self.strided(x), dudy), swept, fp.state(x))
+        states = (channel.ChannelState(180.0, grid.y, x, dudy),
+                  channel.ChannelState(180.0, grid.y, self.strided(x), dudy), swept, fp.state(x))
         return grid, states, fp, x
 
     @settings(max_examples=60, deadline=None)
@@ -1371,13 +1368,11 @@ class TestPackedIterate:
                 assert swept == [swept[0]] * len(states)
                 return
             for out in swept[1:]:
-                for name in channel._FIELDS:
-                    assert self.same(getattr(out, name), getattr(swept[0], name)), name
-            # the sweep's output is packed; its copy is separate
+                assert self.same(out.x, swept[0].x)
+                assert self.same(out.dUdy_plus, swept[0].dUdy_plus)
+            # the sweep's output, contiguous and strided
             new = swept[0]
-            apart = channel.ChannelState(new.re_tau, new.y_plus, new.U_plus.copy(),
-                                         new.k_plus.copy(), new.omega_plus.copy(),
-                                         new.nu_t_plus.copy(), new.dUdy_plus)
+            apart = replace(new, x=self.strided(new.x))
             changes = [channel._relative_change(old, after)
                        for old in states for after in (new, apart)]
         for change in changes[1:]:
@@ -1388,36 +1383,49 @@ class TestPackedIterate:
     def test_local_residual(self, rows, data):
         with np.errstate(all="ignore"):
             _, _, fp, x = self.inputs(data, rows)
-            packed = fp.local_residual(x)
-            assert self.same(fp.local_residual(self.strided(x)), packed)
-            views = fp.state
+            assert self.same(fp.local_residual(self.strided(x)), fp.local_residual(x))
 
-            def separate(x):
-                state = views(x)
-                return channel.ChannelState(
-                    state.re_tau, state.y_plus, state.U_plus.copy(), state.k_plus.copy(),
-                    state.omega_plus.copy(), state.nu_t_plus.copy(), state.dUdy_plus)
 
-            fp.state = separate
-            assert self.same(fp.local_residual(x), packed)
+class TestIterateViews:
+    """Every state the solver makes holds U, k, omega and nu_t as views
+    of the rows of its iterate ``x``, the one store of the four."""
 
-    def test_a_sweep_packs_its_output(self):
-        grid = channel._Grid(channel.make_grid(180.0, self.N, 0.5))
-        U, k, om, nu_t = channel._init_state(grid)
-        state = channel.ChannelState(180.0, grid.y, U, k, om, nu_t, grid.grad(U))
-        assert state.packed is None
-        out = channel._sweep(grid, state, None, 0.8)
-        assert out.packed.shape == (4, self.N)
+    @staticmethod
+    def assert_views(state):
         for row, name in enumerate(("U_plus", "k_plus", "omega_plus", "nu_t_plus")):
-            assert np.shares_memory(getattr(out, name), out.packed[row]), name
-        # a state rebuilt with another field holds no stale iterate
-        assert replace(out, k_plus=2.0 * out.k_plus).packed is None
+            view = getattr(state, name)
+            assert np.shares_memory(view, state.x[row]), name
+            assert view.shape == state.x.shape[1:], name
+
+    def test_stack_helpers(self):
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+        grid, start = channel._start(180.0, cfg)
+        stack = channel._stack([start, replace(start, x=2.0 * start.x), start], 180.0, grid.y)
+        assert stack.x.shape == (4, 3, 32)
         fp = channel._FixedPoint(grid, 180.0)
-        x = np.stack([channel._pack(out)] * 3, axis=1)
-        viewed = fp.state(x)
-        assert viewed.packed is x
-        assert viewed.U_plus.shape == (3, self.N)
-        assert np.shares_memory(viewed.nu_t_plus, x[3])
+        states = [start, stack, channel._take(stack, [1]), channel._take(stack, [2, 0]),
+                  channel._sweep(grid, start, None, 0.8), channel._sweep(grid, stack, None, 0.8),
+                  fp.state(stack.x)]
+        for state in states:
+            self.assert_views(state)
+        assert np.array_equal(channel._take(stack, [1]).x, 2.0 * start.x)
+        assert np.array_equal(channel._take(stack, [2, 0]).U_plus, [start.U_plus] * 2)
+
+    def test_solved_states(self, envelope_datafree_180):
+        self.assert_views(channel.solve(ChannelConfig(re_tau=180.0, n_cells=32)))
+        self.assert_views(envelope_datafree_180.baseline)
+        for state in envelope_datafree_180.corner_states.values():
+            self.assert_views(state)
+
+    def test_replace_moves_all_four_fields(self, envelope_datafree_180):
+        state = envelope_datafree_180.corner_states["1C"]
+        y = np.arange(4.0)[:, None] + state.x
+        moved = replace(state, x=y)
+        for row, name in enumerate(("U_plus", "k_plus", "omega_plus", "nu_t_plus")):
+            assert np.array_equal(getattr(moved, name), y[row]), name
+            assert np.shares_memory(getattr(moved, name), y[row]), name
+            with pytest.raises(AttributeError):
+                setattr(moved, name, y[row])
 
 
 @pytest.fixture(scope="module")
