@@ -18,6 +18,7 @@ import importlib.util
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -693,9 +694,10 @@ def _turbulence(grid, k_omega, nu_t, dudy, minus_uv, eddy=None):
     and omega transport systems as the ``_tridiagonal`` arguments of one
     stack, k's first along the leading axis, wall values 0 and omega's;
     and the blending function F2 of the eddy viscosity. Both gradients
-    are one ``grad`` call. Production is nu_t dU/dy^2 under the
-    eddy-viscosity closure and -u'v'* dU/dy under the shear ``minus_uv``
-    (see ``_sweep``)."""
+    are one ``grad`` call, and the k and omega sinks, like their
+    sources, are written with ``out=`` into the rows of one (2, ..., n)
+    array. Production is nu_t dU/dy^2 under the eddy-viscosity closure
+    and -u'v'* dU/dy under the shear ``minus_uv`` (see ``_sweep``)."""
     dudy2 = dudy**2
     # the rows by index: unpacking an array through its iterator takes
     # about 1 us longer
@@ -715,11 +717,14 @@ def _turbulence(grid, k_omega, nu_t, dudy, minus_uv, eddy=None):
         pk = minus_uv * dudy
     else:
         pk = np.where(eddy, nu_t * dudy2, minus_uv * dudy)
-    pk = np.minimum(pk, 10.0 * BETA_STAR * k * om)
     cross = 2.0 * SIGMA_W2 * not_f1 / om_s * dkdy * domdy
-    systems = (1.0 + _mid(blended[:2] * nu_t),
-               np.stack([-BETA_STAR * om_s, -blended[2] * om_s]),
-               np.stack([pk, blended[3] * dudy2 + cross]),
+    sink = np.empty((2,) + om_s.shape)
+    source = np.empty_like(sink)
+    np.multiply(-BETA_STAR, om_s, out=sink[0])
+    np.multiply(np.negative(blended[2], out=sink[1]), om_s, out=sink[1])
+    np.minimum(pk, 10.0 * BETA_STAR * k * om, out=source[0])
+    np.add(np.multiply(blended[3], dudy2, out=source[1]), cross, out=source[1])
+    systems = (1.0 + _mid(blended[:2] * nu_t), sink, source,
                grid.walls.reshape((2,) + (1,) * (f1.ndim - grid.y.ndim) + grid.y.shape[:-1]))
     return systems, f2
 
@@ -1221,8 +1226,10 @@ def total_shear_error(state: ChannelState) -> float:
 
 def barycentric_trace(state: ChannelState):
     """Barycentric points (n, 2) and corner weights (n, 3) of the
-    state's stress; NaN at degenerate near-laminar nodes."""
-    _, lam, _, degenerate = tensors.decompose(state.tau)
+    state's stress; NaN at degenerate near-laminar nodes. They read the
+    anisotropy eigenvalues alone (``tensors.anisotropy_eigenvalues``),
+    not the eigenvector frames."""
+    lam, degenerate = tensors.anisotropy_eigenvalues(state.tau)
     w = tensors.eigenvalues_to_weights(lam)
     w[degenerate] = np.nan
     return tensors.weights_to_points(w), w
@@ -1303,31 +1310,78 @@ def uq_envelope(cfg: ChannelConfig, injections: dict[str, PerturbationInjection]
     )
 
 
+def solution_table(state: ChannelState, trace=None):
+    """The header and columns of the state's solution CSV: its profiles,
+    stress components and corner weights, one row per node, ``nan``
+    weights at degenerate nodes. ``trace`` is the state's
+    ``barycentric_trace``, computed here when not given."""
+    _, w = barycentric_trace(state) if trace is None else trace
+    tau = state.tau
+    return "y_plus,U_plus,k_plus,omega_plus,nu_t_plus,uu,vv,ww,uv,C1,C2,C3", [
+        state.y_plus, state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus,
+        tau[:, 0, 0], tau[:, 1, 1], tau[:, 2, 2], tau[:, 0, 1], *w.T,
+    ]
+
+
+def trace_table(state: ChannelState, trace):
+    """The header and columns of the state's trace CSV: its barycentric
+    position and corner weights, its ``trace`` as ``barycentric_trace``
+    returns it, one row per node, ``nan`` at degenerate nodes."""
+    xy, w = trace
+    return "y_plus,x,y,C1,C2,C3", [state.y_plus, *xy.T, *w.T]
+
+
+def _format_columns(columns: np.ndarray) -> list[list[str]]:
+    """Each row of the (m, n) array ``columns`` as the list of its n
+    floats formatted ``%.17g``, all m rows by one ``%`` operation."""
+    m, n = columns.shape
+    items = (("%.17g\n" * (m * n)) % tuple(columns.ravel().tolist())).split("\n")
+    return [items[j * n:(j + 1) * n] for j in range(m)]
+
+
+def write_tables(tables) -> None:
+    """Write each of ``tables``, a ``(paths, header, columns)`` triple of
+    equal-length float64 columns, to every one of its ``paths`` by one
+    ``write`` call: the bytes ``np.savetxt(path, np.column_stack(columns),
+    fmt="%.17g", delimiter=",", comments="", header=header)`` writes for
+    a non-empty header (``%.17g`` round-trips float64).
+
+    A column is known by its float64 bytes, so -0.0 and 0.0 are two
+    columns and every NaN prints ``nan``. Each distinct column is
+    formatted once: the columns a table brings that no earlier table
+    had are formatted by one ``%`` operation, and a column's text is
+    kept only while a later table still has it.
+    """
+    distinct = {}  # one bytes object per distinct column
+    tables = [(paths, header, columns,
+               [distinct.setdefault(key, key) for key in map(np.ndarray.tobytes, columns)])
+              for paths, header, columns in tables]
+    # how many of the tables still to write have each column
+    left = Counter(key for *_, keys in tables for key in set(keys))
+    texts = {}
+    for paths, header, columns, keys in tables:
+        new = {key: column for key, column in zip(keys, columns) if key not in texts}
+        if new:
+            texts.update(zip(new, _format_columns(np.array(list(new.values())))))
+        text = "\n".join([header, *map(",".join, zip(*[texts[key] for key in keys])), ""])
+        for path in paths:
+            with open(path, "w") as f:
+                f.write(text)
+        del text  # before the next table is formatted
+        for key in set(keys):
+            left[key] -= 1
+            if not left[key]:
+                del texts[key]
+
+
 def _write_csv(paths, header: str, table: np.ndarray) -> None:
     """Write ``table`` (rows, columns) under ``header`` to each of
-    ``paths``, every float as ``%.17g``: the bytes that
-    ``np.savetxt(path, table, fmt="%.17g", delimiter=",", comments="",
-    header=header)`` writes for a non-empty header, but the whole table
-    is formatted by one ``%`` operation and written by one ``write``
-    call per file."""
-    n_rows, n_cols = table.shape
-    row = ",".join(["%.17g"] * n_cols) + "\n"
-    text = header + "\n" + (row * n_rows) % tuple(table.ravel().tolist())
-    for path in paths:
-        with open(path, "w") as f:
-            f.write(text)
+    ``paths``: ``write_tables`` of its one table."""
+    write_tables([(paths, header, table.T)])
 
 
 def write_solution_csv(state: ChannelState, *paths, trace=None) -> None:
-    """Write the state's profiles, stress components and corner weights to
-    each of ``paths``, one row per node, every float as ``%.17g`` (which
-    round-trips float64) and ``nan`` weights at degenerate nodes.
+    """Write the state's ``solution_table`` to each of ``paths``.
     ``trace`` is the state's ``barycentric_trace``, computed here when
     not given."""
-    _, w = barycentric_trace(state) if trace is None else trace
-    tau = state.tau
-    cols = np.column_stack([
-        state.y_plus, state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus,
-        tau[:, 0, 0], tau[:, 1, 1], tau[:, 2, 2], tau[:, 0, 1], w,
-    ])
-    _write_csv(paths, "y_plus,U_plus,k_plus,omega_plus,nu_t_plus,uu,vv,ww,uv,C1,C2,C3", cols)
+    write_tables([(paths, *solution_table(state, trace))])

@@ -263,9 +263,13 @@ def build_targets(rans_state, reference: DnsProfile, target_kind: str) -> Traini
     ref = interpolate(reference, rans_state.y_plus)
 
     X = feat.feature_matrix(rans_state)
-    _, lam_r, frame_r, degen_r = tensors.decompose(rans_state.tau)
     tau_d = tensors.stress_stack(ref.uu_plus, ref.vv_plus, ref.ww_plus, ref.uv_plus)
-    _, lam_d, frame_d, degen_d = tensors.decompose(tau_d)
+    if target_kind == "pcorr_angles":
+        _, lam_r, frame_r, degen_r = tensors.decompose(rans_state.tau)
+        _, lam_d, frame_d, degen_d = tensors.decompose(tau_d)
+    else:  # p and pcorr read no frames
+        lam_r, degen_r = tensors.anisotropy_eigenvalues(rans_state.tau)
+        lam_d, degen_d = tensors.anisotropy_eigenvalues(tau_d)
     keep = ~(degen_r | degen_d)
     if not keep.any():
         raise ValueError("all nodes degenerate; no training rows")

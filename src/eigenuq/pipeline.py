@@ -249,12 +249,9 @@ def _fmt(v):
 
 
 def write_trace_csv(state: channel.ChannelState, *paths, trace) -> None:
-    """Write the state's barycentric position and corner weights, its
-    ``trace`` as ``channel.barycentric_trace`` returns it, to each of
-    ``paths``: one row per node, every float as ``%.17g`` and ``nan`` at
-    degenerate nodes."""
-    xy, w = trace
-    channel._write_csv(paths, "y_plus,x,y,C1,C2,C3", np.column_stack([state.y_plus, xy, w]))
+    """Write the state's ``channel.trace_table`` of its ``trace`` to each
+    of ``paths``."""
+    channel.write_tables([(paths, *channel.trace_table(state, trace))])
 
 
 def count_realizability_violations(state: channel.ChannelState) -> int:
@@ -281,8 +278,10 @@ def cmd_baseline(settings: Settings, out_dir) -> int:
     state = channel.solve(cfg)
     _ensure_out(out_dir)
     trace = channel.barycentric_trace(state)
-    channel.write_solution_csv(state, os.path.join(out_dir, "baseline.csv"), trace=trace)
-    write_trace_csv(state, os.path.join(out_dir, "baseline_trace.csv"), trace=trace)
+    channel.write_tables([
+        ([os.path.join(out_dir, "baseline.csv")], *channel.solution_table(state, trace)),
+        ([os.path.join(out_dir, "baseline_trace.csv")], *channel.trace_table(state, trace)),
+    ])
     write_manifest(
         out_dir,
         "baseline",
@@ -456,24 +455,25 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
     takes = channel.PerturbationInjection.TAKES[mode]
     ran = replace(settings, uq={k: v for k, v in settings.uq.items() if k == "mode" or k in takes})
     _ensure_out(out_dir)
-    channel.write_solution_csv(env.baseline, os.path.join(out_dir, "baseline.csv"))
+    tables = [([os.path.join(out_dir, "baseline.csv")], *channel.solution_table(env.baseline))]
     # slots that share one state (the corner-free modes) share its trace
-    # and its formatted files
+    # and its tables
     slots = {}
     for corner, st in env.corner_states.items():
         slots.setdefault(id(st), (st, []))[1].append(corner)
     for st, corners in slots.values():
         trace = channel.barycentric_trace(st)
-        channel.write_solution_csv(
-            st, *(os.path.join(out_dir, f"corner_{c}.csv") for c in corners), trace=trace
-        )
-        write_trace_csv(st, *(os.path.join(out_dir, f"trace_{c}.csv") for c in corners),
-                        trace=trace)
-    channel._write_csv(
+        tables += [
+            ([os.path.join(out_dir, f"corner_{c}.csv") for c in corners],
+             *channel.solution_table(st, trace)),
+            ([os.path.join(out_dir, f"trace_{c}.csv") for c in corners],
+             *channel.trace_table(st, trace)),
+        ]
+    tables.append((
         [os.path.join(out_dir, "envelope.csv")], "y_plus,U_baseline,U_min,U_max,width",
-        np.column_stack([env.baseline.y_plus, env.baseline.U_plus, env.U_min, env.U_max,
-                         env.width]),
-    )
+        [env.baseline.y_plus, env.baseline.U_plus, env.U_min, env.U_max, env.width],
+    ))
+    channel.write_tables(tables)
     violations = count_realizability_violations(env.baseline) + sum(
         count_realizability_violations(s) for s in env.corner_states.values()
     )

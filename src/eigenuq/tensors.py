@@ -58,6 +58,29 @@ def boussinesq(k, nu_t, dudy):
     return stress_stack(iso, iso, iso, -nu_t * dudy)
 
 
+def _eigh(tau):
+    """k, the descending anisotropy eigenvalues, their eigenvector columns
+    as ``eigh`` returns them, and the degenerate mask: the one ``eigh``
+    call that ``decompose`` and ``anisotropy_eigenvalues`` share."""
+    k = 0.5 * np.trace(tau, axis1=1, axis2=2)
+    degenerate = k < K_FLOOR
+    k_safe = np.where(degenerate, 1.0, k)
+    a = tau / k_safe[:, None, None] - (2.0 / 3.0) * np.eye(3)
+    a[degenerate] = 0.0
+    lam, vec = np.linalg.eigh(a)
+    lam = lam[:, ::-1]
+    lam[degenerate] = 0.0
+    return k, lam, vec[:, :, ::-1], degenerate
+
+
+def anisotropy_eigenvalues(tau):
+    """``decompose``'s ``(lam, degenerate)`` bit for bit, from the same
+    ``eigh`` call, without normalising the frames: for callers that read
+    no eigenvectors (the barycentric trace, the p and pcorr targets)."""
+    _, lam, _, degenerate = _eigh(tau)
+    return lam, degenerate
+
+
 def decompose(tau):
     """Eigendecomposition of a_ij = tau_ij/k - (2/3) delta_ij.
 
@@ -66,16 +89,10 @@ def decompose(tau):
     two columns have their largest-magnitude component positive; the
     third is then signed so that each frame is right-handed.
     Near-laminar nodes (k below K_FLOOR) are marked ``degenerate`` and
-    carry lam = 0, frame = I instead of NaNs.
+    carry lam = 0, frame = I instead of NaNs. ``lam`` and ``degenerate``
+    are those of ``anisotropy_eigenvalues``, which skips the frames.
     """
-    k = 0.5 * np.trace(tau, axis1=1, axis2=2)
-    degenerate = k < K_FLOOR
-    k_safe = np.where(degenerate, 1.0, k)
-    a = tau / k_safe[:, None, None] - (2.0 / 3.0) * np.eye(3)
-    a[degenerate] = 0.0
-    lam, vec = np.linalg.eigh(a)
-    lam = lam[:, ::-1]
-    vec = vec[:, :, ::-1]
+    k, lam, vec, degenerate = _eigh(tau)
     # sign normalization: largest-magnitude component of each column positive
     imax = np.argmax(np.abs(vec), axis=1)
     signs = np.sign(np.take_along_axis(vec, imax[:, None, :], axis=1))[:, 0, :]
@@ -83,7 +100,6 @@ def decompose(tau):
     vec = vec * signs[:, None, :]
     # the frame is orthonormal, its determinant +-1: flip a left-handed one
     vec[np.linalg.det(vec) < 0, :, 2] *= -1.0
-    lam[degenerate] = 0.0
     vec[degenerate] = np.eye(3)
     return k, lam, vec, degenerate
 

@@ -1263,7 +1263,9 @@ class TestLocalResidual:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 193 nodes: 1,041 KB with 20 colours and BAND 11, 845 KB with 16 and 9
+        # the default grid's 192 nodes: 851,664 B with 16 colours and BAND 9
+        # (851,080 B before the k and omega sinks and sources were written
+        # into preallocated pairs)
         assert peak <= 922e3
 
     @staticmethod
@@ -1502,6 +1504,10 @@ class TestBaselineSolve:
             channel.solve(cfg)
 
 
+# NaN of either sign, both infinities, signed zeros, subnormals
+SPECIAL_FLOATS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308]
+
+
 class TestCsvWriter:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1521,6 +1527,36 @@ class TestCsvWriter:
         np.savetxt(out / "savetxt.csv", table, fmt="%.17g", delimiter=",", comments="",
                    header=header)
         assert (out / "block.csv").read_bytes() == (out / "savetxt.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pool=st.integers(1, 40).flatmap(lambda n: st.lists(
+            arrays(np.float64, n, elements=st.floats() | st.sampled_from(SPECIAL_FLOATS)),
+            min_size=1, max_size=4)),
+        tables=st.lists(st.tuples(st.integers(1, 3),
+                                  st.lists(st.integers(0, 7), min_size=1, max_size=8)),
+                        min_size=1, max_size=5),
+    )
+    @example(
+        pool=[np.array([0.0, np.nan, np.inf, 5e-324, 1.0]),
+              np.array([-0.0, -np.nan, -np.inf, -5e-324, 1.0])],
+        tables=[(2, [0, 1, 0]), (1, [1, 2, 3]), (3, [0, 3]), (1, [2, 2])],
+    )
+    def test_tables_are_savetxt_bytes(self, tmp_path_factory, pool, tables):
+        # every column drawn with its zeros' signs flipped beside it (the
+        # same bytes when it has no zero); the tables draw from the pool,
+        # so columns recur within a table and across tables
+        pool = [c for column in pool for c in (column, np.where(column == 0.0, -column, column))]
+        out = tmp_path_factory.mktemp("csv")
+        tables = [([out / f"{t}_{p}.csv" for p in range(n_paths)],
+                   ",".join(f"c{i}" for i in picks), [pool[i % len(pool)] for i in picks])
+                  for t, (n_paths, picks) in enumerate(tables)]
+        channel.write_tables(tables)
+        for paths, header, columns in tables:
+            np.savetxt(out / "savetxt.csv", np.column_stack(columns), fmt="%.17g",
+                       delimiter=",", comments="", header=header)
+            for path in paths:
+                assert path.read_bytes() == (out / "savetxt.csv").read_bytes()
 
     def test_every_path_gets_the_table(self, tmp_path):
         table = np.arange(6.0).reshape(3, 2)

@@ -403,6 +403,37 @@ class TestOutputFiles:
         assert cli.run([*args, "--out", str(tmp_path / "run")]) == pipeline.EXIT_OK
         assert len(traced) == len(set(traced)) == traces
 
+    @pytest.mark.parametrize(
+        "args, files",
+        [
+            (["uq", "--mode", "datafree", "--delta-b", "1.0", "--re-tau", "180"], 8),
+            (["baseline", "--re-tau", "180"], 2),
+            (["propagate-dns", "--re-tau", "180"], 1),
+        ],
+        ids=["uq-datafree", "baseline", "propagate-dns"],
+    )
+    def test_each_distinct_column_is_formatted_once(self, tmp_path, monkeypatch, args, files):
+        writes, formatted = [], []
+        write_tables, format_columns = channel.write_tables, channel._format_columns
+
+        def spy_write(tables):
+            writes.append(tables)
+            write_tables(tables)
+
+        def spy_format(columns):
+            formatted.extend(column.tobytes() for column in columns)
+            return format_columns(columns)
+
+        monkeypatch.setattr(channel, "write_tables", spy_write)
+        monkeypatch.setattr(channel, "_format_columns", spy_format)
+        assert cli.run([*args, "--out", str(tmp_path / "run")]) == pipeline.EXIT_OK
+        # one write call per command, and each column known by its bytes
+        # formatted by exactly one ``%`` operation of it
+        [tables] = writes
+        assert sum(len(paths) for paths, *_ in tables) == files
+        columns = [column.tobytes() for *_, table in tables for column in table]
+        assert sorted(formatted) == sorted(set(columns))
+
 
 class TestPropagateCommand:
     def test_synthetic_reference(self, tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -124,6 +124,27 @@ class TestDecompose:
         assert degenerate.tolist() == [True, False]
         assert np.array_equal(lam[0], np.zeros(3))
         assert np.array_equal(frame[0], np.eye(3))
+
+    @PROPERTY
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 8), st.just(3), st.just(3)),
+               elements=st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-13, -1e-13])),
+        st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    @example(  # a node of signed zeros, one just under K_FLOOR, one turbulent
+        tau=np.stack([np.full((3, 3), -0.0), np.diag([5e-13, 4e-13, -0.0]),
+                      tensors.stress_stack([1.0], [0.5], [0.5], [-0.2])[0]]),
+        laminar=[False] * 8,
+    )
+    def test_eigenvalues_alone_are_decompose_bit_for_bit(self, tau, laminar):
+        # mirror the lower triangle up (signed zeros and all) and scale the
+        # drawn nodes below K_FLOOR
+        tau = np.where(np.tri(3, dtype=bool), tau, np.swapaxes(tau, 1, 2))
+        tau[np.array(laminar[:len(tau)])] *= 1e-16
+        _, lam, _, degenerate = tensors.decompose(tau)
+        alone, alone_degenerate = tensors.anisotropy_eigenvalues(tau)
+        assert alone.tobytes() == lam.tobytes()
+        assert np.array_equal(alone_degenerate, degenerate)
 
 
 class TestBarycentricMap:
