@@ -18,7 +18,6 @@ import importlib.util
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -249,9 +248,9 @@ class _Grid:
     ``gradient(f, y)`` bit for bit, uniform-spacing branch too.
 
     ``y`` holds the (n,) nodes of one grid, or the (rows, n) nodes of a
-    stack whose rows differ in Re_tau. Then every term is per row, the
-    wall omega and the last half spacing (rows,) arrays, and each row
-    takes the gradient branch of its own grid."""
+    stack of rows. Then every term is per row, the wall omega and the
+    last half spacing (rows,) arrays, and each row takes the gradient
+    branch of its own grid."""
 
     def __init__(self, y):
         self.y = y
@@ -789,14 +788,15 @@ def _relative_change(old, new):
 def _rows(a, rows, fields=()):
     """The rows ``rows`` (a list of indices) of a stack of arrays (n,)
     or (rows, n) behind the leading axes ``fields``: none, or the (4,)
-    of an iterate (4, n) or (4, rows, n). A single row is a plain (n,) array, both ways: whole
-    one-row solves run as (1, n) stacks took 6-8% longer (the baseline at
-    Re_tau 180 and 1000, ``propagate-dns`` at 1000; 17-18 of 20
-    interleaved pairs). The Picard sweeps carry it: a baseline
-    ``_sweep`` took 7-13% longer as a (1, n) stack (faster in 0-6 of 30
-    pairs), because a numpy ufunc that broadcasts an (n,) grid array
-    against a (1, n) one costs about 1 us more than one on equal shapes
-    (``_Grid.grad``: 7.5 against 11.6 us in one run)."""
+    of an iterate (4, n) or (4, rows, n). A single row is a plain (n,)
+    array, both ways: the same arithmetic costs more as two-dimensional
+    ufunc calls, even on a (1, n) grid whose terms are (1, n) too. On a
+    2-core x86 host a baseline ``_sweep`` at Re_tau 550 took 100.5 us as
+    a (1, n) stack on such a grid against 96.5 us as (n,) arrays, and its
+    ``_turbulence`` 44.4 against 43.1 us (best of 15 runs of 500 calls);
+    whole baseline solves whose Picard sweeps ran that way took 1.021
+    times as long at Re_tau 550 and 1.019 times at 180 (medians of 200
+    interleaved pairs, slower in 150 and 140 of them)."""
     rows = list(rows)
     return a.reshape(fields + (-1, a.shape[-1]))[..., rows[0] if len(rows) == 1 else rows, :]
 
@@ -866,12 +866,11 @@ def _solve_rows(cfg, injections, re_taus=None):
     Picard sweep updates every row at once: one tridiagonal solve for
     momentum and one for k and omega together and, for several coupled
     rows, one evaluation of the coupled shear
-    (``PerturbationInjection.stack``). Rows at one Re_tau share its
-    grid; rows that differ in Re_tau sweep on the (rows, n) stack of
-    their grids, with 1/Re_tau per row. After each block one G evaluation
-    of the stack gives every row its first F, then every row gets its own
-    Newton attempt on its own grid, and a row that converges leaves the
-    stack. A row's arithmetic is that of the row alone, so
+    (``PerturbationInjection.stack``). The rows sweep on the (rows, n)
+    stack of their grids, with 1/Re_tau per row. After each block one G
+    evaluation of the stack gives every row its first F, then every row
+    gets its own Newton attempt on its own grid, and a row that
+    converges leaves the stack. A row's arithmetic is that of the row alone, so
     its state, residual history, Newton steps and error are those of a
     solve of that row by itself.
 
@@ -1013,9 +1012,8 @@ class _FixedPoint:
         """The fixed point of a stack whose row r is that of ``fps[r]``.
         One row is its own; several rows are baseline rows alone, or at
         most one baseline row followed by the corners of one perturbation
-        (``PerturbationInjection.stack``). Rows on one grid share it;
-        rows on several grids sweep on the stack of their grids, with
-        ``re_tau`` a (rows, 1) array.
+        (``PerturbationInjection.stack``), and sweep on the (rows, n)
+        stack of their grids, with ``re_tau`` a (rows, 1) array.
         Each row keeps its relaxation factor, a (rows, 1) array when they
         differ, and a baseline row its closure, implicit eddy diffusion
         in momentum and nu_t dU/dy in production, where the (rows, 1)
@@ -1023,10 +1021,8 @@ class _FixedPoint:
         if len(fps) == 1:
             return fps[0]
         first = fps[0]
-        grid, re_tau = first.grid, first.re_tau
-        if any(fp.grid is not grid for fp in fps):
-            grid = _Grid(np.stack([fp.grid.y for fp in fps]))
-            re_tau = np.array([[fp.re_tau] for fp in fps])
+        grid = _Grid(np.stack([fp.grid.y for fp in fps]))
+        re_tau = np.array([[fp.re_tau] for fp in fps])
         baseline = first.injection is None
         coupled = [fp.injection for fp in (fps[1:] if baseline else fps)]
         stacked = cls(grid, re_tau, PerturbationInjection.stack(coupled) if any(coupled) else None)
@@ -1047,7 +1043,7 @@ class _FixedPoint:
         rows = 1 if len(state.U_plus) == 2 else slice(1, None)
         coupled = ChannelState(state.re_tau, state.y_plus, state.x[:, rows], state.dUdy_plus[rows])
         out = np.zeros(state.U_plus.shape)
-        out[1:] = np.minimum(self.injection.shear(coupled), self.cap)
+        out[1:] = np.minimum(self.injection.shear(coupled), self.cap[rows])
         return out
 
     def state(self, x):
@@ -1308,80 +1304,3 @@ def uq_envelope(cfg: ChannelConfig, injections: dict[str, PerturbationInjection]
         U_min=profiles.min(axis=0),
         U_max=profiles.max(axis=0),
     )
-
-
-def solution_table(state: ChannelState, trace=None):
-    """The header and columns of the state's solution CSV: its profiles,
-    stress components and corner weights, one row per node, ``nan``
-    weights at degenerate nodes. ``trace`` is the state's
-    ``barycentric_trace``, computed here when not given."""
-    _, w = barycentric_trace(state) if trace is None else trace
-    tau = state.tau
-    return "y_plus,U_plus,k_plus,omega_plus,nu_t_plus,uu,vv,ww,uv,C1,C2,C3", [
-        state.y_plus, state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus,
-        tau[:, 0, 0], tau[:, 1, 1], tau[:, 2, 2], tau[:, 0, 1], *w.T,
-    ]
-
-
-def trace_table(state: ChannelState, trace):
-    """The header and columns of the state's trace CSV: its barycentric
-    position and corner weights, its ``trace`` as ``barycentric_trace``
-    returns it, one row per node, ``nan`` at degenerate nodes."""
-    xy, w = trace
-    return "y_plus,x,y,C1,C2,C3", [state.y_plus, *xy.T, *w.T]
-
-
-def _format_columns(columns: np.ndarray) -> list[list[str]]:
-    """Each row of the (m, n) array ``columns`` as the list of its n
-    floats formatted ``%.17g``, all m rows by one ``%`` operation."""
-    m, n = columns.shape
-    items = (("%.17g\n" * (m * n)) % tuple(columns.ravel().tolist())).split("\n")
-    return [items[j * n:(j + 1) * n] for j in range(m)]
-
-
-def write_tables(tables) -> None:
-    """Write each of ``tables``, a ``(paths, header, columns)`` triple of
-    equal-length float64 columns, to every one of its ``paths`` by one
-    ``write`` call: the bytes ``np.savetxt(path, np.column_stack(columns),
-    fmt="%.17g", delimiter=",", comments="", header=header)`` writes for
-    a non-empty header (``%.17g`` round-trips float64).
-
-    A column is known by its float64 bytes, so -0.0 and 0.0 are two
-    columns and every NaN prints ``nan``. Each distinct column is
-    formatted once: the columns a table brings that no earlier table
-    had are formatted by one ``%`` operation, and a column's text is
-    kept only while a later table still has it.
-    """
-    distinct = {}  # one bytes object per distinct column
-    tables = [(paths, header, columns,
-               [distinct.setdefault(key, key) for key in map(np.ndarray.tobytes, columns)])
-              for paths, header, columns in tables]
-    # how many of the tables still to write have each column
-    left = Counter(key for *_, keys in tables for key in set(keys))
-    texts = {}
-    for paths, header, columns, keys in tables:
-        new = {key: column for key, column in zip(keys, columns) if key not in texts}
-        if new:
-            texts.update(zip(new, _format_columns(np.array(list(new.values())))))
-        text = "\n".join([header, *map(",".join, zip(*[texts[key] for key in keys])), ""])
-        for path in paths:
-            with open(path, "w") as f:
-                f.write(text)
-        del text  # before the next table is formatted
-        for key in set(keys):
-            left[key] -= 1
-            if not left[key]:
-                del texts[key]
-
-
-def _write_csv(paths, header: str, table: np.ndarray) -> None:
-    """Write ``table`` (rows, columns) under ``header`` to each of
-    ``paths``: ``write_tables`` of its one table."""
-    write_tables([(paths, header, table.T)])
-
-
-def write_solution_csv(state: ChannelState, *paths, trace=None) -> None:
-    """Write the state's ``solution_table`` to each of ``paths``.
-    ``trace`` is the state's ``barycentric_trace``, computed here when
-    not given."""
-    write_tables([(paths, *solution_table(state, trace))])

@@ -2,9 +2,10 @@
 prescribed-stress propagation, and report aggregation.
 
 Every command writes its outputs plus a single ``manifest.json`` into the
-output directory; reruns with an identical manifest produce byte-identical
-CSVs. Configuration comes from an INI file; command-line flags win over
-file values.
+output directory; this module lays out and writes every one of those
+files. Reruns with an identical manifest produce byte-identical CSVs.
+Configuration comes from an INI file; command-line flags win over file
+values.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import io
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -231,6 +233,10 @@ def _ensure_out(out_dir):
     os.makedirs(out_dir, exist_ok=True)
 
 
+# ---------------------------------------------------------------------------
+# output files: metrics and summary rows, and the float64 tables of states
+
+
 def _write_rows(path, rows):
     """Write ``rows``, mappings from column to value that share the
     columns of the first in its order, under a header of those columns."""
@@ -248,10 +254,69 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def write_trace_csv(state: channel.ChannelState, *paths, trace) -> None:
-    """Write the state's ``channel.trace_table`` of its ``trace`` to each
-    of ``paths``."""
-    channel.write_tables([(paths, *channel.trace_table(state, trace))])
+def solution_table(state: channel.ChannelState, trace=None):
+    """The header and columns of the state's solution CSV: its profiles,
+    stress components and corner weights, one row per node, ``nan``
+    weights at degenerate nodes. ``trace`` is the state's
+    ``channel.barycentric_trace``, computed here when not given."""
+    _, w = channel.barycentric_trace(state) if trace is None else trace
+    tau = state.tau
+    return "y_plus,U_plus,k_plus,omega_plus,nu_t_plus,uu,vv,ww,uv,C1,C2,C3", [
+        state.y_plus, state.U_plus, state.k_plus, state.omega_plus, state.nu_t_plus,
+        tau[:, 0, 0], tau[:, 1, 1], tau[:, 2, 2], tau[:, 0, 1], *w.T,
+    ]
+
+
+def trace_table(state: channel.ChannelState, trace):
+    """The header and columns of the state's trace CSV: its barycentric
+    position and corner weights, its ``trace`` as
+    ``channel.barycentric_trace`` returns it, one row per node, ``nan``
+    at degenerate nodes."""
+    xy, w = trace
+    return "y_plus,x,y,C1,C2,C3", [state.y_plus, *xy.T, *w.T]
+
+
+def _format_columns(columns: np.ndarray) -> list[list[str]]:
+    """Each row of the (m, n) array ``columns`` as the list of its n
+    floats formatted ``%.17g``, all m rows by one ``%`` operation."""
+    m, n = columns.shape
+    items = (("%.17g\n" * (m * n)) % tuple(columns.ravel().tolist())).split("\n")
+    return [items[j * n:(j + 1) * n] for j in range(m)]
+
+
+def write_tables(tables) -> None:
+    """Write each of ``tables``, a ``(paths, header, columns)`` triple of
+    equal-length float64 columns, to every one of its ``paths`` by one
+    ``write`` call: the bytes ``np.savetxt(path, np.column_stack(columns),
+    fmt="%.17g", delimiter=",", comments="", header=header)`` writes for
+    a non-empty header (``%.17g`` round-trips float64).
+
+    A column is known by its float64 bytes, so -0.0 and 0.0 are two
+    columns and every NaN prints ``nan``. Each distinct column is
+    formatted once: the columns a table brings that no earlier table
+    had are formatted by one ``%`` operation, and a column's text is
+    kept only while a later table still has it.
+    """
+    distinct = {}  # one bytes object per distinct column
+    tables = [(paths, header, columns,
+               [distinct.setdefault(key, key) for key in map(np.ndarray.tobytes, columns)])
+              for paths, header, columns in tables]
+    # how many of the tables still to write have each column
+    left = Counter(key for *_, keys in tables for key in set(keys))
+    texts = {}
+    for paths, header, columns, keys in tables:
+        new = {key: column for key, column in zip(keys, columns) if key not in texts}
+        if new:
+            texts.update(zip(new, _format_columns(np.array(list(new.values())))))
+        text = "\n".join([header, *map(",".join, zip(*[texts[key] for key in keys])), ""])
+        for path in paths:
+            with open(path, "w") as f:
+                f.write(text)
+        del text  # before the next table is formatted
+        for key in set(keys):
+            left[key] -= 1
+            if not left[key]:
+                del texts[key]
 
 
 def count_realizability_violations(state: channel.ChannelState) -> int:
@@ -278,9 +343,9 @@ def cmd_baseline(settings: Settings, out_dir) -> int:
     state = channel.solve(cfg)
     _ensure_out(out_dir)
     trace = channel.barycentric_trace(state)
-    channel.write_tables([
-        ([os.path.join(out_dir, "baseline.csv")], *channel.solution_table(state, trace)),
-        ([os.path.join(out_dir, "baseline_trace.csv")], *channel.trace_table(state, trace)),
+    write_tables([
+        ([os.path.join(out_dir, "baseline.csv")], *solution_table(state, trace)),
+        ([os.path.join(out_dir, "baseline_trace.csv")], *trace_table(state, trace)),
     ])
     write_manifest(
         out_dir,
@@ -455,7 +520,7 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
     takes = channel.PerturbationInjection.TAKES[mode]
     ran = replace(settings, uq={k: v for k, v in settings.uq.items() if k == "mode" or k in takes})
     _ensure_out(out_dir)
-    tables = [([os.path.join(out_dir, "baseline.csv")], *channel.solution_table(env.baseline))]
+    tables = [([os.path.join(out_dir, "baseline.csv")], *solution_table(env.baseline))]
     # slots that share one state (the corner-free modes) share its trace
     # and its tables
     slots = {}
@@ -465,15 +530,15 @@ def cmd_uq(settings: Settings, out_dir, forest_path=None, delta_b=None) -> int:
         trace = channel.barycentric_trace(st)
         tables += [
             ([os.path.join(out_dir, f"corner_{c}.csv") for c in corners],
-             *channel.solution_table(st, trace)),
+             *solution_table(st, trace)),
             ([os.path.join(out_dir, f"trace_{c}.csv") for c in corners],
-             *channel.trace_table(st, trace)),
+             *trace_table(st, trace)),
         ]
     tables.append((
         [os.path.join(out_dir, "envelope.csv")], "y_plus,U_baseline,U_min,U_max,width",
         [env.baseline.y_plus, env.baseline.U_plus, env.U_min, env.U_max, env.width],
     ))
-    channel.write_tables(tables)
+    write_tables(tables)
     violations = count_realizability_violations(env.baseline) + sum(
         count_realizability_violations(s) for s in env.corner_states.values()
     )
@@ -515,7 +580,7 @@ def cmd_propagate_dns(settings: Settings, out_dir, dns_path=None) -> int:
     den = np.linalg.norm(ref.U_plus)
     rel_l2 = float(num / den) if den > 0 else float("nan")
     _ensure_out(out_dir)
-    channel.write_solution_csv(state, os.path.join(out_dir, "propagated.csv"))
+    write_tables([([os.path.join(out_dir, "propagated.csv")], *solution_table(state))])
     _write_rows(
         os.path.join(out_dir, "metrics.csv"),
         [{"re_tau": cfg.re_tau, "noise": noise, "noise_seed": seed,

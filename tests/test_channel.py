@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 from scipy.ndimage import gaussian_filter1d
 
-from eigenuq import channel, dns, perturb, rotation, tensors
+from eigenuq import channel, dns, perturb, pipeline, rotation, tensors
 from eigenuq.channel import ChannelConfig
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -1465,7 +1465,7 @@ class TestBaselineSolve:
 
     def test_solution_csv(self, state, tmp_path):
         path = tmp_path / "solution.csv"
-        channel.write_solution_csv(state, path)
+        pipeline.write_tables([([path], *pipeline.solution_table(state))])
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("y_plus,U_plus,k_plus,omega_plus")
         assert len(lines) == len(state.y_plus) + 1
@@ -1523,7 +1523,7 @@ class TestCsvWriter:
     )
     def test_bytes_are_savetxt_bytes(self, tmp_path_factory, table, header):
         out = tmp_path_factory.mktemp("csv")
-        channel._write_csv([out / "block.csv"], header, table)
+        pipeline.write_tables([([out / "block.csv"], header, table.T)])
         np.savetxt(out / "savetxt.csv", table, fmt="%.17g", delimiter=",", comments="",
                    header=header)
         assert (out / "block.csv").read_bytes() == (out / "savetxt.csv").read_bytes()
@@ -1551,7 +1551,7 @@ class TestCsvWriter:
         tables = [([out / f"{t}_{p}.csv" for p in range(n_paths)],
                    ",".join(f"c{i}" for i in picks), [pool[i % len(pool)] for i in picks])
                   for t, (n_paths, picks) in enumerate(tables)]
-        channel.write_tables(tables)
+        pipeline.write_tables(tables)
         for paths, header, columns in tables:
             np.savetxt(out / "savetxt.csv", np.column_stack(columns), fmt="%.17g",
                        delimiter=",", comments="", header=header)
@@ -1561,7 +1561,7 @@ class TestCsvWriter:
     def test_every_path_gets_the_table(self, tmp_path):
         table = np.arange(6.0).reshape(3, 2)
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        channel._write_csv(paths, "u,v", table)
+        pipeline.write_tables([(paths, "u,v", table.T)])
         for path in paths:
             assert path.read_text() == "u,v\n0,1\n2,3\n4,5\n"
             assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), table)

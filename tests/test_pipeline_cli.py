@@ -414,7 +414,7 @@ class TestOutputFiles:
     )
     def test_each_distinct_column_is_formatted_once(self, tmp_path, monkeypatch, args, files):
         writes, formatted = [], []
-        write_tables, format_columns = channel.write_tables, channel._format_columns
+        write_tables, format_columns = pipeline.write_tables, pipeline._format_columns
 
         def spy_write(tables):
             writes.append(tables)
@@ -424,8 +424,8 @@ class TestOutputFiles:
             formatted.extend(column.tobytes() for column in columns)
             return format_columns(columns)
 
-        monkeypatch.setattr(channel, "write_tables", spy_write)
-        monkeypatch.setattr(channel, "_format_columns", spy_format)
+        monkeypatch.setattr(pipeline, "write_tables", spy_write)
+        monkeypatch.setattr(pipeline, "_format_columns", spy_format)
         assert cli.run([*args, "--out", str(tmp_path / "run")]) == pipeline.EXIT_OK
         # one write call per command, and each column known by its bytes
         # formatted by exactly one ``%`` operation of it
@@ -433,6 +433,30 @@ class TestOutputFiles:
         assert sum(len(paths) for paths, *_ in tables) == files
         columns = [column.tobytes() for *_, table in tables for column in table]
         assert sorted(formatted) == sorted(set(columns))
+
+
+class TestRowCells:
+    """The cell bytes of metrics.csv and summary.csv (``_write_rows``)."""
+
+    def test_text_integers_and_nan(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        pipeline._write_rows(path, [
+            {"run": "uq", "n": 3, "m": np.int64(-7), "x": 0.1},
+            {"run": "", "n": 0, "m": np.int64(2**40), "x": np.nan},
+        ])
+        assert path.read_bytes() == (
+            b"run,n,m,x\nuq,3,-7,0.10000000000000001\n,0,1099511627776,nan\n")
+
+    @pytest.mark.parametrize("value", [
+        0.1, 1 / 3, -0.0, 6.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+        np.float64(2.5e-7), np.inf, -np.inf,
+    ])
+    def test_float_is_17g_and_parses_back(self, tmp_path, value):
+        path = tmp_path / "rows.csv"
+        pipeline._write_rows(path, [{"x": value}])
+        assert path.read_bytes() == b"x\n" + (b"%.17g\n" % value)
+        cell = np.float64(path.read_text().splitlines()[1])
+        assert cell == value and np.signbit(cell) == np.signbit(value)
 
 
 class TestPropagateCommand:
