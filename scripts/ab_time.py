@@ -18,7 +18,9 @@ not counted. The script prints each side's median run time and
 quartiles, the median over the pairs of B's time over A's, and how many
 pairs B ran faster. Last it compares the two warm-up runs' outputs file
 by file and prints ``outputs identical (N files)`` or the names of the
-files that differ or are written by one side only; either way the exit
+files that differ or are written by one side only, each differing CSV
+with the largest |difference| of each of its numeric columns (the
+comparison of ``output_matrix.py --compare``); either way the exit
 status stays 0. A run that fails, by an exit status other than 0 or an
 exception, stops it.
 """
@@ -34,6 +36,12 @@ import tempfile
 import time
 
 SIDES = ("a", "b")
+
+# output_matrix.py beside this script, for its CSV comparison
+_spec = importlib.util.spec_from_file_location(
+    "output_matrix", os.path.join(os.path.dirname(os.path.abspath(__file__)), "output_matrix.py"))
+output_matrix = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_matrix)
 
 
 def load(checkout, name):
@@ -79,13 +87,18 @@ def time_pairs(clis, argv, pairs, out_root):
 
 def compare_outputs(dir_a, dir_b):
     """The printed line that says whether two output directories hold
-    the same files, byte for byte."""
+    the same files, byte for byte, and how far the columns of each
+    differing CSV moved."""
     names = [{os.path.relpath(os.path.join(root, name), top)
               for root, _, files in os.walk(top) for name in files}
              for top in (dir_a, dir_b)]
     common = sorted(names[0] & names[1])
     _, mismatch, errors = filecmp.cmpfiles(dir_a, dir_b, common, shallow=False)
     differ = sorted(set(mismatch + errors) | (names[0] ^ names[1]))
+    for i, name in enumerate(differ):
+        if name in mismatch and name.endswith(".csv"):
+            deltas = output_matrix.csv_deltas(os.path.join(dir_a, name), os.path.join(dir_b, name))
+            differ[i] = f"{name} ({'; '.join(deltas)})"
     if differ:
         return f"outputs differ: {', '.join(differ)}"
     return f"outputs identical ({len(common)} files)"

@@ -26,10 +26,6 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-
-from eigenuq import cli, dns  # noqa: E402
-
 SMALL_GRID = os.path.join(ROOT, "perfbench", "uq-small-grid.ini")
 
 # A training on Re_tau whose grids take both branches of the gradient:
@@ -89,7 +85,7 @@ def _files(top):
             for d, _, names in os.walk(top) for name in names}
 
 
-def _csv_deltas(path_a, path_b):
+def csv_deltas(path_a, path_b):
     """One line per column of two CSV files of the same header and
     length: the largest |a - b| of a numeric column (NaN against NaN
     counts as equal), or whether a text column differs."""
@@ -164,7 +160,7 @@ def compare(a, b):
                 if fa.read() == fb.read():
                     continue
             print(f"differs: {name}")
-            detail = {".csv": _csv_deltas, ".json": _json_diffs}.get(os.path.splitext(name)[1])
+            detail = {".csv": csv_deltas, ".json": _json_diffs}.get(os.path.splitext(name)[1])
             if detail:
                 for line in detail(os.path.join(a, name), os.path.join(b, name)):
                     print(f"  {line}")
@@ -181,6 +177,11 @@ def main(argv=None):
         sys.exit("usage: python3 scripts/output_matrix.py OUT_DIR\n"
                  "       python3 scripts/output_matrix.py --compare OUT_A OUT_B")
     out = args[0]
+    # the package of this checkout, imported only to run the commands:
+    # ``compare`` and ``csv_deltas`` need none
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from eigenuq import cli, dns
+
     os.makedirs(out)  # fails if it exists: no file of an earlier run may remain
     os.chdir(out)  # relative run paths, so no file records where OUT_DIR is
     for name, text in (MIXED_GRIDS, DATA_FILE):

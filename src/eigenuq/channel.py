@@ -75,7 +75,8 @@ if _scipy is None:
     raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
 _flapack = _load_flapack([os.path.join(d, "linalg") for d in _scipy.submodule_search_locations])
 _GTSV = _flapack.dgtsv
-_GBSV = _flapack.dgbsv
+_GBTRF = _flapack.dgbtrf
+_GBTRS = _flapack.dgbtrs
 
 # Solve controls. Every solve, baseline, prescribed or coupled stress,
 # is solved to its fixed point x = G(x), where x stacks U, k, omega and
@@ -86,13 +87,17 @@ _GBSV = _flapack.dgbsv
 # the one of each iterate by min(STRESS_RELAX, 1 / (1 + nu_t))) run in
 # blocks of PICARD_BLOCK; after each block, damped Newton on the local
 # residual (``_FixedPoint.attempt``) takes over on a copy for at most
-# NEWTON_STEPS steps, each one evaluation of that residual on 17 states
-# and one LAPACK gbsv call. A solve is done at a scaled max-norm of
-# F = G(x) - x of NEWTON_TOL.
+# NEWTON_STEPS steps. A fresh step evaluates the Jacobian (that residual
+# on 17 states) and factors it (LAPACK gbtrf); the factors are kept, and
+# the next step first tries the chord step on them (the residual on one
+# state and one gbtrs call), taken only at full length and only if it
+# cuts the scaled F by CHORD_CONTRACTION. A solve is done at a scaled
+# max-norm of F = G(x) - x of NEWTON_TOL.
 STRESS_RELAX = 0.2
 PICARD_BLOCK = 50
 NEWTON_STEPS = 40
 NEWTON_TOL = 1e-10
+CHORD_CONTRACTION = 0.1
 
 # How far the local residual R reaches, column field -> row field, fields
 # in the iterate's order (U, k, omega, nu_t): _REACH[f, g] is the largest
@@ -165,11 +170,12 @@ class ChannelState:
     tau: np.ndarray | None = None  # (n, 3, 3) Reynolds stress per node
     # relative change of U, k and omega, one per Picard sweep
     residual_history: list[float] = field(default_factory=list)
-    # how the solve reached its fixed point: Newton steps over all
-    # attempts and the final scaled max-norm of F; for a coupled stress
-    # also the largest change of the capped shear recomputed from the
-    # converged flow (None otherwise)
+    # how the solve reached its fixed point: Newton steps and Jacobian
+    # evaluations over all attempts and the final scaled max-norm of F;
+    # for a coupled stress also the largest change of the capped shear
+    # recomputed from the converged flow (None otherwise)
     newton_steps: int = 0
+    jacobians: int = 0
     fixed_point_residual: float | None = None
     stress_consistency: float | None = None
 
@@ -211,7 +217,8 @@ class ChannelState:
 
 
 def make_grid(re_tau: float, n_nodes: int, y1: float) -> np.ndarray:
-    """Geometrically stretched nodes on [0, re_tau] with first spacing y1."""
+    """Geometrically stretched nodes on [0, re_tau] with first spacing y1;
+    the last node is re_tau exactly."""
     m = n_nodes - 1  # intervals
     if y1 * m >= re_tau:
         # uniform grid already finer than requested clustering
@@ -237,6 +244,7 @@ def make_grid(re_tau: float, n_nodes: int, y1: float) -> np.ndarray:
     h = y1 * r ** np.arange(m)
     y = np.concatenate([[0.0], np.cumsum(h)])
     y *= re_tau / y[-1]
+    y[-1] = re_tau  # the product can miss it by an ulp
     return y
 
 
@@ -995,8 +1003,9 @@ class _FixedPoint:
         self.eddy = None  # the (rows, 1) mask of a stack's baseline row (see ``stack``)
         self.band_index, self.reached, self.colours = _band_tables(grid.y.shape[-1])
         self.residuals = []  # the relative change of each Picard sweep
-        self.newton_steps = 0  # of all attempts
+        self.newton_steps = self.jacobians = 0  # of all attempts
         self.f = self.reason = self.result = None  # see ``attempt``
+        self.factors = None  # the LU factors of the last direction, while an attempt keeps them
 
     @classmethod
     def under(cls, grid, start, injection):
@@ -1093,7 +1102,8 @@ class _FixedPoint:
             minus_uv = out.nu_t_plus * out.dUdy_plus
             tau = tensors.boussinesq(out.k_plus, out.nu_t_plus, out.dUdy_plus)
         return replace(out, minus_uv_plus=minus_uv, tau=tau, residual_history=self.residuals,
-                       newton_steps=self.newton_steps, fixed_point_residual=float(self.f),
+                       newton_steps=self.newton_steps, jacobians=self.jacobians,
+                       fixed_point_residual=float(self.f),
                        stress_consistency=consistency)
 
     def direction(self, z):
@@ -1101,24 +1111,40 @@ class _FixedPoint:
         colour steps is one evaluation on their (4, 17, n) stack, scaled
         in place. The band of J = dR/dz, node-major (the transpose of
         (4, n)), goes straight into the (3 BAND + 1, 4n) storage of
-        LAPACK's gbsv, which holds J[i, j] in row 2 BAND + i - j of
-        column j and the fill-in of its pivoting in the BAND rows above;
-        np.linalg.LinAlgError when J is singular."""
+        LAPACK's gbtrf, which holds J[i, j] in row 2 BAND + i - j of
+        column j and the fill-in of its pivoting in the BAND rows above,
+        and factors it in place; the factors are kept as ``factors`` for
+        ``chord``, and the step is their gbtrs solve, gbsv's step bit for
+        bit. np.linalg.LinAlgError when J is singular."""
+        self.factors = None  # a row holds one band at a time
         h = 1.5e-8 * np.maximum(np.abs(z), 1e-8)
         x = np.empty((4, _COLOURS + 1, z.shape[-1]))
         x[:, 0] = z
         np.add(z[:, None], self.colours * h[:, None], out=x[:, 1:])
         r = self.local_residual(np.multiply(x, self.scale[:, None], out=x))
-        # the storage in Fortran order, which gbsv factors in place:
+        # the storage in Fortran order, which gbtrf factors in place:
         # column j of the band is row j of ``band``
         band = np.zeros((z.size, 3 * BAND + 1))
         band.ravel()[self.band_index] = (r[:, 1:] - r[:, :1]).ravel()[self.reached]
         # each column's differences over its step; 0 stays 0
         band[:, BAND:] /= h.T.reshape(-1, 1)
-        *_, dz, info = _GBSV(BAND, BAND, band.T, -r[:, 0].T.ravel(),
-                             overwrite_ab=1, overwrite_b=1)
+        lu, pivots, info = _GBTRF(band.T, BAND, BAND, overwrite_ab=1)
         if info > 0:
-            raise np.linalg.LinAlgError(f"singular matrix (LAPACK gbsv info={info})")
+            raise np.linalg.LinAlgError(f"singular matrix (LAPACK gbtrf info={info})")
+        self.factors = lu, pivots
+        return self._solve(r[:, 0])
+
+    def chord(self, z):
+        """The chord step -J0^-1 R at z, (4, n): R on the one state z,
+        solved with the factors of J0, the Jacobian of the last
+        ``direction``."""
+        return self._solve(self.local_residual(z * self.scale))
+
+    def _solve(self, r):
+        """-J^-1 r for a (4, n) residual r, by gbtrs on ``factors``: r
+        in node-major order and the step back, as transposes."""
+        lu, pivots = self.factors
+        dz, _ = _GBTRS(lu, BAND, BAND, -r.T.ravel(), pivots, overwrite_b=1)
         return dz.reshape(-1, 4).T
 
     def scaled_f(self, x, g=None):
@@ -1127,16 +1153,32 @@ class _FixedPoint:
         g = self.sweep(x) if g is None else g
         return np.max(np.abs((g[2].x - x) / self.scale)), g
 
+    def _admissible(self, z, dz):
+        """The iterate of the step dz from z, with k and nu_t 0 at the
+        wall, if k >= 0 and nu_t >= 0 off the wall and omega > 0 at every
+        node hold there; None otherwise."""
+        x_new = (z + dz) * self.scale
+        x_new[1, 0] = x_new[3, 0] = 0.0
+        if np.all(x_new[1::2, 1:] >= 0.0) and np.all(x_new[2] > 0.0):
+            return x_new
+        return None
+
     def attempt(self, x, g):
         """Newton from x, a (4, n) state, and ``g``, G's evaluation there
-        (``sweep``). Each step solves J dz = -R and halves dz until
-        k >= 0, omega > 0 and nu_t >= 0 off the wall (where both are
-        set to 0) and the scaled max-norm of F falls.
+        (``sweep``). While the factors of a fresh step are kept, a step
+        first tries the chord step on them (``chord``): taken at full
+        length if the iterate is admissible (``_admissible``) and the
+        scaled max-norm of F falls to CHORD_CONTRACTION of its value;
+        otherwise discarded, uncounted. A fresh step evaluates J afresh,
+        solves J dz = -R and halves dz until the iterate is admissible
+        and the scaled F falls; a halved step drops the factors, and so
+        does the attempt's end.
 
-        Adds its steps to ``newton_steps`` and ends at scaled F ``f``:
-        with ``result`` the converged state and the row's record where
-        that reached NEWTON_TOL, or with ``reason`` saying why it did not
-        (a row that fails holds its SolverError in ``result``).
+        Adds its steps to ``newton_steps``, its Jacobian evaluations to
+        ``jacobians``, and ends at scaled F ``f``: with ``result`` the
+        converged state and the row's record where that reached
+        NEWTON_TOL, or with ``reason`` saying why it did not (a row that
+        fails holds its SolverError in ``result``).
         """
         self.scale = _scale(x)
         self.f, g = self.scaled_f(x, g)
@@ -1147,16 +1189,22 @@ class _FixedPoint:
                 break
             step += 1
             z = x / self.scale
+            if self.factors is not None:
+                x_new = self._admissible(z, self.chord(z))
+                if x_new is not None:
+                    f_new, g_new = self.scaled_f(x_new)
+                    if f_new <= CHORD_CONTRACTION * self.f:
+                        x, self.f, g = x_new, f_new, g_new
+                        continue
+            self.jacobians += 1
             try:
                 dz = self.direction(z)
             except np.linalg.LinAlgError:
                 self.reason = f"singular Jacobian at Newton step {step}"
                 break
-            for _ in range(40):  # down to a step of 1e-12 dz
-                x_new = (z + dz) * self.scale
-                x_new[1, 0] = x_new[3, 0] = 0.0  # k and nu_t at the wall
-                # k and nu_t off the wall, omega at every node
-                if np.all(x_new[1::2, 1:] >= 0.0) and np.all(x_new[2] > 0.0):
+            for halvings in range(40):  # down to a step of 1e-12 dz
+                x_new = self._admissible(z, dz)
+                if x_new is not None:
                     f_new, g = self.scaled_f(x_new)
                     if f_new < self.f:
                         break
@@ -1164,7 +1212,10 @@ class _FixedPoint:
             else:
                 self.reason = f"no Newton step lowers the scaled F {self.f:.3e} at step {step}"
                 break
+            if halvings:
+                self.factors = None
             x, self.f = x_new, f_new
+        self.factors = None
         self.newton_steps += step
         if self.f <= NEWTON_TOL:
             self.result = self.converged(g)
@@ -1181,7 +1232,7 @@ def _band_tables(n):
     """The index tables of the Newton attempts of ``_FixedPoint`` on n
     nodes, built once per grid size: the flat place of every reached
     entry (column node i, field f; row node i + d, field g,
-    |d| <= _REACH[f, g]) in gbsv's band storage laid out column by
+    |d| <= _REACH[f, g]) in gbtrf's band storage laid out column by
     column, columns node-major (column 4 i + f), in the order of the
     entries of the (4, 16, n) colour differences, row field first, that
     hold them; which of those entries are reached; and the 16 colours'

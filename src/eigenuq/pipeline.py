@@ -329,6 +329,7 @@ def solve_record(state: channel.ChannelState) -> dict:
         "iterations": state.iterations,
         "picard_sweeps": state.picard_sweeps,
         "newton_steps": state.newton_steps,
+        "jacobians": state.jacobians,
         "fixed_point_residual": state.fixed_point_residual,
         "total_shear_error": channel.total_shear_error(state),
     }

@@ -59,11 +59,13 @@ class TestGrid:
         assert np.all(np.isfinite(y)) and np.all(np.diff(y) > 0)
 
     # sha256 of the little-endian float64 bytes of each default-config grid,
-    # as make_grid built them before an overflowing r**m counted as too large
+    # as make_grid built them before an overflowing r**m counted as too large;
+    # Re_tau 1000's with its last node set to 1000 (it ended at
+    # 999.9999999999999)
     DEFAULT_GRIDS = {
         180.0: "30048059360a36d7650689760ff9e4135e38c187b6d4726d81a1bd1ca1febe1b",
         550.0: "961be0320c29f10f0d007f2a781e924adbc20a88f0a266d30dee224c4f166280",
-        1000.0: "56ee8abeea605c37afc9982649c875d5719c9f61524abe1bc0663b2886f11346",
+        1000.0: "1b24c34d33c26d76290d852372ad92088733f0463fabb59d10fe96030fa6fa6f",
         2000.0: "a1525f886a49d5763cebf2a0dacc93fddfcff7a32ea2c946454c66afcd5b7a57",
         5200.0: "365783d98a38d824fedc25c21bf32b3a1f3aa17b1f9ad8497c712b791e350304",
     }
@@ -73,6 +75,16 @@ class TestGrid:
         cfg = ChannelConfig(re_tau=re_tau)
         y = channel.make_grid(re_tau, cfg.n_cells, cfg.stretch)
         assert hashlib.sha256(y.astype("<f8").tobytes()).hexdigest() == self.DEFAULT_GRIDS[re_tau]
+
+    @pytest.mark.parametrize("n_cells", [32, 192, 384])
+    @pytest.mark.parametrize("re_tau", sorted(DEFAULT_GRIDS))
+    def test_last_node_is_re_tau(self, re_tau, n_cells):
+        # the product that scales the nodes onto [0, re_tau] missed it by
+        # an ulp at 1000 (192 cells), 2000 (384) and 5200 (32 and 384),
+        # which left the shear cap 1 - y+/Re_tau nonzero at the centreline
+        grid, _ = channel._start(re_tau, ChannelConfig(re_tau=re_tau, n_cells=n_cells))
+        assert grid.y[-1] == re_tau
+        assert channel._FixedPoint(grid, re_tau).cap[-1] == 0.0
 
 
 def reference_transport_solve(y, gamma_mid, sink, source, wall_value):
@@ -108,10 +120,10 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 class TestLapackLoader:
-    """``channel`` takes gtsv and gbsv from scipy's compiled ``_flapack``
-    without importing ``scipy.linalg``."""
+    """``channel`` takes gtsv, gbtrf and gbtrs from scipy's compiled
+    ``_flapack`` without importing ``scipy.linalg``."""
 
-    @pytest.mark.parametrize("name", ["gtsv", "gbsv"])
+    @pytest.mark.parametrize("name", ["gtsv", "gbtrf", "gbtrs"])
     def test_routines_are_scipys(self, name):
         routine = getattr(channel, f"_{name.upper()}")
         assert routine is scipy.linalg.get_lapack_funcs(name, dtype=np.float64)
@@ -123,7 +135,7 @@ class TestLapackLoader:
             "from eigenuq import channel\n"
             "assert 'scipy.linalg' not in sys.modules\n"
             "import scipy.linalg\n"
-            "for name in ('gtsv', 'gbsv'):\n"
+            "for name in ('gtsv', 'gbtrf', 'gbtrs'):\n"
             "    routine = scipy.linalg.get_lapack_funcs(name, dtype=np.float64)\n"
             "    assert getattr(channel, '_' + name.upper()) is routine, name\n"
         )
@@ -512,24 +524,25 @@ class TestLaminarFlag:
 
 
 class TestIterationCounts:
-    """The Picard sweeps and Newton steps of the data-free envelopes: the
-    benchmark's (delta_b 1 at Re_tau 180) and the fixtures'. A change to
-    the cost of one evaluation keeps them."""
+    """The Picard sweeps, Newton steps and Jacobian evaluations of the
+    data-free envelopes: the benchmark's (delta_b 1 at Re_tau 180) and
+    the fixtures'. A change to the cost of one evaluation keeps them."""
 
     @pytest.mark.parametrize("fixture, counts", [
-        ("envelope_datafree_180", {"baseline": (50, 2), "1C": (50, 5), "2C": (50, 3),
-                                   "3C": (50, 0)}),
-        ("envelope_datafree_1000", {"baseline": (50, 2), "1C": (50, 10), "2C": (50, 5),
-                                    "3C": (50, 0)}),
+        ("envelope_datafree_180", {"baseline": (50, 3, 1), "1C": (50, 5, 3), "2C": (50, 3, 1),
+                                   "3C": (50, 0, 0)}),
+        ("envelope_datafree_1000", {"baseline": (50, 2, 1), "1C": (50, 11, 9),
+                                    "2C": (50, 6, 3), "3C": (50, 0, 0)}),
         # the laminarising 3C corner is left out: its Newton finish, 200
         # sweeps and 134-138 steps, moves with roundoff in the stress
-        ("envelope_datafree_075_180", {"baseline": (50, 2), "1C": (50, 3), "2C": (50, 3)}),
+        ("envelope_datafree_075_180", {"baseline": (50, 3, 1), "1C": (50, 4, 2),
+                                       "2C": (50, 3, 1)}),
     ])
     def test_sweeps_and_steps(self, request, fixture, counts):
         envelope = request.getfixturevalue(fixture)
         states = {"baseline": envelope.baseline, **envelope.corner_states}
-        assert {slot: (states[slot].picard_sweeps, states[slot].newton_steps)
-                for slot in counts} == counts
+        assert {slot: (states[slot].picard_sweeps, states[slot].newton_steps,
+                       states[slot].jacobians) for slot in counts} == counts
 
 
 class TestStackedSolve:
@@ -1114,7 +1127,8 @@ def reference_direction(newton, z):
     ab = np.zeros((4 * n, 3 * band + 1))
     ab.ravel()[places[reached]] = (r[1:] - r[0]).ravel()[reached]
     ab[:, band:] /= h[order, None]
-    *_, dz, info = channel._GBSV(band, band, ab.T, -r[0, order], overwrite_ab=1, overwrite_b=1)
+    gbsv = scipy.linalg.get_lapack_funcs("gbsv", dtype=np.float64)
+    *_, dz, info = gbsv(band, band, ab.T, -r[0, order], overwrite_ab=1, overwrite_b=1)
     assert info == 0
     out = np.empty_like(flat)
     out[order] = dz
@@ -1165,24 +1179,13 @@ class TestLocalResidual:
     """The banded Jacobian Newton solves with is the whole Jacobian of
     the local residual R, and R vanishes at a converged state."""
 
-    def test_banded_jacobian_is_the_dense_one(self, converged_newton, monkeypatch):
-        newton, z = converged_newton
-        factored = []
-        gbsv = channel._GBSV
-
-        def recorded_gbsv(kl, ku, ab, b, **kwargs):
-            factored.append(ab.copy())
-            return gbsv(kl, ku, ab, b, **kwargs)
-
-        # the band that direction hands LAPACK, in gbsv's storage
-        monkeypatch.setattr(channel, "_GBSV", recorded_gbsv)
-        newton.direction(z)
-        (ab,) = factored
-        assert ab.shape == (3 * channel.BAND + 1, z.size)
+    @staticmethod
+    def dense_jacobian(newton, z):
+        """The dense forward-difference Jacobian of R at z, one column at
+        a time, with the steps of ``direction``, in node-major order:
+        entry 4 i + f is field f of node i, the transpose of the (4, n)
+        state."""
         r = newton.local_residual(z * newton.scale)
-        # the dense forward-difference Jacobian, one column at a time,
-        # with the same steps, in node-major order: entry 4 i + f is
-        # field f of node i, the transpose of the (4, n) state
         h = 1.5e-8 * np.maximum(np.abs(z), 1e-8)
         m = z.size
         dense = np.empty((m, m))
@@ -1192,6 +1195,24 @@ class TestLocalResidual:
             moved[field, node] += h[field, node]
             column = (newton.local_residual(moved * newton.scale) - r) / h[field, node]
             dense[:, j] = column.T.ravel()
+        return dense
+
+    def test_banded_jacobian_is_the_dense_one(self, converged_newton, monkeypatch):
+        newton, z = converged_newton
+        factored = []
+        gbtrf = channel._GBTRF
+
+        def recorded_gbtrf(ab, kl, ku, **kwargs):
+            factored.append(ab.copy())
+            return gbtrf(ab, kl, ku, **kwargs)
+
+        # the band that direction hands LAPACK, in gbtrf's storage
+        monkeypatch.setattr(channel, "_GBTRF", recorded_gbtrf)
+        newton.direction(z)
+        (ab,) = factored
+        assert ab.shape == (3 * channel.BAND + 1, z.size)
+        dense = self.dense_jacobian(newton, z)
+        m = z.size
         node, fields = np.divmod(np.arange(m), 4)
         allowed = np.abs(node[:, None] - node) <= REACH_TABLE[fields, fields[:, None]]
         assert np.count_nonzero(dense[~allowed]) == 0
@@ -1288,6 +1309,82 @@ class TestLocalResidual:
                 newton = channel._FixedPoint(grid, 180.0, injection)
                 newton.scale = channel._scale(x)
                 self.assert_direction_is_the_flat_reference(newton, x / newton.scale)
+
+    def test_chord_step_is_the_dense_solve(self, converged_newton):
+        # factored at z0, the step at z1 is -J0^-1 R(z1), J0 the dense
+        # Jacobian at z0
+        newton, z0 = converged_newton
+        newton.direction(z0)
+        j0 = self.dense_jacobian(newton, z0)
+        rng = np.random.default_rng(11)
+        z1 = z0 * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, z0.shape))
+        dz = newton.chord(z1)
+        r = newton.local_residual(z1 * newton.scale)
+        expected = np.linalg.solve(j0, -r.T.ravel()).reshape(-1, 4).T
+        assert np.max(np.abs(dz - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(expected)) > 1e-6
+
+    @staticmethod
+    def recorded_newton(monkeypatch):
+        """The calls of ``_FixedPoint.direction`` and ``chord``, in
+        order, each with a copy of its z; every chord step is 0, so none
+        cuts F."""
+        calls = []
+        direction = channel._FixedPoint.direction
+
+        def recorded_direction(self, z):
+            calls.append(("direction", z.copy()))
+            return direction(self, z)
+
+        def zero_chord(self, z):
+            calls.append(("chord", z.copy()))
+            return np.zeros_like(z)
+
+        monkeypatch.setattr(channel._FixedPoint, "direction", recorded_direction)
+        monkeypatch.setattr(channel._FixedPoint, "chord", zero_chord)
+        return calls
+
+    def test_chord_step_that_keeps_f_is_discarded(self, monkeypatch):
+        # every chord step fails the contraction test: each is followed
+        # by a fresh direction at the same z, and only fresh steps count
+        calls = self.recorded_newton(monkeypatch)
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+        state = channel.solve(cfg, channel.PerturbationInjection("datafree", corner="1C",
+                                                                 delta_b=1.0))
+        assert state.fixed_point_residual <= channel.NEWTON_TOL
+        chords = [i for i, (name, _) in enumerate(calls) if name == "chord"]
+        assert chords
+        for i in chords:
+            assert calls[i + 1][0] == "direction"
+            assert np.array_equal(calls[i + 1][1], calls[i][1])
+        assert state.newton_steps == state.jacobians == len(calls) - len(chords)
+
+    def test_failing_line_search_after_a_discarded_chord_step(self, monkeypatch):
+        # one full fresh step from near the fixed point keeps its
+        # factors; the chord step after it is discarded, and when the
+        # fresh step at its z finds no lower F the attempt ends there
+        # with the line search's message, the discarded step uncounted
+        cfg = ChannelConfig(re_tau=180.0, n_cells=32)
+        converged = channel.solve(cfg)
+        grid = channel._Grid(converged.y_plus)
+        fp = channel._FixedPoint(grid, 180.0)
+        x0 = converged.x * (1.0 + 1e-4 * np.random.default_rng(2).uniform(-1, 1, (4, 32)))
+        x0[1, 0] = x0[3, 0] = 0.0
+        calls = self.recorded_newton(monkeypatch)
+        scaled_f = fp.scaled_f
+
+        def no_lower_f_after_the_chord(x, g=None):
+            f, g = scaled_f(x, g)
+            directions = sum(name == "direction" for name, _ in calls)
+            return (2.0 * fp.f if directions == 2 else f), g
+
+        monkeypatch.setattr(fp, "scaled_f", no_lower_f_after_the_chord)
+        fp.attempt(x0, None)
+        assert [name for name, _ in calls] == ["direction", "chord", "direction"]
+        assert np.array_equal(calls[1][1], calls[2][1])
+        assert fp.result is None and fp.factors is None
+        assert (fp.newton_steps, fp.jacobians) == (2, 2)
+        assert fp.reason == f"no Newton step lowers the scaled F {fp.f:.3e} at step 2"
 
     def test_residual_vanishes_at_the_fixed_point(self, converged_newton):
         newton, z = converged_newton

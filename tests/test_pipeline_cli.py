@@ -79,6 +79,9 @@ def assert_solve_record(man):
     """The manifest of a one-solve command says how its solve ended."""
     picard, newton = man["picard_sweeps"], man["newton_steps"]
     assert man["iterations"] == picard + newton
+    # each attempt's first step evaluates the Jacobian; a later one may
+    # be a chord step on its factors
+    assert (man["jacobians"] > 0) == (newton > 0) and man["jacobians"] <= newton
     assert picard > 0 and picard % channel.PICARD_BLOCK == 0
     assert man["fixed_point_residual"] <= channel.NEWTON_TOL
 
@@ -296,8 +299,8 @@ class TestUqCommand:
 
     def test_manifest_records_how_each_corner_ended(self, small_grid_datafree_uq):
         man = pipeline.read_manifest(small_grid_datafree_uq)
-        fields = ("iterations", "picard_sweeps", "newton_steps", "fixed_point_residual",
-                  "stress_consistency", "total_shear_error")
+        fields = ("iterations", "picard_sweeps", "newton_steps", "jacobians",
+                  "fixed_point_residual", "stress_consistency", "total_shear_error")
         for field in fields:
             assert set(man[field]) == {"1C", "2C", "3C"}, field
         for corner in ("1C", "2C", "3C"):
@@ -305,6 +308,8 @@ class TestUqCommand:
             assert man["iterations"][corner] == picard + newton
             assert picard > 0 and picard % channel.PICARD_BLOCK == 0
             assert (newton > 0) == (corner != "3C")
+            assert (man["jacobians"][corner] > 0) == (newton > 0)
+            assert man["jacobians"][corner] <= newton
             assert man["fixed_point_residual"][corner] <= channel.NEWTON_TOL
             assert man["stress_consistency"][corner] <= 1e-6
             assert man["total_shear_error"][corner] <= 1e-8

@@ -116,14 +116,19 @@ class TestAbTime:
         assert lines[3] == "outputs identical (3 files)"
 
     def test_outputs_that_differ_are_named(self, ab_time, tmp_path):
-        for side, files in (("a", {"same.csv": "1\n", "changed.csv": "1\n", "a_only": ""}),
-                            ("b", {"same.csv": "1\n", "changed.csv": "2\n", "sub/b_only": ""})):
+        # a differing CSV names how far each numeric column moved, as
+        # output_matrix.py --compare does; another file only its name
+        for side, files in (("a", {"same.csv": "1\n", "changed.csv": "y,U,kind\n0,1,p\n1,nan,p\n",
+                                   "changed.json": "{}", "a_only": ""}),
+                            ("b", {"same.csv": "1\n", "changed.csv": "y,U,kind\n0,1.25,q\n1,nan,p\n",
+                                   "changed.json": "{ }", "sub/b_only": ""})):
             for name, text in files.items():
                 write(tmp_path / side / name, text)
         assert ab_time.compare_outputs(tmp_path / "a", tmp_path / "b") == (
-            "outputs differ: a_only, changed.csv, sub/b_only")
+            "outputs differ: a_only, changed.csv (y: max |delta| 0.000e+00; "
+            "U: max |delta| 2.500e-01; kind: text differs), changed.json, sub/b_only")
         assert ab_time.compare_outputs(tmp_path / "a", tmp_path / "a") == (
-            "outputs identical (3 files)")
+            "outputs identical (4 files)")
 
     @pytest.mark.parametrize("argv, message", [
         ([ROOT, ROOT, "baseline"], "no eigenuq command given after --"),
