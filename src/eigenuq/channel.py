@@ -531,7 +531,9 @@ class PerturbationInjection(StressInjection):
             tensors.corner_coords(corner)  # validates the identifier
         if targets is not None:
             targets = np.asarray(targets, dtype=float)
-            self.check_target_count(mode, targets.shape[-1])
+            if targets.shape[-1] != len(TARGET_NAMES[mode]):
+                raise ValueError(f"mode {mode!r} needs {len(TARGET_NAMES[mode])} forest "
+                                 f"targets, got {targets.shape[-1]}")
         self.mode = mode
         self.corner = corner
         self.delta_b = delta_b
@@ -575,13 +577,6 @@ class PerturbationInjection(StressInjection):
             np.stack([getattr(injection, name) for injection in injections])[:, None]
             for name in ("corner_lam", "corner_xy"))
         return stacked
-
-    @staticmethod
-    def check_target_count(mode, n_targets):
-        if n_targets != len(TARGET_NAMES[mode]):
-            raise ValueError(
-                f"mode {mode!r} needs {len(TARGET_NAMES[mode])} forest targets, got {n_targets}"
-            )
 
     def _eigenvalues(self, state):
         """The laminar nodes (k below K_FLOOR) and the moved anisotropy
@@ -839,16 +834,13 @@ def solve(cfg: ChannelConfig, injection: StressInjection | None = None) -> Chann
     return result
 
 
-def solve_baselines(cfgs: list[ChannelConfig]) -> list:
-    """The baseline of each of ``cfgs``, configs that differ in re_tau
-    alone, solved as the rows of one stack (``_solve_rows``). Returns,
-    config by config, what ``_solve_rows`` returns: the state of
-    ``solve(cfg)``, the SolverError it raises, or None after the first
+def solve_baselines(cfg: ChannelConfig, re_taus: list[float]) -> list:
+    """The baseline of ``cfg`` at each of ``re_taus``, solved as the rows
+    of one stack (``_solve_rows``). Returns, Re_tau by Re_tau, what
+    ``_solve_rows`` returns: the state of ``solve(replace(cfg,
+    re_tau=re_tau))``, the SolverError it raises, or None after the first
     row that fails."""
-    first = cfgs[0]
-    if any(replace(cfg, re_tau=first.re_tau) != first for cfg in cfgs):
-        raise ValueError("the configs of one stack must differ in re_tau alone")
-    return _solve_rows(first, [None] * len(cfgs), [cfg.re_tau for cfg in cfgs])
+    return _solve_rows(cfg, [None] * len(re_taus), re_taus)
 
 
 def _start(re_tau, cfg):

@@ -72,8 +72,9 @@ class RegressionForest:
     breadth first. Leaves have feature -1, and only leaves have a value:
     ``value`` holds one row per leaf, the mean target of its training
     rows, in the table's node order. Derived from ``feature`` and
-    ``roots``: ``left`` and ``right``, table-wide child indices (-1 at a
-    leaf), and ``leaf``, each node's row of ``value`` (-1 at a split)."""
+    ``roots``: ``left``, the table-wide index of a split node's left
+    child, whose right child is ``left + 1`` (-1 at a leaf), and
+    ``leaf``, each node's row of ``value`` (-1 at a split)."""
 
     feature: np.ndarray  # (n_nodes,) int
     threshold: np.ndarray  # (n_nodes,)
@@ -84,7 +85,6 @@ class RegressionForest:
     target_names: list[str] = field(default_factory=list)
     n_features: int = 0
     left: np.ndarray = field(init=False, repr=False)
-    right: np.ndarray = field(init=False, repr=False)
     leaf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -92,7 +92,6 @@ class RegressionForest:
         before = np.cumsum(split) - split  # split nodes before each node
         root = np.repeat(self.roots, np.diff([*self.roots, len(self.feature)]))
         self.left = np.where(split, root + 2 * (before - before[root]) + 1, -1)
-        self.right = np.where(split, self.left + 1, -1)
         self.leaf = np.where(split, -1, np.cumsum(~split) - 1)
 
     @property
@@ -100,16 +99,16 @@ class RegressionForest:
         return self.value.shape[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Route every row through every tree at once, one level per step."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got {X.shape[1]}")
+        """Route each row of 2-D ``X`` through every tree at once, a level per step."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"expected {self.n_features} features per row, got shape {X.shape}")
         rows = np.arange(X.shape[0])
         node = np.repeat(self.roots[:, None], X.shape[0], axis=1)  # (n_trees, n_rows)
         feat = self.feature[node]
         while np.any(feat >= 0):
             go_left = X[rows, feat] <= self.threshold[node]  # feature -1 is masked below
-            node = np.where(feat < 0, node, np.where(go_left, self.left[node], self.right[node]))
+            node = np.where(feat < 0, node, self.left[node] + ~go_left)
             feat = self.feature[node]
         # tree by tree, so every row sums in one fixed order
         out = np.zeros((X.shape[0], self.n_targets))
@@ -122,7 +121,7 @@ class RegressionForest:
         out = np.zeros(self.n_targets)
         for i in self.roots:
             while self.feature[i] >= 0:
-                i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
+                i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.left[i] + 1
             out += self.value[self.leaf[i]]
         return out / len(self.roots)
 
@@ -377,11 +376,9 @@ def fit(
     target_names: list[str] | None = None,
 ) -> RegressionForest:
     """Train a forest of bootstrap-sampled trees; deterministic given
-    (X, Y, hp)."""
+    (X, Y, hp). Names, where given, name every column of X and of Y."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
     if X.ndim != 2 or Y.ndim != 2:
         raise ValueError("X and Y must be 2-D arrays")
     if X.shape[0] != Y.shape[0]:
@@ -394,20 +391,22 @@ def fit(
         raise ValueError("training data contains non-finite values")
     if hp.max_features > X.shape[1]:
         raise ValueError("max_features exceeds the feature count")
+    # the names rule of ``loads``: a fitted forest saves as a file that loads
+    names = {"feature_names": list(feature_names or []), "target_names": list(target_names or [])}
+    feature_names = _names(names, "feature_names", X.shape[1])
+    target_names = _names(names, "target_names", Y.shape[1])
 
     return RegressionForest(
         *_grow(X, Y, hp),
         hyperparams=hp,
-        feature_names=list(feature_names or []),
-        target_names=list(target_names or []),
+        feature_names=feature_names,
+        target_names=target_names,
         n_features=X.shape[1],
     )
 
 
 def mse(forest: RegressionForest, X: np.ndarray, Y: np.ndarray) -> float:
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
     pred = forest.predict(X)
     if pred.shape != Y.shape:
         raise ValueError("target dimension mismatch")

@@ -405,7 +405,7 @@ def train_forest(settings: Settings, target_kind: str):
                if source is not None}
     sets = []
     for (profile, _), state in zip(profiles, channel.solve_baselines(
-            [build_channel_config(settings, re_tau=re_tau) for re_tau in re_taus])):
+            build_channel_config(settings, re_tau=re_taus[0]), re_taus)):
         if isinstance(state, channel.SolverError):
             raise state
         sets.append(dns.build_targets(state, profile, target_kind))
@@ -459,26 +459,15 @@ def _load_forest(path, mode):
 
 
 def check_forest(fitted, mode):
-    """ConfigError unless ``fitted`` reads the solver's features and
-    predicts the targets of ``mode``: as many of each, and, where the
-    forest stores their names, these names in this order."""
-    if fitted.n_features != len(features.DEFAULT_FEATURES):
-        raise ConfigError(
-            f"forest expects {fitted.n_features} features, "
-            f"solver provides {len(features.DEFAULT_FEATURES)}"
-        )
-    try:
-        channel.PerturbationInjection.check_target_count(mode, fitted.n_targets)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    # a forest from library fit may store no names: zip then checks none
+    """ConfigError unless ``fitted`` stores the solver's feature names
+    and the target names of ``mode``, in this order; a forest that stores
+    no names fails too. ``forest.loads`` checks that stored names count
+    the forest's columns, so equal names mean equal counts."""
     for what, stored, needed in (
-            ("feature", fitted.feature_names, features.DEFAULT_FEATURES),
-            ("target", fitted.target_names, dns.TARGET_NAMES[mode])):
-        for i, (name, want) in enumerate(zip(stored, needed)):
-            if name != want:
-                raise ConfigError(f"forest {what} {i} is {name!r}, "
-                                  f"uq mode {mode!r} needs {want!r}")
+            ("features", fitted.feature_names, features.DEFAULT_FEATURES),
+            ("targets", fitted.target_names, dns.TARGET_NAMES[mode])):
+        if stored != needed:
+            raise ConfigError(f"forest {what} are {stored}, uq mode {mode!r} needs {needed}")
 
 
 def run_uq(settings: Settings, mode: str, forest_path=None, delta_b=None):

@@ -670,18 +670,18 @@ class TestStackedSolve:
             with pytest.raises(channel.SolverError, match=r"^corner 2C failed: NaN/Inf detected"):
                 channel.uq_envelope(cfg, injections, None if lead else baseline)
 
-    def assert_each_re_tau_solved_alone(self, cfgs, stacked):
-        for cfg, state in zip(cfgs, stacked):
-            alone = channel.solve(cfg)
-            assert state.re_tau == alone.re_tau == cfg.re_tau
-            assert np.array_equal(state.y_plus, alone.y_plus), cfg.re_tau
-            self.assert_solved_alone(state, alone, cfg.re_tau)
+    def assert_each_re_tau_solved_alone(self, cfg, re_taus):
+        for re_tau, state in zip(re_taus, channel.solve_baselines(cfg, re_taus), strict=True):
+            alone = channel.solve(replace(cfg, re_tau=re_tau))
+            assert state.re_tau == alone.re_tau == re_tau
+            assert np.array_equal(state.y_plus, alone.y_plus), re_tau
+            self.assert_solved_alone(state, alone, re_tau)
 
     def test_train_re_tau_as_one_stack(self):
         # the default training Re_tau and the holdout's, as train solves
         # them: five stretched grids, each row with its own 1/Re_tau
-        cfgs = [ChannelConfig(re_tau=re_tau) for re_tau in (180.0, 550.0, 2000.0, 5200.0, 1000.0)]
-        self.assert_each_re_tau_solved_alone(cfgs, channel.solve_baselines(cfgs))
+        self.assert_each_re_tau_solved_alone(ChannelConfig(re_tau=180.0),
+                                             [180.0, 550.0, 2000.0, 5200.0, 1000.0])
 
     def test_stack_of_uniform_and_stretched_grids(self):
         # at 192 nodes Re_tau 90 and 95.5 get evenly spaced (linspace)
@@ -702,25 +702,24 @@ class TestStackedSolve:
                 assert np.array_equal(getattr(stacked, name)[r], getattr(grid, name)), (r, name)
             assert np.array_equal(stacked.walls[:, r], grid.walls), r
             assert np.array_equal(stacked.grad(f)[r], np.gradient(f[r], grid.y)), r
-        cfgs = [ChannelConfig(re_tau=re_tau) for re_tau in re_taus]
-        self.assert_each_re_tau_solved_alone(cfgs, channel.solve_baselines(cfgs))
+        self.assert_each_re_tau_solved_alone(ChannelConfig(re_tau=90.0), list(re_taus))
 
     def test_failing_re_tau_rows_are_their_own_errors(self, monkeypatch):
         # with a zero Newton tolerance every row fails, each with the
         # message and residual history of its own solve, so a caller
         # that reports the first in list order reports that Re_tau's
         monkeypatch.setattr(channel, "NEWTON_TOL", 0.0)
-        cfgs = [ChannelConfig(re_tau=re_tau, n_cells=32, max_iters=60)
-                for re_tau in (2000.0, 180.0, 5200.0)]
-        rows = channel.solve_baselines(cfgs)
+        cfg = ChannelConfig(re_tau=2000.0, n_cells=32, max_iters=60)
+        re_taus = [2000.0, 180.0, 5200.0]
+        rows = channel.solve_baselines(cfg, re_taus)
         histories = []
-        for cfg, row in zip(cfgs, rows):
+        for re_tau, row in zip(re_taus, rows, strict=True):
             with pytest.raises(channel.SolverError) as alone:
-                channel.solve(cfg)
-            assert isinstance(row, channel.SolverError), cfg.re_tau
-            assert str(row) == str(alone.value), cfg.re_tau
+                channel.solve(replace(cfg, re_tau=re_tau))
+            assert isinstance(row, channel.SolverError), re_tau
+            assert str(row) == str(alone.value), re_tau
             assert str(row).startswith("no fixed point after 60 Picard sweeps")
-            assert row.residual_history == alone.value.residual_history, cfg.re_tau
+            assert row.residual_history == alone.value.residual_history, re_tau
             histories.append(row.residual_history)
         assert histories[0] != histories[1] != histories[2]
 
@@ -742,7 +741,7 @@ class TestStackedSolve:
         monkeypatch.setattr(channel, "_init_state", nan_at_5200)
         with pytest.raises(channel.SolverError) as failing:
             channel.solve(cfgs[2])
-        *rows, last = channel.solve_baselines(cfgs)
+        *rows, last = channel.solve_baselines(cfgs[0], [cfg.re_tau for cfg in cfgs])
         for cfg, state, own in zip(cfgs, rows, alone):
             self.assert_solved_alone(state, own, cfg.re_tau)
         assert str(last) == str(failing.value) == "NaN/Inf detected at iteration 0"
@@ -757,17 +756,12 @@ class TestStackedSolve:
         gc.collect()
         gc.disable()
         try:
-            channel.solve_baselines([cfg, ChannelConfig(re_tau=550.0, n_cells=32)])
+            channel.solve_baselines(cfg, [180.0, 550.0])
             channel.uq_envelope(cfg, channel.corner_injections("datafree", delta_b=1.0))
             left = [o for o in gc.get_objects() if isinstance(o, channel._FixedPoint)]
         finally:
             gc.enable()
         assert left == []
-
-    def test_configs_of_one_stack_differ_in_re_tau_alone(self):
-        with pytest.raises(ValueError, match="differ in re_tau alone"):
-            channel.solve_baselines([ChannelConfig(re_tau=180.0),
-                                     ChannelConfig(re_tau=550.0, n_cells=64)])
 
     def test_stack_takes_corners_of_one_perturbation(self):
         datafree = channel.corner_injections("datafree", delta_b=1.0)

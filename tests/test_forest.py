@@ -186,8 +186,10 @@ def reference_fit(X, Y, hp):
     feature, threshold, left, right, leaf = (np.array(column) for column in zip(*nodes))
     fitted = forest.RegressionForest(feature, threshold, np.array(values), np.array(roots),
                                      hyperparams=hp, n_features=X.shape[1])
-    for name, given in (("left", left), ("right", right), ("leaf", leaf)):
+    for name, given in (("left", left), ("leaf", leaf)):
         assert np.array_equal(getattr(fitted, name), given), name
+    # ``predict`` steps right to left + 1
+    assert np.array_equal(right, np.where(left < 0, -1, left + 1))
     return fitted
 
 
@@ -272,6 +274,8 @@ class TestFit:
         assert out.shape == (10, 2)
         with pytest.raises(ValueError, match="expected 4 features"):
             fitted.predict(np.zeros((3, 7)))
+        with pytest.raises(ValueError, match="expected 4 features"):
+            fitted.predict(X[0])  # a single row goes in as a (1, 4) array
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -397,6 +401,32 @@ class TestFit:
     def test_fit_rejects_target_without_columns(self):
         with pytest.raises(ValueError, match="no target columns"):
             forest.fit(np.zeros((5, 2)), np.ones((5, 0)), HP)
+
+    def test_fit_and_mse_reject_one_dimensional_targets(self):
+        X, Y = toy_data(n=40)
+        with pytest.raises(ValueError, match="X and Y must be 2-D arrays"):
+            forest.fit(X, Y[:, 0], HP)
+        fitted = forest.fit(X, Y[:, :1], HP)
+        with pytest.raises(ValueError, match="target dimension mismatch"):
+            forest.mse(fitted, X, Y[:, 0])
+
+    @pytest.mark.parametrize(
+        "key, names, message",
+        [
+            ("feature_names", list("abc"), "feature_names holds 3 names, expected 0 or 4"),
+            ("feature_names", list("abcde"), "feature_names holds 5 names, expected 0 or 4"),
+            ("target_names", ["u"], "target_names holds 1 names, expected 0 or 2"),
+            ("target_names", ["u", "v", "w"], "target_names holds 3 names, expected 0 or 2"),
+        ],
+        ids=["few_features", "many_features", "few_targets", "many_targets"],
+    )
+    def test_fit_rejects_names_of_another_count(self, key, names, message):
+        # before it grows anything: such a forest would save as a file
+        # that loads rejects
+        X, Y = toy_data(n=40)
+        with mock.patch.object(forest, "_grow", side_effect=AssertionError("grew")), \
+                pytest.raises(ValueError, match=re.escape(message)):
+            forest.fit(X, Y, HP, **{key: names})
 
     @pytest.mark.parametrize(
         "kind, parent_peak_kb", [("pcorr_angles", 3_034), ("p", 2_160)]
@@ -746,7 +776,7 @@ class TestSerialization:
         n_targets=st.integers(1, 5),
         max_depth=st.integers(1, 6),
         n_trees=st.integers(1, 40),
-        names=st.lists(st.text(max_size=6), max_size=4),
+        names=st.lists(st.text(max_size=6), min_size=5, max_size=5),
     )
     def test_fitted_forest_saves_as_json_dump(
         self, tmp_path_factory, seed, n_rows, n_targets, max_depth, n_trees, names,
@@ -756,7 +786,8 @@ class TestSerialization:
         Y = rng.normal(size=(n_rows, n_targets))
         hp = ForestHyperparams(max_depth=max_depth, min_samples_split=2, max_features=3,
                                n_trees=n_trees, seed=seed)
-        fitted = forest.fit(X, Y, hp, feature_names=names, target_names=names[::-1])
+        fitted = forest.fit(X, Y, hp, feature_names=names[:4],
+                            target_names=names[::-1][:n_targets])
         assert_saves_as_json_dump(fitted, tmp_path_factory.mktemp("forest"))
 
     def test_save_holds_one_tree_at_a_time(self, trained_forests, tmp_path):

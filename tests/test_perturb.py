@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eigenuq import channel, perturb, pipeline, rotation, tensors
+from eigenuq import channel, dns, features, perturb, pipeline, rotation, tensors
 
 PROPERTY = settings(max_examples=100, deadline=None)
 
@@ -44,11 +45,12 @@ def interior_points(rng, n=20):
     return tensors.weights_to_points(rng.dirichlet(np.ones(3), size=n))
 
 
-def forest_stub(n_targets, n_features=6):
-    """Stands in for a trained forest that stores no names, where only
-    its shape is checked."""
-    return SimpleNamespace(n_features=n_features, n_targets=n_targets,
-                           feature_names=[], target_names=[])
+def forest_stub(kind, **names):
+    """Stands in for a forest with the names ``train`` gives a forest of
+    target kind ``kind``, where only its names are checked; ``names``
+    replaces either list."""
+    return SimpleNamespace(**{"feature_names": features.DEFAULT_FEATURES,
+                              "target_names": dns.TARGET_NAMES[kind], **names})
 
 
 def targets(n_targets, n_nodes=4):
@@ -77,7 +79,7 @@ class TestSpecValidation:
         channel.PerturbationInjection("p", corner="2C", targets=targets(1))
         channel.PerturbationInjection("pcorr", targets=targets(2))
         channel.PerturbationInjection("pcorr_angles", targets=targets(5))
-        pipeline.check_forest(forest_stub(5), "pcorr_angles")
+        pipeline.check_forest(forest_stub("pcorr_angles"), "pcorr_angles")
 
     def test_missing_required_field(self):
         with pytest.raises(ValueError, match="needs corner and delta_b"):
@@ -97,18 +99,22 @@ class TestSpecValidation:
 
     def test_forest_feature_count(self):
         # checked where the forest is loaded, before any solve
-        with pytest.raises(ValueError, match="forest expects 4 features, solver provides 6"):
-            pipeline.check_forest(forest_stub(2, n_features=4), "pcorr")
+        stored = features.DEFAULT_FEATURES[:4]
+        message = f"forest features are {stored}, uq mode 'pcorr' needs {features.DEFAULT_FEATURES}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pipeline.check_forest(forest_stub("pcorr", feature_names=stored), "pcorr")
 
     @pytest.mark.parametrize(
         "mode, corner, needed, given",
         [("p", "1C", 1, 2), ("pcorr", None, 2, 1), ("pcorr_angles", None, 5, 2)],
     )
     def test_forest_target_count(self, mode, corner, needed, given):
-        message = f"needs {needed} forest targets, got {given}"
-        with pytest.raises(ValueError, match=message):
-            pipeline.check_forest(forest_stub(given), mode)
-        with pytest.raises(ValueError, match=message):
+        kind = {1: "p", 2: "pcorr"}[given]
+        message = (f"forest targets are {dns.TARGET_NAMES[kind]}, uq mode {mode!r} needs "
+                   f"{dns.TARGET_NAMES[mode]}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pipeline.check_forest(forest_stub(kind), mode)
+        with pytest.raises(ValueError, match=f"needs {needed} forest targets, got {given}"):
             channel.PerturbationInjection(mode, corner=corner, targets=targets(given))
 
     def test_delta_b_range(self):

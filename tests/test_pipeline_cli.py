@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,19 @@ def main_without_solving(monkeypatch, capsys, *args):
 
     monkeypatch.setattr(channel, "_solve_rows", no_solve)
     return run_main(monkeypatch, capsys, *args)
+
+
+def save_small_forest(path, mode, names=True):
+    """Save a two-tree forest of 20 random rows of features, with the
+    names ``train`` gives a forest of ``mode`` unless ``names`` is false:
+    fitted to random targets for 'p', to zeros, on which the uq solves
+    the baseline, for 'pcorr_angles'."""
+    rng = np.random.default_rng(0)
+    hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
+    X = rng.uniform(size=(20, 6))
+    Y = rng.uniform(size=(20, 1)) if mode == "p" else np.zeros((20, 5))
+    names = (features.DEFAULT_FEATURES, dns.TARGET_NAMES[mode]) if names else ()
+    forest.save(forest.fit(X, Y, hp, *names), path)
 
 
 def unreadable_inputs(tmp_path):
@@ -220,8 +234,8 @@ class TestTrainCommand:
         # train solves its Re_tau as one stack; a training that solves
         # them one by one gives the same forest file and metrics
         fitted, metrics, _ = pipeline.train_forest(settings, kind)
-        monkeypatch.setattr(channel, "solve_baselines",
-                            lambda cfgs: [channel.solve(cfg) for cfg in cfgs])
+        monkeypatch.setattr(channel, "solve_baselines", lambda cfg, re_taus: [
+            channel.solve(replace(cfg, re_tau=re_tau)) for re_tau in re_taus])
         reference, reference_metrics, _ = pipeline.train_forest(settings, kind)
         assert metrics == reference_metrics
         stacked, one_by_one = tmp_path / "stacked.json", tmp_path / "reference.json"
@@ -888,7 +902,8 @@ class TestCli:
         "args, message",
         [
             (["uq", "--mode", "datafree", "--delta-b", "2.0"], "delta_b must be in [0, 1]"),
-            (["uq", "--mode", "pcorr", "--forest", "{p_forest}"], "needs 2 forest targets, got 1"),
+            (["uq", "--mode", "pcorr", "--forest", "{p_forest}"],
+             "forest targets are ['p'], uq mode 'pcorr' needs ['p_corr_x', 'p_corr_y']"),
             (["uq", "--mode", "datafree", "--forest", "{p_forest}"], "does not take --forest"),
             (["uq", "--mode", "pcorr", "--delta-b", "0.3"], "does not take --delta-b"),
             (["propagate-dns", "--noise", "-5"], "must be finite and >= 0, got -5"),
@@ -906,10 +921,8 @@ class TestCli:
         # in process, with every solve failing the test
         cfg = tmp_path / "run.ini"
         cfg.write_text("[channel]\nre_tau = 180\nn_cells = 64\n")
-        rng = np.random.default_rng(0)
-        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
         p_forest = tmp_path / "forest_p.json"
-        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), p_forest)
+        save_small_forest(p_forest, "p")
         args = [arg.format(p_forest=p_forest) for arg in args]
         code, stderr = main_without_solving(monkeypatch, capsys, *args, "--config", str(cfg),
                                             "--out", str(tmp_path / "d"))
@@ -940,10 +953,8 @@ class TestCli:
         assert not (tmp_path / "d").exists()
 
     def test_malformed_forest_exit_four(self, tmp_path, monkeypatch, capsys):
-        rng = np.random.default_rng(0)
-        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
         path = tmp_path / "forest_p.json"
-        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), path)
+        save_small_forest(path, "p")
         doc = json.loads(path.read_text())
         doc["trees"][0]["split_feature"][0] = 6  # the forest has features 0-5
         path.write_text(json.dumps(doc))
@@ -972,10 +983,8 @@ class TestCli:
     def test_forest_head_of_another_type_exit_four(self, tmp_path, monkeypatch, capsys, key,
                                                    value, message):
         # rejected before any solve
-        rng = np.random.default_rng(0)
-        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
         path = tmp_path / "forest_p.json"
-        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), path)
+        save_small_forest(path, "p")
         doc = json.loads(path.read_text())
         if key == "feature_names":
             doc[key] = value
@@ -992,17 +1001,17 @@ class TestCli:
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
-        "key, names, message",
+        "key, names",
         [
-            ("feature_names", features.DEFAULT_FEATURES[::-1],
-             "forest feature 0 is 'y_plus', uq mode 'pcorr_angles' needs 're_wall_dist'"),
-            ("target_names", ["p_corr_x", "p_corr_y", "beta", "alpha", "gamma"],
-             "forest target 2 is 'beta', uq mode 'pcorr_angles' needs 'alpha'"),
+            ("feature_names", features.DEFAULT_FEATURES[::-1]),
+            ("target_names", ["p_corr_x", "p_corr_y", "beta", "alpha", "gamma"]),
+            ("feature_names", [*features.DEFAULT_FEATURES[:-1], "y_star"]),
+            ("target_names", ["p_corr_x", "p_corr_y", "alpha", "beta", "theta"]),
         ],
-        ids=["swapped_features", "reordered_targets"],
+        ids=["swapped_features", "reordered_targets", "renamed_feature", "renamed_target"],
     )
     def test_forest_of_other_columns_exit_two(self, pcorr_angles_forest, tmp_path, monkeypatch,
-                                              capsys, key, names, message):
+                                              capsys, key, names):
         # the counts match; the names say the columns mean something else
         doc = json.loads(pcorr_angles_forest.read_text())
         doc[key] = names
@@ -1011,16 +1020,30 @@ class TestCli:
         code, stderr = main_without_solving(
             monkeypatch, capsys, *SMALL_GRID_UQ, "--mode", "pcorr_angles", "--forest", str(path),
             "--out", str(tmp_path / "d"))
+        what, needed = {"feature_names": ("features", features.DEFAULT_FEATURES),
+                        "target_names": ("targets", dns.TARGET_NAMES["pcorr_angles"])}[key]
         assert code == 2, stderr
-        assert stderr == f"configuration error: {message}\n"
+        assert stderr == (f"configuration error: forest {what} are {names}, "
+                          f"uq mode 'pcorr_angles' needs {needed}\n")
+        assert not (tmp_path / "d").exists()
+
+    def test_forest_without_names_exit_two(self, tmp_path, monkeypatch, capsys):
+        # a forest of library fit stores no names: nothing says what its
+        # columns are, so uq does not apply it
+        path = tmp_path / "forest_pcorr_angles.json"
+        save_small_forest(path, "pcorr_angles", names=False)
+        code, stderr = main_without_solving(
+            monkeypatch, capsys, *SMALL_GRID_UQ, "--mode", "pcorr_angles", "--forest", str(path),
+            "--out", str(tmp_path / "d"))
+        assert code == 2, stderr
+        assert stderr == ("configuration error: forest features are [], uq mode 'pcorr_angles' "
+                          f"needs {features.DEFAULT_FEATURES}\n")
         assert not (tmp_path / "d").exists()
 
     def test_non_finite_forest_exit_four(self, tmp_path, monkeypatch, capsys):
         # an infinite leaf value would reach the solver as an infinite target
-        rng = np.random.default_rng(0)
-        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
         path = tmp_path / "forest_p.json"
-        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), path)
+        save_small_forest(path, "p")
         doc = json.loads(path.read_text())
         leaves = doc["trees"][0]["split_feature"].count(-1)
         doc["trees"][0]["leaf_value"] = base64.b64encode(
@@ -1037,10 +1060,8 @@ class TestCli:
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_schema_1_forest_exit_four(self, tmp_path, monkeypatch, capsys, version):
-        rng = np.random.default_rng(0)
-        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
         path = tmp_path / "forest_p.json"
-        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), path)
+        save_small_forest(path, "p")
         doc = json.loads(path.read_text())
         doc["version"] = version  # the tag alone decides: no older layout is parsed
         path.write_text(json.dumps(doc))
@@ -1056,10 +1077,8 @@ class TestCli:
 
     def test_forest_with_byte_order_mark_exit_four(self, tmp_path, monkeypatch, capsys):
         # the CLI and forest.loads on the file's UTF-8 text say the same
-        rng = np.random.default_rng(0)
-        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
         path = tmp_path / "forest_p.json"
-        forest.save(forest.fit(rng.uniform(size=(20, 6)), rng.uniform(size=(20, 1)), hp), path)
+        save_small_forest(path, "p")
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         with pytest.raises(forest.ForestFormatError) as caught:
             forest.loads(path.read_text(encoding="utf-8"), str(path))
@@ -1321,10 +1340,8 @@ class TestManifest:
     )
     def test_records_the_settings_that_ran(self, tmp_path, args, section, recorded):
         # a forest fitted to zero targets: the pcorr_angles uq solves the baseline
-        rng = np.random.default_rng(0)
-        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
         path = tmp_path / "forest.json"
-        forest.save(forest.fit(rng.uniform(size=(20, 6)), np.zeros((20, 5)), hp), path)
+        save_small_forest(path, "pcorr_angles")
         args = [arg.format(forest=path) for arg in args]
         cfg = tmp_path / "run.ini"
         cfg.write_text("[channel]\nre_tau = 180\nn_cells = 32\n")
@@ -1373,11 +1390,9 @@ class TestManifest:
                 tmp_path / "b" / "out" / name).read_bytes()
 
     def test_uq_records_the_forest_it_ran_with(self, tmp_path):
-        rng = np.random.default_rng(0)
-        hp = forest.ForestHyperparams(max_depth=2, min_samples_split=2, max_features=3, n_trees=2)
         path = tmp_path / "a" / "forest.json"
         path.parent.mkdir()
-        forest.save(forest.fit(rng.uniform(size=(20, 6)), np.zeros((20, 5)), hp), path)
+        save_small_forest(path, "pcorr_angles")
         copy = tmp_path / "b" / "forest.json"
         copy.parent.mkdir()
         copy.write_bytes(path.read_bytes())

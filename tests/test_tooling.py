@@ -47,3 +47,25 @@ def test_readme_library_example_runs(tmp_path):
     label, value = run.stdout.rstrip("\n").split(": ")
     assert label == "integrated envelope width"
     assert math.isfinite(float(value))
+
+
+def test_forest_path_runs_clean_in_dev_mode(tmp_path):
+    # train, a data-driven uq and report on a 32-cell grid, each in a
+    # fresh interpreter in development mode with every warning an error:
+    # an unclosed file or a new warning on the forest's write and read
+    # fails here
+    (tmp_path / "run.ini").write_text("[channel]\nre_tau = 180\nn_cells = 32\n[train]\n"
+                                      "train_re_tau = 180, 550\nholdout_re_tau = 1000\n")
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    commands = [
+        ["train", "--target", "p", "--config", "run.ini", "--out", "train"],
+        ["uq", "--mode", "p", "--forest", "train/forest_p.json", "--config", "run.ini",
+         "--out", "uq"],
+        ["report", "train", "uq", "--out", "report"],
+    ]
+    for args in commands:
+        run = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "eigenuq.cli",
+                              *args], cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": pythonpath})
+        assert run.returncode == 0 and run.stderr == "", (args, run.stderr)
+    assert (tmp_path / "report" / "manifest.json").exists()
