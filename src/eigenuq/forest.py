@@ -1,10 +1,18 @@
 """Random regression forest: bagged CART trees with multi-output leaves.
 
-Splits minimize the weighted child sum-of-squared-errors summed over all
-target dimensions, left to right; candidate thresholds are midpoints between
-consecutive sorted unique feature values. Ties break to the lowest
-feature index, then the smallest threshold, so training is fully
-deterministic given (X, Y, hyperparameters).
+Splits minimize the children's sum of squared errors, summed over all
+target dimensions (the CART least-squares criterion). A candidate
+feature's splits are ranked by the proxy ``sum_t S_L,t**2 / n_L + sum_t
+S_R,t**2 / n_R`` of their left and right target sums, the targets summed
+left to right before each division: a split's SSE is the node's sum of
+squared targets less its proxy, and that sum is common to every split of
+the node. Candidate thresholds are midpoints between consecutive sorted
+unique feature values. Within a feature, ties break to the smallest
+threshold. Across features the lowest index stays unless a later one's
+SSE is lower by 1e-15 relative and it cuts the node's rows into two other
+sets, whichever side goes left: features that make one partition, whose
+SSEs differ by summation order alone, never replace each other. Training
+is fully deterministic given (X, Y, hyperparameters).
 
 All trees grow together, one level at a time. Each tree's generator
 draws its bootstrap sample, then one candidate-feature set per node that
@@ -13,9 +21,12 @@ child before right within a level.
 
 Each fit ranks every X column once. A node's rows then sort on unique
 integer keys, rank and place, in the order a stable sort of the values
-gives. A node stops on constant targets where every target column has a
-variance of 0; a node whose targets differ by 1e-140 or more in some
-column is known to vary without one (``_differ``).
+gives. A node stops on constant targets, where every target column's
+largest value equals its smallest (``_differ``). A partition is compared
+by the wrapping uint64 sum of fixed random per-row keys over its left
+rows, as min(left, total - left): integer sums, with no roundoff, the
+same whichever side goes left. Two partitions share that value by chance
+about once in 2**63 comparisons.
 
 Each tree is laid out breadth first, so its layout gives its children:
 those of its j-th split node are its nodes 2j + 1 and 2j + 2, and a tree
@@ -127,7 +138,7 @@ class RegressionForest:
 
 
 # Cap on the elements of one block (nodes x rows x candidates x targets),
-# and on the targets of one run of the spread pre-test (``_differ``): it
+# and on the targets of one run of the constant-target check (``_differ``): it
 # bounds the transient memory of a level of growth.
 _BLOCK_ELEMENTS = 1 << 14
 
@@ -194,63 +205,67 @@ def _sorted_rows(ranks, rows, count, cand):
     return rows, (key[:, :, 1:] > key[:, :, :-1]) & ~pad[:, :, 1:]
 
 
-def _best_splits(X, YY, ranks, rows, count, cand):
+def _best_splits(X, T, keys, ranks, rows, count, cand):
     """The best split on each candidate of each node of a block: its
     ``count`` rows, padded to ``rows`` (nodes, n) with copies of its last
     row, and its ascending candidate features ``cand`` (nodes, m).
     ``ranks`` holds the dense ranks of X's columns (``_ranks``),
-    C-contiguous, and ``YY`` the w target columns, then their squares, as
-    2w C-contiguous rows. Returns, each (nodes, m): whether the candidate
-    takes two distinct values, the least SSE of its splits, and the
-    threshold of the first split of that SSE."""
+    C-contiguous, ``T`` the w target columns as C-contiguous rows, and
+    ``keys`` a uint64 key per training row. A split is ranked by the
+    proxy ``sum_t S_L,t**2 / n_L + sum_t S_R,t**2 / n_R`` of its left and
+    right target sums: the node's SSE less it is the split's SSE, so the
+    greatest proxy is the least SSE. Returns, each (nodes, m): whether
+    the candidate takes two distinct values, the greatest proxy of its
+    splits, the threshold of the first split of that proxy, and the
+    partition that split makes, as min(left, total - left) of wrapping
+    sums of the rows' keys, the same whichever side goes left."""
     B, n = rows.shape
     m = cand.shape[1]
     rows, boundary = _sorted_rows(ranks, rows, count, cand)
-    # the targets first, (2w, nodes, m, n): prefix sums run along contiguous
+    # the targets first, (w, nodes, m, n): prefix sums run along contiguous
     # rows, and a sum over the targets is w - 1 adds of whole slabs, left
     # to right, the order in which np.sum adds fewer than 8 columns
-    c = _prefix_sums(np.take(YY, rows, axis=1))
-    w = len(c) // 2
-    c1, c2 = c[:w], c[w:]
+    left = _prefix_sums(np.take(T, rows, axis=1))
     cell = np.arange(B * m).reshape(B, m)  # (node, candidate), flat
-    tot = np.take(c.reshape(2 * w, -1), cell * n + (count - 1)[:, None], axis=1)[..., None]
-    tot1, tot2 = tot[:w], tot[w:]
-    # the SSE of every left/right partition. Each step below is an
-    # operation of ``c2 - c1**2 / nl`` and ``(tot2 - c2) - (tot1 - c1)**2 /
-    # nr``, in that order, done in place on whole arrays with divisors as
-    # wide as a target's slab, so numpy runs long inner loops
-    nl = np.empty((B, m, n))
-    nl[...] = np.arange(1.0, n + 1)
-    right = np.square(tot1 - c1)
-    right /= np.maximum(count[:, None, None] - nl, 1.0)  # 1 in the padding
-    right = np.subtract(tot2 - c2, right, out=right)
-    left = np.square(c1, out=c1)
-    left /= nl
-    left = np.subtract(c2, left, out=left)
-    for k in range(1, w):
+    last = cell * n + (count - 1)[:, None]
+    tot = np.take(left.reshape(len(T), -1), last, axis=1)[..., None]
+    right = np.subtract(tot, left)
+    np.square(right, out=right)
+    np.square(left, out=left)
+    for k in range(1, len(T)):
         left[0] += left[k]
         right[0] += right[k]
-    left[0] += right[0]
-    sse = np.where(boundary, left[0, :, :, :-1], np.inf)  # a split after each position
-    # first minimum = smallest threshold among equal-SSE splits
-    j = np.argmin(sse, axis=2)
+    left, right = left[0], right[0]
+    left /= np.arange(1.0, n + 1)
+    right /= np.maximum(count[:, None, None] - np.arange(1.0, n + 1), 1.0)  # 1 in the padding
+    left += right
+    proxy = np.where(boundary, left[:, :, :-1], -np.inf)  # a split after each position
+    # first maximum = smallest threshold among equal-proxy splits
+    j = np.argmax(proxy, axis=2)
     below, above = np.take(rows, cell * n + j), np.take(rows, cell * n + j + 1)
     threshold = 0.5 * (X[below, cand] + X[above, cand])
-    return np.any(boundary, axis=2), np.take(sse, cell * (n - 1) + j), threshold
+    key = _prefix_sums(np.take(keys, rows))
+    key_left = np.take(key, cell * n + j)
+    part = np.minimum(key_left, np.take(key, last) - key_left)
+    return np.any(boundary, axis=2), np.take(proxy, cell * (n - 1) + j), threshold, part
 
 
-def _pick(cand, found, sse, threshold):
+def _pick(cand, found, sse, threshold, part):
     """The split of each node from its candidates' best splits (see
-    ``_best_splits``): the first candidate that takes two distinct values,
-    unless a later one beats the best so far by the relative tolerance.
+    ``_best_splits``) and their SSEs: the first candidate that takes two
+    distinct values, unless a later one beats the best so far by the
+    relative tolerance and cuts the node's rows into another partition.
     Returns (feature, threshold), feature -1 where no candidate takes two
     distinct values."""
     pick, best = np.full(len(cand), -1), np.full(len(cand), np.inf)
+    best_part = np.zeros(len(cand), dtype=part.dtype)
     with np.errstate(invalid="ignore"):  # inf - inf before the first find
         for f in range(cand.shape[1]):
-            better = found[:, f] & ((pick < 0) | (sse[:, f] < best - 1e-15 * np.maximum(1.0, best)))
+            lower = sse[:, f] < best - 1e-15 * np.maximum(1.0, best)
+            better = found[:, f] & ((pick < 0) | (lower & (part[:, f] != best_part)))
             pick = np.where(better, f, pick)
             best = np.where(better, sse[:, f], best)
+            best_part = np.where(better, part[:, f], best_part)
     node = np.arange(len(cand))
     split = pick >= 0
     return np.where(split, cand[node, pick], -1), np.where(split, threshold[node, pick], 0.0)
@@ -265,13 +280,12 @@ def _targets(Y, rows, start, count, nodes):
 
 
 def _differ(Y, rows, start, count, nodes):
-    """Whether the targets of each of the given nodes differ by 1e-140 or
-    more in some column, which proves a positive variance there: some
-    |y - mean| is then at least about 5e-141, its square at least about
-    2.5e-281, and neither the sum of the squares nor its division by the
-    count brings that to 0. Runs of nodes hold at most ``_BLOCK_ELEMENTS``
+    """Whether the targets of each of the given nodes differ in some
+    column, and each node's sum of squared targets: per column by
+    ``np.add.reduceat`` over the node's rows in order, then over the
+    columns left to right. Runs of nodes hold at most ``_BLOCK_ELEMENTS``
     targets each, a larger node alone."""
-    differ = np.empty(len(nodes), dtype=bool)
+    differ, squares = np.empty(len(nodes), dtype=bool), np.zeros(len(nodes))
     c = count[nodes]
     end = np.cumsum(c)
     first = end - c  # each node's first row among the nodes' rows
@@ -282,10 +296,12 @@ def _differ(Y, rows, start, count, nodes):
         at = np.repeat(start[nodes[s:e]] - first[s:e], c[s:e]) + np.arange(first[s], end[e - 1])
         y = np.take(Y, rows[at], axis=0)
         offsets = first[s:e] - first[s]
-        spread = np.maximum.reduceat(y, offsets) - np.minimum.reduceat(y, offsets)
-        differ[s:e] = np.any(spread >= 1e-140, axis=1)
+        differ[s:e] = np.any(np.maximum.reduceat(y, offsets) > np.minimum.reduceat(y, offsets),
+                             axis=1)
+        for column in np.add.reduceat(np.square(y, out=y), offsets).T:
+            squares[s:e] += column
         s = e
-    return differ
+    return differ, squares
 
 
 def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
@@ -293,13 +309,15 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
     bootstrap, then one candidate set per searching node in breadth-first
     order. Returns the node columns feature and threshold, the leaf
     values and the roots: tree by tree, breadth first within a tree.
-    Only a node that may split gets the constant-target check, and only
-    a leaf gets its mean target. The check computes the variances only
-    of nodes whose targets differ by less than 1e-140 in every column
-    (``_differ``)."""
+    Only a node that may split gets the constant-target check and its sum
+    of squared targets (``_differ``), and only a leaf gets its mean
+    target."""
     n, n_features = X.shape
     ranks = _ranks(X)
-    YY = np.concatenate([Y.T, np.square(Y.T)])
+    T = np.ascontiguousarray(Y.T)
+    # fixed random keys of the training rows, for the partition a split
+    # makes (``_best_splits``)
+    keys = np.random.default_rng(0).integers(2**64, size=n, dtype=np.uint64)
     rngs = [np.random.default_rng([hp.seed, t]) for t in range(hp.n_trees)]
     # the open nodes of a level, ordered by tree, then breadth first;
     # their rows are concatenated in ``rows``
@@ -312,9 +330,8 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
         # the stop checks: depth, min_samples_split, constant targets
         search = (count >= hp.min_samples_split) & (depth < hp.max_depth)
         maybe = np.flatnonzero(search)
-        undecided = maybe[~_differ(Y, rows, start, count, maybe)]
-        for nodes, y in _targets(Y, rows, start, count, undecided):
-            search[nodes] = ~np.all(y.var(axis=1) <= 0.0, axis=1)
+        differ, squares = _differ(Y, rows, start, count, maybe)
+        search[maybe] = differ
         feature = np.full(len(count), -1)
         threshold = np.zeros(len(count))
         searching = np.flatnonzero(search)
@@ -328,14 +345,16 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
             ])
             cand = np.sort(cand[:, : hp.max_features], axis=1)
             found = np.empty(cand.shape, dtype=bool)
-            sse, cut = np.empty(cand.shape), np.empty(cand.shape)
+            proxy, cut = np.empty(cand.shape), np.empty(cand.shape)
+            part = np.empty(cand.shape, dtype=np.uint64)
             for block, c in _blocks(count[searching], hp.max_features * Y.shape[1]):
                 nodes = searching[block]
                 padded = start[nodes, None] + np.minimum(np.arange(c), count[nodes, None] - 1)
-                found[block], sse[block], cut[block] = _best_splits(
-                    X, YY, ranks, rows[padded], count[nodes], cand[block]
+                found[block], proxy[block], cut[block], part[block] = _best_splits(
+                    X, T, keys, ranks, rows[padded], count[nodes], cand[block]
                 )
-            feature[searching], threshold[searching] = _pick(cand, found, sse, cut)
+            feature[searching], threshold[searching] = _pick(
+                cand, found, squares[differ, None] - proxy, cut, part)
         is_leaf = feature < 0
         slot = np.cumsum(is_leaf) - 1  # a leaf's row of ``value``
         value = np.empty((slot[-1] + 1, Y.shape[1]))
