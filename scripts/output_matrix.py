@@ -14,9 +14,11 @@ on purpose. ``--compare`` lists the files that differ between two such
 directories (or are in one only), prints the largest |difference| of
 every numeric column of each differing CSV and the dotted keys whose
 values differ in each differing JSON file, and exits with status 1 if
-any file differs.
+any file differs. Of a differing forest file it prints a summary of its
+trees instead of one line per tree (``tree_diffs``).
 """
 
+import binascii
 import csv
 import json
 import os
@@ -133,9 +135,61 @@ def _key_diffs(x, y, key):
         yield f"{key or '(whole document)'}: differs"
 
 
+# the fields of a forest file's trees that hold float64 bytes as base64 text
+FOREST_FLOATS = ("threshold", "leaf_value")
+
+
+def _is_forest(doc):
+    """Whether ``doc`` has a ``trees`` list of forest-file trees: each has
+    a ``split_feature`` and the base64 texts of ``FOREST_FLOATS``, and no
+    other key."""
+    return isinstance(doc, dict) and isinstance(doc.get("trees"), list) and all(
+        isinstance(tree, dict) and set(tree) == {"split_feature", *FOREST_FLOATS}
+        and all(isinstance(tree[key], str) for key in FOREST_FLOATS) for tree in doc["trees"])
+
+
+def tree_diffs(trees_a, trees_b):
+    """Lines for the ``trees`` lists, of one length, of two forest files:
+    in how many trees ``split_feature`` differs, then per float field in
+    how many trees and how many values it differs, with the largest
+    |a - b| and relative |a - b| (over max(|a|, |b|)). Values are compared
+    in the trees whose field holds as many float64 values on both sides;
+    the others are counted apart."""
+    n = len(trees_a)
+    moved = sum(a["split_feature"] != b["split_feature"] for a, b in zip(trees_a, trees_b))
+    lines = [f"trees.split_feature: differs in {moved} of {n} trees"]
+    for key in FOREST_FLOATS:
+        differ = apart = values = changed = 0
+        delta = relative = 0.0
+        for a, b in zip(trees_a, trees_b):
+            if a[key] == b[key]:
+                continue
+            differ += 1
+            x, y = (np.frombuffer(binascii.a2b_base64(t[key]), dtype="<f8") for t in (a, b))
+            if x.shape != y.shape:
+                apart += 1
+                continue
+            d = np.abs(x - y)
+            nonzero = d > 0
+            values += d.size
+            changed += np.count_nonzero(nonzero)
+            delta = max(delta, d.max(initial=0.0))
+            relative = max(relative, np.max(
+                d[nonzero] / np.maximum(np.abs(x[nonzero]), np.abs(y[nonzero])), initial=0.0))
+        line = f"trees.{key}: differs in {differ} of {n} trees"
+        if differ > apart:
+            line += (f" ({changed} of their {values} values), max |delta| {delta:.3e}, "
+                     f"max relative |delta| {relative:.3e}")
+        if apart:
+            line += f"; {apart} of another length"
+        lines.append(line)
+    return lines
+
+
 def _json_diffs(path_a, path_b):
     """The lines of ``_key_diffs`` for two JSON files: none when only the
-    formatting differs."""
+    formatting differs. Two forest files of as many trees list their
+    trees by ``tree_diffs``, after their other keys."""
     docs = []
     for path in (path_a, path_b):
         with open(path, "rb") as f:
@@ -143,6 +197,10 @@ def _json_diffs(path_a, path_b):
                 docs.append(json.load(f))
             except ValueError:
                 return [f"not valid JSON: {path}"]
+    a, b = docs
+    if _is_forest(a) and _is_forest(b) and len(a["trees"]) == len(b["trees"]):
+        head = [{k: v for k, v in doc.items() if k != "trees"} for doc in docs]
+        return [*_key_diffs(*head, ""), *tree_diffs(a["trees"], b["trees"])]
     return list(_key_diffs(*docs, ""))
 
 

@@ -22,6 +22,11 @@ class ProfileParseError(ValueError):
     pass
 
 
+class LaminarBaselineError(ValueError):
+    """A baseline whose k is below ``tensors.K_FLOOR`` at every node: it
+    gives no training rows."""
+
+
 # tolerance of the profile checks on stresses in wall units
 _STRESS_SLACK = 1e-8
 
@@ -253,7 +258,9 @@ def build_targets(rans_state, reference: DnsProfile, target_kind: str) -> Traini
     then ``interpolate`` onto the state's y+.
 
     Degenerate (near-laminar) nodes in either field are excluded and
-    counted in ``n_excluded``.
+    counted in ``n_excluded``. A baseline degenerate at every node raises
+    LaminarBaselineError, and a reference that leaves no node
+    ProfileParseError; each names the Re_tau.
     """
     from . import features as feat
 
@@ -271,8 +278,14 @@ def build_targets(rans_state, reference: DnsProfile, target_kind: str) -> Traini
         lam_r, degen_r = tensors.anisotropy_eigenvalues(rans_state.tau)
         lam_d, degen_d = tensors.anisotropy_eigenvalues(tau_d)
     keep = ~(degen_r | degen_d)
+    if degen_r.all():
+        raise LaminarBaselineError(
+            f"the baseline at Re_tau={rans_state.re_tau:g} is laminar at every node "
+            f"(k below {tensors.K_FLOOR:g}): no training rows")
     if not keep.any():
-        raise ValueError("all nodes degenerate; no training rows")
+        raise ProfileParseError(
+            f"the reference at Re_tau={rans_state.re_tau:g} leaves no training row: its k is "
+            f"below {tensors.K_FLOOR:g} at every node where the baseline's is not")
     x_r = tensors.weights_to_points(tensors.eigenvalues_to_weights(lam_r[keep]))
     x_d = tensors.weights_to_points(tensors.eigenvalues_to_weights(lam_d[keep]))
     p_corr = x_d - x_r

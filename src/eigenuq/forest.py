@@ -22,11 +22,14 @@ child before right within a level.
 Each fit ranks every X column once. A node's rows then sort on unique
 integer keys, rank and place, in the order a stable sort of the values
 gives. A node stops on constant targets, where every target column's
-largest value equals its smallest (``_differ``). A partition is compared
-by the wrapping uint64 sum of fixed random per-row keys over its left
-rows, as min(left, total - left): integer sums, with no roundoff, the
-same whichever side goes left. Two partitions share that value by chance
-about once in 2**63 comparisons.
+largest value equals its smallest. Each level reads its nodes' targets
+in one pass (``_sums``) for that stop, each node's sum of squared
+targets and each leaf's value: its target sums, by ``np.add.reduceat``,
+over its row count. A partition is compared by the wrapping uint64 sum
+of fixed random per-row keys over its left rows, as min(left, total -
+left): integer sums, with no roundoff, the same whichever side goes
+left. Two partitions share that value by chance about once in 2**63
+comparisons.
 
 Each tree is laid out breadth first, so its layout gives its children:
 those of its j-th split node are its nodes 2j + 1 and 2j + 2, and a tree
@@ -138,25 +141,21 @@ class RegressionForest:
 
 
 # Cap on the elements of one block (nodes x rows x candidates x targets),
-# and on the targets of one run of the constant-target check (``_differ``): it
-# bounds the transient memory of a level of growth.
+# and on the targets of one run of nodes of a level's one pass over its
+# rows (``_sums``): it bounds the transient memory of a level of growth.
 _BLOCK_ELEMENTS = 1 << 14
 
 
-def _blocks(count: np.ndarray, width: int, equal: bool = False):
+def _blocks(count: np.ndarray, width: int):
     """Yield (nodes, n), largest nodes first: blocks of nodes of at most n
     rows, each padded to n rows of ``width`` elements, at most
-    ``_BLOCK_ELEMENTS`` elements in all. With ``equal`` every node of a
-    block has n rows: nothing is padded, so numpy sums each node's rows as
-    it sums them for that node alone."""
+    ``_BLOCK_ELEMENTS`` elements in all."""
     order = np.argsort(-count, kind="stable")
     desc = count[order]
     s = 0
     while s < len(order):
         n = int(desc[s])
         e = s + max(1, _BLOCK_ELEMENTS // (n * width))
-        if equal:
-            e = min(e, int(np.searchsorted(-desc, -n, side="right")))
         yield order[s:e], n
         s = e
 
@@ -271,37 +270,29 @@ def _pick(cand, found, sse, threshold, part):
     return np.where(split, cand[node, pick], -1), np.where(split, threshold[node, pick], 0.0)
 
 
-def _targets(Y, rows, start, count, nodes):
-    """Yield (nodes, y): the given nodes in blocks, with their targets y
-    (nodes, c, targets). Every node of a block has c rows, so numpy sums
-    each node's rows as it sums them for that node alone."""
-    for block, c in _blocks(count[nodes], Y.shape[1], equal=True):
-        yield nodes[block], np.take(Y, rows[start[nodes[block], None] + np.arange(c)], axis=0)
-
-
-def _differ(Y, rows, start, count, nodes):
-    """Whether the targets of each of the given nodes differ in some
-    column, and each node's sum of squared targets: per column by
-    ``np.add.reduceat`` over the node's rows in order, then over the
-    columns left to right. Runs of nodes hold at most ``_BLOCK_ELEMENTS``
-    targets each, a larger node alone."""
-    differ, squares = np.empty(len(nodes), dtype=bool), np.zeros(len(nodes))
-    c = count[nodes]
-    end = np.cumsum(c)
-    first = end - c  # each node's first row among the nodes' rows
+def _sums(Y, rows, start, count):
+    """One pass over a level's rows, held node by node in ``rows`` from
+    ``start``: whether each node's targets differ in some column, its sum
+    of squared targets and its target sums. Each sum is
+    ``np.add.reduceat`` per column over the node's rows in order, and the
+    squares are then added over the columns left to right. Runs of nodes
+    hold at most ``_BLOCK_ELEMENTS`` targets each, a larger node alone."""
+    differ, squares = np.empty(len(count), dtype=bool), np.zeros(len(count))
+    sums = np.empty((len(count), Y.shape[1]))
+    end = start + count
     cap = _BLOCK_ELEMENTS // Y.shape[1]
     s = 0
-    while s < len(nodes):
-        e = max(s + 1, int(np.searchsorted(end, first[s] + cap, side="right")))
-        at = np.repeat(start[nodes[s:e]] - first[s:e], c[s:e]) + np.arange(first[s], end[e - 1])
-        y = np.take(Y, rows[at], axis=0)
-        offsets = first[s:e] - first[s]
+    while s < len(count):
+        e = max(s + 1, int(np.searchsorted(end, start[s] + cap, side="right")))
+        y = np.take(Y, rows[start[s]:end[e - 1]], axis=0)
+        offsets = start[s:e] - start[s]
         differ[s:e] = np.any(np.maximum.reduceat(y, offsets) > np.minimum.reduceat(y, offsets),
                              axis=1)
+        sums[s:e] = np.add.reduceat(y, offsets)
         for column in np.add.reduceat(np.square(y, out=y), offsets).T:
             squares[s:e] += column
         s = e
-    return differ, squares
+    return differ, squares, sums
 
 
 def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
@@ -309,9 +300,9 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
     bootstrap, then one candidate set per searching node in breadth-first
     order. Returns the node columns feature and threshold, the leaf
     values and the roots: tree by tree, breadth first within a tree.
-    Only a node that may split gets the constant-target check and its sum
-    of squared targets (``_differ``), and only a leaf gets its mean
-    target."""
+    Each level reads its nodes' targets once (``_sums``): for the
+    constant-target stop, the sums of squares of the split search and the
+    leaves' means, each a leaf's target sums over its row count."""
     n, n_features = X.shape
     ranks = _ranks(X)
     T = np.ascontiguousarray(Y.T)
@@ -327,11 +318,9 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
     levels = []  # per level: tree, feature, threshold, value
     for depth in range(hp.max_depth + 1):
         start = np.cumsum(count) - count
+        differ, squares, sums = _sums(Y, rows, start, count)
         # the stop checks: depth, min_samples_split, constant targets
-        search = (count >= hp.min_samples_split) & (depth < hp.max_depth)
-        maybe = np.flatnonzero(search)
-        differ, squares = _differ(Y, rows, start, count, maybe)
-        search[maybe] = differ
+        search = differ & (count >= hp.min_samples_split) & (depth < hp.max_depth)
         feature = np.full(len(count), -1)
         threshold = np.zeros(len(count))
         searching = np.flatnonzero(search)
@@ -354,13 +343,9 @@ def _grow(X: np.ndarray, Y: np.ndarray, hp: ForestHyperparams):
                     X, T, keys, ranks, rows[padded], count[nodes], cand[block]
                 )
             feature[searching], threshold[searching] = _pick(
-                cand, found, squares[differ, None] - proxy, cut, part)
+                cand, found, squares[searching, None] - proxy, cut, part)
         is_leaf = feature < 0
-        slot = np.cumsum(is_leaf) - 1  # a leaf's row of ``value``
-        value = np.empty((slot[-1] + 1, Y.shape[1]))
-        for nodes, y in _targets(Y, rows, start, count, np.flatnonzero(is_leaf)):
-            value[slot[nodes]] = y.mean(axis=1)
-        levels.append((tree, feature, threshold, value))
+        levels.append((tree, feature, threshold, sums[is_leaf] / count[is_leaf, None]))
         # a split node's children are nodes 2r and 2r + 1 of the next level,
         # r its rank among the level's split nodes; left before right, each
         # child keeps its parent's row order

@@ -368,7 +368,10 @@ def train_forest(settings: Settings, target_kind: str):
     solve, and goes to ``dns.build_targets`` as read.
     The baselines of the training Re_tau and of the holdout are solved as one stack (``channel.solve_baselines``),
     each row that of its own ``channel.solve``; a failing one raises the
-    SolverError of the first failing Re_tau, in that order."""
+    SolverError of the first failing Re_tau, in that order. Before the
+    fit, a Re_tau whose baseline is laminar at every node raises
+    ConfigError, and one whose reference leaves no training row
+    DataError."""
     if target_kind not in dns.TARGET_NAMES:
         raise ConfigError(
             f"unknown target {target_kind!r}; choose from {tuple(dns.TARGET_NAMES)}"
@@ -408,7 +411,12 @@ def train_forest(settings: Settings, target_kind: str):
             build_channel_config(settings, re_tau=re_taus[0]), re_taus)):
         if isinstance(state, channel.SolverError):
             raise state
-        sets.append(dns.build_targets(state, profile, target_kind))
+        try:
+            sets.append(dns.build_targets(state, profile, target_kind))
+        except dns.LaminarBaselineError as e:
+            raise ConfigError(str(e)) from e
+        except dns.ProfileParseError as e:
+            raise DataError(str(e)) from e
     del state
     *training, held = sets
     X, Y = np.vstack([s.X for s in training]), np.vstack([s.Y for s in training])

@@ -185,7 +185,8 @@ def reference_fit(X, Y, hp):
             ):
                 split = reference_split(X, Y, idx, rng.permutation(X.shape[1])[: hp.max_features])
             if split is None:
-                values.append(y.mean(axis=0))
+                # the target sums by reduceat over the row count, as fit takes them
+                values.append(np.add.reduceat(y, [0])[0] / len(idx))
                 continue
             mask = X[idx, split[0]] <= split[1]
             given = len(nodes) + len(queue)  # the children's indices, first in first out

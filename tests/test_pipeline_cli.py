@@ -264,6 +264,34 @@ class TestTrainCommand:
         assert stderr == f"numerical failure: {first.value}\n"
         assert not (tmp_path / "d").exists()
 
+    def test_laminar_baseline_exit_two(self, tmp_path, monkeypatch, capsys):
+        # up to Re_tau 10 the baseline's k is below K_FLOOR at every node
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\nn_cells = 32\n[train]\ntrain_re_tau = 1, 2\nholdout_re_tau = 3\n")
+        code, stderr = run_main(monkeypatch, capsys, "train", "--target", "p", "--config",
+                                str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 2
+        assert stderr == ("configuration error: the baseline at Re_tau=1 is laminar at every "
+                          "node (k below 1e-12): no training rows\n")
+        assert not (tmp_path / "d").exists()
+
+    def test_reference_without_stresses_exit_four(self, tmp_path, monkeypatch, capsys):
+        # a profile whose stresses are all 0 is well formed and covers the
+        # channel, but its k is below K_FLOOR at every node
+        profile = dns.synthetic_profile(180.0)
+        dns.write_profile(replace(profile, **{name: np.zeros_like(profile.U_plus) for name in
+                                              ("uu_plus", "vv_plus", "ww_plus", "uv_plus")}),
+                          tmp_path / "zero.dat")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[channel]\nn_cells = 32\n[train]\ntrain_re_tau = 180\n"
+                       f"holdout_re_tau = 1000\n[data]\n180 = {tmp_path / 'zero.dat'}\n")
+        code, stderr = run_main(monkeypatch, capsys, "train", "--target", "p", "--config",
+                                str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 4
+        assert stderr == ("data error: the reference at Re_tau=180 leaves no training row: its "
+                          "k is below 1e-12 at every node where the baseline's is not\n")
+        assert not (tmp_path / "d").exists()
+
 
 @pytest.fixture(scope="module")
 def small_grid_datafree_uq(tmp_path_factory):

@@ -4,7 +4,10 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from eigenuq import forest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_matrix.py"
 
@@ -70,6 +73,28 @@ class TestCompare:
             "  trees: differs",
             "  gone: in one file only",
             "  new: in one file only",
+            "1 of 1 files differ",
+        ]
+
+    def test_summarises_the_trees_of_forest_files(self, output_matrix, tmp_path, capsys):
+        # two saved forests whose last leaf value differs by one ulp
+        rng = np.random.default_rng(0)
+        hp = forest.ForestHyperparams(max_depth=3, min_samples_split=2, max_features=2, n_trees=3)
+        fitted = forest.fit(rng.random((40, 3)), rng.random((40, 2)), hp)
+        for side in "ab":
+            (tmp_path / side).mkdir()
+        forest.save(fitted, tmp_path / "a" / "forest.json")
+        old = fitted.value[-1, -1]
+        fitted.value[-1, -1] = new = np.nextafter(old, np.inf)
+        forest.save(fitted, tmp_path / "b" / "forest.json")
+        values = fitted.value.shape[1] * np.count_nonzero(fitted.feature[fitted.roots[-1]:] < 0)
+        assert output_matrix.compare(tmp_path / "a", tmp_path / "b") == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: forest.json",
+            "  trees.split_feature: differs in 0 of 3 trees",
+            "  trees.threshold: differs in 0 of 3 trees",
+            f"  trees.leaf_value: differs in 1 of 3 trees (1 of their {values} values), "
+            f"max |delta| {new - old:.3e}, max relative |delta| {(new - old) / new:.3e}",
             "1 of 1 files differ",
         ]
 
