@@ -13,7 +13,8 @@ of two checkouts must be identical unless the change alters the numbers
 on purpose. ``--compare`` lists the files that differ between two such
 directories (or are in one only), prints the largest |difference| of
 every numeric column of each differing CSV and the dotted keys whose
-values differ in each differing JSON file, and exits with status 1 if
+values differ in each differing JSON file (with the old and new value
+where both are scalars), and exits with status 1 if
 any file differs. Of a differing forest file it prints a summary of its
 trees instead of one line per tree (``tree_diffs``).
 """
@@ -30,10 +31,11 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SMALL_GRID = os.path.join(ROOT, "perfbench", "uq-small-grid.ini")
 
-# A training on Re_tau whose grids take both branches of the gradient:
-# at 192 nodes, 90 and 95.5 are evenly spaced (linspace) grids, and only
-# 95.5's spacings are all equal, which numpy's uniform branch needs.
-# Written into OUT_DIR and read by a relative path.
+# A training on Re_tau whose grids are of every kind in one stack: at 192
+# nodes, 90 and 95.5 are evenly spaced (linspace) grids, only 95.5's
+# spacings are all equal, and 180 and 5200 are stretched; so the
+# three-point gradient's output on an exactly uniform grid is compared
+# too. Written into OUT_DIR and read by a relative path.
 MIXED_GRIDS = ("train_mixed_grids.ini", "[train]\ntrain_re_tau = 90, 95.5, 180, 5200\n")
 # The synthetic Re_tau 1000 profile as a file, for propagate-dns --dns;
 # written into OUT_DIR by dns.write_profile and read by a relative path.
@@ -119,8 +121,9 @@ def _same(x, y):
 
 def _key_diffs(x, y, key):
     """Yield one line per dotted key (list entries by index) whose values
-    differ between the JSON values ``x`` and ``y``; a list of another
-    length differs as a whole."""
+    differ between the JSON values ``x`` and ``y``: ``key: old -> new``
+    where both are scalars, each as ``json.dumps`` writes it, and ``key:
+    differs`` otherwise; a list of another length differs as a whole."""
     if isinstance(x, dict) and isinstance(y, dict):
         for k in [*x, *(k for k in y if k not in x)]:
             sub = f"{key}.{k}" if key else k
@@ -131,8 +134,10 @@ def _key_diffs(x, y, key):
     elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
         for i, (u, v) in enumerate(zip(x, y)):
             yield from _key_diffs(u, v, f"{key}.{i}" if key else str(i))
-    elif isinstance(x, (dict, list)) or isinstance(y, (dict, list)) or not _same(x, y):
+    elif isinstance(x, (dict, list)) or isinstance(y, (dict, list)):
         yield f"{key or '(whole document)'}: differs"
+    elif not _same(x, y):
+        yield f"{key or '(whole document)'}: {json.dumps(x)} -> {json.dumps(y)}"
 
 
 # the fields of a forest file's trees that hold float64 bytes as base64 text

@@ -249,16 +249,18 @@ def make_grid(re_tau: float, n_nodes: int, y1: float) -> np.ndarray:
 
 
 class _Grid:
-    """The nodes of a solve, their spacings, the stencil of numpy's
-    gradient, the wall-distance terms of the closure and the unit
+    """The nodes of a solve, their spacings, the three-point weights of
+    the gradient, the wall-distance terms of the closure and the unit
     diffusivity and zero sink of momentum under a fixed stress, built
-    once with numpy's formulas: ``grad(f)`` equals numpy's
-    ``gradient(f, y)`` bit for bit, uniform-spacing branch too.
+    once. ``grad(f)`` takes numpy's weights for arbitrary spacing at
+    every interior node and its one-sided ends: it equals numpy's
+    ``gradient(f, y)`` bit for bit wherever the spacings are not all
+    equal, and differs in the last bits at most where they are, since
+    numpy then takes (f[i+1] - f[i-1]) / 2h instead.
 
     ``y`` holds the (n,) nodes of one grid, or the (rows, n) nodes of a
-    stack of rows. Then every term is per row, the wall omega and the
-    last half spacing (rows,) arrays, and each row takes the gradient
-    branch of its own grid."""
+    stack of rows. Then every term is per row, and the wall omega and the
+    last half spacing (rows,) arrays."""
 
     def __init__(self, y):
         self.y = y
@@ -278,30 +280,15 @@ class _Grid:
                                       axis=-1)
         self.sup_den = h[..., 1:] * delta
         self.half_h_end = 0.5 * h[..., -1]
-        # numpy's uniform branch, for the rows whose spacings are all equal
-        uniform = (h == h[..., :1]).all(axis=-1)
-        self.abc = self.uniform = None
-        if uniform.all():
-            self.two_h = 2.0 * h[..., :1]
-        else:
-            dx1, dx2 = h[..., :-1], h[..., 1:]
-            self.abc = (-(dx2) / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
-                        dx1 / (dx2 * (dx1 + dx2)))
-            if uniform.any():
-                self.uniform = np.flatnonzero(uniform)
-                self.two_h = 2.0 * h[self.uniform, :1]
+        dx1, dx2 = h[..., :-1], h[..., 1:]
+        self.abc = (-(dx2) / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+                    dx1 / (dx2 * (dx1 + dx2)))
 
     def grad(self, f):
         """The gradient along the last axis of ``f``."""
         out = np.empty_like(f)
-        if self.abc is None:
-            out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / self.two_h
-        else:
-            a, b, c = self.abc
-            out[..., 1:-1] = a * f[..., :-2] + b * f[..., 1:-1] + c * f[..., 2:]
-            if self.uniform is not None:
-                u = self.uniform
-                out[..., u, 1:-1] = (f[..., u, 2:] - f[..., u, :-2]) / self.two_h
+        a, b, c = self.abc
+        out[..., 1:-1] = a * f[..., :-2] + b * f[..., 1:-1] + c * f[..., 2:]
         # both one-sided ends in one strided operation: (f[1] - f[0]) / h[0]
         # and (f[-1] - f[-2]) / h[-1]
         out[..., ::self.last] = (f[..., 1::self.last - 1] - f[..., :-1:self.last - 1]) / self.h_ends
@@ -754,7 +741,8 @@ def _sweep(grid, state, minus_uv, ur, eddy=None):
     writes the relaxed U, k and omega pair and nu_t into the rows of a
     new one: k and omega are its rows 1:3 throughout, with one gradient
     call, one transport solve, and one relaxed update floored at 0 and
-    OMEGA_FLOOR, then k = 0 at the wall.
+    OMEGA_FLOOR. Each solve's wall entry is set to its Dirichlet value,
+    which the solver meets only to roundoff.
 
     Returns a new ChannelState on the new iterate; every array of
     ``state`` stays intact.
@@ -763,14 +751,15 @@ def _sweep(grid, state, minus_uv, ur, eddy=None):
     U, k_omega, nu_t = x[0], x[1:3], x[3]
     gamma_u, src_u = _momentum(grid, state, minus_uv, eddy)
     U_new = _transport_solve(grid, gamma_u, grid.no_sink, src_u, 0.0)
+    U_new[..., 0] = 0.0
     out = np.empty(x.shape)
     dudy = grid.grad(np.add(U, ur * (U_new - U), out=out[0]))
 
     systems, f2 = _turbulence(grid, k_omega, nu_t, dudy, minus_uv, eddy)
     new = _transport_solve(grid, *systems)
+    new[..., 0] = systems[3]
     floors = _K_OMEGA_FLOORS.reshape((2,) + (1,) * (k_omega.ndim - 1))
     np.maximum(k_omega + ur * (new - k_omega), floors, out=out[1:3])
-    out[1, ..., 0] = 0.0
 
     nu_t_new = _eddy_viscosity(out[1], out[2], dudy, f2)
     np.maximum(nu_t + ur * (nu_t_new - nu_t), 0.0, out=out[3])

@@ -67,9 +67,9 @@ class TestCompare:
         assert output_matrix.compare(tmp_path / "a", tmp_path / "b") == 1
         assert capsys.readouterr().out.splitlines() == [
             "differs: manifest.json",
-            "  forest.sha256: differs",
-            "  runs.1: differs",
-            "  n: differs",
+            '  forest.sha256: "aa" -> "bb"',
+            "  runs.1: 2 -> 3",
+            "  n: 1 -> 1.0",
             "  trees: differs",
             "  gone: in one file only",
             "  new: in one file only",
